@@ -21,7 +21,7 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Allocation-regression gates for the batched transport pipelines and the
+# Allocation-regression gates for the transport pipelines and the
 # scheduler dispatch path: run the benchmarks and fail if any benchmark
 # recorded at 0 allocs/op in its baseline (BENCH_ingest.json /
 # BENCH_egress.json / BENCH_sched.json) allocates at all, or a non-zero
@@ -40,7 +40,7 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific invariants (clock boundary, mutex discipline, atomics,
-# nil-safety, unit mixing, deprecations) — see internal/analysis.
+# nil-safety, unit mixing) — see internal/analysis.
 lint:
 	$(GO) run ./cmd/fdlint ./...
 

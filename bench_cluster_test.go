@@ -1,171 +1,22 @@
 package wanfd
 
-// Cluster-scale benchmark for the sharded MultiMonitor: 1024 peers, a
-// mixed workload of heartbeat dispatch, suspicion queries, aggregate
-// status and membership churn, against an inline single-RWMutex baseline
-// running the exact same detector stack. The sharded variant must win —
-// churn takes one of 16 shard locks instead of stalling every dispatch.
+// Cluster-scale benchmarks for the sharded MultiMonitor: heartbeat
+// dispatch through the router onto the shard timing wheels, with a static
+// membership and with a member continuously joining and leaving (churn
+// takes one of 16 shard locks instead of stalling every dispatch).
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"wanfd/internal/core"
-	"wanfd/internal/layers"
 	"wanfd/internal/neko"
-	"wanfd/internal/sim"
 	"wanfd/internal/telemetry"
 )
 
 const benchClusterPeers = 1024
-
-// clusterHarness is the operation surface both implementations expose to
-// the benchmark loop.
-type clusterHarness interface {
-	addPeer(name, addr string) error
-	removePeer(name string) error
-	inject(m *neko.Message)
-	suspected(name string) (bool, error)
-	status() []PeerStatus
-	clockNow() time.Duration
-	close()
-}
-
-// shardedHarness is the real MultiMonitor, driven through its router so
-// the benchmark measures the fan-in path rather than the kernel UDP stack.
-type shardedHarness struct{ mm *MultiMonitor }
-
-func (h shardedHarness) addPeer(name, addr string) error { return h.mm.AddPeer(name, addr) }
-func (h shardedHarness) removePeer(name string) error    { return h.mm.RemovePeer(name) }
-func (h shardedHarness) inject(m *neko.Message)          { h.mm.router.Receive(m) }
-func (h shardedHarness) suspected(name string) (bool, error) {
-	return h.mm.Suspected(name)
-}
-func (h shardedHarness) status() []PeerStatus    { return h.mm.Status() }
-func (h shardedHarness) clockNow() time.Duration { return h.mm.ctx.Clock.Now() }
-func (h shardedHarness) close()                  { _ = h.mm.Close() }
-
-// singleMapCluster is the baseline: identical detector construction and
-// dispatch, but one coarse RWMutex over one peer map, as a naive
-// multi-peer monitor would do it.
-type singleMapCluster struct {
-	opts   options
-	ctx    *neko.Context
-	mu     sync.RWMutex
-	nextID neko.ProcessID
-	byID   map[neko.ProcessID]*layers.Monitor
-	byName map[string]*peerEntry
-}
-
-func newSingleMapCluster(o options) *singleMapCluster {
-	clk := sim.NewRealClock()
-	return &singleMapCluster{
-		opts:   o,
-		ctx:    &neko.Context{ID: multiMonitorID, Clock: clk},
-		nextID: multiMonitorID + 1,
-		byID:   make(map[neko.ProcessID]*layers.Monitor),
-		byName: make(map[string]*peerEntry),
-	}
-}
-
-func (c *singleMapCluster) addPeer(name, addr string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.byName[name]; dup {
-		return fmt.Errorf("bench: peer %q already monitored", name)
-	}
-	pred, err := core.NewPredictorByName(c.opts.predictor)
-	if err != nil {
-		return err
-	}
-	margin, err := core.NewMarginByName(c.opts.margin)
-	if err != nil {
-		return err
-	}
-	det, err := core.NewDetector(core.DetectorConfig{
-		Name:       name,
-		Predictor:  pred,
-		Margin:     margin,
-		Eta:        c.opts.eta,
-		Clock:      c.ctx.Clock,
-		MinTimeout: c.opts.minTimeout,
-	})
-	if err != nil {
-		return err
-	}
-	mon, err := layers.NewMonitor(det)
-	if err != nil {
-		return err
-	}
-	if err := mon.Init(c.ctx); err != nil {
-		return err
-	}
-	id := c.nextID
-	c.nextID++
-	c.byID[id] = mon
-	c.byName[name] = &peerEntry{name: name, addr: addr, id: id, det: det, mon: mon}
-	return nil
-}
-
-func (c *singleMapCluster) removePeer(name string) error {
-	c.mu.Lock()
-	e, ok := c.byName[name]
-	if ok {
-		delete(c.byName, name)
-		delete(c.byID, e.id)
-	}
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("bench: unknown peer %q", name)
-	}
-	e.mon.Stop()
-	return nil
-}
-
-func (c *singleMapCluster) inject(m *neko.Message) {
-	c.mu.RLock()
-	if mon, ok := c.byID[m.From]; ok {
-		mon.Receive(m)
-	}
-	c.mu.RUnlock()
-}
-
-func (c *singleMapCluster) suspected(name string) (bool, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.byName[name]
-	if !ok {
-		return false, fmt.Errorf("bench: unknown peer %q", name)
-	}
-	return e.det.Suspected(), nil
-}
-
-func (c *singleMapCluster) status() []PeerStatus {
-	c.mu.RLock()
-	out := make([]PeerStatus, 0, len(c.byName))
-	for _, e := range c.byName {
-		out = append(out, e.status())
-	}
-	c.mu.RUnlock()
-	// Same API contract as MultiMonitor.Status: sorted by peer name.
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
-}
-
-func (c *singleMapCluster) clockNow() time.Duration { return c.ctx.Clock.Now() }
-
-func (c *singleMapCluster) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.byName {
-		e.mon.Stop()
-	}
-}
 
 // benchPeerNames precomputes the member names so the hot loop does no
 // formatting.
@@ -188,11 +39,11 @@ func benchPeerAddr(i int) string {
 // runReceiveBench measures the receive path: one op is attributing and
 // dispatching one heartbeat to its peer's detector, round-robin over the
 // 1024 members. In the flapping scenario a background goroutine joins and
-// leaves a member as fast as it can — the membership write path. With one
-// coarse lock, every dispatch issued during a join/leave critical section
-// stalls until it completes; with 16 shards only the flapper's own shard
-// does, so the measured dispatch latency stays flat.
-func runReceiveBench(b *testing.B, h clusterHarness, peers int, flapping bool) {
+// leaves a member as fast as it can — the membership write path. Only the
+// flapper's own shard stalls during a join/leave critical section, so the
+// measured dispatch latency stays flat. Heartbeats enter at the router, so
+// the benchmark measures the fan-in path rather than the kernel UDP stack.
+func runReceiveBench(b *testing.B, mm *MultiMonitor, peers int, flapping bool) {
 	b.Helper()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -209,11 +60,11 @@ func runReceiveBench(b *testing.B, h clusterHarness, peers int, flapping bool) {
 					return
 				default:
 				}
-				if err := h.addPeer(name, addr); err != nil {
+				if err := mm.AddPeer(name, addr); err != nil {
 					b.Error(err)
 					return
 				}
-				if err := h.removePeer(name); err != nil {
+				if err := mm.RemovePeer(name); err != nil {
 					b.Error(err)
 					return
 				}
@@ -231,8 +82,8 @@ func runReceiveBench(b *testing.B, h clusterHarness, peers int, flapping bool) {
 		seqs[p]++
 		msg.From = base + neko.ProcessID(p)
 		msg.Seq = seqs[p]
-		msg.SentAt = h.clockNow()
-		h.inject(msg)
+		msg.SentAt = mm.ctx.Clock.Now()
+		mm.router.Receive(msg)
 	}
 	b.StopTimer()
 	// Sampled before teardown, with every member's deadline still armed:
@@ -245,9 +96,25 @@ func runReceiveBench(b *testing.B, h clusterHarness, peers int, flapping bool) {
 	}
 }
 
-// BenchmarkCluster1k compares the sharded MultiMonitor against the
-// single-map baseline at 1024 peers, with a static membership and with a
-// member continuously joining and leaving.
+// benchCluster builds a MultiMonitor over the named peers; the benchmark's
+// cleanup closes it.
+func benchCluster(b *testing.B, names []string, opts ...Option) *MultiMonitor {
+	b.Helper()
+	mm, err := NewMultiMonitor("127.0.0.1:0", opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = mm.Close() })
+	for i, name := range names {
+		if err := mm.AddPeer(name, benchPeerAddr(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return mm
+}
+
+// BenchmarkCluster1k drives the sharded MultiMonitor at 1024 peers, with a
+// static membership and with a member continuously joining and leaving.
 func BenchmarkCluster1k(b *testing.B) {
 	names := benchPeerNames(benchClusterPeers)
 	for _, sc := range []struct {
@@ -259,64 +126,15 @@ func BenchmarkCluster1k(b *testing.B) {
 	} {
 		sc := sc
 		b.Run(sc.name+"/sharded", func(b *testing.B) {
-			mm, err := NewMultiMonitor("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := shardedHarness{mm: mm}
-			defer h.close()
-			for i, name := range names {
-				if err := mm.AddPeer(name, benchPeerAddr(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			runReceiveBench(b, h, benchClusterPeers, sc.flapping)
+			runReceiveBench(b, benchCluster(b, names), benchClusterPeers, sc.flapping)
 		})
 		// Same sharded stack with live telemetry: every dispatch counts
 		// packets, shard traffic, heartbeats, and observes two histograms.
 		// The sharded (uninstrumented) run above doubles as the disabled
 		// path — nil registry, dead branches only.
 		b.Run(sc.name+"/sharded-telemetry", func(b *testing.B) {
-			mm, err := NewMultiMonitor("127.0.0.1:0",
-				WithTelemetry(telemetry.NewRegistry(256)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := shardedHarness{mm: mm}
-			defer h.close()
-			for i, name := range names {
-				if err := mm.AddPeer(name, benchPeerAddr(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			runReceiveBench(b, h, benchClusterPeers, sc.flapping)
-		})
-		// Same sharded stack with the timing wheel disabled: detectors fall
-		// back to stop-and-recreate time.AfterFunc deadlines, the scheduler
-		// the wheel replaced. Kept as the A/B baseline for BENCH_sched.json.
-		b.Run(sc.name+"/sharded-afterfunc", func(b *testing.B) {
-			mm, err := NewMultiMonitor("127.0.0.1:0", WithPipeline(PipelineConfig{DisableTimerWheel: true}))
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := shardedHarness{mm: mm}
-			defer h.close()
-			for i, name := range names {
-				if err := mm.AddPeer(name, benchPeerAddr(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			runReceiveBench(b, h, benchClusterPeers, sc.flapping)
-		})
-		b.Run(sc.name+"/single-map", func(b *testing.B) {
-			c := newSingleMapCluster(resolveOptions(nil))
-			defer c.close()
-			for i, name := range names {
-				if err := c.addPeer(name, benchPeerAddr(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			runReceiveBench(b, c, benchClusterPeers, sc.flapping)
+			mm := benchCluster(b, names, WithTelemetry(telemetry.NewRegistry(256)))
+			runReceiveBench(b, mm, benchClusterPeers, sc.flapping)
 		})
 	}
 }
@@ -328,48 +146,21 @@ const benchCluster10kPeers = 10240
 
 // BenchmarkCluster10k measures timer pressure: every dispatched heartbeat
 // re-arms the sender's deadline, so at 10240 peers the scheduler is the
-// hot path. The default build re-arms in place on the 16 shard timing
-// wheels (O(1) unlink/relink, no allocation, at most one lazy driver
-// goroutine per shard); the DisableTimerWheel baseline is the
-// stop-and-recreate time.AfterFunc path the detectors used before the
-// wheels existed, paying a runtime-timer allocation and heap reshuffle
-// per heartbeat. The goroutines metric is sampled at steady state, with
-// every peer's deadline armed.
+// hot path. Deadlines re-arm in place on the 16 shard timing wheels (O(1)
+// unlink/relink, no allocation, at most one lazy driver goroutine per
+// shard). The goroutines metric is sampled at steady state, with every
+// peer's deadline armed.
 func BenchmarkCluster10k(b *testing.B) {
 	names := benchPeerNames(benchCluster10kPeers)
-	for _, sc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"wheel", nil},
-		{"afterfunc", []Option{WithPipeline(PipelineConfig{DisableTimerWheel: true})}},
-	} {
-		sc := sc
-		b.Run(sc.name, func(b *testing.B) {
-			mm, err := NewMultiMonitor("127.0.0.1:0", sc.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := shardedHarness{mm: mm}
-			defer h.close()
-			for i, name := range names {
-				if err := mm.AddPeer(name, benchPeerAddr(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			runReceiveBench(b, h, benchCluster10kPeers, false)
-			if sc.opts == nil {
-				st := mm.SchedulerStats()
-				b.ReportMetric(float64(st.Timers), "timers")
-			}
-		})
-	}
+	b.Run("wheel", func(b *testing.B) {
+		mm := benchCluster(b, names)
+		runReceiveBench(b, mm, benchCluster10kPeers, false)
+		b.ReportMetric(float64(mm.SchedulerStats().Timers), "timers")
+	})
 }
 
 // benchCluster100kPeers sizes the scale configuration: 100k monitored
-// peers, the tentpole target of the batched transport pipelines. Only the
-// wheel/batched builds run at this size — the classic per-peer baselines
-// exist at 1k/10k where their cost is already measured.
+// peers, the tentpole target of the batched transport pipelines.
 const benchCluster100kPeers = 102400
 
 // benchCluster1MPeers sizes the memory-layout tier: 2^20 peers, the
@@ -382,19 +173,7 @@ const benchCluster1MPeers = 1 << 20
 // deadline stays armed; goroutines confirms the scheduling footprint stays
 // O(shards), not O(peers).
 func BenchmarkCluster100k(b *testing.B) {
-	names := benchPeerNames(benchCluster100kPeers)
-	mm, err := NewMultiMonitor("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := shardedHarness{mm: mm}
-	defer h.close()
-	for i, name := range names {
-		if err := mm.AddPeer(name, benchPeerAddr(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	runReceiveBench(b, h, benchCluster100kPeers, false)
-	st := mm.SchedulerStats()
-	b.ReportMetric(float64(st.Timers), "timers")
+	mm := benchCluster(b, benchPeerNames(benchCluster100kPeers))
+	runReceiveBench(b, mm, benchCluster100kPeers, false)
+	b.ReportMetric(float64(mm.SchedulerStats().Timers), "timers")
 }

@@ -1,7 +1,7 @@
-// Command fdlint runs the repository's domain static-analysis suite: six
+// Command fdlint runs the repository's domain static-analysis suite: five
 // stdlib-only analyzers enforcing the invariants the paper's QoS results
 // rely on (clock injection, lock discipline, atomic access consistency,
-// telemetry nil-safety, duration unit hygiene, deprecation).
+// telemetry nil-safety, duration unit hygiene).
 //
 //	fdlint ./...                    check the whole module
 //	fdlint internal/core cmd/...    check selected directories

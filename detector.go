@@ -97,39 +97,48 @@ type Detector struct {
 	clock *sim.RealClock
 }
 
-type callbackListener struct {
-	onSuspect, onTrust func(time.Duration)
-	// onChange and peer serve the shared options API: WithOnChange uses
-	// the same per-peer signature on a single-peer monitor, with the
-	// remote address as the peer label.
+// peerListener fans one detector's output transitions out to the
+// monitor's sinks — live telemetry (event ring, QoS estimator, gauges), the
+// durable QoS store and the user callback — under the peer's label. Every
+// sink is optional: nil is a no-op. One per monitored peer, so it stays at
+// the label plus three words.
+type peerListener struct {
+	name     string
 	onChange func(peer string, suspected bool, elapsed time.Duration)
-	peer     string
-	// reg, when non-nil, records transitions into the live telemetry
-	// subsystem (event ring, QoS estimator, gauges).
-	reg *telemetry.Registry
-	// rec, when non-nil, records transitions into the durable QoS store.
-	rec *store.PeerRecorder
+	reg      *telemetry.Registry
+	rec      *store.PeerRecorder
 }
 
-func (l callbackListener) OnSuspect(_ string, at time.Duration) {
-	l.reg.RecordTransition(l.peer, true, at)
-	l.rec.Transition(true, at)
-	if l.onSuspect != nil {
-		l.onSuspect(at)
-	}
+func (l peerListener) OnSuspect(_ string, at time.Duration) { l.transition(true, at) }
+
+func (l peerListener) OnTrust(_ string, at time.Duration) { l.transition(false, at) }
+
+func (l peerListener) transition(suspected bool, at time.Duration) {
+	l.reg.RecordTransition(l.name, suspected, at)
+	l.rec.Transition(suspected, at)
 	if l.onChange != nil {
-		l.onChange(l.peer, true, at)
+		l.onChange(l.name, suspected, at)
 	}
 }
 
-func (l callbackListener) OnTrust(_ string, at time.Duration) {
-	l.reg.RecordTransition(l.peer, false, at)
-	l.rec.Transition(false, at)
-	if l.onTrust != nil {
-		l.onTrust(at)
+// foldCallbacks merges the single-peer suspect/trust callbacks into one
+// onChange closure, built once at construction so the listener carries a
+// single callback. The split callback fires before onChange.
+func foldCallbacks(onSuspect, onTrust func(time.Duration), onChange func(string, bool, time.Duration)) func(string, bool, time.Duration) {
+	if onSuspect == nil && onTrust == nil {
+		return onChange
 	}
-	if l.onChange != nil {
-		l.onChange(l.peer, false, at)
+	return func(peer string, suspected bool, at time.Duration) {
+		split := onTrust
+		if suspected {
+			split = onSuspect
+		}
+		if split != nil {
+			split(at)
+		}
+		if onChange != nil {
+			onChange(peer, suspected, at)
+		}
 	}
 }
 
@@ -164,7 +173,7 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 		Margin:    margin,
 		Eta:       cfg.Eta,
 		Clock:     clock,
-		Listener:  callbackListener{onSuspect: cfg.OnSuspect, onTrust: cfg.OnTrust},
+		Listener:  peerListener{onChange: foldCallbacks(cfg.OnSuspect, cfg.OnTrust, nil)},
 	})
 	if err != nil {
 		return nil, err

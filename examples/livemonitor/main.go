@@ -28,20 +28,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	mon, err := wanfd.ListenAndMonitor(wanfd.MonitorConfig{
-		Listen:    monAddr,
-		Remote:    hbAddr,
-		Eta:       eta,
-		Predictor: "LAST",
-		Margin:    "JAC_med",
-		SyncClock: true,
-		OnSuspect: func(at time.Duration) {
+	mon, err := wanfd.NewMonitor(monAddr, hbAddr,
+		wanfd.WithEta(eta),
+		wanfd.WithPredictor("LAST"),
+		wanfd.WithMargin("JAC_med"),
+		wanfd.WithSyncClock(),
+		wanfd.WithOnSuspect(func(at time.Duration) {
 			fmt.Printf("  [%6.2fs] SUSPECT\n", at.Seconds())
-		},
-		OnTrust: func(at time.Duration) {
+		}),
+		wanfd.WithOnTrust(func(at time.Duration) {
 			fmt.Printf("  [%6.2fs] TRUST\n", at.Seconds())
-		},
-	})
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}

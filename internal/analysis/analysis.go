@@ -5,7 +5,7 @@
 // go/types, go/ast, go/importer), preserving the repo's stdlib-only
 // constraint; there is no dependency on golang.org/x/tools.
 //
-// The suite ships six domain analyzers:
+// The suite ships five domain analyzers:
 //
 //   - clockuse:   no direct time.Now/Since/Until/After outside the clock
 //     boundary packages — everything else takes the injected sim.Clock,
@@ -19,8 +19,6 @@
 //     //fdlint:nilsafe must begin with a nil-receiver guard.
 //   - unitcheck:  no arithmetic mixing time.Duration nanosecond counts
 //     with raw variables named as milliseconds.
-//   - deprecated: no calls to functions or methods whose doc comment
-//     carries a "Deprecated:" notice.
 //
 // Diagnostics can be suppressed per line with
 //
@@ -58,7 +56,6 @@ var All = []*Analyzer{
 	AtomicMix,
 	NilRecv,
 	UnitCheck,
-	DeprecatedUse,
 }
 
 // ByName returns the analyzer with the given name, or nil.
@@ -91,8 +88,7 @@ func (d Diagnostic) String() string {
 type Pass struct {
 	// Analyzer is the checker being run.
 	Analyzer *Analyzer
-	// Prog is the enclosing program (for cross-package facts such as the
-	// deprecation index).
+	// Prog is the enclosing program (positions, cross-package facts).
 	Prog *Program
 	// Pkg is the package under inspection.
 	Pkg *Package

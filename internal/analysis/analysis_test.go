@@ -100,9 +100,6 @@ func TestExactDiagnostics(t *testing.T) {
 		{"unitcheck", []loc{
 			{"unitcheck.go", 9}, {"unitcheck.go", 17}, {"unitcheck.go", 21},
 		}},
-		{"deprecated", []loc{
-			{"deprecated.go", 25}, {"deprecated.go", 29}, {"deprecated.go", 57},
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer, func(t *testing.T) {

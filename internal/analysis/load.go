@@ -45,10 +45,9 @@ type Program struct {
 	// type-checked but not analyzed.
 	Packages []*Package
 
-	pkgs     map[string]*Package // by import path, including import-only loads
-	stdlib   types.Importer
-	ignores  map[string]*fileIgnores // by root-relative file name
-	deprecat map[types.Object]string // deprecated func/method -> notice
+	pkgs    map[string]*Package // by import path, including import-only loads
+	stdlib  types.Importer
+	ignores map[string]*fileIgnores // by root-relative file name
 }
 
 // Load parses and type-checks the packages in the given root-relative
@@ -62,13 +61,12 @@ func Load(root string, dirs []string) (*Program, error) {
 	}
 	fset := token.NewFileSet()
 	prog := &Program{
-		Root:     absRoot,
-		Module:   readModulePath(filepath.Join(absRoot, "go.mod")),
-		Fset:     fset,
-		pkgs:     make(map[string]*Package),
-		stdlib:   importer.ForCompiler(fset, "source", nil),
-		ignores:  make(map[string]*fileIgnores),
-		deprecat: make(map[types.Object]string),
+		Root:    absRoot,
+		Module:  readModulePath(filepath.Join(absRoot, "go.mod")),
+		Fset:    fset,
+		pkgs:    make(map[string]*Package),
+		stdlib:  importer.ForCompiler(fset, "source", nil),
+		ignores: make(map[string]*fileIgnores),
 	}
 	for _, dir := range dirs {
 		pkg, err := prog.loadDir(filepath.ToSlash(dir))
@@ -228,7 +226,6 @@ func (prog *Program) loadDir(dir string) (*Package, error) {
 	}
 	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
 	prog.pkgs[path] = pkg
-	prog.indexDeprecated(pkg)
 	return pkg, nil
 }
 
@@ -254,39 +251,6 @@ func (pi *progImporter) Import(path string) (*types.Package, error) {
 
 func (pi *progImporter) ImportFrom(path, _ string, _ types.ImportMode) (*types.Package, error) {
 	return pi.Import(path)
-}
-
-// indexDeprecated records every top-level function and method whose doc
-// comment carries a "Deprecated:" notice, so DeprecatedUse can flag calls
-// from any analyzed package.
-func (prog *Program) indexDeprecated(pkg *Package) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			notice := deprecationNotice(fd.Doc.Text())
-			if notice == "" {
-				continue
-			}
-			if obj := pkg.Info.Defs[fd.Name]; obj != nil {
-				prog.deprecat[obj] = notice
-			}
-		}
-	}
-}
-
-// deprecationNotice extracts the first line of a doc comment's
-// "Deprecated:" paragraph, or "".
-func deprecationNotice(doc string) string {
-	for _, line := range strings.Split(doc, "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "Deprecated:"); ok {
-			return strings.TrimSpace(rest)
-		}
-	}
-	return ""
 }
 
 // FindPackageDirs expands a root-relative directory into the list of

@@ -73,7 +73,7 @@ type egressState struct {
 }
 
 // EgressStats is a snapshot of the batched send pipeline's health
-// counters (all zero when the endpoint runs classic per-datagram sends).
+// counters.
 type EgressStats struct {
 	// Flushes is the number of flush cycles; Packets/Flushes is the mean
 	// flush batch size.
@@ -95,13 +95,9 @@ type EgressStats struct {
 	PoolMisses uint64
 }
 
-// EgressStats returns the batched send pipeline counters (zero when the
-// endpoint was built with classic egress).
+// EgressStats returns the batched send pipeline counters.
 func (n *UDPNetwork) EgressStats() EgressStats {
 	eg := n.egress
-	if eg == nil {
-		return EgressStats{}
-	}
 	syscalls := eg.syscalls.Load()
 	packets := eg.packets.Load()
 	saved := uint64(0)
@@ -168,7 +164,7 @@ func (n *UDPNetwork) startEgress() {
 	go n.flushLoop()
 }
 
-// enqueue is the batched send path: encode on the caller's goroutine into
+// enqueue is the send path: encode on the caller's goroutine into
 // a pooled buffer, push onto the destination's shard ring, and latch a
 // flusher wakeup. It never blocks: a full ring drops the packet (counted)
 // rather than stalling the sender's timing grid.

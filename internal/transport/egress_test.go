@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"wanfd/internal/freelist"
 	"wanfd/internal/neko"
 )
 
@@ -52,28 +51,21 @@ func waitEgress(t *testing.T, n *UDPNetwork, what string, cond func(EgressStats)
 	return st
 }
 
-// TestBatchedEgressDefaultOn pins the pipeline selection: batched egress
-// is the default, UnbatchedEgress is the classic A/B baseline, and a
-// classic endpoint reports all-zero egress counters.
+// TestBatchedEgressDefaultOn pins that a default endpoint sends through
+// the egress pipeline: one packet out is one packet on its counters.
 func TestBatchedEgressDefaultOn(t *testing.T) {
-	a, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
+	a, b := batchedPair(t, UDPConfig{})
+	sender, err := b.Attach(2, recvFunc(func(*neko.Message) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { a.Close() })
-	if !a.BatchedEgress() {
-		t.Error("batched egress not enabled by default")
+	sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: 1, SentAt: b.Clock().Now()})
+	st := waitEgress(t, b, "packet flushed", func(st EgressStats) bool { return st.Packets >= 1 })
+	if st.Packets != 1 || st.Flushes != 1 {
+		t.Errorf("egress stats after one send = %+v, want 1 packet in 1 flush", st)
 	}
-	c, err := NewUDPNetwork(UDPConfig{LocalID: 3, Listen: "127.0.0.1:0", UnbatchedEgress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if c.BatchedEgress() {
-		t.Error("UnbatchedEgress config still built the egress pipeline")
-	}
-	if st := c.EgressStats(); st != (EgressStats{}) {
-		t.Errorf("classic endpoint reports egress stats %+v", st)
+	if got := a.EgressStats(); got != (EgressStats{}) {
+		t.Errorf("idle endpoint reports egress stats %+v", got)
 	}
 }
 
@@ -126,30 +118,32 @@ func TestEgressPerPeerOrder(t *testing.T) {
 // TestEgressOverflowCountedNeverBlocks pins the back-pressure policy: a
 // full shard ring drops the packet (counted) instead of blocking the
 // sender — a stalled flusher must never stall the heartbeat grid. The
-// egress state is installed without its flusher goroutine, so the rings
-// deterministically fill.
+// flusher is stalled at its per-batch destination lookup by holding the
+// peer-table write lock, so the ring deterministically fills.
 func TestEgressOverflowCountedNeverBlocks(t *testing.T) {
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", UnbatchedEgress: true})
+	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
-	eg := &egressState{
-		shards:    make([]egressShard, egressShards),
-		shardMask: egressShards - 1,
-		wake:      make(chan struct{}, 1),
-		batch:     defaultEgressBatch,
-	}
-	for i := range eg.shards {
-		eg.shards[i].ring = freelist.NewRing[egressItem](egressRingCap)
-	}
-	n.egress = eg
+	ring := n.egress.shards[uint64(2)%egressShards].ring
+	m := &neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat}
 
+	n.peerMu.Lock()
+	// One sacrificial packet parks the flusher: once it has left the ring
+	// the flusher holds it and cannot sweep again until the lock drops.
+	n.enqueue(m)
+	for deadline := time.Now().Add(5 * time.Second); ring.Len() != 0; {
+		if time.Now().After(deadline) {
+			n.peerMu.Unlock()
+			t.Fatal("flusher never picked up the first packet")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	const overflow = 16
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		m := &neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat}
 		for i := 0; i < egressRingCap+overflow; i++ {
 			m.Seq = int64(i)
 			n.enqueue(m)
@@ -158,15 +152,17 @@ func TestEgressOverflowCountedNeverBlocks(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
+		n.peerMu.Unlock()
 		t.Fatal("enqueue blocked on a full ring")
 	}
-	if got := n.EgressStats().RingDrops; got != overflow {
-		t.Errorf("ring drops = %d, want %d", got, overflow)
+	drops, held := n.EgressStats().RingDrops, ring.Len()
+	n.peerMu.Unlock()
+	if drops != overflow {
+		t.Errorf("ring drops = %d, want %d", drops, overflow)
 	}
-	if got := eg.shards[uint64(2)%egressShards].ring.Len(); got != egressRingCap {
-		t.Errorf("shard holds %d packets, want full ring of %d", got, egressRingCap)
+	if held != egressRingCap {
+		t.Errorf("shard holds %d packets, want full ring of %d", held, egressRingCap)
 	}
-	n.egress = nil // Close must not signal a flusher that was never started
 }
 
 // TestEgressUnknownPeerDropped pins the resolve step: a destination
@@ -202,10 +198,10 @@ func TestEgressUnknownPeerDropped(t *testing.T) {
 	}
 }
 
-// TestEgressSendErrorsCounted is the batched mirror of the classic
-// accounting pin: an unencodable message fails on the producer
-// synchronously; a dead socket surfaces asynchronously from the flusher.
-// Both end up in SendErrors instead of vanishing.
+// TestEgressSendErrorsCounted pins where each failure is counted: an
+// unencodable message fails on the producer synchronously; a dead socket
+// surfaces asynchronously from the flusher. Both end up in SendErrors
+// instead of vanishing.
 func TestEgressSendErrorsCounted(t *testing.T) {
 	a, _ := batchedPair(t, UDPConfig{})
 	sender, err := a.Attach(1, recvFunc(func(*neko.Message) {}))

@@ -13,13 +13,25 @@ func churnAddr(i int) string {
 	return fmt.Sprintf("10.%d.%d.%d:7%03d", (i>>16)&0xff, (i>>8)&0xff, i&0xff, i%1000)
 }
 
+// attributeAddr resolves a source address (already Unmap()ed) the way the
+// drain path does per batch: through the address indexes under the
+// peer-table read lock.
+func (n *UDPNetwork) attributeAddr(ap netip.AddrPort) (id neko.ProcessID, off int64, ok bool) {
+	n.peerMu.RLock()
+	defer n.peerMu.RUnlock()
+	if ps := n.lookupAddrLocked(ap); ps != nil {
+		return ps.id, ps.offset.Load(), true
+	}
+	return 0, 0, false
+}
+
 // TestPeerChurnCompaction drives repeated full add/remove cycles through
 // the arena-backed peer tables and asserts the layout returns to baseline
 // each time: no arena leak, tombstones compacted below the Cap/4 bound,
 // probe lengths bounded, and table capacity stable across cycles rather
 // than ratcheting upward.
 func TestPeerChurnCompaction(t *testing.T) {
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", Unbatched: true, UnbatchedEgress: true})
+	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +119,7 @@ func TestAddrKey6Packing(t *testing.T) {
 // and coexistence of same-address different-port peers on one probe
 // chain.
 func TestIPv6LookupEquivalence(t *testing.T) {
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", Unbatched: true, UnbatchedEgress: true})
+	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +175,7 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 // two-word table must also compact tombstones and hold probe lengths
 // bounded under full add/remove cycles.
 func TestIPv6ChurnCompaction(t *testing.T) {
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", Unbatched: true, UnbatchedEgress: true})
+	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,17 +13,10 @@ import (
 // option and does not export it (and x/sys is off-limits — stdlib only).
 const soReusePort = 0xf
 
-// listenUDP opens a UDP socket, setting SO_REUSEPORT when reuse is true so
-// additional reader sockets can bind the same address and the kernel
-// load-balances datagrams across them.
-func listenUDP(addr string, reuse bool) (*net.UDPConn, error) {
-	if !reuse {
-		laddr, err := net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return net.ListenUDP("udp", laddr)
-	}
+// listenUDP opens a UDP socket with SO_REUSEPORT set, so additional reader
+// sockets can bind the same address and the kernel load-balances datagrams
+// across them.
+func listenUDP(addr string) (*net.UDPConn, error) {
 	lc := net.ListenConfig{
 		Control: func(network, address string, c syscall.RawConn) error {
 			var serr error

@@ -4,10 +4,9 @@ package transport
 
 import "net"
 
-// listenUDP opens a UDP socket; the reuse flag is ignored where
-// SO_REUSEPORT is unavailable (readers are clamped to one, so no second
-// socket ever binds the address).
-func listenUDP(addr string, _ bool) (*net.UDPConn, error) {
+// listenUDP opens a UDP socket. Without SO_REUSEPORT readers are clamped
+// to one, so no second socket ever binds the address.
+func listenUDP(addr string) (*net.UDPConn, error) {
 	laddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err

@@ -309,12 +309,17 @@ func TestUDPMessageDelivery(t *testing.T) {
 			t.Errorf("implausible mapped SentAt %v", m.SentAt)
 		}
 	}
-	sent, _, _ := a.Stats()
-	if sent != 3 {
-		t.Errorf("sent = %d, want 3", sent)
+	// Both counters are published after the hand-off they count (flush on
+	// a, delivery on b), so the receiver callback can run ahead of them.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if sent, _, _ := a.Stats(); sent == 3 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("sent = %d, want 3", sent)
+		}
 	}
-	_, received, _ := b.Stats()
-	if received != 3 {
+	waitReceived(t, b, 3)
+	if _, received, _ := b.Stats(); received != 3 {
 		t.Errorf("received = %d, want 3", received)
 	}
 }

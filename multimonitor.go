@@ -12,38 +12,9 @@ import (
 	"wanfd/internal/layers"
 	"wanfd/internal/neko"
 	"wanfd/internal/sched"
-	"wanfd/internal/sim"
-	"wanfd/internal/store"
 	"wanfd/internal/telemetry"
 	"wanfd/internal/transport"
 )
-
-// MultiMonitorConfig assembles a monitor that watches several heartbeating
-// peers over one UDP socket, with one failure detector per peer. Peers are
-// identified by their source address, so every remote just runs a plain
-// fdheartbeat/RunHeartbeater pointed at this monitor.
-//
-// New code should prefer NewMultiMonitor with functional options, which
-// additionally starts with an empty (or seeded) peer set and grows and
-// shrinks it at runtime through AddPeer/RemovePeer.
-type MultiMonitorConfig struct {
-	// Listen is the local UDP address.
-	Listen string
-	// Peers maps a peer name (free-form, used in callbacks and queries)
-	// to its heartbeater UDP address.
-	Peers map[string]string
-	// Eta is the heartbeat period all peers use.
-	Eta time.Duration
-	// Predictor and Margin select the detector combination used for every
-	// peer (defaults LAST + JAC_med).
-	Predictor, Margin string
-	// OnChange, when non-nil, is invoked on any peer's suspicion
-	// transition; it must not block.
-	OnChange func(peer string, suspected bool, elapsed time.Duration)
-	// MinTimeout floors the adaptive timeout; see WithMinTimeout for the
-	// sentinel convention.
-	MinTimeout time.Duration
-}
 
 // PeerStatus is one peer's current detector state. The lifetime counters
 // are the embedded DetectorStats fields.
@@ -136,8 +107,7 @@ type MultiMonitor struct {
 	shardMask uint64
 	// wheels are the per-shard timing wheels all peer deadlines run on:
 	// shard i's detectors schedule on wheels[i], so the whole cluster
-	// expires timers on at most len(shards) lazy driver goroutines. The
-	// slice is empty when the monitor was built with WithTimerWheel(false).
+	// expires timers on at most len(shards) lazy driver goroutines.
 	wheels []*sched.Wheel
 
 	// Cluster-level telemetry; every field is nil (a no-op) when the
@@ -151,37 +121,14 @@ type MultiMonitor struct {
 // ids above it.
 const multiMonitorID neko.ProcessID = 1000
 
-type namedListener struct {
-	name     string
-	onChange func(peer string, suspected bool, elapsed time.Duration)
-	reg      *telemetry.Registry
-	rec      *store.PeerRecorder
-}
-
-func (l namedListener) OnSuspect(_ string, at time.Duration) {
-	l.reg.RecordTransition(l.name, true, at)
-	l.rec.Transition(true, at)
-	if l.onChange != nil {
-		l.onChange(l.name, true, at)
-	}
-}
-
-func (l namedListener) OnTrust(_ string, at time.Duration) {
-	l.reg.RecordTransition(l.name, false, at)
-	l.rec.Transition(false, at)
-	if l.onChange != nil {
-		l.onChange(l.name, false, at)
-	}
-}
-
-// NewMultiMonitor opens the socket and starts a cluster monitor over any
-// peers seeded with WithPeer; more join and leave at runtime through
-// AddPeer/RemovePeer. Close must be called to release the socket.
+// NewMultiMonitor opens the socket and starts a cluster monitor: one
+// failure detector per heartbeating peer over one UDP socket. Peers are
+// identified by their source address, so every remote just runs a plain
+// fdheartbeat/RunHeartbeater pointed at this monitor. The initial set is
+// whatever WithPeer seeded (possibly empty); more join and leave at runtime
+// through AddPeer/RemovePeer. Close must be called to release the socket.
 func NewMultiMonitor(listen string, opts ...Option) (*MultiMonitor, error) {
-	return newMultiMonitor(listen, resolveOptions(opts))
-}
-
-func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
+	o := resolveOptions(opts)
 	if err := o.rejectMonitorOnly("NewMultiMonitor"); err != nil {
 		return nil, err
 	}
@@ -198,9 +145,7 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		LocalID:             multiMonitorID,
 		Listen:              listen,
 		Telemetry:           o.telemetry,
-		Unbatched:           o.batchedOff,
 		Readers:             o.readers,
-		UnbatchedEgress:     o.egressOff,
 		EgressBatch:         o.egressBatch,
 		EgressFlushInterval: o.egressFlushInterval,
 		IngestShards:        prof.ingestShards,
@@ -233,64 +178,62 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		mm.shards[i].ents = arena.New[peerEntry]()
 	}
 	mm.ctx = &neko.Context{ID: multiMonitorID, Clock: net.Clock()}
-	if !o.timerWheelOff {
-		var onBatch func(int, time.Duration)
-		if reg := o.telemetry; reg != nil {
-			lag := reg.Histogram(telemetry.MetricSchedBatchLag,
-				"Lag between the earliest deadline in an expiry batch and its collection.", nil)
-			// Histogram.Observe is lock-free, so concurrent shard drivers
-			// may share one series.
-			onBatch = func(_ int, l time.Duration) { lag.Observe(l.Seconds()) }
+	var onBatch func(int, time.Duration)
+	if reg := o.telemetry; reg != nil {
+		lag := reg.Histogram(telemetry.MetricSchedBatchLag,
+			"Lag between the earliest deadline in an expiry batch and its collection.", nil)
+		// Histogram.Observe is lock-free, so concurrent shard drivers
+		// may share one series.
+		onBatch = func(_ int, l time.Duration) { lag.Observe(l.Seconds()) }
+	}
+	var cpus []int
+	if o.pinDrivers {
+		cpus = sched.OnlineCPUs()
+	}
+	mm.wheels = make([]*sched.Wheel, prof.peerShards)
+	for i := range mm.wheels {
+		cfg := sched.Config{
+			Clock:       net.Clock(),
+			OnBatch:     onBatch,
+			FineSlots:   prof.fineSlots,
+			CoarseSlots: prof.coarseSlots,
 		}
-		var cpus []int
-		if o.pinDrivers {
-			cpus = sched.OnlineCPUs()
+		if len(cpus) > 0 {
+			// Stripe shard drivers round-robin over the online CPUs so
+			// the widest profiles (64 wheels) spread across the socket
+			// and each driver stays put between wakeups.
+			cfg.PinCPU = cpus[i%len(cpus)] + 1
 		}
-		mm.wheels = make([]*sched.Wheel, prof.peerShards)
-		for i := range mm.wheels {
-			cfg := sched.Config{
-				Clock:       net.Clock(),
-				OnBatch:     onBatch,
-				FineSlots:   prof.fineSlots,
-				CoarseSlots: prof.coarseSlots,
-			}
-			if len(cpus) > 0 {
-				// Stripe shard drivers round-robin over the online CPUs so
-				// the widest profiles (64 wheels) spread across the socket
-				// and each driver stays put between wakeups.
-				cfg.PinCPU = cpus[i%len(cpus)] + 1
-			}
-			mm.wheels[i] = sched.NewWheel(cfg)
-		}
-		if reg := o.telemetry; reg != nil {
-			reg.GaugeFunc(telemetry.MetricSchedTimers,
-				"Deadlines currently queued across the shard timing wheels.",
-				func() float64 { return float64(mm.SchedulerStats().Timers) })
-			reg.CounterFunc(telemetry.MetricSchedFired,
-				"Timing-wheel timers expired.",
-				func() float64 { return float64(mm.SchedulerStats().Fired) })
-			reg.CounterFunc(telemetry.MetricSchedCascades,
-				"Timers migrated between timing-wheel levels.",
-				func() float64 { return float64(mm.SchedulerStats().Cascades) })
-			reg.GaugeFunc(telemetry.MetricSchedMaxSlot,
-				"High-water mark of deadlines sharing one wheel slot on any shard.",
-				func() float64 { return float64(mm.SchedulerStats().MaxSlotOccupancy) })
-			reg.CounterFunc(telemetry.MetricSchedSlotsSkipped,
-				"Empty wheel slots crossed by bitmap skip-scan instead of probing.",
-				func() float64 { return float64(mm.SchedulerStats().SlotsSkipped) })
-			reg.CounterFunc(telemetry.MetricSchedWakeups,
-				"Shard driver advances (coalesced to occupied ticks).",
-				func() float64 { return float64(mm.SchedulerStats().Wakeups) })
-			reg.GaugeFunc(telemetry.MetricSchedFineOccupied,
-				"Fine-level wheel slots currently holding deadlines, summed over shards.",
-				func() float64 { return float64(mm.SchedulerStats().FineSlotsOccupied) })
-			reg.GaugeFunc(telemetry.MetricSchedCoarseOccupied,
-				"Coarse-level wheel slots currently holding deadlines, summed over shards.",
-				func() float64 { return float64(mm.SchedulerStats().CoarseSlotsOccupied) })
-			reg.GaugeFunc(telemetry.MetricSchedOverflow,
-				"Deadlines parked beyond the wheel horizon, summed over shards.",
-				func() float64 { return float64(mm.SchedulerStats().OverflowTimers) })
-		}
+		mm.wheels[i] = sched.NewWheel(cfg)
+	}
+	if reg := o.telemetry; reg != nil {
+		reg.GaugeFunc(telemetry.MetricSchedTimers,
+			"Deadlines currently queued across the shard timing wheels.",
+			func() float64 { return float64(mm.SchedulerStats().Timers) })
+		reg.CounterFunc(telemetry.MetricSchedFired,
+			"Timing-wheel timers expired.",
+			func() float64 { return float64(mm.SchedulerStats().Fired) })
+		reg.CounterFunc(telemetry.MetricSchedCascades,
+			"Timers migrated between timing-wheel levels.",
+			func() float64 { return float64(mm.SchedulerStats().Cascades) })
+		reg.GaugeFunc(telemetry.MetricSchedMaxSlot,
+			"High-water mark of deadlines sharing one wheel slot on any shard.",
+			func() float64 { return float64(mm.SchedulerStats().MaxSlotOccupancy) })
+		reg.CounterFunc(telemetry.MetricSchedSlotsSkipped,
+			"Empty wheel slots crossed by bitmap skip-scan instead of probing.",
+			func() float64 { return float64(mm.SchedulerStats().SlotsSkipped) })
+		reg.CounterFunc(telemetry.MetricSchedWakeups,
+			"Shard driver advances (coalesced to occupied ticks).",
+			func() float64 { return float64(mm.SchedulerStats().Wakeups) })
+		reg.GaugeFunc(telemetry.MetricSchedFineOccupied,
+			"Fine-level wheel slots currently holding deadlines, summed over shards.",
+			func() float64 { return float64(mm.SchedulerStats().FineSlotsOccupied) })
+		reg.GaugeFunc(telemetry.MetricSchedCoarseOccupied,
+			"Coarse-level wheel slots currently holding deadlines, summed over shards.",
+			func() float64 { return float64(mm.SchedulerStats().CoarseSlotsOccupied) })
+		reg.GaugeFunc(telemetry.MetricSchedOverflow,
+			"Deadlines parked beyond the wheel horizon, summed over shards.",
+			func() float64 { return float64(mm.SchedulerStats().OverflowTimers) })
 	}
 	proc, err := neko.NewProcess(multiMonitorID, net.Clock(), net, mm.router)
 	if err != nil {
@@ -310,36 +253,6 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	return mm, nil
 }
 
-// ListenAndMonitorMany opens the socket and starts one detector per
-// configured peer. Close must be called to release the socket.
-//
-// It is a thin wrapper over NewMultiMonitor kept for compatibility; unlike
-// NewMultiMonitor it insists on a non-empty initial peer set.
-func ListenAndMonitorMany(cfg MultiMonitorConfig) (*MultiMonitor, error) {
-	if len(cfg.Peers) == 0 {
-		return nil, fmt.Errorf("wanfd: multi-monitor needs at least one peer")
-	}
-	o := options{
-		eta:        cfg.Eta,
-		predictor:  cfg.Predictor,
-		margin:     cfg.Margin,
-		minTimeout: cfg.MinTimeout,
-		onChange:   cfg.OnChange,
-	}
-	o.normalize()
-	// Seed in sorted order so process ids are deterministic for a given
-	// configuration, as they were when the peer set was frozen.
-	names := make([]string, 0, len(cfg.Peers))
-	for name := range cfg.Peers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		o.peers = append(o.peers, peerSpec{name: name, addr: cfg.Peers[name]})
-	}
-	return newMultiMonitor(cfg.Listen, o)
-}
-
 // AddPeer starts monitoring one more peer, identified by the source
 // address its heartbeats will arrive from. The peer gets a fresh detector
 // and a fresh process id — re-adding a previously removed name never
@@ -352,29 +265,10 @@ func (m *MultiMonitor) AddPeer(name, addr string) error {
 	// Build the whole detector stack before touching the shard, so the
 	// critical section other peers' queries (and a same-shard removal)
 	// contend with is only the publication below, not the construction.
-	pred, err := core.NewPredictorByName(m.opts.predictor)
-	if err != nil {
-		return err
-	}
-	margin, err := core.NewMarginByName(m.opts.margin)
-	if err != nil {
-		return err
-	}
-	// One durable-store recorder per peer: the detector taps it for every
-	// heartbeat sample, the listener for every transition. Nil (a no-op)
-	// when the monitor was built without WithStore.
-	rec := m.opts.qstore.Recorder(name)
-	det, err := core.NewDetector(core.DetectorConfig{
-		Name:       name,
-		Predictor:  pred,
-		Margin:     margin,
-		Eta:        m.opts.eta,
-		Clock:      m.clockFor(name),
-		Listener:   namedListener{name: name, onChange: m.opts.onChange, reg: m.opts.telemetry, rec: rec},
-		MinTimeout: m.opts.minTimeout,
-		Metrics:    m.opts.telemetry.DetectorMetrics(name),
-		Sample:     rec,
-	})
+	// The deadline runs on the wheel of the shard that holds the peer's
+	// table entry, so membership churn and timer load distribute identically.
+	h := peerNameHash(name)
+	det, err := m.opts.newDetector(name, m.wheels[h&m.shardMask])
 	if err != nil {
 		return err
 	}
@@ -385,7 +279,6 @@ func (m *MultiMonitor) AddPeer(name, addr string) error {
 	if err := mon.Init(m.ctx); err != nil {
 		return err
 	}
-	h := peerNameHash(name)
 	s := &m.shards[h&m.shardMask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -408,16 +301,7 @@ func (m *MultiMonitor) AddPeer(name, addr string) error {
 	idx, e := s.ents.Alloc()
 	*e = peerEntry{name: name, addr: addr, id: id, det: det, mon: mon}
 	s.tab.Put(h, idx)
-	// State the detector tracks anyway is sampled at scrape time, not
-	// pushed per heartbeat; RemovePeer's DropSeries retires the callbacks.
-	m.opts.telemetry.DetectorFuncs(name,
-		func() (uint64, uint64, uint64) {
-			st := det.DetectorStats()
-			return st.Heartbeats, st.Stale, st.Suspicions
-		},
-		func() float64 { return det.CurrentTimeout() / 1e3 },
-		det.Suspected,
-	)
+	m.opts.exportDetector(name, det)
 	m.mPeerAdds.Inc()
 	// Maintained incrementally: Peers() would re-lock the shard held here.
 	m.mPeers.Add(1)
@@ -462,21 +346,10 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	return nil
 }
 
-// clockFor returns the timer source for a peer's detector: its shard's
-// timing wheel, or the endpoint clock when the wheel is disabled. Timers
-// land on the same shard as the peer's table entry, so membership churn
-// and timer load distribute identically.
-func (m *MultiMonitor) clockFor(name string) sim.Clock {
-	if len(m.wheels) > 0 {
-		return m.wheels[peerNameHash(name)&m.shardMask]
-	}
-	return m.ctx.Clock
-}
-
 // SchedulerStats is an aggregate snapshot of a cluster monitor's shard
 // timing wheels.
 type SchedulerStats struct {
-	// Wheels is the number of shard wheels (0 with WithTimerWheel(false)).
+	// Wheels is the number of shard wheels.
 	Wheels int
 	// Timers is the number of deadlines currently queued.
 	Timers int
@@ -503,8 +376,7 @@ type SchedulerStats struct {
 // SchedulerStatsDetail.
 type WheelStats = sched.Stats
 
-// SchedulerStats aggregates the shard wheels' counters. All fields are
-// zero when the timing wheel is disabled.
+// SchedulerStats aggregates the shard wheels' counters.
 func (m *MultiMonitor) SchedulerStats() SchedulerStats {
 	var out SchedulerStats
 	for _, w := range m.wheels {
@@ -530,11 +402,8 @@ func (m *MultiMonitor) SchedulerStats() SchedulerStats {
 // shard, for occupancy and skip-scan analysis at the per-wheel grain the
 // aggregate hides. Like the table SnapshotDetail convention from the peer
 // state layer, the per-shard breakdown is opt-in: SchedulerStats stays the
-// cheap aggregate view. Nil when the timing wheel is disabled.
+// cheap aggregate view.
 func (m *MultiMonitor) SchedulerStatsDetail() []WheelStats {
-	if len(m.wheels) == 0 {
-		return nil
-	}
 	out := make([]WheelStats, len(m.wheels))
 	for i, w := range m.wheels {
 		out[i] = w.Stats()
@@ -697,9 +566,7 @@ func (m *MultiMonitor) Close() error {
 		e.mon.Stop()
 	}
 	for _, w := range m.wheels {
-		if w != nil {
-			w.Close()
-		}
+		w.Close()
 	}
 	return m.net.Close()
 }

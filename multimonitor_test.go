@@ -7,22 +7,13 @@ import (
 )
 
 func TestMultiMonitorValidation(t *testing.T) {
-	if _, err := ListenAndMonitorMany(MultiMonitorConfig{Listen: ":0", Eta: time.Second}); err == nil {
-		t.Error("no peers should be rejected")
-	}
-	if _, err := ListenAndMonitorMany(MultiMonitorConfig{
-		Listen: "127.0.0.1:0",
-		Peers:  map[string]string{"a": "not::an::addr"},
-		Eta:    time.Second,
-	}); err == nil {
+	if _, err := NewMultiMonitor("127.0.0.1:0", WithPeer("a", "not::an::addr")); err == nil {
 		t.Error("bad peer address should be rejected")
 	}
-	if _, err := ListenAndMonitorMany(MultiMonitorConfig{
-		Listen:    "127.0.0.1:0",
-		Peers:     map[string]string{"a": "127.0.0.1:1"},
-		Eta:       time.Second,
-		Predictor: "NOPE",
-	}); err == nil {
+	if _, err := NewMultiMonitor("127.0.0.1:0", WithPeer("", "127.0.0.1:1")); err == nil {
+		t.Error("empty peer name should be rejected")
+	}
+	if _, err := NewMultiMonitor("127.0.0.1:0", WithPeer("a", "127.0.0.1:1"), WithPredictor("NOPE")); err == nil {
 		t.Error("unknown predictor should be rejected")
 	}
 }
@@ -34,16 +25,14 @@ func TestMultiMonitorTwoPeers(t *testing.T) {
 
 	var mu sync.Mutex
 	events := make(map[string][]bool)
-	mon, err := ListenAndMonitorMany(MultiMonitorConfig{
-		Listen: monAddr,
-		Peers:  map[string]string{"alpha": aAddr, "beta": bAddr},
-		Eta:    eta,
-		OnChange: func(peer string, suspected bool, _ time.Duration) {
+	mon, err := NewMultiMonitor(monAddr,
+		WithPeer("alpha", aAddr), WithPeer("beta", bAddr),
+		WithEta(eta),
+		WithOnChange(func(peer string, suspected bool, _ time.Duration) {
 			mu.Lock()
 			events[peer] = append(events[peer], suspected)
 			mu.Unlock()
-		},
-	})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,16 +107,14 @@ func TestMultiMonitorTrustCallbackAfterRecovery(t *testing.T) {
 
 	var mu sync.Mutex
 	var transitions []bool
-	mon, err := ListenAndMonitorMany(MultiMonitorConfig{
-		Listen: monAddr,
-		Peers:  map[string]string{"a": aAddr},
-		Eta:    eta,
-		OnChange: func(_ string, suspected bool, _ time.Duration) {
+	mon, err := NewMultiMonitor(monAddr,
+		WithPeer("a", aAddr),
+		WithEta(eta),
+		WithOnChange(func(_ string, suspected bool, _ time.Duration) {
 			mu.Lock()
 			transitions = append(transitions, suspected)
 			mu.Unlock()
-		},
-	})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

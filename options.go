@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"wanfd/internal/core"
+	"wanfd/internal/sim"
 	"wanfd/internal/store"
 	"wanfd/internal/telemetry"
 )
@@ -25,8 +27,7 @@ import (
 type Option func(*options)
 
 // options is the normalized configuration shared by every monitor entry
-// point — the single home of the defaulting rules that MonitorConfig and
-// MultiMonitorConfig used to duplicate.
+// point — the single home of the defaulting rules.
 type options struct {
 	eta              time.Duration
 	predictor        string
@@ -41,16 +42,6 @@ type options struct {
 	peers            []peerSpec
 	telemetry        *telemetry.Registry
 	qstore           *store.Store
-	// timerWheelOff is inverted so the zero value (also produced by the
-	// legacy ListenAndMonitorMany path, which builds options directly)
-	// keeps the timing wheel enabled by default.
-	timerWheelOff bool
-	// batchedOff is inverted for the same reason: the zero value keeps the
-	// batched ingest pipeline enabled by default.
-	batchedOff bool
-	// egressOff is inverted likewise: the zero value keeps the batched
-	// egress pipeline enabled by default.
-	egressOff bool
 	// egressBatch and egressFlushInterval tune the batched egress pipeline
 	// (see PipelineConfig); zero selects the transport defaults.
 	egressBatch         int
@@ -117,9 +108,6 @@ type peerSpec struct{ name, addr string }
 // monitor's default configuration exactly.
 const DefaultMinTimeout = 10 * time.Millisecond
 
-// defaultMinTimeout is the internal alias predating the export.
-const defaultMinTimeout = DefaultMinTimeout
-
 // normalize applies the shared defaulting conventions. This is the one
 // place the sentinel rules live:
 //
@@ -137,7 +125,7 @@ func (o *options) normalize() {
 	}
 	switch {
 	case o.minTimeout == 0:
-		o.minTimeout = defaultMinTimeout
+		o.minTimeout = DefaultMinTimeout
 	case o.minTimeout < 0:
 		o.minTimeout = 0
 	}
@@ -256,39 +244,6 @@ func WithStore(st *store.Store) Option {
 	return func(o *options) { o.qstore = st }
 }
 
-// TransportMode selects the monitor's transport and scheduler
-// architecture wholesale. It replaces the accreted WithTimerWheel /
-// WithBatchedTransport boolean pair with one named axis; per-stage
-// overrides and tuning knobs live in PipelineConfig.
-type TransportMode int
-
-const (
-	// TransportBatched is the default production architecture: the shared
-	// timing-wheel scheduler (O(shards) runtime timers), the batched
-	// zero-allocation ingest pipeline (one drain per socket wakeup, one
-	// clock stamp per batch, lock-free rings to the router — DESIGN.md
-	// §10), and the batched egress pipeline (pooled encode buffers,
-	// per-shard send rings, one sendmmsg per flush — DESIGN.md §11).
-	TransportBatched TransportMode = iota
-	// TransportClassic is the A/B baseline: one runtime timer per peer
-	// deadline, one blocking read / decode allocation / dispatch per
-	// received datagram, and one write syscall per sent datagram. It
-	// exists for measurement (BenchmarkIngest, BenchmarkEgress,
-	// BenchmarkCluster10k), not production use.
-	TransportClassic
-)
-
-// WithTransportMode selects the transport/scheduler architecture (default
-// TransportBatched). Both NewMonitor and NewMultiMonitor support it.
-func WithTransportMode(mode TransportMode) Option {
-	return func(o *options) {
-		classic := mode == TransportClassic
-		o.timerWheelOff = classic
-		o.batchedOff = classic
-		o.egressOff = classic
-	}
-}
-
 // PipelineConfig tunes the batched transport pipelines. The zero value
 // selects every default; fields are orthogonal, so setting one knob does
 // not disturb the others.
@@ -321,15 +276,8 @@ type PipelineConfig struct {
 	// shard drivers from migrating across the socket between wakeups,
 	// trading scheduler freedom for cache locality on the deadline path.
 	// Honoured only on linux; elsewhere drivers are thread-locked but the
-	// OS keeps placing them. Ignored when the timing wheel is disabled.
+	// OS keeps placing them.
 	PinDrivers bool
-	// DisableTimerWheel, DisableBatchedIngest and DisableBatchedEgress
-	// switch individual stages back to their classic implementations for
-	// fine-grained A/B comparison; WithTransportMode(TransportClassic)
-	// disables all three at once.
-	DisableTimerWheel    bool
-	DisableBatchedIngest bool
-	DisableBatchedEgress bool
 }
 
 // WithPipeline applies pipeline tuning. Both NewMonitor and
@@ -352,37 +300,6 @@ func WithPipeline(cfg PipelineConfig) Option {
 		if cfg.PinDrivers {
 			o.pinDrivers = true
 		}
-		if cfg.DisableTimerWheel {
-			o.timerWheelOff = true
-		}
-		if cfg.DisableBatchedIngest {
-			o.batchedOff = true
-		}
-		if cfg.DisableBatchedEgress {
-			o.egressOff = true
-		}
-	}
-}
-
-// WithTimerWheel enables or disables the shared timing-wheel scheduler of
-// a cluster monitor (default enabled).
-//
-// Deprecated: use WithTransportMode(TransportClassic) for the full classic
-// baseline or WithPipeline(PipelineConfig{DisableTimerWheel: true}) for
-// this single stage.
-func WithTimerWheel(enabled bool) Option {
-	return func(o *options) { o.timerWheelOff = !enabled }
-}
-
-// WithBatchedTransport enables or disables the batched transport pipelines
-// (ingest and egress together; default enabled).
-//
-// Deprecated: use WithTransportMode, which names the architecture, or
-// WithPipeline for per-stage control.
-func WithBatchedTransport(enabled bool) Option {
-	return func(o *options) {
-		o.batchedOff = !enabled
-		o.egressOff = !enabled
 	}
 }
 
@@ -398,4 +315,50 @@ func (o *options) rejectMonitorOnly(entry string) error {
 		return fmt.Errorf("wanfd: %s does not support WithSyncClock", entry)
 	}
 	return nil
+}
+
+// newDetector builds one peer's freshness-point detector from the
+// normalized options — the one recipe behind NewMonitor and
+// MultiMonitor.AddPeer. name labels the peer in callbacks, telemetry series
+// and the durable store; clk is the detector's timer source.
+func (o *options) newDetector(name string, clk sim.Clock) (*core.Detector, error) {
+	pred, err := core.NewPredictorByName(o.predictor)
+	if err != nil {
+		return nil, err
+	}
+	margin, err := core.NewMarginByName(o.margin)
+	if err != nil {
+		return nil, err
+	}
+	// One durable-store recorder per peer: the detector taps it for every
+	// heartbeat sample, the listener for every transition. Nil (a no-op)
+	// without WithStore.
+	rec := o.qstore.Recorder(name)
+	return core.NewDetector(core.DetectorConfig{
+		Name:       name,
+		Predictor:  pred,
+		Margin:     margin,
+		Eta:        o.eta,
+		Clock:      clk,
+		Listener:   peerListener{name: name, onChange: o.onChange, reg: o.telemetry, rec: rec},
+		MinTimeout: o.minTimeout,
+		Metrics:    o.telemetry.DetectorMetrics(name),
+		Sample:     rec,
+	})
+}
+
+// exportDetector registers the scrape-time series for a published
+// detector: state it tracks anyway is sampled when scraped, not pushed per
+// heartbeat. Kept apart from newDetector because a cluster monitor builds
+// the detector before it knows the name is free, and a rejected duplicate
+// must not take over the live peer's series. DropSeries retires them.
+func (o *options) exportDetector(name string, det *core.Detector) {
+	o.telemetry.DetectorFuncs(name,
+		func() (uint64, uint64, uint64) {
+			st := det.DetectorStats()
+			return st.Heartbeats, st.Stale, st.Suspicions
+		},
+		func() float64 { return det.CurrentTimeout() / 1e3 },
+		det.Suspected,
+	)
 }

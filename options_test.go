@@ -1,6 +1,7 @@
 package wanfd
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -14,7 +15,7 @@ func TestNormalizeSentinels(t *testing.T) {
 		{
 			name: "zero value gets paper defaults",
 			in:   options{},
-			want: options{predictor: "LAST", margin: "JAC_med", minTimeout: defaultMinTimeout},
+			want: options{predictor: "LAST", margin: "JAC_med", minTimeout: DefaultMinTimeout},
 		},
 		{
 			name: "explicit choices survive",
@@ -43,7 +44,7 @@ func TestResolveOptions(t *testing.T) {
 	if o.eta != time.Second {
 		t.Errorf("default eta = %v, want 1s", o.eta)
 	}
-	if o.predictor != "LAST" || o.margin != "JAC_med" || o.minTimeout != defaultMinTimeout {
+	if o.predictor != "LAST" || o.margin != "JAC_med" || o.minTimeout != DefaultMinTimeout {
 		t.Errorf("resolveOptions(nil) not normalized: %+v", o)
 	}
 
@@ -154,55 +155,87 @@ func TestNewMonitorOptions(t *testing.T) {
 	}
 }
 
-func TestWithTransportMode(t *testing.T) {
-	o := resolveOptions([]Option{WithTransportMode(TransportClassic)})
-	if !o.timerWheelOff || !o.batchedOff || !o.egressOff {
-		t.Errorf("TransportClassic must disable all batched stages: %+v", o)
+// TestNewMonitorAllCallbacks pins the merged listener: WithOnSuspect,
+// WithOnTrust and WithOnChange set together all fire, suspicion before
+// trust, the split callback ahead of OnChange on each transition, and
+// OnChange carries the remote address as the peer label.
+func TestNewMonitorAllCallbacks(t *testing.T) {
+	addrs := freeUDPPorts(t, 2)
+	monAddr, hbAddr := addrs[0], addrs[1]
+	const eta = 20 * time.Millisecond
+
+	calls := make(chan string, 64)
+	mon, err := NewMonitor(monAddr, hbAddr,
+		WithEta(eta),
+		WithOnSuspect(func(time.Duration) { calls <- "suspect" }),
+		WithOnTrust(func(time.Duration) { calls <- "trust" }),
+		WithOnChange(func(peer string, suspected bool, _ time.Duration) {
+			calls <- fmt.Sprintf("change %s %v", peer, suspected)
+		}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Re-selecting the default mode undoes an earlier classic selection —
-	// the axis is a mode, not a one-way latch.
-	o = resolveOptions([]Option{WithTransportMode(TransportClassic), WithTransportMode(TransportBatched)})
-	if o.timerWheelOff || o.batchedOff || o.egressOff {
-		t.Errorf("TransportBatched must re-enable all batched stages: %+v", o)
+	defer mon.Close()
+
+	hb, err := RunHeartbeater(HeartbeaterConfig{Listen: hbAddr, Remote: monAddr, Eta: eta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(t, 3*time.Second, func() bool { return mon.DetectorStats().Heartbeats >= 5 }) {
+		t.Fatal("no heartbeats delivered")
+	}
+	_ = hb.Close()
+	if !waitFor(t, 3*time.Second, mon.Suspected) {
+		t.Fatal("silence never suspected")
+	}
+	hb, err = RunHeartbeater(HeartbeaterConfig{Listen: hbAddr, Remote: monAddr, Eta: eta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hb.Close()
+
+	// The first S→T episode is exactly these four calls, in this order;
+	// whatever jitter adds afterwards is not this test's business.
+	want := []string{
+		"suspect", "change " + hbAddr + " true",
+		"trust", "change " + hbAddr + " false",
+	}
+	for i, w := range want {
+		select {
+		case got := <-calls:
+			if got != w {
+				t.Fatalf("callback %d = %q, want %q", i, got, w)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("callback %d (%q) never fired", i, w)
+		}
 	}
 }
 
 func TestWithPipeline(t *testing.T) {
-	// The zero config is a no-op: every stage stays on, every knob at its
-	// transport default.
+	// The zero config is a no-op: every knob stays at its default.
 	o := resolveOptions([]Option{WithPipeline(PipelineConfig{})})
-	if o.timerWheelOff || o.batchedOff || o.egressOff || o.egressBatch != 0 || o.egressFlushInterval != 0 || o.readers != 0 {
+	if o.egressBatch != 0 || o.egressFlushInterval != 0 || o.readers != 0 || o.expectedPeers != 0 || o.pinDrivers {
 		t.Errorf("zero PipelineConfig must change nothing: %+v", o)
 	}
 	o = resolveOptions([]Option{WithPipeline(PipelineConfig{
 		EgressBatch:         128,
 		EgressFlushInterval: 2 * time.Millisecond,
 		Readers:             3,
-		DisableTimerWheel:   true,
+		ExpectedPeers:       1 << 16,
+		PinDrivers:          true,
 	})})
-	if o.egressBatch != 128 || o.egressFlushInterval != 2*time.Millisecond || o.readers != 3 {
+	if o.egressBatch != 128 || o.egressFlushInterval != 2*time.Millisecond || o.readers != 3 ||
+		o.expectedPeers != 1<<16 || !o.pinDrivers {
 		t.Errorf("pipeline knobs lost: %+v", o)
 	}
-	if !o.timerWheelOff {
-		t.Error("DisableTimerWheel not applied")
-	}
-	if o.batchedOff || o.egressOff {
-		t.Errorf("per-stage disable leaked into other stages: %+v", o)
-	}
-}
-
-func TestDeprecatedOptionShims(t *testing.T) {
-	// The legacy booleans must keep their exact meaning so existing callers
-	// migrate on their own schedule (fdlint flags them in-repo).
-	o := resolveOptions([]Option{WithTimerWheel(false)}) //nolint // exercising the deprecated shim
-	if !o.timerWheelOff || o.batchedOff || o.egressOff {
-		t.Errorf("WithTimerWheel(false) = %+v", o)
-	}
-	o = resolveOptions([]Option{WithBatchedTransport(false)})
-	if !o.batchedOff || !o.egressOff {
-		t.Errorf("WithBatchedTransport(false) must disable both transport pipelines: %+v", o)
-	}
-	if o.timerWheelOff {
-		t.Error("WithBatchedTransport must not touch the scheduler")
+	// Fields are orthogonal: a later config that sets one knob leaves the
+	// others where an earlier one put them.
+	o = resolveOptions([]Option{
+		WithPipeline(PipelineConfig{EgressBatch: 128, Readers: 3}),
+		WithPipeline(PipelineConfig{Readers: 2}),
+	})
+	if o.egressBatch != 128 || o.readers != 2 {
+		t.Errorf("second WithPipeline disturbed unrelated knobs: %+v", o)
 	}
 }

@@ -6,13 +6,11 @@ import (
 )
 
 // IngestStats is a snapshot of the batched receive pipeline's health
-// counters (drain cycles, ring drops, pool misses); all zero on a classic
-// transport.
+// counters (drain cycles, ring drops, pool misses).
 type IngestStats = transport.IngestStats
 
 // EgressStats is a snapshot of the batched send pipeline's health
-// counters (flushes, packets, syscalls saved, ring drops, send errors);
-// all zero on a classic transport.
+// counters (flushes, packets, syscalls saved, ring drops, send errors).
 type EgressStats = transport.EgressStats
 
 // Stats is the unified monitor snapshot: one coherent, versionable read
@@ -22,8 +20,7 @@ type EgressStats = transport.EgressStats
 // thin views of the same counters.
 //
 // Fields a monitor kind does not run are zero: a single-peer Monitor has
-// no shard scheduler, a classic-transport monitor has no batched
-// pipelines.
+// no shard scheduler.
 type Stats struct {
 	// Detector aggregates the detector counters — one detector's on a
 	// single-peer Monitor, summed across peers on a MultiMonitor.

@@ -12,42 +12,6 @@ import (
 	"wanfd/internal/transport"
 )
 
-// MonitorConfig assembles a UDP monitor: the failure-detecting side of the
-// paper's architecture on a real network.
-type MonitorConfig struct {
-	// Listen is the local UDP address (e.g. ":7007").
-	Listen string
-	// Remote is the heartbeater's UDP address.
-	Remote string
-	// Eta is the heartbeater's sending period.
-	Eta time.Duration
-	// Predictor and Margin select the detector combination (defaults:
-	// the paper's recommendation LAST + JAC_med).
-	Predictor, Margin string
-	// AccrualThreshold, when positive, replaces the freshness-point
-	// detector with a φ-accrual detector at this threshold (8 is the
-	// common production default); Predictor and Margin are then ignored.
-	AccrualThreshold float64
-	// MinTimeout floors the adaptive timeout, riding out bootstrap and
-	// timer jitter on real hosts; see WithMinTimeout for the sentinel
-	// convention (zero selects the default floor, negative disables it).
-	MinTimeout time.Duration
-	// TargetDetection, when positive, activates the adaptable sending
-	// period (the Bertier extension): the monitor periodically commands
-	// the heartbeater to the largest interval that keeps the worst-case
-	// detection time under this target, trading bandwidth for exactly
-	// the required detection speed. Requires a freshness-point detector
-	// (AccrualThreshold unset).
-	TargetDetection time.Duration
-	// SyncClock, when true, estimates the peer clock offset with an
-	// NTP-style exchange before monitoring, discharging the paper's
-	// synchronized-clocks assumption in-band.
-	SyncClock bool
-	// OnSuspect and OnTrust are invoked on output transitions; they must
-	// not block.
-	OnSuspect, OnTrust func(elapsed time.Duration)
-}
-
 // Monitor is a running UDP failure detector.
 type Monitor struct {
 	net   *transport.UDPNetwork
@@ -62,27 +26,10 @@ const (
 	udpMonitorID     neko.ProcessID = 2
 )
 
-// ListenAndMonitor opens the socket, optionally syncs clocks with the
-// remote heartbeater, and starts detecting. Close must be called to release
-// the socket.
-func ListenAndMonitor(cfg MonitorConfig) (*Monitor, error) {
-	o := options{
-		eta:              cfg.Eta,
-		predictor:        cfg.Predictor,
-		margin:           cfg.Margin,
-		minTimeout:       cfg.MinTimeout,
-		accrualThreshold: cfg.AccrualThreshold,
-		targetDetection:  cfg.TargetDetection,
-		syncClock:        cfg.SyncClock,
-		onSuspect:        cfg.OnSuspect,
-		onTrust:          cfg.OnTrust,
-	}
-	o.normalize()
-	return newUDPMonitor(cfg.Listen, cfg.Remote, o)
-}
-
-// NewMonitor is the functional-options form of ListenAndMonitor, sharing
-// its option vocabulary with NewMultiMonitor:
+// NewMonitor opens the socket, optionally syncs clocks with the remote
+// heartbeater, and starts detecting — the failure-detecting side of the
+// paper's architecture on a real network. It shares its option vocabulary
+// with NewMultiMonitor:
 //
 //	mon, err := wanfd.NewMonitor(":7007", "host:7008",
 //		wanfd.WithEta(time.Second),
@@ -94,10 +41,6 @@ func NewMonitor(listen, remote string, opts ...Option) (*Monitor, error) {
 	if len(o.peers) > 0 {
 		return nil, fmt.Errorf("wanfd: NewMonitor does not support WithPeer (use NewMultiMonitor)")
 	}
-	return newUDPMonitor(listen, remote, o)
-}
-
-func newUDPMonitor(listen, remote string, o options) (*Monitor, error) {
 	if remote == "" {
 		return nil, fmt.Errorf("wanfd: monitor needs the heartbeater address")
 	}
@@ -106,9 +49,7 @@ func newUDPMonitor(listen, remote string, o options) (*Monitor, error) {
 		Listen:              listen,
 		Peers:               map[neko.ProcessID]string{udpHeartbeaterID: remote},
 		Telemetry:           o.telemetry,
-		Unbatched:           o.batchedOff,
 		Readers:             o.readers,
-		UnbatchedEgress:     o.egressOff,
 		EgressBatch:         o.egressBatch,
 		EgressFlushInterval: o.egressFlushInterval,
 	})
@@ -127,62 +68,29 @@ func newUDPMonitor(listen, remote string, o options) (*Monitor, error) {
 			return nil, fmt.Errorf("wanfd: clock sync: %w", err)
 		}
 	}
-	// One durable-store recorder for the single monitored peer, labeled by
-	// the remote address like the telemetry series; nil (a no-op) without
-	// WithStore.
-	rec := o.qstore.Recorder(remote)
 	o.qstore.Instrument(o.telemetry)
-	listener := callbackListener{
-		onSuspect: o.onSuspect,
-		onTrust:   o.onTrust,
-		onChange:  o.onChange,
-		peer:      remote,
-		reg:       o.telemetry,
-		rec:       rec,
-	}
+	o.onChange = foldCallbacks(o.onSuspect, o.onTrust, o.onChange)
+	// The one monitored peer is labeled by its remote address — in
+	// callbacks, telemetry series and the durable store alike.
 	var consumer core.HeartbeatConsumer
 	if o.accrualThreshold > 0 {
 		acc, err := core.NewAccrualDetector(core.AccrualDetectorConfig{
 			Threshold: o.accrualThreshold,
 			Clock:     net.Clock(),
-			Listener:  listener,
+			Listener: peerListener{
+				name: remote, onChange: o.onChange, reg: o.telemetry, rec: o.qstore.Recorder(remote),
+			},
 		})
 		if err != nil {
 			return nil, err
 		}
 		consumer = acc
 	} else {
-		pred, err := core.NewPredictorByName(o.predictor)
+		det, err := o.newDetector(remote, net.Clock())
 		if err != nil {
 			return nil, err
 		}
-		margin, err := core.NewMarginByName(o.margin)
-		if err != nil {
-			return nil, err
-		}
-		det, err := core.NewDetector(core.DetectorConfig{
-			Predictor:  pred,
-			Margin:     margin,
-			Eta:        o.eta,
-			Clock:      net.Clock(),
-			Listener:   listener,
-			MinTimeout: o.minTimeout,
-			Metrics:    o.telemetry.DetectorMetrics(remote),
-			Sample:     rec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// State the detector tracks anyway is sampled at scrape time
-		// rather than pushed per heartbeat.
-		o.telemetry.DetectorFuncs(remote,
-			func() (uint64, uint64, uint64) {
-				st := det.DetectorStats()
-				return st.Heartbeats, st.Stale, st.Suspicions
-			},
-			func() float64 { return det.CurrentTimeout() / 1e3 },
-			det.Suspected,
-		)
+		o.exportDetector(remote, det)
 		consumer = det
 	}
 	mon, err := layers.NewConsumerMonitor(consumer)

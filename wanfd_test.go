@@ -222,12 +222,7 @@ func TestUDPMonitorHeartbeaterIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hb.Close()
-	mon, err := ListenAndMonitor(MonitorConfig{
-		Listen:    monAddr,
-		Remote:    hbAddr,
-		Eta:       25 * time.Millisecond,
-		SyncClock: true,
-	})
+	mon, err := NewMonitor(monAddr, hbAddr, WithEta(25*time.Millisecond), WithSyncClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,15 +252,13 @@ func TestUDPMonitorHeartbeaterIntegration(t *testing.T) {
 }
 
 func TestUDPConfigValidationPublic(t *testing.T) {
-	if _, err := ListenAndMonitor(MonitorConfig{Listen: ":0", Eta: time.Second}); err == nil {
+	if _, err := NewMonitor(":0", ""); err == nil {
 		t.Error("missing remote should fail")
 	}
 	if _, err := RunHeartbeater(HeartbeaterConfig{Listen: ":0", Eta: time.Second}); err == nil {
 		t.Error("missing remote should fail")
 	}
-	if _, err := ListenAndMonitor(MonitorConfig{
-		Listen: "127.0.0.1:0", Remote: "127.0.0.1:1", Eta: time.Second, Predictor: "NOPE",
-	}); err == nil {
+	if _, err := NewMonitor("127.0.0.1:0", "127.0.0.1:1", WithPredictor("NOPE")); err == nil {
 		t.Error("unknown predictor should fail")
 	}
 }
@@ -345,12 +338,7 @@ func TestUDPAccrualMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hb.Close()
-	mon, err := ListenAndMonitor(MonitorConfig{
-		Listen:           monAddr,
-		Remote:           hbAddr,
-		Eta:              20 * time.Millisecond,
-		AccrualThreshold: 3,
-	})
+	mon, err := NewMonitor(monAddr, hbAddr, WithEta(20*time.Millisecond), WithAccrualThreshold(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,12 +381,8 @@ func TestUDPAdaptiveIntervalMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hb.Close()
-	mon, err := ListenAndMonitor(MonitorConfig{
-		Listen:          monAddr,
-		Remote:          hbAddr,
-		Eta:             time.Second,
-		TargetDetection: 300 * time.Millisecond, // demands η ≈ 260 ms (≈4 Hz)
-	})
+	mon, err := NewMonitor(monAddr, hbAddr,
+		WithTargetDetection(300*time.Millisecond)) // demands η ≈ 260 ms (≈4 Hz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +409,8 @@ func TestUDPAdaptiveIntervalMonitor(t *testing.T) {
 		t.Error("suspected while adapted heartbeats flow")
 	}
 	// TargetDetection with accrual must be rejected.
-	if _, err := ListenAndMonitor(MonitorConfig{
-		Listen: "127.0.0.1:0", Remote: hbAddr, Eta: time.Second,
-		TargetDetection: time.Second, AccrualThreshold: 8,
-	}); err == nil {
+	if _, err := NewMonitor("127.0.0.1:0", hbAddr,
+		WithTargetDetection(time.Second), WithAccrualThreshold(8)); err == nil {
 		t.Error("TargetDetection + AccrualThreshold should be rejected")
 	}
 }
