@@ -1,0 +1,312 @@
+package wanfd
+
+// Injector-driven harness for the production MultiMonitor, shared by
+// TestPipelineZeroAlloc (the allocation gate) and the two measurements
+// kept here: BenchmarkPipeline, both directions at once from 1k to 2^20
+// peers, and BenchmarkCluster1k, the price of telemetry and membership
+// churn on the dispatch path. Real-socket figures live in bench/.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"net/netip"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"wanfd/internal/neko"
+	"wanfd/internal/telemetry"
+	"wanfd/internal/transport"
+)
+
+const (
+	benchClusterPeers = 1024
+	// benchIngestChunk is how many datagrams each InjectBatch call carries —
+	// the injector's analogue of one socket drain cycle.
+	benchIngestChunk = 64
+	// benchIngestLag bounds how far injection may run ahead of delivery:
+	// half of one 512-slot ingest shard ring, so the pipeline stays
+	// lossless even when every in-flight datagram is queued on the one
+	// shard whose consumer is descheduled.
+	benchIngestLag = 256
+	// benchEgressLag bounds how far producers may run ahead of the flusher:
+	// an eighth of the default profile's egress ring capacity.
+	benchEgressLag = 1024
+)
+
+// benchPeerNames precomputes the member names so the hot loop does no
+// formatting.
+func benchPeerNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("peer-%05d", i)
+	}
+	return names
+}
+
+// benchPeerAddr gives peer i a unique loopback endpoint. Addresses walk
+// the 127.0.0.0/8 block on a fixed port instead of walking ports on
+// 127.0.0.1: the port space tops out around 45k peers, the loopback block
+// holds the 2^20-peer configuration.
+func benchPeerAddr(i int) string {
+	return fmt.Sprintf("127.%d.%d.%d:20001", 1+(i>>16), (i>>8)&0xff, i&0xff)
+}
+
+// benchCluster builds a MultiMonitor over the named peers; the caller's
+// cleanup closes it.
+func benchCluster(tb testing.TB, names []string, opts ...Option) *MultiMonitor {
+	tb.Helper()
+	mm, err := NewMultiMonitor("127.0.0.1:0", opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = mm.Close() })
+	for i, name := range names {
+		if err := mm.AddPeer(name, benchPeerAddr(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return mm
+}
+
+// pipelineHarness drives one MultiMonitor endpoint through the transport
+// Injector: pre-encoded heartbeat datagrams are decoded, attributed,
+// stamped and carried over the shard rings to each peer's detector update
+// and wheel re-arm — the full receive path minus the kernel socket. With
+// egress set, every offered heartbeat is also sent to its peer through the
+// batched egress (destinations are loopback addresses with no listener, so
+// the kernel pays the full local delivery attempt) and the flusher, the
+// drain consumers and the producer contend for the same cores.
+type pipelineHarness struct {
+	mm     *MultiMonitor
+	inj    *transport.Injector
+	egress bool
+	pkts   [][]byte
+	srcs   []netip.AddrPort
+	seqs   []int64
+	msg    neko.Message
+	// Sender timestamps advance 1µs per packet from the wall-clock start,
+	// read once: offer performs no clock reads for the ingest half, only
+	// in-place header patches.
+	wallBase  int64
+	sent      int
+	chunkPkts [][]byte
+	chunkSrcs []netip.AddrPort
+}
+
+func newPipelineHarness(tb testing.TB, peers int, egress bool, opts ...Option) *pipelineHarness {
+	tb.Helper()
+	h := &pipelineHarness{
+		mm:        benchCluster(tb, benchPeerNames(peers), opts...),
+		egress:    egress,
+		pkts:      make([][]byte, peers),
+		srcs:      make([]netip.AddrPort, peers),
+		seqs:      make([]int64, peers),
+		msg:       neko.Message{From: multiMonitorID, Type: neko.MsgHeartbeat},
+		wallBase:  time.Now().UnixNano(),
+		chunkPkts: make([][]byte, 0, benchIngestChunk),
+		chunkSrcs: make([]netip.AddrPort, 0, benchIngestChunk),
+	}
+	h.inj = h.mm.net.NewInjector()
+	// Every peer's datagram starts as the same bytes; offer patches seq and
+	// sender timestamp in place, so each peer needs its own copy.
+	proto, err := transport.Encode(nil, &neko.Message{Type: neko.MsgHeartbeat, To: multiMonitorID}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range h.pkts {
+		h.pkts[i] = bytes.Clone(proto)
+		h.srcs[i] = netip.MustParseAddrPort(benchPeerAddr(i))
+	}
+	return h
+}
+
+// offer carries n ≤ benchIngestChunk heartbeats, round-robin over the peer
+// set (the interleaved arrival order a WAN monitor sees), into the
+// pipeline as one injected batch.
+func (h *pipelineHarness) offer(n int) {
+	h.chunkPkts, h.chunkSrcs = h.chunkPkts[:0], h.chunkSrcs[:0]
+	clk := h.mm.net.Clock()
+	for ; n > 0; n-- {
+		p := h.sent % len(h.pkts)
+		h.seqs[p]++
+		if h.egress {
+			// Transport ids are the ones the monitor assigned
+			// (multiMonitorID+1 onward); the router's inherited Send hands
+			// the message to the endpoint the ingest half receives on.
+			h.msg.To = multiMonitorID + 1 + neko.ProcessID(p)
+			h.msg.Seq = h.seqs[p]
+			h.msg.SentAt = clk.Now()
+			h.mm.router.Send(&h.msg)
+		}
+		binary.BigEndian.PutUint64(h.pkts[p][12:20], uint64(h.seqs[p]))
+		binary.BigEndian.PutUint64(h.pkts[p][20:28], uint64(h.wallBase+int64(h.sent)*1000))
+		h.chunkPkts = append(h.chunkPkts, h.pkts[p])
+		h.chunkSrcs = append(h.chunkSrcs, h.srcs[p])
+		h.sent++
+	}
+	h.inj.InjectBatch(h.chunkPkts, h.chunkSrcs)
+}
+
+// settle yields until at most ingestLag offered heartbeats are undelivered
+// and at most egressLag unflushed. Drops and errors count as settled, so a
+// lossy run ends and is then failed by checkLossless.
+func (h *pipelineHarness) settle(ingestLag, egressLag int) {
+	for {
+		_, rcv, mal := h.mm.net.Stats()
+		done := int(rcv+mal) + int(h.mm.net.IngestStats().RingDrops)
+		if h.sent-done <= ingestLag {
+			if !h.egress {
+				return
+			}
+			st := h.mm.net.EgressStats()
+			if h.sent-int(st.Packets+st.RingDrops+st.SendErrors) <= egressLag {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
+// checkLossless fails the run on any malformed packet, ring drop or send
+// error: what was measured is a pipeline that carried every heartbeat.
+func (h *pipelineHarness) checkLossless(tb testing.TB) {
+	tb.Helper()
+	if _, _, mal := h.mm.net.Stats(); mal != 0 {
+		tb.Fatalf("%d malformed packets", mal)
+	}
+	if st := h.mm.net.IngestStats(); st.RingDrops != 0 {
+		tb.Fatalf("%d ingest ring drops: lag bound failed to keep the pipeline lossless", st.RingDrops)
+	}
+	if st := h.mm.net.EgressStats(); st.RingDrops != 0 || st.SendErrors != 0 {
+		tb.Fatalf("egress drops=%d errors=%d", st.RingDrops, st.SendErrors)
+	}
+}
+
+// BenchmarkPipeline is the both-directions scale runner: one op sends one
+// heartbeat through the batched egress and receives one through the
+// batched ingest, lag-bounded, with the final drain inside the timed
+// region — ns/op is delivered throughput, not enqueue throughput. 1k and
+// 100k run the default scale profile; 1M holds 2^20 peers in the
+// arena-backed shards on the 1M profile (64-way peer/ingest tables, 32-way
+// egress, 1024-slot wheels), and completing it is the lossless
+// demonstration at that size.
+func BenchmarkPipeline(b *testing.B) {
+	const peers1M = 1 << 20
+	for _, sc := range []struct {
+		name  string
+		peers int
+		opts  []Option
+	}{
+		{"1k", benchClusterPeers, nil},
+		{"100k", 102400, nil},
+		{"1M", peers1M, []Option{WithPipeline(PipelineConfig{ExpectedPeers: peers1M})}},
+	} {
+		b.Run(sc.name, func(b *testing.B) {
+			if testing.Short() && sc.peers == peers1M {
+				b.Skip("registering 2^20 peers dominates the wall clock")
+			}
+			h := newPipelineHarness(b, sc.peers, true, sc.opts...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for left := b.N; left > 0; left -= benchIngestChunk {
+				h.offer(min(left, benchIngestChunk))
+				h.settle(benchIngestLag, benchEgressLag)
+			}
+			h.settle(0, 0)
+			b.StopTimer()
+			h.checkLossless(b)
+			if st := h.mm.net.EgressStats(); st.Flushes > 0 {
+				b.ReportMetric(float64(st.Packets)/float64(st.Flushes), "batch")
+			}
+		})
+	}
+}
+
+// runReceiveBench measures the dispatch path: one op is attributing and
+// dispatching one heartbeat to its peer's detector, round-robin over the
+// members. In the flapping scenario a background goroutine joins and
+// leaves a member as fast as it can — the membership write path. Only the
+// flapper's own shard stalls during a join/leave critical section, so the
+// measured dispatch latency stays flat. Heartbeats enter at the router, so
+// the benchmark measures the fan-in path rather than the transport.
+func runReceiveBench(b *testing.B, mm *MultiMonitor, peers int, flapping bool) {
+	b.Helper()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var churns atomic.Int64
+	if flapping {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			const name = "flapper"
+			const addr = "127.0.0.1:39999"
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := mm.AddPeer(name, addr); err != nil {
+					b.Error(err)
+					return
+				}
+				if err := mm.RemovePeer(name); err != nil {
+					b.Error(err)
+					return
+				}
+				churns.Add(1)
+			}
+		}()
+	}
+	base := multiMonitorID + 1
+	seqs := make([]int64, peers)
+	msg := &neko.Message{Type: neko.MsgHeartbeat}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i % peers
+		seqs[p]++
+		msg.From = base + neko.ProcessID(p)
+		msg.Seq = seqs[p]
+		msg.SentAt = mm.ctx.Clock.Now()
+		mm.router.Receive(msg)
+	}
+	b.StopTimer()
+	// Sampled before teardown, with every member's deadline still armed:
+	// the steady-state scheduling footprint.
+	b.ReportMetric(float64(runtime.NumGoroutine()), "goroutines")
+	close(stop)
+	wg.Wait()
+	if flapping && b.N > 0 {
+		b.ReportMetric(float64(churns.Load())/float64(b.N), "churns/op")
+	}
+}
+
+// BenchmarkCluster1k drives the sharded MultiMonitor at 1024 peers, with a
+// static membership and with a member continuously joining and leaving.
+func BenchmarkCluster1k(b *testing.B) {
+	names := benchPeerNames(benchClusterPeers)
+	for _, sc := range []struct {
+		name     string
+		flapping bool
+	}{
+		{"steady", false},
+		{"flapping", true},
+	} {
+		b.Run(sc.name+"/sharded", func(b *testing.B) {
+			runReceiveBench(b, benchCluster(b, names), benchClusterPeers, sc.flapping)
+		})
+		// Same sharded stack with live telemetry: every dispatch counts
+		// packets, shard traffic, heartbeats, and observes two histograms.
+		// The sharded (uninstrumented) run above doubles as the disabled
+		// path — nil registry, dead branches only.
+		b.Run(sc.name+"/sharded-telemetry", func(b *testing.B) {
+			mm := benchCluster(b, names, WithTelemetry(telemetry.NewRegistry(256)))
+			runReceiveBench(b, mm, benchClusterPeers, sc.flapping)
+		})
+	}
+}

@@ -1,0 +1,54 @@
+package wanfd
+
+import "testing"
+
+// TestPipelineZeroAlloc is the "no per-heartbeat bookkeeping" gate on the
+// production cluster monitor: at 1,024 peers, one run carries a 64-datagram
+// batch through decode, attribution, ring hand-off, detector update and
+// wheel re-arm (and, on the egress row, as many heartbeats through encode,
+// ring and flush), and once the pools are warm no goroutine of the process
+// may allocate — AllocsPerRun resolves one allocation per run, 1/64 per
+// heartbeat.
+func TestPipelineZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting holds only in normal builds")
+	}
+	for _, row := range []struct {
+		name   string
+		egress bool
+		store  bool
+	}{
+		{name: "ingest"},
+		// Hot-path neutrality of the durable QoS store: every detector taps
+		// a PeerRecorder, samples go into a fixed ring, and only the
+		// background writer touches the filesystem.
+		{name: "ingest+store", store: true},
+		{name: "ingest+egress", egress: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var opts []Option
+			if row.store {
+				st, err := OpenStore(StoreConfig{Dir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = st.Close() })
+				opts = append(opts, WithStore(st))
+			}
+			h := newPipelineHarness(t, benchClusterPeers, row.egress, opts...)
+			run := func() {
+				h.offer(benchIngestChunk)
+				h.settle(0, 0)
+			}
+			// Warm-up: every peer's detector sees heartbeats and arms its
+			// deadline, and the message and buffer pools fill.
+			for i := 0; i < 4*benchClusterPeers/benchIngestChunk; i++ {
+				run()
+			}
+			if avg := testing.AllocsPerRun(100, run); avg != 0 {
+				t.Errorf("steady-state pipeline allocates %.0f per %d-heartbeat run, want 0", avg, benchIngestChunk)
+			}
+			h.checkLossless(t)
+		})
+	}
+}
