@@ -4,29 +4,41 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wanfd/internal/neko"
 )
 
 // TestScaleProfileTiers pins the geometry each expected-peer tier
 // selects: the default tier must stay byte-for-byte what pre-profile
-// monitors ran with, and the larger tiers must widen every axis.
+// monitors ran with, and the larger tiers must widen every axis. One
+// shard count fans out the peer table, ingest pipeline and router alike;
+// the egress pipeline gets half of it.
 func TestScaleProfileTiers(t *testing.T) {
 	cases := []struct {
 		peers int
 		want  scaleProfile
 	}{
-		{0, scaleProfile{peerShards: 16, ingestShards: 16, egressShards: 8, routerShards: 16}},
-		{1 << 15, scaleProfile{peerShards: 16, ingestShards: 16, egressShards: 8, routerShards: 16}},
-		{1<<15 + 1, scaleProfile{peerShards: 32, ingestShards: 32, egressShards: 16, routerShards: 32, fineSlots: 512, coarseSlots: 128}},
-		{1 << 18, scaleProfile{peerShards: 32, ingestShards: 32, egressShards: 16, routerShards: 32, fineSlots: 512, coarseSlots: 128}},
-		{1<<18 + 1, scaleProfile{peerShards: 64, ingestShards: 64, egressShards: 32, routerShards: 64, fineSlots: 1024, coarseSlots: 256}},
-		{1 << 20, scaleProfile{peerShards: 64, ingestShards: 64, egressShards: 32, routerShards: 64, fineSlots: 1024, coarseSlots: 256}},
+		{0, scaleProfile{shards: 16}},
+		{1 << 15, scaleProfile{shards: 16}},
+		{1<<15 + 1, scaleProfile{shards: 32, fineSlots: 512, coarseSlots: 128}},
+		{1 << 18, scaleProfile{shards: 32, fineSlots: 512, coarseSlots: 128}},
+		{1<<18 + 1, scaleProfile{shards: 64, fineSlots: 1024, coarseSlots: 256}},
+		{1 << 20, scaleProfile{shards: 64, fineSlots: 1024, coarseSlots: 256}},
 	}
 	for _, c := range cases {
 		if got := profileFor(c.peers); got != c.want {
 			t.Errorf("profileFor(%d) = %+v, want %+v", c.peers, got, c.want)
 		}
+	}
+}
+
+// TestPeerEntrySize pins the per-peer arena record: a second detector
+// pointer or a per-peer option copy would show up in every fleet's
+// bytes per peer.
+func TestPeerEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(peerEntry{}); got > 56 {
+		t.Errorf("peerEntry is %d bytes, want at most 56", got)
 	}
 }
 
@@ -128,6 +140,13 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 		cycles = 4
 		peers  = 512
 	)
+	// occupancy is everything a peer occupies outside the shard tables:
+	// transport arena records, routes, armed deadlines.
+	occupancy := func() [3]int {
+		arenaStats, _, _, _ := mon.net.PeerTableStats()
+		return [3]int{arenaStats.Live, mon.router.Routed(), mon.SchedulerStats().Timers}
+	}
+	baseline := occupancy()
 	caps := make([]int, len(mon.shards))
 	for c := 0; c < cycles; c++ {
 		for i := 0; i < peers; i++ {
@@ -135,6 +154,24 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 			if err := mon.AddPeer(name, fmt.Sprintf("127.0.0.1:%d", 40001+i)); err != nil {
 				t.Fatalf("cycle %d add %s: %v", c, name, err)
 			}
+		}
+		// Failed adds must leave nothing behind: each is rejected at a
+		// different step of AddPeer (name check after the transport
+		// registration, address check in it, sync exchange between them).
+		full := occupancy()
+		if err := mon.AddPeer("churn-0000", "127.0.0.1:39999"); err == nil {
+			t.Fatalf("cycle %d: duplicate name accepted", c)
+		}
+		if err := mon.AddPeer("alias", "127.0.0.1:40001"); err == nil {
+			t.Fatalf("cycle %d: duplicate address accepted", c)
+		}
+		mon.opts.syncTimeout = 5 * time.Millisecond
+		if err := mon.AddPeer("silent", "127.0.0.1:39998"); err == nil {
+			t.Fatalf("cycle %d: peer that never answered the clock sync accepted", c)
+		}
+		mon.opts.syncTimeout = 0
+		if got := occupancy(); got != full {
+			t.Fatalf("cycle %d: failed adds moved (transport, routes, timers) from %v to %v", c, full, got)
 		}
 		if got := mon.Peers(); got != peers {
 			t.Fatalf("cycle %d: monitor reports %d peers, want %d", c, got, peers)
@@ -165,6 +202,9 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 				t.Fatalf("cycle %d shard %d: table cap grew %d -> %d across identical cycles",
 					c, si, caps[si], tab.Cap)
 			}
+		}
+		if got := occupancy(); got != baseline {
+			t.Fatalf("cycle %d: (transport, routes, timers) = %v after drain, want baseline %v", c, got, baseline)
 		}
 	}
 }

@@ -1,25 +1,21 @@
 // Command fdmonitor runs the failure-detecting side of the paper's
-// architecture on a real network: it listens for UDP heartbeats and logs
-// suspicion transitions.
+// architecture on a real network: it listens for UDP heartbeats, keeps one
+// detector per peer, and logs suspicion transitions.
 //
-// Single-peer mode watches one fdheartbeat process:
+// The monitored set is given by -peers, or by -remote for a single
+// fdheartbeat process (shorthand for one peer named by its address):
 //
 //	fdmonitor -listen :7007 -remote host:7008 -eta 1s
 //	fdmonitor -listen :7007 -remote host:7008 -predictor ARIMA -margin CI_low -sync
-//	fdmonitor -listen :7007 -remote host:7008 -http :7070
-//
-// Cluster mode watches a whole fleet over the same socket, one detector
-// per peer, and optionally serves the aggregate state over HTTP:
-//
 //	fdmonitor -listen :7007 -peers api=10.0.0.1:7008,db=10.0.0.2:7008 -http :7070
 //
 // The HTTP endpoint exposes the live monitor:
 //
-//	GET    /cluster[?detail=1]            aggregate ClusterSnapshot; detail=1 adds per-peer rows (JSON, cluster mode)
-//	POST   /cluster/peers?name=N&addr=A   start monitoring one more peer (cluster mode)
-//	DELETE /cluster/peers?name=N          stop monitoring a peer (cluster mode)
-//	GET    /status                        one-peer status (JSON, single-peer mode)
-//	GET    /stats                         unified monitor snapshot (JSON, both modes)
+//	GET    /cluster[?detail=1]            aggregate ClusterSnapshot; detail=1 adds per-peer rows (JSON)
+//	POST   /cluster/peers?name=N&addr=A   start monitoring one more peer
+//	DELETE /cluster/peers?name=N          stop monitoring a peer
+//	GET    /status[?peer=N]               one peer's status (JSON); peer defaults to the -remote peer
+//	GET    /stats                         unified monitor snapshot (JSON)
 //	GET    /metrics                       live telemetry, Prometheus text format
 //	GET    /events[?n=N]                  last N suspicion transitions, JSON Lines
 //	GET    /qos?from=1m&to=5m[&peer=N]    windowed QoS over the durable history (JSON)
@@ -40,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -61,14 +56,14 @@ func main() {
 func run() error {
 	var (
 		listen    = flag.String("listen", ":7007", "local UDP address")
-		remote    = flag.String("remote", "", "heartbeater UDP address (single-peer mode)")
-		peersFlag = flag.String("peers", "", "comma-separated name=addr heartbeater list (cluster mode)")
+		remote    = flag.String("remote", "", "heartbeater UDP address: monitor this one peer, named by its address")
+		peersFlag = flag.String("peers", "", "comma-separated name=addr heartbeater list")
 		httpAddr  = flag.String("http", "", "serve live state and telemetry over HTTP at this address")
 		eta       = flag.Duration("eta", time.Second, "heartbeat period of the monitored processes")
 		predictor = flag.String("predictor", "LAST", "delay predictor: ARIMA, LAST, LPF, MEAN, WINMEAN")
 		margin    = flag.String("margin", "JAC_med", "safety margin: CI_low/med/high, JAC_low/med/high")
-		sync      = flag.Bool("sync", false, "estimate the peer clock offset before monitoring (single-peer mode)")
-		accrual   = flag.Float64("accrual", 0, "use a φ-accrual detector at this threshold instead of predictor+margin (0 = off, single-peer mode)")
+		sync      = flag.Bool("sync", false, "estimate each peer's clock offset before monitoring it")
+		accrual   = flag.Float64("accrual", 0, "use φ-accrual detectors at this threshold instead of predictor+margin (0 = off)")
 		stats     = flag.Duration("stats", 10*time.Second, "statistics print interval (0 disables)")
 		events    = flag.Int("events", 512, "suspicion transitions kept for GET /events")
 		storeDir  = flag.String("store-dir", "", "append durable QoS history (delay samples + suspicion transitions) to segment files in this directory")
@@ -76,11 +71,19 @@ func run() error {
 		storeAge  = flag.Duration("store-max-age", 0, "retention: drop durable history older than this (0 = keep everything)")
 	)
 	flag.Parse()
+	var peers [][2]string
 	switch {
 	case *remote == "" && *peersFlag == "":
 		return fmt.Errorf("either -remote (single peer) or -peers (cluster) is required")
 	case *remote != "" && *peersFlag != "":
 		return fmt.Errorf("-remote and -peers are mutually exclusive")
+	case *remote != "":
+		peers = [][2]string{{*remote, *remote}}
+	default:
+		var err error
+		if peers, err = parsePeers(*peersFlag); err != nil {
+			return err
+		}
 	}
 	// Telemetry rides with the HTTP endpoint: no server, no registry, and
 	// the heartbeat path stays uninstrumented.
@@ -88,31 +91,122 @@ func run() error {
 	if *httpAddr != "" {
 		reg = telemetry.NewRegistry(*events)
 	}
-	sf := storeFlags{dir: *storeDir, maxBytes: *storeMax, maxAge: *storeAge}
-	if *peersFlag != "" {
-		return runCluster(*listen, *peersFlag, *httpAddr, *eta, *predictor, *margin, *stats, reg, sf)
+	clk := sim.NewRealClock()
+	st, err := openQoSStore(*storeDir, *storeMax, *storeAge, clk)
+	if err != nil {
+		return err
 	}
-	return runSingle(*listen, *remote, *httpAddr, *eta, *predictor, *margin, *accrual, *sync, *stats, reg, sf)
-}
+	if st != nil {
+		// LIFO defers: the monitor (deferred below) closes first, then the
+		// store drains and fsyncs.
+		defer st.Close()
+	}
+	opts := []wanfd.Option{
+		wanfd.WithStore(st),
+		wanfd.WithEta(*eta),
+		wanfd.WithPredictor(*predictor),
+		wanfd.WithMargin(*margin),
+		wanfd.WithTelemetry(reg),
+		wanfd.WithOnChange(func(peer string, suspected bool, at time.Duration) {
+			state := "TRUST  "
+			if suspected {
+				state = "SUSPECT"
+			}
+			fmt.Printf("%s %s %s\n", clk.Epoch().Add(at).Format("15:04:05.000"), state, peer)
+		}),
+	}
+	// meta stamps exported windows; a φ-accrual monitor is not replayable,
+	// so it leaves the detector name empty.
+	meta := qosMeta{detector: *predictor + "+" + *margin, eta: *eta, minTimeout: wanfd.DefaultMinTimeout}
+	detector := meta.detector
+	if *accrual > 0 {
+		opts = append(opts, wanfd.WithAccrualThreshold(*accrual))
+		meta.detector = ""
+		detector = fmt.Sprintf("φ-accrual at %g", *accrual)
+	}
+	if *sync {
+		opts = append(opts, wanfd.WithSyncClock())
+	}
+	for _, p := range peers {
+		opts = append(opts, wanfd.WithPeer(p[0], p[1]))
+	}
+	mon, err := wanfd.NewMultiMonitor(*listen, opts...)
+	if err != nil {
+		return err
+	}
+	defer mon.Close()
+	fmt.Printf("monitoring %d peers with %s, eta %v, listening on %s\n",
+		len(peers), detector, *eta, mon.LocalAddr())
+	if *sync {
+		for _, p := range mon.Status() {
+			fmt.Printf("  %s: clock offset %v\n", p.Peer, p.ClockOffset)
+		}
+	}
+	if st != nil {
+		fmt.Printf("durable QoS history in %s\n", *storeDir)
+	}
 
-// storeFlags bundles the durable-store CLI knobs.
-type storeFlags struct {
-	dir      string
-	maxBytes int64
-	maxAge   time.Duration
+	var httpErr chan error
+	if *httpAddr != "" {
+		srv, ln, errCh, err := serveHTTP(*httpAddr, handler(mon, *remote, clk, reg, st, meta))
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		httpErr = errCh
+		fmt.Printf("cluster state at http://%s/cluster, metrics at http://%s/metrics\n", ln.Addr(), ln.Addr())
+	}
+
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
+	var tick <-chan time.Time
+	if *stats > 0 {
+		ticker := time.NewTicker(*stats)
+		tick = ticker.C
+		defer ticker.Stop()
+	}
+	for {
+		select {
+		case <-sigCh:
+			snap := mon.Snapshot()
+			fmt.Printf("shutting down: %d peers (%d suspected), %d heartbeats (%d stale), %d suspicions\n",
+				snap.Peers, snap.Suspected, snap.Totals.Heartbeats, snap.Totals.Stale, snap.Totals.Suspicions)
+			return nil
+		case err := <-httpErr:
+			if err != nil && err != http.ErrServerClosed {
+				return fmt.Errorf("http: %w", err)
+			}
+			return nil
+		case <-tick:
+			snap := mon.SnapshotDetail()
+			fmt.Printf("%s cluster: %d peers, %d trusted, %d suspected, %d heartbeats (%d stale)\n",
+				clk.WallTime().Format("15:04:05.000"), snap.Peers, snap.Trusted, snap.Suspected,
+				snap.Totals.Heartbeats, snap.Totals.Stale)
+			suspected := make([]string, 0, snap.Suspected)
+			for _, p := range snap.PeerStatuses {
+				if p.Suspected {
+					suspected = append(suspected, p.Peer)
+				}
+			}
+			if len(suspected) > 0 {
+				fmt.Printf("  suspected: %s\n", strings.Join(suspected, ", "))
+			}
+		}
+	}
 }
 
 // openQoSStore opens the durable store when -store-dir is set; a nil store
 // (with nil error) means the feature is off and every downstream consumer
 // is nil-safe.
-func openQoSStore(sf storeFlags, clk *sim.RealClock) (*wanfd.Store, error) {
-	if sf.dir == "" {
+func openQoSStore(dir string, maxBytes int64, maxAge time.Duration, clk *sim.RealClock) (*wanfd.Store, error) {
+	if dir == "" {
 		return nil, nil
 	}
 	return wanfd.OpenStore(wanfd.StoreConfig{
-		Dir:      sf.dir,
-		MaxBytes: sf.maxBytes,
-		MaxAge:   sf.maxAge,
+		Dir:      dir,
+		MaxBytes: maxBytes,
+		MaxAge:   maxAge,
 		Clock:    clk,
 		Epoch:    clk.Epoch().UnixNano(),
 	})
@@ -131,9 +225,9 @@ func serveHTTP(addr string, h http.Handler) (*http.Server, net.Listener, chan er
 	return srv, ln, errCh, nil
 }
 
-// singleStatus is the JSON body of GET /status in single-peer mode.
-type singleStatus struct {
-	// Remote is the monitored heartbeater address.
+// statusBody is the JSON body of GET /status: one peer's state.
+type statusBody struct {
+	// Remote is the peer's name (its address, for the -remote peer).
 	Remote string `json:"remote"`
 	// Uptime is the time since the monitor started.
 	Uptime time.Duration `json:"uptime"`
@@ -174,25 +268,22 @@ func parseWindowArg(r *http.Request, key string) (time.Duration, error) {
 	return d, nil
 }
 
-// mountQoS adds the unified-stats and durable-history endpoints shared by
-// both monitor modes. The store may be nil: /stats still serves (its Store
-// section reports Enabled false) while /qos and /export answer 404.
-func mountQoS(mux *http.ServeMux, statsFn func() wanfd.Stats, st *wanfd.Store, meta qosMeta) {
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(statsFn())
+// writeJSON answers with v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// mountQoS adds the unified-stats and durable-history endpoints. The store
+// may be nil: /stats still serves (its Store section reports Enabled false)
+// while /qos and /export answer 404.
+func mountQoS(mux *http.ServeMux, mon *wanfd.MultiMonitor, st *wanfd.Store, meta qosMeta) {
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, mon.Stats())
 	})
 	window := func(w http.ResponseWriter, r *http.Request) (from, to time.Duration, peer string, ok bool) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return 0, 0, "", false
-		}
 		if st == nil {
 			http.Error(w, "durable store not enabled (run with -store-dir)", http.StatusNotFound)
 			return 0, 0, "", false
@@ -208,7 +299,7 @@ func mountQoS(mux *http.ServeMux, statsFn func() wanfd.Stats, st *wanfd.Store, m
 		}
 		return from, to, r.URL.Query().Get("peer"), true
 	}
-	mux.HandleFunc("/qos", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /qos", func(w http.ResponseWriter, r *http.Request) {
 		from, to, peer, ok := window(w, r)
 		if !ok {
 			return
@@ -218,12 +309,9 @@ func mountQoS(mux *http.ServeMux, statsFn func() wanfd.Stats, st *wanfd.Store, m
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(report)
+		writeJSON(w, report)
 	})
-	mux.HandleFunc("/export", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /export", func(w http.ResponseWriter, r *http.Request) {
 		from, to, peer, ok := window(w, r)
 		if !ok {
 			return
@@ -239,128 +327,6 @@ func mountQoS(mux *http.ServeMux, statsFn func() wanfd.Stats, st *wanfd.Store, m
 		w.Header().Set("Content-Type", "application/octet-stream")
 		_ = trace.WriteWindow(w, win)
 	})
-}
-
-// singleHandler builds the HTTP surface of a single-peer monitor.
-func singleHandler(mon *wanfd.Monitor, remote string, clk *sim.RealClock, reg *telemetry.Registry, st *wanfd.Store, meta qosMeta) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(singleStatus{
-			Remote:        remote,
-			Uptime:        clk.Now(),
-			Suspected:     mon.Suspected(),
-			Timeout:       mon.Timeout(),
-			Phi:           mon.Phi(),
-			ClockOffset:   mon.ClockOffset(),
-			DetectorStats: mon.DetectorStats(),
-		})
-	})
-	mountQoS(mux, mon.Stats, st, meta)
-	telemetry.Mount(mux, reg)
-	return mux
-}
-
-func runSingle(listen, remote, httpAddr string, eta time.Duration, predictor, margin string, accrual float64, sync bool, stats time.Duration, reg *telemetry.Registry, sf storeFlags) error {
-	clk := sim.NewRealClock()
-	st, err := openQoSStore(sf, clk)
-	if err != nil {
-		return err
-	}
-	if st != nil {
-		// LIFO defers: the monitor (deferred below) closes first, then the
-		// store drains and fsyncs.
-		defer st.Close()
-	}
-	stamp := func(elapsed time.Duration) string {
-		return clk.Epoch().Add(elapsed).Format("15:04:05.000")
-	}
-	opts := []wanfd.Option{
-		wanfd.WithStore(st),
-		wanfd.WithEta(eta),
-		wanfd.WithPredictor(predictor),
-		wanfd.WithMargin(margin),
-		wanfd.WithTelemetry(reg),
-		wanfd.WithOnSuspect(func(at time.Duration) {
-			fmt.Printf("%s SUSPECT   (after %v)\n", stamp(at), at.Round(time.Millisecond))
-		}),
-		wanfd.WithOnTrust(func(at time.Duration) {
-			fmt.Printf("%s TRUST     (after %v)\n", stamp(at), at.Round(time.Millisecond))
-		}),
-	}
-	if accrual > 0 {
-		opts = append(opts, wanfd.WithAccrualThreshold(accrual))
-	}
-	if sync {
-		opts = append(opts, wanfd.WithSyncClock())
-	}
-	mon, err := wanfd.NewMonitor(listen, remote, opts...)
-	if err != nil {
-		return err
-	}
-	defer mon.Close()
-	fmt.Printf("monitoring %s with %s+%s, eta %v, clock offset %v\n",
-		remote, predictor, margin, eta, mon.ClockOffset())
-	if st != nil {
-		fmt.Printf("durable QoS history in %s\n", sf.dir)
-	}
-
-	meta := qosMeta{eta: eta, minTimeout: wanfd.DefaultMinTimeout}
-	if accrual == 0 {
-		meta.detector = predictor + "+" + margin
-	}
-	var httpErr chan error
-	if httpAddr != "" {
-		srv, ln, errCh, err := serveHTTP(httpAddr, singleHandler(mon, remote, clk, reg, st, meta))
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		httpErr = errCh
-		fmt.Printf("status at http://%s/status, metrics at http://%s/metrics\n", ln.Addr(), ln.Addr())
-	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if stats > 0 {
-		ticker = time.NewTicker(stats)
-		tick = ticker.C
-		defer ticker.Stop()
-	}
-	for {
-		select {
-		case <-sigCh:
-			s := mon.DetectorStats()
-			fmt.Printf("shutting down: %d heartbeats (%d stale), %d suspicions\n",
-				s.Heartbeats, s.Stale, s.Suspicions)
-			return nil
-		case err := <-httpErr:
-			if err != nil && err != http.ErrServerClosed {
-				return fmt.Errorf("http: %w", err)
-			}
-			return nil
-		case <-tick:
-			s := mon.DetectorStats()
-			if accrual > 0 {
-				fmt.Printf("%s stats: heartbeats %d (stale %d), suspicions %d, phi %.2f, suspected %v\n",
-					clk.WallTime().Format("15:04:05.000"), s.Heartbeats, s.Stale, s.Suspicions,
-					mon.Phi(), mon.Suspected())
-			} else {
-				fmt.Printf("%s stats: heartbeats %d (stale %d), suspicions %d, timeout %v, suspected %v\n",
-					clk.WallTime().Format("15:04:05.000"), s.Heartbeats, s.Stale, s.Suspicions,
-					mon.Timeout().Round(time.Millisecond), mon.Suspected())
-			}
-		}
-	}
 }
 
 // parsePeers splits "name=addr,name=addr" into pairs, preserving order.
@@ -388,118 +354,38 @@ func parsePeers(spec string) ([][2]string, error) {
 	return out, nil
 }
 
-func runCluster(listen, peersSpec, httpAddr string, eta time.Duration, predictor, margin string, stats time.Duration, reg *telemetry.Registry, sf storeFlags) error {
-	peers, err := parsePeers(peersSpec)
-	if err != nil {
-		return err
-	}
-	clk := sim.NewRealClock()
-	st, err := openQoSStore(sf, clk)
-	if err != nil {
-		return err
-	}
-	if st != nil {
-		defer st.Close()
-	}
-	opts := []wanfd.Option{
-		wanfd.WithStore(st),
-		wanfd.WithEta(eta),
-		wanfd.WithPredictor(predictor),
-		wanfd.WithMargin(margin),
-		wanfd.WithTelemetry(reg),
-		wanfd.WithOnChange(func(peer string, suspected bool, at time.Duration) {
-			state := "TRUST  "
-			if suspected {
-				state = "SUSPECT"
-			}
-			fmt.Printf("%s %s %s\n", clk.Epoch().Add(at).Format("15:04:05.000"), state, peer)
-		}),
-	}
-	for _, p := range peers {
-		opts = append(opts, wanfd.WithPeer(p[0], p[1]))
-	}
-	mon, err := wanfd.NewMultiMonitor(listen, opts...)
-	if err != nil {
-		return err
-	}
-	defer mon.Close()
-	fmt.Printf("monitoring %d peers with %s+%s, eta %v, listening on %s\n",
-		len(peers), predictor, margin, eta, mon.LocalAddr())
-	if st != nil {
-		fmt.Printf("durable QoS history in %s\n", sf.dir)
-	}
-
-	meta := qosMeta{detector: predictor + "+" + margin, eta: eta, minTimeout: wanfd.DefaultMinTimeout}
-	var httpErr chan error
-	if httpAddr != "" {
-		srv, ln, errCh, err := serveHTTP(httpAddr, clusterHandler(mon, clk, reg, st, meta))
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		httpErr = errCh
-		fmt.Printf("cluster state at http://%s/cluster, metrics at http://%s/metrics\n", ln.Addr(), ln.Addr())
-	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if stats > 0 {
-		ticker = time.NewTicker(stats)
-		tick = ticker.C
-		defer ticker.Stop()
-	}
-	for {
-		select {
-		case <-sigCh:
-			snap := mon.Snapshot()
-			fmt.Printf("shutting down: %d peers (%d suspected), %d heartbeats, %d suspicions\n",
-				snap.Peers, snap.Suspected, snap.Totals.Heartbeats, snap.Totals.Suspicions)
-			return nil
-		case err := <-httpErr:
-			if err != nil && err != http.ErrServerClosed {
-				return fmt.Errorf("http: %w", err)
-			}
-			return nil
-		case <-tick:
-			snap := mon.SnapshotDetail()
-			fmt.Printf("%s cluster: %d peers, %d trusted, %d suspected, %d heartbeats (%d stale)\n",
-				clk.WallTime().Format("15:04:05.000"), snap.Peers, snap.Trusted, snap.Suspected,
-				snap.Totals.Heartbeats, snap.Totals.Stale)
-			suspected := make([]string, 0, snap.Suspected)
-			for _, p := range snap.PeerStatuses {
-				if p.Suspected {
-					suspected = append(suspected, p.Peer)
-				}
-			}
-			sort.Strings(suspected)
-			if len(suspected) > 0 {
-				fmt.Printf("  suspected: %s\n", strings.Join(suspected, ", "))
-			}
-		}
-	}
-}
-
-// clusterHandler builds the HTTP front-end over a live MultiMonitor.
-func clusterHandler(mon *wanfd.MultiMonitor, clk *sim.RealClock, reg *telemetry.Registry, st *wanfd.Store, meta qosMeta) http.Handler {
+// handler builds the HTTP front-end over a live MultiMonitor. remote, when
+// set, is the peer GET /status reports without a ?peer= argument.
+func handler(mon *wanfd.MultiMonitor, remote string, clk *sim.RealClock, reg *telemetry.Registry, st *wanfd.Store, meta qosMeta) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
+		peer := r.URL.Query().Get("peer")
+		if peer == "" {
+			peer = remote
+		}
+		ps, err := mon.PeerStatusOf(peer)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
+		writeJSON(w, statusBody{
+			Remote:        ps.Peer,
+			Uptime:        clk.Now(),
+			Suspected:     ps.Suspected,
+			Timeout:       ps.Timeout,
+			Phi:           ps.Phi,
+			ClockOffset:   ps.ClockOffset,
+			DetectorStats: ps.DetectorStats,
+		})
+	})
+	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, r *http.Request) {
 		// The default body is the aggregate snapshot — constant-size however
 		// large the cluster. ?detail=1 opts into the per-peer breakdown.
 		if r.URL.Query().Get("detail") == "1" {
-			_ = enc.Encode(mon.SnapshotDetail())
+			writeJSON(w, mon.SnapshotDetail())
 			return
 		}
-		_ = enc.Encode(mon.Snapshot())
+		writeJSON(w, mon.Snapshot())
 	})
 	mux.HandleFunc("/cluster/peers", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("name")
@@ -531,7 +417,7 @@ func clusterHandler(mon *wanfd.MultiMonitor, clk *sim.RealClock, reg *telemetry.
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
 	})
-	mountQoS(mux, mon.Stats, st, meta)
+	mountQoS(mux, mon, st, meta)
 	telemetry.Mount(mux, reg)
 	return mux
 }

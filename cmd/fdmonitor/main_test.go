@@ -145,7 +145,7 @@ func TestClusterHTTPSurface(t *testing.T) {
 	}
 	defer mon.Close()
 
-	srv := httptest.NewServer(clusterHandler(mon, sim.NewRealClock(), reg, nil, qosMeta{}))
+	srv := httptest.NewServer(handler(mon, "", sim.NewRealClock(), reg, nil, qosMeta{}))
 	defer srv.Close()
 
 	hbA, err := wanfd.RunHeartbeater(wanfd.HeartbeaterConfig{Listen: aAddr, Remote: monAddr, Eta: eta})
@@ -183,6 +183,15 @@ func TestClusterHTTPSurface(t *testing.T) {
 		t.Fatalf("/cluster?detail=1 peer rows = %+v, want [alpha]", detail.PeerStatuses)
 	}
 
+	// /status serves any member by name; with no -remote peer to default
+	// to, a bare /status names nobody.
+	if code, body := httpGet(t, srv.URL+"/status?peer=alpha"); code != http.StatusOK || !strings.Contains(body, `"remote": "alpha"`) {
+		t.Errorf("/status?peer=alpha = %d: %s", code, body)
+	}
+	if code, _ := httpGet(t, srv.URL+"/status"); code != http.StatusNotFound {
+		t.Errorf("/status without a peer = %d, want 404", code)
+	}
+
 	post := func(query string) int {
 		t.Helper()
 		resp, err := http.Post(srv.URL+"/cluster/peers?"+query, "", nil)
@@ -194,6 +203,11 @@ func TestClusterHTTPSurface(t *testing.T) {
 	}
 	if code := post("name=beta&addr=" + bAddr); code != http.StatusCreated {
 		t.Fatalf("POST beta = %d, want 201", code)
+	}
+	if resp, err := http.Post(srv.URL+"/cluster", "", nil); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /cluster = %v, %v; want 405", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 	if code := post("addr=" + bAddr); code != http.StatusBadRequest {
 		t.Errorf("POST without name = %d, want 400", code)
@@ -324,8 +338,9 @@ func TestClusterHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestSingleHTTPSurface covers the -remote mode: /status JSON plus the
-// shared telemetry surface on the same mux.
+// TestSingleHTTPSurface covers the -remote mode — a one-peer cluster named
+// by the remote address: /status JSON plus the shared telemetry surface on
+// the same mux.
 func TestSingleHTTPSurface(t *testing.T) {
 	addrs := freeUDPPorts(t, 2)
 	monAddr, hbAddr := addrs[0], addrs[1]
@@ -338,20 +353,21 @@ func TestSingleHTTPSurface(t *testing.T) {
 	defer hb.Close()
 
 	reg := telemetry.NewRegistry(16)
-	mon, err := wanfd.NewMonitor(monAddr, hbAddr,
+	mon, err := wanfd.NewMultiMonitor(monAddr,
 		wanfd.WithEta(eta),
 		wanfd.WithTelemetry(reg),
+		wanfd.WithPeer(hbAddr, hbAddr),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mon.Close()
 
-	srv := httptest.NewServer(singleHandler(mon, hbAddr, sim.NewRealClock(), reg, nil, qosMeta{}))
+	srv := httptest.NewServer(handler(mon, hbAddr, sim.NewRealClock(), reg, nil, qosMeta{}))
 	defer srv.Close()
 
 	if !waitFor(t, 5*time.Second, func() bool {
-		return mon.DetectorStats().Heartbeats >= 5
+		return mon.Stats().Detector.Heartbeats >= 5
 	}) {
 		t.Fatal("no heartbeats delivered")
 	}
@@ -360,7 +376,7 @@ func TestSingleHTTPSurface(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/status = %d: %s", code, body)
 	}
-	var st singleStatus
+	var st statusBody
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/status body: %v\n%s", err, body)
 	}
@@ -369,6 +385,20 @@ func TestSingleHTTPSurface(t *testing.T) {
 	}
 	if st.Uptime <= 0 {
 		t.Errorf("uptime = %v", st.Uptime)
+	}
+	// The body's keys are a published contract (phi is omitted while 0).
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"remote", "uptime", "suspected", "timeout", "clockOffset", "Heartbeats", "Stale", "Suspicions"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("/status lacks key %q:\n%s", k, body)
+		}
+		delete(keys, k)
+	}
+	if len(keys) != 0 {
+		t.Errorf("/status has unexpected keys %v", keys)
 	}
 
 	_, metrics := httpGet(t, srv.URL+"/metrics")
@@ -397,7 +427,7 @@ func TestSingleHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestDurableStoreHTTPSurface runs a single-peer monitor with the durable
+// TestDurableStoreHTTPSurface runs a one-peer monitor with the durable
 // QoS store attached and drives the whole history surface over HTTP:
 // /stats reports the store counters, /qos recomputes windowed QoS from
 // disk, and /export yields a binary window that round-trips through the
@@ -414,17 +444,18 @@ func TestDurableStoreHTTPSurface(t *testing.T) {
 	defer hb.Close()
 
 	clk := sim.NewRealClock()
-	st, err := openQoSStore(storeFlags{dir: t.TempDir()}, clk)
+	st, err := openQoSStore(t.TempDir(), 0, 0, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 
 	reg := telemetry.NewRegistry(16)
-	mon, err := wanfd.NewMonitor(monAddr, hbAddr,
+	mon, err := wanfd.NewMultiMonitor(monAddr,
 		wanfd.WithEta(eta),
 		wanfd.WithTelemetry(reg),
 		wanfd.WithStore(st),
+		wanfd.WithPeer(hbAddr, hbAddr),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -432,11 +463,11 @@ func TestDurableStoreHTTPSurface(t *testing.T) {
 	defer mon.Close()
 
 	meta := qosMeta{detector: "LAST+JAC_med", eta: eta, minTimeout: wanfd.DefaultMinTimeout}
-	srv := httptest.NewServer(singleHandler(mon, hbAddr, clk, reg, st, meta))
+	srv := httptest.NewServer(handler(mon, hbAddr, clk, reg, st, meta))
 	defer srv.Close()
 
 	if !waitFor(t, 5*time.Second, func() bool {
-		return mon.DetectorStats().Heartbeats >= 10
+		return mon.Stats().Detector.Heartbeats >= 10
 	}) {
 		t.Fatal("no heartbeats delivered")
 	}

@@ -15,9 +15,9 @@
 //
 //   - Feed heartbeats yourself: NewDetector plus Detector.Heartbeat, for
 //     embedding the timeout logic into an existing transport.
-//   - Run over UDP: NewMonitor (or NewMultiMonitor for a fleet) on the
-//     observer and RunHeartbeater on the monitored host — the paper's
-//     architecture on a real network.
+//   - Run over UDP: NewMultiMonitor on the observer (NewMonitor is the
+//     same monitor seeded with a single peer) and RunHeartbeater on the
+//     monitored host — the paper's architecture on a real network.
 //   - Reproduce the paper: ReproduceAccuracy (Table 3), ReproduceQoS
 //     (Figures 4–8) and CharacterizeChannel (Table 4) drive the bundled
 //     discrete-event WAN simulation; the cmd/ binaries wrap them.

@@ -78,9 +78,11 @@ func NewTimer(clk sim.Clock, fn func()) Rearmable {
 }
 
 // retimer adapts a plain AfterFunc clock to the Rearmable shape by
-// stopping and recreating the underlying timer — the legacy per-cycle
-// behaviour, kept as the fallback so the wheel can be disabled without a
-// second consumer code path.
+// stopping and recreating the underlying timer. It serves the clocks that
+// are not wheels: the sim.Engine, whose events must fire at their exact
+// instants rather than on a tick boundary, and an endpoint's RealClock for
+// the sender-side timers (heartbeat grids, interval controllers). Every
+// real-network detector deadline runs on a Wheel.
 type retimer struct {
 	mu  sync.Mutex
 	clk sim.Clock

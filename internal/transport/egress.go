@@ -3,11 +3,9 @@ package transport
 import (
 	"net/netip"
 	"sync/atomic"
-	"time"
 
 	"wanfd/internal/freelist"
 	"wanfd/internal/neko"
-	"wanfd/internal/sched"
 	"wanfd/internal/telemetry"
 )
 
@@ -28,11 +26,10 @@ const (
 	// sender would stall the heartbeat grid, which is worse than one
 	// lost heartbeat).
 	egressRingCap = 1024
-	// defaultEgressBatch is the sendmmsg batch size when the config does
-	// not choose one; maxEgressBatch caps configured values so the
-	// flusher's preallocated syscall arrays stay bounded.
-	defaultEgressBatch = 64
-	maxEgressBatch     = 256
+	// egressBatch is the most datagrams one flush hands the kernel (the
+	// sendmmsg vector length on linux); it sizes the flusher's preallocated
+	// syscall arrays.
+	egressBatch = 64
 )
 
 // egressItem is one encoded datagram waiting for the flusher: the pooled
@@ -58,9 +55,6 @@ type egressState struct {
 	shards    []egressShard
 	shardMask uint64
 	wake      chan struct{}
-
-	batch         int
-	flushInterval time.Duration
 
 	flushes   atomic.Uint64 // sendmmsg (or fallback write-loop) flushes
 	packets   atomic.Uint64 // datagrams flushed to the kernel
@@ -116,20 +110,11 @@ func (n *UDPNetwork) EgressStats() EgressStats {
 
 // startEgress builds the send pipeline and launches the flusher.
 func (n *UDPNetwork) startEgress() {
-	batch := n.cfg.EgressBatch
-	if batch <= 0 {
-		batch = defaultEgressBatch
-	}
-	if batch > maxEgressBatch {
-		batch = maxEgressBatch
-	}
 	shards := shardCount(n.cfg.EgressShards, egressShards)
 	eg := &egressState{
-		shards:        make([]egressShard, shards),
-		shardMask:     uint64(shards - 1),
-		wake:          make(chan struct{}, 1),
-		batch:         batch,
-		flushInterval: n.cfg.EgressFlushInterval,
+		shards:    make([]egressShard, shards),
+		shardMask: uint64(shards - 1),
+		wake:      make(chan struct{}, 1),
 	}
 	for i := range eg.shards {
 		eg.shards[i].ring = freelist.NewRing[egressItem](egressRingCap)
@@ -193,32 +178,19 @@ func (n *UDPNetwork) enqueue(m *neko.Message) {
 }
 
 // flushLoop is the single egress consumer: it sweeps the shard rings,
-// gathers up to one batch, resolves destinations, and flushes. When a
-// sweep comes back partial and a flush interval is configured, the loop
-// waits up to that interval for batch-mates before issuing the syscall —
-// the bounded one-sided delay DESIGN.md §11 adds to each send instant.
+// gathers up to one batch, resolves destinations, and flushes. A partial
+// batch is flushed at once — batching comes only from natural send bursts
+// and never delays a heartbeat (DESIGN.md §11).
 func (n *UDPNetwork) flushLoop() {
 	defer n.wg.Done()
 	eg := n.egress
-	fl := newFlusher(n, eg.batch)
-	items := make([]egressItem, eg.batch)
+	fl := newFlusher(n, egressBatch)
+	items := make([]egressItem, egressBatch)
 	// dst is the per-batch destination resolution scratch, parallel to
 	// items; a nil entry means the peer is unknown and the packet is
 	// dropped.
-	dst := make([]netip.AddrPort, eg.batch)
-	ok := make([]bool, eg.batch)
-	// The interval timer latches into a cap-1 channel exactly like wake,
-	// so a firing never blocks the wheel goroutine.
-	var intTimer sched.Rearmable
-	intCh := make(chan struct{}, 1)
-	if eg.flushInterval > 0 {
-		intTimer = n.timers.NewTimer(func() {
-			select {
-			case intCh <- struct{}{}:
-			default:
-			}
-		})
-	}
+	dst := make([]netip.AddrPort, egressBatch)
+	ok := make([]bool, egressBatch)
 	for {
 		total := n.sweep(items)
 		if total == 0 {
@@ -229,17 +201,6 @@ func (n *UDPNetwork) flushLoop() {
 				n.drainEgress(items)
 				return
 			}
-		}
-		if total < eg.batch && intTimer != nil {
-			// Partial batch: wait out the flush interval (or an early
-			// close) and top the batch up before flushing.
-			intTimer.Reschedule(eg.flushInterval)
-			select {
-			case <-intCh:
-			case <-n.closed:
-			}
-			intTimer.Stop()
-			total += n.sweep(items[total:])
 		}
 		n.resolveBatch(items[:total], dst, ok)
 		n.flushBatch(fl, items[:total], dst, ok)

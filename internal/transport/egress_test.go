@@ -51,6 +51,26 @@ func waitEgress(t *testing.T, n *UDPNetwork, what string, cond func(EgressStats)
 	return st
 }
 
+// stallFlusher parks n's egress flusher at its per-batch destination lookup
+// by taking the peer-table write lock and feeding it one sacrificial packet
+// for peer to: once that packet has left the ring the flusher holds it and
+// cannot sweep again until the returned release drops the lock, so
+// everything enqueued in between deterministically stays queued.
+func stallFlusher(t *testing.T, n *UDPNetwork, to neko.ProcessID) (release func()) {
+	t.Helper()
+	ring := n.egress.shards[uint64(uint32(to))&n.egress.shardMask].ring
+	n.peerMu.Lock()
+	n.enqueue(&neko.Message{From: n.cfg.LocalID, To: to, Type: neko.MsgHeartbeat})
+	for deadline := time.Now().Add(5 * time.Second); ring.Len() != 0; {
+		if time.Now().After(deadline) {
+			n.peerMu.Unlock()
+			t.Fatal("flusher never picked up the first packet")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return n.peerMu.Unlock
+}
+
 // TestBatchedEgressDefaultOn pins that a default endpoint sends through
 // the egress pipeline: one packet out is one packet on its counters.
 func TestBatchedEgressDefaultOn(t *testing.T) {
@@ -117,9 +137,8 @@ func TestEgressPerPeerOrder(t *testing.T) {
 
 // TestEgressOverflowCountedNeverBlocks pins the back-pressure policy: a
 // full shard ring drops the packet (counted) instead of blocking the
-// sender — a stalled flusher must never stall the heartbeat grid. The
-// flusher is stalled at its per-batch destination lookup by holding the
-// peer-table write lock, so the ring deterministically fills.
+// sender — a stalled flusher must never stall the heartbeat grid. With the
+// flusher stalled (see stallFlusher) the ring deterministically fills.
 func TestEgressOverflowCountedNeverBlocks(t *testing.T) {
 	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -129,17 +148,7 @@ func TestEgressOverflowCountedNeverBlocks(t *testing.T) {
 	ring := n.egress.shards[uint64(2)%egressShards].ring
 	m := &neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat}
 
-	n.peerMu.Lock()
-	// One sacrificial packet parks the flusher: once it has left the ring
-	// the flusher holds it and cannot sweep again until the lock drops.
-	n.enqueue(m)
-	for deadline := time.Now().Add(5 * time.Second); ring.Len() != 0; {
-		if time.Now().After(deadline) {
-			n.peerMu.Unlock()
-			t.Fatal("flusher never picked up the first packet")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	release := stallFlusher(t, n, 2)
 	const overflow = 16
 	done := make(chan struct{})
 	go func() {
@@ -152,11 +161,11 @@ func TestEgressOverflowCountedNeverBlocks(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		n.peerMu.Unlock()
+		release()
 		t.Fatal("enqueue blocked on a full ring")
 	}
 	drops, held := n.EgressStats().RingDrops, ring.Len()
-	n.peerMu.Unlock()
+	release()
 	if drops != overflow {
 		t.Errorf("ring drops = %d, want %d", drops, overflow)
 	}
@@ -274,49 +283,20 @@ func TestEgressSendZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestEgressFlushIntervalCoalesces pins the partial-batch wait: with a
-// flush interval configured, packets produced within one interval leave
-// in shared flush cycles, so the mean batch size must exceed one. (The
-// syscall saving itself is asserted on linux in egress_linux_test.go —
-// the portable fallback issues one write per datagram by construction.)
-func TestEgressFlushIntervalCoalesces(t *testing.T) {
-	a, b := batchedPair(t, UDPConfig{EgressBatch: 64, EgressFlushInterval: 5 * time.Millisecond})
-	if _, err := a.Attach(1, recvFunc(func(*neko.Message) {})); err != nil {
-		t.Fatal(err)
-	}
-	sender, err := b.Attach(2, recvFunc(func(*neko.Message) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 128
-	for i := int64(0); i < total; i++ {
-		sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: i, SentAt: b.Clock().Now()})
-	}
-	st := waitEgress(t, b, "all packets flushed", func(st EgressStats) bool {
-		return st.Packets+st.RingDrops+st.SendErrors >= total
-	})
-	if st.RingDrops != 0 || st.SendErrors != 0 {
-		t.Fatalf("drops=%d errors=%d at this load, want 0", st.RingDrops, st.SendErrors)
-	}
-	if st.Flushes >= st.Packets {
-		t.Errorf("flushes=%d for packets=%d — the interval wait coalesced nothing", st.Flushes, st.Packets)
-	}
-	waitReceived(t, a, total)
-}
-
 // TestEgressCloseDrainsQueued pins the shutdown path: packets still
 // queued when the endpoint closes are recycled, not sent, and Close does
 // not deadlock against a parked or mid-cycle flusher.
 func TestEgressCloseDrainsQueued(t *testing.T) {
-	a, b := batchedPair(t, UDPConfig{EgressFlushInterval: time.Hour})
-	_ = a
+	_, b := batchedPair(t, UDPConfig{})
 	sender, err := b.Attach(2, recvFunc(func(*neko.Message) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The absurd flush interval parks the flusher on its first partial
-	// sweep; everything sent after that stays queued until Close.
-	for i := int64(0); i < 64; i++ {
+	// The flusher is stalled mid-cycle holding one packet; everything sent
+	// now stays queued until Close.
+	release := stallFlusher(t, b, 1)
+	const queued = 64
+	for i := int64(0); i < queued; i++ {
 		sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: i, SentAt: b.Clock().Now()})
 	}
 	done := make(chan struct{})
@@ -324,9 +304,18 @@ func TestEgressCloseDrainsQueued(t *testing.T) {
 		b.Close()
 		close(done)
 	}()
+	// Let the flusher go only once the endpoint is marked closed, so it
+	// finishes the batch it holds and then finds the shutdown signal.
+	<-b.closed
+	release()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close deadlocked against the egress flusher")
+	}
+	// The packet the flusher already held may still go out (or fail on the
+	// closing socket); none of the queued ones may.
+	if st := b.EgressStats(); st.Packets > 1 {
+		t.Errorf("%d packets flushed, want at most the one the flusher already held (%d queued at close)", st.Packets, queued)
 	}
 }

@@ -54,14 +54,6 @@ type UDPConfig struct {
 	// reader. Values above 1 are honoured only where SO_REUSEPORT is
 	// available (Linux) and are otherwise clamped to 1.
 	Readers int
-	// EgressBatch is the maximum datagrams per egress flush (sendmmsg
-	// vector length on linux); 0 selects defaultEgressBatch.
-	EgressBatch int
-	// EgressFlushInterval bounds how long a partial egress batch may wait
-	// for batch-mates before being flushed anyway. 0 (the default) flushes
-	// partial batches immediately: batching then comes only from natural
-	// send bursts and never delays a heartbeat.
-	EgressFlushInterval time.Duration
 	// IngestShards and EgressShards size the batched pipelines' fan-in
 	// lanes. Zero selects the defaults (16 ingest, 8 egress); non-zero
 	// values must be powers of two and at most 64 (the ingest batch
@@ -219,7 +211,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	// The egress pipeline can pin a full complement of encoded packets in
 	// its shard rings plus one in-flight batch; size the buffer freelist to
 	// cover that so a loaded sender still recycles instead of allocating.
-	bufCap := shardCount(cfg.EgressShards, egressShards)*egressRingCap + 2*maxEgressBatch + sendBufPoolCap
+	bufCap := shardCount(cfg.EgressShards, egressShards)*egressRingCap + 2*egressBatch + sendBufPoolCap
 	n.bufs = freelist.NewPool(bufCap, func() []byte {
 		return make([]byte, 0, maxPacketSize)
 	})

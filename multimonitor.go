@@ -23,8 +23,14 @@ type PeerStatus struct {
 	Peer string
 	// Suspected is the detector's current output.
 	Suspected bool
-	// Timeout is the current adaptive timeout.
+	// Timeout is the current adaptive timeout (0 for a φ-accrual detector).
 	Timeout time.Duration
+	// Phi is the φ-accrual suspicion level (0 for a freshness-point
+	// detector).
+	Phi float64 `json:",omitempty"`
+	// ClockOffset is the estimated peer clock offset (0 without
+	// WithSyncClock).
+	ClockOffset time.Duration `json:",omitempty"`
 	// DetectorStats carries the Heartbeats, Stale and Suspicions counters.
 	DetectorStats
 }
@@ -64,13 +70,33 @@ func peerNameHash(name string) uint64 {
 }
 
 // peerEntry is one live member: its transport identity and its detector
-// stack.
+// stack. The detector is reached through mon (Consumer, or Detector for
+// the freshness-point kind); ctrl is the peer's interval controller, nil
+// without WithTargetDetection.
 type peerEntry struct {
 	name string
 	addr string
 	id   neko.ProcessID
-	det  *core.Detector
 	mon  *layers.Monitor
+	ctrl *layers.IntervalController
+}
+
+// stop halts the entry's timers: the detector's deadline and the
+// controller's evaluation loop.
+func (e *peerEntry) stop() {
+	e.mon.Stop()
+	if e.ctrl != nil {
+		e.ctrl.Stop()
+	}
+}
+
+// detectorStats returns the entry's lifetime counters (zero for a consumer
+// kind that exposes none).
+func (e *peerEntry) detectorStats() DetectorStats {
+	if sp, ok := e.mon.Consumer().(StatsProvider); ok {
+		return sp.DetectorStats()
+	}
+	return DetectorStats{}
 }
 
 // peerShard is one lane of the peer table: entries live in an
@@ -95,14 +121,11 @@ func (s *peerShard) find(h uint64, name string) (arena.Index, bool) {
 // without dropping the socket or perturbing other peers' timers. All
 // methods are safe for concurrent use.
 type MultiMonitor struct {
-	net    *transport.UDPNetwork
-	router *layers.Router
-	ctx    *neko.Context
-	opts   options
-	nextID atomic.Int64 // next peer ProcessID; monotonic, never reused
-	// profile is the scale-derived geometry (shard counts, wheel widths)
-	// everything below is sized from; see profileFor.
-	profile   scaleProfile
+	net       *transport.UDPNetwork
+	router    *layers.Router
+	ctx       *neko.Context
+	opts      options
+	nextID    atomic.Int64 // next peer ProcessID; monotonic, never reused
 	shards    []peerShard
 	shardMask uint64
 	// wheels are the per-shard timing wheels all peer deadlines run on:
@@ -128,40 +151,37 @@ const multiMonitorID neko.ProcessID = 1000
 // whatever WithPeer seeded (possibly empty); more join and leave at runtime
 // through AddPeer/RemovePeer. Close must be called to release the socket.
 func NewMultiMonitor(listen string, opts ...Option) (*MultiMonitor, error) {
-	o := resolveOptions(opts)
-	if err := o.rejectMonitorOnly("NewMultiMonitor"); err != nil {
+	return newMultiMonitor(listen, resolveOptions(opts))
+}
+
+// newMultiMonitor is the one real-network monitor construction, shared by
+// NewMultiMonitor and NewMonitor (a cluster seeded with one peer).
+func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	// Validate the detector recipe once up front, so a bad predictor or
-	// margin name fails at construction even with an empty initial set.
-	if _, err := core.NewPredictorByName(o.predictor); err != nil {
-		return nil, err
-	}
-	if _, err := core.NewMarginByName(o.margin); err != nil {
-		return nil, err
-	}
+	// Fold the split callbacks once, so every peer's listener carries a
+	// single onChange closure.
+	o.onChange = foldCallbacks(o.onSuspect, o.onTrust, o.onChange)
 	prof := profileFor(o.expectedPeers)
 	net, err := transport.NewUDPNetwork(transport.UDPConfig{
-		LocalID:             multiMonitorID,
-		Listen:              listen,
-		Telemetry:           o.telemetry,
-		Readers:             o.readers,
-		EgressBatch:         o.egressBatch,
-		EgressFlushInterval: o.egressFlushInterval,
-		IngestShards:        prof.ingestShards,
-		EgressShards:        prof.egressShards,
-		ExpectedPeers:       o.expectedPeers,
+		LocalID:       multiMonitorID,
+		Listen:        listen,
+		Telemetry:     o.telemetry,
+		Readers:       o.readers,
+		IngestShards:  prof.shards,
+		EgressShards:  prof.shards / 2,
+		ExpectedPeers: o.expectedPeers,
 	})
 	if err != nil {
 		return nil, err
 	}
 	mm := &MultiMonitor{
 		net:       net,
-		router:    layers.NewRouterSharded(prof.routerShards),
+		router:    layers.NewRouterSharded(prof.shards),
 		opts:      o,
-		profile:   prof,
-		shards:    make([]peerShard, prof.peerShards),
-		shardMask: uint64(prof.peerShards - 1),
+		shards:    make([]peerShard, prof.shards),
+		shardMask: uint64(prof.shards - 1),
 	}
 	mm.router.Instrument(o.telemetry)
 	o.qstore.Instrument(o.telemetry)
@@ -172,7 +192,7 @@ func NewMultiMonitor(listen string, opts ...Option) (*MultiMonitor, error) {
 	}
 	mm.nextID.Store(int64(multiMonitorID) + 1)
 	// Pre-size each shard's table for its cut of the expected population.
-	perShard := o.expectedPeers / prof.peerShards
+	perShard := o.expectedPeers / prof.shards
 	for i := range mm.shards {
 		mm.shards[i].tab = arena.NewMap64(perShard)
 		mm.shards[i].ents = arena.New[peerEntry]()
@@ -190,7 +210,7 @@ func NewMultiMonitor(listen string, opts ...Option) (*MultiMonitor, error) {
 	if o.pinDrivers {
 		cpus = sched.OnlineCPUs()
 	}
-	mm.wheels = make([]*sched.Wheel, prof.peerShards)
+	mm.wheels = make([]*sched.Wheel, prof.shards)
 	for i := range mm.wheels {
 		cfg := sched.Config{
 			Clock:       net.Clock(),
@@ -257,7 +277,8 @@ func NewMultiMonitor(listen string, opts ...Option) (*MultiMonitor, error) {
 // address its heartbeats will arrive from. The peer gets a fresh detector
 // and a fresh process id — re-adding a previously removed name never
 // resurrects old suspicion state. Names and addresses must be unique
-// within the cluster.
+// within the cluster. With WithSyncClock the call blocks for the clock-sync
+// exchange and fails if the peer does not answer.
 func (m *MultiMonitor) AddPeer(name, addr string) error {
 	if name == "" {
 		return fmt.Errorf("wanfd: empty peer name")
@@ -268,40 +289,82 @@ func (m *MultiMonitor) AddPeer(name, addr string) error {
 	// The deadline runs on the wheel of the shard that holds the peer's
 	// table entry, so membership churn and timer load distribute identically.
 	h := peerNameHash(name)
-	det, err := m.opts.newDetector(name, m.wheels[h&m.shardMask])
+	consumer, err := m.opts.newConsumer(name, m.wheels[h&m.shardMask])
 	if err != nil {
 		return err
 	}
-	mon, err := layers.NewMonitor(det)
+	mon, err := layers.NewConsumerMonitor(consumer)
 	if err != nil {
 		return err
 	}
 	if err := mon.Init(m.ctx); err != nil {
 		return err
 	}
+	e := peerEntry{name: name, addr: addr, id: neko.ProcessID(m.nextID.Add(1) - 1), mon: mon}
+	if m.opts.targetDetection > 0 {
+		e.ctrl, err = layers.NewIntervalController(layers.IntervalControllerConfig{
+			Detector:        mon.Detector(),
+			TargetDetection: m.opts.targetDetection,
+			Peer:            e.id,
+		})
+		if err != nil {
+			return err
+		}
+		// The controller only sends: its commands go down through the
+		// router to the socket, and nothing is routed up to it.
+		e.ctrl.SetBelow(m.router)
+		if err := e.ctrl.Init(m.ctx); err != nil {
+			return err
+		}
+	}
+	if err := m.register(h, e); err != nil {
+		e.stop()
+		return err
+	}
+	return nil
+}
+
+// register makes a built entry live: transport first, so the sync exchange
+// can reach the peer, and the route only after it, so the first heartbeat
+// the detector sees is already offset-corrected. Heartbeats arriving in
+// between are attributed but unrouted and dropped — loss the detector
+// tolerates anyway. No shard lock is held across the exchange; a failure
+// after the transport registration rolls it back.
+func (m *MultiMonitor) register(h uint64, e peerEntry) (err error) {
+	if err := m.net.AddPeer(e.id, e.addr); err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			_ = m.net.RemovePeer(e.id)
+		}
+	}()
+	if m.opts.syncTimeout > 0 {
+		if _, err := m.net.SyncWith(e.id, 8, m.opts.syncTimeout); err != nil {
+			return fmt.Errorf("wanfd: clock sync with %s: %w", e.name, err)
+		}
+	}
+	return m.publish(h, e)
+}
+
+// publish routes a registered entry and installs it in its shard's table,
+// unless the name is taken.
+func (m *MultiMonitor) publish(h uint64, e peerEntry) error {
 	s := &m.shards[h&m.shardMask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.find(h, name); dup {
-		mon.Stop()
-		return fmt.Errorf("wanfd: peer %q already monitored", name)
+	if _, dup := s.find(h, e.name); dup {
+		return fmt.Errorf("wanfd: peer %q already monitored", e.name)
 	}
-	id := neko.ProcessID(m.nextID.Add(1) - 1)
-	// Route before registering the address: the instant the transport can
-	// attribute packets to this id, the detector is already reachable.
-	if err := m.router.Route(id, mon); err != nil {
-		mon.Stop()
+	if err := m.router.Route(e.id, e.mon); err != nil {
 		return err
 	}
-	if err := m.net.AddPeer(id, addr); err != nil {
-		_ = m.router.Unroute(id)
-		mon.Stop()
-		return err
-	}
-	idx, e := s.ents.Alloc()
-	*e = peerEntry{name: name, addr: addr, id: id, det: det, mon: mon}
+	idx, slot := s.ents.Alloc()
+	*slot = e
 	s.tab.Put(h, idx)
-	m.opts.exportDetector(name, det)
+	if det := e.mon.Detector(); det != nil {
+		m.opts.exportDetector(e.name, det)
+	}
 	m.mPeerAdds.Inc()
 	// Maintained incrementally: Peers() would re-lock the shard held here.
 	m.mPeers.Add(1)
@@ -333,7 +396,7 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	// arriving after Stop is discarded by the detector itself.
 	_ = m.net.RemovePeer(e.id)
 	_ = m.router.Unroute(e.id)
-	e.mon.Stop()
+	e.stop()
 	m.mPeerRemoves.Inc()
 	m.mPeers.Add(-1)
 	// Retire the peer's series and running QoS state so churn does not
@@ -413,8 +476,8 @@ func (m *MultiMonitor) SchedulerStatsDetail() []WheelStats {
 
 // lookup finds a live peer entry, returned by value: the arena record is
 // only stable under the shard lock (a concurrent RemovePeer frees and
-// zeroes it), but the copied pointers — detector, monitor — stay valid
-// heap objects, exactly as they did when the table held *peerEntry.
+// zeroes it), but the copied pointers — monitor layer, controller — stay
+// valid heap objects, exactly as they did when the table held *peerEntry.
 func (m *MultiMonitor) lookup(name string) (peerEntry, bool) {
 	h := peerNameHash(name)
 	s := &m.shards[h&m.shardMask]
@@ -433,7 +496,7 @@ func (m *MultiMonitor) Suspected(peer string) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("wanfd: unknown peer %q", peer)
 	}
-	return e.det.Suspected(), nil
+	return e.mon.Consumer().Suspected(), nil
 }
 
 // PeerStatusOf returns one peer's full status; unknown peers report an
@@ -443,32 +506,23 @@ func (m *MultiMonitor) PeerStatusOf(peer string) (PeerStatus, error) {
 	if !ok {
 		return PeerStatus{}, fmt.Errorf("wanfd: unknown peer %q", peer)
 	}
-	return e.status(), nil
+	return m.status(&e), nil
 }
 
-// status builds the PeerStatus of one live entry.
-func (e *peerEntry) status() PeerStatus {
-	return PeerStatus{
-		Peer:          e.name,
-		Suspected:     e.det.Suspected(),
-		Timeout:       time.Duration(e.det.CurrentTimeout() * float64(time.Millisecond)),
-		DetectorStats: e.det.DetectorStats(),
+// status builds the PeerStatus of one live entry. The clock offset is read
+// from the transport only when the monitor syncs clocks at all.
+func (m *MultiMonitor) status(e *peerEntry) PeerStatus {
+	c := e.mon.Consumer()
+	st := PeerStatus{Peer: e.name, Suspected: c.Suspected(), DetectorStats: e.detectorStats()}
+	if det := e.mon.Detector(); det != nil {
+		st.Timeout = time.Duration(det.CurrentTimeout() * float64(time.Millisecond))
+	} else if acc, ok := c.(*core.AccrualDetector); ok {
+		st.Phi = acc.Phi()
 	}
-}
-
-// entries snapshots the live peer entries, by value, shard by shard.
-func (m *MultiMonitor) entries() []peerEntry {
-	out := make([]peerEntry, 0, m.Peers())
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
-			out = append(out, *e)
-			return true
-		})
-		s.mu.RUnlock()
+	if m.opts.syncTimeout > 0 {
+		st.ClockOffset = m.net.Offset(e.id)
 	}
-	return out
+	return st
 }
 
 // Status returns every peer's state, sorted by peer name. Membership may
@@ -481,7 +535,7 @@ func (m *MultiMonitor) Status() []PeerStatus {
 		s := &m.shards[i]
 		s.mu.RLock()
 		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
-			out = append(out, e.status())
+			out = append(out, m.status(e))
 			return true
 		})
 		s.mu.RUnlock()
@@ -514,12 +568,12 @@ func (m *MultiMonitor) Snapshot() ClusterSnapshot {
 		s.mu.RLock()
 		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
 			snap.Peers++
-			if e.det.Suspected() {
+			if e.mon.Consumer().Suspected() {
 				snap.Suspected++
 			} else {
 				snap.Trusted++
 			}
-			st := e.det.DetectorStats()
+			st := e.detectorStats()
 			snap.Totals.Heartbeats += st.Heartbeats
 			snap.Totals.Stale += st.Stale
 			snap.Totals.Suspicions += st.Suspicions
@@ -562,8 +616,14 @@ func (m *MultiMonitor) Telemetry() *telemetry.Registry { return m.opts.telemetry
 // Close stops every detector, shuts the shard timing wheels down, and
 // releases the socket.
 func (m *MultiMonitor) Close() error {
-	for _, e := range m.entries() {
-		e.mon.Stop()
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.mu.RLock()
+		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
+			e.stop()
+			return true
+		})
+		s.mu.RUnlock()
 	}
 	for _, w := range m.wheels {
 		w.Close()

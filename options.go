@@ -21,9 +21,8 @@ import (
 //		wanfd.WithMargin("JAC_med"),
 //		wanfd.WithOnChange(onChange))
 //
-// Options that only make sense for one entry point (for example
-// WithAccrualThreshold on a cluster monitor) are rejected with an error at
-// construction time rather than silently ignored.
+// NewMonitor is a one-peer cluster, so the only option an entry point
+// rejects is WithPeer on NewMonitor.
 type Option func(*options)
 
 // options is the normalized configuration shared by every monitor entry
@@ -35,17 +34,16 @@ type options struct {
 	minTimeout       time.Duration
 	accrualThreshold float64
 	targetDetection  time.Duration
-	syncClock        bool
-	onChange         func(peer string, suspected bool, elapsed time.Duration)
-	onSuspect        func(elapsed time.Duration)
-	onTrust          func(elapsed time.Duration)
-	peers            []peerSpec
-	telemetry        *telemetry.Registry
-	qstore           *store.Store
-	// egressBatch and egressFlushInterval tune the batched egress pipeline
-	// (see PipelineConfig); zero selects the transport defaults.
-	egressBatch         int
-	egressFlushInterval time.Duration
+	// syncTimeout is the per-round timeout of the clock-sync exchange
+	// AddPeer runs before routing a peer; zero (WithSyncClock absent) means
+	// no exchange.
+	syncTimeout time.Duration
+	onChange    func(peer string, suspected bool, elapsed time.Duration)
+	onSuspect   func(elapsed time.Duration)
+	onTrust     func(elapsed time.Duration)
+	peers       []peerSpec
+	telemetry   *telemetry.Registry
+	qstore      *store.Store
 	// readers is the SO_REUSEPORT reader-socket count (see PipelineConfig);
 	// zero selects a single reader.
 	readers int
@@ -58,17 +56,15 @@ type options struct {
 }
 
 // scaleProfile is the geometry a cluster monitor derives from the
-// expected peer count: how many ways the peer table, ingest pipeline,
-// egress pipeline and router fan out, and how wide the shard timing
-// wheels are. Shard counts are powers of two (lookups mask, not modulo);
-// zero wheel slots select the scheduler defaults (256 fine / 64 coarse).
+// expected peer count: how many ways the peer table, ingest pipeline and
+// router fan out (the egress pipeline, which a monitor barely uses, gets
+// half as many lanes), and how wide the shard timing wheels are. The shard
+// count is a power of two (lookups mask, not modulo); zero wheel slots
+// select the scheduler defaults (256 fine / 64 coarse).
 type scaleProfile struct {
-	peerShards   int
-	ingestShards int
-	egressShards int
-	routerShards int
-	fineSlots    int
-	coarseSlots  int
+	shards      int
+	fineSlots   int
+	coarseSlots int
 }
 
 // profileFor maps an expected peer count onto a scale profile. The zero
@@ -82,19 +78,11 @@ type scaleProfile struct {
 func profileFor(expectedPeers int) scaleProfile {
 	switch {
 	case expectedPeers > 1<<18: // the 1M tier
-		return scaleProfile{
-			peerShards: 64, ingestShards: 64, egressShards: 32, routerShards: 64,
-			fineSlots: 1024, coarseSlots: 256,
-		}
+		return scaleProfile{shards: 64, fineSlots: 1024, coarseSlots: 256}
 	case expectedPeers > 1<<15: // the 100k tier
-		return scaleProfile{
-			peerShards: 32, ingestShards: 32, egressShards: 16, routerShards: 32,
-			fineSlots: 512, coarseSlots: 128,
-		}
+		return scaleProfile{shards: 32, fineSlots: 512, coarseSlots: 128}
 	default:
-		return scaleProfile{
-			peerShards: 16, ingestShards: 16, egressShards: 8, routerShards: 16,
-		}
+		return scaleProfile{shards: 16}
 	}
 }
 
@@ -171,41 +159,44 @@ func WithMinTimeout(d time.Duration) Option {
 
 // WithOnChange installs the per-peer transition callback invoked on any
 // suspicion change; it must not block. On a single-peer Monitor the peer
-// argument is the remote address.
+// argument is the remote address. When WithOnSuspect/WithOnTrust are set
+// too, they fire first.
 func WithOnChange(fn func(peer string, suspected bool, elapsed time.Duration)) Option {
 	return func(o *options) { o.onChange = fn }
 }
 
-// WithOnSuspect installs a suspicion-start callback (single-peer Monitor
-// form); it must not block.
+// WithOnSuspect installs a suspicion-start callback that does not name
+// the peer (the natural form for a single-peer Monitor; on a cluster it
+// fires for every peer); it must not block.
 func WithOnSuspect(fn func(elapsed time.Duration)) Option {
 	return func(o *options) { o.onSuspect = fn }
 }
 
-// WithOnTrust installs a suspicion-end callback (single-peer Monitor
-// form); it must not block.
+// WithOnTrust installs a suspicion-end callback that does not name the
+// peer (see WithOnSuspect); it must not block.
 func WithOnTrust(fn func(elapsed time.Duration)) Option {
 	return func(o *options) { o.onTrust = fn }
 }
 
-// WithAccrualThreshold replaces the freshness-point detector with a
-// φ-accrual detector at the given threshold (8 is the common production
-// default). Only NewMonitor supports it.
+// WithAccrualThreshold replaces every peer's freshness-point detector with
+// a φ-accrual detector at the given threshold (8 is the common production
+// default). It cannot be combined with WithTargetDetection.
 func WithAccrualThreshold(phi float64) Option {
 	return func(o *options) { o.accrualThreshold = phi }
 }
 
 // WithTargetDetection activates the adaptable sending period (the Bertier
-// extension) aiming at the given worst-case detection time. Only
-// NewMonitor supports it.
+// extension) aiming at the given worst-case detection time: every peer
+// gets its own interval controller, which commands that peer's heartbeater.
 func WithTargetDetection(d time.Duration) Option {
 	return func(o *options) { o.targetDetection = d }
 }
 
-// WithSyncClock estimates the peer clock offset with an NTP-style exchange
-// before monitoring. Only NewMonitor supports it.
+// WithSyncClock estimates each peer's clock offset with an NTP-style
+// exchange before its first heartbeat is delivered; adding a peer that does
+// not answer fails.
 func WithSyncClock() Option {
-	return func(o *options) { o.syncClock = true }
+	return func(o *options) { o.syncTimeout = 2 * time.Second }
 }
 
 // WithPeer seeds a cluster monitor with one initial member; repeat for
@@ -244,19 +235,10 @@ func WithStore(st *store.Store) Option {
 	return func(o *options) { o.qstore = st }
 }
 
-// PipelineConfig tunes the batched transport pipelines. The zero value
-// selects every default; fields are orthogonal, so setting one knob does
-// not disturb the others.
+// PipelineConfig tunes the batched receive pipeline and the cluster
+// geometry. The zero value selects every default; fields are orthogonal,
+// so setting one knob does not disturb the others.
 type PipelineConfig struct {
-	// EgressBatch is the maximum datagrams per egress flush (the sendmmsg
-	// vector length on linux); 0 selects the transport default (64).
-	EgressBatch int
-	// EgressFlushInterval bounds how long a partial egress batch may wait
-	// for batch-mates before being flushed anyway — the bounded one-sided
-	// send delay of DESIGN.md §11. 0 (the default) flushes partial batches
-	// immediately, so batching comes only from natural send bursts and
-	// never delays a heartbeat.
-	EgressFlushInterval time.Duration
 	// Readers is the SO_REUSEPORT reader-socket (and drain-goroutine)
 	// count of the batched ingest pipeline; 0 or 1 means a single reader.
 	// Honoured only where SO_REUSEPORT is available (linux).
@@ -267,7 +249,7 @@ type PipelineConfig struct {
 	// and pre-sizes the peer tables so growing to the expected population
 	// never rehashes under load. 0 keeps the default geometry (tuned for
 	// up to ~32k peers); larger values widen the fan-out in steps, with
-	// the top tier sized for 1M+ peers. Single-peer Monitors ignore it.
+	// the top tier sized for 1M+ peers.
 	ExpectedPeers int
 	// PinDrivers pins each shard timing wheel's driver goroutine to one
 	// online CPU (striped round-robin over the topology read from
@@ -280,17 +262,10 @@ type PipelineConfig struct {
 	PinDrivers bool
 }
 
-// WithPipeline applies pipeline tuning. Both NewMonitor and
-// NewMultiMonitor support it; knobs for stages an entry point does not run
-// are ignored.
+// WithPipeline applies pipeline tuning. NewMonitor and NewMultiMonitor
+// run the same pipeline, so every field applies to both.
 func WithPipeline(cfg PipelineConfig) Option {
 	return func(o *options) {
-		if cfg.EgressBatch > 0 {
-			o.egressBatch = cfg.EgressBatch
-		}
-		if cfg.EgressFlushInterval > 0 {
-			o.egressFlushInterval = cfg.EgressFlushInterval
-		}
 		if cfg.Readers > 0 {
 			o.readers = cfg.Readers
 		}
@@ -303,25 +278,40 @@ func WithPipeline(cfg PipelineConfig) Option {
 	}
 }
 
-// rejectMonitorOnly returns an error when o carries options a cluster
-// monitor cannot honour.
-func (o *options) rejectMonitorOnly(entry string) error {
-	switch {
-	case o.accrualThreshold != 0:
-		return fmt.Errorf("wanfd: %s does not support WithAccrualThreshold", entry)
-	case o.targetDetection != 0:
-		return fmt.Errorf("wanfd: %s does not support WithTargetDetection", entry)
-	case o.syncClock:
-		return fmt.Errorf("wanfd: %s does not support WithSyncClock", entry)
+// validate rejects a detector recipe no peer could be built from, so a bad
+// predictor or margin name, or an impossible combination, fails at
+// construction even with an empty initial peer set.
+func (o *options) validate() error {
+	if _, err := core.NewPredictorByName(o.predictor); err != nil {
+		return err
+	}
+	if _, err := core.NewMarginByName(o.margin); err != nil {
+		return err
+	}
+	if o.targetDetection > 0 && o.accrualThreshold > 0 {
+		return fmt.Errorf("wanfd: TargetDetection requires a freshness-point detector (unset AccrualThreshold)")
 	}
 	return nil
 }
 
-// newDetector builds one peer's freshness-point detector from the
-// normalized options — the one recipe behind NewMonitor and
-// MultiMonitor.AddPeer. name labels the peer in callbacks, telemetry series
-// and the durable store; clk is the detector's timer source.
-func (o *options) newDetector(name string, clk sim.Clock) (*core.Detector, error) {
+// newConsumer builds one peer's detector from the normalized options — the
+// one recipe behind every monitored peer: φ-accrual when WithAccrualThreshold
+// is set, the paper's freshness-point detector otherwise. name labels the
+// peer in callbacks, telemetry series and the durable store; clk is the
+// detector's timer source.
+func (o *options) newConsumer(name string, clk sim.Clock) (core.HeartbeatConsumer, error) {
+	// One durable-store recorder per peer: the detector taps it for every
+	// heartbeat sample, the listener for every transition. Nil (a no-op)
+	// without WithStore.
+	rec := o.qstore.Recorder(name)
+	listener := peerListener{name: name, onChange: o.onChange, reg: o.telemetry, rec: rec}
+	if o.accrualThreshold > 0 {
+		return core.NewAccrualDetector(core.AccrualDetectorConfig{
+			Threshold: o.accrualThreshold,
+			Clock:     clk,
+			Listener:  listener,
+		})
+	}
 	pred, err := core.NewPredictorByName(o.predictor)
 	if err != nil {
 		return nil, err
@@ -330,17 +320,13 @@ func (o *options) newDetector(name string, clk sim.Clock) (*core.Detector, error
 	if err != nil {
 		return nil, err
 	}
-	// One durable-store recorder per peer: the detector taps it for every
-	// heartbeat sample, the listener for every transition. Nil (a no-op)
-	// without WithStore.
-	rec := o.qstore.Recorder(name)
 	return core.NewDetector(core.DetectorConfig{
 		Name:       name,
 		Predictor:  pred,
 		Margin:     margin,
 		Eta:        o.eta,
 		Clock:      clk,
-		Listener:   peerListener{name: name, onChange: o.onChange, reg: o.telemetry, rec: rec},
+		Listener:   listener,
 		MinTimeout: o.minTimeout,
 		Metrics:    o.telemetry.DetectorMetrics(name),
 		Sample:     rec,
@@ -348,10 +334,11 @@ func (o *options) newDetector(name string, clk sim.Clock) (*core.Detector, error
 }
 
 // exportDetector registers the scrape-time series for a published
-// detector: state it tracks anyway is sampled when scraped, not pushed per
-// heartbeat. Kept apart from newDetector because a cluster monitor builds
-// the detector before it knows the name is free, and a rejected duplicate
-// must not take over the live peer's series. DropSeries retires them.
+// freshness-point detector: state it tracks anyway is sampled when scraped,
+// not pushed per heartbeat. Kept apart from newConsumer because AddPeer
+// builds the detector before it knows the name is free, and a rejected
+// duplicate must not take over the live peer's series. DropSeries retires
+// them.
 func (o *options) exportDetector(name string, det *core.Detector) {
 	o.telemetry.DetectorFuncs(name,
 		func() (uint64, uint64, uint64) {

@@ -14,13 +14,9 @@ type IngestStats = transport.IngestStats
 type EgressStats = transport.EgressStats
 
 // Stats is the unified monitor snapshot: one coherent, versionable read
-// API composing the detector, transport-pipeline and scheduler counters
-// that used to require four ad-hoc accessors. The composed accessors
-// (DetectorStats, IngestStats, EgressStats, SchedulerStats) remain as
-// thin views of the same counters.
-//
-// Fields a monitor kind does not run are zero: a single-peer Monitor has
-// no shard scheduler.
+// API composing the detector, transport-pipeline, scheduler and store
+// counters. A single-peer Monitor is a one-peer cluster, so every section
+// is live on both monitor kinds.
 type Stats struct {
 	// Detector aggregates the detector counters — one detector's on a
 	// single-peer Monitor, summed across peers on a MultiMonitor.
@@ -29,30 +25,16 @@ type Stats struct {
 	Ingest IngestStats
 	// Egress is the batched send pipeline's health counters.
 	Egress EgressStats
-	// Scheduler aggregates the shard timing wheels of a cluster monitor.
+	// Scheduler aggregates the shard timing wheels the detector deadlines
+	// run on.
 	Scheduler SchedulerStats
 	// Store is the durable QoS store's counters; zero (Enabled false) when
 	// no store is attached (WithStore absent).
 	Store StoreStats
 }
 
-// Stats returns the unified snapshot for this monitor. Scheduler is zero:
-// a single-peer monitor drives its one deadline from the detector's own
-// timer, not a shard wheel.
-func (m *Monitor) Stats() Stats {
-	return Stats{
-		Detector: m.DetectorStats(),
-		Ingest:   m.net.IngestStats(),
-		Egress:   m.net.EgressStats(),
-		Store:    m.store.Stats(),
-	}
-}
-
-// IngestStats returns the batched receive pipeline counters.
-func (m *Monitor) IngestStats() IngestStats { return m.net.IngestStats() }
-
-// EgressStats returns the batched send pipeline counters.
-func (m *Monitor) EgressStats() EgressStats { return m.net.EgressStats() }
+// Stats returns the unified snapshot for this monitor.
+func (m *Monitor) Stats() Stats { return m.mm.Stats() }
 
 // Stats returns the unified snapshot for this cluster monitor; Detector
 // sums the per-peer counters (the per-peer breakdown is Status). The sum
@@ -64,7 +46,7 @@ func (m *MultiMonitor) Stats() Stats {
 		s := &m.shards[i]
 		s.mu.RLock()
 		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
-			st := e.det.DetectorStats()
+			st := e.detectorStats()
 			det.Heartbeats += st.Heartbeats
 			det.Stale += st.Stale
 			det.Suspicions += st.Suspicions
@@ -80,9 +62,3 @@ func (m *MultiMonitor) Stats() Stats {
 		Store:     m.opts.qstore.Stats(),
 	}
 }
-
-// IngestStats returns the batched receive pipeline counters.
-func (m *MultiMonitor) IngestStats() IngestStats { return m.net.IngestStats() }
-
-// EgressStats returns the batched send pipeline counters.
-func (m *MultiMonitor) EgressStats() EgressStats { return m.net.EgressStats() }

@@ -4,32 +4,31 @@ import (
 	"fmt"
 	"time"
 
-	"wanfd/internal/core"
 	"wanfd/internal/layers"
 	"wanfd/internal/neko"
-	"wanfd/internal/store"
 	"wanfd/internal/telemetry"
 	"wanfd/internal/transport"
 )
 
-// Monitor is a running UDP failure detector.
+// Monitor is a running single-peer UDP failure detector: a thin view over
+// a MultiMonitor whose one member is the remote heartbeater.
 type Monitor struct {
-	net   *transport.UDPNetwork
-	mon   *layers.Monitor
-	reg   *telemetry.Registry
-	store *store.Store
+	mm *MultiMonitor
+	// e is the one peer's entry, copied out once: the cluster is private to
+	// this view, so the peer is never removed and the copy never goes stale.
+	e peerEntry
 }
 
-// Process ids used by the UDP harness (one heartbeater, one monitor).
-const (
-	udpHeartbeaterID neko.ProcessID = 1
-	udpMonitorID     neko.ProcessID = 2
-)
+// udpHeartbeaterID is the local process id of a RunHeartbeater endpoint;
+// the monitors it sends to are numbered from udpHeartbeaterID+1. Monitors
+// identify heartbeaters by source address, not by this id.
+const udpHeartbeaterID neko.ProcessID = 1
 
 // NewMonitor opens the socket, optionally syncs clocks with the remote
 // heartbeater, and starts detecting — the failure-detecting side of the
-// paper's architecture on a real network. It shares its option vocabulary
-// with NewMultiMonitor:
+// paper's architecture on a real network. It is NewMultiMonitor seeded with
+// one peer, named by its address, and takes the same options (except
+// WithPeer):
 //
 //	mon, err := wanfd.NewMonitor(":7007", "host:7008",
 //		wanfd.WithEta(time.Second),
@@ -44,126 +43,45 @@ func NewMonitor(listen, remote string, opts ...Option) (*Monitor, error) {
 	if remote == "" {
 		return nil, fmt.Errorf("wanfd: monitor needs the heartbeater address")
 	}
-	net, err := transport.NewUDPNetwork(transport.UDPConfig{
-		LocalID:             udpMonitorID,
-		Listen:              listen,
-		Peers:               map[neko.ProcessID]string{udpHeartbeaterID: remote},
-		Telemetry:           o.telemetry,
-		Readers:             o.readers,
-		EgressBatch:         o.egressBatch,
-		EgressFlushInterval: o.egressFlushInterval,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			_ = net.Close()
-		}
-	}()
-
-	if o.syncClock {
-		if _, err := net.SyncWith(udpHeartbeaterID, 8, 2*time.Second); err != nil {
-			return nil, fmt.Errorf("wanfd: clock sync: %w", err)
-		}
-	}
-	o.qstore.Instrument(o.telemetry)
-	o.onChange = foldCallbacks(o.onSuspect, o.onTrust, o.onChange)
 	// The one monitored peer is labeled by its remote address — in
 	// callbacks, telemetry series and the durable store alike.
-	var consumer core.HeartbeatConsumer
-	if o.accrualThreshold > 0 {
-		acc, err := core.NewAccrualDetector(core.AccrualDetectorConfig{
-			Threshold: o.accrualThreshold,
-			Clock:     net.Clock(),
-			Listener: peerListener{
-				name: remote, onChange: o.onChange, reg: o.telemetry, rec: o.qstore.Recorder(remote),
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		consumer = acc
-	} else {
-		det, err := o.newDetector(remote, net.Clock())
-		if err != nil {
-			return nil, err
-		}
-		o.exportDetector(remote, det)
-		consumer = det
-	}
-	mon, err := layers.NewConsumerMonitor(consumer)
+	o.peers = []peerSpec{{name: remote, addr: remote}}
+	mm, err := newMultiMonitor(listen, o)
 	if err != nil {
 		return nil, err
 	}
-	stack := []neko.Layer{mon}
-	if o.targetDetection > 0 {
-		det := mon.Detector()
-		if det == nil {
-			return nil, fmt.Errorf("wanfd: TargetDetection requires a freshness-point detector (unset AccrualThreshold)")
-		}
-		ctrl, err := layers.NewIntervalController(layers.IntervalControllerConfig{
-			Detector:        det,
-			TargetDetection: o.targetDetection,
-			Peer:            udpHeartbeaterID,
-		})
-		if err != nil {
-			return nil, err
-		}
-		stack = []neko.Layer{ctrl, mon}
-	}
-	proc, err := neko.NewProcess(udpMonitorID, net.Clock(), net, stack...)
-	if err != nil {
-		return nil, err
-	}
-	if err := proc.Start(); err != nil {
-		return nil, err
-	}
-	ok = true
-	return &Monitor{net: net, mon: mon, reg: o.telemetry, store: o.qstore}, nil
+	e, _ := mm.lookup(remote)
+	return &Monitor{mm: mm, e: e}, nil
 }
 
 // Suspected reports the detector's current output.
-func (m *Monitor) Suspected() bool { return m.mon.Consumer().Suspected() }
+func (m *Monitor) Suspected() bool { return m.e.mon.Consumer().Suspected() }
 
 // Timeout returns the current adaptive timeout of a freshness-point
 // detector; for a φ-accrual monitor it returns 0 (use Phi instead).
-func (m *Monitor) Timeout() time.Duration {
-	det := m.mon.Detector()
-	if det == nil {
-		return 0
-	}
-	return time.Duration(det.CurrentTimeout() * float64(time.Millisecond))
-}
+func (m *Monitor) Timeout() time.Duration { return m.mm.status(&m.e).Timeout }
 
 // Phi returns the φ-accrual suspicion level, or 0 for a freshness-point
 // monitor.
-func (m *Monitor) Phi() float64 {
-	if acc, ok := m.mon.Consumer().(*core.AccrualDetector); ok {
-		return acc.Phi()
-	}
-	return 0
-}
+func (m *Monitor) Phi() float64 { return m.mm.status(&m.e).Phi }
 
 // ClockOffset returns the estimated peer clock offset (0 if SyncClock was
 // not requested).
-func (m *Monitor) ClockOffset() time.Duration { return m.net.Offset(udpHeartbeaterID) }
+func (m *Monitor) ClockOffset() time.Duration { return m.mm.status(&m.e).ClockOffset }
 
 // DetectorStats returns a snapshot of the detector's lifetime counters
 // (zero for consumer kinds that expose none).
-func (m *Monitor) DetectorStats() DetectorStats {
-	if s, ok := m.mon.Consumer().(StatsProvider); ok {
-		return s.DetectorStats()
-	}
-	return DetectorStats{}
-}
+func (m *Monitor) DetectorStats() DetectorStats { return m.e.detectorStats() }
+
+// LocalAddr returns the monitor's bound UDP address string.
+func (m *Monitor) LocalAddr() string { return m.mm.LocalAddr() }
+
+// Telemetry returns the registry the monitor was built with (nil without
+// WithTelemetry).
+func (m *Monitor) Telemetry() *telemetry.Registry { return m.mm.Telemetry() }
 
 // Close stops the detector and releases the socket.
-func (m *Monitor) Close() error {
-	m.mon.Stop()
-	return m.net.Close()
-}
+func (m *Monitor) Close() error { return m.mm.Close() }
 
 // HeartbeaterConfig assembles a UDP heartbeater: the monitored side.
 type HeartbeaterConfig struct {
@@ -201,9 +119,14 @@ func RunHeartbeater(cfg HeartbeaterConfig) (*Heartbeater, error) {
 	if len(remotes) == 0 {
 		return nil, fmt.Errorf("wanfd: heartbeater needs the monitor address")
 	}
+	// Checked before the socket opens: the start sequence below divides by it.
+	if cfg.Eta <= 0 {
+		return nil, fmt.Errorf("wanfd: heartbeat period must be positive, got %v", cfg.Eta)
+	}
+	const firstMonitorID = udpHeartbeaterID + 1
 	peers := make(map[neko.ProcessID]string, len(remotes))
 	for i, addr := range remotes {
-		peers[udpMonitorID+neko.ProcessID(i)] = addr
+		peers[firstMonitorID+neko.ProcessID(i)] = addr
 	}
 	net, err := transport.NewUDPNetwork(transport.UDPConfig{
 		LocalID: udpHeartbeaterID,
@@ -213,31 +136,33 @@ func RunHeartbeater(cfg HeartbeaterConfig) (*Heartbeater, error) {
 	if err != nil {
 		return nil, err
 	}
+	ok := false
+	defer func() {
+		if !ok {
+			_ = net.Close()
+		}
+	}()
 	h := &Heartbeater{net: net}
 	// Number cycles on the shared wall-clock grid (σ_i = i·η) so a
 	// restarted heartbeater resumes with fresh sequence numbers.
 	startSeq := net.WallTime().UnixNano() / int64(cfg.Eta)
 	var top neko.Layer
 	if len(remotes) == 1 {
-		hb, err := layers.NewHeartbeater(udpMonitorID, cfg.Eta)
+		hb, err := layers.NewHeartbeater(firstMonitorID, cfg.Eta)
 		if err != nil {
-			_ = net.Close()
 			return nil, err
 		}
 		if err := hb.SetStartSeq(startSeq); err != nil {
-			_ = net.Close()
 			return nil, err
 		}
 		h.hb, top = hb, hb
 	} else {
 		grp, err := layers.NewHeartbeaterGroup(cfg.Eta)
 		if err != nil {
-			_ = net.Close()
 			return nil, err
 		}
 		for i := range remotes {
-			if err := grp.Add(udpMonitorID+neko.ProcessID(i), startSeq); err != nil {
-				_ = net.Close()
+			if err := grp.Add(firstMonitorID+neko.ProcessID(i), startSeq); err != nil {
 				return nil, err
 			}
 		}
@@ -245,13 +170,12 @@ func RunHeartbeater(cfg HeartbeaterConfig) (*Heartbeater, error) {
 	}
 	proc, err := neko.NewProcess(udpHeartbeaterID, net.Clock(), net, top)
 	if err != nil {
-		_ = net.Close()
 		return nil, err
 	}
 	if err := proc.Start(); err != nil {
-		_ = net.Close()
 		return nil, err
 	}
+	ok = true
 	return h, nil
 }
 
@@ -276,10 +200,3 @@ func (h *Heartbeater) Close() error {
 	}
 	return h.net.Close()
 }
-
-// LocalAddr returns the monitor's bound UDP address string.
-func (m *Monitor) LocalAddr() string { return m.net.LocalAddr().String() }
-
-// Telemetry returns the registry the monitor was built with (nil without
-// WithTelemetry).
-func (m *Monitor) Telemetry() *telemetry.Registry { return m.reg }

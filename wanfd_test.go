@@ -249,6 +249,11 @@ func TestUDPMonitorHeartbeaterIntegration(t *testing.T) {
 	if sent == 0 {
 		t.Error("heartbeater sent nothing")
 	}
+	// The single-peer monitor is a one-peer cluster: its deadline ran on a
+	// shard wheel, and the suspicion above is that wheel firing it.
+	if st := mon.Stats().Scheduler; st.Wheels == 0 || st.Fired == 0 {
+		t.Errorf("scheduler stats %+v after a suspicion, want live wheels and a fired deadline", st)
+	}
 }
 
 func TestUDPConfigValidationPublic(t *testing.T) {
@@ -260,6 +265,25 @@ func TestUDPConfigValidationPublic(t *testing.T) {
 	}
 	if _, err := NewMonitor("127.0.0.1:0", "127.0.0.1:1", WithPredictor("NOPE")); err == nil {
 		t.Error("unknown predictor should fail")
+	}
+	// A non-positive period is an error (it used to divide by zero after
+	// opening the socket), and the listen address is left free.
+	addr := freeUDPPorts(t, 1)[0]
+	for _, eta := range []time.Duration{0, -time.Second} {
+		for _, cfg := range []HeartbeaterConfig{
+			{Listen: addr, Remote: "127.0.0.1:1", Eta: eta},
+			{Listen: addr, Remotes: []string{"127.0.0.1:1", "127.0.0.1:2"}, Eta: eta},
+		} {
+			if hb, err := RunHeartbeater(cfg); err == nil {
+				hb.Close()
+				t.Errorf("RunHeartbeater accepted Eta %v", eta)
+			}
+			pc, err := stdnet.ListenPacket("udp", addr)
+			if err != nil {
+				t.Fatalf("listen address still held after a rejected Eta %v: %v", eta, err)
+			}
+			pc.Close()
+		}
 	}
 }
 
