@@ -29,11 +29,11 @@ const (
 	MetricPacketsDropped  = "wanfd_transport_packets_dropped_total"
 	MetricSendErrors      = "wanfd_transport_send_errors_total"
 
-	MetricIngestBatchSize  = "wanfd_ingest_batch_size"
-	MetricIngestDrains     = "wanfd_ingest_drain_cycles_total"
-	MetricIngestRingDrops  = "wanfd_ingest_ring_drops_total"
-	MetricIngestRingDepth  = "wanfd_ingest_ring_occupancy"
-	MetricIngestPoolMisses = "wanfd_ingest_pool_misses_total"
+	MetricIngestBatchSize     = "wanfd_ingest_batch_size"
+	MetricIngestDrains        = "wanfd_ingest_drain_cycles_total"
+	MetricIngestPoolMisses    = "wanfd_ingest_pool_misses_total"
+	MetricIngestUnknownSource = "wanfd_ingest_unknown_source_total"
+	MetricIngestKernelDrops   = "wanfd_ingest_kernel_drops_total"
 
 	MetricEgressBatchSize     = "wanfd_egress_batch_size"
 	MetricEgressFlushes       = "wanfd_egress_flushes_total"
@@ -167,7 +167,8 @@ type TransportMetrics struct {
 	// DecodeErrors counts malformed inbound packets.
 	DecodeErrors *Counter
 	// Dropped counts packets discarded without delivery (no receiver
-	// attached, or sends to unregistered peers).
+	// attached, datagrams from unregistered source addresses, or sends to
+	// unregistered peers).
 	Dropped *Counter
 	// SendErrors counts messages lost on the egress path: unencodable
 	// messages, socket write errors and short writes.

@@ -3,7 +3,6 @@ package transport
 import (
 	"net"
 	"net/netip"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -12,15 +11,9 @@ import (
 	"wanfd/internal/telemetry"
 )
 
-// Batched ingest pipeline tuning. The default shard count matches the
-// router's so one consumer goroutine feeds one router shard's worth of
-// peers (UDPConfig.IngestShards widens it at scale); the ring capacity
-// bounds how far a burst can run ahead of the detectors before packets
-// are dropped (counted, never blocking the socket); the drain batch is
-// how many datagrams one readiness wakeup pulls before stamping them.
+// Batched ingest pipeline tuning: the drain batch is how many datagrams
+// one readiness wakeup pulls before stamping and delivering them.
 const (
-	ingestShards  = 16
-	ingestRingCap = 512
 	maxDrainBatch = 64
 	// sendBufPoolCap is the encode-buffer pool's headroom beyond what the
 	// egress rings and flusher can hold: buffers concurrent senders have
@@ -35,87 +28,90 @@ func unmapAP(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-// pending is one drained datagram between decode and dispatch: the pooled
+// pending is one drained datagram between decode and delivery: the pooled
 // message, the sender's wall-clock send time, the source address (already
-// Unmap()ed) and, once resolved, the peer clock offset.
+// Unmap()ed) and, once the source resolved to a registered peer, that
+// peer's clock offset.
 type pending struct {
 	m        *neko.Message
 	sentUnix int64
 	src      netip.AddrPort
 	off      int64
+	known    bool
 }
 
-// ingestItem is one message handed from a drain loop to a shard consumer,
-// carrying the batch receive stamp.
-type ingestItem struct {
-	m      *neko.Message
-	recvAt time.Duration
-}
-
-// ingestShard is one lane of the fan-in: a bounded MPSC ring (multi:
-// several SO_REUSEPORT drain loops may produce; single: one consumer
-// goroutine) plus a latching wake channel. The cap-1 channel makes the
-// notify lost-wakeup-free without ever blocking the producer.
-type ingestShard struct {
-	ring *freelist.Ring[ingestItem]
-	wake chan struct{}
-}
-
-// ingestState is the batched pipeline: the message freelist shared by all
-// drain loops and the per-shard hand-off rings. The shard count is fixed
-// at construction (a power of two, at most 64 so one uint64 can mask the
-// shards a batch touched).
+// ingestState is the receive pipeline's shared state: the message freelist
+// every drain loop and injector claims from, and the health counters.
 type ingestState struct {
-	shards    []ingestShard
-	shardMask uint64
-	msgs      *freelist.Pool[*neko.Message]
+	msgs *freelist.Pool[*neko.Message]
 
-	drains    atomic.Uint64 // completed drain cycles
-	ringDrops atomic.Uint64 // messages dropped because a shard ring was full
+	drains     atomic.Uint64 // completed drain cycles
+	unknownSrc atomic.Uint64 // datagrams from addresses that are not registered peers
 
 	batchHist *telemetry.Histogram // datagrams per drain cycle
 }
 
-// IngestStats is a snapshot of the batched pipeline's health counters.
+// IngestStats is a snapshot of the receive pipeline's health counters.
 type IngestStats struct {
 	// Drains is the number of completed drain cycles; Received/Drains is
 	// the mean batch size.
 	Drains uint64
-	// RingDrops counts messages discarded because a shard ring was full —
-	// the consumers (detectors) could not keep up with the socket.
+	// RingDrops is always 0: the reader delivers each batch itself, so
+	// there is no ring to overflow. Receive-side overflow is KernelDrops.
 	RingDrops uint64
 	// PoolMisses counts messages allocated because the freelist was empty;
-	// steady growth means more messages are in flight than msgPoolCap.
+	// steady growth means receivers retain more messages than the pool
+	// holds.
 	PoolMisses uint64
+	// UnknownSource counts well-formed datagrams discarded because their
+	// source address is not a registered peer; they are never delivered or
+	// answered under the id they claim on the wire.
+	UnknownSource uint64
+	// KernelDrops counts datagrams the kernel discarded because a reader
+	// socket's receive buffer was full — the detectors (or a blocking
+	// callback) could not keep up with the network. Read from the sockets
+	// when the snapshot is taken; always 0 where the platform does not
+	// report it (anything but linux).
+	KernelDrops uint64
 }
 
-// IngestStats returns the batched pipeline counters.
+// IngestStats returns the receive pipeline counters.
 func (n *UDPNetwork) IngestStats() IngestStats {
 	ig := n.ingest
 	return IngestStats{
-		Drains:     ig.drains.Load(),
-		RingDrops:  ig.ringDrops.Load(),
-		PoolMisses: ig.msgs.Misses(),
+		Drains:        ig.drains.Load(),
+		PoolMisses:    ig.msgs.Misses(),
+		UnknownSource: ig.unknownSrc.Load(),
+		KernelDrops:   n.kernelDrops(),
 	}
 }
 
-// startIngest builds the pipeline and launches the per-shard consumers and
-// the drain loop(s). Extra SO_REUSEPORT readers degrade gracefully: if an
-// additional socket cannot be opened the endpoint runs with fewer readers.
-func (n *UDPNetwork) startIngest() {
-	shards := shardCount(n.cfg.IngestShards, ingestShards)
-	// The pool covers every message the pipeline can have in flight: all
-	// shard rings full plus a drain batch per reader being decoded and a
-	// batch per consumer being delivered.
-	poolCap := shards*ingestRingCap + 4*maxDrainBatch
-	ig := &ingestState{
-		shards:    make([]ingestShard, shards),
-		shardMask: uint64(shards - 1),
-		msgs:      freelist.NewPool(poolCap, func() *neko.Message { return &neko.Message{} }),
+// kernelDrops sums the receive-buffer drop counters of the reader sockets.
+func (n *UDPNetwork) kernelDrops() uint64 {
+	var total uint64
+	for _, c := range n.readers {
+		total += socketDrops(c)
 	}
-	for i := range ig.shards {
-		ig.shards[i].ring = freelist.NewRing[ingestItem](ingestRingCap)
-		ig.shards[i].wake = make(chan struct{}, 1)
+	return total
+}
+
+// startIngest opens the reader sockets and launches one drain loop per
+// socket. Extra SO_REUSEPORT readers degrade gracefully: if an additional
+// socket cannot be opened the endpoint runs with fewer readers.
+func (n *UDPNetwork) startIngest() {
+	n.readers = []*net.UDPConn{n.conn}
+	for len(n.readers) < maxReaders(n.cfg.Readers) {
+		c, err := listenUDP(n.conn.LocalAddr().String())
+		if err != nil {
+			break
+		}
+		n.readers = append(n.readers, c)
+	}
+	// The pool covers every message the pipeline can hold at once: per
+	// reader, one drain batch being delivered plus one batch of pre-claimed
+	// messages.
+	ig := &ingestState{
+		msgs: freelist.NewPool(2*maxDrainBatch*len(n.readers), func() *neko.Message { return &neko.Message{} }),
 	}
 	n.ingest = ig
 	if r := n.cfg.Telemetry; r != nil {
@@ -125,36 +121,17 @@ func (n *UDPNetwork) startIngest() {
 		r.CounterFunc(telemetry.MetricIngestDrains,
 			"completed ingest drain cycles",
 			func() float64 { return float64(ig.drains.Load()) })
-		r.CounterFunc(telemetry.MetricIngestRingDrops,
-			"messages dropped on full ingest shard rings",
-			func() float64 { return float64(ig.ringDrops.Load()) })
 		r.CounterFunc(telemetry.MetricIngestPoolMisses,
 			"ingest message pool misses (fresh allocations)",
 			func() float64 { return float64(ig.msgs.Misses()) })
-		r.GaugeFunc(telemetry.MetricIngestRingDepth,
-			"messages queued across ingest shard rings",
-			func() float64 {
-				total := 0
-				for i := range ig.shards {
-					total += ig.shards[i].ring.Len()
-				}
-				return float64(total)
-			})
+		r.CounterFunc(telemetry.MetricIngestUnknownSource,
+			"datagrams discarded because their source address is not a registered peer",
+			func() float64 { return float64(ig.unknownSrc.Load()) })
+		r.CounterFunc(telemetry.MetricIngestKernelDrops,
+			"datagrams the kernel dropped on full reader socket buffers",
+			func() float64 { return float64(n.kernelDrops()) })
 	}
-	for i := range ig.shards {
-		n.wg.Add(1)
-		go n.consumeShard(&ig.shards[i])
-	}
-	conns := []*net.UDPConn{n.conn}
-	for len(conns) < maxReaders(n.cfg.Readers) {
-		c, err := listenUDP(n.conn.LocalAddr().String())
-		if err != nil {
-			break
-		}
-		n.extra = append(n.extra, c)
-		conns = append(conns, c)
-	}
-	for _, c := range conns {
+	for _, c := range n.readers {
 		n.wg.Add(1)
 		go n.drainLoop(c)
 	}
@@ -176,36 +153,24 @@ func (n *UDPNetwork) releaseBatch(batch []pending) {
 	}
 }
 
-// shardBuckets is a producer-owned scratch grouping one drain batch's
-// messages by destination shard, so each shard ring is claimed with one
-// cursor reservation per batch instead of one per message. Not safe for
-// concurrent use — every producer (drain loop, injector) owns its own.
-type shardBuckets struct {
-	b [][]ingestItem
-}
-
-func newShardBuckets(shards int) *shardBuckets {
-	s := &shardBuckets{b: make([][]ingestItem, shards)}
-	for i := range s.b {
-		s.b[i] = make([]ingestItem, 0, maxDrainBatch)
-	}
-	return s
-}
-
-// processBatch runs one drained batch through the pipeline:
+// processBatch runs one drained batch to completion on the calling (reader
+// or injector) goroutine:
 //
 //  1. stamp the whole batch with a single clock reading — every datagram
 //     already sitting in the socket buffer was received "now" to within
 //     the drain-cycle duration (see DESIGN.md §10 for the QoS bound);
 //  2. resolve all source addresses to peers under one read-lock
 //     acquisition;
-//  3. after unlocking, answer time-sync messages inline, group the rest by
-//     shard, hand each touched shard its run in one ring reservation, and
-//     wake it once.
+//  3. after unlocking, discard datagrams from unregistered addresses,
+//     answer time-sync messages inline, and deliver the rest as one
+//     same-stamp batch.
 //
-// The lock is never held across a channel operation or a syscall
-// (internal/analysis.MutexHold enforces this shape repo-wide).
-func (n *UDPNetwork) processBatch(batch []pending, bk *shardBuckets) {
+// Per-peer order holds by construction: one reader handles a source's
+// datagrams in arrival order (SO_REUSEPORT hashes a 4-tuple to one socket).
+// The lock is never held across the delivery or a syscall
+// (internal/analysis.MutexHold enforces this shape repo-wide). msgs is the
+// caller's scratch for the delivered run, capacity at least len(batch).
+func (n *UDPNetwork) processBatch(batch []pending, msgs []*neko.Message) {
 	if len(batch) == 0 {
 		return
 	}
@@ -219,113 +184,44 @@ func (n *UDPNetwork) processBatch(batch []pending, bk *shardBuckets) {
 		if ps := n.lookupAddrLocked(batch[i].src); ps != nil {
 			batch[i].m.From = ps.id
 			batch[i].off = ps.offset.Load()
+			batch[i].known = true
 		}
 	}
 	n.peerMu.RUnlock()
 
-	var touched uint64
+	msgs = msgs[:0]
 	for i := range batch {
 		p := &batch[i]
-		switch p.m.Type {
-		case MsgTimeReq:
+		switch {
+		case !p.known:
+			// The wire's From is a claim, not an identity: a stranger must
+			// not refresh (or be answered as) whichever peer owns that id.
+			ig.unknownSrc.Add(1)
+			n.mDropped.Inc()
+			n.recycle(p.m)
+		case p.m.Type == MsgTimeReq:
 			n.handleTimeReq(p.m)
 			n.recycle(p.m)
-			continue
-		case MsgTimeResp:
-			n.handleTimeResp(p.m, stamp)
+		case p.m.Type == MsgTimeResp:
+			n.handleTimeResp(p.m)
 			n.recycle(p.m)
-			continue
-		}
-		// Map the sender's wall-clock timestamp onto the local run
-		// clock, correcting the estimated peer clock offset.
-		p.m.SentAt = time.Duration(p.sentUnix - n.epochNano - p.off)
-		shard := uint64(uint32(p.m.From)) & ig.shardMask
-		bk.b[shard] = append(bk.b[shard], ingestItem{m: p.m, recvAt: stamp})
-		touched |= 1 << shard
-	}
-	for shard := 0; touched != 0; shard++ {
-		if touched&(1<<shard) == 0 {
-			continue
-		}
-		touched &^= 1 << shard
-		items := bk.b[shard]
-		pushed := 0
-		for pushed < len(items) {
-			k := ig.shards[shard].ring.TryPushN(items[pushed:])
-			if k == 0 {
-				break // ring full: the consumer cannot keep up
-			}
-			pushed += k
-		}
-		for _, it := range items[pushed:] {
-			ig.ringDrops.Add(1)
-			n.mDropped.Inc()
-			n.recycle(it.m)
-		}
-		bk.b[shard] = items[:0]
-		select {
-		case ig.shards[shard].wake <- struct{}{}:
-		default: // a wakeup is already latched
+		default:
+			// Map the sender's wall-clock timestamp onto the local run
+			// clock, correcting the estimated peer clock offset.
+			p.m.SentAt = time.Duration(p.sentUnix - n.epochNano - p.off)
+			msgs = append(msgs, p.m)
 		}
 	}
-}
-
-// consumeShard is one shard's consumer: it pops queued messages,
-// accumulates runs that share a receive stamp, and delivers each run as a
-// single batch. Heartbeats are recycled after delivery (the monitor
-// contract: OnHeartbeat copies what it needs); other message types may be
-// retained by upper layers, so their pooled message is simply not
-// returned.
-func (n *UDPNetwork) consumeShard(s *ingestShard) {
-	defer n.wg.Done()
-	items := make([]ingestItem, maxDrainBatch)
-	batch := make([]*neko.Message, 0, maxDrainBatch)
-	var at time.Duration
-	for {
-		k := s.ring.TryPopN(items)
-		if k > 0 {
-			for _, item := range items[:k] {
-				if len(batch) > 0 && item.recvAt != at {
-					n.deliver(batch, at)
-					batch = batch[:0]
-				}
-				at = item.recvAt
-				batch = append(batch, item.m)
-				if len(batch) == maxDrainBatch {
-					n.deliver(batch, at)
-					batch = batch[:0]
-				}
-			}
-			continue
-		}
-		if len(batch) > 0 {
-			n.deliver(batch, at)
-			batch = batch[:0]
-			// The ring just went empty mid-burst: yield once and re-check
-			// before paying the park/unpark round trip — on a busy pipeline
-			// the producer's next run lands within a scheduler pass.
-			runtime.Gosched()
-			continue
-		}
-		select {
-		case <-s.wake:
-		case <-n.closed:
-			// Drain anything still queued back to the freelist.
-			for {
-				k := s.ring.TryPopN(items)
-				if k == 0 {
-					return
-				}
-				for _, item := range items[:k] {
-					n.ingest.msgs.Put(item.m)
-				}
-			}
-		}
+	if len(msgs) > 0 {
+		n.deliver(msgs, stamp)
 	}
 }
 
 // deliver hands one same-stamp batch to the attached receiver, preferring
-// the widest interface it implements, then recycles the heartbeats.
+// the widest interface it implements, then recycles the heartbeats (the
+// monitor contract: OnHeartbeat copies what it needs). Other message types
+// may be retained by upper layers, so their pooled message is simply not
+// returned.
 func (n *UDPNetwork) deliver(batch []*neko.Message, at time.Duration) {
 	box := n.receiver.Load()
 	if box == nil {
@@ -349,7 +245,7 @@ func (n *UDPNetwork) deliver(batch []*neko.Message, at time.Duration) {
 	}
 	n.received.Add(uint64(len(batch)))
 	n.mReceived.Add(uint64(len(batch)))
-	// Compact the recyclable heartbeats to the front of the (consumer-owned)
+	// Compact the recyclable heartbeats to the front of the (caller-owned)
 	// batch slice and return them in one freelist reservation.
 	k := 0
 	for _, m := range batch {
@@ -369,8 +265,7 @@ func (n *UDPNetwork) deliver(batch []*neko.Message, at time.Duration) {
 type Injector struct {
 	n     *UDPNetwork
 	batch []pending
-	msgs  []*neko.Message
-	bk    *shardBuckets
+	msgs  []*neko.Message // claimed messages, then processBatch's delivery scratch
 }
 
 // NewInjector returns a packet injector for this endpoint.
@@ -379,12 +274,12 @@ func (n *UDPNetwork) NewInjector() *Injector {
 		n:     n,
 		batch: make([]pending, 0, maxDrainBatch),
 		msgs:  make([]*neko.Message, maxDrainBatch),
-		bk:    newShardBuckets(len(n.ingest.shards)),
 	}
 }
 
 // InjectBatch runs packets through the exact receive path, in drain-sized
-// chunks (each chunk one stamped batch). srcs must be parallel to pkts.
+// chunks (each chunk one stamped batch), and returns once every packet has
+// been delivered to the attached receiver. srcs must be parallel to pkts.
 func (in *Injector) InjectBatch(pkts [][]byte, srcs []netip.AddrPort) {
 	n := in.n
 	for len(pkts) > 0 {
@@ -406,7 +301,7 @@ func (in *Injector) InjectBatch(pkts [][]byte, srcs []netip.AddrPort) {
 			}
 			in.batch = append(in.batch, pending{m: m, sentUnix: sentUnix, src: unmapAP(srcs[i])})
 		}
-		n.processBatch(in.batch, in.bk)
+		n.processBatch(in.batch, in.msgs)
 		pkts, srcs = pkts[chunk:], srcs[chunk:]
 	}
 }

@@ -69,8 +69,8 @@ func (r *mmsgReader) recv(fd int, max int) (int, syscall.Errno) {
 // (v4-mapped-v6 normalized to v4) so they compare equal to the peer table
 // keys; IPv6 zone/scope ids are deliberately dropped — link-local peers
 // are out of scope for a WAN failure detector. An unknown family yields a
-// zero address: the peer lookup will miss and the packet flows through
-// unattributed, like any other unknown sender.
+// zero address: the peer lookup will miss and the packet is counted and
+// discarded, like any other unknown sender.
 func (r *mmsgReader) src(i int) netip.AddrPort {
 	rsa := &r.sas[i]
 	switch rsa.Addr.Family {
@@ -91,7 +91,8 @@ func (r *mmsgReader) src(i int) netip.AddrPort {
 // drainLoop is the batched reader: park in the netpoller until the socket
 // is readable, then pull every queued datagram (up to maxDrainBatch) with
 // non-blocking recvmmsg calls, decode each into a pooled message, and run
-// the batch through processBatch under a single timestamp.
+// the batch to completion through processBatch — stamped once, delivered
+// to the receiver on this goroutine — before returning to the socket.
 func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 	defer n.wg.Done()
 	rc, err := conn.SyscallConn()
@@ -105,7 +106,7 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 	// one per datagram. A message that fails to decode simply stays stashed.
 	stash := make([]*neko.Message, maxDrainBatch)
 	stashN := 0
-	bk := newShardBuckets(len(n.ingest.shards))
+	msgs := make([]*neko.Message, 0, maxDrainBatch)
 	var fatal error
 	// One closure for the life of the loop: allocating it (and the escaping
 	// fatal slot) per drain cycle would cost two heap objects per cycle.
@@ -165,7 +166,7 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 			n.releaseBatch(batch)
 			return
 		}
-		n.processBatch(batch, bk)
+		n.processBatch(batch, msgs)
 		if fatal != nil {
 			// Transient datagram-level errors (e.g. ICMP-induced) are
 			// survivable: keep serving.

@@ -2,17 +2,21 @@
 
 package transport
 
-import "net"
+import (
+	"net"
 
-// drainLoop on platforms without the raw non-blocking recvfrom path: one
-// blocking read feeds a batch of one through the same processBatch
-// pipeline, so pooling, batch stamping and shard hand-off behave
+	"wanfd/internal/neko"
+)
+
+// drainLoop on platforms without the raw non-blocking recvmmsg path: one
+// blocking read feeds a batch of one through the same processBatch, so
+// pooling, stamping and delivery on the reader goroutine behave
 // identically — only the per-wakeup batching is lost.
 func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 	defer n.wg.Done()
 	buf := make([]byte, maxPacketSize)
 	batch := make([]pending, 0, 1)
-	bk := newShardBuckets(len(n.ingest.shards))
+	msgs := make([]*neko.Message, 0, 1)
 	for {
 		nb, src, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -32,6 +36,6 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 			continue
 		}
 		batch = append(batch[:0], pending{m: m, sentUnix: sentUnix, src: unmapAP(src)})
-		n.processBatch(batch, bk)
+		n.processBatch(batch, msgs)
 	}
 }

@@ -218,11 +218,26 @@ func TestUDPRuntimePeerTable(t *testing.T) {
 		}
 	}
 
-	// Unregistered source: the self-reported From field passes through.
-	sender.Send(&neko.Message{From: 42, To: 1, Type: neko.MsgHeartbeat, SentAt: b.Clock().Now()})
-	if id := recv(); id != 42 {
-		t.Errorf("unregistered sender attributed as %d, want self-reported 42", id)
+	// dropped waits for the endpoint to count want datagrams from
+	// unregistered sources; none of them may reach the receiver.
+	dropped := func(want uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); a.IngestStats().UnknownSource < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("unknown-source count = %d, want %d", a.IngestStats().UnknownSource, want)
+			}
+		}
+		select {
+		case id := <-got:
+			t.Fatalf("datagram from an unregistered source delivered as peer %d", id)
+		default:
+		}
 	}
+
+	// Unregistered source: the self-reported From field is only a claim;
+	// the datagram is counted and discarded.
+	sender.Send(&neko.Message{From: 42, To: 1, Type: neko.MsgHeartbeat, SentAt: b.Clock().Now()})
+	dropped(1)
 
 	// Registered at runtime: the source address is authoritative.
 	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
@@ -247,7 +262,7 @@ func TestUDPRuntimePeerTable(t *testing.T) {
 		t.Error("bad address accepted")
 	}
 
-	// Removal restores pass-through attribution.
+	// After removal the address is a stranger's again.
 	if err := a.RemovePeer(2); err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +273,9 @@ func TestUDPRuntimePeerTable(t *testing.T) {
 		t.Errorf("peers = %d, want 0", n)
 	}
 	sender.Send(&neko.Message{From: 42, To: 1, Type: neko.MsgHeartbeat, Seq: 2, SentAt: b.Clock().Now()})
-	if id := recv(); id != 42 {
-		t.Errorf("removed sender attributed as %d, want self-reported 42", id)
+	dropped(2)
+	if _, received, _ := a.Stats(); received != 1 {
+		t.Errorf("received = %d, want only the registered sender's 1", received)
 	}
 }
 

@@ -54,16 +54,13 @@ type UDPConfig struct {
 	// reader. Values above 1 are honoured only where SO_REUSEPORT is
 	// available (Linux) and are otherwise clamped to 1.
 	Readers int
-	// IngestShards and EgressShards size the batched pipelines' fan-in
-	// lanes. Zero selects the defaults (16 ingest, 8 egress); non-zero
-	// values must be powers of two and at most 64 (the ingest batch
-	// grouping uses a 64-bit touched mask). Scale profiles widen both at
-	// high peer counts.
-	IngestShards int
+	// EgressShards sizes the batched send pipeline's fan-in lanes. Zero
+	// selects the default (8); a non-zero value must be a power of two and
+	// at most 64. Scale profiles widen it at high peer counts.
 	EgressShards int
-	// ExpectedPeers, when non-zero, pre-sizes the peer tables and the
-	// ingest message pool for that many registered peers, so reaching the
-	// expected population never rehashes under load.
+	// ExpectedPeers, when non-zero, pre-sizes the peer tables for that many
+	// registered peers, so reaching the expected population never rehashes
+	// under load.
 	ExpectedPeers int
 }
 
@@ -91,13 +88,16 @@ type receiverBox struct {
 // local run clock, after subtracting the peer clock offset estimated by
 // SyncWith.
 //
-// Reception runs through the batched ingest pipeline (see ingest.go):
-// non-blocking drain loops pull every queued datagram per readiness
-// wakeup, decode into pooled messages, stamp each drained batch with a
-// single clock read, and hand per-shard batches to a consumer goroutine
-// over bounded lock-free rings — zero allocations and no detector mutex on
-// the drain path. Sends run through the batched egress pipeline (see
-// egress.go).
+// Reception runs to completion on the reader goroutine (see ingest.go): a
+// non-blocking drain loop per reader socket pulls every queued datagram
+// per readiness wakeup, decodes into pooled messages, stamps the drained
+// batch with a single clock read and delivers it to the attached receiver
+// itself before returning to the socket — zero allocations and no second
+// goroutine between the kernel and the detectors, so the receiver must be
+// safe for concurrent callers when Readers > 1 and a receiver that blocks
+// stalls that socket (the kernel buffer absorbs, then drops — counted as
+// IngestStats.KernelDrops). Sends run through the batched egress pipeline
+// (see egress.go).
 type UDPNetwork struct {
 	cfg       UDPConfig
 	conn      *net.UDPConn
@@ -147,8 +147,9 @@ type UDPNetwork struct {
 	// ingest and egress are the batched receive and send pipelines.
 	ingest *ingestState
 	egress *egressState
-	// extra are the SO_REUSEPORT reader sockets beyond conn.
-	extra []*net.UDPConn
+	// readers are the sockets the drain loops read: conn first, then the
+	// SO_REUSEPORT sockets beyond it.
+	readers []*net.UDPConn
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -167,9 +168,6 @@ type UDPNetwork struct {
 func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	if cfg.Listen == "" {
 		return nil, fmt.Errorf("transport: missing listen address")
-	}
-	if err := checkShards("IngestShards", cfg.IngestShards); err != nil {
-		return nil, err
 	}
 	if err := checkShards("EgressShards", cfg.EgressShards); err != nil {
 		return nil, err
@@ -446,7 +444,7 @@ func (n *UDPNetwork) handleTimeReq(m *neko.Message) {
 	}
 }
 
-func (n *UDPNetwork) handleTimeResp(m *neko.Message, _ time.Duration) {
+func (n *UDPNetwork) handleTimeResp(m *neko.Message) {
 	p, err := decodeTimeSync(m.Payload)
 	if err != nil {
 		return
@@ -564,7 +562,7 @@ func (n *UDPNetwork) Close() error {
 	close(n.closed)
 	n.timers.Close()
 	err := n.conn.Close()
-	for _, c := range n.extra {
+	for _, c := range n.readers[1:] {
 		_ = c.Close()
 	}
 	n.wg.Wait()

@@ -56,9 +56,9 @@ type options struct {
 }
 
 // scaleProfile is the geometry a cluster monitor derives from the
-// expected peer count: how many ways the peer table, ingest pipeline and
-// router fan out (the egress pipeline, which a monitor barely uses, gets
-// half as many lanes), and how wide the shard timing wheels are. The shard
+// expected peer count: how many ways the peer table and router fan out
+// (the egress pipeline, which a monitor barely uses, gets half as many
+// lanes), and how wide the shard timing wheels are. The shard
 // count is a power of two (lookups mask, not modulo); zero wheel slots
 // select the scheduler defaults (256 fine / 64 coarse).
 type scaleProfile struct {
@@ -73,8 +73,7 @@ type scaleProfile struct {
 // behavior change; above that the shard counts and wheel widths grow so
 // per-shard population — and with it lock contention, probe lengths and
 // wheel slot occupancy — stays in the range the small tiers were tuned
-// for. Capped at 64 shards: the transport's batch grouping masks touched
-// shards in one uint64.
+// for.
 func profileFor(expectedPeers int) scaleProfile {
 	switch {
 	case expectedPeers > 1<<18: // the 1M tier
@@ -158,22 +157,29 @@ func WithMinTimeout(d time.Duration) Option {
 }
 
 // WithOnChange installs the per-peer transition callback invoked on any
-// suspicion change; it must not block. On a single-peer Monitor the peer
-// argument is the remote address. When WithOnSuspect/WithOnTrust are set
-// too, they fire first.
+// suspicion change; it must not block. Trust transitions run on the socket
+// reader goroutine that received the heartbeat (suspicions on a shard's
+// wheel driver), so a callback that blocks stalls reception for every peer
+// on that socket — the kernel buffer then overflows and the loss is counted
+// in IngestStats.KernelDrops. On a single-peer Monitor the peer argument is
+// the remote address. When WithOnSuspect/WithOnTrust are set too, they fire
+// first.
 func WithOnChange(fn func(peer string, suspected bool, elapsed time.Duration)) Option {
 	return func(o *options) { o.onChange = fn }
 }
 
 // WithOnSuspect installs a suspicion-start callback that does not name
 // the peer (the natural form for a single-peer Monitor; on a cluster it
-// fires for every peer); it must not block.
+// fires for every peer); it must not block (it runs on a shard's wheel
+// driver and delays that shard's other deadlines).
 func WithOnSuspect(fn func(elapsed time.Duration)) Option {
 	return func(o *options) { o.onSuspect = fn }
 }
 
 // WithOnTrust installs a suspicion-end callback that does not name the
-// peer (see WithOnSuspect); it must not block.
+// peer (see WithOnSuspect); it must not block: it runs on the socket reader
+// goroutine, so blocking stalls reception for every peer (see
+// WithOnChange).
 func WithOnTrust(fn func(elapsed time.Duration)) Option {
 	return func(o *options) { o.onTrust = fn }
 }
@@ -239,13 +245,15 @@ func WithStore(st *store.Store) Option {
 // geometry. The zero value selects every default; fields are orthogonal,
 // so setting one knob does not disturb the others.
 type PipelineConfig struct {
-	// Readers is the SO_REUSEPORT reader-socket (and drain-goroutine)
-	// count of the batched ingest pipeline; 0 or 1 means a single reader.
-	// Honoured only where SO_REUSEPORT is available (linux).
+	// Readers is the SO_REUSEPORT reader-socket count of the receive path;
+	// 0 or 1 means a single reader. Each reader is one goroutine that
+	// drains its socket and runs the detector updates itself, so this is
+	// also the receive path's parallelism across cores. Honoured only
+	// where SO_REUSEPORT is available (linux).
 	Readers int
 	// ExpectedPeers declares the cluster size a MultiMonitor is being
 	// built for. It selects the monitor's scale profile — peer-table,
-	// ingest, egress and router shard counts plus timing-wheel width —
+	// egress and router shard counts plus timing-wheel width —
 	// and pre-sizes the peer tables so growing to the expected population
 	// never rehashes under load. 0 keeps the default geometry (tuned for
 	// up to ~32k peers); larger values widen the fan-out in steps, with

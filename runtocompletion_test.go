@@ -1,0 +1,187 @@
+package wanfd
+
+import (
+	"fmt"
+	"net"
+	"net/netip"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"wanfd/internal/neko"
+	"wanfd/internal/transport"
+)
+
+// heartbeatPacket encodes one heartbeat addressed to the cluster monitor,
+// claiming to come from process id from.
+func heartbeatPacket(tb testing.TB, from neko.ProcessID, seq int64, sentUnix int64) []byte {
+	tb.Helper()
+	pkt, err := transport.Encode(nil, &neko.Message{
+		From: from, To: multiMonitorID, Type: neko.MsgHeartbeat, Seq: seq,
+	}, sentUnix)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pkt
+}
+
+// TestStrangerCannotRefreshPeer is the spoofing regression: process ids are
+// monotonic and guessable, so heartbeats that claim a registered peer's id
+// but arrive from an unregistered address must not reach that peer's
+// detector. They are counted as unknown-source and dropped.
+func TestStrangerCannotRefreshPeer(t *testing.T) {
+	var transitions atomic.Int64
+	mm, err := NewMultiMonitor("127.0.0.1:0",
+		WithPeer("victim", "127.0.0.9:4000"),
+		WithEta(time.Second),
+		WithOnChange(func(string, bool, time.Duration) { transitions.Add(1) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.Close()
+	stranger, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stranger.Close()
+	const spoofed = 5
+	dst := netip.MustParseAddrPort(mm.LocalAddr())
+	for i := int64(0); i < spoofed; i++ {
+		pkt := heartbeatPacket(t, multiMonitorID+1, i+1, time.Now().UnixNano())
+		if _, err := stranger.WriteToUDPAddrPort(pkt, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return mm.Stats().Ingest.UnknownSource == spoofed }) {
+		t.Fatalf("UnknownSource = %d, want %d", mm.Stats().Ingest.UnknownSource, spoofed)
+	}
+	st, err := mm.PeerStatusOf("victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Heartbeats != 0 || st.Stale != 0 {
+		t.Errorf("victim credited %d heartbeats (%d stale) sent by a stranger, want 0", st.Heartbeats, st.Stale)
+	}
+	if n := transitions.Load(); n != 0 {
+		t.Errorf("%d suspicion/trust transitions caused by a stranger, want 0", n)
+	}
+}
+
+// TestInjectBatchDeliversBeforeReturning pins the run-to-completion
+// contract: the goroutine that drains a batch delivers it, so when
+// InjectBatch returns the detector has already counted the heartbeat and a
+// suspected peer's trust callback has already run.
+func TestInjectBatchDeliversBeforeReturning(t *testing.T) {
+	const addr = "127.0.0.9:4000"
+	var trusted atomic.Bool
+	mm, err := NewMultiMonitor("127.0.0.1:0",
+		WithPeer("p", addr),
+		WithEta(20*time.Millisecond),
+		WithOnTrust(func(time.Duration) { trusted.Store(true) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.Close()
+	inj := mm.net.NewInjector()
+	srcs := []netip.AddrPort{netip.MustParseAddrPort(addr)}
+	inject := func(seq int64) {
+		inj.InjectBatch([][]byte{heartbeatPacket(t, 0, seq, mm.net.WallTime().UnixNano())}, srcs)
+	}
+	inject(1)
+	if st, _ := mm.PeerStatusOf("p"); st.Heartbeats != 1 {
+		t.Fatalf("Heartbeats = %d when InjectBatch returned, want 1", st.Heartbeats)
+	}
+	if !waitFor(t, 5*time.Second, func() bool { s, _ := mm.Suspected("p"); return s }) {
+		t.Fatal("silent peer never suspected")
+	}
+	inject(2)
+	if !trusted.Load() {
+		t.Error("trust callback had not run when InjectBatch returned")
+	}
+	if st, _ := mm.PeerStatusOf("p"); st.Heartbeats != 2 || st.Suspected {
+		t.Errorf("after the second heartbeat: Heartbeats = %d, Suspected = %v, want 2/false", st.Heartbeats, st.Suspected)
+	}
+}
+
+// TestPerPeerOrderKept checks that no stage of the receive path reorders
+// one peer's heartbeats: 10,000 sequence numbers in order end with
+// Stale == 0 through the injector in every chunk size, and over a real
+// socket with one reader and with two (SO_REUSEPORT hashes a source to one
+// socket, so a second reader must not interleave a peer's stream).
+func TestPerPeerOrderKept(t *testing.T) {
+	const total = 10000
+	check := func(t *testing.T, mm *MultiMonitor) {
+		t.Helper()
+		st, err := mm.PeerStatusOf("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Heartbeats != total || st.Stale != 0 {
+			t.Errorf("Heartbeats = %d, Stale = %d, want %d/0", st.Heartbeats, st.Stale, total)
+		}
+	}
+	t.Run("injector", func(t *testing.T) {
+		const addr = "127.0.0.9:4000"
+		mm, err := NewMultiMonitor("127.0.0.1:0", WithPeer("p", addr), WithEta(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mm.Close()
+		inj := mm.net.NewInjector()
+		src := netip.MustParseAddrPort(addr)
+		var pkts [][]byte
+		var srcs []netip.AddrPort
+		for seq, chunk := int64(1), 1; seq <= total; chunk = chunk%64 + 1 {
+			pkts, srcs = pkts[:0], srcs[:0]
+			for ; len(pkts) < chunk && seq <= total; seq++ {
+				pkts = append(pkts, heartbeatPacket(t, 0, seq, mm.net.WallTime().UnixNano()))
+				srcs = append(srcs, src)
+			}
+			inj.InjectBatch(pkts, srcs)
+		}
+		check(t, mm)
+	})
+	for _, readers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("socket/readers=%d", readers), func(t *testing.T) {
+			peer, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			mm, err := NewMultiMonitor("127.0.0.1:0",
+				WithPeer("p", peer.LocalAddr().String()),
+				WithEta(time.Second),
+				WithPipeline(PipelineConfig{Readers: readers}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mm.Close()
+			dst := netip.MustParseAddrPort(mm.LocalAddr())
+			// At most window datagrams are in the socket buffer at once, so
+			// the kernel never drops and every heartbeat must be counted.
+			const window = 64
+			deadline := time.Now().Add(30 * time.Second)
+			for seq := int64(1); seq <= total; seq++ {
+				for {
+					_, received, _ := mm.net.Stats()
+					if seq-int64(received) <= window {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("stalled: %d sent, %d received", seq-1, received)
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+				pkt := heartbeatPacket(t, 0, seq, time.Now().UnixNano())
+				if _, err := peer.WriteToUDPAddrPort(pkt, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, 5*time.Second, func() bool {
+				_, received, _ := mm.net.Stats()
+				return received == total
+			})
+			check(t, mm)
+		})
+	}
+}

@@ -5,8 +5,8 @@ import (
 	"wanfd/internal/transport"
 )
 
-// IngestStats is a snapshot of the batched receive pipeline's health
-// counters (drain cycles, ring drops, pool misses).
+// IngestStats is a snapshot of the receive pipeline's health counters
+// (drain cycles, pool misses, unknown-source discards, kernel drops).
 type IngestStats = transport.IngestStats
 
 // EgressStats is a snapshot of the batched send pipeline's health

@@ -4,9 +4,9 @@ import "testing"
 
 // TestPipelineZeroAlloc is the "no per-heartbeat bookkeeping" gate on the
 // production cluster monitor: at 1,024 peers, one run carries a 64-datagram
-// batch through decode, attribution, ring hand-off, detector update and
-// wheel re-arm (and, on the egress row, as many heartbeats through encode,
-// ring and flush), and once the pools are warm no goroutine of the process
+// batch through decode, attribution, delivery, detector update and wheel
+// re-arm (and, on the egress row, as many heartbeats through encode, ring
+// and flush), and once the pools are warm no goroutine of the process
 // may allocate — AllocsPerRun resolves one allocation per run, 1/64 per
 // heartbeat.
 func TestPipelineZeroAlloc(t *testing.T) {
@@ -38,7 +38,7 @@ func TestPipelineZeroAlloc(t *testing.T) {
 			h := newPipelineHarness(t, benchClusterPeers, row.egress, opts...)
 			run := func() {
 				h.offer(benchIngestChunk)
-				h.settle(0, 0)
+				h.settle(0)
 			}
 			// Warm-up: every peer's detector sees heartbeats and arms its
 			// deadline, and the message and buffer pools fill.
