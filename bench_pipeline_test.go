@@ -27,9 +27,6 @@ const (
 	// benchIngestChunk is how many datagrams each InjectBatch call carries —
 	// the injector's analogue of one socket drain cycle.
 	benchIngestChunk = 64
-	// benchEgressLag bounds how far producers may run ahead of the flusher:
-	// an eighth of the default profile's egress ring capacity.
-	benchEgressLag = 1024
 )
 
 // benchPeerNames precomputes the member names so the hot loop does no
@@ -71,10 +68,9 @@ func benchCluster(tb testing.TB, names []string, opts ...Option) *MultiMonitor {
 // Injector: pre-encoded heartbeat datagrams are decoded, attributed,
 // stamped and delivered to each peer's detector update and wheel re-arm on
 // the calling goroutine — the full receive path minus the kernel socket.
-// With egress set, every offered heartbeat is also sent to its peer through
-// the batched egress (destinations are loopback addresses with no listener,
-// so the kernel pays the full local delivery attempt) and the flusher and
-// the producer contend for the same cores.
+// With egress set, every offered heartbeat is also sent to its peer — a real
+// socket write on the calling goroutine (destinations are loopback addresses
+// with no listener, so the kernel pays the full local delivery attempt).
 type pipelineHarness struct {
 	mm     *MultiMonitor
 	inj    *transport.Injector
@@ -121,8 +117,8 @@ func newPipelineHarness(tb testing.TB, peers int, egress bool, opts ...Option) *
 
 // offer carries n ≤ benchIngestChunk heartbeats, round-robin over the peer
 // set (the interleaved arrival order a WAN monitor sees), into the
-// pipeline as one injected batch; every one has reached its detector when
-// offer returns.
+// pipeline as one injected batch; every one has reached its detector (and,
+// with egress set, every send its socket) when offer returns.
 func (h *pipelineHarness) offer(n int) {
 	h.chunkPkts, h.chunkSrcs = h.chunkPkts[:0], h.chunkSrcs[:0]
 	clk := h.mm.net.Clock()
@@ -147,43 +143,27 @@ func (h *pipelineHarness) offer(n int) {
 	h.inj.InjectBatch(h.chunkPkts, h.chunkSrcs)
 }
 
-// settle yields until at most egressLag sent heartbeats are unflushed (the
-// ingest half is synchronous and needs no wait). Drops and errors count as
-// settled, so a lossy run ends and is then failed by checkLossless.
-func (h *pipelineHarness) settle(egressLag int) {
-	if !h.egress {
-		return
-	}
-	for {
-		st := h.mm.net.EgressStats()
-		if h.sent-int(st.Packets+st.RingDrops+st.SendErrors) <= egressLag {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// checkLossless fails the run on any undelivered or malformed packet, ring
-// drop or send error: what was measured is a pipeline that carried every
-// heartbeat.
+// checkLossless fails the run on any undelivered or malformed packet or
+// send error: what was measured is a pipeline that carried every heartbeat.
 func (h *pipelineHarness) checkLossless(tb testing.TB) {
 	tb.Helper()
 	if _, rcv, mal := h.mm.net.Stats(); mal != 0 || int(rcv) != h.sent {
 		tb.Fatalf("delivered %d of %d offered heartbeats, %d malformed", rcv, h.sent, mal)
 	}
-	if st := h.mm.net.EgressStats(); st.RingDrops != 0 || st.SendErrors != 0 {
-		tb.Fatalf("egress drops=%d errors=%d", st.RingDrops, st.SendErrors)
+	if errs := h.mm.net.SendErrors(); errs != 0 {
+		tb.Fatalf("%d send errors", errs)
+	}
+	if st := h.mm.net.EgressStats(); h.egress && int(st.Packets) != h.sent {
+		tb.Fatalf("wrote %d of %d offered heartbeats", st.Packets, h.sent)
 	}
 }
 
-// BenchmarkPipeline is the both-directions scale runner: one op sends one
-// heartbeat through the batched egress and receives one through the
-// batched ingest, lag-bounded, with the final drain inside the timed
-// region — ns/op is delivered throughput, not enqueue throughput. 1k and
-// 100k run the default scale profile; 1M holds 2^20 peers in the
-// arena-backed shards on the 1M profile (64-way peer tables, 32-way
-// egress, 1024-slot wheels), and completing it is the lossless
-// demonstration at that size.
+// BenchmarkPipeline is the both-directions scale runner: one op writes one
+// heartbeat to the socket and receives one through the batched ingest, both
+// synchronous, so ns/op is delivered throughput. 1k and 100k run the
+// default scale profile; 1M holds 2^20 peers in the arena-backed shards on
+// the 1M profile (64-way peer tables, 1024-slot wheels), and completing it
+// is the lossless demonstration at that size.
 func BenchmarkPipeline(b *testing.B) {
 	const peers1M = 1 << 20
 	for _, sc := range []struct {
@@ -204,14 +184,9 @@ func BenchmarkPipeline(b *testing.B) {
 			b.ResetTimer()
 			for left := b.N; left > 0; left -= benchIngestChunk {
 				h.offer(min(left, benchIngestChunk))
-				h.settle(benchEgressLag)
 			}
-			h.settle(0)
 			b.StopTimer()
 			h.checkLossless(b)
-			if st := h.mm.net.EgressStats(); st.Flushes > 0 {
-				b.ReportMetric(float64(st.Packets)/float64(st.Flushes), "batch")
-			}
 		})
 	}
 }

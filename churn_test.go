@@ -12,8 +12,7 @@ import (
 // TestScaleProfileTiers pins the geometry each expected-peer tier
 // selects: the default tier must stay byte-for-byte what pre-profile
 // monitors ran with, and the larger tiers must widen every axis. One
-// shard count fans out the peer table, ingest pipeline and router alike;
-// the egress pipeline gets half of it.
+// shard count fans out the peer table and the router alike.
 func TestScaleProfileTiers(t *testing.T) {
 	cases := []struct {
 		peers int

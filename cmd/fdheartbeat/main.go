@@ -9,9 +9,8 @@
 //
 // With -remotes, one process heartbeats several monitors at once from a
 // single socket: each monitor gets its own η-grid, phase-staggered across
-// the interval, and the grids drain through the transport's batched
-// egress pipeline (one sendmmsg per flush on linux) instead of one write
-// syscall per monitor per cycle:
+// the interval, and may retune its own η (wanfd.WithTargetDetection)
+// without touching the others':
 //
 //	fdheartbeat -listen :7008 -remotes hostA:7007,hostB:7007 -eta 1s
 package main
@@ -39,7 +38,7 @@ func run() error {
 	var (
 		listen  = flag.String("listen", ":7008", "local UDP address")
 		remote  = flag.String("remote", "", "monitor UDP address")
-		remotes = flag.String("remotes", "", "comma-separated additional monitor addresses (batched fan-out)")
+		remotes = flag.String("remotes", "", "comma-separated additional monitor addresses (one socket, one η-grid each)")
 		eta     = flag.Duration("eta", time.Second, "heartbeat period")
 	)
 	flag.Parse()

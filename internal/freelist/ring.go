@@ -1,10 +1,11 @@
-// Package freelist provides the fixed-capacity, allocation-free building
-// blocks of the transport's batched ingest/egress pipeline: a bounded
-// lock-free ring (a Vyukov-style MPMC queue) and a freelist Pool built on
-// it. Both are sized once at construction and never grow — overflow is the
-// caller's problem by design (the transport counts and drops, it never
-// blocks), so a burst can never translate into unbounded memory or into
-// backpressure on the UDP socket.
+// Package freelist provides fixed-capacity, allocation-free building
+// blocks: a bounded lock-free ring (a Vyukov-style MPMC queue — the durable
+// store's sample queue) and a freelist Pool built on it (the transport's
+// message recycling). Both are sized once at construction and never grow —
+// overflow is the caller's problem by design (the store counts and drops,
+// the pool allocates and counts a miss; neither blocks), so a burst can
+// never translate into unbounded memory or into backpressure on the
+// detection path.
 //
 // Like internal/sched, the package sits beneath the repo's clock boundary
 // (see internal/analysis.ClockUse): recycling infrastructure may read the

@@ -11,22 +11,20 @@ import (
 )
 
 // HeartbeaterGroup serves many peers' η-cycles from one layer — the
-// batched-egress counterpart of Heartbeater. Each member keeps its own
+// many-monitor counterpart of Heartbeater. Each member keeps its own
 // nominal sending grid σ_i = epoch + i·η (same stamping discipline as
 // Heartbeater: the grid time goes on the wire, so timer lateness shows up
-// as measured delay for the monitor's margins to absorb), driven by one
-// Rearmable timer per member on the context clock — the shared timing
-// wheel in a real deployment, so a group of 100k members costs O(wheel
-// slots), not O(members), in runtime timers. Sends land on the transport's
-// batched egress rings, so members whose grids coincide leave the host in
-// a handful of sendmmsg calls rather than one syscall each.
+// as measured delay for the monitor's margins to absorb) and its own η,
+// which that member's monitor may retune with MsgSetInterval. Each grid is
+// driven by one Rearmable timer on the context clock, and each tick writes
+// its heartbeat to the socket itself.
 //
 // Member grids are phase-staggered deterministically by peer id, spreading
 // a large group's ticks across the η interval instead of stacking every
-// member on the same wheel slot.
+// member on the same instant.
 type HeartbeaterGroup struct {
 	neko.Base
-	eta time.Duration
+	eta time.Duration // every member's initial period
 
 	mu      sync.Mutex
 	ctx     *neko.Context
@@ -40,6 +38,7 @@ type HeartbeaterGroup struct {
 type groupMember struct {
 	g     *HeartbeaterGroup
 	to    neko.ProcessID
+	eta   time.Duration
 	epoch time.Duration
 	seq   int64
 	cycle int64
@@ -81,7 +80,7 @@ func (g *HeartbeaterGroup) Add(to neko.ProcessID, startSeq int64) error {
 	if _, dup := g.members[to]; dup {
 		return fmt.Errorf("layers: peer %d already in group", to)
 	}
-	m := &groupMember{g: g, to: to, seq: startSeq}
+	m := &groupMember{g: g, to: to, eta: g.eta, seq: startSeq}
 	g.members[to] = m
 	if g.ctx != nil {
 		g.startLocked(m)
@@ -113,6 +112,44 @@ func (g *HeartbeaterGroup) Remove(to neko.ProcessID) error {
 		m.timer = nil
 	}
 	return nil
+}
+
+// SetInterval switches one member to a new sending period, leaving the
+// others on theirs. As with Heartbeater.SetInterval the member's nominal
+// grid restarts one new period from now and sequence numbers keep
+// increasing. A member whose cycle is not running (group not yet
+// initialized, or stopped) only records the period.
+func (g *HeartbeaterGroup) SetInterval(to neko.ProcessID, eta time.Duration) error {
+	if eta <= 0 {
+		return fmt.Errorf("layers: heartbeat period must be positive, got %v", eta)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	m, ok := g.members[to]
+	if !ok {
+		return fmt.Errorf("layers: peer %d not in group", to)
+	}
+	m.eta = eta
+	if m.timer == nil {
+		return nil
+	}
+	m.epoch = g.ctx.Clock.Now() + eta
+	m.cycle = 0
+	m.timer.Reschedule(eta)
+	return nil
+}
+
+// Receive handles MsgSetInterval from a member (the transport attributes
+// the datagram's source address to that monitor's id) by retuning that
+// member's grid; everything else passes up.
+func (g *HeartbeaterGroup) Receive(m *neko.Message) {
+	if m.Type == MsgSetInterval {
+		if m.Seq > 0 {
+			_ = g.SetInterval(m.From, time.Duration(m.Seq)) // a non-member's command is ignored
+		}
+		return
+	}
+	g.Base.Receive(m)
 }
 
 // Len returns the current member count.
@@ -148,11 +185,11 @@ func (m *groupMember) tick() {
 		To:     m.to,
 		Type:   neko.MsgHeartbeat,
 		Seq:    m.seq,
-		SentAt: m.epoch + time.Duration(m.cycle)*g.eta,
+		SentAt: m.epoch + time.Duration(m.cycle)*m.eta,
 	}
 	m.seq++
 	m.cycle++
-	next := m.epoch + time.Duration(m.cycle)*g.eta
+	next := m.epoch + time.Duration(m.cycle)*m.eta
 	d := next - now
 	if d < 0 {
 		d = 0

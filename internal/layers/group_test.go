@@ -301,3 +301,63 @@ func TestHeartbeaterGroupMembershipLive(t *testing.T) {
 		}
 	}
 }
+
+// TestHeartbeaterGroupSetIntervalPerMember pins the adaptable-period
+// command on the group: MsgSetInterval from one member restarts that
+// member's grid one new period later, on the new η, with sequence numbers
+// still consecutive; the other member's grid does not move; commands from
+// non-members and non-positive periods change nothing.
+func TestHeartbeaterGroupSetIntervalPerMember(t *testing.T) {
+	const eta, fast = time.Second, 250 * time.Millisecond
+	const switchAt, horizon = 4500 * time.Millisecond, 8500 * time.Millisecond
+	eng, p, g, caps := groupHarness(t, eta, []neko.ProcessID{2, 3})
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(switchAt); err != nil {
+		t.Fatal(err)
+	}
+	g.Receive(&neko.Message{From: 2, Type: MsgSetInterval, Seq: -5})
+	g.Receive(&neko.Message{From: 9, Type: MsgSetInterval, Seq: int64(fast)})
+	before := len(caps[2].got)
+	g.Receive(&neko.Message{From: 2, Type: MsgSetInterval, Seq: int64(fast)})
+	if err := eng.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	g.Stop()
+	p.Stop()
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	got := caps[2].got
+	// Every beat sent up to the horizon arrives (RunAll drains the network).
+	if want := int((horizon - switchAt) / fast); len(got)-before != want {
+		t.Errorf("member 2 received %d heartbeats after the switch, want %d", len(got)-before, want)
+	}
+	for i, m := range got {
+		if m.Seq != int64(i) {
+			t.Fatalf("member 2 heartbeat %d has seq %d", i, m.Seq)
+		}
+		if i >= before {
+			if want := switchAt + time.Duration(i-before+1)*fast; m.SentAt != want {
+				t.Errorf("member 2 heartbeat %d SentAt = %v, want %v", i, m.SentAt, want)
+			}
+		}
+	}
+	phase := g.phaseFor(3)
+	for i, m := range caps[3].got {
+		if want := phase + time.Duration(i)*eta; m.Seq != int64(i) || m.SentAt != want {
+			t.Errorf("member 3 heartbeat %d = seq %d at %v, want seq %d at %v", i, m.Seq, m.SentAt, i, want)
+		}
+	}
+	if want := int((horizon-phase)/eta) + 1; len(caps[3].got) != want {
+		t.Errorf("member 3 received %d heartbeats, want %d (η unchanged)", len(caps[3].got), want)
+	}
+	// Everything else still passes up.
+	top := &captureLayer{}
+	g.SetAbove(top)
+	g.Receive(&neko.Message{From: 2, Type: neko.MsgUser})
+	if len(top.got) != 1 {
+		t.Error("non-control message not passed up")
+	}
+}

@@ -35,12 +35,7 @@ const (
 	MetricIngestUnknownSource = "wanfd_ingest_unknown_source_total"
 	MetricIngestKernelDrops   = "wanfd_ingest_kernel_drops_total"
 
-	MetricEgressBatchSize     = "wanfd_egress_batch_size"
-	MetricEgressFlushes       = "wanfd_egress_flushes_total"
-	MetricEgressSyscallsSaved = "wanfd_egress_syscalls_saved_total"
-	MetricEgressRingDrops     = "wanfd_egress_ring_drops_total"
-	MetricEgressRingDepth     = "wanfd_egress_ring_occupancy"
-	MetricEgressSendErrors    = "wanfd_egress_send_errors_total"
+	MetricEgressSendErrors = "wanfd_egress_send_errors_total"
 
 	MetricRouterDispatch  = "wanfd_router_dispatch_total"
 	MetricRouterUnrouted  = "wanfd_router_unrouted_total"
@@ -170,7 +165,7 @@ type TransportMetrics struct {
 	// attached, datagrams from unregistered source addresses, or sends to
 	// unregistered peers).
 	Dropped *Counter
-	// SendErrors counts messages lost on the egress path: unencodable
+	// SendErrors counts messages lost on the send path: unencodable
 	// messages, socket write errors and short writes.
 	SendErrors *Counter
 }

@@ -1,101 +1,68 @@
 package transport
 
 import (
+	stdnet "net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"wanfd/internal/neko"
+	"wanfd/internal/telemetry"
 )
 
-// batchedPair builds two connected endpoints with the batched egress
-// pipeline on (the default): a is peer 1, b is peer 2, each knows the
-// other's address.
-func batchedPair(t *testing.T, cfg UDPConfig) (*UDPNetwork, *UDPNetwork) {
-	t.Helper()
-	acfg := cfg
-	acfg.LocalID = 1
-	acfg.Listen = "127.0.0.1:0"
-	a, err := NewUDPNetwork(acfg)
+// TestSendRunsToCompletion pins the send contract: when Send returns the
+// datagram has been written and counted — one packet out is one packet on
+// the counters — so a plain socket at the destination reads it without
+// waiting on anything but the kernel.
+func TestSendRunsToCompletion(t *testing.T) {
+	dst, err := stdnet.ListenUDP("udp4", &stdnet.UDPAddr{IP: stdnet.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { a.Close() })
-	bcfg := cfg
-	bcfg.LocalID = 2
-	bcfg.Listen = "127.0.0.1:0"
-	bcfg.Peers = map[neko.ProcessID]string{1: a.LocalAddr().String()}
-	b, err := NewUDPNetwork(bcfg)
+	defer dst.Close()
+	n, err := NewUDPNetwork(UDPConfig{
+		LocalID: 2,
+		Listen:  "127.0.0.1:0",
+		Peers:   map[neko.ProcessID]string{1: dst.LocalAddr().String()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { b.Close() })
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	return a, b
-}
-
-// waitEgress polls one endpoint's egress counters until cond is satisfied.
-func waitEgress(t *testing.T, n *UDPNetwork, what string, cond func(EgressStats) bool) EgressStats {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := n.EgressStats(); cond(st) {
-			return st
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := n.EgressStats()
-	t.Fatalf("timed out waiting for %s; egress stats %+v", what, st)
-	return st
-}
-
-// stallFlusher parks n's egress flusher at its per-batch destination lookup
-// by taking the peer-table write lock and feeding it one sacrificial packet
-// for peer to: once that packet has left the ring the flusher holds it and
-// cannot sweep again until the returned release drops the lock, so
-// everything enqueued in between deterministically stays queued.
-func stallFlusher(t *testing.T, n *UDPNetwork, to neko.ProcessID) (release func()) {
-	t.Helper()
-	ring := n.egress.shards[uint64(uint32(to))&n.egress.shardMask].ring
-	n.peerMu.Lock()
-	n.enqueue(&neko.Message{From: n.cfg.LocalID, To: to, Type: neko.MsgHeartbeat})
-	for deadline := time.Now().Add(5 * time.Second); ring.Len() != 0; {
-		if time.Now().After(deadline) {
-			n.peerMu.Unlock()
-			t.Fatal("flusher never picked up the first packet")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return n.peerMu.Unlock
-}
-
-// TestBatchedEgressDefaultOn pins that a default endpoint sends through
-// the egress pipeline: one packet out is one packet on its counters.
-func TestBatchedEgressDefaultOn(t *testing.T) {
-	a, b := batchedPair(t, UDPConfig{})
-	sender, err := b.Attach(2, recvFunc(func(*neko.Message) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: 1, SentAt: b.Clock().Now()})
-	st := waitEgress(t, b, "packet flushed", func(st EgressStats) bool { return st.Packets >= 1 })
-	if st.Packets != 1 || st.Flushes != 1 {
-		t.Errorf("egress stats after one send = %+v, want 1 packet in 1 flush", st)
-	}
-	if got := a.EgressStats(); got != (EgressStats{}) {
+	t.Cleanup(func() { n.Close() })
+	if got := n.EgressStats(); got != (EgressStats{}) {
 		t.Errorf("idle endpoint reports egress stats %+v", got)
 	}
+	sender, err := n.Attach(2, recvFunc(func(*neko.Message) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: 7, SentAt: n.Clock().Now()})
+	if st := n.EgressStats(); st.Packets != 1 || st.Flushes != 1 || st.SendErrors != 0 {
+		t.Errorf("egress stats when Send returned = %+v, want 1 packet in 1 write", st)
+	}
+	if sent, _, _ := n.Stats(); sent != 1 {
+		t.Errorf("sent = %d when Send returned, want 1", sent)
+	}
+	if err := dst.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, maxPacketSize)
+	nb, _, err := dst.ReadFromUDPAddrPort(buf)
+	if err != nil {
+		t.Fatalf("datagram not in the destination socket after Send returned: %v", err)
+	}
+	if m, _, err := Decode(buf[:nb]); err != nil || m.Seq != 7 {
+		t.Errorf("read %+v, %v; want the heartbeat with seq 7", m, err)
+	}
 }
 
-// TestEgressPerPeerOrder pins the FIFO contract the shard design exists
-// for: every packet for one peer rides one ring, one fixed sweep order and
-// one flush window, so heartbeats arrive in send order across many
-// batched flushes. Reordering here would turn fresh heartbeats stale at
-// the detector.
+// TestEgressPerPeerOrder pins the order contract: a peer's packets are
+// written in program order on the sender's goroutine, so heartbeats arrive
+// in send order. Reordering here would turn fresh heartbeats stale at the
+// detector.
 func TestEgressPerPeerOrder(t *testing.T) {
-	a, b := batchedPair(t, UDPConfig{})
+	a, b := twoEndpoints(t)
 	rcv := &batchRecv{}
 	if _, err := a.Attach(1, rcv); err != nil {
 		t.Fatal(err)
@@ -104,9 +71,8 @@ func TestEgressPerPeerOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bursts small enough that neither the egress rings nor the receiver's
-	// ingest ring overflow on a single CPU, but large enough that every
-	// burst crosses at least one multi-packet flush.
+	// Bursts small enough that the receiver's socket buffer does not
+	// overflow on a single CPU.
 	const total, burst = 400, 50
 	for i := int64(0); i < total; i++ {
 		sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: i, SentAt: b.Clock().Now()})
@@ -114,13 +80,9 @@ func TestEgressPerPeerOrder(t *testing.T) {
 			waitReceived(t, a, uint64(i+1))
 		}
 	}
-	st := waitEgress(t, b, "all packets flushed", func(st EgressStats) bool {
-		return st.Packets+st.RingDrops+st.SendErrors >= total
-	})
-	if st.RingDrops != 0 || st.SendErrors != 0 {
-		t.Fatalf("drops=%d errors=%d at this load, want 0", st.RingDrops, st.SendErrors)
+	if st := b.EgressStats(); st.Packets != total || st.Flushes != total || st.RingDrops != 0 || st.SendErrors != 0 {
+		t.Fatalf("egress stats %+v, want %d packets and no drops or errors", st, total)
 	}
-	waitReceived(t, a, total)
 	rcv.mu.Lock()
 	defer rcv.mu.Unlock()
 	last := int64(-1)
@@ -130,55 +92,13 @@ func TestEgressPerPeerOrder(t *testing.T) {
 		}
 		last = m.Seq
 	}
-	if st.Flushes == 0 {
-		t.Error("no flush cycles counted")
-	}
 }
 
-// TestEgressOverflowCountedNeverBlocks pins the back-pressure policy: a
-// full shard ring drops the packet (counted) instead of blocking the
-// sender — a stalled flusher must never stall the heartbeat grid. With the
-// flusher stalled (see stallFlusher) the ring deterministically fills.
-func TestEgressOverflowCountedNeverBlocks(t *testing.T) {
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	ring := n.egress.shards[uint64(2)%egressShards].ring
-	m := &neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat}
-
-	release := stallFlusher(t, n, 2)
-	const overflow = 16
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < egressRingCap+overflow; i++ {
-			m.Seq = int64(i)
-			n.enqueue(m)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		release()
-		t.Fatal("enqueue blocked on a full ring")
-	}
-	drops, held := n.EgressStats().RingDrops, ring.Len()
-	release()
-	if drops != overflow {
-		t.Errorf("ring drops = %d, want %d", drops, overflow)
-	}
-	if held != egressRingCap {
-		t.Errorf("shard holds %d packets, want full ring of %d", held, egressRingCap)
-	}
-}
-
-// TestEgressUnknownPeerDropped pins the resolve step: a destination
-// removed between enqueue and flush is dropped at the peer-table lookup,
-// and traffic to known peers keeps flowing.
+// TestEgressUnknownPeerDropped pins the resolve step: a message for an
+// unregistered destination is dropped at the peer-table lookup, and traffic
+// to known peers keeps flowing.
 func TestEgressUnknownPeerDropped(t *testing.T) {
-	a, b := batchedPair(t, UDPConfig{})
+	a, b := twoEndpoints(t)
 	rcv := &batchRecv{}
 	if _, err := a.Attach(1, rcv); err != nil {
 		t.Fatal(err)
@@ -187,14 +107,11 @@ func TestEgressUnknownPeerDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Peer 9 was never added on b: the packet is enqueued (the producer
-	// does not resolve) and dropped at flush time.
+	// Peer 9 was never added on b.
 	sender.Send(&neko.Message{From: 2, To: 9, Type: neko.MsgHeartbeat, Seq: 0, SentAt: b.Clock().Now()})
 	sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: 1, SentAt: b.Clock().Now()})
 	waitReceived(t, a, 1)
-	st := waitEgress(t, b, "known-peer packet flushed", func(st EgressStats) bool {
-		return st.Packets >= 1
-	})
+	st := b.EgressStats()
 	if st.Packets != 1 {
 		t.Errorf("packets = %d, want 1 — the unknown-peer packet must not be sent", st.Packets)
 	}
@@ -207,44 +124,40 @@ func TestEgressUnknownPeerDropped(t *testing.T) {
 	}
 }
 
-// TestEgressSendErrorsCounted pins where each failure is counted: an
-// unencodable message fails on the producer synchronously; a dead socket
-// surfaces asynchronously from the flusher. Both end up in SendErrors
-// instead of vanishing.
+// TestEgressSendErrorsCounted pins where each failure is counted, both
+// before Send returns: an unencodable message in SendErrors only, a dead
+// socket in SendErrors and EgressStats.SendErrors.
 func TestEgressSendErrorsCounted(t *testing.T) {
-	a, _ := batchedPair(t, UDPConfig{})
+	a, _ := twoEndpoints(t)
 	sender, err := a.Attach(1, recvFunc(func(*neko.Message) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Encode error: counted on the producer before anything is queued.
 	sender.Send(&neko.Message{From: 1, To: 2, Payload: make([]byte, maxPayload+1)})
 	if got := a.SendErrors(); got != 1 {
 		t.Fatalf("send errors after oversized payload = %d, want 1", got)
 	}
-	if got := a.EgressStats().Packets; got != 0 {
-		t.Fatalf("packets = %d, want 0", got)
+	if st := a.EgressStats(); st.Packets != 0 || st.SendErrors != 0 {
+		t.Fatalf("egress stats after oversized payload = %+v, want no packet and no socket error", st)
 	}
-	// Socket error: the flusher hits it on the next flush cycle.
 	a.conn.Close()
 	sender.Send(&neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat, Seq: 1, SentAt: a.Clock().Now()})
-	waitEgress(t, a, "flush-level send error", func(st EgressStats) bool {
-		return st.SendErrors >= 1
-	})
+	if got := a.EgressStats().SendErrors; got != 1 {
+		t.Errorf("socket-level send errors after dead socket = %d, want 1", got)
+	}
 	if got := a.SendErrors(); got != 2 {
 		t.Errorf("send errors after dead socket = %d, want 2", got)
 	}
 }
 
-// TestEgressSendZeroAllocSteadyState pins the tentpole property on the
-// send side: once the buffer pool is warm, the batched egress path —
-// encode, ring push, sweep, resolve, sendmmsg flush, recycle — performs
-// zero allocations per heartbeat across producer and flusher goroutines.
+// TestEgressSendZeroAllocSteadyState pins the send path — resolve, encode
+// into the stack buffer, socket write — and the receiving endpoint's
+// delivery at zero allocations per heartbeat.
 func TestEgressSendZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting holds only in normal builds")
 	}
-	a, b := batchedPair(t, UDPConfig{})
+	a, b := twoEndpoints(t)
 	if _, err := a.Attach(1, recvFunc(func(*neko.Message) {})); err != nil {
 		t.Fatal(err)
 	}
@@ -259,63 +172,95 @@ func TestEgressSendZeroAllocSteadyState(t *testing.T) {
 		m.SentAt = b.Clock().Now()
 		sender.Send(m)
 		sent++
-		// Wait until the flusher publishes the packet count: the recycle
-		// happens before that, so the next round's Get hits the pool. Also
-		// wait for delivery on a so the receiver's work is charged to the
+		// Wait for delivery on a so the receiver's work is charged to the
 		// measurement too.
 		for {
-			_, received, _ := a.Stats()
-			if received >= sent && b.EgressStats().Packets >= sent {
+			if _, received, _ := a.Stats(); received >= sent {
 				return
 			}
 			runtime.Gosched()
 		}
 	}
 	for i := 0; i < 50; i++ {
-		sendAndDrain() // warm the buffer pool and the flusher scratch
+		sendAndDrain() // warm the receiver's message pool
 	}
 	if avg := testing.AllocsPerRun(200, sendAndDrain); avg != 0 {
-		t.Errorf("steady-state batched send allocates %.2f/op, want 0", avg)
+		t.Errorf("steady-state send allocates %.2f/op, want 0", avg)
 	}
-	st := b.EgressStats()
-	if st.RingDrops != 0 || st.SendErrors != 0 {
-		t.Errorf("drops=%d errors=%d during alloc run, want 0", st.RingDrops, st.SendErrors)
+	if st := b.EgressStats(); st.Packets != sent || st.RingDrops != 0 || st.SendErrors != 0 {
+		t.Errorf("egress stats %+v after %d sends, want all written", st, sent)
 	}
 }
 
-// TestEgressCloseDrainsQueued pins the shutdown path: packets still
-// queued when the endpoint closes are recycled, not sent, and Close does
-// not deadlock against a parked or mid-cycle flusher.
-func TestEgressCloseDrainsQueued(t *testing.T) {
-	_, b := batchedPair(t, UDPConfig{})
-	sender, err := b.Attach(2, recvFunc(func(*neko.Message) {}))
+// TestSendRacesPeerChurnAndClose hammers Send from several goroutines while
+// the destination is removed and re-added, then closes the endpoint under
+// them: every offered message is written, refused by the socket or dropped
+// for an unknown peer — none vanish — and a Send after Close returns at once
+// as a send error.
+func TestSendRacesPeerChurnAndClose(t *testing.T) {
+	dst, err := stdnet.ListenUDP("udp4", &stdnet.UDPAddr{IP: stdnet.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The flusher is stalled mid-cycle holding one packet; everything sent
-	// now stays queued until Close.
-	release := stallFlusher(t, b, 1)
-	const queued = 64
-	for i := int64(0); i < queued; i++ {
-		sender.Send(&neko.Message{From: 2, To: 1, Type: neko.MsgHeartbeat, Seq: i, SentAt: b.Clock().Now()})
+	defer dst.Close()
+	n, err := NewUDPNetwork(UDPConfig{
+		LocalID:   1,
+		Listen:    "127.0.0.1:0",
+		Peers:     map[neko.ProcessID]string{2: dst.LocalAddr().String()},
+		Telemetry: telemetry.NewRegistry(0),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan struct{})
+	t.Cleanup(func() { n.Close() })
+	sender, err := n.Attach(1, recvFunc(func(*neko.Message) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const senders, each = 8, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := &neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat}
+			for i := 0; i < each; i++ {
+				m.Seq++
+				sender.Send(m)
+			}
+		}()
+	}
+	churnDone := make(chan struct{})
 	go func() {
-		b.Close()
-		close(done)
+		defer close(churnDone)
+		for i := 0; i < 200; i++ {
+			// Either call may find the other's state; only the race matters.
+			_ = n.RemovePeer(2)
+			_ = n.AddPeer(2, dst.LocalAddr().String())
+		}
+		if err := n.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
 	}()
-	// Let the flusher go only once the endpoint is marked closed, so it
-	// finishes the batch it holds and then finds the shutdown signal.
-	<-b.closed
-	release()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close deadlocked against the egress flusher")
+	wg.Wait()
+	<-churnDone
+	st := n.EgressStats()
+	if got := st.Packets + st.SendErrors + n.mDropped.Value(); got != senders*each {
+		t.Errorf("packets %d + send errors %d + unknown-peer drops %d = %d, want %d offered",
+			st.Packets, st.SendErrors, n.mDropped.Value(), got, senders*each)
 	}
-	// The packet the flusher already held may still go out (or fail on the
-	// closing socket); none of the queued ones may.
-	if st := b.EgressStats(); st.Packets > 1 {
-		t.Errorf("%d packets flushed, want at most the one the flusher already held (%d queued at close)", st.Packets, queued)
+	before := n.SendErrors()
+	returned := make(chan struct{})
+	go func() {
+		sender.Send(&neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat})
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send after Close did not return")
+	}
+	if got := n.SendErrors(); got != before+1 {
+		t.Errorf("send errors after a Send on the closed endpoint = %d, want %d", got, before+1)
 	}
 }

@@ -11,15 +11,9 @@ import (
 	"wanfd/internal/telemetry"
 )
 
-// Batched ingest pipeline tuning: the drain batch is how many datagrams
-// one readiness wakeup pulls before stamping and delivering them.
-const (
-	maxDrainBatch = 64
-	// sendBufPoolCap is the encode-buffer pool's headroom beyond what the
-	// egress rings and flusher can hold: buffers concurrent senders have
-	// taken but not yet queued.
-	sendBufPoolCap = 64
-)
+// maxDrainBatch is how many datagrams one readiness wakeup pulls before
+// stamping and delivering them.
+const maxDrainBatch = 64
 
 // unmapAP normalizes an address-port to its canonical form (v4-mapped v6
 // unwrapped to v4) so dual-stack sockets produce addresses that compare
@@ -200,7 +194,7 @@ func (n *UDPNetwork) processBatch(batch []pending, msgs []*neko.Message) {
 			n.mDropped.Inc()
 			n.recycle(p.m)
 		case p.m.Type == MsgTimeReq:
-			n.handleTimeReq(p.m)
+			n.handleTimeReq(p.m, p.src)
 			n.recycle(p.m)
 		case p.m.Type == MsgTimeResp:
 			n.handleTimeResp(p.m)

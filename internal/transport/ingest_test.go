@@ -348,14 +348,14 @@ func (c countRecv) Receive(*neko.Message) { *c.n++ }
 
 func (c countRecv) ReceiveBatch(ms []*neko.Message, _ time.Duration) { *c.n += len(ms) }
 
-// TestSendZeroAlloc pins the producer half of the egress pipeline on its
-// own: with the buffer pool warm, Send — encode into a pooled buffer, push
-// onto the shard ring — allocates nothing, however far the flusher lags.
+// TestSendZeroAlloc pins the send path on its own: Send — resolve, encode
+// into a buffer on the caller's stack, socket write — allocates nothing,
+// whether or not the receiver keeps up.
 func TestSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting holds only in normal builds")
 	}
-	a, b := batchedPair(t, UDPConfig{})
+	a, b := twoEndpoints(t)
 	if _, err := b.Attach(2, recvFunc(func(*neko.Message) {})); err != nil {
 		t.Fatal(err)
 	}
@@ -369,14 +369,7 @@ func TestSendZeroAlloc(t *testing.T) {
 		m.SentAt = a.Clock().Now()
 		sender.Send(m)
 	}
-	// Warm the pool with more buffers than the measured run can have in
-	// flight, so the result does not depend on the flusher keeping up.
-	const runs = 200
-	for i := 0; i < 2*runs; i++ {
-		send()
-	}
-	waitEgress(t, a, "warm-up flushed", func(st EgressStats) bool { return st.Packets >= 2*runs })
-	if avg := testing.AllocsPerRun(runs, send); avg != 0 {
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
 		t.Errorf("steady-state send allocates %.2f/op, want 0", avg)
 	}
 }
@@ -386,7 +379,7 @@ func TestSendZeroAlloc(t *testing.T) {
 // send-error counter instead of vanishing silently, and neither counts as
 // sent.
 func TestSendErrorsCounted(t *testing.T) {
-	a, _ := batchedPair(t, UDPConfig{})
+	a, _ := twoEndpoints(t)
 	sender, err := a.Attach(1, recvFunc(func(*neko.Message) {}))
 	if err != nil {
 		t.Fatal(err)
@@ -396,10 +389,9 @@ func TestSendErrorsCounted(t *testing.T) {
 	if got := a.SendErrors(); got != 1 {
 		t.Fatalf("send errors after oversized payload = %d, want 1", got)
 	}
-	// Write error: pull the socket out from under the flusher.
+	// Write error: pull the socket out from under the sender.
 	a.conn.Close()
 	sender.Send(&neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat, Seq: 1})
-	waitEgress(t, a, "write error", func(st EgressStats) bool { return st.SendErrors >= 1 })
 	if got := a.SendErrors(); got != 2 {
 		t.Errorf("send errors after closed socket = %d, want 2", got)
 	}

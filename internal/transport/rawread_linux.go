@@ -11,6 +11,15 @@ import (
 	"wanfd/internal/neko"
 )
 
+// mmsghdr mirrors the kernel's struct mmsghdr: one msghdr plus the
+// per-message byte count the kernel writes back. Go's natural padding
+// matches the kernel layout on both 32- and 64-bit (the struct is padded
+// to the msghdr alignment), so an array of these is a valid msgvec.
+type mmsghdr struct {
+	hdr syscall.Msghdr
+	n   uint32
+}
+
 // mmsgReader holds the preallocated recvmmsg state for one drain
 // goroutine: a buffer, iovec, sockaddr slot and mmsghdr per datagram of a
 // drain batch. One recvmmsg call pulls a whole batch of queued datagrams,

@@ -81,8 +81,8 @@ func settles(get func() int, want int) int {
 }
 
 // TestReceiveGoroutineBudget pins what an endpoint costs in goroutines: one
-// drain loop per reader socket and the egress flusher — no per-shard
-// consumers — and all of them gone once Close returns.
+// drain loop per reader socket and nothing else — sends run on the caller —
+// and all of them gone once Close returns.
 func TestReceiveGoroutineBudget(t *testing.T) {
 	// Goroutines of endpoints that earlier tests closed may still be on
 	// their way out; take the baseline once the count has stopped falling.
@@ -102,9 +102,8 @@ func TestReceiveGoroutineBudget(t *testing.T) {
 		if got := settles(drainLoops, loopsBefore+want) - loopsBefore; got != want {
 			t.Errorf("Readers=%d: %d receive goroutines, want %d", readers, got, want)
 		}
-		// The one goroutine beyond the readers is the egress flusher.
-		if got := runtime.NumGoroutine() - before; got != want+1 {
-			t.Errorf("Readers=%d: endpoint started %d goroutines, want %d", readers, got, want+1)
+		if got := runtime.NumGoroutine() - before; got != want {
+			t.Errorf("Readers=%d: endpoint started %d goroutines, want %d", readers, got, want)
 		}
 		if err := n.Close(); err != nil {
 			t.Fatal(err)

@@ -11,32 +11,11 @@ import (
 
 	"wanfd/internal/arena"
 	"wanfd/internal/clock"
-	"wanfd/internal/freelist"
 	"wanfd/internal/neko"
 	"wanfd/internal/sched"
 	"wanfd/internal/sim"
 	"wanfd/internal/telemetry"
 )
-
-// checkShards validates a configured pipeline shard count: zero (use the
-// default) or a power of two no larger than 64.
-func checkShards(name string, n int) error {
-	if n == 0 {
-		return nil
-	}
-	if n < 0 || n > 64 || n&(n-1) != 0 {
-		return fmt.Errorf("transport: %s must be a power of two in [1,64], got %d", name, n)
-	}
-	return nil
-}
-
-// shardCount resolves a configured shard count against its default.
-func shardCount(configured, def int) int {
-	if configured > 0 {
-		return configured
-	}
-	return def
-}
 
 // UDPConfig parameterizes a UDP network endpoint.
 type UDPConfig struct {
@@ -54,10 +33,6 @@ type UDPConfig struct {
 	// reader. Values above 1 are honoured only where SO_REUSEPORT is
 	// available (Linux) and are otherwise clamped to 1.
 	Readers int
-	// EgressShards sizes the batched send pipeline's fan-in lanes. Zero
-	// selects the default (8); a non-zero value must be a power of two and
-	// at most 64. Scale profiles widen it at high peer counts.
-	EgressShards int
 	// ExpectedPeers, when non-zero, pre-sizes the peer tables for that many
 	// registered peers, so reaching the expected population never rehashes
 	// under load.
@@ -96,8 +71,9 @@ type receiverBox struct {
 // goroutine between the kernel and the detectors, so the receiver must be
 // safe for concurrent callers when Readers > 1 and a receiver that blocks
 // stalls that socket (the kernel buffer absorbs, then drops — counted as
-// IngestStats.KernelDrops). Sends run through the batched egress pipeline
-// (see egress.go).
+// IngestStats.KernelDrops). Sends run to completion too: Send encodes and
+// writes the datagram on the caller's goroutine (see egress.go), so the
+// endpoint's only goroutines are its readers.
 type UDPNetwork struct {
 	cfg       UDPConfig
 	conn      *net.UDPConn
@@ -140,13 +116,8 @@ type UDPNetwork struct {
 	pending  map[int64]chan clock.Sample
 	nextSync int64
 
-	// bufs recycles egress packet buffers so Encode never allocates on the
-	// steady-state send path; the ingest side has its own message pool.
-	bufs *freelist.Pool[[]byte]
-
-	// ingest and egress are the batched receive and send pipelines.
+	// ingest is the receive pipeline's pool and counters.
 	ingest *ingestState
-	egress *egressState
 	// readers are the sockets the drain loops read: conn first, then the
 	// SO_REUSEPORT sockets beyond it.
 	readers []*net.UDPConn
@@ -154,10 +125,11 @@ type UDPNetwork struct {
 	wg     sync.WaitGroup
 	closed chan struct{}
 
-	sent       atomic.Uint64
-	received   atomic.Uint64
-	malformed  atomic.Uint64
-	sendErrors atomic.Uint64
+	sent        atomic.Uint64
+	received    atomic.Uint64
+	malformed   atomic.Uint64
+	sendErrors  atomic.Uint64 // unencodable messages + writeErrors
+	writeErrors atomic.Uint64 // datagrams the socket refused
 
 	// Live telemetry counters; each is nil (a no-op) without a registry.
 	mSent, mReceived, mDecodeErr, mDropped, mSendErr *telemetry.Counter
@@ -168,9 +140,6 @@ type UDPNetwork struct {
 func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	if cfg.Listen == "" {
 		return nil, fmt.Errorf("transport: missing listen address")
-	}
-	if err := checkShards("EgressShards", cfg.EgressShards); err != nil {
-		return nil, err
 	}
 	hint := cfg.ExpectedPeers
 	if hint < len(cfg.Peers) {
@@ -206,20 +175,15 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 			return nil, err
 		}
 	}
-	// The egress pipeline can pin a full complement of encoded packets in
-	// its shard rings plus one in-flight batch; size the buffer freelist to
-	// cover that so a loaded sender still recycles instead of allocating.
-	bufCap := shardCount(cfg.EgressShards, egressShards)*egressRingCap + 2*egressBatch + sendBufPoolCap
-	n.bufs = freelist.NewPool(bufCap, func() []byte {
-		return make([]byte, 0, maxPacketSize)
-	})
 	if tm := cfg.Telemetry.TransportMetrics(); tm != nil {
 		n.mSent, n.mReceived = tm.Sent, tm.Received
 		n.mDecodeErr, n.mDropped = tm.DecodeErrors, tm.Dropped
 		n.mSendErr = tm.SendErrors
 	}
+	cfg.Telemetry.CounterFunc(telemetry.MetricEgressSendErrors,
+		"datagrams the socket refused (write errors and short writes)",
+		func() float64 { return float64(n.writeErrors.Load()) })
 	n.startIngest()
-	n.startEgress()
 	return n, nil
 }
 
@@ -413,35 +377,25 @@ func (n *UDPNetwork) Attach(id neko.ProcessID, r neko.Receiver) (neko.Sender, er
 
 type udpSender struct{ n *UDPNetwork }
 
-func (s udpSender) Send(m *neko.Message) { s.n.enqueue(m) }
+func (s udpSender) Send(m *neko.Message) { s.n.send(m) }
 
 // handleTimeReq answers an NTP-style exchange: echo T1, add our receive
-// (T2) and send (T3) wall-clock times.
-func (n *UDPNetwork) handleTimeReq(m *neko.Message) {
+// (T2) and send (T3) wall-clock times. The reply goes to src, the address
+// the request's batch already resolved to the peer m.From.
+func (n *UDPNetwork) handleTimeReq(m *neko.Message, src netip.AddrPort) {
 	req, err := decodeTimeSync(m.Payload)
 	if err != nil {
 		return
 	}
 	t2 := n.wallNano()
-	resp := &neko.Message{
-		From: n.cfg.LocalID,
-		To:   m.From,
-		Type: MsgTimeResp,
-		Seq:  m.Seq,
-	}
-	ap, ok := n.peerAddr(m.From)
-	if !ok {
-		return
-	}
-	resp.Payload = encodeTimeSync(timeSyncPayload{T1: req.T1, T2: t2, T3: n.wallNano()})
-	buf, err := Encode(nil, resp, n.wallNano())
-	if err != nil {
-		return
-	}
-	if _, err := n.conn.WriteToUDPAddrPort(buf, ap); err != nil {
-		n.sendErrors.Add(1)
-		n.mSendErr.Inc()
-	}
+	_ = n.write(&neko.Message{ // a lost reply is counted; the requester's round times out
+		From:    n.cfg.LocalID,
+		To:      m.From,
+		Type:    MsgTimeResp,
+		Seq:     m.Seq,
+		SentAt:  n.clk.Now(),
+		Payload: encodeTimeSync(timeSyncPayload{T1: req.T1, T2: t2, T3: n.wallNano()}),
+	}, src)
 }
 
 func (n *UDPNetwork) handleTimeResp(m *neko.Message) {
@@ -492,19 +446,16 @@ func (n *UDPNetwork) SyncWith(peer neko.ProcessID, rounds int, timeout time.Dura
 		n.mu.Unlock()
 
 		req := &neko.Message{
-			From: n.cfg.LocalID,
-			To:   peer,
-			Type: MsgTimeReq,
-			Seq:  seq,
+			From:   n.cfg.LocalID,
+			To:     peer,
+			Type:   MsgTimeReq,
+			Seq:    seq,
+			SentAt: n.clk.Now(),
 			Payload: encodeTimeSync(timeSyncPayload{
 				T1: n.wallNano(),
 			}),
 		}
-		buf, err := Encode(nil, req, n.wallNano())
-		if err != nil {
-			return 0, err
-		}
-		if _, err := n.conn.WriteToUDPAddrPort(buf, ap); err != nil {
+		if err := n.write(req, ap); err != nil {
 			return 0, fmt.Errorf("transport: sync send: %w", err)
 		}
 		timedOut := make(chan struct{})
@@ -548,7 +499,7 @@ func (n *UDPNetwork) Stats() (sent, received, malformed uint64) {
 	return n.sent.Load(), n.received.Load(), n.malformed.Load()
 }
 
-// SendErrors reports messages lost on the egress path: unencodable
+// SendErrors reports messages lost on the send path: unencodable
 // messages, write errors and short writes.
 func (n *UDPNetwork) SendErrors() uint64 { return n.sendErrors.Load() }
 

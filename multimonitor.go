@@ -169,7 +169,6 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		Listen:        listen,
 		Telemetry:     o.telemetry,
 		Readers:       o.readers,
-		EgressShards:  prof.shards / 2,
 		ExpectedPeers: o.expectedPeers,
 	})
 	if err != nil {

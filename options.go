@@ -56,11 +56,10 @@ type options struct {
 }
 
 // scaleProfile is the geometry a cluster monitor derives from the
-// expected peer count: how many ways the peer table and router fan out
-// (the egress pipeline, which a monitor barely uses, gets half as many
-// lanes), and how wide the shard timing wheels are. The shard
-// count is a power of two (lookups mask, not modulo); zero wheel slots
-// select the scheduler defaults (256 fine / 64 coarse).
+// expected peer count: how many ways the peer table and router fan out,
+// and how wide the shard timing wheels are. The shard count is a power of
+// two (lookups mask, not modulo); zero wheel slots select the scheduler
+// defaults (256 fine / 64 coarse).
 type scaleProfile struct {
 	shards      int
 	fineSlots   int
@@ -252,9 +251,9 @@ type PipelineConfig struct {
 	// where SO_REUSEPORT is available (linux).
 	Readers int
 	// ExpectedPeers declares the cluster size a MultiMonitor is being
-	// built for. It selects the monitor's scale profile — peer-table,
-	// egress and router shard counts plus timing-wheel width —
-	// and pre-sizes the peer tables so growing to the expected population
+	// built for. It selects the monitor's scale profile — peer-table and
+	// router shard counts plus timing-wheel width — and pre-sizes the peer
+	// tables so growing to the expected population
 	// never rehashes under load. 0 keeps the default geometry (tuned for
 	// up to ~32k peers); larger values widen the fan-out in steps, with
 	// the top tier sized for 1M+ peers.

@@ -107,7 +107,8 @@ func TestInjectBatchDeliversBeforeReturning(t *testing.T) {
 // one peer's heartbeats: 10,000 sequence numbers in order end with
 // Stale == 0 through the injector in every chunk size, and over a real
 // socket with one reader and with two (SO_REUSEPORT hashes a source to one
-// socket, so a second reader must not interleave a peer's stream).
+// socket, so a second reader must not interleave a peer's stream), and with
+// the transport's own Send as the source.
 func TestPerPeerOrderKept(t *testing.T) {
 	const total = 10000
 	check := func(t *testing.T, mm *MultiMonitor) {
@@ -141,6 +142,32 @@ func TestPerPeerOrderKept(t *testing.T) {
 		}
 		check(t, mm)
 	})
+	// paced writes seq 1..total with send, keeping at most window datagrams
+	// in the monitor's socket buffer, so the kernel never drops and every
+	// heartbeat must be counted.
+	paced := func(t *testing.T, mm *MultiMonitor, send func(seq int64)) {
+		t.Helper()
+		const window = 64
+		deadline := time.Now().Add(30 * time.Second)
+		for seq := int64(1); seq <= total; seq++ {
+			for {
+				_, received, _ := mm.net.Stats()
+				if seq-int64(received) <= window {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("stalled: %d sent, %d received", seq-1, received)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			send(seq)
+		}
+		waitFor(t, 5*time.Second, func() bool {
+			_, received, _ := mm.net.Stats()
+			return received == total
+		})
+		check(t, mm)
+	}
 	for _, readers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("socket/readers=%d", readers), func(t *testing.T) {
 			peer, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -157,31 +184,45 @@ func TestPerPeerOrderKept(t *testing.T) {
 			}
 			defer mm.Close()
 			dst := netip.MustParseAddrPort(mm.LocalAddr())
-			// At most window datagrams are in the socket buffer at once, so
-			// the kernel never drops and every heartbeat must be counted.
-			const window = 64
-			deadline := time.Now().Add(30 * time.Second)
-			for seq := int64(1); seq <= total; seq++ {
-				for {
-					_, received, _ := mm.net.Stats()
-					if seq-int64(received) <= window {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("stalled: %d sent, %d received", seq-1, received)
-					}
-					time.Sleep(50 * time.Microsecond)
-				}
+			paced(t, mm, func(seq int64) {
 				pkt := heartbeatPacket(t, 0, seq, time.Now().UnixNano())
 				if _, err := peer.WriteToUDPAddrPort(pkt, dst); err != nil {
 					t.Fatal(err)
 				}
-			}
-			waitFor(t, 5*time.Second, func() bool {
-				_, received, _ := mm.net.Stats()
-				return received == total
 			})
-			check(t, mm)
 		})
 	}
+	// The product's own send path as the source: Send writes each datagram
+	// before returning, so one goroutine's sends reach the monitor in
+	// program order, none lost and none stale.
+	t.Run("send", func(t *testing.T) {
+		ep, err := transport.NewUDPNetwork(transport.UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		mm, err := NewMultiMonitor("127.0.0.1:0", WithPeer("p", ep.LocalAddr().String()), WithEta(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mm.Close()
+		if err := ep.AddPeer(multiMonitorID, mm.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		sender, err := ep.Attach(1, &neko.Base{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &neko.Message{From: 1, To: multiMonitorID, Type: neko.MsgHeartbeat}
+		paced(t, mm, func(seq int64) {
+			m.Seq, m.SentAt = seq, ep.Clock().Now()
+			sender.Send(m)
+		})
+		if st := ep.EgressStats(); st.Packets != total || st.SendErrors != 0 {
+			t.Errorf("sender wrote %d packets with %d errors, want %d/0", st.Packets, st.SendErrors, total)
+		}
+		if drops := mm.Stats().Ingest.KernelDrops; drops != 0 {
+			t.Errorf("%d kernel drops with at most 64 datagrams in flight", drops)
+		}
+	})
 }

@@ -9,8 +9,8 @@ import (
 // (drain cycles, pool misses, unknown-source discards, kernel drops).
 type IngestStats = transport.IngestStats
 
-// EgressStats is a snapshot of the batched send pipeline's health
-// counters (flushes, packets, syscalls saved, ring drops, send errors).
+// EgressStats is a snapshot of the send path's counters (datagrams
+// written, datagrams the socket refused).
 type EgressStats = transport.EgressStats
 
 // Stats is the unified monitor snapshot: one coherent, versionable read
@@ -23,7 +23,7 @@ type Stats struct {
 	Detector DetectorStats
 	// Ingest is the batched receive pipeline's health counters.
 	Ingest IngestStats
-	// Egress is the batched send pipeline's health counters.
+	// Egress is the send path's counters.
 	Egress EgressStats
 	// Scheduler aggregates the shard timing wheels the detector deadlines
 	// run on.

@@ -91,9 +91,8 @@ type HeartbeaterConfig struct {
 	Remote string
 	// Remotes are additional monitor addresses. With more than one remote
 	// in total the heartbeater runs a HeartbeaterGroup: every monitor gets
-	// its own η-grid, phase-staggered across the interval, and the grids
-	// drain through the transport's batched egress pipeline (one sendmmsg
-	// per flush) instead of one write syscall per monitor per cycle.
+	// its own η-grid, phase-staggered across the interval, which that
+	// monitor alone can retune (WithTargetDetection).
 	Remotes []string
 	// Eta is the sending period.
 	Eta time.Duration

@@ -1,10 +1,16 @@
 package wanfd
 
 import (
+	"fmt"
 	stdnet "net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"wanfd/internal/layers"
+	"wanfd/internal/neko"
+	"wanfd/internal/transport"
 )
 
 func TestPublicNames(t *testing.T) {
@@ -253,6 +259,91 @@ func TestUDPMonitorHeartbeaterIntegration(t *testing.T) {
 	// shard wheel, and the suspicion above is that wheel firing it.
 	if st := mon.Stats().Scheduler; st.Wheels == 0 || st.Fired == 0 {
 		t.Errorf("scheduler stats %+v after a suspicion, want live wheels and a fired deadline", st)
+	}
+}
+
+// countingEndpoint is a bare transport endpoint standing in for a monitor:
+// it counts the heartbeats that reach it and can send control messages.
+type countingEndpoint struct {
+	net        *transport.UDPNetwork
+	snd        neko.Sender
+	heartbeats atomic.Int64
+}
+
+func (c *countingEndpoint) Receive(m *neko.Message) {
+	if m.Type == neko.MsgHeartbeat {
+		c.heartbeats.Add(1)
+	}
+}
+
+func newCountingEndpoint(t *testing.T) *countingEndpoint {
+	t.Helper()
+	net, err := transport.NewUDPNetwork(transport.UDPConfig{LocalID: multiMonitorID, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &countingEndpoint{net: net}
+	if c.snd, err = net.Attach(multiMonitorID, c); err != nil {
+		net.Close()
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestHeartbeaterObeysSetIntervalPerMonitor pins the adaptable-period
+// command on both heartbeater forms: the monitor that sends MsgSetInterval
+// gets the new period, whether it is the only remote (layers.Heartbeater) or
+// one of two (layers.HeartbeaterGroup), and the other monitor keeps its η.
+// The heartbeater's goroutines are gone once it is closed.
+func TestHeartbeaterObeysSetIntervalPerMonitor(t *testing.T) {
+	const eta, fast, window = 200 * time.Millisecond, 20 * time.Millisecond, 1400 * time.Millisecond
+	for _, remotes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("remotes=%d", remotes), func(t *testing.T) {
+			mons := make([]*countingEndpoint, remotes)
+			addrs := make([]string, remotes)
+			for i := range mons {
+				mons[i] = newCountingEndpoint(t)
+				defer mons[i].net.Close()
+				addrs[i] = mons[i].net.LocalAddr().String()
+			}
+			before := runtime.NumGoroutine()
+			hb, err := RunHeartbeater(HeartbeaterConfig{
+				Listen: "127.0.0.1:0", Remote: addrs[0], Remotes: addrs[1:], Eta: eta,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hb.Close()
+			for _, m := range mons {
+				if err := m.net.AddPeer(udpHeartbeaterID, hb.LocalAddr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mons[0].snd.Send(&neko.Message{
+				From: multiMonitorID, To: udpHeartbeaterID,
+				Type: layers.MsgSetInterval, Seq: int64(fast),
+			})
+			base := make([]int64, remotes)
+			for i, m := range mons {
+				base[i] = m.heartbeats.Load()
+			}
+			time.Sleep(window)
+			// ~70 at the commanded 20 ms; 7 if the command was dropped.
+			if got := mons[0].heartbeats.Load() - base[0]; got < 40 {
+				t.Errorf("commanding monitor got %d heartbeats in %v after SetInterval(%v), want at least 40", got, window, fast)
+			}
+			if remotes == 2 {
+				if got := mons[1].heartbeats.Load() - base[1]; got < 5 || got > 9 {
+					t.Errorf("other monitor got %d heartbeats in %v, want ~7 (its η is still %v)", got, window, eta)
+				}
+			}
+			if err := hb.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !waitFor(t, time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+				t.Errorf("%d goroutines after Close, %d before RunHeartbeater", runtime.NumGoroutine(), before)
+			}
+		})
 	}
 }
 
