@@ -59,17 +59,17 @@ func TestMonitorScaleProfileWiring(t *testing.T) {
 	}
 }
 
-// TestMultiMonitorPinnedChurn churns peers through a monitor built with
-// PinDrivers, so the pinned shard drivers (LockOSThread +
-// sched_setaffinity on linux, thread-lock only elsewhere) run the
-// schedule/cancel races the churn produces. The CI race job runs this to
-// cover the pinning path under the race detector; the per-wheel detail
-// snapshot must also stay consistent with the aggregate.
-func TestMultiMonitorPinnedChurn(t *testing.T) {
+// TestMultiMonitorExpiryChurn churns peers through a monitor whose expiry
+// driver is running, so the driver takes real wake-ups amid the
+// schedule/cancel races the churn produces: every armed deadline is
+// accounted for, none survives its peer's removal, and the driver
+// goroutine is gone once the last one is stopped. The CI race job runs this
+// under the race detector; the per-wheel detail snapshot must also stay
+// consistent with the aggregate.
+func TestMultiMonitorExpiryChurn(t *testing.T) {
 	addrs := freeUDPPorts(t, 1)
-	mon, err := NewMultiMonitor(addrs[0],
-		WithEta(100*time.Millisecond),
-		WithPipeline(PipelineConfig{PinDrivers: true}))
+	before := goroutineBaseline()
+	mon, err := NewMultiMonitor(addrs[0], WithEta(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,11 @@ func TestMultiMonitorPinnedChurn(t *testing.T) {
 		if st := mon.SchedulerStats(); st.Timers != peers {
 			t.Fatalf("cycle %d: %d armed deadlines, want one per peer (%d)", c, st.Timers, peers)
 		}
-		// Let the pinned drivers take some wakeups mid-churn.
+		// Let the driver take some wake-ups mid-churn.
 		time.Sleep(20 * time.Millisecond)
+		if got := goroutinesSettle(before+2) - before; got != 2 {
+			t.Fatalf("cycle %d: %d goroutines above the baseline, want 2 (one reader, one expiry driver)", c, got)
+		}
 		detail := mon.SchedulerStatsDetail()
 		if len(detail) != len(mon.wheels) {
 			t.Fatalf("detail has %d wheels, monitor has %d", len(detail), len(mon.wheels))
@@ -118,6 +121,10 @@ func TestMultiMonitorPinnedChurn(t *testing.T) {
 		}
 		if st := mon.SchedulerStats(); st.Timers != 0 {
 			t.Fatalf("cycle %d: %d deadlines still armed after drain", c, st.Timers)
+		}
+		// The last Stop pokes the driver, which finds nothing queued.
+		if got := goroutinesSettle(before+1) - before; got != 1 {
+			t.Fatalf("cycle %d: %d goroutines above the baseline after the drain, want the reader alone", c, got)
 		}
 	}
 }

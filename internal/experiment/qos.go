@@ -66,9 +66,10 @@ type QoSConfig struct {
 	// SchedulerTick, when positive, runs the detectors' freshness timers
 	// on a sched.Wheel of that granularity layered over the virtual
 	// engine — the exact scheduler code the real cluster monitor uses, so
-	// simulated and production executions share the wheel path. Expiries
-	// are then quantized to tick boundaries (each deadline inflated by
-	// strictly less than one tick). Zero keeps the engine's exact heap
+	// simulated and production executions share the wheel path. The wheel
+	// fires a slot's earliest deadline at its exact instant; deadlines
+	// sharing a slot with an earlier one wait for the tick boundary (under
+	// one tick later, never early). Zero keeps the engine's exact heap
 	// scheduling.
 	SchedulerTick time.Duration
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,6 +72,58 @@ func BenchmarkSched1M(b *testing.B) {
 			if b.N > 1 {
 				b.ReportMetric(float64(st.SlotsSkipped)/float64(b.N), "slots_skipped/op")
 			}
+		})
+	}
+}
+
+// BenchmarkDriverStorm is the mass failure one driver fires serially and a
+// driver per wheel could have fired in parallel: 2^16 deadlines inside two
+// ticks, spread over 16 and over 64 wheels on one real-clock driver. One op
+// is one storm; ns/expiry is the span from the first callback to the last
+// over the deadlines fired, storm_ms the span from the first deadline to
+// the last callback (wake-up lateness included).
+func BenchmarkDriverStorm(b *testing.B) {
+	const deadlines = 1 << 16
+	for _, n := range []int{16, 64} {
+		b.Run(fmt.Sprintf("wheels=%d", n), func(b *testing.B) {
+			clk := sim.NewRealClock()
+			wheels := NewWheels(n, Config{Clock: clk, Tick: time.Millisecond})
+			defer func() {
+				for _, w := range wheels {
+					w.Close()
+				}
+			}()
+			var left, firstFired atomic.Int64
+			lastFired := make(chan time.Duration)
+			timers := make([]Rearmable, deadlines)
+			for i := range timers {
+				timers[i] = wheels[i%n].NewTimer(func() {
+					now := clk.Now()
+					firstFired.CompareAndSwap(0, int64(now))
+					if left.Add(-1) == 0 {
+						lastFired <- now
+					}
+				})
+			}
+			var firing, storm time.Duration
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				left.Store(deadlines)
+				firstFired.Store(0)
+				now := clk.Now()
+				// Far enough ahead that every deadline is armed before the
+				// first one is due.
+				first := now + 100*time.Millisecond
+				for i, tm := range timers {
+					tm.RescheduleAt(first+time.Duration(i)*2*time.Millisecond/deadlines, now)
+				}
+				last := <-lastFired
+				firing += last - time.Duration(firstFired.Load())
+				storm += last - first
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(firing)/float64(b.N)/deadlines, "ns/expiry")
+			b.ReportMetric(float64(storm)/float64(b.N)/1e6, "storm_ms")
 		})
 	}
 }

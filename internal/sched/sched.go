@@ -9,12 +9,19 @@
 // runtime timer heap is O(log n) per re-arm and every expiry spawns a
 // goroutine. The Wheel replaces all of that with O(1) schedule, cancel and
 // reschedule on intrusive doubly-linked slot lists, and batched slot
-// expiry on a single long-lived goroutine per wheel.
+// expiry on one goroutine for a whole set of wheels (NewWheels).
+//
+// A tick is a bucket, not a firing clock: a deadline is filed under the
+// tick that ends its slot, the slot is visited at the earliest deadline it
+// holds and once more at its boundary for whatever that visit left, and
+// nothing ever fires early. A deadline with its slot to itself therefore
+// fires at its exact instant; one sharing a slot with an earlier deadline
+// waits for the boundary, under one tick.
 //
 // The wheel is a sim.Clock, layered over another sim.Clock: over a
-// sim.RealClock it runs a dedicated driver goroutine; over the virtual
-// sim.Engine it schedules its slot wakeups as engine events. Either way
-// the scheduling, cascading and batch-expiry code is identical, so the
+// sim.RealClock the set's driver goroutine advances it; over the virtual
+// sim.Engine it schedules its wakeups as engine events. Either way the
+// scheduling, cascading and batch-expiry code is identical, so the
 // simulated and real executions of the paper's detectors share one code
 // path — the same duality the Neko framework gives the protocol layers.
 package sched
@@ -52,8 +59,8 @@ type Rearmable interface {
 	// read stamps a whole drain batch and every per-heartbeat re-arm rides
 	// on it. An at not after now fires as soon as possible. now must be a
 	// reading of this timer's clock; a slightly stale (monotone) reading
-	// is safe — the firing tick derives from at alone, so lag can only
-	// delay housekeeping, never fire the timer early.
+	// is safe — the slot and the wake-up derive from at alone, so lag can
+	// only delay housekeeping, never fire the timer early.
 	RescheduleAt(at, now time.Duration)
 }
 
@@ -79,8 +86,8 @@ func NewTimer(clk sim.Clock, fn func()) Rearmable {
 
 // retimer adapts a plain AfterFunc clock to the Rearmable shape by
 // stopping and recreating the underlying timer. It serves the clocks that
-// are not wheels: the sim.Engine, whose events must fire at their exact
-// instants rather than on a tick boundary, and an endpoint's RealClock for
+// are not wheels: the sim.Engine, whose every event fires at its exact
+// instant whatever shares its millisecond, and an endpoint's RealClock for
 // the sender-side timers (heartbeat grids, interval controllers). Every
 // real-network detector deadline runs on a Wheel.
 type retimer struct {

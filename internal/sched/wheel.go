@@ -3,7 +3,6 @@ package sched
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,18 +29,22 @@ const (
 	wheelSpan = fineSlots << coarseBits
 )
 
-// DefaultTick is the slot granularity used when Config.Tick is zero. One
-// millisecond keeps the worst-case deadline inflation (< one tick, see
-// DESIGN.md) three orders of magnitude under the paper's η = 1 s
-// heartbeat period.
+// DefaultTick is the slot granularity used when Config.Tick is zero: the
+// bucket width, not the firing clock. Only deadlines sharing a slot with an
+// earlier one wait for its boundary, and one millisecond bounds that wait
+// three orders of magnitude under the paper's η = 1 s heartbeat period.
 const DefaultTick = time.Millisecond
+
+// noWake is the wake instant of a wheel with nothing queued.
+const noWake = time.Duration(math.MaxInt64)
 
 // Config parameterizes a Wheel.
 type Config struct {
-	// Clock is the time source the wheel runs over. A *sim.RealClock gets
-	// a dedicated driver goroutine; any other sim.Clock (notably
-	// *sim.Engine) drives the wheel through that clock's own AfterFunc
-	// events, keeping virtual executions deterministic.
+	// Clock is the time source the wheel runs over. Wheels over a
+	// *sim.RealClock are advanced by a driver goroutine (one per NewWheels
+	// set); any other sim.Clock (notably *sim.Engine) drives the wheel
+	// through that clock's own AfterFunc events, keeping virtual
+	// executions deterministic.
 	Clock sim.Clock
 	// Tick is the slot granularity; DefaultTick when zero.
 	Tick time.Duration
@@ -56,12 +59,6 @@ type Config struct {
 	// armed.
 	FineSlots   int
 	CoarseSlots int
-	// PinCPU, when positive, pins the wheel's real-clock driver goroutine
-	// to CPU PinCPU-1 (runtime.LockOSThread + sched_setaffinity on linux;
-	// a no-op elsewhere), so a fleet of shard drivers stops migrating
-	// across the socket. Zero — the zero-value default — leaves the driver
-	// unpinned. Ignored in virtual mode, which has no driver goroutine.
-	PinCPU int
 }
 
 // Stats is a point-in-time snapshot of a wheel's counters.
@@ -87,15 +84,16 @@ type Stats struct {
 	// a slot list, thanks to the occupancy bitmaps; at sparse occupancy it
 	// dwarfs Fired.
 	SlotsSkipped uint64
-	// Wakeups counts driver advances (real-mode loop iterations or
-	// virtual-mode wake events). Coalescing parks the driver on the next
-	// occupied tick, so Wakeups stays proportional to occupied ticks, not
-	// elapsed ticks.
+	// Wakeups counts advances of this wheel (by the real-clock driver or a
+	// virtual-mode wake event). The wheel asks to be advanced at the
+	// earliest deadline of its earliest occupied slot and at most once
+	// more at that slot's boundary, so Wakeups stays proportional to
+	// occupied ticks, not elapsed ticks.
 	Wakeups uint64
 }
 
 // timerNode is the in-wheel state of one armed timer: the intrusive list
-// linkage, the list it is on, the quantized firing tick, the exact
+// linkage, the list it is on, the tick that buckets it, the exact
 // deadline, and the handle to fire. Nodes live in the wheel's arena only
 // while the timer is queued — Stop and expiry free the slot, Reschedule
 // reuses it — so at rest an idle timer costs only its handle.
@@ -139,8 +137,8 @@ type Wheel struct {
 	clk     sim.Clock
 	tick    time.Duration
 	onBatch func(int, time.Duration)
-	real    bool
-	pinCPU  int
+	// drv advances the wheel in real-clock mode; nil in virtual mode.
+	drv *driver
 
 	// Geometry, fixed at construction: slot counts and derived masks for
 	// both levels, the fine level's shift, and the total in-wheel span in
@@ -150,8 +148,12 @@ type Wheel struct {
 	cslots, cmask int64
 	span          int64
 
-	mu       sync.Mutex
-	cur      int64 // last processed tick
+	mu  sync.Mutex
+	cur int64 // last fully processed tick
+	// early is the tick of the slot in progress once a visit ahead of its
+	// boundary has fired from it: whatever the slot still holds, or is
+	// armed into it, waits for the boundary visit.
+	early    int64
 	nodes    *arena.Arena[timerNode]
 	fine     []timerList
 	coarse   []timerList
@@ -180,18 +182,15 @@ type Wheel struct {
 	maxSlot   int
 	closed    bool
 
-	// Real-clock mode: a lazy driver goroutine, parked on a time.Timer,
-	// kicked through notify when an earlier deadline arrives.
-	driving   bool
-	sleepTick int64
-	notify    chan struct{}
-
-	// Virtual mode: a single pending wakeup event on the host clock, and
-	// a reusable batch buffer (the engine delivers wakeups one at a time,
-	// so the buffer is never aliased across advances).
-	wake     sim.Timer
-	wakeTick int64
-	vbatch   []firing
+	// wakeAt is the instant the wheel has asked to be advanced at (noWake
+	// when nothing is queued): never later than its next due visit.
+	// Written under mu; the real-clock driver reads it without.
+	wakeAt atomic.Int64
+	// wake is the pending host-clock event behind wakeAt in virtual mode.
+	wake sim.Timer
+	// batch is the reusable fire buffer: one goroutine advances a wheel at
+	// a time, so it is never aliased across advances.
+	batch []firing
 }
 
 var (
@@ -199,9 +198,32 @@ var (
 	_ DeadlineClock = (*Wheel)(nil)
 )
 
-// NewWheel builds a wheel over cfg.Clock, aligned so tick 0 is the host
-// clock's current instant.
-func NewWheel(cfg Config) *Wheel {
+// NewWheel builds one wheel over cfg.Clock; over a real clock it has a
+// driver of its own.
+func NewWheel(cfg Config) *Wheel { return NewWheels(1, cfg)[0] }
+
+// NewWheels builds n wheels of one geometry over cfg.Clock. Over a
+// *sim.RealClock they share one lazily started driver goroutine, so a
+// sharded monitor expires all its deadlines on one goroutine; over a
+// virtual clock each wheel schedules its own wake events.
+func NewWheels(n int, cfg Config) []*Wheel {
+	wheels := make([]*Wheel, n)
+	for i := range wheels {
+		wheels[i] = newWheel(cfg)
+	}
+	if _, ok := cfg.Clock.(*sim.RealClock); ok {
+		d := &driver{clk: cfg.Clock, wheels: wheels, kick: make(chan struct{}, 1)}
+		d.sleepAt.Store(int64(noWake))
+		for _, w := range wheels {
+			w.drv = d
+		}
+	}
+	return wheels
+}
+
+// newWheel builds a driverless wheel aligned so tick 0 is the host
+// clock's epoch.
+func newWheel(cfg Config) *Wheel {
 	tick := cfg.Tick
 	if tick <= 0 {
 		tick = DefaultTick
@@ -221,7 +243,6 @@ func NewWheel(cfg Config) *Wheel {
 		clk:       cfg.Clock,
 		tick:      tick,
 		onBatch:   cfg.OnBatch,
-		pinCPU:    cfg.PinCPU,
 		fslots:    int64(fs),
 		fmask:     int64(fs - 1),
 		fbits:     uint(bits.TrailingZeros(uint(fs))),
@@ -234,11 +255,9 @@ func NewWheel(cfg Config) *Wheel {
 		fineOcc:   make([]uint64, (fs+63)/64),
 		coarseOcc: make([]uint64, (cs+63)/64),
 		overMin:   math.MaxInt64,
-		notify:    make(chan struct{}, 1),
 	}
-	_, w.real = cfg.Clock.(*sim.RealClock)
 	w.cur = w.tickFloor(w.clk.Now())
-	w.sleepTick = math.MaxInt64
+	w.wakeAt.Store(int64(noWake))
 	return w
 }
 
@@ -306,17 +325,10 @@ func (w *Wheel) Close() {
 	}
 	w.fineCnt, w.coarseCnt = 0, 0
 	w.scheduled = 0
-	if w.wake != nil {
-		w.wake.Stop()
-		w.wake = nil
-	}
-	kick := w.driving
+	w.cancelWakeLocked()
 	w.mu.Unlock()
-	if kick {
-		select {
-		case w.notify <- struct{}{}:
-		default:
-		}
+	if w.drv != nil {
+		w.drv.poke(false)
 	}
 }
 
@@ -340,9 +352,8 @@ func (w *Wheel) tickFloor(at time.Duration) int64 {
 	return int64(at / w.tick)
 }
 
-// tickCeil maps a deadline to the first tick boundary at or after it, so
-// a timer never fires early: the wheel inflates a deadline by strictly
-// less than one tick.
+// tickCeil maps a deadline to the first tick boundary at or after it: the
+// tick whose slot buckets the deadline, and the latest instant it fires.
 func (w *Wheel) tickCeil(at time.Duration) int64 {
 	if at <= 0 {
 		return 0
@@ -419,7 +430,9 @@ func (w *Wheel) dequeueLocked(idx arena.Index, n *timerNode) {
 
 // placeLocked links a node into the level its deadline tick falls in: due
 // (already expired), fine (within the fine window), coarse (within the
-// wheel span), or overflow.
+// wheel span), or overflow. A coarse slot holds the ticks (B, B+fslots]
+// behind one wrap boundary B, so its flush at B lands every one of them in
+// a fine slot before that slot's first deadline.
 func (w *Wheel) placeLocked(idx arena.Index, n *timerNode) {
 	var lid int32
 	switch delta := n.tk - w.cur; {
@@ -428,7 +441,7 @@ func (w *Wheel) placeLocked(idx arena.Index, n *timerNode) {
 	case delta <= w.fslots:
 		lid = lidFine0 + int32(n.tk&w.fmask)
 	case delta <= w.span:
-		lid = lidFine0 + int32(w.fslots) + int32((n.tk>>w.fbits)&w.cmask)
+		lid = lidFine0 + int32(w.fslots) + int32(((n.tk-1)>>w.fbits)&w.cmask)
 	default:
 		lid = lidOverflow
 	}
@@ -472,21 +485,52 @@ func (w *Wheel) cascadeLocked() {
 	w.overMin = newMin
 }
 
-// drainLocked moves every timer on l into the batch, capturing generation
-// and deadline under the lock, and frees the nodes.
+// expireLocked moves one queued timer into the batch, capturing generation
+// and deadline under the lock, and frees its node.
+func (w *Wheel) expireLocked(idx arena.Index, n *timerNode, batch []firing) []firing {
+	t, at := n.t, n.at
+	w.dequeueLocked(idx, n)
+	w.nodes.Free(idx)
+	t.node = arena.Nil
+	w.scheduled--
+	w.fired++
+	return append(batch, firing{t: t, gen: t.gen.Load(), at: at})
+}
+
+// drainLocked expires every timer on l, in list order.
 func (w *Wheel) drainLocked(l *timerList, batch []firing) []firing {
 	for !l.Empty() {
 		idx := l.Head()
-		n := w.nodes.Get(idx)
-		t, at := n.t, n.at
-		w.dequeueLocked(idx, n)
-		w.nodes.Free(idx)
-		t.node = arena.Nil
-		w.scheduled--
-		w.fired++
-		batch = append(batch, firing{t: t, gen: t.gen.Load(), at: at})
+		batch = w.expireLocked(idx, w.nodes.Get(idx), batch)
 	}
 	return batch
+}
+
+// drainDueLocked expires the timers on l whose deadline is not after now,
+// in list order, and leaves the rest queued.
+func (w *Wheel) drainDueLocked(l *timerList, now time.Duration, batch []firing) []firing {
+	for idx := l.Head(); idx != arena.Nil; {
+		n := w.nodes.Get(idx)
+		next := n.link.Next()
+		if n.at <= now {
+			batch = w.expireLocked(idx, n, batch)
+		}
+		idx = next
+	}
+	return batch
+}
+
+// earliestLocked returns the earliest deadline queued on the non-empty l.
+func (w *Wheel) earliestLocked(l *timerList) time.Duration {
+	best := noWake
+	for idx := l.Head(); idx != arena.Nil; {
+		n := w.nodes.Get(idx)
+		if n.at < best {
+			best = n.at
+		}
+		idx = n.link.Next()
+	}
+	return best
 }
 
 // nextFineTickLocked scans the fine occupancy bitmap for the first
@@ -516,12 +560,16 @@ func (w *Wheel) nextFineTickLocked(hi int64) (int64, bool) {
 	}
 }
 
-// advanceLocked processes every tick up to target, cascading at fine-wheel
-// wraps, and collects expired timers in slot order (insertion order within
-// a slot, so same-deadline timers fire in schedule order, matching the
-// engine's FIFO tie-break). Empty stretches are crossed through the
-// occupancy bitmaps without touching a slot list.
-func (w *Wheel) advanceLocked(target int64, batch []firing) []firing {
+// advanceLocked processes every tick whose boundary now has reached,
+// cascading at fine-wheel wraps, and collects expired timers in slot order
+// (insertion order within a slot, so same-deadline timers fire in schedule
+// order, matching the engine's FIFO tie-break). Empty stretches are
+// crossed through the occupancy bitmaps without touching a slot list. From
+// the slot in progress it then takes the deadlines now has passed, once:
+// what that visit leaves behind fires at the boundary, so a slot is
+// fired from at most twice and a storm still expires as a batch.
+func (w *Wheel) advanceLocked(now time.Duration, batch []firing) []firing {
+	target := w.tickFloor(now)
 	batch = w.drainLocked(&w.due, batch)
 	for w.cur < target {
 		if w.fineCnt == 0 && w.coarseCnt == 0 && w.overflow.Empty() {
@@ -557,12 +605,20 @@ func (w *Wheel) advanceLocked(target int64, batch []firing) []firing {
 		if segEnd > target {
 			break
 		}
-		// Cross the wrap boundary: cascade, then drain anything the
-		// cascade surfaced as due and the boundary tick's own slot.
+		// Cross the wrap boundary: drain the boundary tick's own slot,
+		// which the cascade is about to refill with the tick one fine
+		// window on, then cascade and drain anything it surfaced as due.
 		w.cur = segEnd
+		batch = w.drainLocked(&w.fine[w.cur&w.fmask], batch)
 		w.cascadeLocked()
 		batch = w.drainLocked(&w.due, batch)
-		batch = w.drainLocked(&w.fine[w.cur&w.fmask], batch)
+	}
+	if p := target + 1; w.cur == target && p != w.early {
+		before := len(batch)
+		batch = w.drainDueLocked(&w.fine[p&w.fmask], now, batch)
+		if len(batch) > before {
+			w.early = p
+		}
 	}
 	return batch
 }
@@ -595,19 +651,20 @@ func (w *Wheel) nextCoarseFlushLocked() (int64, bool) {
 	return (w.cur &^ w.fmask) + w.fslots, true
 }
 
-// nextWakeLocked reports the next tick the wheel must be driven at, or
-// false when nothing is queued. Fine-window deadlines are exact (each
-// fine slot holds a single deadline tick at a time); the coarse level
-// needs a wakeup only at the wrap that flushes its earliest occupied
+// nextWakeLocked reports the next instant the wheel must be advanced at,
+// or noWake when nothing is queued. The earliest occupied fine slot (each
+// holds a single deadline tick at a time) is visited at its earliest
+// deadline, or at its boundary once it has been fired from; the coarse
+// level needs a wakeup only at the wrap that flushes its earliest occupied
 // slot, and the overflow list only at the wrap that first admits its
 // earliest deadline into the span — idle wraps in between are slept
 // through entirely.
-func (w *Wheel) nextWakeLocked() (int64, bool) {
+func (w *Wheel) nextWakeLocked() time.Duration {
 	if w.scheduled == 0 {
-		return 0, false
+		return noWake
 	}
 	if !w.due.Empty() {
-		return w.cur, true
+		return time.Duration(w.cur) * w.tick
 	}
 	best := int64(-1)
 	if w.fineCnt > 0 {
@@ -626,6 +683,7 @@ func (w *Wheel) nextWakeLocked() (int64, bool) {
 			w.cur = save
 		}
 	}
+	fine := best // the earliest occupied fine tick, -1 when there is none
 	if flush, ok := w.nextCoarseFlushLocked(); ok && (best == -1 || flush < best) {
 		best = flush
 	}
@@ -644,7 +702,13 @@ func (w *Wheel) nextWakeLocked() (int64, bool) {
 		// the next tick rather than sleeping forever.
 		best = w.cur + 1
 	}
-	return best, true
+	at := time.Duration(best) * w.tick
+	if fine != -1 && fine != w.early {
+		if e := w.earliestLocked(&w.fine[fine&w.fmask]); e < at {
+			at = e
+		}
+	}
+	return at
 }
 
 // fireBatch invokes the collected callbacks with no locks held. A timer
@@ -675,106 +739,58 @@ func (w *Wheel) fireBatch(batch []firing, collectedAt time.Duration) {
 	}
 }
 
-// drive is the real-clock driver loop: advance, fire, sleep until the
-// next deadline or a kick. It exits when the wheel empties (or closes)
-// and is respawned by the next schedule, so an idle wheel costs zero
-// goroutines. With Config.PinCPU set the loop runs locked to one OS
-// thread, pinned to its CPU for its whole lifetime.
-func (w *Wheel) drive() {
-	if w.pinCPU > 0 {
-		runtime.LockOSThread()
-		// Pin failures (shrunk cpuset, exotic kernel) are not fatal: the
-		// driver just runs unpinned, exactly as on non-linux builds.
-		_ = pinThread(w.pinCPU - 1)
-		defer runtime.UnlockOSThread()
-	}
-	var batch []firing
-	for {
-		w.mu.Lock()
-		if w.closed {
-			w.driving = false
-			w.mu.Unlock()
-			return
-		}
-		now := w.clk.Now()
-		w.wakeups++
-		batch = w.advanceLocked(w.tickFloor(now), batch[:0])
-		if len(batch) > 0 {
-			w.batches++
-		}
-		next, ok := w.nextWakeLocked()
-		if !ok && len(batch) == 0 {
-			w.driving = false
-			w.mu.Unlock()
-			return
-		}
-		if ok {
-			w.sleepTick = next
-		} else {
-			// Nothing queued but a batch to fire: its callbacks may
-			// schedule, so loop again after firing.
-			w.sleepTick = math.MaxInt64
-		}
-		w.mu.Unlock()
-		w.fireBatch(batch, now)
-		if !ok {
-			continue
-		}
-		d := time.Duration(next)*w.tick - w.clk.Now()
-		if d <= 0 {
-			continue
-		}
-		tmr := time.NewTimer(d)
-		select {
-		case <-tmr.C:
-		case <-w.notify:
-			tmr.Stop()
-		}
-	}
-}
-
-// onWake is the virtual-mode driver: the host clock delivers the wheel's
-// single pending wakeup event, the wheel advances to the event's tick,
-// fires, and re-arms for the next deadline.
-func (w *Wheel) onWake() {
+// advance is the one expiry step of both modes, run by the real-clock
+// driver or by the virtual wake event: collect what is due, ask for the
+// next wake, and fire with the lock released.
+func (w *Wheel) advance() {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return
 	}
-	w.wake = nil
+	w.cancelWakeLocked() // the request being served
 	now := w.clk.Now()
 	w.wakeups++
-	batch := w.advanceLocked(w.tickFloor(now), w.vbatch[:0])
-	w.vbatch = batch // keep the grown buffer for the next wake
+	batch := w.advanceLocked(now, w.batch[:0])
+	w.batch = batch // keep the grown buffer for the next advance
 	if len(batch) > 0 {
 		w.batches++
 	}
-	if next, ok := w.nextWakeLocked(); ok {
-		w.armWakeLocked(next)
-	}
+	// The driver needs no poke: it is the caller.
+	w.requestWakeLocked(w.nextWakeLocked())
 	w.mu.Unlock()
 	w.fireBatch(batch, now)
 }
 
-// armWakeLocked ensures a host-clock wakeup at tk, replacing a later
-// pending wakeup. tk may lie many wraps ahead: the advance loop crosses
-// the intervening (provably empty) segments through the bitmaps, so the
-// old one-wrap bound on a wakeup's work is no longer needed and idle
-// wraps cost no events at all.
-func (w *Wheel) armWakeLocked(tk int64) {
+// requestWakeLocked makes sure the wheel is advanced no later than at. In
+// virtual mode it arms the host-clock event itself, replacing a later one
+// (the advance loop crosses any idle wraps before at through the bitmaps,
+// so one event serves however far ahead at lies). In real mode it reports
+// whether the driver must be poked because it is asleep past at.
+func (w *Wheel) requestWakeLocked(at time.Duration) (poke bool) {
+	if at >= time.Duration(w.wakeAt.Load()) {
+		return false
+	}
+	w.wakeAt.Store(int64(at))
+	if w.drv != nil {
+		return at < time.Duration(w.drv.sleepAt.Load())
+	}
 	if w.wake != nil {
-		if w.wakeTick <= tk {
-			return
-		}
 		w.wake.Stop()
 	}
-	w.wakeTick = tk
-	d := time.Duration(tk)*w.tick - w.clk.Now()
-	if d < 0 {
-		d = 0
+	// An instant already past makes a negative delay, which every
+	// sim.Clock fires at once.
+	w.wake = w.clk.AfterFunc(at-w.clk.Now(), w.advance)
+	return false
+}
+
+// cancelWakeLocked withdraws the wheel's pending wake request.
+func (w *Wheel) cancelWakeLocked() {
+	w.wakeAt.Store(int64(noWake))
+	if w.wake != nil {
+		w.wake.Stop()
+		w.wake = nil
 	}
-	w.wake = w.clk.AfterFunc(d, w.onWake)
 }
 
 // Timer is a rearmable wheel timer handle. Its in-wheel state lives in
@@ -815,7 +831,7 @@ func (t *Timer) Reschedule(d time.Duration) {
 
 // RescheduleAt re-arms the timer to fire at the absolute instant at,
 // reusing the caller's clock reading now instead of reading the clock
-// again. The firing tick derives from at alone, so a slightly stale
+// again. The bucket and the wake request derive from at alone, so a stale
 // (monotone) now can only make the empty-wheel fast-forward less
 // aggressive — the timer never fires early. An at not after now fires as
 // soon as possible.
@@ -831,7 +847,7 @@ func (t *Timer) RescheduleAt(at, now time.Duration) {
 
 // rescheduleLocked places the timer for the absolute deadline at, with now
 // the caller's reading of the wheel clock. Called with w.mu held; releases
-// it (and delivers the driver kick outside the lock).
+// it (and pokes the driver outside the lock).
 func (t *Timer) rescheduleLocked(at, now time.Duration) {
 	w := t.w
 	t.gen.Add(1)
@@ -864,23 +880,10 @@ func (t *Timer) rescheduleLocked(at, now time.Duration) {
 	}
 	w.placeLocked(idx, n)
 	w.scheduled++
-	kick := false
-	if w.real {
-		if !w.driving {
-			w.driving = true
-			go w.drive()
-		} else if n.tk <= w.cur || n.tk < w.sleepTick {
-			kick = true
-		}
-	} else {
-		w.armWakeLocked(n.tk)
-	}
+	poke := w.requestWakeLocked(at)
 	w.mu.Unlock()
-	if kick {
-		select {
-		case w.notify <- struct{}{}:
-		default:
-		}
+	if poke {
+		w.drv.poke(true)
 	}
 }
 
@@ -903,23 +906,14 @@ func (t *Timer) Stop() bool {
 	t.node = arena.Nil
 	w.scheduled--
 	empty := w.scheduled == 0
-	kick := false
 	if empty {
-		if w.real {
-			// Wake a parked driver so it notices the wheel emptied and
-			// exits instead of sleeping out its timer.
-			kick = w.driving
-		} else if w.wake != nil {
-			w.wake.Stop()
-			w.wake = nil
-		}
+		w.cancelWakeLocked()
 	}
 	w.mu.Unlock()
-	if kick {
-		select {
-		case w.notify <- struct{}{}:
-		default:
-		}
+	if empty && w.drv != nil {
+		// Wake a parked driver so it notices the wheel emptied and can
+		// exit instead of sleeping out its timer.
+		w.drv.poke(false)
 	}
 	return true
 }

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +70,9 @@ func TestEngineEquivalenceWideGeometry(t *testing.T) {
 		traceOp{label: "wide-coarse-edge", delay: wfs * wcs * tick},
 		traceOp{label: "wide-overflow", delay: (wfs*wcs + 999) * tick},
 		traceOp{label: "wide-moved", delay: 2 * wfs * tick, rescheduleAt: wfs * tick, rescheduleTo: wfs * wcs * tick},
+		traceOp{label: "wide-off-wrap-slot", delay: 3*wfs*tick - 2*tick/5},
+		traceOp{label: "wide-off-coarse", delay: (wfs+300)*tick + tick/7, chain: 2*tick + tick/3},
+		traceOp{label: "wide-off-overflow", delay: (wfs*wcs+5000)*tick + tick/2},
 	)
 
 	heapEng := sim.NewEngine()
@@ -257,96 +262,148 @@ func TestConcurrentCancelWhileCascading(t *testing.T) {
 	}
 }
 
-// TestPinnedDriver runs a real-clock wheel with PinCPU set: on linux the
-// driver thread is affined to that CPU, elsewhere (and when the pin
-// fails) it degrades to an unpinned locked thread — either way timers
-// must keep firing.
-func TestPinnedDriver(t *testing.T) {
-	cpus := OnlineCPUs()
-	if len(cpus) == 0 {
-		t.Fatal("OnlineCPUs returned no CPUs")
+// TestDenseSlotProperties arms many distinct deadlines inside single ticks
+// of a virtual wheel (fixed seed set) and checks the two-visit contract:
+// no timer fires before its deadline or after its tick boundary, a slot's
+// earliest deadline fires exactly at its instant, a slot is fired from at
+// no more than two instants, equal deadlines keep their arming order, and
+// — for slots inside the fine window, where no cascade wake-up mixes in —
+// the wheel is advanced at most twice per occupied slot.
+func TestDenseSlotProperties(t *testing.T) {
+	const tick = time.Millisecond
+	type armed struct {
+		at, firedAt time.Duration
+		order       int // position in the global firing sequence
 	}
-	clk := sim.NewRealClock()
-	w := NewWheel(Config{Clock: clk, Tick: time.Millisecond, PinCPU: cpus[0] + 1})
-	defer w.Close()
-	done := make(chan struct{})
-	w.AfterFunc(2*time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("pinned driver never fired")
-	}
-	waitWheelEmpty(t, w)
-}
-
-// TestPinnedDriverBadCPU asks for a CPU beyond the affinity mask: the pin
-// fails, the driver falls back to running unpinned, and dispatch still
-// works — the documented degradation for shrunk cpusets and non-linux
-// builds.
-func TestPinnedDriverBadCPU(t *testing.T) {
-	clk := sim.NewRealClock()
-	w := NewWheel(Config{Clock: clk, Tick: time.Millisecond, PinCPU: 1 << 20})
-	defer w.Close()
-	done := make(chan struct{})
-	w.AfterFunc(2*time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("driver with failed pin never fired")
-	}
-	waitWheelEmpty(t, w)
-}
-
-// TestParseCPUList covers the kernel cpulist grammar used for topology
-// discovery.
-func TestParseCPUList(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-		err  bool
-	}{
-		{in: "0", want: []int{0}},
-		{in: "0-3", want: []int{0, 1, 2, 3}},
-		{in: "0,2-4,7", want: []int{0, 2, 3, 4, 7}},
-		{in: "", want: nil},
-		{in: "x", err: true},
-		{in: "1-", err: true},
-	}
-	for _, tc := range cases {
-		got, err := parseCPUList(tc.in)
-		if tc.err {
-			if err == nil {
-				t.Errorf("parseCPUList(%q) = %v, want error", tc.in, got)
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, level := range []struct {
+			name   string
+			lo, hi int64 // slot ticks are drawn from [lo, hi)
+			fine   bool
+		}{
+			{"fine", 2, fineSlots, true},
+			{"outer", fineSlots + 1, wheelSpan + 4*fineSlots, false},
+		} {
+			rng := rand.New(rand.NewSource(seed))
+			eng := sim.NewEngine()
+			w := NewWheel(Config{Clock: eng, Tick: tick})
+			slots := map[int64][]*armed{}
+			fired := 0
+			for len(slots) < 24 {
+				tk := level.lo + rng.Int63n(level.hi-level.lo)
+				if slots[tk] != nil {
+					continue
+				}
+				for n := 2 + rng.Intn(40); n > 0; n-- {
+					// Offsets in (0, tick]: the boundary itself included,
+					// and a small range so that equal deadlines occur.
+					a := &armed{at: time.Duration(tk-1)*tick + time.Duration(1+rng.Intn(50))*tick/50, firedAt: -1}
+					slots[tk] = append(slots[tk], a)
+					w.AfterFunc(a.at, func() { a.firedAt, a.order = eng.Now(), fired; fired++ })
+				}
 			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseCPUList(%q): %v", tc.in, err)
-			continue
-		}
-		if len(got) != len(tc.want) {
-			t.Errorf("parseCPUList(%q) = %v, want %v", tc.in, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("parseCPUList(%q) = %v, want %v", tc.in, got, tc.want)
-				break
+			if err := eng.RunAll(); err != nil {
+				t.Fatal(err)
 			}
+			for tk, as := range slots {
+				earliest := as[0]
+				instants := map[time.Duration]bool{}
+				for i, a := range as {
+					if a.firedAt < a.at || a.firedAt > time.Duration(tk)*tick {
+						t.Errorf("seed %d %s slot %d: deadline %v fired at %v, want within [deadline, %v]",
+							seed, level.name, tk, a.at, a.firedAt, time.Duration(tk)*tick)
+					}
+					if a.at < earliest.at {
+						earliest = a
+					}
+					instants[a.firedAt] = true
+					for _, b := range as[:i] {
+						if b.at == a.at && b.order > a.order {
+							t.Errorf("seed %d %s slot %d: equal deadlines %v fired out of arming order", seed, level.name, tk, a.at)
+						}
+					}
+				}
+				if earliest.firedAt != earliest.at {
+					t.Errorf("seed %d %s slot %d: earliest deadline %v fired at %v, want exactly on time",
+						seed, level.name, tk, earliest.at, earliest.firedAt)
+				}
+				if len(instants) > 2 {
+					t.Errorf("seed %d %s slot %d: fired at %d distinct instants, want at most 2", seed, level.name, tk, len(instants))
+				}
+			}
+			if st := w.Stats(); level.fine && st.Wakeups > uint64(2*len(slots)) {
+				t.Errorf("seed %d: %d wake-ups for %d occupied slots, want at most two each", seed, st.Wakeups, len(slots))
+			}
+			checkWheelConsistency(t, w)
 		}
 	}
 }
 
-// TestOnlineCPUs checks discovery returns a non-empty ascending id list on
-// every platform (sysfs on linux, the NumCPU fallback elsewhere).
-func TestOnlineCPUs(t *testing.T) {
-	cpus := OnlineCPUs()
-	if len(cpus) == 0 {
-		t.Fatal("no online CPUs reported")
+// driverGoroutines counts the goroutines running a wheel driver loop.
+func driverGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "sched.(*driver).run")
+}
+
+// waitDrivers polls until exactly want driver goroutines exist.
+func waitDrivers(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for driverGoroutines() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d driver goroutines, want %d", driverGoroutines(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	for i := 1; i < len(cpus); i++ {
-		if cpus[i] <= cpus[i-1] {
-			t.Fatalf("CPU ids not ascending: %v", cpus)
+}
+
+// TestSharedDriverLifecycle runs eight real-clock wheels on their one
+// driver: no goroutine exists before the first arm, exactly one while any
+// wheel holds a deadline, none once the last deadline has fired or been
+// stopped — and a deadline armed on one wheel while the driver sleeps on
+// another wheel's far-off one is not slept through. Run under -race in CI.
+func TestSharedDriverLifecycle(t *testing.T) {
+	waitDrivers(t, 0) // earlier tests' drivers wind down on their own
+	wheels := NewWheels(8, Config{Clock: sim.NewRealClock(), Tick: time.Millisecond})
+	defer func() {
+		for _, w := range wheels {
+			w.Close()
+		}
+	}()
+	if n := driverGoroutines(); n != 0 {
+		t.Fatalf("%d driver goroutines before any timer was armed", n)
+	}
+
+	var wg sync.WaitGroup
+	for i, w := range wheels {
+		wg.Add(1)
+		w.AfterFunc(time.Duration(20+i)*time.Millisecond+137*time.Microsecond, wg.Done)
+	}
+	waitDrivers(t, 1)
+	wg.Wait()
+	waitDrivers(t, 0)
+
+	// The driver parks on wheel 0's far-off deadline; wheel 5 is then armed
+	// with a near one. Its poke must reach the sleeping driver.
+	far := wheels[0].AfterFunc(time.Hour, func() { t.Error("far-off timer fired") })
+	waitDrivers(t, 1)
+	near := make(chan struct{})
+	wheels[5].AfterFunc(2*time.Millisecond, func() { close(near) })
+	select {
+	case <-near:
+	case <-time.After(5 * time.Second):
+		t.Fatal("deadline armed on another wheel than the one slept on was lost")
+	}
+	if n := driverGoroutines(); n != 1 {
+		t.Fatalf("%d driver goroutines with one deadline left, want 1", n)
+	}
+	if !far.Stop() {
+		t.Fatal("Stop on the queued far-off timer returned false")
+	}
+	waitDrivers(t, 0)
+	for i, w := range wheels {
+		if n := w.Stats().Scheduled; n != 0 {
+			t.Errorf("wheel %d: %d timers left queued", i, n)
 		}
 	}
 }

@@ -43,11 +43,22 @@ type traceOp struct {
 
 // equivalenceTrace exercises every wheel level: due, fine, fine-boundary,
 // coarse, overflow, ties within a slot, cancels, reschedules, and
-// callback-driven chains. All delays are multiples of the tick so the
-// wheel's ceil quantization is exact and both schedulers must agree to
-// the nanosecond.
+// callback-driven chains — on tick boundaries, where a slot may be shared,
+// and off them (the "off-" ops: fine, coarse, a wrap boundary's own slot,
+// overflow, re-armed and chained), where each deadline has its slot to
+// itself and so is the slot's earliest. A slot's earliest deadline fires at
+// its own instant, so both schedulers must agree to the nanosecond;
+// TestDenseSlotProperties covers deadlines that share a slot off-boundary.
 func equivalenceTrace(tick time.Duration) []traceOp {
 	return []traceOp{
+		{label: "off-fine", delay: 3*tick + tick/4},
+		{label: "off-coarse", delay: 700*tick + tick/3},
+		{label: "off-wrap-slot", delay: 2*fineSlots*tick - 2*tick/5},
+		{label: "off-after-wrap", delay: 2*fineSlots*tick + tick/10},
+		{label: "off-overflow", delay: (wheelSpan+2000)*tick + 7*tick/9},
+		{label: "off-cancelled", delay: 95*tick + tick/3, cancelAt: 50 * tick},
+		{label: "off-moved", delay: 20*tick + tick/2, rescheduleAt: 10 * tick, rescheduleTo: 123*tick + 4*tick/9},
+		{label: "off-chain", delay: 150*tick + tick/10, chain: 17*tick + tick/20},
 		{label: "zero", delay: 0},
 		{label: "one-tick", delay: tick},
 		{label: "fine-a", delay: 7 * tick},
@@ -366,6 +377,13 @@ func TestWheelTimerViaNewTimer(t *testing.T) {
 	}
 }
 
+// driverRunning reports whether the wheel's driver goroutine exists.
+func driverRunning(w *Wheel) bool {
+	w.drv.mu.Lock()
+	defer w.drv.mu.Unlock()
+	return w.drv.running
+}
+
 // waitWheelEmpty polls until no timers remain and the real-mode driver
 // has parked, failing the test after a generous deadline.
 func waitWheelEmpty(t *testing.T, w *Wheel) {
@@ -373,10 +391,7 @@ func waitWheelEmpty(t *testing.T, w *Wheel) {
 	deadline := time.NewTimer(5 * time.Second)
 	defer deadline.Stop()
 	for {
-		w.mu.Lock()
-		idle := w.scheduled == 0 && !w.driving
-		w.mu.Unlock()
-		if idle {
+		if w.Stats().Scheduled == 0 && !driverRunning(w) {
 			return
 		}
 		select {
@@ -394,10 +409,7 @@ func waitWheelEmpty(t *testing.T, w *Wheel) {
 func TestRealDriverLifecycle(t *testing.T) {
 	w := NewWheel(Config{Clock: sim.NewRealClock(), Tick: time.Millisecond})
 	defer w.Close()
-	w.mu.Lock()
-	driving := w.driving
-	w.mu.Unlock()
-	if driving {
+	if driverRunning(w) {
 		t.Fatal("driver running before any timer was scheduled")
 	}
 

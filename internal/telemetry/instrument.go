@@ -51,7 +51,7 @@ const (
 	MetricSchedMaxSlot  = "wanfd_sched_max_slot_occupancy"
 	MetricSchedBatchLag = "wanfd_sched_batch_lag_seconds"
 	// Occupancy-bitmap instrumentation: slots the skip-scan crossed
-	// without probing, driver advances after wakeup coalescing, and the
+	// without probing, wheel advances by the monitor's expiry driver, and the
 	// per-level occupied-slot / overflow gauges the skips derive from.
 	MetricSchedSlotsSkipped   = "wanfd_sched_slots_skipped_total"
 	MetricSchedWakeups        = "wanfd_sched_wakeups_total"

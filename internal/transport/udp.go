@@ -81,7 +81,7 @@ type UDPNetwork struct {
 	epochNano int64
 	clk       *sim.RealClock
 	// timers schedules the endpoint's own deadlines (the SyncWith round
-	// timeout) on the shared timing wheel. Its driver goroutine is lazy:
+	// timeout) on a timing wheel of its own. Its driver goroutine is lazy:
 	// an endpoint that never syncs never starts it.
 	timers *sched.Wheel
 

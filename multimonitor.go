@@ -129,8 +129,8 @@ type MultiMonitor struct {
 	shards    []peerShard
 	shardMask uint64
 	// wheels are the per-shard timing wheels all peer deadlines run on:
-	// shard i's detectors schedule on wheels[i], so the whole cluster
-	// expires timers on at most len(shards) lazy driver goroutines.
+	// shard i's detectors schedule on wheels[i], and one lazily started
+	// driver goroutine expires the deadlines of all of them.
 	wheels []*sched.Wheel
 
 	// Cluster-level telemetry; every field is nil (a no-op) when the
@@ -199,31 +199,15 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	var onBatch func(int, time.Duration)
 	if reg := o.telemetry; reg != nil {
 		lag := reg.Histogram(telemetry.MetricSchedBatchLag,
-			"Lag between the earliest deadline in an expiry batch and its collection.", nil)
-		// Histogram.Observe is lock-free, so concurrent shard drivers
-		// may share one series.
+			"Lateness of an expiry batch: its collection minus its earliest deadline, i.e. how late the driver woke (plus, for a deadline sharing a wheel slot with an earlier one, its wait of under one tick for the slot's boundary visit).", nil)
 		onBatch = func(_ int, l time.Duration) { lag.Observe(l.Seconds()) }
 	}
-	var cpus []int
-	if o.pinDrivers {
-		cpus = sched.OnlineCPUs()
-	}
-	mm.wheels = make([]*sched.Wheel, prof.shards)
-	for i := range mm.wheels {
-		cfg := sched.Config{
-			Clock:       net.Clock(),
-			OnBatch:     onBatch,
-			FineSlots:   prof.fineSlots,
-			CoarseSlots: prof.coarseSlots,
-		}
-		if len(cpus) > 0 {
-			// Stripe shard drivers round-robin over the online CPUs so
-			// the widest profiles (64 wheels) spread across the socket
-			// and each driver stays put between wakeups.
-			cfg.PinCPU = cpus[i%len(cpus)] + 1
-		}
-		mm.wheels[i] = sched.NewWheel(cfg)
-	}
+	mm.wheels = sched.NewWheels(prof.shards, sched.Config{
+		Clock:       net.Clock(),
+		OnBatch:     onBatch,
+		FineSlots:   prof.fineSlots,
+		CoarseSlots: prof.coarseSlots,
+	})
 	if reg := o.telemetry; reg != nil {
 		reg.GaugeFunc(telemetry.MetricSchedTimers,
 			"Deadlines currently queued across the shard timing wheels.",
@@ -241,7 +225,7 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 			"Empty wheel slots crossed by bitmap skip-scan instead of probing.",
 			func() float64 { return float64(mm.SchedulerStats().SlotsSkipped) })
 		reg.CounterFunc(telemetry.MetricSchedWakeups,
-			"Shard driver advances (coalesced to occupied ticks).",
+			"Shard wheel advances by the expiry driver: one at an occupied slot's earliest deadline, at most one more at its tick boundary.",
 			func() float64 { return float64(mm.SchedulerStats().Wakeups) })
 		reg.GaugeFunc(telemetry.MetricSchedFineOccupied,
 			"Fine-level wheel slots currently holding deadlines, summed over shards.",
@@ -427,8 +411,9 @@ type SchedulerStats struct {
 	CoarseSlotsOccupied int
 	OverflowTimers      int
 	// SlotsSkipped counts empty slots the bitmap skip-scan crossed without
-	// probing; Wakeups counts driver advances after coalescing to occupied
-	// ticks.
+	// probing; Wakeups counts wheel advances by the expiry driver (an
+	// occupied slot costs one at its earliest deadline and at most one more
+	// at its boundary).
 	SlotsSkipped uint64
 	Wakeups      uint64
 }

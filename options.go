@@ -50,9 +50,6 @@ type options struct {
 	// expectedPeers sizes the cluster monitor's scale profile (see
 	// PipelineConfig.ExpectedPeers); zero selects the default geometry.
 	expectedPeers int
-	// pinDrivers pins the shard wheel driver goroutines to CPUs (see
-	// PipelineConfig.PinDrivers); the zero value leaves them unpinned.
-	pinDrivers bool
 }
 
 // scaleProfile is the geometry a cluster monitor derives from the
@@ -157,10 +154,16 @@ func WithMinTimeout(d time.Duration) Option {
 
 // WithOnChange installs the per-peer transition callback invoked on any
 // suspicion change; it must not block. Trust transitions run on the socket
-// reader goroutine that received the heartbeat (suspicions on a shard's
-// wheel driver), so a callback that blocks stalls reception for every peer
-// on that socket — the kernel buffer then overflows and the loss is counted
-// in IngestStats.KernelDrops. On a single-peer Monitor the peer argument is
+// reader goroutine that received the heartbeat, so a callback that blocks
+// there stalls reception for every peer on that socket — the kernel buffer
+// then overflows and the loss is counted in IngestStats.KernelDrops.
+// Suspicions run on the monitor's one expiry driver, the goroutine that
+// fires the deadlines of every shard: a callback that blocks there delays
+// every later suspicion of the whole monitor, not one shard's. It cannot
+// delay reception or trust transitions, which stay on the reader — a
+// heartbeat that arrives meanwhile still re-arms its peer's deadline, so a
+// stalled suspicion callback postpones suspicions but never turns a live
+// peer into a suspect. On a single-peer Monitor the peer argument is
 // the remote address. When WithOnSuspect/WithOnTrust are set too, they fire
 // first.
 func WithOnChange(fn func(peer string, suspected bool, elapsed time.Duration)) Option {
@@ -169,8 +172,9 @@ func WithOnChange(fn func(peer string, suspected bool, elapsed time.Duration)) O
 
 // WithOnSuspect installs a suspicion-start callback that does not name
 // the peer (the natural form for a single-peer Monitor; on a cluster it
-// fires for every peer); it must not block (it runs on a shard's wheel
-// driver and delays that shard's other deadlines).
+// fires for every peer); it must not block: it runs on the monitor's one
+// expiry driver and delays every other deadline of the monitor, on every
+// shard (never reception or trust transitions; see WithOnChange).
 func WithOnSuspect(fn func(elapsed time.Duration)) Option {
 	return func(o *options) { o.onSuspect = fn }
 }
@@ -258,15 +262,6 @@ type PipelineConfig struct {
 	// up to ~32k peers); larger values widen the fan-out in steps, with
 	// the top tier sized for 1M+ peers.
 	ExpectedPeers int
-	// PinDrivers pins each shard timing wheel's driver goroutine to one
-	// online CPU (striped round-robin over the topology read from
-	// /sys/devices/system/cpu), via runtime.LockOSThread plus
-	// sched_setaffinity. At the widest scale profiles this keeps the
-	// shard drivers from migrating across the socket between wakeups,
-	// trading scheduler freedom for cache locality on the deadline path.
-	// Honoured only on linux; elsewhere drivers are thread-locked but the
-	// OS keeps placing them.
-	PinDrivers bool
 }
 
 // WithPipeline applies pipeline tuning. NewMonitor and NewMultiMonitor
@@ -278,9 +273,6 @@ func WithPipeline(cfg PipelineConfig) Option {
 		}
 		if cfg.ExpectedPeers > 0 {
 			o.expectedPeers = cfg.ExpectedPeers
-		}
-		if cfg.PinDrivers {
-			o.pinDrivers = true
 		}
 	}
 }

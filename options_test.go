@@ -427,15 +427,14 @@ func TestNewMonitorAllCallbacks(t *testing.T) {
 func TestWithPipeline(t *testing.T) {
 	// The zero config is a no-op: every knob stays at its default.
 	o := resolveOptions([]Option{WithPipeline(PipelineConfig{})})
-	if o.readers != 0 || o.expectedPeers != 0 || o.pinDrivers {
+	if o.readers != 0 || o.expectedPeers != 0 {
 		t.Errorf("zero PipelineConfig must change nothing: %+v", o)
 	}
 	o = resolveOptions([]Option{WithPipeline(PipelineConfig{
 		Readers:       3,
 		ExpectedPeers: 1 << 16,
-		PinDrivers:    true,
 	})})
-	if o.readers != 3 || o.expectedPeers != 1<<16 || !o.pinDrivers {
+	if o.readers != 3 || o.expectedPeers != 1<<16 {
 		t.Errorf("pipeline knobs lost: %+v", o)
 	}
 	// Fields are orthogonal: a later config that sets one knob leaves the

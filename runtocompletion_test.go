@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,6 +65,70 @@ func TestStrangerCannotRefreshPeer(t *testing.T) {
 	}
 	if n := transitions.Load(); n != 0 {
 		t.Errorf("%d suspicion/trust transitions caused by a stranger, want 0", n)
+	}
+}
+
+// goroutineBaseline returns the goroutine count once it has stopped
+// falling: goroutines of monitors that earlier tests closed may still be on
+// their way out.
+func goroutineBaseline() int {
+	for n := runtime.NumGoroutine(); ; n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+		if runtime.NumGoroutine() >= n {
+			return runtime.NumGoroutine()
+		}
+	}
+}
+
+// goroutinesSettle polls the goroutine count until it is want or a second
+// has passed, and returns the last reading: a goroutine takes a moment to
+// leave the count after its last statement.
+func goroutinesSettle(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() != want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestMonitorGoroutineBudget pins what a monitor costs in goroutines while
+// deadlines are armed: one per reader socket and one expiry driver,
+// whatever the number of shard wheels (16 at the default profile, 64 at
+// the 1M profile) — and none once it is closed.
+func TestMonitorGoroutineBudget(t *testing.T) {
+	const peers = 4096
+	for _, expected := range []int{0, 1 << 19} {
+		before := goroutineBaseline()
+		mm, err := NewMultiMonitor("127.0.0.1:0",
+			WithEta(time.Minute),
+			WithPipeline(PipelineConfig{ExpectedPeers: expected}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := make([][]byte, peers)
+		srcs := make([]netip.AddrPort, peers)
+		for i := range srcs {
+			srcs[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 1, byte(i >> 8), byte(i)}), 4000)
+			if err := mm.AddPeer(fmt.Sprintf("p%d", i), srcs[i].String()); err != nil {
+				t.Fatal(err)
+			}
+			pkts[i] = heartbeatPacket(t, 0, 1, mm.net.WallTime().UnixNano())
+		}
+		mm.net.NewInjector().InjectBatch(pkts, srcs)
+		st := mm.SchedulerStats()
+		if st.Timers != peers {
+			t.Fatalf("ExpectedPeers=%d: %d deadlines armed, want %d", expected, st.Timers, peers)
+		}
+		if got := goroutinesSettle(before+2) - before; got != 2 {
+			t.Errorf("ExpectedPeers=%d: %d goroutines for %d wheels with %d armed deadlines, want 2 (one reader, one expiry driver)",
+				expected, got, st.Wheels, peers)
+		}
+		if err := mm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := goroutinesSettle(before); got != before {
+			t.Errorf("ExpectedPeers=%d: %d goroutines after Close, %d before construction", expected, got, before)
+		}
 	}
 }
 
