@@ -64,6 +64,35 @@ func benchCluster(tb testing.TB, names []string, opts ...Option) *MultiMonitor {
 	return mm
 }
 
+// peerHandleOf returns the handle the transport stamps on the named peer's
+// messages: what a test needs to enter the receive path at
+// MultiMonitor.deliver, past the transport's address lookup.
+func peerHandleOf(tb testing.TB, mm *MultiMonitor, name string) uint64 {
+	tb.Helper()
+	var handle uint64
+	if !mm.view(name, func(e *peerEntry) {
+		e.mu.Lock()
+		handle = peerHandle(peerNameHash(name)&mm.shardMask, e.self)
+		e.mu.Unlock()
+	}) {
+		tb.Fatalf("no peer %q", name)
+	}
+	return handle
+}
+
+// liveRecords counts the peer-arena slots in use across the shards: members
+// plus any slot an AddPeer or RemovePeer in flight still holds.
+func liveRecords(mm *MultiMonitor) int {
+	n := 0
+	for i := range mm.shards {
+		s := &mm.shards[i]
+		s.mu.RLock()
+		n += s.ents.Len()
+		s.mu.RUnlock()
+	}
+	return n
+}
+
 // pipelineHarness drives one MultiMonitor endpoint through the transport
 // Injector: pre-encoded heartbeat datagrams are decoded, attributed,
 // stamped and delivered to each peer's detector update and wheel re-arm on
@@ -127,12 +156,12 @@ func (h *pipelineHarness) offer(n int) {
 		h.seqs[p]++
 		if h.egress {
 			// Transport ids are the ones the monitor assigned
-			// (multiMonitorID+1 onward); the router's inherited Send hands
-			// the message to the endpoint the ingest half receives on.
+			// (multiMonitorID+1 onward); the monitor's sender is the
+			// endpoint the ingest half receives on.
 			h.msg.To = multiMonitorID + 1 + neko.ProcessID(p)
 			h.msg.Seq = h.seqs[p]
 			h.msg.SentAt = clk.Now()
-			h.mm.router.Send(&h.msg)
+			h.mm.sender.Send(&h.msg)
 		}
 		binary.BigEndian.PutUint64(h.pkts[p][12:20], uint64(h.seqs[p]))
 		binary.BigEndian.PutUint64(h.pkts[p][20:28], uint64(h.wallBase+int64(h.sent)*1000))
@@ -196,9 +225,10 @@ func BenchmarkPipeline(b *testing.B) {
 // members. In the flapping scenario a background goroutine joins and
 // leaves a member as fast as it can — the membership write path. Only the
 // flapper's own shard stalls during a join/leave critical section, so the
-// measured dispatch latency stays flat. Heartbeats enter at the router, so
-// the benchmark measures the fan-in path rather than the transport.
-func runReceiveBench(b *testing.B, mm *MultiMonitor, peers int, flapping bool) {
+// measured dispatch latency stays flat. Heartbeats enter at the monitor's
+// receiver, so the benchmark measures the delivery path rather than the
+// transport.
+func runReceiveBench(b *testing.B, mm *MultiMonitor, names []string, flapping bool) {
 	b.Helper()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -227,18 +257,22 @@ func runReceiveBench(b *testing.B, mm *MultiMonitor, peers int, flapping bool) {
 			}
 		}()
 	}
-	base := multiMonitorID + 1
+	peers := len(names)
 	seqs := make([]int64, peers)
+	handles := make([]uint64, peers)
+	for i, name := range names {
+		handles[i] = peerHandleOf(b, mm, name)
+	}
 	msg := &neko.Message{Type: neko.MsgHeartbeat}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := i % peers
 		seqs[p]++
-		msg.From = base + neko.ProcessID(p)
+		msg.Handle = handles[p]
 		msg.Seq = seqs[p]
 		msg.SentAt = mm.ctx.Clock.Now()
-		mm.router.Receive(msg)
+		mm.deliver(msg, msg.SentAt)
 	}
 	b.StopTimer()
 	// Sampled before teardown, with every member's deadline still armed:
@@ -263,15 +297,15 @@ func BenchmarkCluster1k(b *testing.B) {
 		{"flapping", true},
 	} {
 		b.Run(sc.name+"/sharded", func(b *testing.B) {
-			runReceiveBench(b, benchCluster(b, names), benchClusterPeers, sc.flapping)
+			runReceiveBench(b, benchCluster(b, names), names, sc.flapping)
 		})
-		// Same sharded stack with live telemetry: every dispatch counts
-		// packets, shard traffic, heartbeats, and observes two histograms.
+		// Same sharded stack with live telemetry: every delivery observes
+		// two histograms.
 		// The sharded (uninstrumented) run above doubles as the disabled
 		// path — nil registry, dead branches only.
 		b.Run(sc.name+"/sharded-telemetry", func(b *testing.B) {
 			mm := benchCluster(b, names, WithTelemetry(telemetry.NewRegistry(256)))
-			runReceiveBench(b, mm, benchClusterPeers, sc.flapping)
+			runReceiveBench(b, mm, names, sc.flapping)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package wanfd
 
 import (
 	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 	"unsafe"
@@ -12,7 +13,7 @@ import (
 // TestScaleProfileTiers pins the geometry each expected-peer tier
 // selects: the default tier must stay byte-for-byte what pre-profile
 // monitors ran with, and the larger tiers must widen every axis. One
-// shard count fans out the peer table and the router alike.
+// shard count fans out the peer table and the timing wheels alike.
 func TestScaleProfileTiers(t *testing.T) {
 	cases := []struct {
 		peers int
@@ -32,12 +33,14 @@ func TestScaleProfileTiers(t *testing.T) {
 	}
 }
 
-// TestPeerEntrySize pins the per-peer arena record: a second detector
-// pointer or a per-peer option copy would show up in every fleet's
-// bytes per peer.
+// TestPeerEntrySize pins the per-peer arena record, detector included: 64
+// of them and the allocator's own 8-byte header fit one 16 KiB size class,
+// so anything up to 248 bytes costs a peer 256, and one word more — a
+// per-peer option copy, a second handle — costs it 288 or, past 256, halves
+// the slab.
 func TestPeerEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(peerEntry{}); got > 56 {
-		t.Errorf("peerEntry is %d bytes, want at most 56", got)
+	if got := unsafe.Sizeof(peerEntry{}); got > 248 {
+		t.Errorf("peerEntry is %d bytes, want at most 248", got)
 	}
 }
 
@@ -68,14 +71,51 @@ func TestMonitorScaleProfileWiring(t *testing.T) {
 // consistent with the aggregate.
 func TestMultiMonitorExpiryChurn(t *testing.T) {
 	addrs := freeUDPPorts(t, 1)
+	const peers = 128
+	// The injector goroutine starts ahead of the baseline, so the goroutine
+	// budget below stays the monitor's own. For the whole churn it feeds
+	// heartbeats from every address through the transport: from members,
+	// from addresses just removed, and from addresses whose datagram is
+	// past the lookup when its peer is retired.
+	feed := make(chan *MultiMonitor)
+	stopFeed := make(chan struct{})
+	fed := make(chan uint64)
+	go func() {
+		mon := <-feed
+		inj := mon.net.NewInjector()
+		pkts, srcs := make([][]byte, peers), make([]netip.AddrPort, peers)
+		for i := range srcs {
+			srcs[i] = netip.MustParseAddrPort(fmt.Sprintf("127.0.0.1:%d", 41001+i))
+		}
+		var n uint64
+		for seq := int64(2); ; seq++ {
+			select {
+			case <-stopFeed:
+				fed <- n
+				return
+			default:
+			}
+			for i := range pkts {
+				pkts[i] = heartbeatPacket(t, 0, seq, mon.net.WallTime().UnixNano())
+			}
+			inj.InjectBatch(pkts, srcs)
+			n += peers
+		}
+	}()
 	before := goroutineBaseline()
 	mon, err := NewMultiMonitor(addrs[0], WithEta(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mon.Close()
+	feed <- mon
+	defer func() {
+		close(stopFeed)
+		if n, unknown := <-fed, mon.Stats().Ingest.UnknownSource; n == 0 || unknown == 0 {
+			t.Errorf("%d heartbeats injected during the churn, %d from removed addresses: the churn ran unopposed", n, unknown)
+		}
+	}()
 
-	const peers = 128
 	for c := 0; c < 2; c++ {
 		for i := 0; i < peers; i++ {
 			name := fmt.Sprintf("pin-%03d", i)
@@ -84,16 +124,15 @@ func TestMultiMonitorExpiryChurn(t *testing.T) {
 			}
 		}
 		// One heartbeat per peer arms its freshness deadline (AddPeer alone
-		// does not); ProcessIDs are monotonic and never reused, so cycle c's
-		// peers follow all earlier cycles' ids.
-		base := multiMonitorID + 1 + neko.ProcessID(c*peers)
+		// does not).
 		for i := 0; i < peers; i++ {
-			mon.router.Receive(&neko.Message{
+			now := mon.ctx.Clock.Now()
+			mon.deliver(&neko.Message{
 				Type:   neko.MsgHeartbeat,
-				From:   base + neko.ProcessID(i),
+				Handle: peerHandleOf(t, mon, fmt.Sprintf("pin-%03d", i)),
 				Seq:    1,
-				SentAt: mon.ctx.Clock.Now(),
-			})
+				SentAt: now,
+			}, now)
 		}
 		if st := mon.SchedulerStats(); st.Timers != peers {
 			t.Fatalf("cycle %d: %d armed deadlines, want one per peer (%d)", c, st.Timers, peers)
@@ -147,10 +186,10 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 		peers  = 512
 	)
 	// occupancy is everything a peer occupies outside the shard tables:
-	// transport arena records, routes, armed deadlines.
+	// transport arena records, peer records, armed deadlines.
 	occupancy := func() [3]int {
 		arenaStats, _, _, _ := mon.net.PeerTableStats()
-		return [3]int{arenaStats.Live, mon.router.Routed(), mon.SchedulerStats().Timers}
+		return [3]int{arenaStats.Live, liveRecords(mon), mon.SchedulerStats().Timers}
 	}
 	baseline := occupancy()
 	caps := make([]int, len(mon.shards))
@@ -162,8 +201,9 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 			}
 		}
 		// Failed adds must leave nothing behind: each is rejected at a
-		// different step of AddPeer (name check after the transport
-		// registration, address check in it, sync exchange between them).
+		// different step of AddPeer (name check before a slot is reserved,
+		// address check in the transport registration, sync exchange after
+		// it).
 		full := occupancy()
 		if err := mon.AddPeer("churn-0000", "127.0.0.1:39999"); err == nil {
 			t.Fatalf("cycle %d: duplicate name accepted", c)
@@ -177,7 +217,7 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 		}
 		mon.opts.syncTimeout = 0
 		if got := occupancy(); got != full {
-			t.Fatalf("cycle %d: failed adds moved (transport, routes, timers) from %v to %v", c, full, got)
+			t.Fatalf("cycle %d: failed adds moved (transport, records, timers) from %v to %v", c, full, got)
 		}
 		if got := mon.Peers(); got != peers {
 			t.Fatalf("cycle %d: monitor reports %d peers, want %d", c, got, peers)
@@ -210,7 +250,7 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 			}
 		}
 		if got := occupancy(); got != baseline {
-			t.Fatalf("cycle %d: (transport, routes, timers) = %v after drain, want baseline %v", c, got, baseline)
+			t.Fatalf("cycle %d: (transport, records, timers) = %v after drain, want baseline %v", c, got, baseline)
 		}
 	}
 }

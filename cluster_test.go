@@ -204,17 +204,15 @@ func TestMultiMonitorChurnTimerLeak(t *testing.T) {
 			}
 		}
 		// One heartbeat per peer arms its detector deadline on the shard
-		// wheel. Process ids are assigned sequentially from the monitor's
-		// own id, in AddPeer order (same convention the cluster benchmark
-		// relies on).
+		// wheel.
 		now := mon.ctx.Clock.Now()
-		for i := range names {
-			mon.router.Receive(&neko.Message{
+		for _, name := range names {
+			mon.deliver(&neko.Message{
 				Type:   neko.MsgHeartbeat,
-				From:   multiMonitorID + 1 + neko.ProcessID(c*peers+i),
+				Handle: peerHandleOf(t, mon, name),
 				Seq:    1,
 				SentAt: now,
-			})
+			}, now)
 		}
 		if st := mon.SchedulerStats(); st.Timers != peers {
 			t.Fatalf("cycle %d: %d deadlines queued after heartbeats, want %d", c, st.Timers, peers)

@@ -6,8 +6,6 @@ import (
 
 	"wanfd/internal/core"
 	"wanfd/internal/sim"
-	"wanfd/internal/store"
-	"wanfd/internal/telemetry"
 )
 
 // Predictor forecasts the next heartbeat's one-way delay in milliseconds.
@@ -97,32 +95,8 @@ type Detector struct {
 	clock *sim.RealClock
 }
 
-// peerListener fans one detector's output transitions out to the
-// monitor's sinks — live telemetry (event ring, QoS estimator, gauges), the
-// durable QoS store and the user callback — under the peer's label. Every
-// sink is optional: nil is a no-op. One per monitored peer, so it stays at
-// the label plus three words.
-type peerListener struct {
-	name     string
-	onChange func(peer string, suspected bool, elapsed time.Duration)
-	reg      *telemetry.Registry
-	rec      *store.PeerRecorder
-}
-
-func (l peerListener) OnSuspect(_ string, at time.Duration) { l.transition(true, at) }
-
-func (l peerListener) OnTrust(_ string, at time.Duration) { l.transition(false, at) }
-
-func (l peerListener) transition(suspected bool, at time.Duration) {
-	l.reg.RecordTransition(l.name, suspected, at)
-	l.rec.Transition(suspected, at)
-	if l.onChange != nil {
-		l.onChange(l.name, suspected, at)
-	}
-}
-
 // foldCallbacks merges the single-peer suspect/trust callbacks into one
-// onChange closure, built once at construction so the listener carries a
+// onChange closure, built once at construction so the sink carries a
 // single callback. The split callback fires before onChange.
 func foldCallbacks(onSuspect, onTrust func(time.Duration), onChange func(string, bool, time.Duration)) func(string, bool, time.Duration) {
 	if onSuspect == nil && onTrust == nil {
@@ -173,7 +147,7 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 		Margin:    margin,
 		Eta:       cfg.Eta,
 		Clock:     clock,
-		Listener:  peerListener{onChange: foldCallbacks(cfg.OnSuspect, cfg.OnTrust, nil)},
+		Listener:  &sink{onChange: foldCallbacks(cfg.OnSuspect, cfg.OnTrust, nil)},
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package arena
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -88,9 +90,159 @@ func TestFreeZeroes(t *testing.T) {
 	}
 }
 
+// slabLen is the record count of one slab.
+func (a *Arena[T]) slabLen() int { return 1 << a.slabBits }
+
+// slabsFor allocates n records and reports the slabs that took and the
+// records one slab holds.
+func slabsFor[T any](n int) (slabs, perSlab int) {
+	a := New[T]()
+	for i := 0; i < n; i++ {
+		a.Alloc()
+	}
+	return a.Stats().Slabs, a.slabLen()
+}
+
+// TestSlabsSizedInBytes pins the slab geometry: the record count is the
+// largest power of two whose records fit slabBytes, so an arena's idle
+// tail costs about 16 KiB whatever it stores.
+func TestSlabsSizedInBytes(t *testing.T) {
+	const n = 4096
+	check := func(name string, slabs, perSlab, wantSlabs, wantPerSlab int) {
+		t.Helper()
+		if slabs != wantSlabs || perSlab != wantPerSlab {
+			t.Errorf("%s records: %d slabs of %d for %d records, want %d of %d", name, slabs, perSlab, n, wantSlabs, wantPerSlab)
+		}
+	}
+	s, p := slabsFor[[16]byte](n)
+	check("16 B", s, p, 4, 1024)
+	s, p = slabsFor[[56]byte](n)
+	check("56 B", s, p, 16, 256)
+	s, p = slabsFor[[256]byte](n)
+	check("256 B", s, p, 64, 64)
+	s, p = slabsFor[[3 * slabBytes]byte](2)
+	check("larger than a slab", s, p, 2, 1)
+	if got := New[struct{}]().slabLen(); got != slabBytes {
+		t.Errorf("zero-size records: %d per slab, want %d", got, slabBytes)
+	}
+}
+
+// lockedRec is a record with a lock of its own, the shape Release and At
+// exist for.
+type lockedRec struct {
+	mu    sync.Mutex
+	owner Index // the live occupant, Nil while free; guarded by mu
+	hits  int
+}
+
+// TestReleaseKeepsRecord pins the non-zeroing release: the slot's bytes
+// survive into its next allocation, while the generation moves on exactly
+// as it does for Free.
+func TestReleaseKeepsRecord(t *testing.T) {
+	a := New[lockedRec]()
+	idx, r := a.Alloc()
+	r.hits = 41
+	if !a.Release(idx) {
+		t.Fatal("Release reported false for a live index")
+	}
+	if a.Get(idx) != nil || a.Release(idx) || a.Free(idx) {
+		t.Fatal("released index still resolves or releases twice")
+	}
+	if got := a.At(idx); got != r {
+		t.Fatalf("At(stale) = %p, want the slot's stable address %p", got, r)
+	}
+	idx2, r2 := a.Alloc()
+	if r2 != r || idx2 == idx || r2.hits != 41 {
+		t.Fatalf("reuse after Release: record %p hits %d index %v, want the same memory, untouched, under a new index", r2, r2.hits, idx2)
+	}
+	if st := a.Stats(); st.Live != 1 || st.Reused != 1 {
+		t.Fatalf("Stats = %+v, want 1 live, 1 reused", st)
+	}
+	if a.At(Nil) != nil || a.At(makeIndex(1<<20, 1)) != nil {
+		t.Fatal("At resolved an index no Alloc produced")
+	}
+}
+
+// TestAtWithoutLock is the delivery path in miniature, for the race
+// detector: readers resolve indices through At with no lock while a writer
+// (serialized by its own mutex, as callers must) churns slots and grows the
+// arena, and each record's mutex plus its owner stamp keeps a stale reader
+// off the slot's next occupant.
+func TestAtWithoutLock(t *testing.T) {
+	a := New[lockedRec]()
+	var mu sync.Mutex // the caller's lock: Alloc and Release only
+	const slots = 8
+	handles := make([]atomic.Uint64, slots)
+	alloc := func(i int) {
+		mu.Lock()
+		idx, r := a.Alloc()
+		mu.Unlock()
+		r.mu.Lock()
+		r.owner, r.hits = idx, 0
+		r.mu.Unlock()
+		handles[i].Store(uint64(idx))
+	}
+	for i := range handles {
+		alloc(i)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var delivered, dropped atomic.Uint64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				idx := Index(handles[i%slots].Load())
+				r := a.At(idx)
+				if r == nil {
+					t.Error("At lost a slot that was allocated")
+					return
+				}
+				r.mu.Lock()
+				if r.owner == idx {
+					r.hits++
+					delivered.Add(1)
+				} else {
+					dropped.Add(1)
+				}
+				r.mu.Unlock()
+			}
+		}()
+	}
+	// At least 2,000 hand-overs, and as many more as it takes for the
+	// readers to have been scheduled against them.
+	for round := 0; round < 2000 || delivered.Load() < 1000; round++ {
+		i := round % slots
+		idx := Index(handles[i].Load())
+		r := a.At(idx)
+		r.mu.Lock()
+		r.owner = Nil
+		r.mu.Unlock()
+		mu.Lock()
+		a.Release(idx)
+		if round%50 == 0 {
+			a.Alloc() // grow: the directory is republished under the readers
+		}
+		mu.Unlock()
+		alloc(i)
+	}
+	close(stop)
+	wg.Wait()
+	if delivered.Load() == 0 {
+		t.Fatal("no reader ever reached a live record")
+	}
+	t.Logf("%d delivered, %d dropped as stale", delivered.Load(), dropped.Load())
+}
+
 func TestSlabGrowth(t *testing.T) {
 	a := New[int]()
-	n := slabSize*2 + 3
+	n := a.slabLen()*2 + 3
 	idxs := make([]Index, n)
 	for i := 0; i < n; i++ {
 		idx, p := a.Alloc()
@@ -112,7 +264,7 @@ func TestSlabGrowth(t *testing.T) {
 // add/remove cycle returns occupancy to baseline without growing capacity.
 func TestChurnOccupancy(t *testing.T) {
 	a := New[rec]()
-	const n = slabSize + 100
+	n := a.slabLen() + 100
 	for cycle := 0; cycle < 5; cycle++ {
 		idxs := make([]Index, n)
 		for i := range idxs {

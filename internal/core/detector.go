@@ -41,6 +41,27 @@ type SuspicionListener interface {
 	OnTrust(detector string, at time.Duration)
 }
 
+// DetectorEnv is what every detector of a fleet has in common — clock,
+// transition listener, timeout floor — held once and referenced by all of
+// them through DetectorConfig.Env.
+type DetectorEnv struct {
+	clock      sim.Clock
+	listener   SuspicionListener
+	minTimeout float64 // ms
+}
+
+// NewDetectorEnv validates and builds the shared part; the arguments are
+// DetectorConfig's Clock, Listener and MinTimeout.
+func NewDetectorEnv(clock sim.Clock, listener SuspicionListener, minTimeout time.Duration) (*DetectorEnv, error) {
+	if clock == nil {
+		return nil, fmt.Errorf("core: detector needs a clock")
+	}
+	if minTimeout < 0 {
+		return nil, fmt.Errorf("core: detector needs a non-negative MinTimeout, got %v", minTimeout)
+	}
+	return &DetectorEnv{clock: clock, listener: listener, minTimeout: durToMs(minTimeout)}, nil
+}
+
 // DetectorConfig assembles a Detector.
 type DetectorConfig struct {
 	// Name identifies the detector in events and reports
@@ -62,6 +83,9 @@ type DetectorConfig struct {
 	// one observation makes the margins near zero while sender timer
 	// jitter is not yet learned.
 	MinTimeout time.Duration
+	// Env, when non-nil, stands in for Clock, Listener and MinTimeout,
+	// which are then ignored.
+	Env *DetectorEnv
 	// Metrics, when non-nil, receives the delay and prediction-error
 	// histogram observations plus the late-arrival count from the
 	// heartbeat hot path; state the detector tracks anyway (lifetime
@@ -90,24 +114,25 @@ type DetectorConfig struct {
 // freshness point ends the suspicion.
 //
 // A Detector is safe for concurrent use (heartbeats may arrive from a
-// network goroutine while timers fire on another).
+// network goroutine while timers fire on another). It is built by
+// NewDetector, or in place by Init when it is a field of a larger record.
 type Detector struct {
-	name       string
-	pred       Predictor
-	margin     SafetyMargin
-	eta        time.Duration
-	minTimeout float64 // ms
-	clock      sim.Clock
-	listener   SuspicionListener
-	metrics    *telemetry.DetectorMetrics
-	sample     *store.PeerRecorder
+	name    string
+	pred    Predictor
+	margin  SafetyMargin
+	eta     time.Duration
+	env     *DetectorEnv
+	metrics *telemetry.DetectorMetrics
+	sample  *store.PeerRecorder
 
-	mu        sync.Mutex
-	hi        int64 // highest sequence received; -1 before the first
-	deadline  time.Duration
-	timer     sched.Rearmable
-	suspected bool
-	stopped   bool
+	mu       sync.Mutex
+	hi       int64 // highest sequence received; -1 before the first
+	deadline time.Duration
+	timer    sched.Rearmable
+	// wheelTimer is timer itself when the clock is a timing wheel.
+	wheelTimer sched.Timer
+	suspected  bool
+	stopped    bool
 
 	heartbeats uint64
 	stale      uint64
@@ -125,40 +150,59 @@ const timerSlack = sched.TimerSlack
 // heartbeat the detector does not suspect (it has no information yet — the
 // paper's runs likewise begin measuring after the stream is established).
 func NewDetector(cfg DetectorConfig) (*Detector, error) {
+	d := new(Detector)
+	if err := d.Init(cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Init is NewDetector on memory the caller owns: d is the zero Detector or
+// one that has been stopped. It never overwrites the mutex or the timer
+// handle, so memory reused for one detector after another stays safe to
+// reach for an expiry addressed to an earlier one: it finds, under the mutex,
+// a stopped detector or a later one whose own state decides (an expiry
+// suspects only once a deadline this detector set has passed).
+func (d *Detector) Init(cfg DetectorConfig) error {
 	if cfg.Predictor == nil || cfg.Margin == nil {
-		return nil, fmt.Errorf("core: detector %q needs a predictor and a margin", cfg.Name)
+		return fmt.Errorf("core: detector %q needs a predictor and a margin", cfg.Name)
 	}
 	if cfg.Eta <= 0 {
-		return nil, fmt.Errorf("core: detector %q needs a positive eta, got %v", cfg.Name, cfg.Eta)
+		return fmt.Errorf("core: detector %q needs a positive eta, got %v", cfg.Name, cfg.Eta)
 	}
-	if cfg.Clock == nil {
-		return nil, fmt.Errorf("core: detector %q needs a clock", cfg.Name)
+	env := cfg.Env
+	if env == nil {
+		var err error
+		if env, err = NewDetectorEnv(cfg.Clock, cfg.Listener, cfg.MinTimeout); err != nil {
+			return fmt.Errorf("detector %q: %w", cfg.Name, err)
+		}
 	}
 	name := cfg.Name
 	if name == "" {
 		name = cfg.Predictor.Name() + "+" + cfg.Margin.Name()
 	}
-	if cfg.MinTimeout < 0 {
-		return nil, fmt.Errorf("core: detector %q needs a non-negative MinTimeout, got %v", name, cfg.MinTimeout)
-	}
-	d := &Detector{
-		name:       name,
-		pred:       cfg.Predictor,
-		margin:     cfg.Margin,
-		eta:        cfg.Eta,
-		minTimeout: durToMs(cfg.MinTimeout),
-		clock:      cfg.Clock,
-		listener:   cfg.Listener,
-		metrics:    cfg.Metrics,
-		sample:     cfg.Sample,
-		hi:         -1,
-	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.name, d.pred, d.margin, d.eta = name, cfg.Predictor, cfg.Margin, cfg.Eta
+	d.env, d.metrics, d.sample = env, cfg.Metrics, cfg.Sample
+	d.hi, d.deadline, d.suspected, d.stopped = -1, 0, false, false
+	d.heartbeats, d.stale, d.suspicions = 0, 0, 0
 	// One rearmable timer for the detector's lifetime: on a timing-wheel
 	// clock each freshness point is an O(1) in-place re-arm instead of a
 	// stop-and-recreate AfterFunc per heartbeat.
-	d.timer = sched.NewTimer(cfg.Clock, d.expire)
-	return d, nil
+	if w, ok := env.clock.(*sched.Wheel); ok {
+		d.timer = d.wheelTimer.Bind(w, (*expiry)(d))
+	} else {
+		d.timer = sched.NewTimer(env.clock, d.expire)
+	}
+	return nil
 }
+
+// expiry is the Detector as its wheel timer's handler: no closure, as a
+// d.expire method value would allocate, and no Expire in its method set.
+type expiry Detector
+
+func (e *expiry) Expire() { (*Detector)(e).expire() }
 
 // Name returns the detector's identifier.
 func (d *Detector) Name() string { return d.name }
@@ -209,21 +253,11 @@ func (d *Detector) OnHeartbeat(seq int64, sendTime, now time.Duration) {
 	}
 	d.hi = seq
 
-	timeoutMs := d.pred.Predict() + d.margin.Margin()
-	if timeoutMs < d.minTimeout {
-		timeoutMs = d.minTimeout
-	}
-	if timeoutMs < 0 {
-		timeoutMs = 0
-	}
-	deadline := sendTime + d.eta + msToDur(timeoutMs)
+	deadline := sendTime + d.eta + msToDur(d.timeoutLocked())
 	d.deadline = deadline
 	if deadline > now {
 		if d.suspected {
-			d.suspected = false
-			if d.listener != nil {
-				d.listener.OnTrust(d.name, now)
-			}
+			d.transitionLocked(false, now)
 		}
 		// The paper's freshness semantics count a heartbeat arriving
 		// exactly at τ as fresh (received "by" the freshness point), so
@@ -240,11 +274,23 @@ func (d *Detector) OnHeartbeat(seq int64, sendTime, now time.Duration) {
 	// stands (or starts) without an intervening trust.
 	d.timer.Stop()
 	if !d.suspected {
-		d.suspected = true
+		d.transitionLocked(true, now)
+	}
+}
+
+// transitionLocked flips the output at now and reports it to the listener.
+// Callers hold d.mu.
+func (d *Detector) transitionLocked(suspected bool, now time.Duration) {
+	d.suspected = suspected
+	if suspected {
 		d.suspicions++
-		if d.listener != nil {
-			d.listener.OnSuspect(d.name, now)
-		}
+	}
+	switch l := d.env.listener; {
+	case l == nil:
+	case suspected:
+		l.OnSuspect(d.name, now)
+	default:
+		l.OnTrust(d.name, now)
 	}
 }
 
@@ -252,18 +298,15 @@ func (d *Detector) OnHeartbeat(seq int64, sendTime, now time.Duration) {
 func (d *Detector) expire() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	now := d.clock.Now()
-	if d.stopped || now < d.deadline || d.suspected {
+	now := d.env.clock.Now()
+	if d.stopped || d.hi < 0 || now < d.deadline || d.suspected {
 		// A fresher heartbeat moved the deadline between the timer firing
 		// and acquiring the lock (real-time race), the detector was torn
-		// down, or we already suspect.
+		// down, we already suspect — or this detector has set no deadline
+		// yet and the expiry was an earlier one's (see Init).
 		return
 	}
-	d.suspected = true
-	d.suspicions++
-	if d.listener != nil {
-		d.listener.OnSuspect(d.name, now)
-	}
+	d.transitionLocked(true, now)
 }
 
 // Suspected reports the detector's current output: true if the monitored
@@ -279,9 +322,15 @@ func (d *Detector) Suspected() bool {
 func (d *Detector) CurrentTimeout() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.timeoutLocked()
+}
+
+// timeoutLocked is δ = pred + sm in milliseconds, floored. Callers hold
+// d.mu.
+func (d *Detector) timeoutLocked() float64 {
 	t := d.pred.Predict() + d.margin.Margin()
-	if t < d.minTimeout {
-		t = d.minTimeout
+	if t < d.env.minTimeout {
+		t = d.env.minTimeout
 	}
 	if t < 0 {
 		t = 0
@@ -317,7 +366,9 @@ func (d *Detector) Stop() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stopped = true
-	d.timer.Stop()
+	if d.timer != nil { // nil on a detector Init never completed for
+		d.timer.Stop()
+	}
 	if m := d.metrics; m != nil {
 		// Push the tail of the batched observations so a removed peer's
 		// last few heartbeats still reach the shared histograms.

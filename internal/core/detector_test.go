@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"wanfd/internal/sched"
 	"wanfd/internal/sim"
 )
 
@@ -485,4 +486,59 @@ func TestDetectorMinTimeoutFloor(t *testing.T) {
 		t.Errorf("events = %+v, want none (floor absorbs the lateness)", l.events)
 	}
 	d.Stop()
+}
+
+// TestInitReusesStoppedDetector pins what Init promises about memory that
+// holds one detector after another: the second starts clean, and an expiry
+// collected for the first — delivered only now, long after — cannot make the
+// second suspect, because it has set no deadline of its own yet. A Stop on
+// memory Init never completed for is harmless too.
+func TestInitReusesStoppedDetector(t *testing.T) {
+	eng := sim.NewEngine()
+	wheel := sched.NewWheel(sched.Config{Clock: eng})
+	defer wheel.Close()
+	l := &recordingListener{}
+	env, err := NewDetectorEnv(wheel, l, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Detector
+	d.Stop()
+	if err := d.Init(DetectorConfig{Predictor: NewLast(), Eta: time.Second, Env: env}); err == nil {
+		t.Fatal("Init accepted a config without a margin")
+	}
+	d.Stop()
+	init := func(name string) {
+		t.Helper()
+		margin, _ := NewConstantMargin("M", 50)
+		if err := d.Init(DetectorConfig{Name: name, Predictor: NewLast(), Margin: margin, Eta: time.Second, Env: env}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	init("first")
+	d.OnHeartbeat(3, 0, 100*time.Millisecond) // deadline 1.15 s
+	d.OnHeartbeat(3, 0, 110*time.Millisecond) // stale
+	d.Stop()
+	init("second")
+	if st := d.DetectorStats(); st != (DetectorStats{}) || d.Name() != "second" || d.Suspected() {
+		t.Fatalf("re-initialised detector starts as %q %+v, want a clean %q", d.Name(), st, "second")
+	}
+	if err := eng.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	(*expiry)(&d).Expire()
+	if d.Suspected() || len(l.events) != 0 {
+		t.Fatalf("an expiry from the previous life suspected the new detector: %+v", l.events)
+	}
+	// Sequence numbers start over with the detector, and its own deadline
+	// still works.
+	now := eng.Now()
+	d.OnHeartbeat(1, now, now+100*time.Millisecond)
+	if err := eng.Run(now + 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := now + time.Second + 150*time.Millisecond + timerSlack
+	if len(l.events) != 1 || !l.events[0].suspect || l.events[0].at != want {
+		t.Fatalf("events = %+v, want one suspicion at %v", l.events, want)
+	}
 }

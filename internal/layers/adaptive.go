@@ -187,12 +187,15 @@ func (c *IntervalController) evaluate() {
 		}
 		c.last = eta
 		c.commands++
+		// Under c.mu, so that once Stop has returned the controller never
+		// touches the detector again — its memory may be another peer's by
+		// then.
+		_ = c.det.SetEta(eta)
 	}
 	c.timer.Reschedule(c.period)
 	c.mu.Unlock()
 
 	if msg != nil {
-		_ = c.det.SetEta(eta)
 		c.Send(msg)
 	}
 }

@@ -2,12 +2,10 @@ package layers
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
 	"wanfd/internal/neko"
-	"wanfd/internal/telemetry"
 )
 
 // routerShards is the default number of independent route-table shards.
@@ -42,12 +40,6 @@ func shardIndex(id neko.ProcessID) uint64 {
 type routerShard struct {
 	mu     sync.RWMutex
 	routes map[neko.ProcessID]neko.Receiver
-
-	// Per-shard telemetry; nil (no-op) without instrumentation. dispatch
-	// counts fan-in deliveries through this shard; contended counts
-	// dispatches that found the shard lock held by membership churn.
-	dispatch  *telemetry.Counter
-	contended *telemetry.Counter
 }
 
 // Router dispatches upward traffic to per-source receivers: the monitor-
@@ -58,12 +50,14 @@ type routerShard struct {
 // The route table is sharded by source id so the receive path, concurrent
 // queries and runtime Route/Unroute churn (dynamic cluster membership) do
 // not contend on a single lock.
+//
+// It serves the simulated stacks. The real-network monitor does not route:
+// wanfd.MultiMonitor is its endpoint's receiver and reaches a peer's
+// detector through the handle the transport stamps on each message.
 type Router struct {
 	neko.Base
-	shards    []routerShard
-	mask      uint64
-	unrouted  *telemetry.Counter
-	telemetry bool
+	shards []routerShard
+	mask   uint64
 }
 
 // NewRouter builds an empty router with the default shard count.
@@ -88,25 +82,6 @@ func NewRouterSharded(n int) *Router {
 // shard returns the shard owning one source id.
 func (r *Router) shard(id neko.ProcessID) *routerShard {
 	return &r.shards[shardHash(id)&r.mask]
-}
-
-// Instrument attaches live telemetry to the router: per-shard dispatch and
-// lock-contention counters plus an unrouted-message counter. Call before
-// the router starts receiving; a nil registry is a no-op.
-func (r *Router) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	for i := range r.shards {
-		shard := strconv.Itoa(i)
-		r.shards[i].dispatch = reg.Counter(telemetry.MetricRouterDispatch,
-			"Heartbeat fan-in dispatches per route-table shard.", "shard", shard)
-		r.shards[i].contended = reg.Counter(telemetry.MetricRouterContended,
-			"Dispatches that found the shard lock held (membership churn contention).", "shard", shard)
-	}
-	r.unrouted = reg.Counter(telemetry.MetricRouterUnrouted,
-		"Messages from unrouted sources passed up the stack.")
-	r.telemetry = true
 }
 
 var _ neko.Layer = (*Router)(nil)
@@ -151,57 +126,37 @@ func (r *Router) Routed() int {
 	return n
 }
 
+// route resolves one source's receiver.
+func (r *Router) route(from neko.ProcessID) (neko.Receiver, bool) {
+	s := r.shard(from)
+	s.mu.RLock()
+	rcv, ok := s.routes[from]
+	s.mu.RUnlock()
+	return rcv, ok
+}
+
 // Receive dispatches by the message's source.
 func (r *Router) Receive(m *neko.Message) {
-	s := r.shard(m.From)
-	if r.telemetry {
-		// TryRLock failure means a writer (membership churn) holds this
-		// shard — the contention the sharded design bounds to 1/16 of
-		// dispatches. Measured only when instrumented, so the uninstrumented
-		// hot path keeps the plain RLock.
-		if !s.mu.TryRLock() {
-			s.contended.Inc()
-			s.mu.RLock()
-		}
-		s.dispatch.Inc()
-	} else {
-		s.mu.RLock()
-	}
-	rcv, ok := s.routes[m.From]
-	s.mu.RUnlock()
-	if ok {
+	if rcv, ok := r.route(m.From); ok {
 		rcv.Receive(m)
 		return
 	}
-	r.unrouted.Inc()
 	r.Base.Receive(m)
 }
 
 // ReceiveAt dispatches one timestamped message, forwarding the stamp when
 // the route target accepts it.
 func (r *Router) ReceiveAt(m *neko.Message, at time.Duration) {
-	s := r.shard(m.From)
-	if r.telemetry {
-		if !s.mu.TryRLock() {
-			s.contended.Inc()
-			s.mu.RLock()
-		}
-		s.dispatch.Inc()
-	} else {
-		s.mu.RLock()
-	}
-	rcv, ok := s.routes[m.From]
-	s.mu.RUnlock()
-	if ok {
-		if tr, trOK := rcv.(neko.TimedReceiver); trOK {
-			tr.ReceiveAt(m, at)
-			return
-		}
-		rcv.Receive(m)
+	rcv, ok := r.route(m.From)
+	if !ok {
+		r.Base.Receive(m)
 		return
 	}
-	r.unrouted.Inc()
-	r.Base.Receive(m)
+	if tr, trOK := rcv.(neko.TimedReceiver); trOK {
+		tr.ReceiveAt(m, at)
+		return
+	}
+	rcv.Receive(m)
 }
 
 // ReceiveBatch dispatches a same-stamp batch. Consecutive messages from
@@ -210,41 +165,27 @@ func (r *Router) ReceiveAt(m *neko.Message, at time.Duration) {
 // interface assertion are paid once per run, not once per message.
 func (r *Router) ReceiveBatch(ms []*neko.Message, at time.Duration) {
 	var (
-		from     neko.ProcessID
-		rcv      neko.Receiver
-		tr       neko.TimedReceiver
-		routed   bool
-		dispatch *telemetry.Counter
-		valid    bool
+		from   neko.ProcessID
+		rcv    neko.Receiver
+		tr     neko.TimedReceiver
+		routed bool
+		valid  bool
 	)
 	for _, m := range ms {
 		if !valid || m.From != from {
-			s := r.shard(m.From)
-			if r.telemetry {
-				if !s.mu.TryRLock() {
-					s.contended.Inc()
-					s.mu.RLock()
-				}
-			} else {
-				s.mu.RLock()
-			}
-			rcv, routed = s.routes[m.From]
-			s.mu.RUnlock()
+			rcv, routed = r.route(m.From)
 			from, valid = m.From, true
-			dispatch = s.dispatch
 			tr = nil
 			if routed {
 				tr, _ = rcv.(neko.TimedReceiver)
 			}
 		}
-		dispatch.Inc() // nil (a no-op) when uninstrumented
 		switch {
 		case tr != nil:
 			tr.ReceiveAt(m, at)
 		case routed:
 			rcv.Receive(m)
 		default:
-			r.unrouted.Inc()
 			r.Base.Receive(m)
 		}
 	}

@@ -43,6 +43,10 @@ type Message struct {
 	SentAt time.Duration
 	// Payload carries optional application data.
 	Payload []byte
+	// Handle is the receiver's own token for the sender: a real transport
+	// stamps every message from a registered peer with the value that peer
+	// was registered with. Zero everywhere else; never on the wire.
+	Handle uint64
 }
 
 // Sender consumes messages travelling down the stack (toward the network).

@@ -270,12 +270,12 @@ func (w *Wheel) Tick() time.Duration { return w.tick }
 
 // NewTimer returns an unscheduled rearmable timer firing fn.
 func (w *Wheel) NewTimer(fn func()) Rearmable {
-	return &Timer{w: w, fn: fn}
+	return &Timer{w: w, h: expireFunc(fn)}
 }
 
 // AfterFunc schedules fn to run once after d, satisfying sim.Clock.
 func (w *Wheel) AfterFunc(d time.Duration, fn func()) sim.Timer {
-	t := &Timer{w: w, fn: fn}
+	t := &Timer{w: w, h: expireFunc(fn)}
 	t.Reschedule(d)
 	return t
 }
@@ -735,7 +735,7 @@ func (w *Wheel) fireBatch(batch []firing, collectedAt time.Duration) {
 		if f.t.gen.Load() != f.gen {
 			continue
 		}
-		f.t.fn()
+		f.t.h.Expire()
 	}
 }
 
@@ -793,15 +793,26 @@ func (w *Wheel) cancelWakeLocked() {
 	}
 }
 
+// Expirer is what a Timer fires: a consumer that embeds its Timer passes
+// itself (see Bind) and allocates nothing.
+type Expirer interface {
+	Expire()
+}
+
+// expireFunc adapts a plain callback.
+type expireFunc func()
+
+func (f expireFunc) Expire() { f() }
+
 // Timer is a rearmable wheel timer handle. Its in-wheel state lives in
 // the wheel's node arena only while the timer is queued; the handle
-// itself is one small long-lived allocation per consumer. The unqueued
-// state is reached through Stop or expiry; Reschedule re-arms from any
-// state in O(1) without allocating (node slots recycle through the
-// arena's free list).
+// itself is one small long-lived allocation per consumer, or a field of
+// the consumer (Bind). The unqueued state is reached through Stop or
+// expiry; Reschedule re-arms from any state in O(1) without allocating
+// (node slots recycle through the arena's free list).
 type Timer struct {
-	w  *Wheel
-	fn func()
+	w *Wheel
+	h Expirer
 
 	// gen is bumped under w.mu by every Stop and Reschedule; a fire batch
 	// entry whose captured generation no longer matches is dropped.
@@ -811,6 +822,19 @@ type Timer struct {
 	// by w.mu. The generation-stamped Index makes a stale handle resolve
 	// nil instead of aliasing a recycled node.
 	node arena.Index
+}
+
+// Bind makes t — memory its consumer owns, zero or bound before — a timer of
+// w firing h, and returns it. The wheel keeps pointers to timers it has
+// collected for firing, so that memory must stay a Timer while the wheel
+// lives; re-binding to the same wheel and handler writes nothing, so a
+// consumer in reused memory may re-initialise while an expiry collected in
+// its previous life is in flight. t must not be queued.
+func (t *Timer) Bind(w *Wheel, h Expirer) *Timer {
+	if t.w != w || t.h != h {
+		t.w, t.h = w, h
+	}
+	return t
 }
 
 // Reschedule re-arms the timer to fire d from now, replacing any pending

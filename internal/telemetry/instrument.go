@@ -34,12 +34,9 @@ const (
 	MetricIngestPoolMisses    = "wanfd_ingest_pool_misses_total"
 	MetricIngestUnknownSource = "wanfd_ingest_unknown_source_total"
 	MetricIngestKernelDrops   = "wanfd_ingest_kernel_drops_total"
+	MetricIngestUndelivered   = "wanfd_ingest_undelivered_total"
 
 	MetricEgressSendErrors = "wanfd_egress_send_errors_total"
-
-	MetricRouterDispatch  = "wanfd_router_dispatch_total"
-	MetricRouterUnrouted  = "wanfd_router_unrouted_total"
-	MetricRouterContended = "wanfd_router_shard_contended_total"
 
 	MetricPeers       = "wanfd_cluster_peers"
 	MetricPeerAdds    = "wanfd_cluster_peer_adds_total"

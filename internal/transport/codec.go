@@ -113,6 +113,7 @@ func DecodeInto(m *neko.Message, pkt []byte) (int64, error) {
 	m.To = neko.ProcessID(int32(binary.BigEndian.Uint32(pkt[8:12])))
 	m.Seq = int64(binary.BigEndian.Uint64(pkt[12:20]))
 	m.SentAt = 0
+	m.Handle = 0
 	m.Payload = append(m.Payload[:0], pkt[headerSize:headerSize+plen]...)
 	if plen == 0 {
 		// Keep the nil/empty distinction of the old decoder: a payload-less

@@ -24,8 +24,9 @@ func unmapAP(ap netip.AddrPort) netip.AddrPort {
 
 // pending is one drained datagram between decode and delivery: the pooled
 // message, the sender's wall-clock send time, the source address (already
-// Unmap()ed) and, once the source resolved to a registered peer, that
-// peer's clock offset.
+// Unmap()ed) and, once the source resolved to a registered peer (which
+// also stamps the message with that peer's id and handle), its clock
+// offset.
 type pending struct {
 	m        *neko.Message
 	sentUnix int64
@@ -176,7 +177,7 @@ func (n *UDPNetwork) processBatch(batch []pending, msgs []*neko.Message) {
 	n.peerMu.RLock()
 	for i := range batch {
 		if ps := n.lookupAddrLocked(batch[i].src); ps != nil {
-			batch[i].m.From = ps.id
+			batch[i].m.From, batch[i].m.Handle = ps.id, ps.handle
 			batch[i].off = ps.offset.Load()
 			batch[i].known = true
 		}

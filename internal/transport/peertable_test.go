@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"wanfd/internal/neko"
@@ -207,5 +210,63 @@ func TestIPv6ChurnCompaction(t *testing.T) {
 		if byAddr6.MaxProbe > 64 {
 			t.Fatalf("cycle %d: byAddr6 MaxProbe %d, want bounded", c, byAddr6.MaxProbe)
 		}
+	}
+}
+
+// TestResolveAddrPort pins the two ways a peer address is understood: a
+// literal ip:port is parsed without the resolver, everything else still
+// goes through it, and both arrive at the table key the receive path
+// computes from a datagram's source (v4-mapped v6 unwrapped to v4, zone
+// kept). A peer registered under either form is found under the other.
+func TestResolveAddrPort(t *testing.T) {
+	for _, c := range []struct {
+		addr, want string // want "" where only the resolver knows
+	}{
+		{"10.1.2.3:7000", "10.1.2.3:7000"},
+		{"[fe80::1%lo]:7001", "[fe80::1%lo]:7001"},
+		{"[::ffff:10.1.2.3]:7000", "10.1.2.3:7000"},
+		{"[2001:db8::5]:7002", "[2001:db8::5]:7002"},
+		{"localhost:9000", ""},
+		{":7003", ""},
+	} {
+		got, err := resolveAddrPort(c.addr)
+		if err != nil {
+			t.Errorf("resolveAddrPort(%q): %v", c.addr, err)
+			continue
+		}
+		if c.want != "" && got.String() != c.want {
+			t.Errorf("resolveAddrPort(%q) = %s, want %s", c.addr, got, c.want)
+		}
+		// The resolver's own answer, by way of AddrPort and unmap.
+		a, err := net.ResolveUDPAddr("udp", c.addr)
+		if err != nil {
+			t.Fatalf("net.ResolveUDPAddr(%q): %v", c.addr, err)
+		}
+		if old := unmapAP(a.AddrPort()); old != got {
+			t.Errorf("resolveAddrPort(%q) = %s, the resolver alone gives %s", c.addr, got, old)
+		}
+	}
+
+	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.AddPeerHandle(7, "[::ffff:10.1.2.3]:7000", 99); err != nil {
+		t.Fatal(err)
+	}
+	if id, _, ok := n.attributeAddr(netip.MustParseAddrPort("10.1.2.3:7000")); !ok || id != 7 {
+		t.Errorf("v4-mapped registration not found under its v4 source: id %d, ok %v", id, ok)
+	}
+	if err := n.AddPeer(8, "10.1.2.3:7000"); err == nil {
+		t.Error("the same endpoint registered twice, once v4-mapped and once v4")
+	}
+	err = n.AddPeer(9, "not an address")
+	if want := `transport: resolve peer 9 "not an address": `; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("malformed address: error %v, want prefix %q", err, want)
+	}
+	var addrErr *net.AddrError
+	if !errors.As(err, &addrErr) {
+		t.Errorf("malformed address: error %v does not wrap the resolver's *net.AddrError", err)
 	}
 }

@@ -19,4 +19,5 @@ func poison(m *neko.Message) {
 	m.Seq = -1 << 60
 	m.SentAt = -1 << 60
 	m.Payload = nil
+	m.Handle = 1<<64 - 2 // even generation: no arena index is ever this
 }

@@ -39,12 +39,14 @@ type UDPConfig struct {
 	ExpectedPeers int
 }
 
-// peerState is one registered peer: its transport identity plus the
+// peerState is one registered peer: its transport identity, the receiver's
+// handle for it (stamped on every message from its address), plus the
 // estimated peer-minus-local clock offset (nanoseconds), stored atomically
 // so the receive path reads it without taking any lock.
 type peerState struct {
 	id     neko.ProcessID
 	ap     netip.AddrPort
+	handle uint64
 	offset atomic.Int64
 }
 
@@ -165,12 +167,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 		closed:    make(chan struct{}),
 	}
 	for id, addr := range cfg.Peers {
-		a, err := net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("transport: resolve peer %d %q: %w", id, addr, err)
-		}
-		if err := n.addPeerLocked(id, unmapAP(a.AddrPort())); err != nil {
+		if err := n.AddPeer(id, addr); err != nil {
 			conn.Close()
 			return nil, err
 		}
@@ -212,20 +209,19 @@ var _ neko.Network = (*UDPNetwork)(nil)
 // address must both be new: addresses identify senders, so two ids sharing
 // one address would be indistinguishable on receive.
 func (n *UDPNetwork) AddPeer(id neko.ProcessID, addr string) error {
-	a, err := net.ResolveUDPAddr("udp", addr)
+	return n.AddPeerHandle(id, addr, 0)
+}
+
+// AddPeerHandle is AddPeer for a receiver with per-peer state of its own:
+// every message from addr is delivered with Message.Handle set to handle,
+// so the transport's address lookup is the receive path's only lookup.
+func (n *UDPNetwork) AddPeerHandle(id neko.ProcessID, addr string, handle uint64) error {
+	ap, err := resolveAddrPort(addr)
 	if err != nil {
 		return fmt.Errorf("transport: resolve peer %d %q: %w", id, addr, err)
 	}
-	ap := unmapAP(a.AddrPort())
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
-	return n.addPeerLocked(id, ap)
-}
-
-// addPeerLocked allocates the peer record and installs it in the id and
-// address indexes. Callers hold peerMu in write mode (or, during
-// construction, exclusive ownership).
-func (n *UDPNetwork) addPeerLocked(id neko.ProcessID, ap netip.AddrPort) error {
 	if _, dup := n.byID.Get(uint64(id)); dup {
 		return fmt.Errorf("transport: peer %d already registered", id)
 	}
@@ -233,7 +229,7 @@ func (n *UDPNetwork) addPeerLocked(id neko.ProcessID, ap netip.AddrPort) error {
 		return fmt.Errorf("transport: address %s already registered as peer %d", ap, other.id)
 	}
 	idx, ps := n.peerArena.Alloc()
-	ps.id, ps.ap = id, ap
+	ps.id, ps.ap, ps.handle = id, ap, handle
 	n.byID.Put(uint64(id), idx)
 	if k, ok := addrKey4(ap); ok {
 		n.byAddr4.Put(k, idx)
@@ -242,6 +238,20 @@ func (n *UDPNetwork) addPeerLocked(id neko.ProcessID, ap netip.AddrPort) error {
 		n.byAddr6.Put(k1, k2, idx)
 	}
 	return nil
+}
+
+// resolveAddrPort turns a peer address into the canonical (unmapped) form
+// the address tables key on. A literal ip:port is parsed in place; anything
+// else (a host name, a bare ":port", a service name) goes to the resolver.
+func resolveAddrPort(addr string) (netip.AddrPort, error) {
+	if ap, err := netip.ParseAddrPort(addr); err == nil {
+		return unmapAP(ap), nil
+	}
+	a, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	return unmapAP(a.AddrPort()), nil
 }
 
 // RemovePeer deletes a peer registration (and any stored clock offset).

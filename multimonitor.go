@@ -12,6 +12,7 @@ import (
 	"wanfd/internal/layers"
 	"wanfd/internal/neko"
 	"wanfd/internal/sched"
+	"wanfd/internal/store"
 	"wanfd/internal/telemetry"
 	"wanfd/internal/transport"
 )
@@ -69,51 +70,139 @@ func peerNameHash(name string) uint64 {
 	return h
 }
 
-// peerEntry is one live member: its transport identity and its detector
-// stack. The detector is reached through mon (Consumer, or Detector for
-// the freshness-point kind); ctrl is the peer's interval controller, nil
-// without WithTargetDetection.
+// peerEntry is one peer's whole record, a slot of its shard's arena: the
+// freshness-point detector by value — mutex, deadline, counters and wheel
+// timer handle included — so a default peer is this slot plus its predictor
+// and its margin. Delivery reaches the slot without the shard lock, possibly
+// after the slot has changed hands, which the arena's type-stable memory
+// (never moved, freed or zeroed: see arena.Release) and mu make safe.
 type peerEntry struct {
-	name string
-	addr string
-	id   neko.ProcessID
-	mon  *layers.Monitor
+	// mu orders delivery against the slot changing hands: under it, delivery
+	// compares its handle with self and walks away from a mismatch. Never
+	// overwritten. Lock order: shard read lock (queries) → mu → the
+	// detector's own mutex; never mu under a shard write lock.
+	mu sync.Mutex
+	// self is the arena index of the peer this slot serves; Nil while the
+	// slot is free, being built or being torn down. Guarded by mu.
+	self arena.Index
+	// id is the peer's process id while the entry is in the shard's name
+	// table, zero otherwise: what tells a walk over the arena that a slot is
+	// a member. Guarded by the shard lock.
+	id neko.ProcessID
+	// det is the peer's detector unless acc is set: a φ-accrual peer keeps
+	// its windowed detector out of line. ctrl is the interval controller,
+	// nil without WithTargetDetection. All three are written only while the
+	// slot is neither published nor live.
+	det  core.Detector
+	acc  *core.AccrualDetector
 	ctrl *layers.IntervalController
+}
+
+// peerDetector is what the monitor asks of either detector kind.
+type peerDetector interface {
+	core.HeartbeatConsumer
+	core.StatsProvider
+}
+
+// detector returns the peer's detector; its name is the peer's label.
+func (e *peerEntry) detector() peerDetector {
+	if e.acc != nil {
+		return e.acc
+	}
+	return &e.det
+}
+
+// heartbeat feeds one heartbeat to the peer self names, if this slot still
+// serves it.
+func (e *peerEntry) heartbeat(self arena.Index, m *neko.Message, at time.Duration) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.self != self {
+		return false
+	}
+	e.detector().OnHeartbeat(m.Seq, m.SentAt, at)
+	return true
 }
 
 // stop halts the entry's timers: the detector's deadline and the
 // controller's evaluation loop.
 func (e *peerEntry) stop() {
-	e.mon.Stop()
+	e.detector().Stop()
 	if e.ctrl != nil {
 		e.ctrl.Stop()
 	}
 }
 
-// detectorStats returns the entry's lifetime counters (zero for a consumer
-// kind that exposes none).
-func (e *peerEntry) detectorStats() DetectorStats {
-	if sp, ok := e.mon.Consumer().(StatsProvider); ok {
-		return sp.DetectorStats()
+// retire takes the slot out of service ahead of its release: once it
+// returns no delivery is accepted, no deadline is armed and the controller,
+// which points into the slot, has stopped for good. The detector stays as
+// Stop left it, so an expiry already collected for it finds it stopped.
+func (e *peerEntry) retire() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.self = arena.Nil
+	e.stop()
+	e.acc, e.ctrl = nil, nil
+}
+
+// sink is a monitor's one transition listener, shared by every peer's
+// detector (whose name is the peer's label): live telemetry, the durable QoS
+// store and the user callback, each optional — nil is a no-op.
+type sink struct {
+	onChange func(peer string, suspected bool, elapsed time.Duration)
+	reg      *telemetry.Registry
+	qstore   *store.Store
+}
+
+func (s *sink) OnSuspect(peer string, at time.Duration) { s.transition(peer, true, at) }
+
+func (s *sink) OnTrust(peer string, at time.Duration) { s.transition(peer, false, at) }
+
+func (s *sink) transition(peer string, suspected bool, at time.Duration) {
+	s.reg.RecordTransition(peer, suspected, at)
+	s.qstore.Recorder(peer).Transition(suspected, at)
+	if s.onChange != nil {
+		s.onChange(peer, suspected, at)
 	}
-	return DetectorStats{}
 }
 
 // peerShard is one lane of the peer table: entries live in an
 // index-addressed arena and the name-keyed open-addressed table maps
-// hashes to arena indices (see internal/arena). A *peerEntry from ents is
-// only valid while mu is held — RemovePeer frees and zeroes the record
-// under the write lock — so read paths copy the entry out before
-// unlocking.
+// hashes to arena indices (see internal/arena). mu guards the table, the
+// arena's bookkeeping and every entry's id. env is what the shard's
+// detectors share: the shard's wheel as clock, the sink, the timeout floor.
 type peerShard struct {
 	mu   sync.RWMutex
 	tab  *arena.Map64
 	ents *arena.Arena[peerEntry]
+	env  *core.DetectorEnv
 }
 
 // find resolves a name to its arena index. Callers hold mu.
 func (s *peerShard) find(h uint64, name string) (arena.Index, bool) {
-	return s.tab.Find(h, func(i arena.Index) bool { return s.ents.Get(i).name == name })
+	return s.tab.Find(h, func(i arena.Index) bool { return s.ents.Get(i).detector().Name() == name })
+}
+
+// each calls f for every member of the shard, under its read lock — an
+// entry's own locks nest safely inside it.
+func (s *peerShard) each(f func(*peerEntry)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
+		if e.id != 0 {
+			f(e)
+		}
+		return true
+	})
+}
+
+// handleShardShift is where a peer handle keeps its shard number: above the
+// arena index, whose slot number (bits 32 and up) stays below 2^26.
+const handleShardShift = 58
+
+// peerHandle packs the token the transport stamps on a peer's messages.
+func peerHandle(shard uint64, idx arena.Index) uint64 {
+	return shard<<handleShardShift | uint64(idx)
 }
 
 // MultiMonitor is a running multi-peer UDP failure detector with dynamic
@@ -121,13 +210,19 @@ func (s *peerShard) find(h uint64, name string) (arena.Index, bool) {
 // without dropping the socket or perturbing other peers' timers. All
 // methods are safe for concurrent use.
 type MultiMonitor struct {
-	net       *transport.UDPNetwork
-	router    *layers.Router
+	net *transport.UDPNetwork
+	// sender is the endpoint's send side, for the interval controllers.
+	sender    neko.Sender
 	ctx       *neko.Context
 	opts      options
 	nextID    atomic.Int64 // next peer ProcessID; monotonic, never reused
 	shards    []peerShard
 	shardMask uint64
+	listener  *sink // every peer's detector reports to it
+	// undelivered counts messages from a registered address that reached no
+	// detector: they raced their peer's removal or arrived before it went
+	// live, or nothing here consumes their type.
+	undelivered atomic.Uint64
 	// wheels are the per-shard timing wheels all peer deadlines run on:
 	// shard i's detectors schedule on wheels[i], and one lazily started
 	// driver goroutine expires the deadlines of all of them.
@@ -160,8 +255,8 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	// Fold the split callbacks once, so every peer's listener carries a
-	// single onChange closure.
+	// Fold the split callbacks once, so the sink carries a single onChange
+	// closure.
 	o.onChange = foldCallbacks(o.onSuspect, o.onTrust, o.onChange)
 	prof := profileFor(o.expectedPeers)
 	net, err := transport.NewUDPNetwork(transport.UDPConfig{
@@ -176,17 +271,18 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	}
 	mm := &MultiMonitor{
 		net:       net,
-		router:    layers.NewRouterSharded(prof.shards),
 		opts:      o,
 		shards:    make([]peerShard, prof.shards),
 		shardMask: uint64(prof.shards - 1),
 	}
-	mm.router.Instrument(o.telemetry)
 	o.qstore.Instrument(o.telemetry)
 	if reg := o.telemetry; reg != nil {
 		mm.mPeers = reg.Gauge(telemetry.MetricPeers, "Current cluster membership size.")
 		mm.mPeerAdds = reg.Counter(telemetry.MetricPeerAdds, "Peers added to the cluster monitor.")
 		mm.mPeerRemoves = reg.Counter(telemetry.MetricPeerRemoves, "Peers removed from the cluster monitor.")
+		reg.CounterFunc(telemetry.MetricIngestUndelivered,
+			"Messages from a registered address that reached no detector: they raced their peer's removal, or nothing consumes their type.",
+			func() float64 { return float64(mm.undelivered.Load()) })
 	}
 	mm.nextID.Store(int64(multiMonitorID) + 1)
 	// Pre-size each shard's table for its cut of the expected population.
@@ -237,13 +333,18 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 			"Deadlines parked beyond the wheel horizon, summed over shards.",
 			func() float64 { return float64(mm.SchedulerStats().OverflowTimers) })
 	}
-	proc, err := neko.NewProcess(multiMonitorID, net.Clock(), net, mm.router)
-	if err != nil {
-		_ = net.Close()
-		return nil, err
+	mm.listener = &sink{onChange: o.onChange, reg: o.telemetry, qstore: o.qstore}
+	for i := range mm.shards {
+		// The deadlines of a shard's peers run on the shard's wheel, so
+		// membership churn and timer load distribute identically.
+		if mm.shards[i].env, err = core.NewDetectorEnv(mm.wheels[i], mm.listener, o.minTimeout); err != nil {
+			_ = mm.Close()
+			return nil, err
+		}
 	}
-	if err := proc.Start(); err != nil {
-		_ = net.Close()
+	// The monitor is complete: datagrams may be delivered from here on.
+	if mm.sender, err = net.Attach(multiMonitorID, (*ingress)(mm)); err != nil {
+		_ = mm.Close()
 		return nil, err
 	}
 	for _, p := range o.peers {
@@ -255,102 +356,145 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	return mm, nil
 }
 
+// ingress is the MultiMonitor as its endpoint's receiver: the transport
+// delivers each drained batch here, on the socket reader's goroutine.
+type ingress MultiMonitor
+
+func (r *ingress) Receive(msg *neko.Message) {
+	m := (*MultiMonitor)(r)
+	m.deliver(msg, m.ctx.Clock.Now())
+}
+
+func (r *ingress) ReceiveBatch(ms []*neko.Message, at time.Duration) {
+	m := (*MultiMonitor)(r)
+	for _, msg := range ms {
+		m.deliver(msg, at)
+	}
+}
+
+// deliver is the whole path from the transport to a detector: the handle
+// found beside the source address names the peer's record, and the record
+// decides whether it still serves that peer.
+func (m *MultiMonitor) deliver(msg *neko.Message, at time.Duration) {
+	if msg.Type == neko.MsgHeartbeat {
+		shard, idx := msg.Handle>>handleShardShift, arena.Index(msg.Handle&(1<<handleShardShift-1))
+		if shard < uint64(len(m.shards)) {
+			if e := m.shards[shard].ents.At(idx); e != nil && e.heartbeat(idx, msg, at) {
+				return
+			}
+		}
+	}
+	m.undelivered.Add(1)
+}
+
 // AddPeer starts monitoring one more peer, identified by the source
 // address its heartbeats will arrive from. The peer gets a fresh detector
 // and a fresh process id — re-adding a previously removed name never
 // resurrects old suspicion state. Names and addresses must be unique
 // within the cluster. With WithSyncClock the call blocks for the clock-sync
 // exchange and fails if the peer does not answer.
-func (m *MultiMonitor) AddPeer(name, addr string) error {
+func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	if name == "" {
 		return fmt.Errorf("wanfd: empty peer name")
 	}
-	// Build the whole detector stack before touching the shard, so the
-	// critical section other peers' queries (and a same-shard removal)
-	// contend with is only the publication below, not the construction.
-	// The deadline runs on the wheel of the shard that holds the peer's
-	// table entry, so membership churn and timer load distribute identically.
 	h := peerNameHash(name)
-	consumer, err := m.opts.newConsumer(name, m.wheels[h&m.shardMask])
-	if err != nil {
-		return err
+	si := h & m.shardMask
+	s := &m.shards[si]
+	s.mu.Lock()
+	if _, dup := s.find(h, name); dup {
+		s.mu.Unlock()
+		return fmt.Errorf("wanfd: peer %q already monitored", name)
 	}
-	mon, err := layers.NewConsumerMonitor(consumer)
-	if err != nil {
-		return err
-	}
-	if err := mon.Init(m.ctx); err != nil {
-		return err
-	}
-	e := peerEntry{name: name, addr: addr, id: neko.ProcessID(m.nextID.Add(1) - 1), mon: mon}
-	if m.opts.targetDetection > 0 {
-		e.ctrl, err = layers.NewIntervalController(layers.IntervalControllerConfig{
-			Detector:        mon.Detector(),
-			TargetDetection: m.opts.targetDetection,
-			Peer:            e.id,
-		})
+	idx, e := s.ents.Alloc()
+	s.mu.Unlock()
+	// The slot is reserved, neither live nor published. What follows runs
+	// outside the shard lock until the publication, so queries and same-shard
+	// removals contend only with these two short sections. A failure at any
+	// later step gives the slot back.
+	defer func() {
 		if err != nil {
-			return err
+			e.retire()
+			s.mu.Lock()
+			s.ents.Release(idx)
+			s.mu.Unlock()
 		}
-		// The controller only sends: its commands go down through the
-		// router to the socket, and nothing is routed up to it.
-		e.ctrl.SetBelow(m.router)
-		if err := e.ctrl.Init(m.ctx); err != nil {
-			return err
-		}
-	}
-	if err := m.register(h, e); err != nil {
-		e.stop()
+	}()
+	id := neko.ProcessID(m.nextID.Add(1) - 1)
+	if err := m.build(si, e, name, id); err != nil {
 		return err
 	}
-	return nil
-}
-
-// register makes a built entry live: transport first, so the sync exchange
-// can reach the peer, and the route only after it, so the first heartbeat
-// the detector sees is already offset-corrected. Heartbeats arriving in
-// between are attributed but unrouted and dropped — loss the detector
-// tolerates anyway. No shard lock is held across the exchange; a failure
-// after the transport registration rolls it back.
-func (m *MultiMonitor) register(h uint64, e peerEntry) (err error) {
-	if err := m.net.AddPeer(e.id, e.addr); err != nil {
+	// Transport first, so the sync exchange can reach the peer; live only
+	// after it, so the first heartbeat the detector sees is offset-corrected.
+	// Heartbeats in between are dropped — loss the detector tolerates.
+	if err := m.net.AddPeerHandle(id, addr, peerHandle(si, idx)); err != nil {
 		return err
 	}
 	defer func() {
 		if err != nil {
-			_ = m.net.RemovePeer(e.id)
+			_ = m.net.RemovePeer(id)
 		}
 	}()
 	if m.opts.syncTimeout > 0 {
-		if _, err := m.net.SyncWith(e.id, 8, m.opts.syncTimeout); err != nil {
-			return fmt.Errorf("wanfd: clock sync with %s: %w", e.name, err)
+		if _, err := m.net.SyncWith(id, 8, m.opts.syncTimeout); err != nil {
+			return fmt.Errorf("wanfd: clock sync with %s: %w", name, err)
 		}
 	}
-	return m.publish(h, e)
-}
-
-// publish routes a registered entry and installs it in its shard's table,
-// unless the name is taken.
-func (m *MultiMonitor) publish(h uint64, e peerEntry) error {
-	s := &m.shards[h&m.shardMask]
+	e.mu.Lock()
+	e.self = idx
+	e.mu.Unlock()
+	// Publish, unless the name was taken while the peer was being built.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.find(h, e.name); dup {
-		return fmt.Errorf("wanfd: peer %q already monitored", e.name)
+	if _, dup := s.find(h, name); dup {
+		return fmt.Errorf("wanfd: peer %q already monitored", name)
 	}
-	if err := m.router.Route(e.id, e.mon); err != nil {
-		return err
-	}
-	idx, slot := s.ents.Alloc()
-	*slot = e
+	e.id = id
 	s.tab.Put(h, idx)
-	if det := e.mon.Detector(); det != nil {
-		m.opts.exportDetector(e.name, det)
+	if e.acc == nil {
+		m.opts.exportDetector(&e.det)
 	}
 	m.mPeerAdds.Inc()
 	// Maintained incrementally: Peers() would re-lock the shard held here.
 	m.mPeers.Add(1)
 	return nil
+}
+
+// build constructs the peer's detector stack in its slot: φ-accrual with
+// WithAccrualThreshold, the paper's freshness-point detector otherwise.
+func (m *MultiMonitor) build(shard uint64, e *peerEntry, name string, id neko.ProcessID) error {
+	o := &m.opts
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if o.accrualThreshold > 0 {
+		acc, err := core.NewAccrualDetector(core.AccrualDetectorConfig{
+			Name:      name,
+			Threshold: o.accrualThreshold,
+			Clock:     m.wheels[shard],
+			Listener:  m.listener,
+		})
+		e.acc = acc
+		return err
+	}
+	cfg, err := o.detectorConfig(name)
+	if err == nil {
+		cfg.Env = m.shards[shard].env
+		err = e.det.Init(cfg)
+	}
+	if err != nil || o.targetDetection <= 0 {
+		return err
+	}
+	e.ctrl, err = layers.NewIntervalController(layers.IntervalControllerConfig{
+		Detector:        &e.det,
+		TargetDetection: o.targetDetection,
+		Peer:            id,
+	})
+	if err != nil {
+		return err
+	}
+	// The controller only sends, straight to the socket, and keeps its timer
+	// on the endpoint's clock: wheel occupancy stays one deadline per peer.
+	e.ctrl.SetBelow(m.sender)
+	return e.ctrl.Init(m.ctx)
 }
 
 // RemovePeer stops monitoring a peer and tears its detector down. Other
@@ -360,34 +504,35 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	h := peerNameHash(name)
 	s := &m.shards[h&m.shardMask]
 	s.mu.Lock()
-	var e peerEntry
-	idx, ok := s.tab.Remove(h, func(i arena.Index) bool { return s.ents.Get(i).name == name })
+	var e *peerEntry
+	var id neko.ProcessID
+	idx, ok := s.tab.Remove(h, func(i arena.Index) bool { return s.ents.Get(i).detector().Name() == name })
 	if ok {
-		// Copy the entry out before freeing: Free zeroes the record, and
-		// the teardown below runs outside the shard lock.
-		e = *s.ents.Get(idx)
-		s.ents.Free(idx)
+		e = s.ents.Get(idx)
+		id, e.id = e.id, 0
 	}
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("wanfd: unknown peer %q", name)
 	}
 	// Unregister the address first so new packets stop being attributed,
-	// then unroute and stop: a packet already past the transport lookup
-	// still finds a live (about-to-stop) detector, and a straggler
-	// arriving after Stop is discarded by the detector itself.
-	_ = m.net.RemovePeer(e.id)
-	_ = m.router.Unroute(e.id)
-	e.stop()
+	// then retire the slot: a packet already past the transport lookup, or
+	// an expiry already collected, still reaches this memory and finds a
+	// slot that does not answer to its handle and a stopped detector.
+	_ = m.net.RemovePeer(id)
+	e.retire()
 	m.mPeerRemoves.Inc()
 	m.mPeers.Add(-1)
 	// Retire the peer's series and running QoS state so churn does not
-	// grow the exposition without bound; re-added names start fresh,
-	// matching the fresh-detector semantics.
+	// grow the exposition without bound; re-added names start fresh. Before
+	// the release: the series read the slot's detector.
 	if reg := m.opts.telemetry; reg != nil {
 		reg.DropSeries("peer", name)
 		reg.QoS().RemovePeer(name)
 	}
+	s.mu.Lock()
+	s.ents.Release(idx)
+	s.mu.Unlock()
 	return nil
 }
 
@@ -457,50 +602,47 @@ func (m *MultiMonitor) SchedulerStatsDetail() []WheelStats {
 	return out
 }
 
-// lookup finds a live peer entry, returned by value: the arena record is
-// only stable under the shard lock (a concurrent RemovePeer frees and
-// zeroes it), but the copied pointers — monitor layer, controller — stay
-// valid heap objects, exactly as they did when the table held *peerEntry.
-func (m *MultiMonitor) lookup(name string) (peerEntry, bool) {
+// view runs f on the named peer's entry — the arena's own record — under
+// its shard's read lock, and reports whether the peer exists.
+func (m *MultiMonitor) view(name string, f func(*peerEntry)) bool {
 	h := peerNameHash(name)
 	s := &m.shards[h&m.shardMask]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if idx, ok := s.find(h, name); ok {
-		return *s.ents.Get(idx), true
+	idx, ok := s.find(h, name)
+	if ok {
+		f(s.ents.Get(idx))
 	}
-	return peerEntry{}, false
+	return ok
 }
 
 // Suspected reports whether the named peer is currently suspected; unknown
 // peers report an error.
-func (m *MultiMonitor) Suspected(peer string) (bool, error) {
-	e, ok := m.lookup(peer)
-	if !ok {
+func (m *MultiMonitor) Suspected(peer string) (suspected bool, err error) {
+	if !m.view(peer, func(e *peerEntry) { suspected = e.detector().Suspected() }) {
 		return false, fmt.Errorf("wanfd: unknown peer %q", peer)
 	}
-	return e.mon.Consumer().Suspected(), nil
+	return suspected, nil
 }
 
 // PeerStatusOf returns one peer's full status; unknown peers report an
 // error.
-func (m *MultiMonitor) PeerStatusOf(peer string) (PeerStatus, error) {
-	e, ok := m.lookup(peer)
-	if !ok {
+func (m *MultiMonitor) PeerStatusOf(peer string) (st PeerStatus, err error) {
+	if !m.view(peer, func(e *peerEntry) { st = m.status(e) }) {
 		return PeerStatus{}, fmt.Errorf("wanfd: unknown peer %q", peer)
 	}
-	return m.status(&e), nil
+	return st, nil
 }
 
 // status builds the PeerStatus of one live entry. The clock offset is read
 // from the transport only when the monitor syncs clocks at all.
 func (m *MultiMonitor) status(e *peerEntry) PeerStatus {
-	c := e.mon.Consumer()
-	st := PeerStatus{Peer: e.name, Suspected: c.Suspected(), DetectorStats: e.detectorStats()}
-	if det := e.mon.Detector(); det != nil {
-		st.Timeout = time.Duration(det.CurrentTimeout() * float64(time.Millisecond))
-	} else if acc, ok := c.(*core.AccrualDetector); ok {
-		st.Phi = acc.Phi()
+	d := e.detector()
+	st := PeerStatus{Peer: d.Name(), Suspected: d.Suspected(), DetectorStats: d.DetectorStats()}
+	if e.acc != nil {
+		st.Phi = e.acc.Phi()
+	} else {
+		st.Timeout = time.Duration(e.det.CurrentTimeout() * float64(time.Millisecond))
 	}
 	if m.opts.syncTimeout > 0 {
 		st.ClockOffset = m.net.Offset(e.id)
@@ -510,18 +652,11 @@ func (m *MultiMonitor) status(e *peerEntry) PeerStatus {
 
 // Status returns every peer's state, sorted by peer name. Membership may
 // change concurrently; the result is a consistent per-peer (not
-// cross-peer) snapshot. Statuses are built shard by shard in one pass —
-// the detector's own lock nests safely under a shard read lock.
+// cross-peer) snapshot. Statuses are built shard by shard in one pass.
 func (m *MultiMonitor) Status() []PeerStatus {
 	out := make([]PeerStatus, 0, m.Peers())
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
-			out = append(out, m.status(e))
-			return true
-		})
-		s.mu.RUnlock()
+		m.shards[i].each(func(e *peerEntry) { out = append(out, m.status(e)) })
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
@@ -533,7 +668,7 @@ func (m *MultiMonitor) Peers() int {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
-		n += s.ents.Len()
+		n += s.tab.Len()
 		s.mu.RUnlock()
 	}
 	return n
@@ -547,22 +682,18 @@ func (m *MultiMonitor) Peers() int {
 func (m *MultiMonitor) Snapshot() ClusterSnapshot {
 	snap := ClusterSnapshot{Uptime: m.ctx.Clock.Now()}
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
+		m.shards[i].each(func(e *peerEntry) {
 			snap.Peers++
-			if e.mon.Consumer().Suspected() {
+			if e.detector().Suspected() {
 				snap.Suspected++
 			} else {
 				snap.Trusted++
 			}
-			st := e.detectorStats()
+			st := e.detector().DetectorStats()
 			snap.Totals.Heartbeats += st.Heartbeats
 			snap.Totals.Stale += st.Stale
 			snap.Totals.Suspicions += st.Suspicions
-			return true
 		})
-		s.mu.RUnlock()
 	}
 	return snap
 }
@@ -600,13 +731,7 @@ func (m *MultiMonitor) Telemetry() *telemetry.Registry { return m.opts.telemetry
 // releases the socket.
 func (m *MultiMonitor) Close() error {
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
-			e.stop()
-			return true
-		})
-		s.mu.RUnlock()
+		m.shards[i].each((*peerEntry).stop)
 	}
 	for _, w := range m.wheels {
 		w.Close()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wanfd/internal/core"
-	"wanfd/internal/sim"
 	"wanfd/internal/store"
 	"wanfd/internal/telemetry"
 )
@@ -53,8 +52,8 @@ type options struct {
 }
 
 // scaleProfile is the geometry a cluster monitor derives from the
-// expected peer count: how many ways the peer table and router fan out,
-// and how wide the shard timing wheels are. The shard count is a power of
+// expected peer count: how many ways the peer table fans out (one timing
+// wheel per shard), and how wide those wheels are. The shard count is a power of
 // two (lookups mask, not modulo); zero wheel slots select the scheduler
 // defaults (256 fine / 64 coarse).
 type scaleProfile struct {
@@ -153,7 +152,14 @@ func WithMinTimeout(d time.Duration) Option {
 }
 
 // WithOnChange installs the per-peer transition callback invoked on any
-// suspicion change; it must not block. Trust transitions run on the socket
+// suspicion change; it must not block, and it must not call back into the
+// monitor. The callback runs with its peer's record locked: Status,
+// Snapshot, PeerStatusOf and Suspected take a shard's read lock and then
+// that record's, AddPeer and RemovePeer wait for the shard's write lock —
+// so a callback that queries the monitor while another goroutine adds a
+// peer is a three-party deadlock, and one that asks about its own peer
+// deadlocks by itself. Hand the event to another goroutine (a buffered
+// channel, a queue) and do the work there. Trust transitions run on the socket
 // reader goroutine that received the heartbeat, so a callback that blocks
 // there stalls reception for every peer on that socket — the kernel buffer
 // then overflows and the loss is counted in IngestStats.KernelDrops.
@@ -172,16 +178,18 @@ func WithOnChange(fn func(peer string, suspected bool, elapsed time.Duration)) O
 
 // WithOnSuspect installs a suspicion-start callback that does not name
 // the peer (the natural form for a single-peer Monitor; on a cluster it
-// fires for every peer); it must not block: it runs on the monitor's one
-// expiry driver and delays every other deadline of the monitor, on every
-// shard (never reception or trust transitions; see WithOnChange).
+// fires for every peer); it must not block or call any method of the
+// monitor: it runs on the monitor's one expiry driver and delays every other
+// deadline of the monitor, on every shard (never reception or trust
+// transitions), with its peer's record locked (see WithOnChange).
 func WithOnSuspect(fn func(elapsed time.Duration)) Option {
 	return func(o *options) { o.onSuspect = fn }
 }
 
 // WithOnTrust installs a suspicion-end callback that does not name the
-// peer (see WithOnSuspect); it must not block: it runs on the socket reader
-// goroutine, so blocking stalls reception for every peer (see
+// peer (see WithOnSuspect); it must not block or call any method of the
+// monitor: it runs on the socket reader goroutine, so blocking stalls
+// reception for every peer, with its peer's record locked (see
 // WithOnChange).
 func WithOnTrust(fn func(elapsed time.Duration)) Option {
 	return func(o *options) { o.onTrust = fn }
@@ -255,10 +263,9 @@ type PipelineConfig struct {
 	// where SO_REUSEPORT is available (linux).
 	Readers int
 	// ExpectedPeers declares the cluster size a MultiMonitor is being
-	// built for. It selects the monitor's scale profile — peer-table and
-	// router shard counts plus timing-wheel width — and pre-sizes the peer
-	// tables so growing to the expected population
-	// never rehashes under load. 0 keeps the default geometry (tuned for
+	// built for. It selects the monitor's scale profile — peer-table shard
+	// count plus timing-wheel width — and pre-sizes the peer tables so
+	// growing to the expected population never rehashes under load. 0 keeps the default geometry (tuned for
 	// up to ~32k peers); larger values widen the fan-out in steps, with
 	// the top tier sized for 1M+ peers.
 	ExpectedPeers int
@@ -293,53 +300,40 @@ func (o *options) validate() error {
 	return nil
 }
 
-// newConsumer builds one peer's detector from the normalized options — the
-// one recipe behind every monitored peer: φ-accrual when WithAccrualThreshold
-// is set, the paper's freshness-point detector otherwise. name labels the
-// peer in callbacks, telemetry series and the durable store; clk is the
-// detector's timer source.
-func (o *options) newConsumer(name string, clk sim.Clock) (core.HeartbeatConsumer, error) {
-	// One durable-store recorder per peer: the detector taps it for every
-	// heartbeat sample, the listener for every transition. Nil (a no-op)
-	// without WithStore.
-	rec := o.qstore.Recorder(name)
-	listener := peerListener{name: name, onChange: o.onChange, reg: o.telemetry, rec: rec}
-	if o.accrualThreshold > 0 {
-		return core.NewAccrualDetector(core.AccrualDetectorConfig{
-			Threshold: o.accrualThreshold,
-			Clock:     clk,
-			Listener:  listener,
-		})
-	}
+// detectorConfig is the one recipe behind every monitored peer's
+// freshness-point detector, less clock, listener and floor, which the caller
+// supplies. name labels the peer in callbacks, telemetry and the store.
+func (o *options) detectorConfig(name string) (core.DetectorConfig, error) {
 	pred, err := core.NewPredictorByName(o.predictor)
 	if err != nil {
-		return nil, err
+		return core.DetectorConfig{}, err
 	}
 	margin, err := core.NewMarginByName(o.margin)
 	if err != nil {
-		return nil, err
+		return core.DetectorConfig{}, err
 	}
-	return core.NewDetector(core.DetectorConfig{
-		Name:       name,
-		Predictor:  pred,
-		Margin:     margin,
-		Eta:        o.eta,
-		Clock:      clk,
-		Listener:   listener,
-		MinTimeout: o.minTimeout,
-		Metrics:    o.telemetry.DetectorMetrics(name),
-		Sample:     rec,
-	})
+	return core.DetectorConfig{
+		Name:      name,
+		Predictor: pred,
+		Margin:    margin,
+		Eta:       o.eta,
+		Metrics:   o.telemetry.DetectorMetrics(name),
+		// One durable-store recorder per peer, tapped for every heartbeat
+		// sample. Nil (a no-op) without WithStore.
+		Sample: o.qstore.Recorder(name),
+	}, nil
 }
 
 // exportDetector registers the scrape-time series for a published
 // freshness-point detector: state it tracks anyway is sampled when scraped,
-// not pushed per heartbeat. Kept apart from newConsumer because AddPeer
-// builds the detector before it knows the name is free, and a rejected
+// not pushed per heartbeat. At publication, not construction: a rejected
 // duplicate must not take over the live peer's series. DropSeries retires
 // them.
-func (o *options) exportDetector(name string, det *core.Detector) {
-	o.telemetry.DetectorFuncs(name,
+func (o *options) exportDetector(det *core.Detector) {
+	if o.telemetry == nil {
+		return
+	}
+	o.telemetry.DetectorFuncs(det.Name(),
 		func() (uint64, uint64, uint64) {
 			st := det.DetectorStats()
 			return st.Heartbeats, st.Stale, st.Suspicions

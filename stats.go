@@ -1,9 +1,6 @@
 package wanfd
 
-import (
-	"wanfd/internal/arena"
-	"wanfd/internal/transport"
-)
+import "wanfd/internal/transport"
 
 // IngestStats is a snapshot of the receive pipeline's health counters
 // (drain cycles, pool misses, unknown-source discards, kernel drops).
@@ -43,16 +40,12 @@ func (m *Monitor) Stats() Stats { return m.mm.Stats() }
 func (m *MultiMonitor) Stats() Stats {
 	var det DetectorStats
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
-			st := e.detectorStats()
+		m.shards[i].each(func(e *peerEntry) {
+			st := e.detector().DetectorStats()
 			det.Heartbeats += st.Heartbeats
 			det.Stale += st.Stale
 			det.Suspicions += st.Suspicions
-			return true
 		})
-		s.mu.RUnlock()
 	}
 	return Stats{
 		Detector:  det,

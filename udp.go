@@ -14,9 +14,9 @@ import (
 // a MultiMonitor whose one member is the remote heartbeater.
 type Monitor struct {
 	mm *MultiMonitor
-	// e is the one peer's entry, copied out once: the cluster is private to
-	// this view, so the peer is never removed and the copy never goes stale.
-	e peerEntry
+	// e is the one peer's entry: the cluster is private to this view, so
+	// the peer is never removed and the record stays this peer's.
+	e *peerEntry
 }
 
 // udpHeartbeaterID is the local process id of a RunHeartbeater endpoint;
@@ -50,28 +50,29 @@ func NewMonitor(listen, remote string, opts ...Option) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, _ := mm.lookup(remote)
-	return &Monitor{mm: mm, e: e}, nil
+	mon := &Monitor{mm: mm}
+	mm.view(remote, func(e *peerEntry) { mon.e = e })
+	return mon, nil
 }
 
 // Suspected reports the detector's current output.
-func (m *Monitor) Suspected() bool { return m.e.mon.Consumer().Suspected() }
+func (m *Monitor) Suspected() bool { return m.e.detector().Suspected() }
 
 // Timeout returns the current adaptive timeout of a freshness-point
 // detector; for a φ-accrual monitor it returns 0 (use Phi instead).
-func (m *Monitor) Timeout() time.Duration { return m.mm.status(&m.e).Timeout }
+func (m *Monitor) Timeout() time.Duration { return m.mm.status(m.e).Timeout }
 
 // Phi returns the φ-accrual suspicion level, or 0 for a freshness-point
 // monitor.
-func (m *Monitor) Phi() float64 { return m.mm.status(&m.e).Phi }
+func (m *Monitor) Phi() float64 { return m.mm.status(m.e).Phi }
 
 // ClockOffset returns the estimated peer clock offset (0 if SyncClock was
 // not requested).
-func (m *Monitor) ClockOffset() time.Duration { return m.mm.status(&m.e).ClockOffset }
+func (m *Monitor) ClockOffset() time.Duration { return m.mm.status(m.e).ClockOffset }
 
 // DetectorStats returns a snapshot of the detector's lifetime counters
 // (zero for consumer kinds that expose none).
-func (m *Monitor) DetectorStats() DetectorStats { return m.e.detectorStats() }
+func (m *Monitor) DetectorStats() DetectorStats { return m.e.detector().DetectorStats() }
 
 // LocalAddr returns the monitor's bound UDP address string.
 func (m *Monitor) LocalAddr() string { return m.mm.LocalAddr() }
