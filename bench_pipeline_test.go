@@ -47,9 +47,16 @@ func benchPeerAddr(i int) string {
 	return fmt.Sprintf("127.%d.%d.%d:20001", 1+(i>>16), (i>>8)&0xff, i&0xff)
 }
 
-// benchCluster builds a MultiMonitor over the named peers; the caller's
-// cleanup closes it.
-func benchCluster(tb testing.TB, names []string, opts ...Option) *MultiMonitor {
+// benchPeerAddr6 is benchPeerAddr's IPv6 counterpart: documentation-prefix
+// addresses on the same fixed port. Nothing listens there, so it serves the
+// receive path only.
+func benchPeerAddr6(i int) string {
+	return fmt.Sprintf("[2001:db8::%x:%x]:20001", i>>16, i&0xffff)
+}
+
+// benchCluster builds a MultiMonitor over the named peers, peer i at
+// addr(i); the caller's cleanup closes it.
+func benchCluster(tb testing.TB, names []string, addr func(int) string, opts ...Option) *MultiMonitor {
 	tb.Helper()
 	mm, err := NewMultiMonitor("127.0.0.1:0", opts...)
 	if err != nil {
@@ -57,7 +64,7 @@ func benchCluster(tb testing.TB, names []string, opts ...Option) *MultiMonitor {
 	}
 	tb.Cleanup(func() { _ = mm.Close() })
 	for i, name := range names {
-		if err := mm.AddPeer(name, benchPeerAddr(i)); err != nil {
+		if err := mm.AddPeer(name, addr(i)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -117,10 +124,10 @@ type pipelineHarness struct {
 	chunkSrcs []netip.AddrPort
 }
 
-func newPipelineHarness(tb testing.TB, peers int, egress bool, opts ...Option) *pipelineHarness {
+func newPipelineHarness(tb testing.TB, peers int, egress bool, addr func(int) string, opts ...Option) *pipelineHarness {
 	tb.Helper()
 	h := &pipelineHarness{
-		mm:        benchCluster(tb, benchPeerNames(peers), opts...),
+		mm:        benchCluster(tb, benchPeerNames(peers), addr, opts...),
 		egress:    egress,
 		pkts:      make([][]byte, peers),
 		srcs:      make([]netip.AddrPort, peers),
@@ -139,7 +146,7 @@ func newPipelineHarness(tb testing.TB, peers int, egress bool, opts ...Option) *
 	}
 	for i := range h.pkts {
 		h.pkts[i] = bytes.Clone(proto)
-		h.srcs[i] = netip.MustParseAddrPort(benchPeerAddr(i))
+		h.srcs[i] = netip.MustParseAddrPort(addr(i))
 	}
 	return h
 }
@@ -208,7 +215,7 @@ func BenchmarkPipeline(b *testing.B) {
 			if testing.Short() && sc.peers == peers1M {
 				b.Skip("registering 2^20 peers dominates the wall clock")
 			}
-			h := newPipelineHarness(b, sc.peers, true, sc.opts...)
+			h := newPipelineHarness(b, sc.peers, true, benchPeerAddr, sc.opts...)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for left := b.N; left > 0; left -= benchIngestChunk {
@@ -297,14 +304,14 @@ func BenchmarkCluster1k(b *testing.B) {
 		{"flapping", true},
 	} {
 		b.Run(sc.name+"/sharded", func(b *testing.B) {
-			runReceiveBench(b, benchCluster(b, names), names, sc.flapping)
+			runReceiveBench(b, benchCluster(b, names, benchPeerAddr), names, sc.flapping)
 		})
 		// Same sharded stack with live telemetry: every delivery observes
 		// two histograms.
 		// The sharded (uninstrumented) run above doubles as the disabled
 		// path — nil registry, dead branches only.
 		b.Run(sc.name+"/sharded-telemetry", func(b *testing.B) {
-			mm := benchCluster(b, names, WithTelemetry(telemetry.NewRegistry(256)))
+			mm := benchCluster(b, names, benchPeerAddr, WithTelemetry(telemetry.NewRegistry(256)))
 			runReceiveBench(b, mm, names, sc.flapping)
 		})
 	}

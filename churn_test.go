@@ -188,7 +188,7 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 	// occupancy is everything a peer occupies outside the shard tables:
 	// transport arena records, peer records, armed deadlines.
 	occupancy := func() [3]int {
-		arenaStats, _, _, _ := mon.net.PeerTableStats()
+		arenaStats, _, _ := mon.net.PeerTableStats()
 		return [3]int{arenaStats.Live, liveRecords(mon), mon.SchedulerStats().Timers}
 	}
 	baseline := occupancy()

@@ -8,9 +8,9 @@
 //	fdheartbeat -listen :7008 -remote host:7007 -eta 1s
 //
 // With -remotes, one process heartbeats several monitors at once from a
-// single socket: each monitor gets its own η-grid, phase-staggered across
-// the interval, and may retune its own η (wanfd.WithTargetDetection)
-// without touching the others':
+// single socket: each monitor gets its own η-grid, all starting together,
+// and may retune its own η (wanfd.WithTargetDetection) without touching
+// the others':
 //
 //	fdheartbeat -listen :7008 -remotes hostA:7007,hostB:7007 -eta 1s
 package main

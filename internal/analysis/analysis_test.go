@@ -146,10 +146,7 @@ func TestDirectiveSuppression(t *testing.T) {
 // TestClockUseSanctionsSched checks the clock-boundary exemption list:
 // a package whose import path ends in internal/sched (the timing-wheel
 // scheduler) may read the wall clock directly, so the seeded time.Now and
-// time.Since uses in the fixture must produce no diagnostics. The fixture
-// also mirrors the pinned-driver shape (LockOSThread + time.NewTimer
-// parking in affinity.go), pinning that the driver-affinity code the real
-// scheduler grew stays under the sanction rather than needing a new one.
+// time.Since uses in the fixture must produce no diagnostics.
 func TestClockUseSanctionsSched(t *testing.T) {
 	a := ByName("clockuse")
 	if a == nil {
@@ -163,27 +160,6 @@ func TestClockUseSanctionsSched(t *testing.T) {
 	}
 	if diags := prog.Run([]*Analyzer{a}); len(diags) > 0 {
 		t.Errorf("sanctioned internal/sched produced %d diagnostics:\n%s", len(diags), render(diags))
-	}
-}
-
-// TestClockUseSanctionsFreelist checks the recycling-infrastructure
-// sanction: a package whose import path ends in internal/freelist may read
-// the wall clock directly (it stores opaque payloads and cannot launder a
-// detector timestamp), so the seeded time.Now and time.Since uses in the
-// fixture must produce no diagnostics.
-func TestClockUseSanctionsFreelist(t *testing.T) {
-	a := ByName("clockuse")
-	if a == nil {
-		t.Fatal("unknown analyzer clockuse")
-	}
-	dir := filepath.ToSlash(filepath.Join(
-		"internal", "analysis", "testdata", "src", "clockuse_freelist", "internal", "freelist"))
-	prog, err := Load(moduleRoot, []string{dir})
-	if err != nil {
-		t.Fatalf("Load(%s): %v", dir, err)
-	}
-	if diags := prog.Run([]*Analyzer{a}); len(diags) > 0 {
-		t.Errorf("sanctioned internal/freelist produced %d diagnostics:\n%s", len(diags), render(diags))
 	}
 }
 

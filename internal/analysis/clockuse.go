@@ -22,11 +22,7 @@ var ClockUse = &Analyzer{
 // internal/sim implements the real and simulated clocks, internal/clock
 // the NTP-style offset estimation they are corrected with, internal/sched
 // is the timing-wheel scheduler, itself a sim.Clock (its real-mode driver
-// parks on raw runtime timers), and internal/freelist is the transport's
-// recycling infrastructure, which sits beneath the clock boundary like
-// sched: it stores opaque payloads and can never launder a detector
-// timestamp, so aging/decay policies may read the monotonic clock
-// directly.
+// parks on raw runtime timers).
 //
 // internal/store is deliberately NOT on this list: every instant the
 // durable QoS store persists is a detector timestamp on the injected
@@ -43,7 +39,6 @@ var clockExemptSuffixes = []string{
 	"internal/sim",
 	"internal/clock",
 	"internal/sched",
-	"internal/freelist",
 }
 
 // forbiddenTimeFuncs are the wall-clock readers of package time. Timers

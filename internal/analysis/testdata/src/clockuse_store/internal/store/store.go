@@ -1,8 +1,8 @@
 // Package store mirrors the durable QoS store's import path. Unlike
-// internal/sched and internal/freelist it is NOT on the clock-boundary
-// exemption list: every instant the store persists is a detector
-// timestamp, so a wall-clock read here would silently mix time bases in
-// the durable record. clockuse must report every seeded read below.
+// internal/sched it is NOT on the clock-boundary exemption list: every
+// instant the store persists is a detector timestamp, so a wall-clock read
+// here would silently mix time bases in the durable record. clockuse must
+// report every seeded read below.
 package store
 
 import "time"

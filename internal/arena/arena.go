@@ -1,12 +1,11 @@
 // Package arena provides the index-addressed memory layout the monitor's
 // per-peer hot structures live in at scale: a generation-stamped slab
-// allocator for fixed-size records (Arena) and open-addressed hash tables
-// mapping uint64 keys (Map64) or two-uint64 keys (Map128) to arena
-// indices. Together they replace the pointer-chased map[...]*state pattern
-// — one heap object and one map entry per peer — with dense slabs the
-// garbage collector scans per slab instead of per peer, and with probe
-// sequences that touch contiguous memory instead of hashing 32-byte
-// structural keys.
+// allocator for fixed-size records (Arena) and an open-addressed hash
+// table mapping uint64 keys to arena indices (Map64). Together they
+// replace the pointer-chased map[...]*state pattern — one heap object and
+// one map entry per peer — with dense slabs the garbage collector scans
+// per slab instead of per peer, and with probe sequences that touch
+// contiguous memory instead of hashing 32-byte structural keys.
 //
 // Concurrency contract: neither the arena nor the tables synchronize
 // internally. Callers serialize mutations (Alloc/Free/Put/Delete) against
@@ -28,9 +27,9 @@
 // generations under that mutex and leaves a slot that is not its own alone.
 //
 // The package stores opaque payloads and never reads any clock; unlike
-// internal/sched and internal/freelist it is deliberately NOT on the
-// clockuse exemption list (see internal/analysis.ClockUse) — nothing in a
-// memory allocator has any business near a timestamp.
+// internal/sched it is deliberately NOT on the clockuse exemption list
+// (see internal/analysis.ClockUse) — nothing in a memory allocator has any
+// business near a timestamp.
 package arena
 
 import (

@@ -430,59 +430,6 @@ func TestMap64DuplicateKeys(t *testing.T) {
 	_ = idxs
 }
 
-func TestMap128Basics(t *testing.T) {
-	a := New[rec]()
-	m := NewMap128(0)
-	any := func(Index) bool { return true }
-	idx1, r1 := a.Alloc()
-	r1.id = 1
-	m.Put(1, 2, idx1)
-	if v, ok := m.Find(1, 2, any); !ok || v != idx1 {
-		t.Fatalf("Find = %v %v", v, ok)
-	}
-	if _, ok := m.Find(2, 1, any); ok {
-		t.Fatal("Find matched swapped key words")
-	}
-	// Same 128-bit key, different identity (the IPv6 same-address,
-	// different-port case): disambiguated by eq.
-	idx2, r2 := a.Alloc()
-	r2.id = 2
-	m.Put(1, 2, idx2)
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
-	}
-	v, ok := m.Find(1, 2, func(ix Index) bool { return a.Get(ix).id == 2 })
-	if !ok || v != idx2 {
-		t.Fatalf("eq-Find = %v %v, want the second entry", v, ok)
-	}
-	if _, ok := m.Remove(1, 2, func(ix Index) bool { return a.Get(ix).id == 1 }); !ok {
-		t.Fatal("Remove of first entry missed")
-	}
-	if v, ok := m.Find(1, 2, any); !ok || v != idx2 {
-		t.Fatalf("survivor Find = %v %v, want %v", v, ok, idx2)
-	}
-}
-
-func TestMap128ChurnCompaction(t *testing.T) {
-	m := NewMap128(0)
-	any := func(Index) bool { return true }
-	const n = 2048
-	for cycle := 0; cycle < 6; cycle++ {
-		for i := uint64(0); i < n; i++ {
-			m.Put(i, i^0xabcdef, makeIndex(uint32(i), 1))
-		}
-		for i := uint64(0); i < n; i++ {
-			if _, ok := m.Remove(i, i^0xabcdef, any); !ok {
-				t.Fatalf("cycle %d: Remove(%d) missed", cycle, i)
-			}
-		}
-		st := m.Stats()
-		if st.Live != 0 || st.Tombstones*4 > st.Cap {
-			t.Fatalf("cycle %d: stats %+v — compaction did not hold", cycle, st)
-		}
-	}
-}
-
 // TestTableZeroAllocLookups pins the hot-path property the receive path
 // depends on: Get and Find allocate nothing.
 func TestTableZeroAllocLookups(t *testing.T) {
@@ -497,15 +444,12 @@ func TestTableZeroAllocLookups(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Map64.Get allocates %v per op", n)
 	}
-	m2 := NewMap128(0)
-	for i := uint64(0); i < 1000; i++ {
-		m2.Put(i, i, makeIndex(uint32(i), 1))
-	}
+	want := makeIndex(500, 1)
 	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := m2.Find(500, 500, func(Index) bool { return true }); !ok {
+		if _, ok := m.Find(500, func(ix Index) bool { return ix == want }); !ok {
 			t.Fatal("lost key")
 		}
 	}); n != 0 {
-		t.Fatalf("Map128.Find allocates %v per op", n)
+		t.Fatalf("Map64.Find allocates %v per op", n)
 	}
 }

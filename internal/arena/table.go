@@ -1,13 +1,13 @@
 package arena
 
-// Open-addressed hash tables mapping packed integer keys to arena
-// indices. Both variants use linear probing (the probe walks contiguous
-// memory, which is what makes them faster than Go maps over structural
-// keys at scale), deleted-entry tombstones so a Delete never reshuffles
-// live entries under a concurrent reader's feet, and churn-driven
-// compaction: when tombstones pile past a quarter of the capacity the
-// table rehashes in place, returning the load factor — and the probe
-// lengths it bounds — to baseline. See DESIGN.md §13 for the invariants.
+// An open-addressed hash table mapping packed integer keys to arena
+// indices. It uses linear probing (the probe walks contiguous memory,
+// which is what makes it faster than a Go map over structural keys at
+// scale), deleted-entry tombstones so a Delete never reshuffles live
+// entries under a concurrent reader's feet, and churn-driven compaction:
+// when tombstones pile past a quarter of the capacity the table rehashes
+// in place, returning the load factor — and the probe lengths it bounds —
+// to baseline. See DESIGN.md §13 for the invariants.
 
 const (
 	ctrlEmpty uint8 = iota
@@ -47,10 +47,10 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Map64 maps uint64 keys to arena indices. Keys produced by a lossless
-// packing (process ids, packed IPv4 address+port) are unique and use
-// Get/Put/Delete; keys produced by a lossy packing (string hashes) may
-// collide, and callers disambiguate with the eq callback of
-// Find/Remove — entries sharing a key coexist on one probe chain.
+// packing (process ids) are unique and use Get/Put/Delete; keys produced by
+// a lossy packing (string hashes, address digests) may collide, and callers
+// disambiguate with the eq callback of Find/Remove — entries sharing a key
+// coexist on one probe chain.
 type Map64 struct {
 	mask     uint64
 	keys     []uint64
@@ -217,144 +217,5 @@ func (m *Map64) rehash(need int) {
 			continue
 		}
 		m.Put(oldKeys[i], oldVals[i])
-	}
-}
-
-// Map128 maps two-uint64 keys to arena indices — the IPv6 receive-path
-// table, where the 128-bit address is the key and the port (which does
-// not fit) is confirmed by the caller's eq callback against the arena
-// record. Entries sharing an address but differing in port coexist on one
-// probe chain, exactly like Map64's lossy-key mode.
-type Map128 struct {
-	mask     uint64
-	keys1    []uint64
-	keys2    []uint64
-	vals     []Index
-	ctrl     []uint8
-	live     int
-	dead     int
-	maxProbe int
-	rehashes uint64
-}
-
-// NewMap128 builds an empty two-uint64-key table sized for hint entries.
-func NewMap128(hint int) *Map128 {
-	m := &Map128{}
-	m.init(capFor(hint))
-	return m
-}
-
-func (m *Map128) init(capacity int) {
-	m.mask = uint64(capacity - 1)
-	m.keys1 = make([]uint64, capacity)
-	m.keys2 = make([]uint64, capacity)
-	m.vals = make([]Index, capacity)
-	m.ctrl = make([]uint8, capacity)
-	m.live, m.dead, m.maxProbe = 0, 0, 0
-}
-
-// Len is the number of resident entries.
-func (m *Map128) Len() int { return m.live }
-
-// Cap is the current slot count.
-func (m *Map128) Cap() int { return len(m.ctrl) }
-
-// Stats snapshots the table's layout counters.
-func (m *Map128) Stats() TableStats {
-	return TableStats{
-		Live:       m.live,
-		Cap:        len(m.ctrl),
-		Tombstones: m.dead,
-		MaxProbe:   m.maxProbe,
-		Rehashes:   m.rehashes,
-	}
-}
-
-// hash128 mixes both key words; the probe start must be a function of the
-// key alone so same-key entries share a probe chain.
-func hash128(k1, k2 uint64) uint64 {
-	return splitmix64(k1 ^ splitmix64(k2))
-}
-
-// Find returns the value of the first entry with key (k1,k2) satisfying
-// eq.
-func (m *Map128) Find(k1, k2 uint64, eq func(Index) bool) (Index, bool) {
-	i := hash128(k1, k2) & m.mask
-	for {
-		switch m.ctrl[i] {
-		case ctrlEmpty:
-			return Nil, false
-		case ctrlFull:
-			if m.keys1[i] == k1 && m.keys2[i] == k2 && eq(m.vals[i]) {
-				return m.vals[i], true
-			}
-		}
-		i = (i + 1) & m.mask
-	}
-}
-
-// Put inserts (k1,k2)→v; the caller has already established the full
-// entry (key plus eq identity) is absent.
-func (m *Map128) Put(k1, k2 uint64, v Index) {
-	if (m.live+m.dead+1)*4 > len(m.ctrl)*3 {
-		m.rehash(m.live + 1)
-	}
-	i := hash128(k1, k2) & m.mask
-	probe := 1
-	for m.ctrl[i] == ctrlFull {
-		i = (i + 1) & m.mask
-		probe++
-	}
-	if m.ctrl[i] == ctrlTomb {
-		m.dead--
-	}
-	m.ctrl[i], m.keys1[i], m.keys2[i], m.vals[i] = ctrlFull, k1, k2, v
-	m.live++
-	if probe > m.maxProbe {
-		m.maxProbe = probe
-	}
-}
-
-// Remove deletes the first entry with key (k1,k2) satisfying eq,
-// returning its value.
-func (m *Map128) Remove(k1, k2 uint64, eq func(Index) bool) (Index, bool) {
-	i := hash128(k1, k2) & m.mask
-	for {
-		switch m.ctrl[i] {
-		case ctrlEmpty:
-			return Nil, false
-		case ctrlFull:
-			if m.keys1[i] == k1 && m.keys2[i] == k2 && eq(m.vals[i]) {
-				v := m.vals[i]
-				m.ctrl[i] = ctrlTomb
-				m.vals[i] = Nil
-				m.live--
-				m.dead++
-				if m.dead*4 > len(m.ctrl) {
-					m.rehash(m.live)
-				}
-				return v, true
-			}
-		}
-		i = (i + 1) & m.mask
-	}
-}
-
-func (m *Map128) rehash(need int) {
-	oldK1, oldK2, oldVals, oldCtrl := m.keys1, m.keys2, m.vals, m.ctrl
-	newCap := capFor(need)
-	if newCap < len(oldCtrl)/4 {
-		newCap = len(oldCtrl) / 4
-	}
-	if newCap < tableMinCap {
-		newCap = tableMinCap
-	}
-	m.init(newCap)
-	m.rehashes++
-	for i, c := range oldCtrl {
-		if c != ctrlFull {
-			continue
-		}
-		m.Put(oldK1[i], oldK2[i], oldVals[i])
 	}
 }

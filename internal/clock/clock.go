@@ -1,10 +1,10 @@
-// Package clock models imperfect local clocks (offset and drift) and
-// implements an NTP-style offset estimator. The paper *assumes*
-// synchronized clocks (offset 0, drift 0), discharging the assumption with
-// NTP against two stratum servers; this package both simulates the
-// imperfection the assumption removes and implements the mechanism that
-// removes it, so the real-network harness can state its residual clock
-// error instead of assuming it away.
+// Package clock implements the NTP-style offset estimator behind the
+// real-network monitor's clock sync. The paper *assumes* synchronized clocks
+// (offset 0, drift 0), discharging the assumption with NTP against two
+// stratum servers; this package is that mechanism in miniature, so the UDP
+// transport can subtract a measured offset from each peer's timestamps
+// instead of assuming it away. The simulated clock-error model is
+// layers.ClockSkew.
 package clock
 
 import (
@@ -12,30 +12,6 @@ import (
 	"sort"
 	"time"
 )
-
-// Drifting maps a reference (true) time to a local clock reading
-//
-//	local(t) = t·(1 + Drift) + Offset.
-//
-// Drift is dimensionless (e.g. 50e-6 for 50 ppm); Offset is the value of
-// the local clock at reference time 0.
-type Drifting struct {
-	// Offset is the local reading at reference time zero.
-	Offset time.Duration
-	// Drift is the relative rate error.
-	Drift float64
-}
-
-// Read returns the local clock's reading at reference time t.
-func (c Drifting) Read(t time.Duration) time.Duration {
-	return time.Duration(float64(t)*(1+c.Drift)) + c.Offset
-}
-
-// Invert returns the reference time at which the local clock reads l
-// (the inverse of Read).
-func (c Drifting) Invert(l time.Duration) time.Duration {
-	return time.Duration(float64(l-c.Offset) / (1 + c.Drift))
-}
 
 // Sample is one NTP-style request/response exchange between a client and a
 // server, carrying the four classic timestamps: T1 (client send, client
@@ -75,25 +51,3 @@ func EstimateOffset(samples []Sample) (time.Duration, error) {
 	}
 	return sum / time.Duration(keep), nil
 }
-
-// SyncedClock converts readings of a remote clock into the local time base
-// given an estimated offset: localTime = remoteReading − offset. It is the
-// piece the real-network monitor uses to timestamp heartbeats sent by a
-// host whose clock differs from its own.
-type SyncedClock struct {
-	offset time.Duration
-}
-
-// NewSyncedClock builds a converter from an offset estimate (remote −
-// local, as produced by EstimateOffset on client-side samples).
-func NewSyncedClock(offset time.Duration) *SyncedClock {
-	return &SyncedClock{offset: offset}
-}
-
-// ToLocal converts a remote clock reading to local time.
-func (s *SyncedClock) ToLocal(remote time.Duration) time.Duration {
-	return remote - s.offset
-}
-
-// Offset returns the configured offset.
-func (s *SyncedClock) Offset() time.Duration { return s.offset }

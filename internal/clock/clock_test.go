@@ -8,26 +8,6 @@ import (
 	"wanfd/internal/sim"
 )
 
-func TestDriftingReadInvert(t *testing.T) {
-	c := Drifting{Offset: 5 * time.Second, Drift: 100e-6}
-	for _, ref := range []time.Duration{0, time.Second, time.Hour} {
-		local := c.Read(ref)
-		back := c.Invert(local)
-		diff := back - ref
-		if diff < -time.Microsecond || diff > time.Microsecond {
-			t.Errorf("Invert(Read(%v)) = %v", ref, back)
-		}
-	}
-	if c.Read(0) != 5*time.Second {
-		t.Errorf("Read(0) = %v, want the offset", c.Read(0))
-	}
-	// 100 ppm over one hour ≈ 360 ms of accumulated drift.
-	drift := c.Read(time.Hour) - time.Hour - 5*time.Second
-	if drift < 350*time.Millisecond || drift > 370*time.Millisecond {
-		t.Errorf("accumulated drift over 1h = %v, want ≈360ms", drift)
-	}
-}
-
 func TestSampleOffsetSymmetricPath(t *testing.T) {
 	// Server clock 2 s ahead; both paths take 100 ms.
 	s := Sample{
@@ -105,16 +85,6 @@ func TestEstimateOffsetDoesNotMutateInput(t *testing.T) {
 	}
 	if samples[0] != first {
 		t.Error("input mutated")
-	}
-}
-
-func TestSyncedClock(t *testing.T) {
-	sc := NewSyncedClock(2 * time.Second)
-	if sc.Offset() != 2*time.Second {
-		t.Errorf("offset = %v", sc.Offset())
-	}
-	if got := sc.ToLocal(10 * time.Second); got != 8*time.Second {
-		t.Errorf("ToLocal = %v, want 8s", got)
 	}
 }
 

@@ -306,12 +306,14 @@ func (p *Participant) advance() {
 	}
 
 	// Phase 2 (coordinator): with a majority of estimates, propose the
-	// freshest.
+	// freshest. Scanning in member order (not map order) breaks ts ties —
+	// every initial estimate has ts −1 — toward the first member, so one
+	// configuration always decides the same value.
 	if p.isCoordinator(r) && !p.proposed[r] {
 		if ests := p.estimates[r]; len(ests) >= p.majority {
 			best := estimate{v: p.est, ts: -2}
-			for _, e := range ests {
-				if e.ts > best.ts {
+			for _, m := range p.cfg.Members {
+				if e, ok := ests[m]; ok && e.ts > best.ts {
 					best = e
 				}
 			}

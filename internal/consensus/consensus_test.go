@@ -78,6 +78,36 @@ func TestRunExperimentValidation(t *testing.T) {
 	}
 }
 
+// TestRunExperimentReproducible pins that one configuration always yields
+// one result: the coordinator breaks ties between equally fresh estimates
+// by member order, not by map iteration order.
+func TestRunExperimentReproducible(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, crashAt := range []time.Duration{0, 50 * time.Millisecond} {
+			cfg := ExperimentConfig{
+				N:                  5,
+				Combo:              core.Combo{Predictor: "LAST", Margin: "JAC_med"},
+				Eta:                time.Second,
+				Seed:               seed,
+				CoordinatorCrashAt: crashAt,
+			}
+			first, err := RunExperiment(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 1; run < 4; run++ {
+				again, err := RunExperiment(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *again != *first {
+					t.Fatalf("seed %d crash at %v: run %d gave %+v, run 0 gave %+v", seed, crashAt, run, *again, *first)
+				}
+			}
+		}
+	}
+}
+
 func TestConsensusNoCrashDecidesFast(t *testing.T) {
 	res, err := RunExperiment(ExperimentConfig{
 		N:     3,

@@ -161,10 +161,12 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	for i, self := range members {
 		// Per-peer detectors.
 		oracle := make(DetectorOracle, cfg.N-1)
+		peers := make([]neko.ProcessID, 0, cfg.N-1)
 		for _, peer := range members {
 			if peer == self {
 				continue
 			}
+			peers = append(peers, peer)
 			pred, margin, err := cfg.Combo.Build()
 			if err != nil {
 				return nil, err
@@ -200,19 +202,13 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		participants = append(participants, part)
 
 		// Stack: consensus on top, then the heartbeat splitter, then one
-		// heartbeater per peer, then (for the crash victim) the kill
+		// heartbeat grid per peer, then (for the crash victim) the kill
 		// switch.
-		stack := []neko.Layer{part, &hbSplit{dets: oracle, clock: eng}}
-		for _, peer := range members {
-			if peer == self {
-				continue
-			}
-			hb, err := layers.NewHeartbeater(peer, cfg.Eta)
-			if err != nil {
-				return nil, err
-			}
-			stack = append(stack, hb)
+		hb, err := layers.NewHeartbeaterGroup(cfg.Eta, peers...)
+		if err != nil {
+			return nil, err
 		}
+		stack := []neko.Layer{part, &hbSplit{dets: oracle, clock: eng}, hb}
 		if i == 0 && cfg.CoordinatorCrashAt > 0 {
 			stack = append(stack, &killSwitch{at: cfg.Warmup + cfg.CoordinatorCrashAt})
 		}

@@ -153,7 +153,7 @@ func collectDelaySeries(cfg AccuracyConfig, samples int, eta time.Duration) ([]f
 	if err != nil {
 		return nil, err
 	}
-	hb, err := layers.NewHeartbeater(ProcMonitor, eta)
+	hb, err := layers.NewHeartbeaterGroup(eta, ProcMonitor)
 	if err != nil {
 		return nil, err
 	}

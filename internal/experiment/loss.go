@@ -111,7 +111,7 @@ func runLossPoint(cfg LossSweepConfig, lossProb float64) (nekostat.QoS, error) {
 	net.SetChannel(ProcMonitored, ProcMonitor, ch)
 
 	collector := nekostat.NewCollector()
-	hb, err := layers.NewHeartbeater(ProcMonitor, cfg.Eta)
+	hb, err := layers.NewHeartbeaterGroup(cfg.Eta, ProcMonitor)
 	if err != nil {
 		return nekostat.QoS{}, err
 	}

@@ -240,8 +240,9 @@ func runOnce(cfg QoSConfig, seed int64, channelStats *stats.Running) (map[string
 
 	collector := nekostat.NewCollector()
 
-	// Monitored process: Heartbeater over SimCrash (Figure 3, left).
-	hb, err := layers.NewHeartbeater(ProcMonitor, cfg.Eta)
+	// Monitored process: a one-member HeartbeaterGroup over SimCrash (Figure
+	// 3, left).
+	hb, err := layers.NewHeartbeaterGroup(cfg.Eta, ProcMonitor)
 	if err != nil {
 		return nil, nil, err
 	}

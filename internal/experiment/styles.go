@@ -145,7 +145,7 @@ func runStyle(cfg PushPullConfig, pull bool) (*StyleResult, error) {
 		}
 		messages = func() uint64 { return puller.Pings() + responder.Replies() }
 	} else {
-		hb, err := layers.NewHeartbeater(ProcMonitor, cfg.Eta)
+		hb, err := layers.NewHeartbeaterGroup(cfg.Eta, ProcMonitor)
 		if err != nil {
 			return nil, err
 		}

@@ -13,54 +13,9 @@ import (
 // MsgSetInterval is the control message of the adaptable-sending-period
 // extension (Bertier, Marin & Sens [2], which the paper cites but holds η
 // constant): its Seq field carries the requested heartbeat interval in
-// nanoseconds. A Heartbeater that receives it switches its sending grid.
+// nanoseconds. A HeartbeaterGroup that receives it switches the sending
+// grid of the member it came from.
 const MsgSetInterval neko.MessageType = neko.MsgUser + 20
-
-// SetInterval switches the heartbeater to a new sending period. The
-// nominal grid restarts at the current instant (sequence numbers keep
-// increasing), so downstream detectors keep a consistent send-time base.
-// It is safe to call concurrently with the sending loop.
-func (h *Heartbeater) SetInterval(eta time.Duration) error {
-	if eta <= 0 {
-		return fmt.Errorf("layers: heartbeat period must be positive, got %v", eta)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.eta = eta
-	if h.ctx == nil {
-		return nil
-	}
-	// Restart the grid with the first slot one new period from now. A
-	// stopped heartbeater (nil timer) is restarted, as before the
-	// rearmable-timer migration.
-	if h.timer == nil {
-		h.timer = sched.NewTimer(h.ctx.Clock, h.tick)
-	}
-	h.epoch = h.ctx.Clock.Now() + eta
-	h.cycle = 0
-	h.timer.Reschedule(eta)
-	return nil
-}
-
-// Interval returns the current sending period.
-func (h *Heartbeater) Interval() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.eta
-}
-
-// Receive handles MsgSetInterval control messages (making every
-// heartbeater remotely tunable, the Bertier extension); everything else
-// passes up.
-func (h *Heartbeater) Receive(m *neko.Message) {
-	if m.Type == MsgSetInterval {
-		if m.Seq > 0 {
-			_ = h.SetInterval(time.Duration(m.Seq))
-		}
-		return
-	}
-	h.Base.Receive(m)
-}
 
 // IntervalController closes the loop on the monitor side: given a target
 // worst-case detection time T_D^U, it periodically recomputes the largest

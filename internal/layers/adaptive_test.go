@@ -10,92 +10,6 @@ import (
 	"wanfd/internal/wan"
 )
 
-func TestHeartbeaterSetIntervalValidation(t *testing.T) {
-	hb, err := NewHeartbeater(2, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hb.SetInterval(0); err == nil {
-		t.Error("zero interval should be rejected")
-	}
-	if hb.Interval() != time.Second {
-		t.Errorf("interval = %v, want unchanged 1s", hb.Interval())
-	}
-	// Before Init, SetInterval just records the new period.
-	if err := hb.SetInterval(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if hb.Interval() != 2*time.Second {
-		t.Errorf("interval = %v, want 2s", hb.Interval())
-	}
-}
-
-func TestHeartbeaterIntervalChangeMidRun(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newNet(t, eng, time.Millisecond)
-	rx := &captureLayer{}
-	if _, err := neko.NewProcess(2, eng, net, rx); err != nil {
-		t.Fatal(err)
-	}
-	hb, err := NewHeartbeater(2, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := neko.NewProcess(1, eng, net, hb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// 1 Hz for 5 s, then switch to 250 ms via control message.
-	if err := eng.Run(4500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	before := len(rx.got)
-	hb.Receive(&neko.Message{Type: MsgSetInterval, Seq: int64(250 * time.Millisecond)})
-	if hb.Interval() != 250*time.Millisecond {
-		t.Fatalf("interval = %v after control message", hb.Interval())
-	}
-	if err := eng.Run(8500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	p.Stop()
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	after := len(rx.got) - before
-	// 4 s at 4 Hz ≈ 16 heartbeats.
-	if after < 13 || after > 19 {
-		t.Errorf("heartbeats after switch = %d, want ≈16", after)
-	}
-	// Sequence numbers stay strictly increasing across the switch, and
-	// the grid timestamps stay consistent (delay = 1 ms for every beat).
-	for i := 1; i < len(rx.got); i++ {
-		if rx.got[i].Seq != rx.got[i-1].Seq+1 {
-			t.Fatalf("sequence gap at %d: %d -> %d", i, rx.got[i-1].Seq, rx.got[i].Seq)
-		}
-	}
-}
-
-func TestHeartbeaterRejectsBadControl(t *testing.T) {
-	hb, err := NewHeartbeater(2, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb.Receive(&neko.Message{Type: MsgSetInterval, Seq: -5})
-	if hb.Interval() != time.Second {
-		t.Errorf("negative control changed interval to %v", hb.Interval())
-	}
-	// Non-control messages still pass upward.
-	top := &captureLayer{}
-	hb.SetAbove(top)
-	hb.Receive(&neko.Message{Type: neko.MsgUser, Seq: 3})
-	if len(top.got) != 1 {
-		t.Error("non-control message not passed up")
-	}
-}
-
 func TestIntervalControllerValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	det := newDet(t, eng)
@@ -157,7 +71,7 @@ func TestIntervalControllerClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := NewHeartbeater(2, time.Second) // starts far too slow for the target
+	hb, err := NewHeartbeaterGroup(time.Second, 2) // starts far too slow for the target
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +101,15 @@ func TestIntervalControllerClosedLoop(t *testing.T) {
 	if got < want-100*time.Millisecond || got > want+100*time.Millisecond {
 		t.Errorf("commanded interval = %v, want ≈%v", got, want)
 	}
-	if hb.Interval() != got {
-		t.Errorf("heartbeater interval %v != commanded %v", hb.Interval(), got)
+	if eta := memberEta(t, hb, 2); eta != got {
+		t.Errorf("heartbeater interval %v != commanded %v", eta, got)
 	}
 	if det.Eta() != got {
 		t.Errorf("detector eta %v != commanded %v", det.Eta(), got)
 	}
 	// With the tightened interval, worst-case detection η + δ meets the
 	// target.
-	bound := hb.Interval() + time.Duration(det.CurrentTimeout()*float64(time.Millisecond))
+	bound := got + time.Duration(det.CurrentTimeout()*float64(time.Millisecond))
 	if bound > 800*time.Millisecond {
 		t.Errorf("achieved bound %v exceeds target 800ms", bound)
 	}

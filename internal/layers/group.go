@@ -2,6 +2,7 @@ package layers
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,64 +11,67 @@ import (
 	"wanfd/internal/sched"
 )
 
-// HeartbeaterGroup serves many peers' η-cycles from one layer — the
-// many-monitor counterpart of Heartbeater. Each member keeps its own
-// nominal sending grid σ_i = epoch + i·η (same stamping discipline as
-// Heartbeater: the grid time goes on the wire, so timer lateness shows up
-// as measured delay for the monitor's margins to absorb) and its own η,
-// which that member's monitor may retune with MsgSetInterval. Each grid is
-// driven by one Rearmable timer on the context clock, and each tick writes
-// its heartbeat to the socket itself.
+// HeartbeaterGroup is the monitored process q of the paper: it sends
+// heartbeat m_i at σ_i = i·η to each of its members (the monitors). Each
+// member keeps its own nominal sending grid σ_i = epoch + i·η, anchored
+// where the member starts, and its own η, which that member's monitor may
+// retune with MsgSetInterval. The grid time goes on the wire, not the
+// actual send instant: on a real host timer lateness then shows up as
+// measured delay, which the adaptive safety margins absorb — stamping the
+// actual instant would instead leak sender jitter into the freshness points
+// unseen by the margins. Each grid is driven by one Rearmable timer on the
+// context clock, and each tick writes its heartbeat itself.
 //
-// Member grids are phase-staggered deterministically by peer id, spreading
-// a large group's ticks across the η interval instead of stacking every
-// member on the same instant.
+// Grids are not staggered: members started together tick together. On a
+// real network the member timers run on the endpoint's RealClock, one Go
+// runtime timer each, so there is no shared wheel slot for them to stack
+// on, and a tick's Send writes its own datagram, so there is no batcher
+// for a burst to keep busy.
 type HeartbeaterGroup struct {
 	neko.Base
 	eta time.Duration // every member's initial period
 
 	mu      sync.Mutex
 	ctx     *neko.Context
-	members map[neko.ProcessID]*groupMember
+	members []*groupMember // in Add order, which is the order Init starts them
 	stopped bool
 
 	sent atomic.Uint64
 }
 
-// groupMember is one peer's sending grid.
+// groupMember is one monitor's sending grid.
 type groupMember struct {
 	g     *HeartbeaterGroup
 	to    neko.ProcessID
 	eta   time.Duration
 	epoch time.Duration
-	seq   int64
-	cycle int64
+	seq   int64           // next sequence number to send
+	cycle int64           // cycles since epoch (drives the send grid)
 	timer sched.Rearmable // nil until the group is initialized or once removed
 }
 
-// NewHeartbeaterGroup builds an empty group sending one heartbeat per eta
-// to every member.
-func NewHeartbeaterGroup(eta time.Duration) (*HeartbeaterGroup, error) {
+// NewHeartbeaterGroup builds a group sending one heartbeat per eta to each
+// of the given members, starting at sequence number 0.
+func NewHeartbeaterGroup(eta time.Duration, to ...neko.ProcessID) (*HeartbeaterGroup, error) {
 	if eta <= 0 {
 		return nil, fmt.Errorf("layers: heartbeat period must be positive, got %v", eta)
 	}
-	return &HeartbeaterGroup{eta: eta, members: make(map[neko.ProcessID]*groupMember)}, nil
+	g := &HeartbeaterGroup{eta: eta}
+	for _, id := range to {
+		if err := g.Add(id, 0); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }
 
 var _ neko.Layer = (*HeartbeaterGroup)(nil)
 
-// phaseFor staggers member grids across the η interval by a deterministic
-// hash of the peer id (Fibonacci hashing), so adding the whole cluster at
-// once does not put every member on the same wheel slot.
-func (g *HeartbeaterGroup) phaseFor(to neko.ProcessID) time.Duration {
-	h := uint64(uint32(to)) * 0x9E3779B97F4A7C15
-	return time.Duration(h % uint64(g.eta))
-}
-
-// Add registers a member starting at the given sequence number (0 for a
-// fresh grid; see Heartbeater.SetStartSeq for the restart convention). If
-// the group is already running the member's cycle starts immediately,
-// phase-staggered into the current η interval.
+// Add registers a member starting at the given sequence number. On a real
+// network, deriving it from the shared time base (⌊wall-clock/η⌋ — the
+// paper's σ_i = i·η numbering) lets a restarted heartbeater resume with
+// fresh sequence numbers instead of being mistaken for stale traffic. If
+// the group is already running the member's first heartbeat goes out now.
 func (g *HeartbeaterGroup) Add(to neko.ProcessID, startSeq int64) error {
 	if startSeq < 0 {
 		return fmt.Errorf("layers: negative start sequence %d", startSeq)
@@ -77,56 +81,67 @@ func (g *HeartbeaterGroup) Add(to neko.ProcessID, startSeq int64) error {
 	if g.stopped {
 		return fmt.Errorf("layers: group stopped")
 	}
-	if _, dup := g.members[to]; dup {
+	if g.memberLocked(to) != nil {
 		return fmt.Errorf("layers: peer %d already in group", to)
 	}
 	m := &groupMember{g: g, to: to, eta: g.eta, seq: startSeq}
-	g.members[to] = m
+	g.members = append(g.members, m)
 	if g.ctx != nil {
 		g.startLocked(m)
 	}
 	return nil
 }
 
-// startLocked arms a member's grid: its epoch is the current instant plus
-// the id-derived phase, and the first heartbeat fires at the epoch.
+// memberLocked returns the member whose grid sends to process to, or nil.
 // Callers hold g.mu.
+func (g *HeartbeaterGroup) memberLocked(to neko.ProcessID) *groupMember {
+	for _, m := range g.members {
+		if m.to == to {
+			return m
+		}
+	}
+	return nil
+}
+
+// startLocked anchors a member's grid at the current instant and sends its
+// first heartbeat there. Callers hold g.mu.
 func (g *HeartbeaterGroup) startLocked(m *groupMember) {
-	phase := g.phaseFor(m.to)
-	m.epoch = g.ctx.Clock.Now() + phase
+	m.epoch = g.ctx.Clock.Now()
 	m.timer = sched.NewTimer(g.ctx.Clock, m.tick)
-	m.timer.Reschedule(phase)
+	m.timer.Reschedule(0)
 }
 
 // Remove cancels a member's cycle and forgets it.
 func (g *HeartbeaterGroup) Remove(to neko.ProcessID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	m, ok := g.members[to]
-	if !ok {
-		return fmt.Errorf("layers: peer %d not in group", to)
+	for i, m := range g.members {
+		if m.to != to {
+			continue
+		}
+		g.members = slices.Delete(g.members, i, i+1)
+		if m.timer != nil {
+			m.timer.Stop()
+			m.timer = nil
+		}
+		return nil
 	}
-	delete(g.members, to)
-	if m.timer != nil {
-		m.timer.Stop()
-		m.timer = nil
-	}
-	return nil
+	return fmt.Errorf("layers: peer %d not in group", to)
 }
 
 // SetInterval switches one member to a new sending period, leaving the
-// others on theirs. As with Heartbeater.SetInterval the member's nominal
-// grid restarts one new period from now and sequence numbers keep
-// increasing. A member whose cycle is not running (group not yet
-// initialized, or stopped) only records the period.
+// others on theirs. The member's nominal grid restarts one new period from
+// now and its sequence numbers keep increasing, so its monitor keeps a
+// consistent send-time base. A member whose cycle is not running (group
+// not yet initialized, or stopped) only records the period.
 func (g *HeartbeaterGroup) SetInterval(to neko.ProcessID, eta time.Duration) error {
 	if eta <= 0 {
 		return fmt.Errorf("layers: heartbeat period must be positive, got %v", eta)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	m, ok := g.members[to]
-	if !ok {
+	m := g.memberLocked(to)
+	if m == nil {
 		return fmt.Errorf("layers: peer %d not in group", to)
 	}
 	m.eta = eta
@@ -139,9 +154,10 @@ func (g *HeartbeaterGroup) SetInterval(to neko.ProcessID, eta time.Duration) err
 	return nil
 }
 
-// Receive handles MsgSetInterval from a member (the transport attributes
-// the datagram's source address to that monitor's id) by retuning that
-// member's grid; everything else passes up.
+// Receive handles MsgSetInterval from a member (on a real network the
+// transport attributes the datagram's source address to that monitor's id)
+// by retuning that member's grid — the Bertier extension, making every
+// heartbeat stream remotely tunable; everything else passes up.
 func (g *HeartbeaterGroup) Receive(m *neko.Message) {
 	if m.Type == MsgSetInterval {
 		if m.Seq > 0 {
@@ -159,7 +175,8 @@ func (g *HeartbeaterGroup) Len() int {
 	return len(g.members)
 }
 
-// Init starts every registered member's cycle.
+// Init starts every registered member's cycle, in the order they were
+// added: each sends its first heartbeat immediately, then one every η.
 func (g *HeartbeaterGroup) Init(ctx *neko.Context) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -189,8 +206,7 @@ func (m *groupMember) tick() {
 	}
 	m.seq++
 	m.cycle++
-	next := m.epoch + time.Duration(m.cycle)*m.eta
-	d := next - now
+	d := m.epoch + time.Duration(m.cycle)*m.eta - now
 	if d < 0 {
 		d = 0
 	}

@@ -1,11 +1,13 @@
 // Package layers provides the protocol layers of the paper's experimental
-// architecture (Figure 3): the Heartbeater on the monitored process, the
-// SimCrash fault injector beneath it, and — on the monitor — the
-// MultiPlexer that fans every received message out to all failure-detector
-// instances so that the 30 alternatives perceive identical network
-// conditions, plus the Monitor layer wrapping one detector. A pull-style
-// request/response pair (Puller/Responder, see pull.go) and a per-source
-// Router (router.go) complete the set.
+// architecture (Figure 3): the HeartbeaterGroup on the monitored process
+// (group.go: one η-grid per monitor, and the only heartbeat sender, in the
+// simulator and on a real network alike), the SimCrash fault injector
+// beneath it, and — on the monitor — the MultiPlexer that fans every
+// received message out to all failure-detector instances so that the 30
+// alternatives perceive identical network conditions, plus the Monitor
+// layer wrapping one detector. A pull-style request/response pair
+// (Puller/Responder, see pull.go) and a per-source Router (router.go)
+// complete the set.
 //
 // All layers are safe for concurrent use: in a real-network deployment,
 // packets arrive on the transport goroutine while timers fire elsewhere.
@@ -22,112 +24,6 @@ import (
 	"wanfd/internal/neko"
 	"wanfd/internal/sched"
 )
-
-// Heartbeater periodically sends heartbeat messages to a monitor process —
-// the monitored process q of the paper, sending message m_i at σ_i = i·η.
-type Heartbeater struct {
-	neko.Base
-	to  neko.ProcessID
-	eta time.Duration
-
-	mu    sync.Mutex
-	ctx   *neko.Context
-	epoch time.Duration
-	seq   int64           // next sequence number to send
-	cycle int64           // cycles completed since Init (drives the send grid)
-	timer sched.Rearmable // nil once stopped
-
-	sent atomic.Uint64
-}
-
-// NewHeartbeater builds a heartbeater that sends to the given process every
-// eta, starting at sequence number 0.
-func NewHeartbeater(to neko.ProcessID, eta time.Duration) (*Heartbeater, error) {
-	if eta <= 0 {
-		return nil, fmt.Errorf("layers: heartbeat period must be positive, got %v", eta)
-	}
-	return &Heartbeater{to: to, eta: eta}, nil
-}
-
-var _ neko.Layer = (*Heartbeater)(nil)
-
-// SetStartSeq sets the first sequence number (default 0). On a real
-// network, deriving it from the shared time base (⌊wall-clock/η⌋ — the
-// paper's σ_i = i·η numbering) lets a restarted heartbeater resume with
-// fresh sequence numbers instead of being mistaken for stale traffic.
-// It must be called before Init.
-func (h *Heartbeater) SetStartSeq(seq int64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.ctx != nil {
-		return fmt.Errorf("layers: SetStartSeq after Init")
-	}
-	if seq < 0 {
-		return fmt.Errorf("layers: negative start sequence %d", seq)
-	}
-	h.seq = seq
-	return nil
-}
-
-// Init starts the heartbeat cycle: the first heartbeat is sent immediately,
-// then one every η.
-func (h *Heartbeater) Init(ctx *neko.Context) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.ctx = ctx
-	h.epoch = ctx.Clock.Now()
-	h.timer = sched.NewTimer(ctx.Clock, h.tick)
-	h.timer.Reschedule(0)
-	return nil
-}
-
-func (h *Heartbeater) tick() {
-	h.mu.Lock()
-	if h.ctx == nil || h.timer == nil {
-		h.mu.Unlock()
-		return
-	}
-	now := h.ctx.Clock.Now()
-	// Stamp the nominal grid time σ_i = epoch + i·η (the paper's send
-	// times), not the actual send instant: on a real host, timer lateness
-	// then shows up as measured delay, which the adaptive safety margins
-	// absorb — stamping the actual instant would instead leak sender
-	// jitter into the freshness points unseen by the margins.
-	msg := &neko.Message{
-		From:   h.ctx.ID,
-		To:     h.to,
-		Type:   neko.MsgHeartbeat,
-		Seq:    h.seq,
-		SentAt: h.epoch + time.Duration(h.cycle)*h.eta,
-	}
-	h.seq++
-	h.cycle++
-	// Schedule against the nominal grid so timer jitter does not
-	// accumulate.
-	next := h.epoch + time.Duration(h.cycle)*h.eta
-	d := next - now
-	if d < 0 {
-		d = 0
-	}
-	h.timer.Reschedule(d)
-	h.mu.Unlock()
-
-	h.Send(msg)
-	h.sent.Add(1)
-}
-
-// Stop halts the heartbeat cycle.
-func (h *Heartbeater) Stop() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.timer != nil {
-		h.timer.Stop()
-		h.timer = nil
-	}
-}
-
-// Sent returns the number of heartbeats emitted.
-func (h *Heartbeater) Sent() uint64 { return h.sent.Load() }
 
 // CrashListener observes the fault injector's state transitions.
 type CrashListener interface {

@@ -13,9 +13,17 @@ import (
 type captureLayer struct {
 	neko.Base
 	got []neko.Message
+	// clock, when set, stamps each arrival into at.
+	clock sim.Clock
+	at    []time.Duration
 }
 
-func (c *captureLayer) Receive(m *neko.Message) { c.got = append(c.got, *m) }
+func (c *captureLayer) Receive(m *neko.Message) {
+	c.got = append(c.got, *m)
+	if c.clock != nil {
+		c.at = append(c.at, c.clock.Now())
+	}
+}
 
 type crashLog struct {
 	crashes  []time.Duration
@@ -34,57 +42,6 @@ func newNet(t *testing.T, eng *sim.Engine, delay time.Duration) *neko.SimNetwork
 		t.Fatal(err)
 	}
 	return net
-}
-
-func TestHeartbeaterValidation(t *testing.T) {
-	if _, err := NewHeartbeater(2, 0); err == nil {
-		t.Error("zero eta should be rejected")
-	}
-}
-
-func TestHeartbeaterPeriodicSending(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newNet(t, eng, 10*time.Millisecond)
-	rx := &captureLayer{}
-	if _, err := neko.NewProcess(2, eng, net, rx); err != nil {
-		t.Fatal(err)
-	}
-	hb, err := NewHeartbeater(2, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := neko.NewProcess(1, eng, net, hb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(4*time.Second + 500*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	p.Stop()
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rx.got) != 5 { // seq 0..4 sent at 0,1,2,3,4 s
-		t.Fatalf("received %d heartbeats, want 5", len(rx.got))
-	}
-	for i, m := range rx.got {
-		if m.Seq != int64(i) {
-			t.Errorf("heartbeat %d has seq %d", i, m.Seq)
-		}
-		if m.Type != neko.MsgHeartbeat {
-			t.Errorf("heartbeat %d has type %v", i, m.Type)
-		}
-		wantSent := time.Duration(i) * time.Second
-		if m.SentAt != wantSent {
-			t.Errorf("heartbeat %d SentAt = %v, want %v", i, m.SentAt, wantSent)
-		}
-	}
-	if hb.Sent() != 5 {
-		t.Errorf("Sent = %d, want 5", hb.Sent())
-	}
 }
 
 func TestSimCrashValidation(t *testing.T) {
@@ -107,7 +64,7 @@ func TestSimCrashCycle(t *testing.T) {
 	if _, err := neko.NewProcess(2, eng, net, rx); err != nil {
 		t.Fatal(err)
 	}
-	hb, err := NewHeartbeater(2, time.Second)
+	hb, err := NewHeartbeaterGroup(time.Second, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +269,7 @@ func TestEndToEndCrashDetection(t *testing.T) {
 	net.SetChannel(1, 2, ch)
 
 	log := &crashLog{}
-	hb, err := NewHeartbeater(2, time.Second)
+	hb, err := NewHeartbeaterGroup(time.Second, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func (p *Puller) tick() {
 		To:     p.target,
 		Type:   MsgPing,
 		Seq:    p.seq,
-		SentAt: p.epoch + time.Duration(p.seq)*p.eta, // nominal grid, as the Heartbeater
+		SentAt: p.epoch + time.Duration(p.seq)*p.eta, // nominal grid, as the HeartbeaterGroup
 	}
 	p.seq++
 	next := p.epoch + time.Duration(p.seq)*p.eta

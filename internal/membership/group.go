@@ -80,25 +80,22 @@ func RunGroup(cfg GroupConfig) (*GroupResult, error) {
 	// Leader process: heartbeats to every observer, through SimCrash.
 	var crashTimes, restoreTimes []time.Duration
 	crashRec := crashRecorder{crashes: &crashTimes, restores: &restoreTimes}
-	var leaderLayers []neko.Layer
 	for _, m := range cfg.Members[1:] {
-		hb, err := layers.NewHeartbeater(m, cfg.Eta)
-		if err != nil {
-			return nil, err
-		}
-		leaderLayers = append(leaderLayers, hb)
 		ch, err := wan.NewPresetChannel(cfg.Preset, cfg.Seed, fmt.Sprintf("grp/%d-%d", leaderID, m))
 		if err != nil {
 			return nil, err
 		}
 		net.SetChannel(leaderID, m, ch)
 	}
+	hb, err := layers.NewHeartbeaterGroup(cfg.Eta, cfg.Members[1:]...)
+	if err != nil {
+		return nil, err
+	}
 	crash, err := layers.NewSimCrash(cfg.MTTC, cfg.TTR, sim.NewRNG(cfg.Seed, "grp/crash"), crashRec)
 	if err != nil {
 		return nil, err
 	}
-	leaderLayers = append(leaderLayers, crash)
-	leaderProc, err := neko.NewProcess(leaderID, eng, net, leaderLayers...)
+	leaderProc, err := neko.NewProcess(leaderID, eng, net, hb, crash)
 	if err != nil {
 		return nil, err
 	}

@@ -264,57 +264,6 @@ type trackingLayer struct {
 
 func (l *trackingLayer) Stop() { l.stopped = true }
 
-func TestLocalNetwork(t *testing.T) {
-	eng := sim.NewEngine()
-	net, err := NewLocalNetwork(eng, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rx := &captureLayer{}
-	if _, err := NewProcess(2, eng, net, rx); err != nil {
-		t.Fatal(err)
-	}
-	tx, err := NewProcess(1, eng, net, &senderLayer{to: 2, n: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rx.got) != 2 {
-		t.Fatalf("received %d, want 2", len(rx.got))
-	}
-	if eng.Now() != 2*time.Millisecond {
-		t.Errorf("delivery time %v, want 2ms", eng.Now())
-	}
-}
-
-func TestLocalNetworkValidation(t *testing.T) {
-	if _, err := NewLocalNetwork(nil, 0); err == nil {
-		t.Error("nil engine should be rejected")
-	}
-	eng := sim.NewEngine()
-	if _, err := NewLocalNetwork(eng, -time.Second); err == nil {
-		t.Error("negative latency should be rejected")
-	}
-	net, err := NewLocalNetwork(eng, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Attach(1, nil); err == nil {
-		t.Error("nil receiver should be rejected")
-	}
-	if _, err := net.Attach(1, &captureLayer{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Attach(1, &captureLayer{}); err == nil {
-		t.Error("double attach should be rejected")
-	}
-}
-
 func TestMessageCopySemantics(t *testing.T) {
 	// The network must copy messages so a sender reusing its buffer does
 	// not corrupt in-flight messages.

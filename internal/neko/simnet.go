@@ -2,7 +2,6 @@ package neko
 
 import (
 	"fmt"
-	"time"
 
 	"wanfd/internal/sim"
 	"wanfd/internal/wan"
@@ -116,52 +115,3 @@ func (n *SimNetwork) channelFor(from, to ProcessID) (*wan.Channel, error) {
 func (n *SimNetwork) Stats() (delivered, dropped, unroutable uint64) {
 	return n.delivered, n.dropped, n.unroutable
 }
-
-// LocalNetwork is a zero-latency in-memory network, useful in tests and for
-// wiring co-located processes. Messages are delivered on the engine at the
-// current time plus an optional fixed latency.
-type LocalNetwork struct {
-	engine    *sim.Engine
-	latency   time.Duration
-	receivers map[ProcessID]Receiver
-}
-
-// NewLocalNetwork creates a loss-free constant-latency network on engine.
-func NewLocalNetwork(engine *sim.Engine, latency time.Duration) (*LocalNetwork, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("neko: local network needs an engine")
-	}
-	if latency < 0 {
-		return nil, fmt.Errorf("neko: negative latency %v", latency)
-	}
-	return &LocalNetwork{
-		engine:    engine,
-		latency:   latency,
-		receivers: make(map[ProcessID]Receiver),
-	}, nil
-}
-
-var _ Network = (*LocalNetwork)(nil)
-
-// Attach implements Network.
-func (n *LocalNetwork) Attach(id ProcessID, r Receiver) (Sender, error) {
-	if r == nil {
-		return nil, fmt.Errorf("neko: process %d attached a nil receiver", id)
-	}
-	if _, dup := n.receivers[id]; dup {
-		return nil, fmt.Errorf("neko: process %d attached twice", id)
-	}
-	n.receivers[id] = r
-	return senderFunc(func(m *Message) {
-		dst, ok := n.receivers[m.To]
-		if !ok {
-			return
-		}
-		msg := *m
-		n.engine.AfterFunc(n.latency, func() { dst.Receive(&msg) })
-	}), nil
-}
-
-type senderFunc func(m *Message)
-
-func (f senderFunc) Send(m *Message) { f(m) }

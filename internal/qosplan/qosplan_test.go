@@ -260,7 +260,7 @@ func simulateConstantTimeout(t *testing.T, plan Plan) nekostat.QoS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := layers.NewHeartbeater(2, plan.Eta)
+	hb, err := layers.NewHeartbeaterGroup(plan.Eta, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

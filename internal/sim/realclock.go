@@ -17,12 +17,6 @@ func NewRealClock() *RealClock {
 	return &RealClock{start: time.Now()}
 }
 
-// NewRealClockAt returns a RealClock with an explicit epoch, so several
-// components of one process can share a time base.
-func NewRealClockAt(start time.Time) *RealClock {
-	return &RealClock{start: start}
-}
-
 var _ Clock = (*RealClock)(nil)
 
 // Now returns the wall-clock time elapsed since the clock was created.

@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used throughout the
 // experiment harness: running moments (Welford), summaries with quantiles,
-// histograms, and confidence intervals.
+// confidence intervals and correlation.
 //
 // The failure-detector QoS metrics of the paper (T_D, T_M, T_MR, P_A) are
 // random variables observed over an experiment run; this package turns the
@@ -228,22 +228,4 @@ func Correlation(xs, ys []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: zero variance")
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// MeanSquaredError returns the mean of squared differences between predicted
-// and observed values — the paper's msqerr accuracy metric for predictors.
-// The two slices must have equal nonzero length.
-func MeanSquaredError(predicted, observed []float64) (float64, error) {
-	if len(predicted) == 0 {
-		return 0, ErrNoData
-	}
-	if len(predicted) != len(observed) {
-		return 0, fmt.Errorf("stats: length mismatch %d != %d", len(predicted), len(observed))
-	}
-	var sum float64
-	for i := range predicted {
-		d := predicted[i] - observed[i]
-		sum += d * d
-	}
-	return sum / float64(len(predicted)), nil
 }

@@ -182,22 +182,6 @@ func TestMeanCI(t *testing.T) {
 	}
 }
 
-func TestMeanSquaredError(t *testing.T) {
-	got, err := MeanSquaredError([]float64{1, 2, 3}, []float64{1, 4, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 4.0/3.0, 1e-12) {
-		t.Errorf("mse = %v, want %v", got, 4.0/3.0)
-	}
-	if _, err := MeanSquaredError(nil, nil); err == nil {
-		t.Error("expected error for empty input")
-	}
-	if _, err := MeanSquaredError([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-}
-
 // Property: Running mean/variance agree with direct two-pass computation.
 func TestRunningMatchesTwoPassProperty(t *testing.T) {
 	f := func(raw []int16) bool {
@@ -251,75 +235,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		lo, _ := Quantile(xs, 0)
 		hi, _ := Quantile(xs, 1)
 		return v1 <= v2+1e-9 && v1 >= lo-1e-9 && v2 <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d, want 7", h.Total())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", under, over)
-	}
-	if h.Count(0) != 2 { // 0 and 1.9
-		t.Errorf("bin 0 count = %d, want 2", h.Count(0))
-	}
-	if h.Count(1) != 1 { // 2
-		t.Errorf("bin 1 count = %d, want 1", h.Count(1))
-	}
-	if h.Count(4) != 1 { // 9.99
-		t.Errorf("bin 4 count = %d, want 1", h.Count(4))
-	}
-	if h.Bins() != 5 {
-		t.Errorf("bins = %d, want 5", h.Bins())
-	}
-	if h.BinLo(0) != 0 || !almostEqual(h.BinLo(5), 10, 1e-12) {
-		t.Errorf("bin edges wrong: %v, %v", h.BinLo(0), h.BinLo(5))
-	}
-	if h.Render(20) == "" {
-		t.Error("Render returned empty string")
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("expected error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("expected error for empty range")
-	}
-	if _, err := NewHistogram(10, 0, 3); err == nil {
-		t.Error("expected error for inverted range")
-	}
-}
-
-// Property: histogram never loses observations.
-func TestHistogramConservesCountsProperty(t *testing.T) {
-	f := func(raw []int8) bool {
-		h, err := NewHistogram(-50, 50, 10)
-		if err != nil {
-			return false
-		}
-		for _, v := range raw {
-			h.Add(float64(v))
-		}
-		var inRange uint64
-		for i := 0; i < h.Bins(); i++ {
-			inRange += h.Count(i)
-		}
-		under, over := h.OutOfRange()
-		return inRange+under+over == h.Total() && h.Total() == uint64(len(raw))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -54,28 +55,28 @@ func TestPeerChurnCompaction(t *testing.T) {
 		if got := n.Peers(); got != peers {
 			t.Fatalf("cycle %d: %d peers registered, want %d", c, got, peers)
 		}
-		_, byID, byAddr4, _ := n.PeerTableStats()
+		_, byID, byAddr := n.PeerTableStats()
 		if byID.MaxProbe > 64 {
 			t.Fatalf("cycle %d: byID MaxProbe %d after refill, want bounded", c, byID.MaxProbe)
 		}
-		if byAddr4.MaxProbe > 64 {
-			t.Fatalf("cycle %d: byAddr4 MaxProbe %d after refill, want bounded", c, byAddr4.MaxProbe)
+		if byAddr.MaxProbe > 64 {
+			t.Fatalf("cycle %d: byAddr MaxProbe %d after refill, want bounded", c, byAddr.MaxProbe)
 		}
 		for i := 0; i < peers; i++ {
 			if err := n.RemovePeer(neko.ProcessID(100 + i)); err != nil {
 				t.Fatalf("cycle %d remove peer %d: %v", c, i, err)
 			}
 		}
-		arenaStats, byID, byAddr4, _ := n.PeerTableStats()
+		arenaStats, byID, byAddr := n.PeerTableStats()
 		if arenaStats.Live != 0 {
 			t.Fatalf("cycle %d: arena holds %d live records after full drain", c, arenaStats.Live)
 		}
-		if byID.Live != 0 || byAddr4.Live != 0 {
-			t.Fatalf("cycle %d: tables hold %d/%d live entries after full drain", c, byID.Live, byAddr4.Live)
+		if byID.Live != 0 || byAddr.Live != 0 {
+			t.Fatalf("cycle %d: tables hold %d/%d live entries after full drain", c, byID.Live, byAddr.Live)
 		}
 		for name, st := range map[string]struct{ Tombstones, Cap int }{
-			"byID":    {byID.Tombstones, byID.Cap},
-			"byAddr4": {byAddr4.Tombstones, byAddr4.Cap},
+			"byID":   {byID.Tombstones, byID.Cap},
+			"byAddr": {byAddr.Tombstones, byAddr.Cap},
 		} {
 			if st.Tombstones*4 > st.Cap {
 				t.Fatalf("cycle %d: %s carries %d tombstones at cap %d, want compacted below cap/4",
@@ -89,7 +90,7 @@ func TestPeerChurnCompaction(t *testing.T) {
 				c, capAfterFirst, byID.Cap)
 		}
 	}
-	arenaStats, _, _, _ := n.PeerTableStats()
+	arenaStats, _, _ := n.PeerTableStats()
 	// Every post-first-cycle allocation must come from free-list reuse: the
 	// arena never grows past the first cycle's high-water mark.
 	if want := uint64((cycles - 1) * peers); arenaStats.Reused < want {
@@ -100,27 +101,32 @@ func TestPeerChurnCompaction(t *testing.T) {
 	}
 }
 
-// TestAddrKey6Packing pins the two-word key layout: big-endian halves of
-// the 16-byte address, port excluded.
-func TestAddrKey6Packing(t *testing.T) {
-	ap := netip.MustParseAddrPort("[0102:0304:0506:0708:090a:0b0c:0d0e:0f10]:9999")
-	k1, k2 := addrKey6(ap)
-	if k1 != 0x0102030405060708 || k2 != 0x090a0b0c0d0e0f10 {
-		t.Fatalf("addrKey6 = %#x, %#x, want big-endian address halves", k1, k2)
+// collidingAddr6 returns an IPv6 endpoint in 2001:db8::/32, on the given
+// port, whose addrKey digest is key: it solves addrKey's IPv6 arm for the
+// low address half, multiplying by the inverse of the odd constant.
+func collidingAddr6(key uint64, port uint16) netip.AddrPort {
+	const k1, k2 = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
+	inv := uint64(k2) // Newton's iteration doubles the correct low bits each step
+	for i := 0; i < 6; i++ {
+		inv *= 2 - k2*inv
 	}
-	// The port must not leak into the key: lookups disambiguate it against
-	// the arena record instead.
-	k1b, k2b := addrKey6(netip.MustParseAddrPort("[0102:0304:0506:0708:090a:0b0c:0d0e:0f10]:1"))
-	if k1b != k1 || k2b != k2 {
-		t.Fatalf("addrKey6 varies with port: (%#x,%#x) vs (%#x,%#x)", k1, k2, k1b, k2b)
+	hi := uint64(0x20010db8) << 32
+	lo := (key^uint64(port))*inv ^ hi*k1
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], hi)
+	binary.BigEndian.PutUint64(b[8:], lo)
+	ap := netip.AddrPortFrom(netip.AddrFrom16(b), port)
+	if addrKey(ap) != key {
+		panic("collidingAddr6 out of step with addrKey")
 	}
+	return ap
 }
 
-// TestIPv6LookupEquivalence proves the packed two-word index resolves
+// TestIPv6LookupEquivalence proves the digest-keyed address table resolves
 // exactly the peers a structural address comparison would: hits on the
 // registered address+port, misses on swapped halves and foreign ports,
-// and coexistence of same-address different-port peers on one probe
-// chain.
+// same-address different-port peers told apart, and an IPv4 and an IPv6
+// peer sharing the one table.
 func TestIPv6LookupEquivalence(t *testing.T) {
 	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -131,12 +137,12 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 	peers := map[neko.ProcessID]string{
 		2: "[2001:db8::1]:7001",
 		3: "[2001:db8::2]:7001",
-		// Same address as peer 2, different port: shares the 128-bit key,
-		// disambiguated by the port check against the arena record.
+		// Same address as peer 2, different port.
 		4: "[2001:db8::1]:7002",
-		// Peer 3's two key words swapped (k1<->k2): a distinct key that
-		// must not alias.
+		// Peer 3's two address halves swapped: must not alias.
 		5: "[::2:2001:db8:0:0]:7001",
+		// An IPv4 peer in the same table.
+		6: "10.0.0.6:7001",
 	}
 	for id, addr := range peers {
 		if err := n.AddPeer(id, addr); err != nil {
@@ -155,28 +161,67 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 		"[2001:db8::1]:7003", // registered address, unregistered port
 		"[2001:db8::3]:7001", // unregistered address
 		"[db8:2001::1]:7001", // first half permuted
+		"10.0.0.6:7002",      // registered IPv4 address, unregistered port
 	} {
 		if id, _, ok := n.attributeAddr(netip.MustParseAddrPort(miss)); ok {
 			t.Fatalf("attributeAddr(%s) resolved to peer %d, want miss", miss, id)
 		}
 	}
 
-	// Removing the shared-address peer must leave its same-key sibling
-	// reachable (tombstone keeps the probe chain walkable).
-	if err := n.RemovePeer(2); err != nil {
+	// An IPv6 address whose digest equals peer 6's packed IPv4 key lands on
+	// peer 6's probe chain: only the record's address tells the two apart.
+	forged := collidingAddr6(addrKey(netip.MustParseAddrPort(peers[6])), 7001)
+	if id, _, ok := n.attributeAddr(forged); ok {
+		t.Fatalf("attributeAddr(%s), colliding with peer 6's key, resolved to peer %d", forged, id)
+	}
+	if err := n.AddPeer(8, forged.String()); err != nil {
+		t.Fatalf("add peer at colliding %s: %v", forged, err)
+	}
+	for id, ap := range map[neko.ProcessID]netip.AddrPort{6: netip.MustParseAddrPort(peers[6]), 8: forged} {
+		if got, _, ok := n.attributeAddr(ap); !ok || got != id {
+			t.Fatalf("attributeAddr(%s) = %d, %v with keys colliding, want %d", ap, got, ok, id)
+		}
+	}
+	if err := n.RemovePeer(8); err != nil {
 		t.Fatal(err)
 	}
-	if id, _, ok := n.attributeAddr(netip.MustParseAddrPort("[2001:db8::1]:7002")); !ok || id != 4 {
-		t.Fatalf("after removing peer 2, attributeAddr sibling = %d, %v, want 4", id, ok)
+
+	// Removing a peer leaves every other one reachable (its tombstone keeps
+	// the probe chain walkable), across address families in both
+	// directions.
+	for _, c := range []struct {
+		remove neko.ProcessID
+		gone   string
+		kept   map[neko.ProcessID]string
+	}{
+		{2, "[2001:db8::1]:7001", map[neko.ProcessID]string{4: "[2001:db8::1]:7002", 6: "10.0.0.6:7001"}},
+		{6, "10.0.0.6:7001", map[neko.ProcessID]string{3: "[2001:db8::2]:7001", 4: "[2001:db8::1]:7002"}},
+		{3, "[2001:db8::2]:7001", map[neko.ProcessID]string{4: "[2001:db8::1]:7002", 5: "[::2:2001:db8:0:0]:7001"}},
+	} {
+		if err := n.RemovePeer(c.remove); err != nil {
+			t.Fatal(err)
+		}
+		if id, _, ok := n.attributeAddr(netip.MustParseAddrPort(c.gone)); ok {
+			t.Fatalf("removed peer %d still attributed as %d", c.remove, id)
+		}
+		for id, addr := range c.kept {
+			if got, _, ok := n.attributeAddr(netip.MustParseAddrPort(addr)); !ok || got != id {
+				t.Fatalf("after removing peer %d, attributeAddr(%s) = %d, %v, want %d", c.remove, addr, got, ok, id)
+			}
+		}
 	}
-	if id, _, ok := n.attributeAddr(netip.MustParseAddrPort("[2001:db8::1]:7001")); ok {
-		t.Fatalf("removed peer 2 still attributed as %d", id)
+	// A freed address can be registered again, under either family.
+	if err := n.AddPeer(7, "10.0.0.6:7001"); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, ok := n.attributeAddr(netip.MustParseAddrPort("10.0.0.6:7001")); !ok || got != 7 {
+		t.Fatalf("re-registered v4 address resolves to %d, %v, want 7", got, ok)
 	}
 }
 
 // TestIPv6ChurnCompaction is the IPv6 flavor of the churn regression: the
-// two-word table must also compact tombstones and hold probe lengths
-// bounded under full add/remove cycles.
+// address table must also compact tombstones and hold probe lengths
+// bounded under full add/remove cycles of digest-keyed entries.
 func TestIPv6ChurnCompaction(t *testing.T) {
 	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -200,15 +245,15 @@ func TestIPv6ChurnCompaction(t *testing.T) {
 				t.Fatalf("cycle %d remove peer %d: %v", c, i, err)
 			}
 		}
-		arenaStats, _, _, byAddr6 := n.PeerTableStats()
-		if arenaStats.Live != 0 || byAddr6.Live != 0 {
-			t.Fatalf("cycle %d: %d arena / %d table entries live after drain", c, arenaStats.Live, byAddr6.Live)
+		arenaStats, _, byAddr := n.PeerTableStats()
+		if arenaStats.Live != 0 || byAddr.Live != 0 {
+			t.Fatalf("cycle %d: %d arena / %d table entries live after drain", c, arenaStats.Live, byAddr.Live)
 		}
-		if byAddr6.Tombstones*4 > byAddr6.Cap {
-			t.Fatalf("cycle %d: byAddr6 %d tombstones at cap %d, want compacted", c, byAddr6.Tombstones, byAddr6.Cap)
+		if byAddr.Tombstones*4 > byAddr.Cap {
+			t.Fatalf("cycle %d: byAddr %d tombstones at cap %d, want compacted", c, byAddr.Tombstones, byAddr.Cap)
 		}
-		if byAddr6.MaxProbe > 64 {
-			t.Fatalf("cycle %d: byAddr6 MaxProbe %d, want bounded", c, byAddr6.MaxProbe)
+		if byAddr.MaxProbe > 64 {
+			t.Fatalf("cycle %d: byAddr MaxProbe %d, want bounded", c, byAddr.MaxProbe)
 		}
 	}
 }

@@ -441,7 +441,7 @@ func TestUDPEndToEndDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := layers.NewHeartbeater(2, eta)
+	hb, err := layers.NewHeartbeaterGroup(eta, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,14 +102,11 @@ type UDPNetwork struct {
 	// what it needs out before unlocking.
 	peerMu    sync.RWMutex
 	peerArena *arena.Arena[peerState]
-	// byID keys on the process id. byAddr4/byAddr6 index peers by source
-	// address for receive attribution: IPv4 endpoints (the common case)
-	// pack address and port into one uint64 key; IPv6 endpoints pack the
-	// 16 address bytes into a two-uint64 key, with the port (which does
-	// not fit) confirmed against the arena record.
-	byID    *arena.Map64
-	byAddr4 *arena.Map64
-	byAddr6 *arena.Map128
+	// byID keys on the process id. byAddr indexes peers by source address
+	// for receive attribution, both families in one table (see addrKey):
+	// every lookup confirms the full address against the arena record.
+	byID   *arena.Map64
+	byAddr *arena.Map64
 
 	receiver atomic.Pointer[receiverBox]
 	attached atomic.Bool
@@ -157,8 +154,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 		conn:      conn,
 		peerArena: arena.New[peerState](),
 		byID:      arena.NewMap64(hint),
-		byAddr4:   arena.NewMap64(hint),
-		byAddr6:   arena.NewMap128(0),
+		byAddr:    arena.NewMap64(hint),
 		epoch:     clk.Epoch(),
 		epochNano: clk.Epoch().UnixNano(),
 		clk:       clk,
@@ -231,12 +227,7 @@ func (n *UDPNetwork) AddPeerHandle(id neko.ProcessID, addr string, handle uint64
 	idx, ps := n.peerArena.Alloc()
 	ps.id, ps.ap, ps.handle = id, ap, handle
 	n.byID.Put(uint64(id), idx)
-	if k, ok := addrKey4(ap); ok {
-		n.byAddr4.Put(k, idx)
-	} else {
-		k1, k2 := addrKey6(ap)
-		n.byAddr6.Put(k1, k2, idx)
-	}
+	n.byAddr.Put(addrKey(ap), idx)
 	return nil
 }
 
@@ -265,13 +256,7 @@ func (n *UDPNetwork) RemovePeer(id neko.ProcessID) error {
 	if !ok {
 		return fmt.Errorf("transport: unknown peer %d", id)
 	}
-	ps := n.peerArena.Get(idx)
-	if k, ok := addrKey4(ps.ap); ok {
-		n.byAddr4.Delete(k)
-	} else {
-		k1, k2 := addrKey6(ps.ap)
-		n.byAddr6.Remove(k1, k2, func(i arena.Index) bool { return i == idx })
-	}
+	n.byAddr.Remove(addrKey(n.peerArena.Get(idx).ap), func(i arena.Index) bool { return i == idx })
 	n.peerArena.Free(idx)
 	return nil
 }
@@ -286,10 +271,10 @@ func (n *UDPNetwork) Peers() int {
 // PeerTableStats reports the layout health of the peer structures: arena
 // occupancy plus the open-addressed table stats for each index. Churn
 // regression tests assert compaction returns these to baseline.
-func (n *UDPNetwork) PeerTableStats() (arenaStats arena.Stats, byID, byAddr4, byAddr6 arena.TableStats) {
+func (n *UDPNetwork) PeerTableStats() (arenaStats arena.Stats, byID, byAddr arena.TableStats) {
 	n.peerMu.RLock()
 	defer n.peerMu.RUnlock()
-	return n.peerArena.Stats(), n.byID.Stats(), n.byAddr4.Stats(), n.byAddr6.Stats()
+	return n.peerArena.Stats(), n.byID.Stats(), n.byAddr.Stats()
 }
 
 // peerAddr returns a peer's socket address by value.
@@ -325,46 +310,37 @@ func (n *UDPNetwork) setPeerOffset(id neko.ProcessID, off int64) bool {
 	return false
 }
 
-// addrKey4 packs an unmapped IPv4 address and port into one map key word;
-// ok is false for IPv6 endpoints, which use the two-word addrKey6.
-func addrKey4(ap netip.AddrPort) (uint64, bool) {
+// addrKey is a source address's byAddr key. An IPv4 endpoint (the common
+// case) packs address and port losslessly into 48 bits; an IPv6 endpoint
+// folds its 16 address bytes and port into a 64-bit digest. Digests may
+// collide with each other or with a packed IPv4 key, so the table is
+// lossy: lookups confirm the full address against the arena record, and a
+// collision costs one more probe, never a misattribution.
+func addrKey(ap netip.AddrPort) uint64 {
 	a := ap.Addr()
-	if !a.Is4() {
-		return 0, false
+	if a.Is4() {
+		b := a.As4()
+		return uint64(b[0])<<40 | uint64(b[1])<<32 | uint64(b[2])<<24 | uint64(b[3])<<16 |
+			uint64(ap.Port())
 	}
-	b := a.As4()
-	return uint64(b[0])<<40 | uint64(b[1])<<32 | uint64(b[2])<<24 | uint64(b[3])<<16 |
-		uint64(ap.Port()), true
-}
-
-// addrKey6 packs a 16-byte IPv6 address into the two table key words. The
-// port does not fit the 128-bit key; lookups confirm it against the arena
-// record, and same-address different-port peers coexist on one probe
-// chain.
-func addrKey6(ap netip.AddrPort) (k1, k2 uint64) {
-	b := ap.Addr().As16()
-	return binary.BigEndian.Uint64(b[0:8]), binary.BigEndian.Uint64(b[8:16])
+	b := a.As16()
+	hi, lo := binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+	return (hi*0x9e3779b97f4a7c15^lo)*0xbf58476d1ce4e5b9 ^ uint64(ap.Port())
 }
 
 // lookupAddrLocked resolves a source address (already Unmap()ed) to its
 // peer record, or nil. Callers hold peerMu in at least read mode; the
 // returned pointer is valid only until the lock is released.
 func (n *UDPNetwork) lookupAddrLocked(ap netip.AddrPort) *peerState {
-	if k, ok := addrKey4(ap); ok {
-		if idx, found := n.byAddr4.Get(k); found {
-			return n.peerArena.Get(idx)
+	var hit *peerState
+	n.byAddr.Find(addrKey(ap), func(i arena.Index) bool {
+		if ps := n.peerArena.Get(i); ps.ap == ap {
+			hit = ps
+			return true
 		}
-		return nil
-	}
-	k1, k2 := addrKey6(ap)
-	port := ap.Port()
-	idx, found := n.byAddr6.Find(k1, k2, func(i arena.Index) bool {
-		return n.peerArena.Get(i).ap.Port() == port
+		return false
 	})
-	if found {
-		return n.peerArena.Get(idx)
-	}
-	return nil
+	return hit
 }
 
 // Attach implements neko.Network for the configured local process.

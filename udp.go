@@ -90,10 +90,9 @@ type HeartbeaterConfig struct {
 	Listen string
 	// Remote is the monitor's UDP address.
 	Remote string
-	// Remotes are additional monitor addresses. With more than one remote
-	// in total the heartbeater runs a HeartbeaterGroup: every monitor gets
-	// its own η-grid, phase-staggered across the interval, which that
-	// monitor alone can retune (WithTargetDetection).
+	// Remotes are additional monitor addresses. Every monitor gets its own
+	// η-grid, which that monitor alone can retune (WithTargetDetection);
+	// the grids start together.
 	Remotes []string
 	// Eta is the sending period.
 	Eta time.Duration
@@ -103,8 +102,7 @@ type HeartbeaterConfig struct {
 // monitors.
 type Heartbeater struct {
 	net *transport.UDPNetwork
-	hb  *layers.Heartbeater      // single-monitor form
-	grp *layers.HeartbeaterGroup // multi-monitor form
+	grp *layers.HeartbeaterGroup
 }
 
 // RunHeartbeater opens the socket and starts sending heartbeats every Eta
@@ -142,33 +140,19 @@ func RunHeartbeater(cfg HeartbeaterConfig) (*Heartbeater, error) {
 			_ = net.Close()
 		}
 	}()
-	h := &Heartbeater{net: net}
+	grp, err := layers.NewHeartbeaterGroup(cfg.Eta)
+	if err != nil {
+		return nil, err
+	}
 	// Number cycles on the shared wall-clock grid (σ_i = i·η) so a
 	// restarted heartbeater resumes with fresh sequence numbers.
 	startSeq := net.WallTime().UnixNano() / int64(cfg.Eta)
-	var top neko.Layer
-	if len(remotes) == 1 {
-		hb, err := layers.NewHeartbeater(firstMonitorID, cfg.Eta)
-		if err != nil {
+	for i := range remotes {
+		if err := grp.Add(firstMonitorID+neko.ProcessID(i), startSeq); err != nil {
 			return nil, err
 		}
-		if err := hb.SetStartSeq(startSeq); err != nil {
-			return nil, err
-		}
-		h.hb, top = hb, hb
-	} else {
-		grp, err := layers.NewHeartbeaterGroup(cfg.Eta)
-		if err != nil {
-			return nil, err
-		}
-		for i := range remotes {
-			if err := grp.Add(firstMonitorID+neko.ProcessID(i), startSeq); err != nil {
-				return nil, err
-			}
-		}
-		h.grp, top = grp, grp
 	}
-	proc, err := neko.NewProcess(udpHeartbeaterID, net.Clock(), net, top)
+	proc, err := neko.NewProcess(udpHeartbeaterID, net.Clock(), net, grp)
 	if err != nil {
 		return nil, err
 	}
@@ -176,27 +160,17 @@ func RunHeartbeater(cfg HeartbeaterConfig) (*Heartbeater, error) {
 		return nil, err
 	}
 	ok = true
-	return h, nil
+	return &Heartbeater{net: net, grp: grp}, nil
 }
 
-// Sent returns the number of heartbeats emitted (summed over all monitors
-// in the multi-monitor form).
-func (h *Heartbeater) Sent() uint64 {
-	if h.grp != nil {
-		return h.grp.Sent()
-	}
-	return h.hb.Sent()
-}
+// Sent returns the number of heartbeats emitted, summed over all monitors.
+func (h *Heartbeater) Sent() uint64 { return h.grp.Sent() }
 
 // LocalAddr returns the bound UDP address string.
 func (h *Heartbeater) LocalAddr() string { return h.net.LocalAddr().String() }
 
 // Close stops sending and releases the socket.
 func (h *Heartbeater) Close() error {
-	if h.grp != nil {
-		h.grp.Stop()
-	} else {
-		h.hb.Stop()
-	}
+	h.grp.Stop()
 	return h.net.Close()
 }

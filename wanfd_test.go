@@ -291,10 +291,10 @@ func newCountingEndpoint(t *testing.T) *countingEndpoint {
 }
 
 // TestHeartbeaterObeysSetIntervalPerMonitor pins the adaptable-period
-// command on both heartbeater forms: the monitor that sends MsgSetInterval
-// gets the new period, whether it is the only remote (layers.Heartbeater) or
-// one of two (layers.HeartbeaterGroup), and the other monitor keeps its η.
-// The heartbeater's goroutines are gone once it is closed.
+// command on the heartbeater's one group: the monitor that sends
+// MsgSetInterval gets the new period, whether it is the only member or one
+// of two, and the other monitor keeps its η. The heartbeater's goroutines
+// are gone once it is closed.
 func TestHeartbeaterObeysSetIntervalPerMonitor(t *testing.T) {
 	const eta, fast, window = 200 * time.Millisecond, 20 * time.Millisecond, 1400 * time.Millisecond
 	for _, remotes := range []int{1, 2} {

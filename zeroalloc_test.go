@@ -17,8 +17,12 @@ func TestPipelineZeroAlloc(t *testing.T) {
 		name   string
 		egress bool
 		store  bool
+		ipv6   bool
 	}{
 		{name: "ingest"},
+		// Peers at IPv6 addresses: their digest keys share the one address
+		// table with IPv4's packed keys, at the same zero cost.
+		{name: "ingest-ipv6", ipv6: true},
 		// Hot-path neutrality of the durable QoS store: every detector taps
 		// a PeerRecorder, samples go into a fixed ring, and only the
 		// background writer touches the filesystem.
@@ -35,7 +39,11 @@ func TestPipelineZeroAlloc(t *testing.T) {
 				t.Cleanup(func() { _ = st.Close() })
 				opts = append(opts, WithStore(st))
 			}
-			h := newPipelineHarness(t, benchClusterPeers, row.egress, opts...)
+			addr := benchPeerAddr
+			if row.ipv6 {
+				addr = benchPeerAddr6
+			}
+			h := newPipelineHarness(t, benchClusterPeers, row.egress, addr, opts...)
 			run := func() { h.offer(benchIngestChunk) }
 			// Warm-up: every peer's detector sees heartbeats and arms its
 			// deadline, and the message pool fills.
