@@ -39,9 +39,9 @@ cover:
 
 # Regenerate every table and figure of the paper.
 reproduce:
-	$(GO) run ./cmd/fdwan
-	$(GO) run ./cmd/fdaccuracy
-	$(GO) run ./cmd/fdqos -baselines
+	$(GO) run ./cmd/wanfd wan
+	$(GO) run ./cmd/wanfd accuracy
+	$(GO) run ./cmd/wanfd qos -baselines
 
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/transport/

@@ -19,7 +19,7 @@
 //	GET    /metrics                       live telemetry, Prometheus text format
 //	GET    /events[?n=N]                  last N suspicion transitions, JSON Lines
 //	GET    /qos?from=1m&to=5m[&peer=N]    windowed QoS over the durable history (JSON)
-//	GET    /export?from=1m[&peer=N]       replayable binary window (feed to fdreplay)
+//	GET    /export?from=1m[&peer=N]       replayable binary window (feed to wanfd replay)
 //	GET    /debug/pprof/                  net/http/pprof profiler
 //	GET    /debug/vars                    expvar
 //
@@ -244,7 +244,7 @@ type statusBody struct {
 }
 
 // qosMeta stamps exported windows with the recording monitor's detector
-// configuration, so fdreplay can rebuild an equivalent detector.
+// configuration, so wanfd replay can rebuild an equivalent detector.
 type qosMeta struct {
 	// detector is the live combination name ("" when not replayable, e.g.
 	// φ-accrual mode).

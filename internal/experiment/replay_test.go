@@ -119,7 +119,7 @@ func TestReplayWindowBitExact(t *testing.T) {
 	}
 
 	// The window travels through the wire format, as it would via
-	// GET /export | fdreplay.
+	// GET /export | wanfd replay.
 	var buf bytes.Buffer
 	if err := trace.WriteWindow(&buf, w); err != nil {
 		t.Fatalf("WriteWindow: %v", err)

@@ -15,7 +15,7 @@ import (
 // delay sample and recorded event inside [From, To), plus the detector
 // configuration that produced the recorded suspicions — enough to replay
 // the window bit-identically through any detector grid in simulated mode
-// (internal/experiment.ReplayWindow, cmd/fdreplay).
+// (internal/experiment.ReplayWindow, wanfd replay).
 type Window struct {
 	// From and To bound the window on the recording session's elapsed
 	// timeline.

@@ -24,36 +24,32 @@ type Characterization struct {
 }
 
 // Characterize offers n packets at interval eta to the channel and
-// summarizes the delivered delays and the loss rate. It consumes channel
-// state (delay correlations, loss bursts advance).
+// summarizes what it delivers: CollectDelays followed by SummarizeDelays.
+// It consumes channel state (delay correlations, loss bursts advance).
 func Characterize(c *Channel, n int, eta time.Duration) (Characterization, error) {
-	if n <= 0 {
-		return Characterization{}, fmt.Errorf("wan: characterize needs n > 0, got %d", n)
-	}
-	if eta <= 0 {
-		return Characterization{}, fmt.Errorf("wan: characterize needs eta > 0, got %v", eta)
-	}
-	samples := make([]float64, 0, n)
-	var lost int
-	for i := 0; i < n; i++ {
-		sendAt := time.Duration(i) * eta
-		deliverAt, ok := c.Transmit(sendAt)
-		if !ok {
-			lost++
-			continue
-		}
-		samples = append(samples, float64(deliverAt-sendAt)/float64(time.Millisecond))
-	}
-	if len(samples) == 0 {
-		return Characterization{Samples: n, LossRate: 1}, nil
-	}
-	sum, err := stats.Summarize(samples)
+	delays, err := CollectDelays(c, n, eta)
 	if err != nil {
 		return Characterization{}, err
 	}
+	return SummarizeDelays(delays, n), nil
+}
+
+// SummarizeDelays characterizes the delays a channel delivered out of
+// offered > 0 packets: the delay distribution, and as LossRate the share of
+// offered packets that never arrived (1, with zero delays, when none did).
+func SummarizeDelays(delays []time.Duration, offered int) Characterization {
+	lossRate := float64(offered-len(delays)) / float64(offered)
+	series := make([]float64, len(delays))
+	for i, d := range delays {
+		series[i] = float64(d) / float64(time.Millisecond)
+	}
+	sum, err := stats.Summarize(series)
+	if err != nil { // nothing delivered
+		return Characterization{Samples: offered, LossRate: lossRate}
+	}
 	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 	return Characterization{
-		Samples:     n,
+		Samples:     offered,
 		MeanDelay:   ms(sum.Mean),
 		StdDevDelay: ms(sum.StdDev),
 		MinDelay:    ms(sum.Min),
@@ -61,8 +57,8 @@ func Characterize(c *Channel, n int, eta time.Duration) (Characterization, error
 		P50Delay:    ms(sum.P50),
 		P95Delay:    ms(sum.P95),
 		P99Delay:    ms(sum.P99),
-		LossRate:    float64(lost) / float64(n),
-	}, nil
+		LossRate:    lossRate,
+	}
 }
 
 // Table renders the characterization in the layout of the paper's Table 4.

@@ -447,6 +447,42 @@ func TestCharacterizeValidation(t *testing.T) {
 	}
 }
 
+// TestSummarizeDelaysMatchesCharacterize pins the two routes to a channel
+// summary to one another: characterizing a channel directly, and
+// summarizing the delays collected from an identically seeded one.
+func TestSummarizeDelaysMatchesCharacterize(t *testing.T) {
+	mobile := func() (*Channel, error) { return NewPresetChannel(PresetLossyMobile, 3, "sum") }
+	allLost := func() (*Channel, error) {
+		loss, err := NewBernoulliLoss(1, sim.NewRNG(1, "loss"))
+		if err != nil {
+			return nil, err
+		}
+		return NewChannel(ChannelConfig{Delay: &ConstantDelay{D: time.Millisecond}, Loss: loss})
+	}
+	const n = 5000
+	for name, newChannel := range map[string]func() (*Channel, error){"lossy-mobile": mobile, "all-lost": allLost} {
+		c1, err1 := newChannel()
+		c2, err2 := newChannel()
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		direct, err := Characterize(c1, n, time.Second)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		delays, err := CollectDelays(c2, n, time.Second)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := SummarizeDelays(delays, n); got != direct {
+			t.Errorf("%s: SummarizeDelays = %+v, Characterize = %+v", name, got, direct)
+		}
+		if wantAll := name == "all-lost"; (direct.LossRate == 1) != wantAll || direct.Samples != n {
+			t.Errorf("%s: LossRate %v, Samples %d", name, direct.LossRate, direct.Samples)
+		}
+	}
+}
+
 // Property: a lossless FIFO channel delivers every packet with monotone
 // non-decreasing delivery times regardless of the delay sequence.
 func TestChannelFIFOMonotoneProperty(t *testing.T) {

@@ -86,7 +86,7 @@ type peerSpec struct{ name, addr string }
 // DefaultMinTimeout is the adaptive-timeout floor applied when none is
 // requested; it rides out the bootstrap phase on real hosts (see
 // core.DetectorConfig.MinTimeout). WithMinTimeout overrides it; replay
-// tooling (cmd/fdreplay) needs the exported constant to reproduce a live
+// tooling (wanfd replay) needs the exported constant to reproduce a live
 // monitor's default configuration exactly.
 const DefaultMinTimeout = 10 * time.Millisecond
 
