@@ -69,9 +69,8 @@ func benchQoS(b *testing.B) *experiment.QoSResult {
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = experiment.RunQoS(experiment.QoSConfig{
-			Runs:      1,
-			NumCycles: 5000,
-			Seed:      int64(i) + 1,
+			Runs:   1,
+			Table5: experiment.Table5{NumCycles: 5000, Seed: int64(i) + 1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -243,11 +242,9 @@ func BenchmarkAblationEtaSweep(b *testing.B) {
 			var td float64
 			for i := 0; i < b.N; i++ {
 				res, err := experiment.RunQoS(experiment.QoSConfig{
-					Runs:      1,
-					NumCycles: int(2500 * time.Second / eta),
-					Eta:       eta,
-					Seed:      int64(i) + 1,
-					Combos:    []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
+					Runs:   1,
+					Table5: experiment.Table5{NumCycles: int(2500 * time.Second / eta), Eta: eta, Seed: int64(i) + 1},
+					Combos: []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -269,11 +266,10 @@ func BenchmarkAblationChannelSweep(b *testing.B) {
 			var td, pa float64
 			for i := 0; i < b.N; i++ {
 				res, err := experiment.RunQoS(experiment.QoSConfig{
-					Runs:      1,
-					NumCycles: 2500,
-					Preset:    preset,
-					Seed:      int64(i) + 1,
-					Combos:    []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
+					Runs:   1,
+					Table5: experiment.Table5{NumCycles: 2500, Seed: int64(i) + 1},
+					Preset: preset,
+					Combos: []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -295,8 +291,7 @@ func BenchmarkPushVsPull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = experiment.RunPushPull(experiment.PushPullConfig{
-			NumCycles: 4000,
-			Seed:      int64(i) + 1,
+			Table5: experiment.Table5{NumCycles: 4000, Seed: int64(i) + 1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -351,8 +346,7 @@ func BenchmarkAccrualVsPaper(b *testing.B) {
 		var err error
 		res, err = experiment.RunQoS(experiment.QoSConfig{
 			Runs:              1,
-			NumCycles:         5000,
-			Seed:              int64(i) + 1,
+			Table5:            experiment.Table5{NumCycles: 5000, Seed: int64(i) + 1},
 			Combos:            []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
 			AccrualThresholds: []float64{2, 8},
 		})
@@ -373,9 +367,8 @@ func BenchmarkAccrualVsPaper(b *testing.B) {
 func BenchmarkSimulationThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := experiment.RunQoS(experiment.QoSConfig{
-			Runs:      1,
-			NumCycles: 2000,
-			Seed:      int64(i) + 1,
+			Runs:   1,
+			Table5: experiment.Table5{NumCycles: 2000, Seed: int64(i) + 1},
 		})
 		if err != nil {
 			b.Fatal(err)

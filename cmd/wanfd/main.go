@@ -34,22 +34,26 @@ import (
 type command struct {
 	name, synopsis string
 	flags          func(fs *flag.FlagSet) func(stdout io.Writer) error
+	// check, when set, rejects a parsed flag combination the action would
+	// not honour.
+	check func(fs *flag.FlagSet) error
 }
 
 var commands = []command{
-	{"qos", "the 30-detector QoS experiment: Figures 4–8 and Table 5 (§5.2)", qosCmd},
-	{"accuracy", "predictor accuracy (Table 3) and the ARIMA order search (§5.1)", accuracyCmd},
-	{"events", "recompute QoS from an exported JSON Lines event timeline", eventsCmd},
-	{"replay", "replay an exported QoS-history window through the detector grid", replayCmd},
-	{"wan", "characterize the simulated WAN channel (Table 4)", wanCmd},
-	{"plan", "size a constant-timeout detector from QoS targets", planCmd},
-	{"consensus", "failure-detector QoS → consensus latency", consensusCmd},
+	{"qos", "the 30-detector QoS experiment: Figures 4–8 and Table 5 (§5.2)", qosCmd, checkQoSFlags},
+	{"accuracy", "predictor accuracy (Table 3) and the ARIMA order search (§5.1)", accuracyCmd, nil},
+	{"events", "recompute QoS from an exported JSON Lines event timeline", eventsCmd, nil},
+	{"replay", "replay an exported QoS-history window through the detector grid", replayCmd, nil},
+	{"wan", "characterize the simulated WAN channel (Table 4)", wanCmd, nil},
+	{"plan", "size a constant-timeout detector from QoS targets", planCmd, nil},
+	{"consensus", "failure-detector QoS → consensus latency", consensusCmd, nil},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one command line and returns its exit status: 0 on success
-// or -h, 1 when the subcommand fails, 2 when the command line does not parse.
+// or -h, 1 when the subcommand fails, 2 when the command line does not parse
+// or combines flags the subcommand would not honour.
 func run(args []string, stdout, stderr io.Writer) int {
 	cmd, fs := lookup(args)
 	if fs == nil {
@@ -61,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fs.SetOutput(stderr)
 	action := cmd.flags(fs)
-	if err := fs.Parse(args[1:]); err != nil {
+	if err := cmd.parse(fs, args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
@@ -83,6 +87,19 @@ func lookup(args []string) (command, *flag.FlagSet) {
 		}
 	}
 	return command{}, nil
+}
+
+// parse parses a subcommand's arguments into fs and applies its flag
+// check, reporting a rejected combination on the flag set's output.
+func (c command) parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil || c.check == nil {
+		return err
+	}
+	if err := c.check(fs); err != nil {
+		fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+		return err
+	}
+	return nil
 }
 
 // channelFlags registers the -preset and -seed flags of the subcommands

@@ -44,6 +44,23 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"qos", "-sweep", "CI", "-sweep-params", "1,x"}, 1, `wanfd qos: -sweep-params: bad number "x"`},
 		{[]string{"qos", "-accrual", "2,y"}, 1, `wanfd qos: -accrual: bad number "y"`},
 		{[]string{"qos", "-preset", "mars"}, 1, `unknown preset "mars"`},
+		{[]string{"qos", "-sweep-loss", "-preset", "lan"}, 2, "wanfd qos: -preset does not apply to -sweep-loss"},
+		{[]string{"qos", "-sweep-loss", "-trace", trc}, 2, "-trace does not apply to -sweep-loss"},
+		{[]string{"qos", "-sweep-loss", "-runs", "3"}, 2, "-runs does not apply to -sweep-loss"},
+		{[]string{"qos", "-sweep-loss", "-skew", "1ms"}, 2, "-skew does not apply to -sweep-loss"},
+		{[]string{"qos", "-pushpull", "-trace", trc}, 2, "-trace does not apply to -pushpull"},
+		{[]string{"qos", "-pushpull", "-runs", "3"}, 2, "-runs does not apply to -pushpull"},
+		{[]string{"qos", "-pushpull", "-skew", "1ms"}, 2, "-skew does not apply to -pushpull"},
+		{[]string{"qos", "-pushpull", "-accrual", "2"}, 2, "-accrual does not apply to -pushpull"},
+		{[]string{"qos", "-sweep", "CI", "-trace", trc}, 2, "-trace does not apply to -sweep"},
+		{[]string{"qos", "-sweep", "CI", "-skew", "1ms"}, 2, "-skew does not apply to -sweep"},
+		{[]string{"qos", "-sweep", "CI", "-baselines"}, 2, "-baselines does not apply to -sweep"},
+		{[]string{"qos", "-sweep", "CI", "-accrual", "2"}, 2, "-accrual does not apply to -sweep"},
+		{[]string{"qos", "-sweep-params", "1,2"}, 2, "-sweep-params does not apply to the detector grid"},
+		{[]string{"qos", "-pushpull", "-sweep-loss"}, 2, "-sweep-loss and -pushpull select different modes"},
+		{[]string{"qos", "-sweep-loss", "-cycles", "10"}, 1, "wanfd qos: experiment: run length 10s not longer than warmup 1m0s"},
+		{[]string{"qos", "-pushpull", "-eta", "-1s"}, 1, "wanfd qos: experiment: non-positive heartbeat period -1s"},
+		{[]string{"qos", "-sweep-loss", "-eta", "-1s"}, 1, "wanfd qos: experiment: non-positive heartbeat period -1s"},
 		{[]string{"accuracy", "-samples", "2000", "-grid", "-maxp", "1", "-maxd", "0", "-maxq", "0", "-top", "1"}, 0, "ARIMA("},
 		{[]string{"accuracy", "-grid", "-top", "-1"}, 1, "wanfd accuracy: -top must be >= 0, got -1"},
 		{[]string{"events", ev + ".run0.jsonl"}, 0, "detector"},
@@ -154,7 +171,7 @@ func TestDocumentedInvocations(t *testing.T) {
 			for _, a := range strings.Fields(m[2]) {
 				args = append(args, strings.Trim(a, `"'`))
 			}
-			if err := fs.Parse(args); err != nil {
+			if err := cmd.parse(fs, args); err != nil {
 				t.Errorf("%s: %q: %v", name, m[0], err)
 			}
 		}

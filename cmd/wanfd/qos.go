@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"wanfd/internal/experiment"
@@ -46,22 +48,17 @@ func qosCmd(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *sweepLoss {
-			points, err := experiment.RunLossSweep(experiment.LossSweepConfig{
-				NumCycles: *cycles,
-				Eta:       *eta,
-				MTTC:      *mttc,
-				TTR:       *ttr,
-				Seed:      *seed,
-			})
+		t5 := experiment.Table5{NumCycles: *cycles, Eta: *eta, MTTC: *mttc, TTR: *ttr, Seed: *seed}
+		switch {
+		case *sweepLoss:
+			points, err := experiment.RunLossSweep(experiment.LossSweepConfig{Table5: t5})
 			if err != nil {
 				return err
 			}
 			fmt.Fprintln(w, "Loss-rate ablation: LAST+JAC_med, identical delay process")
 			fmt.Fprint(w, experiment.LossSweepTable(points))
 			return nil
-		}
-		if *sweep != "" {
+		case *sweep != "":
 			values, err := parseFloats("sweep-params", *sweepVals)
 			if err != nil {
 				return err
@@ -84,16 +81,8 @@ func qosCmd(fs *flag.FlagSet) func(io.Writer) error {
 			fmt.Fprintf(w, "Margin sweep: %s + SM_%s\n", *sweepPred, *sweep)
 			fmt.Fprint(w, experiment.SweepTable(*sweep, points))
 			return nil
-		}
-		if *pushpull {
-			cmp, err := experiment.RunPushPull(experiment.PushPullConfig{
-				NumCycles: *cycles,
-				Eta:       *eta,
-				MTTC:      *mttc,
-				TTR:       *ttr,
-				Seed:      *seed,
-				Preset:    p,
-			})
+		case *pushpull:
+			cmp, err := experiment.RunPushPull(experiment.PushPullConfig{Table5: t5, Preset: p})
 			if err != nil {
 				return err
 			}
@@ -106,11 +95,7 @@ func qosCmd(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		cfg := experiment.QoSConfig{
 			Runs:              *runs,
-			NumCycles:         *cycles,
-			Eta:               *eta,
-			MTTC:              *mttc,
-			TTR:               *ttr,
-			Seed:              *seed,
+			Table5:            t5,
 			Preset:            p,
 			Baselines:         *baselines,
 			DelayTrace:        delays,
@@ -161,4 +146,41 @@ func qosCmd(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		return nil
 	}
+}
+
+// qosModes are qos's modes, each selected by its flag (the detector grid by
+// none), with the flags each honours besides the Table 5 flags -cycles,
+// -eta, -mttc, -ttr and -seed.
+var qosModes = []struct{ flag, honours string }{
+	{"sweep-loss", ""},
+	{"sweep", "runs preset sweep-params sweep-predictor"},
+	{"pushpull", "preset"},
+	{"", "runs preset trace baselines params csv accrual ci events plot skew"},
+}
+
+// checkQoSFlags rejects a command line that selects two modes, or that sets
+// a flag its mode would silently ignore.
+func checkQoSFlags(fs *flag.FlagSet) error {
+	mode := qosModes[len(qosModes)-1]
+	for _, m := range qosModes[:len(qosModes)-1] {
+		if f := fs.Lookup(m.flag); f.Value.String() == f.DefValue {
+			continue
+		}
+		if mode.flag != "" {
+			return fmt.Errorf("-%s and -%s select different modes", mode.flag, m.flag)
+		}
+		mode = m
+	}
+	name := "the detector grid"
+	if mode.flag != "" {
+		name = "-" + mode.flag
+	}
+	honoured := strings.Fields("cycles eta mttc ttr seed " + mode.flag + " " + mode.honours)
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !slices.Contains(honoured, f.Name) {
+			err = fmt.Errorf("-%s does not apply to %s", f.Name, name)
+		}
+	})
+	return err
 }

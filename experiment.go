@@ -103,12 +103,8 @@ func ReproduceQoS(opts QoSOptions) ([]QoSReport, error) {
 	}
 	res, err := experiment.RunQoS(experiment.QoSConfig{
 		Runs:      opts.Runs,
-		NumCycles: opts.NumCycles,
-		Eta:       opts.Eta,
-		MTTC:      opts.MTTC,
-		TTR:       opts.TTR,
+		Table5:    experiment.Table5{NumCycles: opts.NumCycles, Eta: opts.Eta, MTTC: opts.MTTC, TTR: opts.TTR, Seed: opts.Seed},
 		Preset:    preset,
-		Seed:      opts.Seed,
 		Combos:    combos,
 		Baselines: opts.Baselines,
 	})

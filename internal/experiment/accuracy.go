@@ -1,7 +1,9 @@
 // Package experiment assembles the paper's two experiments end to end:
 // the predictor-accuracy experiment (§5.1, Table 3) and the failure-
 // detector QoS experiment (§5.2, Figures 4–8), plus renderers that print
-// the same tables and series the paper reports.
+// the same tables and series the paper reports. Every virtual-time
+// experiment runs on one two-process system (system.go) over one Table 5
+// parameter block.
 package experiment
 
 import (
@@ -13,17 +15,9 @@ import (
 	"wanfd/internal/core"
 	"wanfd/internal/layers"
 	"wanfd/internal/neko"
+	"wanfd/internal/nekostat"
 	"wanfd/internal/sim"
 	"wanfd/internal/wan"
-)
-
-// Process identifiers of the two-process experimental system (Figure 3 of
-// the paper).
-const (
-	// ProcMonitored is the heartbeat-sending process q (ran in Italy).
-	ProcMonitored neko.ProcessID = 1
-	// ProcMonitor is the failure-detecting process p (ran in Japan).
-	ProcMonitor neko.ProcessID = 2
 )
 
 // AccuracyConfig parameterizes the predictor-accuracy experiment: collect
@@ -102,7 +96,7 @@ func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
 			cfg.Samples, cfg.Warmup)
 	}
 
-	delays, err := collectDelaySeries(cfg, cfg.Samples, cfg.Eta)
+	delays, err := collectDelaySeries(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -127,73 +121,40 @@ func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
 	return res, nil
 }
 
-// collectDelaySeries runs the two-process heartbeat stack over the
-// configured channel and returns the observed one-way delays in arrival
-// order, in milliseconds.
-func collectDelaySeries(cfg AccuracyConfig, samples int, eta time.Duration) ([]float64, error) {
-	eng := sim.NewEngine()
-	net, err := neko.NewSimNetwork(eng, nil)
-	if err != nil {
-		return nil, err
-	}
+// collectDelaySeries runs the two-process heartbeat stack, with no crashes
+// and a delay recorder on the monitor, over the configured channel and
+// returns the observed one-way delays in arrival order, in milliseconds.
+func collectDelaySeries(cfg AccuracyConfig) ([]float64, error) {
 	ch, err := buildChannel(cfg.Preset, cfg.DelayTrace, cfg.Seed, "accuracy")
 	if err != nil {
 		return nil, err
 	}
-	net.SetChannel(ProcMonitored, ProcMonitor, ch)
-
 	var delays []float64
-	rec, err := layers.NewDelayRecorder(func(_ int64, d time.Duration) {
-		delays = append(delays, float64(d)/float64(time.Millisecond))
-	})
+	_, err = system{
+		// One cycle more than the samples lets the last heartbeat, sent at
+		// (Samples-1)·η, arrive: the extra period covers the largest
+		// channel delay.
+		Table5: Table5{NumCycles: cfg.Samples + 1, Eta: cfg.Eta},
+		fwd:    ch,
+		monitor: func(*sim.Engine, *nekostat.Collector) ([]neko.Layer, error) {
+			rec, err := layers.NewDelayRecorder(func(_ int64, d time.Duration) {
+				delays = append(delays, float64(d)/float64(time.Millisecond))
+			})
+			if err != nil {
+				return nil, err
+			}
+			return []neko.Layer{rec}, nil
+		},
+	}.run()
 	if err != nil {
 		return nil, err
 	}
-	monitor, err := neko.NewProcess(ProcMonitor, eng, net, rec)
-	if err != nil {
-		return nil, err
-	}
-	hb, err := layers.NewHeartbeaterGroup(eta, ProcMonitor)
-	if err != nil {
-		return nil, err
-	}
-	monitored, err := neko.NewProcess(ProcMonitored, eng, net, hb)
-	if err != nil {
-		return nil, err
-	}
-	if err := monitor.Start(); err != nil {
-		return nil, err
-	}
-	if err := monitored.Start(); err != nil {
-		return nil, err
-	}
-	// Run long enough for the last heartbeat (sent at (samples-1)·η) to
-	// arrive; one extra period covers the largest channel delay.
-	horizon := time.Duration(samples)*eta + eta
-	if err := eng.Run(horizon); err != nil {
-		return nil, err
-	}
-	monitored.Stop()
-	monitor.Stop()
 	// The horizon slack can let one extra heartbeat through; cap at the
 	// requested sample count.
-	if len(delays) > samples {
-		delays = delays[:samples]
+	if len(delays) > cfg.Samples {
+		delays = delays[:cfg.Samples]
 	}
 	return delays, nil
-}
-
-// buildChannel returns either a lossless trace-replay channel or the
-// preset channel.
-func buildChannel(preset wan.Preset, delayTrace []time.Duration, seed int64, stream string) (*wan.Channel, error) {
-	if len(delayTrace) > 0 {
-		td, err := wan.NewTraceDelay(delayTrace)
-		if err != nil {
-			return nil, err
-		}
-		return wan.NewChannel(wan.ChannelConfig{Delay: td})
-	}
-	return wan.NewPresetChannel(preset, seed, stream)
 }
 
 // scorePredictor rolls a predictor through the delay series, scoring

@@ -72,11 +72,56 @@ func TestQoSConfigValidation(t *testing.T) {
 	if _, err := RunQoS(QoSConfig{Runs: -1}); err == nil {
 		t.Error("negative runs should be rejected")
 	}
-	if _, err := RunQoS(QoSConfig{NumCycles: 10, Warmup: time.Hour}); err == nil {
+	if _, err := RunQoS(QoSConfig{Table5: Table5{NumCycles: 10, Warmup: time.Hour}}); err == nil {
 		t.Error("warmup longer than run should be rejected")
 	}
 	if _, err := RunQoS(QoSConfig{SchedulerTick: -time.Millisecond}); err == nil {
 		t.Error("negative scheduler tick should be rejected")
+	}
+}
+
+// TestTable5ErrorsAreShared gives every experiment that runs a Table 5
+// block the same bad block and expects the block's one validation error,
+// returned before any run starts.
+func TestTable5ErrorsAreShared(t *testing.T) {
+	for _, bad := range []Table5{
+		{NumCycles: 10}, // a 10 s run is no longer than the 60 s warm-up
+		{Eta: -time.Second},
+		{MTTC: -time.Second},
+		{TTR: -time.Second},
+		{NumCycles: -5},
+	} {
+		want := bad
+		want.setDefaults()
+		wantErr := want.validate()
+		if wantErr == nil {
+			t.Fatalf("%+v validates", bad)
+		}
+		for _, mode := range []struct {
+			name string
+			run  func() error
+		}{
+			{"qos", func() error {
+				_, err := RunQoS(QoSConfig{Table5: bad})
+				return err
+			}},
+			{"margin sweep", func() error {
+				_, err := RunMarginSweep(SweepConfig{NumCycles: bad.NumCycles, Eta: bad.Eta, MTTC: bad.MTTC, TTR: bad.TTR})
+				return err
+			}},
+			{"loss sweep", func() error {
+				_, err := RunLossSweep(LossSweepConfig{Table5: bad})
+				return err
+			}},
+			{"push/pull", func() error {
+				_, err := RunPushPull(PushPullConfig{Table5: bad})
+				return err
+			}},
+		} {
+			if err := mode.run(); err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("%s with %+v: error %v, want %v", mode.name, bad, err, wantErr)
+			}
+		}
 	}
 }
 
@@ -93,8 +138,10 @@ func TestRunQoSSchedulerTick(t *testing.T) {
 	combos := []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}}
 	run := func(tick time.Duration) nekostat.QoS {
 		res, err := RunQoS(QoSConfig{
-			Runs: 1, NumCycles: 1500, MTTC: 150 * time.Second, TTR: 15 * time.Second,
-			Seed: 5, Combos: combos, SchedulerTick: tick,
+			Runs:          1,
+			Table5:        Table5{NumCycles: 1500, MTTC: 150 * time.Second, TTR: 15 * time.Second, Seed: 5},
+			Combos:        combos,
+			SchedulerTick: tick,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -133,10 +180,7 @@ func smallQoS(t *testing.T, combos []core.Combo, baselines bool) *QoSResult {
 	t.Helper()
 	res, err := RunQoS(QoSConfig{
 		Runs:      2,
-		NumCycles: 10000,
-		MTTC:      300 * time.Second,
-		TTR:       30 * time.Second,
-		Seed:      11,
+		Table5:    Table5{NumCycles: 10000, MTTC: 300 * time.Second, TTR: 30 * time.Second, Seed: 11},
 		Combos:    combos,
 		Baselines: baselines,
 	})
@@ -233,8 +277,9 @@ func TestRunQoSDeterminism(t *testing.T) {
 	combos := []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}}
 	run := func() *QoSResult {
 		res, err := RunQoS(QoSConfig{
-			Runs: 1, NumCycles: 1500, MTTC: 150 * time.Second, TTR: 15 * time.Second,
-			Seed: 5, Combos: combos,
+			Runs:   1,
+			Table5: Table5{NumCycles: 1500, MTTC: 150 * time.Second, TTR: 15 * time.Second, Seed: 5},
+			Combos: combos,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -253,8 +298,9 @@ func TestRunQoSLANPresetFastAndClean(t *testing.T) {
 		t.Skip("multi-run QoS experiment")
 	}
 	res, err := RunQoS(QoSConfig{
-		Runs: 1, NumCycles: 1500, MTTC: 150 * time.Second, TTR: 15 * time.Second,
-		Seed: 5, Preset: wan.PresetLAN,
+		Runs:   1,
+		Table5: Table5{NumCycles: 1500, MTTC: 150 * time.Second, TTR: 15 * time.Second, Seed: 5},
+		Preset: wan.PresetLAN,
 		Combos: []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
 	})
 	if err != nil {
@@ -291,10 +337,7 @@ func TestMetricHelpers(t *testing.T) {
 func TestRunQoSWithAccrualThresholds(t *testing.T) {
 	res, err := RunQoS(QoSConfig{
 		Runs:              2,
-		NumCycles:         4000,
-		MTTC:              200 * time.Second,
-		TTR:               20 * time.Second,
-		Seed:              17,
+		Table5:            Table5{NumCycles: 4000, MTTC: 200 * time.Second, TTR: 20 * time.Second, Seed: 17},
 		Combos:            []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
 		AccrualThresholds: []float64{2, 8},
 	})
@@ -333,8 +376,8 @@ func TestRunQoSWithAccrualThresholds(t *testing.T) {
 
 func TestFigureTableCI(t *testing.T) {
 	res, err := RunQoS(QoSConfig{
-		Runs: 2, NumCycles: 3000, MTTC: 150 * time.Second, TTR: 15 * time.Second,
-		Seed:   19,
+		Runs:   2,
+		Table5: Table5{NumCycles: 3000, MTTC: 150 * time.Second, TTR: 15 * time.Second, Seed: 19},
 		Combos: []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
 	})
 	if err != nil {
@@ -352,8 +395,8 @@ func TestFigureTableCI(t *testing.T) {
 
 func TestFigurePlotAndKeepEvents(t *testing.T) {
 	res, err := RunQoS(QoSConfig{
-		Runs: 2, NumCycles: 3000, MTTC: 150 * time.Second, TTR: 15 * time.Second,
-		Seed:       23,
+		Runs:       2,
+		Table5:     Table5{NumCycles: 3000, MTTC: 150 * time.Second, TTR: 15 * time.Second, Seed: 23},
 		Combos:     []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}, {Predictor: "MEAN", Margin: "CI_high"}},
 		KeepEvents: true,
 	})
@@ -459,8 +502,8 @@ func TestRunQoSClockSkew(t *testing.T) {
 	run := func(skew time.Duration) nekostat.QoS {
 		t.Helper()
 		res, err := RunQoS(QoSConfig{
-			Runs: 2, NumCycles: 4000, MTTC: 200 * time.Second, TTR: 20 * time.Second,
-			Seed:      37,
+			Runs:      2,
+			Table5:    Table5{NumCycles: 4000, MTTC: 200 * time.Second, TTR: 20 * time.Second, Seed: 37},
 			Combos:    []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
 			ClockSkew: skew,
 		})
@@ -531,10 +574,7 @@ func TestAccuracyStability(t *testing.T) {
 
 func TestRunLossSweep(t *testing.T) {
 	points, err := RunLossSweep(LossSweepConfig{
-		NumCycles: 5000,
-		MTTC:      250 * time.Second,
-		TTR:       25 * time.Second,
-		Seed:      41,
+		Table5:    Table5{NumCycles: 5000, MTTC: 250 * time.Second, TTR: 25 * time.Second, Seed: 41},
 		LossProbs: []float64{0, 0.01, 0.05},
 	})
 	if err != nil {

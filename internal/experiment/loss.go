@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"wanfd/internal/core"
-	"wanfd/internal/layers"
-	"wanfd/internal/neko"
 	"wanfd/internal/nekostat"
 	"wanfd/internal/sim"
 	"wanfd/internal/wan"
@@ -32,14 +30,9 @@ type LossSweepConfig struct {
 	// LossProbs are the loss probabilities to sweep (default 0, 0.001,
 	// 0.01, 0.05).
 	LossProbs []float64
-	// NumCycles, Eta, MTTC, TTR, Seed as in QoSConfig (zero → defaults,
-	// scaled to one run per point).
-	NumCycles int
-	Eta       time.Duration
-	MTTC      time.Duration
-	TTR       time.Duration
-	Seed      int64
-	Warmup    time.Duration
+	// Table5 holds NumCycles, η, MTTC, TTR, Seed and Warmup as in
+	// QoSConfig (zero → defaults, one run per point).
+	Table5
 }
 
 // RunLossSweep evaluates the detector at every loss rate. Each point uses
@@ -51,26 +44,17 @@ func RunLossSweep(cfg LossSweepConfig) ([]LossPoint, error) {
 	if len(cfg.LossProbs) == 0 {
 		cfg.LossProbs = []float64{0, 0.001, 0.01, 0.05}
 	}
-	if cfg.NumCycles == 0 {
-		cfg.NumCycles = 10000
+	cfg.setDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Eta == 0 {
-		cfg.Eta = time.Second
-	}
-	if cfg.MTTC == 0 {
-		cfg.MTTC = 300 * time.Second
-	}
-	if cfg.TTR == 0 {
-		cfg.TTR = 30 * time.Second
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 60 * time.Second
-	}
-	out := make([]LossPoint, 0, len(cfg.LossProbs))
 	for _, p := range cfg.LossProbs {
 		if p < 0 || p >= 1 {
 			return nil, fmt.Errorf("experiment: loss probability %v out of [0,1)", p)
 		}
+	}
+	out := make([]LossPoint, 0, len(cfg.LossProbs))
+	for _, p := range cfg.LossProbs {
 		q, err := runLossPoint(cfg, p)
 		if err != nil {
 			return nil, fmt.Errorf("loss %v: %w", p, err)
@@ -81,11 +65,6 @@ func RunLossSweep(cfg LossSweepConfig) ([]LossPoint, error) {
 }
 
 func runLossPoint(cfg LossSweepConfig, lossProb float64) (nekostat.QoS, error) {
-	eng := sim.NewEngine()
-	net, err := neko.NewSimNetwork(eng, nil)
-	if err != nil {
-		return nekostat.QoS{}, err
-	}
 	// The delay process is seeded identically for every point; only the
 	// loss model changes.
 	delay, err := wan.NewAR1GammaDelay(wan.AR1GammaConfig{
@@ -108,58 +87,16 @@ func runLossPoint(cfg LossSweepConfig, lossProb float64) (nekostat.QoS, error) {
 	if err != nil {
 		return nekostat.QoS{}, err
 	}
-	net.SetChannel(ProcMonitored, ProcMonitor, ch)
-
-	collector := nekostat.NewCollector()
-	hb, err := layers.NewHeartbeaterGroup(cfg.Eta, ProcMonitor)
+	events, err := system{
+		Table5:  cfg.Table5,
+		fwd:     ch,
+		crash:   sim.NewRNG(cfg.Seed, "loss-sweep/crash"),
+		monitor: comboMonitor(cfg.Combo, cfg.Eta),
+	}.run()
 	if err != nil {
 		return nekostat.QoS{}, err
 	}
-	crash, err := layers.NewSimCrash(cfg.MTTC, cfg.TTR, sim.NewRNG(cfg.Seed, "loss-sweep/crash"), collector)
-	if err != nil {
-		return nekostat.QoS{}, err
-	}
-	monitored, err := neko.NewProcess(ProcMonitored, eng, net, hb, crash)
-	if err != nil {
-		return nekostat.QoS{}, err
-	}
-	pred, margin, err := cfg.Combo.Build()
-	if err != nil {
-		return nekostat.QoS{}, err
-	}
-	det, err := core.NewDetector(core.DetectorConfig{
-		Name:      cfg.Combo.Name(),
-		Predictor: pred,
-		Margin:    margin,
-		Eta:       cfg.Eta,
-		Clock:     eng,
-		Listener:  collector,
-	})
-	if err != nil {
-		return nekostat.QoS{}, err
-	}
-	mon, err := layers.NewMonitor(det)
-	if err != nil {
-		return nekostat.QoS{}, err
-	}
-	monitorProc, err := neko.NewProcess(ProcMonitor, eng, net, mon)
-	if err != nil {
-		return nekostat.QoS{}, err
-	}
-	if err := monitorProc.Start(); err != nil {
-		return nekostat.QoS{}, err
-	}
-	if err := monitored.Start(); err != nil {
-		return nekostat.QoS{}, err
-	}
-	windowEnd := time.Duration(cfg.NumCycles) * cfg.Eta
-	if err := eng.Run(windowEnd); err != nil {
-		return nekostat.QoS{}, err
-	}
-	monitored.Stop()
-	monitorProc.Stop()
-	mon.Stop()
-	return nekostat.QoSFromEvents(collector.Events(), cfg.Combo.Name(), cfg.Warmup, windowEnd)
+	return cfg.qos(events, cfg.Combo.Name())
 }
 
 // LossSweepTable renders the sweep.

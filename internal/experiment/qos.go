@@ -19,7 +19,7 @@ import (
 // QoSConfig parameterizes the main experiment (§5.2): Runs independent
 // executions of NumCycles heartbeat cycles each, with the SimCrash layer
 // injecting crashes, all detector combinations fed the identical message
-// stream through the MultiPlexer, and the QoS metrics pooled across runs.
+// stream by one Monitor, and the QoS metrics pooled across runs.
 //
 // The defaults are the paper's Table 5 parameters: η = 1 s, MTTC = 300 s,
 // TTR = 30 s, 13 runs, and NumCycles chosen so each run collects ≈ 30
@@ -27,26 +27,15 @@ import (
 type QoSConfig struct {
 	// Runs is the number of independent experiment runs (paper: 13).
 	Runs int
-	// NumCycles is the number of heartbeat cycles per run (≈ 10 000 gives
-	// the paper's N_TD ≈ 30 per run with the default MTTC and TTR).
-	NumCycles int
-	// Eta is the heartbeat period η (paper: 1 s).
-	Eta time.Duration
-	// MTTC is the mean time to crash (paper: 300 s).
-	MTTC time.Duration
-	// TTR is the constant time to repair (paper: 30 s).
-	TTR time.Duration
+	// Table5 holds NumCycles, η, MTTC, TTR, the seed (run i uses Seed+i)
+	// and the warm-up.
+	Table5
 	// Preset selects the WAN channel (default Italy–Japan).
 	Preset wan.Preset
-	// Seed drives all randomness; run i uses Seed+i.
-	Seed int64
 	// Combos lists the detector combinations (default: the paper's 30).
 	Combos []core.Combo
 	// Baselines adds the NFD-E and Bertier reference detectors.
 	Baselines bool
-	// Warmup excludes the bootstrap transient from the metrics window
-	// (default 60 s).
-	Warmup time.Duration
 	// DelayTrace, when non-empty, replays a recorded delay trace instead
 	// of the preset channel (losslessly); every run then sees the same
 	// delays, with only the crash schedule varying by run.
@@ -72,36 +61,12 @@ type QoSConfig struct {
 	// one tick later, never early). Zero keeps the engine's exact heap
 	// scheduling.
 	SchedulerTick time.Duration
-
-	// customDetectors, when non-nil, supplies additional detectors per
-	// run (used by the margin-sweep experiment to evaluate arbitrary
-	// parameter values on the shared stream).
-	customDetectors func(clock sim.Clock, l core.SuspicionListener) ([]*core.Detector, error)
-}
-
-// effectiveEta returns the configured η after defaulting.
-func (c QoSConfig) effectiveEta() time.Duration {
-	if c.Eta == 0 {
-		return time.Second
-	}
-	return c.Eta
 }
 
 func (c *QoSConfig) setDefaults() {
+	c.Table5.setDefaults()
 	if c.Runs == 0 {
 		c.Runs = 13
-	}
-	if c.NumCycles == 0 {
-		c.NumCycles = 10000
-	}
-	if c.Eta == 0 {
-		c.Eta = time.Second
-	}
-	if c.MTTC == 0 {
-		c.MTTC = 300 * time.Second
-	}
-	if c.TTR == 0 {
-		c.TTR = 30 * time.Second
 	}
 	if c.Preset == 0 {
 		c.Preset = wan.PresetItalyJapan
@@ -109,24 +74,17 @@ func (c *QoSConfig) setDefaults() {
 	if len(c.Combos) == 0 {
 		c.Combos = core.AllCombos()
 	}
-	if c.Warmup == 0 {
-		c.Warmup = 60 * time.Second
-	}
 }
 
 func (c *QoSConfig) validate() error {
-	if c.Runs < 0 || c.NumCycles < 0 {
-		return fmt.Errorf("experiment: negative Runs/NumCycles (%d/%d)", c.Runs, c.NumCycles)
+	if err := c.Table5.validate(); err != nil {
+		return err
 	}
-	if c.Eta < 0 || c.MTTC < 0 || c.TTR < 0 || c.Warmup < 0 {
-		return fmt.Errorf("experiment: negative durations in config")
+	if c.Runs < 0 {
+		return fmt.Errorf("experiment: negative Runs %d", c.Runs)
 	}
 	if c.SchedulerTick < 0 {
 		return fmt.Errorf("experiment: negative SchedulerTick %v", c.SchedulerTick)
-	}
-	window := time.Duration(c.NumCycles) * c.Eta
-	if window <= c.Warmup {
-		return fmt.Errorf("experiment: run length %v not longer than warmup %v", window, c.Warmup)
 	}
 	return nil
 }
@@ -163,6 +121,17 @@ type QoSResult struct {
 // merged in run order, so the outcome is identical to a sequential
 // execution with the same seed.
 func RunQoS(cfg QoSConfig) (*QoSResult, error) {
+	return runGrid(cfg, gridDetectors)
+}
+
+// detectorSet builds one run's detectors, in display order, on the given
+// clock and reporting to l; cfg is the defaulted configuration.
+type detectorSet func(cfg QoSConfig, clock sim.Clock, l core.SuspicionListener) ([]core.HeartbeatConsumer, error)
+
+// runGrid runs the QoS experiment over the detectors dets builds: cfg.Runs
+// runs, every detector of a run fed that run's one heartbeat stream, and
+// each detector's QoS pooled across the runs in run order.
+func runGrid(cfg QoSConfig, dets detectorSet) (*QoSResult, error) {
 	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -170,7 +139,7 @@ func RunQoS(cfg QoSConfig) (*QoSResult, error) {
 	res := &QoSResult{Config: cfg, ByDetector: make(map[string]nekostat.QoS)}
 
 	type runOutcome struct {
-		qos    map[string]nekostat.QoS
+		qos    []nekostat.QoS
 		events []nekostat.Event
 		chans  stats.Running
 		err    error
@@ -186,19 +155,22 @@ func RunQoS(cfg QoSConfig) (*QoSResult, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			o := &outcomes[run]
-			o.qos, o.events, o.err = runOnce(cfg, cfg.Seed+int64(run), &o.chans)
+			o.qos, o.events, o.err = runOnce(cfg, dets, cfg.Seed+int64(run), &o.chans)
 		}()
 	}
 	wg.Wait()
 
-	perRun := make(map[string][]nekostat.QoS, len(cfg.Combos)+2)
+	perRun := make(map[string][]nekostat.QoS)
 	for run := range outcomes {
 		o := &outcomes[run]
 		if o.err != nil {
 			return nil, fmt.Errorf("run %d: %w", run, o.err)
 		}
-		for name, q := range o.qos {
-			perRun[name] = append(perRun[name], q)
+		for _, q := range o.qos {
+			if run == 0 {
+				res.Order = append(res.Order, q.Detector)
+			}
+			perRun[q.Detector] = append(perRun[q.Detector], q)
 		}
 		res.ChannelStats.Merge(&o.chans)
 		if cfg.KeepEvents {
@@ -212,149 +184,81 @@ func RunQoS(cfg QoSConfig) (*QoSResult, error) {
 		}
 		res.ByDetector[name] = merged
 	}
-	for _, c := range cfg.Combos {
-		res.Order = append(res.Order, c.Name())
-	}
-	if cfg.Baselines {
-		res.Order = append(res.Order, "NFD-E", "Bertier")
-	}
-	for _, th := range cfg.AccrualThresholds {
-		res.Order = append(res.Order, fmt.Sprintf("ACCRUAL_%g", th))
-	}
 	return res, nil
 }
 
-// runOnce executes one experiment run and returns per-detector QoS plus
-// (when cfg.KeepEvents) the run's raw event timeline.
-func runOnce(cfg QoSConfig, seed int64, channelStats *stats.Running) (map[string]nekostat.QoS, []nekostat.Event, error) {
-	eng := sim.NewEngine()
-	net, err := neko.NewSimNetwork(eng, nil)
-	if err != nil {
-		return nil, nil, err
-	}
+// runOnce executes one run: every detector dets builds sits in one Monitor
+// above a delay recorder feeding channelStats and, with ClockSkew set, a
+// clock-skew layer beneath everything (Figure 3, right). It returns each
+// detector's QoS in build order plus, when cfg.KeepEvents, the run's raw
+// event timeline.
+func runOnce(cfg QoSConfig, dets detectorSet, seed int64, channelStats *stats.Running) ([]nekostat.QoS, []nekostat.Event, error) {
 	ch, err := buildChannel(cfg.Preset, cfg.DelayTrace, seed, "qos")
 	if err != nil {
 		return nil, nil, err
 	}
-	net.SetChannel(ProcMonitored, ProcMonitor, ch)
-
-	collector := nekostat.NewCollector()
-
-	// Monitored process: a one-member HeartbeaterGroup over SimCrash (Figure
-	// 3, left).
-	hb, err := layers.NewHeartbeaterGroup(cfg.Eta, ProcMonitor)
+	var names []string
+	events, err := system{
+		Table5: cfg.Table5,
+		fwd:    ch,
+		crash:  sim.NewRNG(seed, "simcrash"),
+		monitor: func(eng *sim.Engine, l *nekostat.Collector) ([]neko.Layer, error) {
+			// With SchedulerTick set, detector deadlines run on a timing
+			// wheel whose wakeups are engine events — the same wheel the
+			// real cluster monitor drives from the wall clock.
+			clock := sim.Clock(eng)
+			if cfg.SchedulerTick > 0 {
+				clock = sched.NewWheel(sched.Config{Clock: eng, Tick: cfg.SchedulerTick})
+			}
+			cs, err := dets(cfg, clock, l)
+			if err != nil {
+				return nil, err
+			}
+			for _, c := range cs {
+				names = append(names, c.Name())
+			}
+			mon, err := layers.NewConsumerMonitor(cs...)
+			if err != nil {
+				return nil, err
+			}
+			rec, err := layers.NewDelayRecorder(func(_ int64, d time.Duration) {
+				channelStats.Add(float64(d) / float64(time.Millisecond))
+			})
+			if err != nil {
+				return nil, err
+			}
+			if cfg.ClockSkew != 0 {
+				return []neko.Layer{mon, rec, layers.NewClockSkew(cfg.ClockSkew)}, nil
+			}
+			return []neko.Layer{mon, rec}, nil
+		},
+	}.run()
 	if err != nil {
 		return nil, nil, err
 	}
-	crash, err := layers.NewSimCrash(cfg.MTTC, cfg.TTR, sim.NewRNG(seed, "simcrash"), collector)
-	if err != nil {
-		return nil, nil, err
-	}
-	monitored, err := neko.NewProcess(ProcMonitored, eng, net, hb, crash)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Monitor process: a delay recorder feeding the MultiPlexer, which
-	// fans out to every detector (Figure 3, right). An optional clock-skew
-	// layer sits beneath everything, shifting the monitor's view.
-	mp := layers.NewMultiPlexer()
-	rec, err := layers.NewDelayRecorder(func(_ int64, d time.Duration) {
-		channelStats.Add(float64(d) / float64(time.Millisecond))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	monitorStack := []neko.Layer{mp, rec}
-	if cfg.ClockSkew != 0 {
-		monitorStack = append(monitorStack, layers.NewClockSkew(cfg.ClockSkew))
-	}
-	monitorProc, err := neko.NewProcess(ProcMonitor, eng, net, monitorStack...)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// With SchedulerTick set, detector deadlines run on a timing wheel
-	// whose wakeups are engine events — the same wheel the real cluster
-	// monitor drives from the wall clock.
-	detClock := sim.Clock(eng)
-	if cfg.SchedulerTick > 0 {
-		detClock = sched.NewWheel(sched.Config{Clock: eng, Tick: cfg.SchedulerTick})
-	}
-	monitors, err := buildMonitors(cfg, detClock, collector)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx := &neko.Context{ID: ProcMonitor, Clock: eng}
-	for _, m := range monitors {
-		mp.AddUpper(m)
-		if err := m.Init(ctx); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	if err := monitorProc.Start(); err != nil {
-		return nil, nil, err
-	}
-	if err := monitored.Start(); err != nil {
-		return nil, nil, err
-	}
-	windowEnd := time.Duration(cfg.NumCycles) * cfg.Eta
-	if err := eng.Run(windowEnd); err != nil {
-		return nil, nil, err
-	}
-	monitored.Stop()
-	monitorProc.Stop()
-	for _, m := range monitors {
-		m.Stop()
-	}
-
-	events := collector.Events()
-	out := make(map[string]nekostat.QoS, len(monitors))
-	for _, m := range monitors {
-		name := m.Consumer().Name()
-		q, err := nekostat.QoSFromEvents(events, name, cfg.Warmup, windowEnd)
-		if err != nil {
+	out := make([]nekostat.QoS, len(names))
+	for i, name := range names {
+		if out[i], err = cfg.qos(events, name); err != nil {
 			return nil, nil, fmt.Errorf("qos of %s: %w", name, err)
 		}
-		out[name] = q
 	}
-	if cfg.KeepEvents {
-		return out, events, nil
+	if !cfg.KeepEvents {
+		events = nil
 	}
-	return out, nil, nil
+	return out, events, nil
 }
 
-// buildMonitors instantiates the detector set for one run.
-func buildMonitors(cfg QoSConfig, clock sim.Clock, l core.SuspicionListener) ([]*layers.Monitor, error) {
-	var out []*layers.Monitor
-	add := func(det *core.Detector, err error) error {
-		if err != nil {
-			return err
-		}
-		m, err := layers.NewMonitor(det)
-		if err != nil {
-			return err
-		}
-		out = append(out, m)
-		return nil
-	}
+// gridDetectors builds the QoS experiment's detectors: the combinations,
+// then the NFD-E and Bertier baselines, then one φ-accrual detector per
+// threshold.
+func gridDetectors(cfg QoSConfig, clock sim.Clock, l core.SuspicionListener) ([]core.HeartbeatConsumer, error) {
+	var out []core.HeartbeatConsumer
 	for _, combo := range cfg.Combos {
-		pred, margin, err := combo.Build()
+		det, err := comboDetector(combo, cfg.Eta, clock, l)
 		if err != nil {
 			return nil, err
 		}
-		det, err := core.NewDetector(core.DetectorConfig{
-			Name:      combo.Name(),
-			Predictor: pred,
-			Margin:    margin,
-			Eta:       cfg.Eta,
-			Clock:     clock,
-			Listener:  l,
-		})
-		if err := add(det, err); err != nil {
-			return nil, err
-		}
+		out = append(out, det)
 	}
 	if cfg.Baselines {
 		// NFD-E's constant margin is derived from a detection-time bound
@@ -368,12 +272,15 @@ func buildMonitors(cfg QoSConfig, clock sim.Clock, l core.SuspicionListener) ([]
 		if err != nil {
 			return nil, err
 		}
-		if err := add(core.NewNFDE(alpha, cfg.Eta, clock, l)); err != nil {
+		nfde, err := core.NewNFDE(alpha, cfg.Eta, clock, l)
+		if err != nil {
 			return nil, err
 		}
-		if err := add(core.NewBertier(cfg.Eta, clock, l)); err != nil {
+		bertier, err := core.NewBertier(cfg.Eta, clock, l)
+		if err != nil {
 			return nil, err
 		}
+		out = append(out, nfde, bertier)
 	}
 	for _, th := range cfg.AccrualThresholds {
 		acc, err := core.NewAccrualDetector(core.AccrualDetectorConfig{
@@ -384,22 +291,7 @@ func buildMonitors(cfg QoSConfig, clock sim.Clock, l core.SuspicionListener) ([]
 		if err != nil {
 			return nil, err
 		}
-		m, err := layers.NewConsumerMonitor(acc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	if cfg.customDetectors != nil {
-		dets, err := cfg.customDetectors(clock, l)
-		if err != nil {
-			return nil, err
-		}
-		for _, det := range dets {
-			if err := add(det, nil); err != nil {
-				return nil, err
-			}
-		}
+		out = append(out, acc)
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"wanfd/internal/core"
 	"wanfd/internal/layers"
@@ -34,46 +33,28 @@ type PushPullComparison struct {
 // PushPullConfig parameterizes the comparison. Zero values default to the
 // paper's parameters (η = 1 s, MTTC = 300 s, TTR = 30 s, Italy–Japan).
 type PushPullConfig struct {
-	NumCycles int
-	Eta       time.Duration
-	MTTC      time.Duration
-	TTR       time.Duration
-	Preset    wan.Preset
-	Seed      int64
-	Combo     core.Combo
-	Warmup    time.Duration
+	// Table5 holds NumCycles, η, MTTC, TTR, Seed and Warmup as in
+	// QoSConfig.
+	Table5
+	Preset wan.Preset
+	Combo  core.Combo
 }
 
 func (c *PushPullConfig) setDefaults() {
-	if c.NumCycles == 0 {
-		c.NumCycles = 10000
-	}
-	if c.Eta == 0 {
-		c.Eta = time.Second
-	}
-	if c.MTTC == 0 {
-		c.MTTC = 300 * time.Second
-	}
-	if c.TTR == 0 {
-		c.TTR = 30 * time.Second
-	}
+	c.Table5.setDefaults()
 	if c.Preset == 0 {
 		c.Preset = wan.PresetItalyJapan
 	}
 	if c.Combo == (core.Combo{}) {
 		c.Combo = core.Combo{Predictor: "LAST", Margin: "JAC_med"}
 	}
-	if c.Warmup == 0 {
-		c.Warmup = 60 * time.Second
-	}
 }
 
 // RunPushPull executes the comparison.
 func RunPushPull(cfg PushPullConfig) (*PushPullComparison, error) {
 	cfg.setDefaults()
-	window := time.Duration(cfg.NumCycles) * cfg.Eta
-	if window <= cfg.Warmup {
-		return nil, fmt.Errorf("experiment: run length %v not longer than warmup %v", window, cfg.Warmup)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	push, err := runStyle(cfg, false)
 	if err != nil {
@@ -86,12 +67,9 @@ func RunPushPull(cfg PushPullConfig) (*PushPullComparison, error) {
 	return &PushPullComparison{Push: *push, Pull: *pull}, nil
 }
 
+// runStyle runs the combination's detector push-style (a HeartbeaterGroup
+// feeding a Monitor) or pull-style (a Puller pinging a Responder).
 func runStyle(cfg PushPullConfig, pull bool) (*StyleResult, error) {
-	eng := sim.NewEngine()
-	net, err := neko.NewSimNetwork(eng, nil)
-	if err != nil {
-		return nil, err
-	}
 	// Both directions get identically-seeded channels so the two styles
 	// face the same network; stream names keep directions independent.
 	fwd, err := wan.NewPresetChannel(cfg.Preset, cfg.Seed, "style/fwd")
@@ -102,82 +80,35 @@ func runStyle(cfg PushPullConfig, pull bool) (*StyleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	net.SetChannel(ProcMonitored, ProcMonitor, fwd)
-	net.SetChannel(ProcMonitor, ProcMonitored, rev)
-
-	collector := nekostat.NewCollector()
-	pred, margin, err := cfg.Combo.Build()
-	if err != nil {
-		return nil, err
-	}
-	det, err := core.NewDetector(core.DetectorConfig{
-		Name:      cfg.Combo.Name(),
-		Predictor: pred,
-		Margin:    margin,
-		Eta:       cfg.Eta,
-		Clock:     eng,
-		Listener:  collector,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	crash, err := layers.NewSimCrash(cfg.MTTC, cfg.TTR, sim.NewRNG(cfg.Seed, "style/crash"), collector)
-	if err != nil {
-		return nil, err
-	}
-
-	var monitored, monitor *neko.Process
+	s := system{Table5: cfg.Table5, fwd: fwd, rev: rev, crash: sim.NewRNG(cfg.Seed, "style/crash")}
 	var messages func() uint64
 	if pull {
 		responder := layers.NewResponder()
-		monitored, err = neko.NewProcess(ProcMonitored, eng, net, responder, crash)
-		if err != nil {
-			return nil, err
+		s.sender = responder
+		s.monitor = func(eng *sim.Engine, l *nekostat.Collector) ([]neko.Layer, error) {
+			det, err := comboDetector(cfg.Combo, cfg.Eta, eng, l)
+			if err != nil {
+				return nil, err
+			}
+			puller, err := layers.NewPuller(ProcMonitored, cfg.Eta, det)
+			if err != nil {
+				return nil, err
+			}
+			messages = func() uint64 { return puller.Pings() + responder.Replies() }
+			return []neko.Layer{puller}, nil
 		}
-		puller, err := layers.NewPuller(ProcMonitored, cfg.Eta, det)
-		if err != nil {
-			return nil, err
-		}
-		monitor, err = neko.NewProcess(ProcMonitor, eng, net, puller)
-		if err != nil {
-			return nil, err
-		}
-		messages = func() uint64 { return puller.Pings() + responder.Replies() }
 	} else {
 		hb, err := layers.NewHeartbeaterGroup(cfg.Eta, ProcMonitor)
 		if err != nil {
 			return nil, err
 		}
-		monitored, err = neko.NewProcess(ProcMonitored, eng, net, hb, crash)
-		if err != nil {
-			return nil, err
-		}
-		mon, err := layers.NewMonitor(det)
-		if err != nil {
-			return nil, err
-		}
-		monitor, err = neko.NewProcess(ProcMonitor, eng, net, mon)
-		if err != nil {
-			return nil, err
-		}
-		messages = func() uint64 { return hb.Sent() }
+		s.sender, s.monitor, messages = hb, comboMonitor(cfg.Combo, cfg.Eta), hb.Sent
 	}
-
-	if err := monitor.Start(); err != nil {
+	events, err := s.run()
+	if err != nil {
 		return nil, err
 	}
-	if err := monitored.Start(); err != nil {
-		return nil, err
-	}
-	window := time.Duration(cfg.NumCycles) * cfg.Eta
-	if err := eng.Run(window); err != nil {
-		return nil, err
-	}
-	monitored.Stop()
-	monitor.Stop()
-
-	q, err := nekostat.QoSFromEvents(collector.Events(), cfg.Combo.Name(), cfg.Warmup, window)
+	q, err := cfg.qos(events, cfg.Combo.Name())
 	if err != nil {
 		return nil, err
 	}

@@ -9,18 +9,15 @@ import (
 )
 
 func TestRunPushPullValidation(t *testing.T) {
-	if _, err := RunPushPull(PushPullConfig{NumCycles: 10, Warmup: time.Hour}); err == nil {
+	if _, err := RunPushPull(PushPullConfig{Table5: Table5{NumCycles: 10, Warmup: time.Hour}}); err == nil {
 		t.Error("warmup longer than run should be rejected")
 	}
 }
 
 func TestRunPushPullComparison(t *testing.T) {
 	res, err := RunPushPull(PushPullConfig{
-		NumCycles: 4000,
-		MTTC:      200 * time.Second,
-		TTR:       20 * time.Second,
-		Seed:      31,
-		Combo:     core.Combo{Predictor: "LAST", Margin: "JAC_med"},
+		Table5: Table5{NumCycles: 4000, MTTC: 200 * time.Second, TTR: 20 * time.Second, Seed: 31},
+		Combo:  core.Combo{Predictor: "LAST", Margin: "JAC_med"},
 	})
 	if err != nil {
 		t.Fatal(err)

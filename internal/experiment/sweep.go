@@ -61,51 +61,41 @@ func RunMarginSweep(cfg SweepConfig) ([]SweepPoint, error) {
 			return nil, fmt.Errorf("experiment: non-positive sweep parameter %v", p)
 		}
 	}
-	runs := cfg.Runs
-	if runs == 0 {
-		runs = 2
+	if cfg.Runs == 0 {
+		cfg.Runs = 2
+	}
+	name := func(param float64) string {
+		return fmt.Sprintf("%s_%s_%g", cfg.Predictor, cfg.MarginFamily, param)
 	}
 
-	// Build one synthetic combo per parameter; they all ride the same
-	// MultiPlexer stream, so the sweep is paired like the paper's
-	// figures. Custom margins require bypassing the named-combo path:
-	// register them through a custom detector set by abusing Combos with
-	// distinct names is not possible, so the sweep drives RunQoS's
-	// machinery directly via per-parameter SM constructors.
-	qosCfg := QoSConfig{
-		Runs:      runs,
-		NumCycles: cfg.NumCycles,
-		Eta:       cfg.Eta,
-		MTTC:      cfg.MTTC,
-		TTR:       cfg.TTR,
-		Preset:    cfg.Preset,
-		Seed:      cfg.Seed,
-		// A placeholder combo keeps RunQoS's validation happy; the sweep
-		// detectors are added below through the custom hook.
-		Combos: []core.Combo{{Predictor: cfg.Predictor, Margin: "CI_low"}},
-	}
-	qosCfg.customDetectors = func(clock sim.Clock, l core.SuspicionListener) ([]*core.Detector, error) {
-		var out []*core.Detector
+	// One detector per parameter value, all in the grid's one Monitor, so
+	// every setting sees the same stream and the sweep is paired like the
+	// paper's figures.
+	res, err := runGrid(QoSConfig{
+		Runs:   cfg.Runs,
+		Table5: Table5{NumCycles: cfg.NumCycles, Eta: cfg.Eta, MTTC: cfg.MTTC, TTR: cfg.TTR, Seed: cfg.Seed},
+		Preset: cfg.Preset,
+	}, func(qc QoSConfig, clock sim.Clock, l core.SuspicionListener) ([]core.HeartbeatConsumer, error) {
+		var out []core.HeartbeatConsumer
 		for _, param := range cfg.Params {
 			pred, err := core.NewPredictorByName(cfg.Predictor)
 			if err != nil {
 				return nil, err
 			}
 			var margin core.SafetyMargin
-			name := fmt.Sprintf("%s_%s_%g", cfg.Predictor, cfg.MarginFamily, param)
 			if cfg.MarginFamily == "CI" {
-				margin, err = core.NewSMCI(name, param)
+				margin, err = core.NewSMCI(name(param), param)
 			} else {
-				margin, err = core.NewSMJAC(name, param, core.JacobsonAlpha)
+				margin, err = core.NewSMJAC(name(param), param, core.JacobsonAlpha)
 			}
 			if err != nil {
 				return nil, err
 			}
 			det, err := core.NewDetector(core.DetectorConfig{
-				Name:      name,
+				Name:      name(param),
 				Predictor: pred,
 				Margin:    margin,
-				Eta:       qosCfg.effectiveEta(),
+				Eta:       qc.Eta,
 				Clock:     clock,
 				Listener:  l,
 			})
@@ -115,20 +105,13 @@ func RunMarginSweep(cfg SweepConfig) ([]SweepPoint, error) {
 			out = append(out, det)
 		}
 		return out, nil
-	}
-
-	res, err := RunQoS(qosCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, 0, len(cfg.Params))
-	for _, param := range cfg.Params {
-		name := fmt.Sprintf("%s_%s_%g", cfg.Predictor, cfg.MarginFamily, param)
-		q, ok := res.ByDetector[name]
-		if !ok {
-			return nil, fmt.Errorf("experiment: sweep point %s missing from results", name)
-		}
-		out = append(out, SweepPoint{Param: param, QoS: q})
+	out := make([]SweepPoint, len(cfg.Params))
+	for i, param := range cfg.Params {
+		out[i] = SweepPoint{Param: param, QoS: res.ByDetector[name(param)]}
 	}
 	return out, nil
 }

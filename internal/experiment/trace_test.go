@@ -51,10 +51,7 @@ func TestQoSWithDelayTrace(t *testing.T) {
 	}
 	res, err := RunQoS(QoSConfig{
 		Runs:       1,
-		NumCycles:  1500,
-		MTTC:       150 * time.Second,
-		TTR:        15 * time.Second,
-		Seed:       3,
+		Table5:     Table5{NumCycles: 1500, MTTC: 150 * time.Second, TTR: 15 * time.Second, Seed: 3},
 		DelayTrace: delays,
 		Combos:     []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}},
 	})
@@ -73,11 +70,8 @@ func TestQoSWithDelayTrace(t *testing.T) {
 
 func TestQoSCSV(t *testing.T) {
 	res, err := RunQoS(QoSConfig{
-		Runs:      1,
-		NumCycles: 1500,
-		MTTC:      150 * time.Second,
-		TTR:       15 * time.Second,
-		Seed:      3,
+		Runs:   1,
+		Table5: Table5{NumCycles: 1500, MTTC: 150 * time.Second, TTR: 15 * time.Second, Seed: 3},
 		Combos: []core.Combo{
 			{Predictor: "LAST", Margin: "JAC_med"},
 			{Predictor: "MEAN", Margin: "CI_low"},

@@ -2,10 +2,9 @@
 // architecture (Figure 3): the HeartbeaterGroup on the monitored process
 // (group.go: one η-grid per monitor, and the only heartbeat sender, in the
 // simulator and on a real network alike), the SimCrash fault injector
-// beneath it, and — on the monitor — the MultiPlexer that fans every
-// received message out to all failure-detector instances so that the 30
-// alternatives perceive identical network conditions, plus the Monitor
-// layer wrapping one detector. A pull-style request/response pair
+// beneath it, and — on the monitor — the Monitor layer that feeds every
+// received heartbeat to all its failure-detector instances so that the 30
+// alternatives perceive identical network conditions. A pull-style request/response pair
 // (Puller/Responder, see pull.go) and a per-source Router (router.go)
 // complete the set.
 //
@@ -163,100 +162,39 @@ func (s *SimCrash) Stats() (crashes, dropped uint64) {
 	return s.crashes.Load(), s.dropped.Load()
 }
 
-// MultiPlexer forwards every message received from below to all registered
-// upper layers — the paper's mechanism for feeding the 30 detectors the
-// exact same message stream, the basis of its fair comparison.
-type MultiPlexer struct {
-	neko.Base
-	mu     sync.RWMutex
-	uppers []neko.Receiver
-}
-
-// NewMultiPlexer builds an empty multiplexer.
-func NewMultiPlexer() *MultiPlexer { return &MultiPlexer{} }
-
-var _ neko.Layer = (*MultiPlexer)(nil)
-
-// AddUpper registers one more upper receiver.
-func (m *MultiPlexer) AddUpper(r neko.Receiver) {
-	if r == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.uppers = append(m.uppers, r)
-}
-
-// SetAbove registers r as an additional upper receiver (the multiplexer
-// accumulates rather than replaces, so it can sit inside a normal stack and
-// still fan out).
-func (m *MultiPlexer) SetAbove(r neko.Receiver) { m.AddUpper(r) }
-
-// Receive fans the message out to every upper layer.
-func (m *MultiPlexer) Receive(msg *neko.Message) {
-	m.mu.RLock()
-	uppers := m.uppers
-	m.mu.RUnlock()
-	for _, u := range uppers {
-		u.Receive(msg)
-	}
-}
-
-// ReceiveAt fans one timestamped message out, forwarding the stamp to
-// uppers that accept it.
-func (m *MultiPlexer) ReceiveAt(msg *neko.Message, at time.Duration) {
-	m.mu.RLock()
-	uppers := m.uppers
-	m.mu.RUnlock()
-	for _, u := range uppers {
-		if tr, ok := u.(neko.TimedReceiver); ok {
-			tr.ReceiveAt(msg, at)
-			continue
-		}
-		u.Receive(msg)
-	}
-}
-
-// ReceiveBatch fans a same-stamp batch out message by message — every upper
-// must see every message, so the fan-out dominates and per-upper batch
-// regrouping would buy nothing.
-func (m *MultiPlexer) ReceiveBatch(ms []*neko.Message, at time.Duration) {
-	for _, msg := range ms {
-		m.ReceiveAt(msg, at)
-	}
-}
-
-var (
-	_ neko.TimedReceiver = (*MultiPlexer)(nil)
-	_ neko.BatchReceiver = (*MultiPlexer)(nil)
-)
-
-// Monitor wraps one failure detector as a protocol layer: every heartbeat
-// delivered from below is fed to the detector with its receive timestamp.
-// It accepts any core.HeartbeatConsumer — the paper's freshness-point
-// Detector or the φ-accrual AccrualDetector.
+// Monitor is the monitor process's failure-detection layer: every heartbeat
+// delivered from below is fed, with one receive timestamp, to each of its
+// detectors in registration order — the paper's mechanism for giving the 30
+// alternatives the exact same message stream, the basis of its fair
+// comparison. Other message types pass up. A detector is any
+// core.HeartbeatConsumer: the paper's freshness-point Detector or the
+// φ-accrual AccrualDetector.
 type Monitor struct {
 	neko.Base
-	c   core.HeartbeatConsumer
-	det *core.Detector // non-nil when the consumer is a Detector
+	cs  []core.HeartbeatConsumer
 	ctx atomic.Pointer[neko.Context]
 }
 
-// NewMonitor wraps a freshness-point detector.
+// NewMonitor builds a monitor over one freshness-point detector.
 func NewMonitor(det *core.Detector) (*Monitor, error) {
 	if det == nil {
 		return nil, fmt.Errorf("layers: monitor needs a detector")
 	}
-	return &Monitor{c: det, det: det}, nil
+	return NewConsumerMonitor(det)
 }
 
-// NewConsumerMonitor wraps any heartbeat-consuming detector.
-func NewConsumerMonitor(c core.HeartbeatConsumer) (*Monitor, error) {
-	if c == nil {
+// NewConsumerMonitor builds a monitor feeding every heartbeat to cs, in
+// order.
+func NewConsumerMonitor(cs ...core.HeartbeatConsumer) (*Monitor, error) {
+	if len(cs) == 0 {
 		return nil, fmt.Errorf("layers: monitor needs a detector")
 	}
-	det, _ := c.(*core.Detector)
-	return &Monitor{c: c, det: det}, nil
+	for i, c := range cs {
+		if c == nil {
+			return nil, fmt.Errorf("layers: monitor detector %d is nil", i)
+		}
+	}
+	return &Monitor{cs: cs}, nil
 }
 
 var _ neko.Layer = (*Monitor)(nil)
@@ -267,23 +205,24 @@ func (m *Monitor) Init(ctx *neko.Context) error {
 	return nil
 }
 
-// Receive feeds heartbeats to the detector; other message types pass up.
+// Receive feeds a heartbeat to the detectors, stamped with the clock's
+// current reading; other message types pass up.
 func (m *Monitor) Receive(msg *neko.Message) {
 	if ctx := m.ctx.Load(); ctx != nil && msg.Type == neko.MsgHeartbeat {
-		m.c.OnHeartbeat(msg.Seq, msg.SentAt, ctx.Clock.Now())
+		m.feed(msg, ctx.Clock.Now())
 		return
 	}
 	m.Base.Receive(msg)
 }
 
-// ReceiveAt feeds a heartbeat to the detector using the receive timestamp
+// ReceiveAt feeds a heartbeat to the detectors using the receive timestamp
 // the transport already took for the message's drain batch, instead of
 // reading the clock again per message. The detector semantics are
 // unchanged: at is the heartbeat's arrival time A_i (DESIGN.md §10 bounds
 // the batch-stamp skew).
 func (m *Monitor) ReceiveAt(msg *neko.Message, at time.Duration) {
 	if ctx := m.ctx.Load(); ctx != nil && msg.Type == neko.MsgHeartbeat {
-		m.c.OnHeartbeat(msg.Seq, msg.SentAt, at)
+		m.feed(msg, at)
 		return
 	}
 	m.Base.Receive(msg)
@@ -291,15 +230,18 @@ func (m *Monitor) ReceiveAt(msg *neko.Message, at time.Duration) {
 
 var _ neko.TimedReceiver = (*Monitor)(nil)
 
-// Stop stops the wrapped detector's timers.
-func (m *Monitor) Stop() { m.c.Stop() }
+func (m *Monitor) feed(msg *neko.Message, at time.Duration) {
+	for _, c := range m.cs {
+		c.OnHeartbeat(msg.Seq, msg.SentAt, at)
+	}
+}
 
-// Detector returns the wrapped freshness-point detector, or nil when the
-// monitor wraps a different consumer kind.
-func (m *Monitor) Detector() *core.Detector { return m.det }
-
-// Consumer returns the wrapped detector regardless of kind.
-func (m *Monitor) Consumer() core.HeartbeatConsumer { return m.c }
+// Stop stops every detector's timers.
+func (m *Monitor) Stop() {
+	for _, c := range m.cs {
+		c.Stop()
+	}
+}
 
 // DelayRecorder is a passive layer that reports the one-way delay of every
 // heartbeat it sees to a callback (used by the Table 3 and Table 4

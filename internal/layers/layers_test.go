@@ -1,6 +1,8 @@
 package layers
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,18 +144,48 @@ func TestSimCrashDropsUpwardTraffic(t *testing.T) {
 	}
 }
 
-func TestMultiPlexerFansOut(t *testing.T) {
-	mp := NewMultiPlexer()
-	a, b, c := &captureLayer{}, &captureLayer{}, &captureLayer{}
-	mp.AddUpper(a)
-	mp.SetAbove(b) // SetAbove accumulates
-	mp.AddUpper(c)
-	mp.AddUpper(nil) // ignored
-	mp.Receive(&neko.Message{Seq: 5})
-	for i, l := range []*captureLayer{a, b, c} {
-		if len(l.got) != 1 || l.got[0].Seq != 5 {
-			t.Errorf("upper %d got %+v, want one message with Seq 5", i, l.got)
-		}
+// logConsumer appends every heartbeat it receives, named and stamped, to a
+// log shared with other consumers.
+type logConsumer struct {
+	name string
+	log  *[]string
+}
+
+func (c logConsumer) Name() string { return c.name }
+func (c logConsumer) OnHeartbeat(seq int64, _, now time.Duration) {
+	*c.log = append(*c.log, fmt.Sprintf("%s:%d@%v", c.name, seq, now))
+}
+func (c logConsumer) Suspected() bool { return false }
+func (c logConsumer) Stop()           {}
+
+// TestMonitorFansOut checks the Monitor's fan-out: every heartbeat reaches
+// each detector in registration order with one receive stamp, from Receive
+// and ReceiveAt alike, and other messages pass up untouched.
+func TestMonitorFansOut(t *testing.T) {
+	eng := sim.NewEngine()
+	var log []string
+	mon, err := NewConsumerMonitor(logConsumer{"a", &log}, logConsumer{"b", &log}, logConsumer{"c", &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := &captureLayer{}
+	mon.SetAbove(top)
+	if err := mon.Init(&neko.Context{ID: 2, Clock: eng}); err != nil {
+		t.Fatal(err)
+	}
+	eng.At(100*time.Millisecond, func() {
+		mon.Receive(&neko.Message{Type: neko.MsgHeartbeat, Seq: 1})
+		mon.Receive(&neko.Message{Type: neko.MsgUser, Seq: 9})
+	})
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	mon.ReceiveAt(&neko.Message{Type: neko.MsgHeartbeat, Seq: 2}, 250*time.Millisecond)
+	if got, want := strings.Join(log, " "), "a:1@100ms b:1@100ms c:1@100ms a:2@250ms b:2@250ms c:2@250ms"; got != want {
+		t.Errorf("heartbeats reached the detectors as\n%s\nwant\n%s", got, want)
+	}
+	if len(top.got) != 1 || top.got[0].Seq != 9 {
+		t.Errorf("non-heartbeat not passed up: %v", top.got)
 	}
 }
 
@@ -189,9 +221,6 @@ func TestMonitorFeedsDetector(t *testing.T) {
 	if hb != 1 {
 		t.Errorf("detector heartbeats = %d, want 1", hb)
 	}
-	if mon.Detector() != det {
-		t.Error("Detector() should return the wrapped detector")
-	}
 	mon.Stop()
 }
 
@@ -222,6 +251,12 @@ func TestMonitorPassesNonHeartbeatUp(t *testing.T) {
 func TestMonitorValidation(t *testing.T) {
 	if _, err := NewMonitor(nil); err == nil {
 		t.Error("nil detector should be rejected")
+	}
+	if _, err := NewConsumerMonitor(); err == nil {
+		t.Error("a monitor without detectors should be rejected")
+	}
+	if _, err := NewConsumerMonitor(logConsumer{"a", new([]string)}, nil); err == nil {
+		t.Error("nil detector among several should be rejected")
 	}
 }
 
@@ -254,7 +289,7 @@ func TestDelayRecorder(t *testing.T) {
 	}
 }
 
-// End-to-end: heartbeater + simcrash over a WAN channel into a multiplexer
+// End-to-end: heartbeater + simcrash over a WAN channel into one monitor
 // feeding two detectors; the crash is detected by both.
 func TestEndToEndCrashDetection(t *testing.T) {
 	eng := sim.NewEngine()
@@ -282,8 +317,8 @@ func TestEndToEndCrashDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mp := NewMultiPlexer()
-	var monitors []*Monitor
+	var dets []*core.Detector
+	var consumers []core.HeartbeatConsumer
 	for _, combo := range []core.Combo{
 		{Predictor: "LAST", Margin: "JAC_med"},
 		{Predictor: "MEAN", Margin: "CI_low"},
@@ -299,21 +334,16 @@ func TestEndToEndCrashDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon, err := NewMonitor(det)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mp.AddUpper(mon)
-		monitors = append(monitors, mon)
+		dets = append(dets, det)
+		consumers = append(consumers, det)
 	}
-	monitorProc, err := neko.NewProcess(2, eng, net, mp)
+	mon, err := NewConsumerMonitor(consumers...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range monitors {
-		if err := m.Init(&neko.Context{ID: 2, Clock: eng}); err != nil {
-			t.Fatal(err)
-		}
+	monitorProc, err := neko.NewProcess(2, eng, net, mon)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := monitorProc.Start(); err != nil {
 		t.Fatal(err)
@@ -330,11 +360,9 @@ func TestEndToEndCrashDetection(t *testing.T) {
 	}
 	monitored.Stop()
 	monitorProc.Stop()
-	for _, m := range monitors {
-		m.Stop()
-		susp := m.Detector().DetectorStats().Suspicions
-		if susp == 0 {
-			t.Errorf("detector %s never suspected despite a crash", m.Detector().Name())
+	for _, det := range dets {
+		if det.DetectorStats().Suspicions == 0 {
+			t.Errorf("detector %s never suspected despite a crash", det.Name())
 		}
 	}
 }
