@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/transport/
 	$(GO) test -fuzz FuzzHeartbeatRoundTrip -fuzztime 30s ./internal/transport/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 30s ./internal/trace/
+	$(GO) test -fuzz FuzzAccountingPaths -fuzztime 30s ./internal/nekostat/
 
 clean:
 	$(GO) clean ./...

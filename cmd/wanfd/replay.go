@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"wanfd/internal/experiment"
-	"wanfd/internal/telemetry"
+	"wanfd/internal/nekostat"
 	"wanfd/internal/trace"
 )
 
@@ -63,9 +63,10 @@ func replayCmd(fs *flag.FlagSet) func(io.Writer) error {
 		}
 
 		fmt.Fprintf(out, "window   [%v, %v)  peer %s  %d heartbeats\n", w.From, w.To, res.Peer, res.Samples)
+		end := w.To - w.From
 		if res.Detector != "" {
 			fmt.Fprintf(out, "recorded %s  η=%v  floor=%v\n", res.Detector, w.Eta, w.MinTimeout)
-			fmt.Fprintf(out, "  %s\n", qosLine(res.Recorded))
+			fmt.Fprintf(out, "  %s\n", qosLine(res.Recorded, end))
 		}
 		order := append([]string(nil), res.Order...)
 		if *byMeans {
@@ -79,7 +80,7 @@ func replayCmd(fs *flag.FlagSet) func(io.Writer) error {
 			if name == res.Detector {
 				marker = "*"
 			}
-			fmt.Fprintf(out, "%s %-16s %s\n", marker, name, qosLine(res.Replayed[name]))
+			fmt.Fprintf(out, "%s %-16s %s\n", marker, name, qosLine(res.Replayed[name], end))
 		}
 
 		if !*verify {
@@ -104,46 +105,48 @@ func replayCmd(fs *flag.FlagSet) func(io.Writer) error {
 	}
 }
 
-// checkFidelity compares the replayed QoS against the recording. With
-// zero slack the whole snapshot must be bit-identical — the guarantee for
-// windows recorded on a deterministic (simulated) clock. With positive
-// slack the transition and mistake counts must still match exactly, but
-// the mean mistake durations may diverge by up to slack: a real clock
-// stamps a suspicion when the OS actually ran the timer, while replay
-// fires it at the ideal freshness deadline, so real recordings carry
-// sub-millisecond timer latency on T_M/T_MR that the idealized replay
-// cannot reproduce (heartbeat-driven instants, by contrast, are recorded
-// and replay exactly). P_A derives from T_M/T_MR and is not re-checked
-// under slack.
-func checkFidelity(rec, got telemetry.PeerQoS, slack time.Duration) error {
+// checkFidelity compares the replayed accounting against the recording.
+// With zero slack the mistake and recurrence counts, the open suspicion and
+// the T_M and T_MR sums must match exactly — the guarantee for windows
+// recorded on a deterministic (simulated) clock; an open suspicion's start
+// is no part of the accounting until it closes. With positive slack the
+// counts must still match exactly, but the mean mistake durations may
+// diverge by up to slack: a real clock stamps a suspicion when the OS
+// actually ran the timer and a trust when the heartbeat reached the
+// detector, while replay fires the suspicion at the ideal freshness
+// deadline and trusts at the recorded receive instant, so real recordings
+// carry sub-millisecond timer and delivery latency on T_M/T_MR that the
+// idealized replay cannot reproduce. P_A derives from T_M/T_MR and is not
+// re-checked under slack.
+func checkFidelity(rec, got nekostat.Accountant, slack time.Duration) error {
+	counts := got.Suspected() == rec.Suspected() && got.Mistakes == rec.Mistakes && got.Recurrences == rec.Recurrences
 	if slack <= 0 {
-		if got != rec {
-			return fmt.Errorf("snapshots differ (re-run with -slack for a real-clock recording)")
+		if !counts || got.TMSum != rec.TMSum || got.TMRSum != rec.TMRSum {
+			return fmt.Errorf("accountings differ (re-run with -slack for a real-clock recording)")
 		}
 		return nil
 	}
-	if got.Suspected != rec.Suspected || got.Transitions != rec.Transitions ||
-		got.Suspicions != rec.Suspicions || got.Mistakes != rec.Mistakes ||
-		got.Recurrences != rec.Recurrences {
+	if !counts {
 		return fmt.Errorf("transition counts differ")
 	}
 	tol := slack.Seconds()
-	if d := got.TMSeconds - rec.TMSeconds; d < -tol || d > tol {
-		return fmt.Errorf("E[T_M] diverges by %v (> slack %v)",
-			time.Duration((got.TMSeconds-rec.TMSeconds)*float64(time.Second)), slack)
+	gotTM, gotTMR := got.Means()
+	recTM, recTMR := rec.Means()
+	if d := gotTM - recTM; d < -tol || d > tol {
+		return fmt.Errorf("E[T_M] diverges by %v (> slack %v)", time.Duration(d*float64(time.Second)), slack)
 	}
-	if d := got.TMRSeconds - rec.TMRSeconds; d < -tol || d > tol {
-		return fmt.Errorf("E[T_MR] diverges by %v (> slack %v)",
-			time.Duration((got.TMRSeconds-rec.TMRSeconds)*float64(time.Second)), slack)
+	if d := gotTMR - recTMR; d < -tol || d > tol {
+		return fmt.Errorf("E[T_MR] diverges by %v (> slack %v)", time.Duration(d*float64(time.Second)), slack)
 	}
 	return nil
 }
 
-// qosLine renders one QoS snapshot compactly.
-func qosLine(q telemetry.PeerQoS) string {
+// qosLine renders one accounting compactly, P_A over [0, end].
+func qosLine(q nekostat.Accountant, end time.Duration) string {
+	tm, tmr := q.Means()
 	return fmt.Sprintf("mistakes %3d  E[T_M] %8s  E[T_MR] %9s  P_A %.6f",
 		q.Mistakes,
-		time.Duration(q.TMSeconds*float64(time.Second)).Round(time.Microsecond),
-		time.Duration(q.TMRSeconds*float64(time.Second)).Round(time.Microsecond),
-		q.PA)
+		time.Duration(tm*float64(time.Second)).Round(time.Microsecond),
+		time.Duration(tmr*float64(time.Second)).Round(time.Microsecond),
+		q.PA(end))
 }

@@ -132,7 +132,9 @@ func (d *AccrualDetector) OnHeartbeat(seq int64, _ time.Duration, now time.Durat
 	if d.suspected {
 		d.suspected = false
 		if d.listener != nil {
-			d.listener.OnTrust(d.name, now)
+			// Stamped on the clock under the mutex, like the suspicion, so
+			// a heartbeat stamped before it cannot end it earlier.
+			d.listener.OnTrust(d.name, d.clock.Now())
 		}
 	}
 	wait, ok := d.crossingDelay()

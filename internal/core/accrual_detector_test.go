@@ -183,3 +183,32 @@ func TestAccrualDetectorColdWindowNeverSuspects(t *testing.T) {
 		t.Errorf("cold-window detector produced output: %+v", l.events)
 	}
 }
+
+// TestAccrualDetectorTransitionStampsMonotone is
+// TestDetectorTransitionStampsMonotone for the φ-accrual detector.
+func TestAccrualDetectorTransitionStampsMonotone(t *testing.T) {
+	eng := sim.NewEngine()
+	l := &recordingListener{}
+	d, err := NewAccrualDetector(AccrualDetectorConfig{Threshold: 2, Clock: eng, Listener: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := int64(0); seq < 10; seq++ {
+		send := time.Duration(seq) * time.Second
+		seq := seq
+		eng.At(send+100*time.Millisecond, func() { d.OnHeartbeat(seq, send, eng.Now()) })
+	}
+	if err := eng.Run(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.events) != 1 || !l.events[0].suspect {
+		t.Fatalf("events = %+v, want one suspicion", l.events)
+	}
+	d.OnHeartbeat(10, 10*time.Second, l.events[0].at-time.Millisecond)
+	if len(l.events) != 2 || l.events[1].suspect {
+		t.Fatalf("events = %+v, want suspect then trust", l.events)
+	}
+	if s, tr := l.events[0].at, l.events[1].at; tr < s {
+		t.Errorf("trust stamped %v, before the suspicion at %v", tr, s)
+	}
+}

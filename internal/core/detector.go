@@ -257,7 +257,7 @@ func (d *Detector) OnHeartbeat(seq int64, sendTime, now time.Duration) {
 	d.deadline = deadline
 	if deadline > now {
 		if d.suspected {
-			d.transitionLocked(false, now)
+			d.transitionLocked(false, d.env.clock.Now())
 		}
 		// The paper's freshness semantics count a heartbeat arriving
 		// exactly at τ as fresh (received "by" the freshness point), so
@@ -274,12 +274,15 @@ func (d *Detector) OnHeartbeat(seq int64, sendTime, now time.Duration) {
 	// stands (or starts) without an intervening trust.
 	d.timer.Stop()
 	if !d.suspected {
-		d.transitionLocked(true, now)
+		d.transitionLocked(true, d.env.clock.Now())
 	}
 }
 
 // transitionLocked flips the output at now and reports it to the listener.
-// Callers hold d.mu.
+// Callers hold d.mu and read now from the detector's clock under it, not
+// from a heartbeat's receive stamp: a reader stamps its drain batch before
+// delivering it, and an expiry may have suspected in between. Reading
+// under the mutex makes one detector's transition stamps non-decreasing.
 func (d *Detector) transitionLocked(suspected bool, now time.Duration) {
 	d.suspected = suspected
 	if suspected {

@@ -542,3 +542,23 @@ func TestInitReusesStoppedDetector(t *testing.T) {
 		t.Fatalf("events = %+v, want one suspicion at %v", l.events, want)
 	}
 }
+
+// TestDetectorTransitionStampsMonotone delivers a heartbeat after the
+// detector has suspected, stamped with an arrival before that suspicion —
+// a batched reader stamps its drain once and delivers afterwards. The
+// trust must not be stamped before the suspicion it ends.
+func TestDetectorTransitionStampsMonotone(t *testing.T) {
+	eng := sim.NewEngine()
+	d, l := newTestDetector(t, eng)
+	deliver(eng, d, 0, 100*time.Millisecond) // τ = 1.15 s
+	if err := eng.Run(1200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	d.OnHeartbeat(1, time.Second, 1100*time.Millisecond)
+	if len(l.events) != 2 || !l.events[0].suspect || l.events[1].suspect {
+		t.Fatalf("events = %+v, want suspect then trust", l.events)
+	}
+	if s, tr := l.events[0].at, l.events[1].at; tr < s {
+		t.Errorf("trust stamped %v, before the suspicion at %v", tr, s)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"wanfd/internal/nekostat"
 	"wanfd/internal/sched"
 	"wanfd/internal/sim"
-	"wanfd/internal/telemetry"
 	"wanfd/internal/trace"
 )
 
@@ -45,42 +44,26 @@ type ReplayResult struct {
 	Detector string
 	// Samples is the number of heartbeat observations replayed.
 	Samples int
-	// Recorded is the QoS the recorded suspicion events imply — the live
-	// monitor's own output over the window, reconstructed through the same
-	// running estimator the live telemetry uses.
-	Recorded telemetry.PeerQoS
-	// Replayed maps each combination name to the QoS its detector produced
-	// when fed the recorded heartbeat stream. For the combination matching
-	// Detector, an undisturbed recording replays bit-identically to
-	// Recorded.
-	Replayed map[string]telemetry.PeerQoS
+	// Recorded is the accounting of the recorded suspicion events — the
+	// live monitor's own output over the window, through the accountant
+	// the live telemetry uses. Times are rebased so the window opens at 0;
+	// its P_A is Recorded.PA(w.To − w.From).
+	Recorded nekostat.Accountant
+	// Replayed maps each combination name to the accounting of its
+	// detector's transitions when fed the recorded heartbeat stream. For
+	// the combination matching Detector, an undisturbed recording replays
+	// bit-identically to Recorded.
+	Replayed map[string]nekostat.Accountant
 	// Order lists combination names in grid order.
 	Order []string
-}
-
-// replayListener adapts one replayed detector's transitions into a running
-// QoS estimator keyed by the replayed peer — the identical accounting the
-// live telemetry applies, so replayed and recorded QoS compare field for
-// field.
-type replayListener struct {
-	est  *telemetry.QoSEstimator
-	peer string
-}
-
-func (l replayListener) OnSuspect(_ string, at time.Duration) {
-	l.est.OnTransition(l.peer, true, at)
-}
-
-func (l replayListener) OnTrust(_ string, at time.Duration) {
-	l.est.OnTransition(l.peer, false, at)
 }
 
 // ReplayWindow feeds an exported QoS-history window through a grid of
 // freshly bootstrapped detectors on a virtual-time engine: every recorded
 // heartbeat of the selected peer is re-delivered at its recorded receive
 // instant (rebased so the window start is instant zero), and each
-// detector's suspicion output is accumulated into the same running QoS
-// estimator the live monitor uses. The engine is deterministic, so two
+// detector's suspicion output is counted by the same accountant the live
+// monitor uses. The engine is deterministic, so two
 // replays of one window are identical — and a replay through the
 // recording monitor's own combination reproduces the recorded suspicion
 // timeline exactly, provided the recording started at the window start
@@ -126,7 +109,7 @@ func ReplayWindow(w *trace.Window, cfg ReplayConfig) (*ReplayResult, error) {
 	}
 	type member struct {
 		det *core.Detector
-		est *telemetry.QoSEstimator
+		acc *nekostat.Accountant
 	}
 	members := make([]member, 0, len(combos))
 	order := make([]string, 0, len(combos))
@@ -135,20 +118,20 @@ func ReplayWindow(w *trace.Window, cfg ReplayConfig) (*ReplayResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		est := telemetry.NewQoSEstimator()
+		acc := new(nekostat.Accountant)
 		det, err := core.NewDetector(core.DetectorConfig{
 			Name:       combo.Name(),
 			Predictor:  pred,
 			Margin:     margin,
 			Eta:        eta,
 			Clock:      detClock,
-			Listener:   replayListener{est: est, peer: peer},
+			Listener:   acc,
 			MinTimeout: minTimeout,
 		})
 		if err != nil {
 			return nil, err
 		}
-		members = append(members, member{det: det, est: est})
+		members = append(members, member{det: det, acc: acc})
 		order = append(order, combo.Name())
 	}
 
@@ -182,17 +165,11 @@ func ReplayWindow(w *trace.Window, cfg ReplayConfig) (*ReplayResult, error) {
 		Detector: w.Detector,
 		Samples:  len(samples),
 		Recorded: recordedQoS(w, peer),
-		Replayed: make(map[string]telemetry.PeerQoS, len(members)),
+		Replayed: make(map[string]nekostat.Accountant, len(members)),
 		Order:    order,
 	}
 	for i, m := range members {
-		q, ok := m.est.Peer(peer)
-		if !ok {
-			// The detector never transitioned over the window: a clean
-			// stream. Report the estimator's empty snapshot (P_A = 1).
-			q = telemetry.PeerQoS{Peer: peer, PA: 1}
-		}
-		res.Replayed[order[i]] = q
+		res.Replayed[order[i]] = *m.acc
 	}
 	return res, nil
 }
@@ -224,23 +201,19 @@ func resolveReplayPeer(w *trace.Window, want string) (string, error) {
 	}
 }
 
-// recordedQoS reconstructs the live monitor's QoS over the window from the
-// recorded suspicion events, through the identical running estimator —
-// the ground truth a replay is compared against. Times are rebased like
-// the replay's, which the difference-based T_M/T_MR accounting cancels.
-func recordedQoS(w *trace.Window, peer string) telemetry.PeerQoS {
-	est := telemetry.NewQoSEstimator()
-	q := telemetry.PeerQoS{Peer: peer, PA: 1}
+// recordedQoS counts the recorded suspicion events of peer over the window
+// through the live accountant — the ground truth a replay is compared
+// against. Times are rebased like the replay's.
+func recordedQoS(w *trace.Window, peer string) nekostat.Accountant {
+	var a nekostat.Accountant
 	for _, e := range w.Events {
-		if e.Source != peer {
-			continue
-		}
-		switch e.Kind {
-		case nekostat.KindStartSuspect:
-			q = est.OnTransition(peer, true, e.At-w.From)
-		case nekostat.KindEndSuspect:
-			q = est.OnTransition(peer, false, e.At-w.From)
+		switch {
+		case e.Source != peer:
+		case e.Kind == nekostat.KindStartSuspect:
+			a.OnSuspect(peer, e.At-w.From)
+		case e.Kind == nekostat.KindEndSuspect:
+			a.OnTrust(peer, e.At-w.From)
 		}
 	}
-	return q
+	return a
 }

@@ -13,21 +13,21 @@ import (
 )
 
 // liveTap mirrors the wiring of a live monitor's suspicion listener: every
-// transition feeds both the running QoS estimator (the telemetry path) and
+// transition feeds both the telemetry registry (the live gauges' path) and
 // the durable store (the history path).
 type liveTap struct {
-	est  *telemetry.QoSEstimator
+	reg  *telemetry.Registry
 	rec  *store.PeerRecorder
 	peer string
 }
 
 func (l liveTap) OnSuspect(_ string, at time.Duration) {
-	l.est.OnTransition(l.peer, true, at)
+	l.reg.RecordTransition(l.peer, true, at)
 	l.rec.Transition(true, at)
 }
 
 func (l liveTap) OnTrust(_ string, at time.Duration) {
-	l.est.OnTransition(l.peer, false, at)
+	l.reg.RecordTransition(l.peer, false, at)
 	l.rec.Transition(false, at)
 }
 
@@ -52,9 +52,9 @@ func replaySchedule(n int) (sends, recvs []time.Duration) {
 // runs on a virtual-time engine with a durable store attached, the session
 // is exported as a trace window, round-tripped through the binary codec,
 // and replayed through the full 30-combination grid. The grid member
-// matching the live configuration must reproduce the live estimator's QoS
-// snapshot bit for bit, and the recorded suspicion events must imply the
-// same snapshot.
+// matching the live configuration must reproduce the live registry's QoS
+// accountant bit for bit, and the recorded suspicion events must imply the
+// same accountant.
 func TestReplayWindowBitExact(t *testing.T) {
 	const (
 		n       = 400
@@ -72,7 +72,9 @@ func TestReplayWindowBitExact(t *testing.T) {
 	}
 	defer st.Close()
 	rec := st.Recorder(peer)
-	est := telemetry.NewQoSEstimator()
+	// The monitor publishes the peer at 0: its accuracy window opens there.
+	reg := telemetry.NewRegistry(0)
+	reg.OpenQoS(peer, 0)
 
 	pred, margin, err := combo.Build()
 	if err != nil {
@@ -84,7 +86,7 @@ func TestReplayWindowBitExact(t *testing.T) {
 		Margin:     margin,
 		Eta:        eta,
 		Clock:      eng,
-		Listener:   liveTap{est: est, rec: rec, peer: peer},
+		Listener:   liveTap{reg: reg, rec: rec, peer: peer},
 		MinTimeout: minTO,
 		Sample:     rec,
 	})
@@ -101,9 +103,9 @@ func TestReplayWindowBitExact(t *testing.T) {
 	}
 	det.Stop()
 
-	liveQ, ok := est.Peer(peer)
+	liveQ, ok := reg.QoS(peer)
 	if !ok {
-		t.Fatal("live estimator saw no transitions")
+		t.Fatal("live registry has no accountant for the peer")
 	}
 	if liveQ.Mistakes == 0 {
 		t.Fatal("schedule produced no mistakes; the fidelity check would be vacuous")
@@ -141,7 +143,7 @@ func TestReplayWindowBitExact(t *testing.T) {
 		t.Fatalf("replayed %d combinations, want the full grid of %d", len(res.Order), len(core.AllCombos()))
 	}
 	if res.Recorded != liveQ {
-		t.Errorf("recorded QoS diverges from the live estimator:\nrecorded %+v\nlive     %+v", res.Recorded, liveQ)
+		t.Errorf("recorded QoS diverges from the live registry:\nrecorded %+v\nlive     %+v", res.Recorded, liveQ)
 	}
 	got, ok := res.Replayed[combo.Name()]
 	if !ok {

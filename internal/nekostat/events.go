@@ -131,48 +131,32 @@ func (iv Interval) Overlaps(o Interval) bool { return iv.Start < o.End && o.Star
 // SuspicionIntervals extracts, from a sorted event list, the suspicion
 // intervals of the named detector within a window ending at windowEnd.
 func SuspicionIntervals(events []Event, detector string, windowEnd time.Duration) []Interval {
-	var out []Interval
-	var openAt time.Duration
-	open := false
-	for _, e := range events {
-		if e.Source != detector {
-			continue
-		}
-		switch e.Kind {
-		case KindStartSuspect:
-			if !open {
-				openAt, open = e.At, true
-			}
-		case KindEndSuspect:
-			if open {
-				out = append(out, Interval{Start: openAt, End: e.At})
-				open = false
-			}
-		}
-	}
-	if open {
-		out = append(out, Interval{Start: openAt, End: windowEnd, Open: true})
-	}
-	return out
+	return intervals(events, KindStartSuspect, KindEndSuspect, windowEnd, func(e Event) bool { return e.Source == detector })
 }
 
 // CrashIntervals extracts the crash periods from a sorted event list within
 // a window ending at windowEnd.
 func CrashIntervals(events []Event, windowEnd time.Duration) []Interval {
+	return intervals(events, KindCrash, KindRestore, windowEnd, func(Event) bool { return true })
+}
+
+// intervals pairs each opening event that match selects with the next
+// closing one; repeated openings and closings with nothing open are
+// ignored, and an interval still open at the end runs to windowEnd.
+func intervals(events []Event, opening, closing Kind, windowEnd time.Duration, match func(Event) bool) []Interval {
 	var out []Interval
 	var openAt time.Duration
 	open := false
 	for _, e := range events {
-		switch e.Kind {
-		case KindCrash:
-			if !open {
-				openAt, open = e.At, true
-			}
-		case KindRestore:
-			if open {
-				out = append(out, Interval{Start: openAt, End: e.At})
-				open = false
-			}
+		if !match(e) {
+			continue
+		}
+		switch {
+		case e.Kind == opening && !open:
+			openAt, open = e.At, true
+		case e.Kind == closing && open:
+			out = append(out, Interval{Start: openAt, End: e.At})
+			open = false
 		}
 	}
 	if open {

@@ -22,9 +22,9 @@ type QoS struct {
 	TM stats.Summary
 	// TMR summarizes mistake recurrence times.
 	TMR stats.Summary
-	// PA is the query accuracy probability derived as the paper derives
-	// it, (mean T_MR − mean T_M) / mean T_MR. It is 1 when no mistakes
-	// occurred.
+	// PA is the query accuracy probability: (mean T_MR − mean T_M) /
+	// mean T_MR as the paper derives it, or PATimeline when no recurrence
+	// exists or that value is negative; 1 with no mistake.
 	PA float64
 	// PATimeline is the fraction of process-up time during which the
 	// detector's output was correct, measured directly on the timeline
@@ -62,7 +62,10 @@ type QoS struct {
 //   - T_MR is the gap between consecutive mistake starts with no crash in
 //     between.
 //   - Open intervals at the window end are not counted as mistakes (their
-//     duration is unknown).
+//     duration is unknown); an interval that ends after windowEnd is still
+//     open at it.
+//
+// crashes are in time order, as CrashIntervals returns them.
 func ComputeQoS(detector string, suspicions, crashes []Interval, windowStart, windowEnd time.Duration) (QoS, error) {
 	if windowEnd <= windowStart {
 		return QoS{}, fmt.Errorf("nekostat: empty window [%v, %v]", windowStart, windowEnd)
@@ -109,50 +112,35 @@ func ComputeQoS(detector string, suspicions, crashes []Interval, windowStart, wi
 		q.TDU = sum.Max
 	}
 
-	// Mistakes: suspicion intervals not overlapping any crash period.
-	var tms []float64
-	var mistakes []Interval
+	// Mistakes: the closed suspicion intervals inside the window that
+	// overlap no crash period, counted through the one accountant with the
+	// crashes fed in time order, so a crash between two mistakes breaks
+	// their recurrence. The raw samples are the accountant's increments.
+	acc := Accountant{From: windowStart}
+	var tms, tmrs []float64
+	fed := 0
 	for _, s := range suspicions {
-		if s.Open {
+		if s.Open || s.End < s.Start || s.End > windowEnd || overlapsAny(s, crashes) {
 			continue
 		}
-		overlapsCrash := false
-		for _, cr := range crashes {
-			if s.Overlaps(cr) || s.Covers(cr.End) {
-				overlapsCrash = true
-				break
-			}
+		for ; fed < len(crashes) && crashes[fed].Start <= s.Start; fed++ {
+			acc.Crash(crashes[fed].Start)
 		}
-		if overlapsCrash {
-			continue
+		prev := acc
+		acc.OnSuspect(detector, s.Start)
+		acc.OnTrust(detector, s.End)
+		tms = append(tms, durToMs(acc.TMSum-prev.TMSum))
+		if acc.Recurrences > prev.Recurrences {
+			tmrs = append(tmrs, durToMs(acc.TMRSum-prev.TMRSum))
 		}
-		mistakes = append(mistakes, s)
-		tms = append(tms, durToMs(s.Duration()))
 	}
-	q.Mistakes = len(mistakes)
+	q.Mistakes = acc.Mistakes
 	if len(tms) > 0 {
 		sum, err := stats.Summarize(tms)
 		if err != nil {
 			return QoS{}, err
 		}
 		q.TM = sum
-	}
-
-	// Mistake recurrence: consecutive mistake starts with no crash between.
-	var tmrs []float64
-	for i := 1; i < len(mistakes); i++ {
-		prev, cur := mistakes[i-1], mistakes[i]
-		crashBetween := false
-		for _, cr := range crashes {
-			if cr.Start >= prev.Start && cr.Start <= cur.Start {
-				crashBetween = true
-				break
-			}
-		}
-		if crashBetween {
-			continue
-		}
-		tmrs = append(tmrs, durToMs(cur.Start-prev.Start))
 	}
 	if len(tmrs) > 0 {
 		sum, err := stats.Summarize(tmrs)
@@ -162,35 +150,14 @@ func ComputeQoS(detector string, suspicions, crashes []Interval, windowStart, wi
 		q.TMR = sum
 	}
 
-	// P_A as the paper derives it from the two accuracy metrics.
-	switch {
-	case q.TMR.N > 0 && q.TMR.Mean > 0:
-		q.PA = (q.TMR.Mean - q.TM.Mean) / q.TMR.Mean
-	case q.Mistakes == 0:
-		q.PA = 1
-	default:
-		// Mistakes occurred but never two in a row without a crash; fall
-		// back to the timeline measure below.
-		q.PA = -1
-	}
-
-	// Timeline P_A: fraction of up time not covered by mistakes.
+	// P_A over the up time: the window less every crash period.
 	upTime := windowEnd - windowStart
 	for _, cr := range crashes {
 		upTime -= clampSpan(cr, windowStart, windowEnd)
 	}
-	var mistakeTime time.Duration
-	for _, m := range mistakes {
-		mistakeTime += clampSpan(m, windowStart, windowEnd)
-	}
-	if upTime > 0 {
-		q.PATimeline = 1 - float64(mistakeTime)/float64(upTime)
-	}
-	if q.PA < 0 {
-		q.PA = q.PATimeline
-	}
+	q.PA, q.PATimeline = accuracy(q.TM.Mean, q.TMR.Mean, q.TMR.N, q.Mistakes, acc.MistakeTime, upTime)
 	q.RawTD, q.RawTM, q.RawTMR = tds, tms, tmrs
-	q.UpTime, q.MistakeTime = upTime, mistakeTime
+	q.UpTime, q.MistakeTime = upTime, acc.MistakeTime
 	return q, nil
 }
 
@@ -238,18 +205,19 @@ func MergeQoS(runs []QoS) (QoS, error) {
 		}
 		m.TMR = sum
 	}
-	if m.UpTime > 0 {
-		m.PATimeline = 1 - float64(m.MistakeTime)/float64(m.UpTime)
-	}
-	switch {
-	case m.TMR.N > 0 && m.TMR.Mean > 0:
-		m.PA = (m.TMR.Mean - m.TM.Mean) / m.TMR.Mean
-	case m.Mistakes == 0:
-		m.PA = 1
-	default:
-		m.PA = m.PATimeline
-	}
+	m.PA, m.PATimeline = accuracy(m.TM.Mean, m.TMR.Mean, m.TMR.N, m.Mistakes, m.MistakeTime, m.UpTime)
 	return m, nil
+}
+
+// overlapsAny reports whether s belongs to detection: it overlaps a crash
+// period or covers a restore instant.
+func overlapsAny(s Interval, crashes []Interval) bool {
+	for _, cr := range crashes {
+		if s.Overlaps(cr) || s.Covers(cr.End) {
+			return true
+		}
+	}
+	return false
 }
 
 // dropBefore removes intervals that end before t.
@@ -287,6 +255,117 @@ func QoSFromEvents(events []Event, detector string, windowStart, windowEnd time.
 	susp := SuspicionIntervals(events, detector, windowEnd)
 	crashes := CrashIntervals(events, windowEnd)
 	return ComputeQoS(detector, susp, crashes, windowStart, windowEnd)
+}
+
+// Accountant is the paper's accuracy accounting in incremental form, the
+// one every caller counts through: ComputeQoS, the live telemetry gauges
+// and trace replay. It takes one detector's suspect and trust stamps in
+// order, as a core.SuspicionListener, and keeps the open suspicion, the
+// mistake and recurrence counts and the T_M and T_MR sums:
+//
+//   - A trust with no open suspicion closes nothing, and neither does a
+//     trust stamped before the open suspicion's start (the time-sorted
+//     batch view orders it before the suspicion).
+//   - An open suspicion is not a mistake.
+//   - A crash between two mistake starts breaks their recurrence.
+//
+// The observation window opens at From. The struct is comparable: two
+// accountants fed one stream compare equal.
+type Accountant struct {
+	// From opens the observation window.
+	From time.Duration
+	// Mistakes counts closed mistakes; Recurrences counts the T_MR
+	// samples between consecutive ones.
+	Mistakes, Recurrences int
+	// TMSum and TMRSum sum the mistake durations and recurrence times;
+	// MistakeTime is the part of the mistakes after From.
+	TMSum, TMRSum, MistakeTime time.Duration
+
+	open    bool
+	openAt  time.Duration // start of the open suspicion
+	last    time.Duration // start of the latest mistake
+	crashed bool
+	crashAt time.Duration // start of the latest crash
+}
+
+// OnSuspect opens a suspicion at at; one already open stays as it is.
+func (a *Accountant) OnSuspect(_ string, at time.Duration) {
+	if !a.open {
+		a.open, a.openAt = true, at
+	}
+}
+
+// OnTrust closes the open suspicion at at as a mistake.
+func (a *Accountant) OnTrust(_ string, at time.Duration) {
+	if !a.open || at < a.openAt {
+		return
+	}
+	a.open = false
+	if a.Mistakes > 0 && !(a.crashed && a.crashAt >= a.last) {
+		a.Recurrences++
+		a.TMRSum += a.openAt - a.last
+	}
+	a.Mistakes++
+	a.last = a.openAt
+	a.TMSum += at - a.openAt
+	a.MistakeTime += clampSpan(Interval{Start: a.openAt, End: at}, a.From, at)
+}
+
+// Crash records a crash starting at at. Crashes come in time order with
+// the suspicions, each before the suspicions that start after it.
+func (a *Accountant) Crash(at time.Duration) {
+	if !a.crashed || at > a.crashAt {
+		a.crashed, a.crashAt = true, at
+	}
+}
+
+// Suspected reports whether a suspicion is open.
+func (a *Accountant) Suspected() bool { return a.open }
+
+// Means returns E[T_M] and E[T_MR] in seconds, each 0 before its first
+// sample.
+func (a *Accountant) Means() (tm, tmr float64) {
+	if a.Mistakes > 0 {
+		tm = a.TMSum.Seconds() / float64(a.Mistakes)
+	}
+	if a.Recurrences > 0 {
+		tmr = a.TMRSum.Seconds() / float64(a.Recurrences)
+	}
+	return tm, tmr
+}
+
+// PA is the query accuracy probability over the window [From, end].
+func (a *Accountant) PA(end time.Duration) float64 {
+	tm, tmr := a.Means()
+	pa, _ := accuracy(tm, tmr, a.Recurrences, a.Mistakes, a.MistakeTime, end-a.From)
+	return pa
+}
+
+// accuracy is the one P_A rule. P_A is (E[T_MR] − E[T_M]) / E[T_MR] when a
+// recurrence exists and that value is not negative; otherwise it is the
+// timeline measure, 1 − mistake time / observed time, also returned; with
+// no mistake it is 1. tm and tmr share one unit. Mistakes do not overlap
+// and lie inside the observed time, so P_A is in [0, 1].
+func accuracy(tm, tmr float64, recurrences, mistakes int, mistakeTime, observed time.Duration) (pa, timeline float64) {
+	if observed > 0 {
+		timeline = 1 - float64(mistakeTime)/float64(observed)
+	}
+	if mistakes == 0 {
+		return 1, timeline
+	}
+	if pa, ok := FormulaPA(tm, tmr); recurrences > 0 && ok {
+		return pa, timeline
+	}
+	return timeline, timeline
+}
+
+// FormulaPA is the paper's derivation of P_A from the two accuracy
+// metrics, (E[T_MR] − E[T_M]) / E[T_MR]: the one place the tree computes
+// it, measured or predicted. ok reports whether the value is a probability:
+// E[T_MR] > 0 and the value is not negative (E[T_M] ≥ 0 bounds it by 1).
+func FormulaPA(tm, tmr float64) (pa float64, ok bool) {
+	pa = (tmr - tm) / tmr
+	return pa, tmr > 0 && pa >= 0
 }
 
 func durToMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

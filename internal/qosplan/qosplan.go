@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"wanfd/internal/nekostat"
 )
 
 // Network is the probabilistic characterization of the channel (the
@@ -158,7 +160,8 @@ func Derive(n Network, eta, timeout time.Duration) (Plan, error) {
 	tm := m.meanMistake(e, d)
 	pa := 1.0
 	if !math.IsInf(tmr, 1) && tmr > 0 {
-		pa = 1 - tm/tmr
+		// The model's own value, even where it is no probability.
+		pa, _ = nekostat.FormulaPA(tm, tmr)
 	}
 	plan := Plan{
 		Eta:                      eta,

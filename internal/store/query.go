@@ -201,11 +201,14 @@ func (s *Store) Query(from, to time.Duration, peer string) (*WindowReport, error
 	if err != nil {
 		return nil, err
 	}
-	// Peers with suspicion history but no samples in the window still get
-	// a row — their accuracy metrics are the interesting part.
+	// One pass partitions the timeline by peer. Peers with suspicion
+	// history but no samples in the window still get a row — their accuracy
+	// metrics are the interesting part.
+	byPeer := make(map[string][]nekostat.Event)
 	for _, e := range events {
 		if e.Source != "" {
 			acc(e.Source)
+			byPeer[e.Source] = append(byPeer[e.Source], e)
 		}
 	}
 	crashes := nekostat.CrashIntervals(events, to)
@@ -225,13 +228,13 @@ func (s *Store) Query(from, to time.Duration, peer string) (*WindowReport, error
 			}
 			pw.DelayMs = sum
 		}
-		susp := nekostat.SuspicionIntervals(events, name, to)
-		q, err := nekostat.ComputeQoS(name, susp, crashes, from, to)
+		evs := byPeer[name]
+		q, err := nekostat.ComputeQoS(name, nekostat.SuspicionIntervals(evs, name, to), crashes, from, to)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range events {
-			if e.Source == name && e.Kind == nekostat.KindStartSuspect && e.At >= from {
+		for _, e := range evs {
+			if e.Kind == nekostat.KindStartSuspect && e.At >= from {
 				pw.Suspicions++
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -536,5 +537,40 @@ func TestOpenSuspicionSpansSegments(t *testing.T) {
 	}
 	if q.TM.Mean != 300 {
 		t.Fatalf("E[T_M] = %v ms, want 300 (start kept from before the window)", q.TM.Mean)
+	}
+}
+
+// BenchmarkQueryPeers times one windowed Query over 4,096 peers, each with
+// four delay samples and two mistakes.
+func BenchmarkQueryPeers(b *testing.B) {
+	s, err := Open(Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for p := 0; p < 4096; p++ {
+		r := s.Recorder("peer-" + strconv.Itoa(p))
+		for i := int64(0); i < 4; i++ {
+			r.Sample(i, ms(100*i), ms(100*i+20))
+		}
+		r.Transition(true, ms(150))
+		r.Transition(false, ms(160))
+		r.Transition(true, ms(250))
+		r.Transition(false, ms(270))
+		if p%512 == 511 {
+			if err := s.Sync(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if st := s.Stats(); st.Dropped != 0 {
+		b.Fatalf("store dropped %d records while loading", st.Dropped)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := s.Query(0, ms(1000), "")
+		if err != nil || len(rep.Peers) != 4096 {
+			b.Fatalf("Query: %v", err)
+		}
 	}
 }

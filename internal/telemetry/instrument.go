@@ -183,10 +183,11 @@ func (r *Registry) TransportMetrics() *TransportMetrics {
 }
 
 // RecordTransition is the one-stop suspicion-transition sink: it appends
-// the event to the ring, feeds the online QoS estimator, and refreshes the
-// per-peer transition counter and QoS gauges. It runs on the (rare)
-// transition path, never per heartbeat, so the registry lock taken for the
-// gauge lookups is acceptable. Nil-safe.
+// the event to the ring, counts it, and, inside the peer's accuracy window
+// (OpenQoS), feeds the peer's accountant and refreshes its QoS gauges with
+// P_A evaluated at this transition. It runs on the (rare) transition path,
+// never per heartbeat, so the registry lock taken for the gauge lookups is
+// acceptable. Nil-safe.
 func (r *Registry) RecordTransition(peer string, suspected bool, at time.Duration) {
 	if r == nil {
 		return
@@ -196,9 +197,22 @@ func (r *Registry) RecordTransition(peer string, suspected bool, at time.Duratio
 		kind = nekostat.KindStartSuspect
 	}
 	r.events.Record(nekostat.Event{Kind: kind, At: at, Source: peer})
-	q := r.qos.OnTransition(peer, suspected, at)
 	r.Counter(MetricTransitions, "Suspicion transitions, both directions.", "peer", peer).Inc()
-	r.Gauge(MetricQoSPA, "Live query accuracy probability P_A per peer.", "peer", peer).Set(q.PA)
-	r.Gauge(MetricQoSTM, "Live mean mistake duration E[T_M] in seconds.", "peer", peer).Set(q.TMSeconds)
-	r.Gauge(MetricQoSTMR, "Live mean mistake recurrence E[T_MR] in seconds.", "peer", peer).Set(q.TMRSeconds)
+	r.qosMu.Lock()
+	p := r.qos[peer]
+	if p == nil {
+		r.qosMu.Unlock()
+		return
+	}
+	if suspected {
+		p.OnSuspect(peer, at)
+	} else {
+		p.OnTrust(peer, at)
+	}
+	q := *p
+	r.qosMu.Unlock()
+	tm, tmr := q.Means()
+	r.Gauge(MetricQoSPA, "Live query accuracy probability P_A per peer.", "peer", peer).Set(q.PA(at))
+	r.Gauge(MetricQoSTM, "Live mean mistake duration E[T_M] in seconds.", "peer", peer).Set(tm)
+	r.Gauge(MetricQoSTMR, "Live mean mistake recurrence E[T_MR] in seconds.", "peer", peer).Set(tmr)
 }

@@ -9,85 +9,6 @@ import (
 	"wanfd/internal/nekostat"
 )
 
-func TestQoSEstimatorSingleMistake(t *testing.T) {
-	e := NewQoSEstimator()
-	e.OnTransition("a", true, 10*time.Second)
-	q := e.OnTransition("a", false, 12*time.Second)
-	if q.Mistakes != 1 {
-		t.Fatalf("mistakes = %d, want 1", q.Mistakes)
-	}
-	if q.TMSeconds != 2 {
-		t.Errorf("TM = %v, want 2", q.TMSeconds)
-	}
-	// No recurrence observed yet: PA stays at its optimistic 1.
-	if q.Recurrences != 0 || q.PA != 1 {
-		t.Errorf("recurrences/PA = %d/%v, want 0/1", q.Recurrences, q.PA)
-	}
-}
-
-func TestQoSEstimatorRecurrence(t *testing.T) {
-	e := NewQoSEstimator()
-	// Two mistakes of 2 s each, starting 20 s apart:
-	// E[T_M] = 2, E[T_MR] = 20, P_A = (20-2)/20 = 0.9.
-	e.OnTransition("a", true, 10*time.Second)
-	e.OnTransition("a", false, 12*time.Second)
-	e.OnTransition("a", true, 30*time.Second)
-	q := e.OnTransition("a", false, 32*time.Second)
-	if q.Mistakes != 2 || q.Recurrences != 1 {
-		t.Fatalf("mistakes/recurrences = %d/%d, want 2/1", q.Mistakes, q.Recurrences)
-	}
-	if q.TMSeconds != 2 || q.TMRSeconds != 20 {
-		t.Errorf("TM/TMR = %v/%v, want 2/20", q.TMSeconds, q.TMRSeconds)
-	}
-	if math.Abs(q.PA-0.9) > 1e-12 {
-		t.Errorf("PA = %v, want 0.9", q.PA)
-	}
-	if q.Suspicions != 2 || q.Transitions != 4 {
-		t.Errorf("suspicions/transitions = %d/%d, want 2/4", q.Suspicions, q.Transitions)
-	}
-}
-
-func TestQoSEstimatorDuplicateTransitions(t *testing.T) {
-	e := NewQoSEstimator()
-	e.OnTransition("a", true, time.Second)
-	q := e.OnTransition("a", true, 2*time.Second) // duplicate suspect
-	if q.Suspicions != 1 {
-		t.Errorf("duplicate suspect created a new episode: %d", q.Suspicions)
-	}
-	q = e.OnTransition("a", false, 3*time.Second)
-	if q.TMSeconds != 2 {
-		t.Errorf("TM = %v, want 2 (from first suspect)", q.TMSeconds)
-	}
-	q = e.OnTransition("a", false, 4*time.Second) // duplicate trust
-	if q.Mistakes != 1 {
-		t.Errorf("duplicate trust closed a second mistake: %d", q.Mistakes)
-	}
-}
-
-func TestQoSEstimatorPeersIndependent(t *testing.T) {
-	e := NewQoSEstimator()
-	e.OnTransition("a", true, time.Second)
-	e.OnTransition("b", true, time.Second)
-	e.OnTransition("a", false, 2*time.Second)
-	snap := e.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot peers = %d, want 2", len(snap))
-	}
-	if snap[0].Peer != "a" || snap[1].Peer != "b" {
-		t.Fatalf("snapshot order = %s,%s, want a,b", snap[0].Peer, snap[1].Peer)
-	}
-	if snap[0].Suspected || !snap[1].Suspected {
-		t.Error("per-peer suspected states mixed up")
-	}
-	e.RemovePeer("a")
-	if _, ok := e.Peer("a"); ok {
-		t.Error("removed peer still present")
-	}
-	if _, ok := e.Peer("b"); !ok {
-		t.Error("unrelated peer lost")
-	}
-}
-
 func TestEventRingEviction(t *testing.T) {
 	r := NewEventRing(3)
 	for i := 0; i < 5; i++ {
@@ -129,17 +50,23 @@ func TestEventRingJSONLRoundTrip(t *testing.T) {
 
 func TestRecordTransitionUpdatesRegistry(t *testing.T) {
 	r := NewRegistry(8)
+	// Outside a window a transition is recorded and counted, not accounted.
+	r.RecordTransition("a", true, 5*time.Second)
+	if _, ok := r.QoS("a"); ok {
+		t.Fatal("accountant before OpenQoS")
+	}
+	r.OpenQoS("a", 6*time.Second)
 	r.RecordTransition("a", true, 10*time.Second)
 	r.RecordTransition("a", false, 12*time.Second)
 	r.RecordTransition("a", true, 30*time.Second)
 	r.RecordTransition("a", false, 32*time.Second)
 
-	if n := r.Events().Total(); n != 4 {
-		t.Errorf("ring total = %d, want 4", n)
+	if n := r.Events().Total(); n != 5 {
+		t.Errorf("ring total = %d, want 5", n)
 	}
-	q, ok := r.QoS().Peer("a")
-	if !ok || math.Abs(q.PA-0.9) > 1e-12 {
-		t.Errorf("QoS peer = %+v ok=%v, want PA 0.9", q, ok)
+	q, ok := r.QoS("a")
+	if !ok || q.Mistakes != 2 || q.Recurrences != 1 || math.Abs(q.PA(32*time.Second)-0.9) > 1e-12 {
+		t.Errorf("QoS peer = %+v ok=%v, want 2 mistakes, 1 recurrence, PA 0.9", q, ok)
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -147,7 +74,7 @@ func TestRecordTransitionUpdatesRegistry(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		MetricTransitions + `{peer="a"} 4`,
+		MetricTransitions + `{peer="a"} 5`,
 		MetricQoSPA + `{peer="a"} 0.9`,
 		MetricQoSTM + `{peer="a"} 2`,
 		MetricQoSTMR + `{peer="a"} 20`,
@@ -155,5 +82,23 @@ func TestRecordTransitionUpdatesRegistry(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+func TestCloseQoSForgetsPeer(t *testing.T) {
+	r := NewRegistry(8)
+	r.OpenQoS("a", 0)
+	r.OpenQoS("b", 0)
+	r.RecordTransition("a", true, time.Second)
+	r.CloseQoS("a")
+	if _, ok := r.QoS("a"); ok {
+		t.Error("closed peer still accounted")
+	}
+	if _, ok := r.QoS("b"); !ok {
+		t.Error("unrelated peer lost")
+	}
+	r.OpenQoS("a", 2*time.Second)
+	if q, _ := r.QoS("a"); q.From != 2*time.Second || q.Suspected() {
+		t.Errorf("re-opened window = %+v, want a fresh one from 2s", q)
 	}
 }

@@ -1,9 +1,9 @@
 // Package telemetry is the live observability subsystem: an
 // allocation-free metrics registry (atomic counters, gauges and
 // fixed-bucket histograms), a bounded suspicion-event ring reusing the
-// nekostat event kinds, and an online QoS estimator that turns suspicion
-// transitions into running T_M / T_MR / P_A — the live counterpart of the
-// post-hoc nekostat.Collector.
+// nekostat event kinds, and one nekostat.Accountant per peer that turns
+// suspicion transitions into running T_M / T_MR / P_A by the same rules as
+// the post-hoc nekostat.ComputeQoS.
 //
 // Everything is nil-safe: every method on a nil *Registry, *Counter,
 // *Gauge or *Histogram is a no-op (or returns a zero value), so
@@ -22,6 +22,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"wanfd/internal/nekostat"
 )
 
 // Counter is a monotonically increasing atomic counter. The nil counter is
@@ -267,7 +270,7 @@ type family struct {
 }
 
 // Registry is the telemetry hub: the metric families plus the suspicion
-// event ring and the online QoS estimator, so one handle wires a whole
+// event ring and the per-peer QoS accountants, so one handle wires a whole
 // monitor. The zero value is not usable; construct with NewRegistry. A nil
 // *Registry is valid everywhere and disables telemetry.
 //
@@ -278,7 +281,8 @@ type Registry struct {
 	index    map[string]*family
 
 	events *EventRing
-	qos    *QoSEstimator
+	qosMu  sync.Mutex
+	qos    map[string]*nekostat.Accountant
 }
 
 // NewRegistry returns an empty registry with a suspicion-event ring of the
@@ -290,7 +294,7 @@ func NewRegistry(eventCap int) *Registry {
 	return &Registry{
 		index:  make(map[string]*family),
 		events: NewEventRing(eventCap),
-		qos:    NewQoSEstimator(),
+		qos:    make(map[string]*nekostat.Accountant),
 	}
 }
 
@@ -302,12 +306,43 @@ func (r *Registry) Events() *EventRing {
 	return r.events
 }
 
-// QoS returns the online QoS estimator (nil on a nil registry).
-func (r *Registry) QoS() *QoSEstimator {
+// OpenQoS opens peer's accuracy window at at: from there its transitions
+// are counted into the wanfd_qos_* gauges. A live monitor calls it when it
+// publishes the peer. Every monitored process is taken to be up — a live
+// monitor has no crash ground truth — so every completed suspicion is a
+// mistake. No-op on a nil registry.
+func (r *Registry) OpenQoS(peer string, at time.Duration) {
 	if r == nil {
-		return nil
+		return
 	}
-	return r.qos
+	r.qosMu.Lock()
+	defer r.qosMu.Unlock()
+	r.qos[peer] = &nekostat.Accountant{From: at}
+}
+
+// CloseQoS forgets peer's accountant (on membership removal); a re-added
+// name opens a fresh window. No-op on a nil registry.
+func (r *Registry) CloseQoS(peer string) {
+	if r == nil {
+		return
+	}
+	r.qosMu.Lock()
+	defer r.qosMu.Unlock()
+	delete(r.qos, peer)
+}
+
+// QoS returns a copy of peer's accountant; ok is false when no window is
+// open for it (or on a nil registry).
+func (r *Registry) QoS(peer string) (a nekostat.Accountant, ok bool) {
+	if r == nil {
+		return a, false
+	}
+	r.qosMu.Lock()
+	defer r.qosMu.Unlock()
+	if p := r.qos[peer]; p != nil {
+		return *p, true
+	}
+	return a, false
 }
 
 // labelKey builds the canonical signature of a label set.

@@ -21,8 +21,10 @@ func TestNilSafety(t *testing.T) {
 	if got := r.Events().Events(); got != nil {
 		t.Errorf("nil ring events = %v, want nil", got)
 	}
-	if q := r.QoS().Snapshot(); q != nil {
-		t.Errorf("nil estimator snapshot = %v, want nil", q)
+	r.OpenQoS("p", 0)
+	r.CloseQoS("p")
+	if _, ok := r.QoS("p"); ok {
+		t.Error("nil registry reports an accountant")
 	}
 
 	var c *Counter

@@ -453,6 +453,11 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	if e.acc == nil {
 		m.opts.exportDetector(&e.det)
 	}
+	// The peer's accuracy window opens with its publication, on the clock
+	// its detector stamps transitions with.
+	if reg := m.opts.telemetry; reg != nil {
+		reg.OpenQoS(name, m.wheels[si].Now())
+	}
 	m.mPeerAdds.Inc()
 	// Maintained incrementally: Peers() would re-lock the shard held here.
 	m.mPeers.Add(1)
@@ -523,12 +528,12 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	e.retire()
 	m.mPeerRemoves.Inc()
 	m.mPeers.Add(-1)
-	// Retire the peer's series and running QoS state so churn does not
+	// Retire the peer's series and close its QoS window so churn does not
 	// grow the exposition without bound; re-added names start fresh. Before
 	// the release: the series read the slot's detector.
 	if reg := m.opts.telemetry; reg != nil {
 		reg.DropSeries("peer", name)
-		reg.QoS().RemovePeer(name)
+		reg.CloseQoS(name)
 	}
 	s.mu.Lock()
 	s.ents.Release(idx)

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wanfd/internal/telemetry"
 )
 
 func TestMultiMonitorValidation(t *testing.T) {
@@ -159,5 +161,43 @@ func TestMultiMonitorTrustCallbackAfterRecovery(t *testing.T) {
 	}
 	if !sawTrust {
 		t.Errorf("transitions %v: no trust callback after recovery", transitions)
+	}
+}
+
+// TestQoSWindowFollowsMembership: a peer's accuracy window opens when the
+// monitor publishes it and closes when the monitor removes it, so a
+// re-added name starts a fresh one; a rejected duplicate leaves the live
+// peer's window alone.
+func TestQoSWindowFollowsMembership(t *testing.T) {
+	addrs := freeUDPPorts(t, 3)
+	reg := telemetry.NewRegistry(16)
+	mon, err := NewMultiMonitor(addrs[0], WithPeer("alpha", addrs[1]), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	q, ok := reg.QoS("alpha")
+	if !ok {
+		t.Fatal("no accuracy window for a published peer")
+	}
+	first := q.From
+	if err := mon.AddPeer("alpha", addrs[2]); err == nil {
+		t.Fatal("duplicate name accepted")
+	}
+	if q, _ := reg.QoS("alpha"); q.From != first {
+		t.Errorf("rejected duplicate reopened the window at %v (was %v)", q.From, first)
+	}
+	if err := mon.RemovePeer("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reg.QoS("alpha"); ok {
+		t.Error("window still open after RemovePeer")
+	}
+	time.Sleep(time.Millisecond)
+	if err := mon.AddPeer("alpha", addrs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if q, ok := reg.QoS("alpha"); !ok || q.From <= first {
+		t.Errorf("re-added peer's window = %+v (ok %v), want a fresh one after %v", q, ok, first)
 	}
 }
