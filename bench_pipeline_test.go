@@ -79,7 +79,7 @@ func peerHandleOf(tb testing.TB, mm *MultiMonitor, name string) uint64 {
 	var handle uint64
 	if !mm.view(name, func(e *peerEntry) {
 		e.mu.Lock()
-		handle = peerHandle(peerNameHash(name)&mm.shardMask, e.self)
+		handle = uint64(e.self)
 		e.mu.Unlock()
 	}) {
 		tb.Fatalf("no peer %q", name)
@@ -87,17 +87,12 @@ func peerHandleOf(tb testing.TB, mm *MultiMonitor, name string) uint64 {
 	return handle
 }
 
-// liveRecords counts the peer-arena slots in use across the shards: members
-// plus any slot an AddPeer or RemovePeer in flight still holds.
+// liveRecords counts the peer-arena slots in use: members plus any slot an
+// AddPeer or RemovePeer in flight still holds.
 func liveRecords(mm *MultiMonitor) int {
-	n := 0
-	for i := range mm.shards {
-		s := &mm.shards[i]
-		s.mu.RLock()
-		n += s.ents.Len()
-		s.mu.RUnlock()
-	}
-	return n
+	mm.mu.RLock()
+	defer mm.mu.RUnlock()
+	return mm.ents.Len()
 }
 
 // pipelineHarness drives one MultiMonitor endpoint through the transport
@@ -196,10 +191,9 @@ func (h *pipelineHarness) checkLossless(tb testing.TB) {
 
 // BenchmarkPipeline is the both-directions scale runner: one op writes one
 // heartbeat to the socket and receives one through the batched ingest, both
-// synchronous, so ns/op is delivered throughput. 1k and 100k run the
-// default scale profile; 1M holds 2^20 peers in the arena-backed shards on
-// the 1M profile (64-way peer tables, 1024-slot wheels), and completing it
-// is the lossless demonstration at that size.
+// synchronous, so ns/op is delivered throughput. 1M holds 2^20 peers in the
+// arena-backed peer table (pre-sized through ExpectedPeers), and completing
+// it is the lossless demonstration at that size.
 func BenchmarkPipeline(b *testing.B) {
 	const peers1M = 1 << 20
 	for _, sc := range []struct {
@@ -230,9 +224,9 @@ func BenchmarkPipeline(b *testing.B) {
 // runReceiveBench measures the dispatch path: one op is attributing and
 // dispatching one heartbeat to its peer's detector, round-robin over the
 // members. In the flapping scenario a background goroutine joins and
-// leaves a member as fast as it can — the membership write path. Only the
-// flapper's own shard stalls during a join/leave critical section, so the
-// measured dispatch latency stays flat. Heartbeats enter at the monitor's
+// leaves a member as fast as it can — the membership write path. Delivery
+// takes no table lock, so the join/leave critical sections stall queries,
+// not dispatch, and the measured dispatch latency stays flat. Heartbeats enter at the monitor's
 // receiver, so the benchmark measures the delivery path rather than the
 // transport.
 func runReceiveBench(b *testing.B, mm *MultiMonitor, names []string, flapping bool) {
@@ -292,7 +286,7 @@ func runReceiveBench(b *testing.B, mm *MultiMonitor, names []string, flapping bo
 	}
 }
 
-// BenchmarkCluster1k drives the sharded MultiMonitor at 1024 peers, with a
+// BenchmarkCluster1k drives the MultiMonitor at 1024 peers, with a
 // static membership and with a member continuously joining and leaving.
 func BenchmarkCluster1k(b *testing.B) {
 	names := benchPeerNames(benchClusterPeers)
@@ -303,14 +297,13 @@ func BenchmarkCluster1k(b *testing.B) {
 		{"steady", false},
 		{"flapping", true},
 	} {
-		b.Run(sc.name+"/sharded", func(b *testing.B) {
+		b.Run(sc.name+"/plain", func(b *testing.B) {
 			runReceiveBench(b, benchCluster(b, names, benchPeerAddr), names, sc.flapping)
 		})
-		// Same sharded stack with live telemetry: every delivery observes
-		// two histograms.
-		// The sharded (uninstrumented) run above doubles as the disabled
-		// path — nil registry, dead branches only.
-		b.Run(sc.name+"/sharded-telemetry", func(b *testing.B) {
+		// Same stack with live telemetry: every delivery observes two
+		// histograms. The plain (uninstrumented) run above doubles as the
+		// disabled path — nil registry, dead branches only.
+		b.Run(sc.name+"/telemetry", func(b *testing.B) {
 			mm := benchCluster(b, names, benchPeerAddr, WithTelemetry(telemetry.NewRegistry(256)))
 			runReceiveBench(b, mm, names, sc.flapping)
 		})

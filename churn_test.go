@@ -10,29 +10,6 @@ import (
 	"wanfd/internal/neko"
 )
 
-// TestScaleProfileTiers pins the geometry each expected-peer tier
-// selects: the default tier must stay byte-for-byte what pre-profile
-// monitors ran with, and the larger tiers must widen every axis. One
-// shard count fans out the peer table and the timing wheels alike.
-func TestScaleProfileTiers(t *testing.T) {
-	cases := []struct {
-		peers int
-		want  scaleProfile
-	}{
-		{0, scaleProfile{shards: 16}},
-		{1 << 15, scaleProfile{shards: 16}},
-		{1<<15 + 1, scaleProfile{shards: 32, fineSlots: 512, coarseSlots: 128}},
-		{1 << 18, scaleProfile{shards: 32, fineSlots: 512, coarseSlots: 128}},
-		{1<<18 + 1, scaleProfile{shards: 64, fineSlots: 1024, coarseSlots: 256}},
-		{1 << 20, scaleProfile{shards: 64, fineSlots: 1024, coarseSlots: 256}},
-	}
-	for _, c := range cases {
-		if got := profileFor(c.peers); got != c.want {
-			t.Errorf("profileFor(%d) = %+v, want %+v", c.peers, got, c.want)
-		}
-	}
-}
-
 // TestPeerEntrySize pins the per-peer arena record, detector included: 64
 // of them and the allocator's own 8-byte header fit one 16 KiB size class,
 // so anything up to 248 bytes costs a peer 256, and one word more — a
@@ -44,31 +21,13 @@ func TestPeerEntrySize(t *testing.T) {
 	}
 }
 
-// TestMonitorScaleProfileWiring proves WithPipeline's ExpectedPeers
-// actually reaches the monitor: the shard slice and wheel count follow
-// the selected tier, not the defaults.
-func TestMonitorScaleProfileWiring(t *testing.T) {
-	addrs := freeUDPPorts(t, 1)
-	mon, err := NewMultiMonitor(addrs[0], WithPipeline(PipelineConfig{ExpectedPeers: 1 << 17}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	if len(mon.shards) != 32 || len(mon.wheels) != 32 {
-		t.Fatalf("100k-tier monitor has %d shards / %d wheels, want 32/32", len(mon.shards), len(mon.wheels))
-	}
-	if st := mon.SchedulerStats(); st.Wheels != 32 {
-		t.Fatalf("scheduler reports %d wheels, want 32", st.Wheels)
-	}
-}
-
 // TestMultiMonitorExpiryChurn churns peers through a monitor whose expiry
 // driver is running, so the driver takes real wake-ups amid the
 // schedule/cancel races the churn produces: every armed deadline is
 // accounted for, none survives its peer's removal, and the driver
 // goroutine is gone once the last one is stopped. The CI race job runs this
-// under the race detector; the per-wheel detail snapshot must also stay
-// consistent with the aggregate.
+// under the race detector; the wheel's slot occupancy must also account for
+// the armed deadlines.
 func TestMultiMonitorExpiryChurn(t *testing.T) {
 	addrs := freeUDPPorts(t, 1)
 	const peers = 128
@@ -134,32 +93,25 @@ func TestMultiMonitorExpiryChurn(t *testing.T) {
 				SentAt: now,
 			}, now)
 		}
-		if st := mon.SchedulerStats(); st.Timers != peers {
-			t.Fatalf("cycle %d: %d armed deadlines, want one per peer (%d)", c, st.Timers, peers)
+		st := mon.SchedulerStats()
+		if st.Scheduled != peers {
+			t.Fatalf("cycle %d: %d armed deadlines, want one per peer (%d)", c, st.Scheduled, peers)
 		}
 		// Let the driver take some wake-ups mid-churn.
 		time.Sleep(20 * time.Millisecond)
 		if got := goroutinesSettle(before+2) - before; got != 2 {
 			t.Fatalf("cycle %d: %d goroutines above the baseline, want 2 (one reader, one expiry driver)", c, got)
 		}
-		detail := mon.SchedulerStatsDetail()
-		if len(detail) != len(mon.wheels) {
-			t.Fatalf("detail has %d wheels, monitor has %d", len(detail), len(mon.wheels))
-		}
-		var sum int
-		for _, ws := range detail {
-			sum += ws.FineSlotsOccupied + ws.CoarseSlotsOccupied + ws.OverflowTimers
-		}
-		if sum == 0 {
-			t.Fatalf("cycle %d: %d armed deadlines but no occupancy in any wheel detail", c, peers)
+		if st.FineOccupied+st.CoarseOccupied+st.OverflowTimers == 0 {
+			t.Fatalf("cycle %d: %d armed deadlines but no occupied wheel slot", c, peers)
 		}
 		for i := 0; i < peers; i++ {
 			if err := mon.RemovePeer(fmt.Sprintf("pin-%03d", i)); err != nil {
 				t.Fatalf("cycle %d remove %d: %v", c, i, err)
 			}
 		}
-		if st := mon.SchedulerStats(); st.Timers != 0 {
-			t.Fatalf("cycle %d: %d deadlines still armed after drain", c, st.Timers)
+		if st := mon.SchedulerStats(); st.Scheduled != 0 {
+			t.Fatalf("cycle %d: %d deadlines still armed after drain", c, st.Scheduled)
 		}
 		// The last Stop pokes the driver, which finds nothing queued.
 		if got := goroutinesSettle(before+1) - before; got != 1 {
@@ -169,8 +121,8 @@ func TestMultiMonitorExpiryChurn(t *testing.T) {
 }
 
 // TestMultiMonitorChurnCompaction cycles the full peer set through
-// AddPeer/RemovePeer and asserts the per-shard arenas and tables return
-// to baseline each time: zero live entries after a drain, tombstones
+// AddPeer/RemovePeer and asserts the peer arena and table return to
+// baseline each time: zero live entries after a drain, tombstones
 // compacted below cap/4, probe lengths bounded, and no capacity ratchet
 // across identical cycles.
 func TestMultiMonitorChurnCompaction(t *testing.T) {
@@ -185,14 +137,14 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 		cycles = 4
 		peers  = 512
 	)
-	// occupancy is everything a peer occupies outside the shard tables:
+	// occupancy is everything a peer occupies outside the name table:
 	// transport arena records, peer records, armed deadlines.
 	occupancy := func() [3]int {
 		arenaStats, _, _ := mon.net.PeerTableStats()
-		return [3]int{arenaStats.Live, liveRecords(mon), mon.SchedulerStats().Timers}
+		return [3]int{arenaStats.Live, liveRecords(mon), mon.SchedulerStats().Scheduled}
 	}
 	baseline := occupancy()
-	caps := make([]int, len(mon.shards))
+	var firstCap int
 	for c := 0; c < cycles; c++ {
 		for i := 0; i < peers; i++ {
 			name := fmt.Sprintf("churn-%04d", i)
@@ -227,27 +179,22 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 				t.Fatalf("cycle %d remove %d: %v", c, i, err)
 			}
 		}
-		for si := range mon.shards {
-			s := &mon.shards[si]
-			s.mu.RLock()
-			tab, ents := s.tab.Stats(), s.ents.Stats()
-			s.mu.RUnlock()
-			if tab.Live != 0 || ents.Live != 0 {
-				t.Fatalf("cycle %d shard %d: %d table / %d arena entries live after drain", c, si, tab.Live, ents.Live)
-			}
-			if tab.Tombstones*4 > tab.Cap {
-				t.Fatalf("cycle %d shard %d: %d tombstones at cap %d, want compacted below cap/4",
-					c, si, tab.Tombstones, tab.Cap)
-			}
-			if tab.MaxProbe > 64 {
-				t.Fatalf("cycle %d shard %d: MaxProbe %d, want bounded", c, si, tab.MaxProbe)
-			}
-			if c == 0 {
-				caps[si] = tab.Cap
-			} else if tab.Cap > caps[si] {
-				t.Fatalf("cycle %d shard %d: table cap grew %d -> %d across identical cycles",
-					c, si, caps[si], tab.Cap)
-			}
+		mon.mu.RLock()
+		tab, ents := mon.tab.Stats(), mon.ents.Stats()
+		mon.mu.RUnlock()
+		if tab.Live != 0 || ents.Live != 0 {
+			t.Fatalf("cycle %d: %d table / %d arena entries live after drain", c, tab.Live, ents.Live)
+		}
+		if tab.Tombstones*4 > tab.Cap {
+			t.Fatalf("cycle %d: %d tombstones at cap %d, want compacted below cap/4", c, tab.Tombstones, tab.Cap)
+		}
+		if tab.MaxProbe > 64 {
+			t.Fatalf("cycle %d: MaxProbe %d, want bounded", c, tab.MaxProbe)
+		}
+		if c == 0 {
+			firstCap = tab.Cap
+		} else if tab.Cap > firstCap {
+			t.Fatalf("cycle %d: table cap grew %d -> %d across identical cycles", c, firstCap, tab.Cap)
 		}
 		if got := occupancy(); got != baseline {
 			t.Fatalf("cycle %d: (transport, records, timers) = %v after drain, want baseline %v", c, got, baseline)

@@ -173,10 +173,10 @@ func TestMultiMonitorReaddFreshDetector(t *testing.T) {
 }
 
 // TestMultiMonitorChurnTimerLeak is the scheduler-leak regression: after
-// add/heartbeat/remove cycles no deadline may stay queued on the shard
-// timing wheels (RemovePeer's detector Stop must unlink synchronously) and
-// every lazy wheel driver must exit once its shard empties, returning the
-// process to its pre-churn goroutine count.
+// add/heartbeat/remove cycles no deadline may stay queued on the timing
+// wheel (RemovePeer's detector Stop must unlink synchronously) and the lazy
+// wheel driver must exit once the wheel empties, returning the process to
+// its pre-churn goroutine count.
 func TestMultiMonitorChurnTimerLeak(t *testing.T) {
 	addrs := freeUDPPorts(t, 1)
 	// A long eta keeps the armed deadlines comfortably in the future, so
@@ -186,8 +186,8 @@ func TestMultiMonitorChurnTimerLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	if st := mon.SchedulerStats(); st.Wheels != len(mon.shards) || st.Timers != 0 {
-		t.Fatalf("fresh monitor scheduler stats %+v, want %d idle wheels", st, len(mon.shards))
+	if st := mon.SchedulerStats(); st.Scheduled != 0 {
+		t.Fatalf("fresh monitor scheduler stats %+v, want an idle wheel", st)
 	}
 	baseline := runtime.NumGoroutine()
 
@@ -203,8 +203,7 @@ func TestMultiMonitorChurnTimerLeak(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// One heartbeat per peer arms its detector deadline on the shard
-		// wheel.
+		// One heartbeat per peer arms its detector deadline on the wheel.
 		now := mon.ctx.Clock.Now()
 		for _, name := range names {
 			mon.deliver(&neko.Message{
@@ -214,20 +213,20 @@ func TestMultiMonitorChurnTimerLeak(t *testing.T) {
 				SentAt: now,
 			}, now)
 		}
-		if st := mon.SchedulerStats(); st.Timers != peers {
-			t.Fatalf("cycle %d: %d deadlines queued after heartbeats, want %d", c, st.Timers, peers)
+		if st := mon.SchedulerStats(); st.Scheduled != peers {
+			t.Fatalf("cycle %d: %d deadlines queued after heartbeats, want %d", c, st.Scheduled, peers)
 		}
 		for _, name := range names {
 			if err := mon.RemovePeer(name); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if st := mon.SchedulerStats(); st.Timers != 0 {
-			t.Fatalf("cycle %d: %d deadlines leaked after removal", c, st.Timers)
+		if st := mon.SchedulerStats(); st.Scheduled != 0 {
+			t.Fatalf("cycle %d: %d deadlines leaked after removal", c, st.Scheduled)
 		}
 	}
 
-	// The shard drivers park-then-exit asynchronously after their last
+	// The wheel driver parks-then-exits asynchronously after its last
 	// timer is stopped; wait for the goroutine count to drain back.
 	if !waitFor(t, 5*time.Second, func() bool {
 		return runtime.NumGoroutine() <= baseline
@@ -238,7 +237,7 @@ func TestMultiMonitorChurnTimerLeak(t *testing.T) {
 }
 
 // TestMultiMonitorChurnRace hammers queries concurrently with membership
-// churn; under -race it is the regression test for the sharded peer table.
+// churn; under -race it is the regression test for the peer table.
 func TestMultiMonitorChurnRace(t *testing.T) {
 	addrs := freeUDPPorts(t, 1)
 	mon, err := NewMultiMonitor(addrs[0], WithEta(50*time.Millisecond))

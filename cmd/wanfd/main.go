@@ -5,6 +5,9 @@
 //
 //	wanfd qos -baselines                # Figures 4–8: the 30 detectors' QoS (§5.2)
 //	wanfd qos -params                   # Table 5: the experiment parameters
+//	wanfd pushpull                      # §2.2: push vs pull monitoring styles
+//	wanfd sweep -margin CI              # §5.2: a safety-margin parameter sweep
+//	wanfd loss                          # the loss-rate ablation
 //	wanfd accuracy -grid                # Table 3: predictor msqerr, ARIMA order search
 //	wanfd wan -trace-out d.trc          # Table 4: the channel, and its delay trace
 //	wanfd events ev.run0.jsonl          # QoS recomputed from a qos -events timeline
@@ -30,30 +33,31 @@ import (
 )
 
 // A command is one subcommand. Its flags function registers the
-// subcommand's flags on fs and returns the action to run once fs is parsed.
+// subcommand's flags on fs — only the flags it honours — and returns the
+// action to run once fs is parsed.
 type command struct {
 	name, synopsis string
 	flags          func(fs *flag.FlagSet) func(stdout io.Writer) error
-	// check, when set, rejects a parsed flag combination the action would
-	// not honour.
-	check func(fs *flag.FlagSet) error
 }
 
 var commands = []command{
-	{"qos", "the 30-detector QoS experiment: Figures 4–8 and Table 5 (§5.2)", qosCmd, checkQoSFlags},
-	{"accuracy", "predictor accuracy (Table 3) and the ARIMA order search (§5.1)", accuracyCmd, nil},
-	{"events", "recompute QoS from an exported JSON Lines event timeline", eventsCmd, nil},
-	{"replay", "replay an exported QoS-history window through the detector grid", replayCmd, nil},
-	{"wan", "characterize the simulated WAN channel (Table 4)", wanCmd, nil},
-	{"plan", "size a constant-timeout detector from QoS targets", planCmd, nil},
-	{"consensus", "failure-detector QoS → consensus latency", consensusCmd, nil},
+	{"qos", "the 30-detector QoS experiment: Figures 4–8 and Table 5 (§5.2)", qosCmd},
+	{"pushpull", "push vs pull monitoring styles over one channel (§2.2)", pushpullCmd},
+	{"sweep", "a safety-margin parameter sweep: T_MR against T_D (§5.2)", sweepCmd},
+	{"loss", "the loss-rate ablation: one delay process, rising loss", lossCmd},
+	{"accuracy", "predictor accuracy (Table 3) and the ARIMA order search (§5.1)", accuracyCmd},
+	{"events", "recompute QoS from an exported JSON Lines event timeline", eventsCmd},
+	{"replay", "replay an exported QoS-history window through the detector grid", replayCmd},
+	{"wan", "characterize the simulated WAN channel (Table 4)", wanCmd},
+	{"plan", "size a constant-timeout detector from QoS targets", planCmd},
+	{"consensus", "failure-detector QoS → consensus latency", consensusCmd},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one command line and returns its exit status: 0 on success
-// or -h, 1 when the subcommand fails, 2 when the command line does not parse
-// or combines flags the subcommand would not honour.
+// or -h, 1 when the subcommand fails, 2 when the command line does not
+// parse.
 func run(args []string, stdout, stderr io.Writer) int {
 	cmd, fs := lookup(args)
 	if fs == nil {
@@ -65,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fs.SetOutput(stderr)
 	action := cmd.flags(fs)
-	if err := cmd.parse(fs, args[1:]); err != nil {
+	if err := fs.Parse(args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
@@ -89,24 +93,15 @@ func lookup(args []string) (command, *flag.FlagSet) {
 	return command{}, nil
 }
 
-// parse parses a subcommand's arguments into fs and applies its flag
-// check, reporting a rejected combination on the flag set's output.
-func (c command) parse(fs *flag.FlagSet, args []string) error {
-	if err := fs.Parse(args); err != nil || c.check == nil {
-		return err
-	}
-	if err := c.check(fs); err != nil {
-		fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
-		return err
-	}
-	return nil
+// presetFlag registers -preset, the simulated WAN channel.
+func presetFlag(fs *flag.FlagSet) *string {
+	return fs.String("preset", "italy-japan", fmt.Sprintf("channel preset, one of %v", presets))
 }
 
 // channelFlags registers the -preset and -seed flags of the subcommands
-// that simulate a WAN channel.
+// that simulate a WAN channel outside the Table 5 experiments.
 func channelFlags(fs *flag.FlagSet) (preset *string, seed *int64) {
-	return fs.String("preset", "italy-japan", fmt.Sprintf("channel preset, one of %v", presets)),
-		fs.Int64("seed", 1, "random seed")
+	return presetFlag(fs), fs.Int64("seed", 1, "random seed")
 }
 
 // etaFlag registers the simulated heartbeat period -eta.

@@ -40,27 +40,21 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"wan", "-preset", "bottleneck", "-samples", "2000"}, 0, "Table 4 — Characteristics of the bottleneck channel"},
 		{[]string{"qos", "-params"}, 0, "MTTC"},
 		{[]string{"qos", "-runs", "1", "-cycles", "1000", "-trace", trc, "-events", ev}, 0, "wrote 1 event timelines to " + ev + ".run*.jsonl"},
-		{[]string{"qos", "-pushpull", "-cycles", "500"}, 0, "Push vs pull"},
-		{[]string{"qos", "-sweep", "CI", "-sweep-params", "1,x"}, 1, `wanfd qos: -sweep-params: bad number "x"`},
+		{[]string{"pushpull", "-cycles", "500"}, 0, "Push vs pull"},
+		{[]string{"sweep", "-params", "1,x"}, 1, `wanfd sweep: -params: bad number "x"`},
 		{[]string{"qos", "-accrual", "2,y"}, 1, `wanfd qos: -accrual: bad number "y"`},
 		{[]string{"qos", "-preset", "mars"}, 1, `unknown preset "mars"`},
-		{[]string{"qos", "-sweep-loss", "-preset", "lan"}, 2, "wanfd qos: -preset does not apply to -sweep-loss"},
-		{[]string{"qos", "-sweep-loss", "-trace", trc}, 2, "-trace does not apply to -sweep-loss"},
-		{[]string{"qos", "-sweep-loss", "-runs", "3"}, 2, "-runs does not apply to -sweep-loss"},
-		{[]string{"qos", "-sweep-loss", "-skew", "1ms"}, 2, "-skew does not apply to -sweep-loss"},
-		{[]string{"qos", "-pushpull", "-trace", trc}, 2, "-trace does not apply to -pushpull"},
-		{[]string{"qos", "-pushpull", "-runs", "3"}, 2, "-runs does not apply to -pushpull"},
-		{[]string{"qos", "-pushpull", "-skew", "1ms"}, 2, "-skew does not apply to -pushpull"},
-		{[]string{"qos", "-pushpull", "-accrual", "2"}, 2, "-accrual does not apply to -pushpull"},
-		{[]string{"qos", "-sweep", "CI", "-trace", trc}, 2, "-trace does not apply to -sweep"},
-		{[]string{"qos", "-sweep", "CI", "-skew", "1ms"}, 2, "-skew does not apply to -sweep"},
-		{[]string{"qos", "-sweep", "CI", "-baselines"}, 2, "-baselines does not apply to -sweep"},
-		{[]string{"qos", "-sweep", "CI", "-accrual", "2"}, 2, "-accrual does not apply to -sweep"},
-		{[]string{"qos", "-sweep-params", "1,2"}, 2, "-sweep-params does not apply to the detector grid"},
-		{[]string{"qos", "-pushpull", "-sweep-loss"}, 2, "-sweep-loss and -pushpull select different modes"},
-		{[]string{"qos", "-sweep-loss", "-cycles", "10"}, 1, "wanfd qos: experiment: run length 10s not longer than warmup 1m0s"},
-		{[]string{"qos", "-pushpull", "-eta", "-1s"}, 1, "wanfd qos: experiment: non-positive heartbeat period -1s"},
-		{[]string{"qos", "-sweep-loss", "-eta", "-1s"}, 1, "wanfd qos: experiment: non-positive heartbeat period -1s"},
+		{[]string{"sweep", "-preset", "mars"}, 1, `unknown preset "mars"`},
+		{[]string{"loss", "-preset", "lan"}, 2, "flag provided but not defined: -preset"},
+		{[]string{"loss", "-runs", "3"}, 2, "flag provided but not defined: -runs"},
+		{[]string{"pushpull", "-trace", trc}, 2, "flag provided but not defined: -trace"},
+		{[]string{"pushpull", "-runs", "3"}, 2, "flag provided but not defined: -runs"},
+		{[]string{"sweep", "-skew", "1ms"}, 2, "flag provided but not defined: -skew"},
+		{[]string{"sweep", "-baselines"}, 2, "flag provided but not defined: -baselines"},
+		{[]string{"qos", "-pushpull"}, 2, "flag provided but not defined: -pushpull"},
+		{[]string{"loss", "-cycles", "10"}, 1, "wanfd loss: experiment: run length 10s not longer than warmup 1m0s"},
+		{[]string{"pushpull", "-eta", "-1s"}, 1, "wanfd pushpull: experiment: non-positive heartbeat period -1s"},
+		{[]string{"loss", "-eta", "-1s"}, 1, "wanfd loss: experiment: non-positive heartbeat period -1s"},
 		{[]string{"accuracy", "-samples", "2000", "-grid", "-maxp", "1", "-maxd", "0", "-maxq", "0", "-top", "1"}, 0, "ARIMA("},
 		{[]string{"accuracy", "-grid", "-top", "-1"}, 1, "wanfd accuracy: -top must be >= 0, got -1"},
 		{[]string{"events", ev + ".run0.jsonl"}, 0, "detector"},
@@ -171,7 +165,7 @@ func TestDocumentedInvocations(t *testing.T) {
 			for _, a := range strings.Fields(m[2]) {
 				args = append(args, strings.Trim(a, `"'`))
 			}
-			if err := cmd.parse(fs, args); err != nil {
+			if err := fs.Parse(args); err != nil {
 				t.Errorf("%s: %q: %v", name, m[0], err)
 			}
 		}
@@ -181,7 +175,10 @@ func TestDocumentedInvocations(t *testing.T) {
 // TestFlagSurface pins every subcommand's flag names and defaults.
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
-		"qos":       "accrual= baselines=false ci=false csv= cycles=10000 eta=1s events= mttc=5m0s params=false plot=false preset=italy-japan pushpull=false runs=13 seed=1 skew=0s sweep= sweep-loss=false sweep-params= sweep-predictor=LAST trace= ttr=30s",
+		"qos":       "accrual= baselines=false ci=false csv= cycles=10000 eta=1s events= mttc=5m0s params=false plot=false preset=italy-japan runs=13 seed=1 skew=0s trace= ttr=30s",
+		"pushpull":  "cycles=10000 eta=1s mttc=5m0s preset=italy-japan seed=1 ttr=30s",
+		"sweep":     "cycles=10000 eta=1s margin=CI mttc=5m0s params= predictor=LAST preset=italy-japan runs=13 seed=1 ttr=30s",
+		"loss":      "cycles=10000 eta=1s mttc=5m0s seed=1 ttr=30s",
 		"accuracy":  "extended=false grid=false maxd=2 maxp=3 maxq=2 preset=italy-japan samples=100000 seed=1 stability=0 top=10 trace=",
 		"events":    "detector= end=0s warmup=1m0s",
 		"replay":    "combo= eta=0s min-timeout=0s peer= slack=0s sort=false tick=0s verify=false",
@@ -200,8 +197,8 @@ func TestFlagSurface(t *testing.T) {
 		}
 		total += len(got)
 	}
-	if total != 62 || len(commands) != len(want) {
-		t.Errorf("%d flags over %d subcommands, want 62 over %d", total, len(commands), len(want))
+	if total != 78 || len(commands) != len(want) {
+		t.Errorf("%d flags over %d subcommands, want 78 over %d", total, len(commands), len(want))
 	}
 }
 

@@ -5,39 +5,47 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"strings"
 	"time"
 
 	"wanfd/internal/experiment"
 	"wanfd/internal/nekostat"
 )
 
+// table5Flags registers the run-shape flags of the simulated experiments
+// (Table 5: -cycles, -eta, -mttc, -ttr, -seed) and returns their reader.
+func table5Flags(fs *flag.FlagSet) func() experiment.Table5 {
+	cycles := fs.Int("cycles", 10000, "heartbeat cycles per run")
+	eta := etaFlag(fs)
+	mttc := fs.Duration("mttc", 300*time.Second, "mean time to crash")
+	ttr := fs.Duration("ttr", 30*time.Second, "time to repair")
+	seed := fs.Int64("seed", 1, "random seed")
+	return func() experiment.Table5 {
+		return experiment.Table5{NumCycles: *cycles, Eta: *eta, MTTC: *mttc, TTR: *ttr, Seed: *seed}
+	}
+}
+
+// runsFlag registers -runs, the number of independent experiment runs.
+func runsFlag(fs *flag.FlagSet) *int {
+	return fs.Int("runs", 13, "independent experiment runs (paper: 13)")
+}
+
 // qosCmd reproduces the paper's QoS experiment (§5.2): the 30
 // predictor×margin detectors against one simulated heartbeat stream with
 // injected crashes, printed as the textual equivalent of Figures 4–8.
 func qosCmd(fs *flag.FlagSet) func(io.Writer) error {
 	var (
-		runs         = fs.Int("runs", 13, "independent experiment runs (paper: 13)")
-		cycles       = fs.Int("cycles", 10000, "heartbeat cycles per run")
-		eta          = etaFlag(fs)
-		mttc         = fs.Duration("mttc", 300*time.Second, "mean time to crash")
-		ttr          = fs.Duration("ttr", 30*time.Second, "time to repair")
-		preset, seed = channelFlags(fs)
-		baselines    = fs.Bool("baselines", false, "include the NFD-E and Bertier baselines")
-		params       = fs.Bool("params", false, "print the experiment parameters (Table 5) and exit")
-		csvOut       = fs.String("csv", "", "also write the per-detector metrics as CSV to this file")
-		tracePath    = traceFlag(fs)
-		pushpull     = fs.Bool("pushpull", false, "run the push-vs-pull style comparison (§2.2) and exit")
-		accrual      = fs.String("accrual", "", "comma-separated φ-accrual thresholds to race against the 30 detectors (e.g. \"2,5,8\")")
-		withCI       = fs.Bool("ci", false, "render the sample-backed figures with 95% confidence half-widths")
-		eventsOut    = fs.String("events", "", "write each run's raw event timeline to <prefix>.run<N>.jsonl")
-		plot         = fs.Bool("plot", false, "render the figures as ASCII bar charts as well")
-		skew         = fs.Duration("skew", 0, "inject a monitor-side clock error (violates the paper's NTP assumption)")
-		sweep        = fs.String("sweep", "", "run a margin-parameter sweep instead: CI (sweep γ) or JAC (sweep φ)")
-		sweepVals    = fs.String("sweep-params", "", "comma-separated sweep values (default 0.5,1,2,3.31,6)")
-		sweepPred    = fs.String("sweep-predictor", "LAST", "predictor for the sweep")
-		sweepLoss    = fs.Bool("sweep-loss", false, "run a loss-rate ablation instead (same delays, varying loss)")
+		runs      = runsFlag(fs)
+		table5    = table5Flags(fs)
+		preset    = presetFlag(fs)
+		baselines = fs.Bool("baselines", false, "include the NFD-E and Bertier baselines")
+		params    = fs.Bool("params", false, "print the experiment parameters (Table 5) and exit")
+		csvOut    = fs.String("csv", "", "also write the per-detector metrics as CSV to this file")
+		tracePath = traceFlag(fs)
+		accrual   = fs.String("accrual", "", "comma-separated φ-accrual thresholds to race against the 30 detectors (e.g. \"2,5,8\")")
+		withCI    = fs.Bool("ci", false, "render the sample-backed figures with 95% confidence half-widths")
+		eventsOut = fs.String("events", "", "write each run's raw event timeline to <prefix>.run<N>.jsonl")
+		plot      = fs.Bool("plot", false, "render the figures as ASCII bar charts as well")
+		skew      = fs.Duration("skew", 0, "inject a monitor-side clock error (violates the paper's NTP assumption)")
 	)
 	return func(w io.Writer) error {
 		p, err := parsePreset(*preset)
@@ -48,54 +56,13 @@ func qosCmd(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		t5 := experiment.Table5{NumCycles: *cycles, Eta: *eta, MTTC: *mttc, TTR: *ttr, Seed: *seed}
-		switch {
-		case *sweepLoss:
-			points, err := experiment.RunLossSweep(experiment.LossSweepConfig{Table5: t5})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, "Loss-rate ablation: LAST+JAC_med, identical delay process")
-			fmt.Fprint(w, experiment.LossSweepTable(points))
-			return nil
-		case *sweep != "":
-			values, err := parseFloats("sweep-params", *sweepVals)
-			if err != nil {
-				return err
-			}
-			points, err := experiment.RunMarginSweep(experiment.SweepConfig{
-				Predictor:    *sweepPred,
-				MarginFamily: *sweep,
-				Params:       values,
-				Runs:         *runs,
-				NumCycles:    *cycles,
-				Eta:          *eta,
-				MTTC:         *mttc,
-				TTR:          *ttr,
-				Preset:       p,
-				Seed:         *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "Margin sweep: %s + SM_%s\n", *sweepPred, *sweep)
-			fmt.Fprint(w, experiment.SweepTable(*sweep, points))
-			return nil
-		case *pushpull:
-			cmp, err := experiment.RunPushPull(experiment.PushPullConfig{Table5: t5, Preset: p})
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, cmp.Report())
-			return nil
-		}
 		thresholds, err := parseFloats("accrual", *accrual)
 		if err != nil {
 			return err
 		}
 		cfg := experiment.QoSConfig{
 			Runs:              *runs,
-			Table5:            t5,
+			Table5:            table5(),
 			Preset:            p,
 			Baselines:         *baselines,
 			DelayTrace:        delays,
@@ -148,39 +115,77 @@ func qosCmd(fs *flag.FlagSet) func(io.Writer) error {
 	}
 }
 
-// qosModes are qos's modes, each selected by its flag (the detector grid by
-// none), with the flags each honours besides the Table 5 flags -cycles,
-// -eta, -mttc, -ttr and -seed.
-var qosModes = []struct{ flag, honours string }{
-	{"sweep-loss", ""},
-	{"sweep", "runs preset sweep-params sweep-predictor"},
-	{"pushpull", "preset"},
-	{"", "runs preset trace baselines params csv accrual ci events plot skew"},
+// pushpullCmd compares the push and pull monitoring styles (§2.2) over one
+// simulated channel.
+func pushpullCmd(fs *flag.FlagSet) func(io.Writer) error {
+	table5, preset := table5Flags(fs), presetFlag(fs)
+	return func(w io.Writer) error {
+		p, err := parsePreset(*preset)
+		if err != nil {
+			return err
+		}
+		cmp, err := experiment.RunPushPull(experiment.PushPullConfig{Table5: table5(), Preset: p})
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, cmp.Report())
+		return nil
+	}
 }
 
-// checkQoSFlags rejects a command line that selects two modes, or that sets
-// a flag its mode would silently ignore.
-func checkQoSFlags(fs *flag.FlagSet) error {
-	mode := qosModes[len(qosModes)-1]
-	for _, m := range qosModes[:len(qosModes)-1] {
-		if f := fs.Lookup(m.flag); f.Value.String() == f.DefValue {
-			continue
+// sweepCmd sweeps one safety-margin family's parameter (§5.2's tuning
+// recipe): the T_MR-vs-T_D curve of one predictor.
+func sweepCmd(fs *flag.FlagSet) func(io.Writer) error {
+	var (
+		runs   = runsFlag(fs)
+		table5 = table5Flags(fs)
+		preset = presetFlag(fs)
+		family = fs.String("margin", "CI", "margin family to sweep: CI (sweep γ) or JAC (sweep φ)")
+		vals   = fs.String("params", "", "comma-separated sweep values (default 0.5,1,2,3.31,6)")
+		pred   = fs.String("predictor", "LAST", "predictor for the sweep")
+	)
+	return func(w io.Writer) error {
+		p, err := parsePreset(*preset)
+		if err != nil {
+			return err
 		}
-		if mode.flag != "" {
-			return fmt.Errorf("-%s and -%s select different modes", mode.flag, m.flag)
+		values, err := parseFloats("params", *vals)
+		if err != nil {
+			return err
 		}
-		mode = m
+		t5 := table5()
+		points, err := experiment.RunMarginSweep(experiment.SweepConfig{
+			Predictor:    *pred,
+			MarginFamily: *family,
+			Params:       values,
+			Runs:         *runs,
+			NumCycles:    t5.NumCycles,
+			Eta:          t5.Eta,
+			MTTC:         t5.MTTC,
+			TTR:          t5.TTR,
+			Preset:       p,
+			Seed:         t5.Seed,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "Margin sweep: %s + SM_%s\n", *pred, *family)
+		fmt.Fprint(w, experiment.SweepTable(*family, points))
+		return nil
 	}
-	name := "the detector grid"
-	if mode.flag != "" {
-		name = "-" + mode.flag
-	}
-	honoured := strings.Fields("cycles eta mttc ttr seed " + mode.flag + " " + mode.honours)
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if err == nil && !slices.Contains(honoured, f.Name) {
-			err = fmt.Errorf("-%s does not apply to %s", f.Name, name)
+}
+
+// lossCmd is the loss-rate ablation: one fixed AR(1)-Gamma delay process
+// with Bernoulli loss from 0 up, through LAST+JAC_med.
+func lossCmd(fs *flag.FlagSet) func(io.Writer) error {
+	table5 := table5Flags(fs)
+	return func(w io.Writer) error {
+		points, err := experiment.RunLossSweep(experiment.LossSweepConfig{Table5: table5()})
+		if err != nil {
+			return err
 		}
-	})
-	return err
+		fmt.Fprintln(w, "Loss-rate ablation: LAST+JAC_med, identical delay process")
+		fmt.Fprint(w, experiment.LossSweepTable(points))
+		return nil
+	}
 }

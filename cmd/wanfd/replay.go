@@ -27,7 +27,7 @@ func replayCmd(fs *flag.FlagSet) func(io.Writer) error {
 		combos  = fs.String("combo", "", "comma-separated combinations to replay (e.g. \"LAST+JAC_med,ARIMA+CI_low\"); default: the full 30-combination grid")
 		eta     = fs.Duration("eta", 0, "override the window's recorded heartbeat period η")
 		minTO   = fs.Duration("min-timeout", 0, "override the recorded timeout floor (negative disables the floor)")
-		tick    = fs.Duration("tick", 0, "run detector timers on a timing wheel of this granularity (0: exact scheduling; must match the recording monitor)")
+		tick    = fs.Duration("tick", 0, "run detector timers on a timing wheel of this granularity (0: exact scheduling; a live monitor's wheel ticks at 100µs)")
 		verify  = fs.Bool("verify", false, "verify fidelity: exit non-zero unless the recording's own combination reproduces the recorded QoS bit-identically")
 		slack   = fs.Duration("slack", 0, "with -verify, tolerate this much divergence on E[T_M]/E[T_MR] (counts stay exact); use ~1ms for windows recorded on a real clock, whose timer firings carry OS latency the idealized replay does not")
 		byMeans = fs.Bool("sort", false, "sort the grid by mistake count instead of grid order")

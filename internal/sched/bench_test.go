@@ -10,8 +10,8 @@ import (
 	"wanfd/internal/sim"
 )
 
-// The two expiry shapes on the 1M profile's 1024/256 geometry with a 1 ms
-// tick: dispatch re-arms inside the fine window (1024 ticks), so every
+// The two expiry shapes on the wheel's geometry with a 1 ms tick: dispatch
+// re-arms inside the fine window (2048 ticks), so every
 // deadline is placed and fired at the fine level; cascade re-arms past it,
 // so every deadline is placed coarse and must cascade down before firing —
 // the wrap-walk cost the occupancy bitmaps bound.
@@ -30,7 +30,7 @@ var expiryShapes = []struct {
 // like independent peers on the η grid.
 func armSelfRearming(armed int, period time.Duration) (eng *sim.Engine, w *Wheel, fired *int) {
 	eng = sim.NewEngine()
-	w = NewWheel(Config{Clock: eng, Tick: time.Millisecond, FineSlots: 1024, CoarseSlots: 256})
+	w = NewWheel(Config{Clock: eng, Tick: time.Millisecond})
 	fired = new(int)
 	spread := int(period / time.Millisecond)
 	for i := 0; i < armed; i++ {
@@ -76,56 +76,47 @@ func BenchmarkSched1M(b *testing.B) {
 	}
 }
 
-// BenchmarkDriverStorm is the mass failure one driver fires serially and a
-// driver per wheel could have fired in parallel: 2^16 deadlines inside two
-// ticks, spread over 16 and over 64 wheels on one real-clock driver. One op
+// BenchmarkDriverStorm is a mass failure on one real-clock wheel: 2^16
+// deadlines inside two ticks, fired serially by the wheel's driver. One op
 // is one storm; ns/expiry is the span from the first callback to the last
 // over the deadlines fired, storm_ms the span from the first deadline to
 // the last callback (wake-up lateness included).
 func BenchmarkDriverStorm(b *testing.B) {
 	const deadlines = 1 << 16
-	for _, n := range []int{16, 64} {
-		b.Run(fmt.Sprintf("wheels=%d", n), func(b *testing.B) {
-			clk := sim.NewRealClock()
-			wheels := NewWheels(n, Config{Clock: clk, Tick: time.Millisecond})
-			defer func() {
-				for _, w := range wheels {
-					w.Close()
-				}
-			}()
-			var left, firstFired atomic.Int64
-			lastFired := make(chan time.Duration)
-			timers := make([]Rearmable, deadlines)
-			for i := range timers {
-				timers[i] = wheels[i%n].NewTimer(func() {
-					now := clk.Now()
-					firstFired.CompareAndSwap(0, int64(now))
-					if left.Add(-1) == 0 {
-						lastFired <- now
-					}
-				})
+	clk := sim.NewRealClock()
+	w := NewWheel(Config{Clock: clk, Tick: time.Millisecond})
+	defer w.Close()
+	var left, firstFired atomic.Int64
+	lastFired := make(chan time.Duration)
+	timers := make([]Rearmable, deadlines)
+	for i := range timers {
+		timers[i] = w.NewTimer(func() {
+			now := clk.Now()
+			firstFired.CompareAndSwap(0, int64(now))
+			if left.Add(-1) == 0 {
+				lastFired <- now
 			}
-			var firing, storm time.Duration
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				left.Store(deadlines)
-				firstFired.Store(0)
-				now := clk.Now()
-				// Far enough ahead that every deadline is armed before the
-				// first one is due.
-				first := now + 100*time.Millisecond
-				for i, tm := range timers {
-					tm.RescheduleAt(first+time.Duration(i)*2*time.Millisecond/deadlines, now)
-				}
-				last := <-lastFired
-				firing += last - time.Duration(firstFired.Load())
-				storm += last - first
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(firing)/float64(b.N)/deadlines, "ns/expiry")
-			b.ReportMetric(float64(storm)/float64(b.N)/1e6, "storm_ms")
 		})
 	}
+	var firing, storm time.Duration
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		left.Store(deadlines)
+		firstFired.Store(0)
+		now := clk.Now()
+		// Far enough ahead that every deadline is armed before the first
+		// one is due.
+		first := now + 100*time.Millisecond
+		for i, tm := range timers {
+			tm.RescheduleAt(first+time.Duration(i)*2*time.Millisecond/deadlines, now)
+		}
+		last := <-lastFired
+		firing += last - time.Duration(firstFired.Load())
+		storm += last - first
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(firing)/float64(b.N)/deadlines, "ns/expiry")
+	b.ReportMetric(float64(storm)/float64(b.N)/1e6, "storm_ms")
 }
 
 // TestWheelExpiryZeroAlloc pins the deadline path's allocation count

@@ -3,13 +3,14 @@
 //
 // Every deadline in the repository — freshness points τ_i, φ-accrual
 // crossing instants, heartbeat send grids, fault-injection schedules,
-// consensus polls, transport sync timeouts — used to be a private
+// consensus polls — used to be a private
 // Clock.AfterFunc timer: one runtime timer (and a firing goroutine) per
 // peer per cycle. At cluster scale that is the dominant hot-path cost: the
 // runtime timer heap is O(log n) per re-arm and every expiry spawns a
 // goroutine. The Wheel replaces all of that with O(1) schedule, cancel and
 // reschedule on intrusive doubly-linked slot lists, and batched slot
-// expiry on one goroutine for a whole set of wheels (NewWheels).
+// expiry on one goroutine per wheel. Every wheel has one geometry (2048
+// fine × 128 coarse slots); only its tick varies.
 //
 // A tick is a bucket, not a firing clock: a deadline is filed under the
 // tick that ends its slot, the slot is visited at the earliest deadline it
@@ -19,7 +20,8 @@
 // waits for the boundary, under one tick.
 //
 // The wheel is a sim.Clock, layered over another sim.Clock: over a
-// sim.RealClock the set's driver goroutine advances it; over the virtual
+// sim.RealClock its driver goroutine advances it, never past the stamp of a
+// delivery still in flight (Config.InFlight); over the virtual
 // sim.Engine it schedules its wakeups as engine events. Either way the
 // scheduling, cascading and batch-expiry code is identical, so the
 // simulated and real executions of the paper's detectors share one code

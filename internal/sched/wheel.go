@@ -11,21 +11,21 @@ import (
 	"wanfd/internal/sim"
 )
 
-// Default wheel geometry. The fine level resolves one tick per slot
-// across a 256-tick window; the coarse level holds one 256-tick span per
-// slot across a further 64 spans. With the default 1 ms tick that is
-// 256 ms of exact resolution and ~16.4 s of coarse horizon — comfortably
-// past the paper's WAN timeouts (η = 1 s, δ up to ~10 s). Deadlines
-// beyond the horizon wait on the overflow list and are re-examined at
-// each fine-wheel wrap. Config.FineSlots/CoarseSlots override both levels
-// (the 1M scale profile widens them so per-slot occupancy stays bounded);
-// these constants are the zero-config values.
+// Wheel geometry, one for every wheel. The fine level resolves one tick per
+// slot across a 2048-tick window; the coarse level holds one 2048-tick span
+// per slot across a further 128 spans. At the monitor's 100 µs tick that is
+// 204.8 ms of exact resolution and a ≈26 s horizon; at the 1 ms DefaultTick
+// 2.048 s and ≈262 s — past the paper's WAN timeouts (η = 1 s, δ up to
+// ~10 s) either way. Deadlines beyond the horizon wait on the overflow list
+// and are re-examined at each fine-wheel wrap.
 const (
-	fineBits    = 8
+	fineBits    = 11
 	fineSlots   = 1 << fineBits
-	coarseBits  = 6
+	fineMask    = fineSlots - 1
+	coarseBits  = 7
 	coarseSlots = 1 << coarseBits
-	// wheelSpan is the default total in-wheel horizon in ticks.
+	coarseMask  = coarseSlots - 1
+	// wheelSpan is the total in-wheel horizon in ticks.
 	wheelSpan = fineSlots << coarseBits
 )
 
@@ -38,13 +38,17 @@ const DefaultTick = time.Millisecond
 // noWake is the wake instant of a wheel with nothing queued.
 const noWake = time.Duration(math.MaxInt64)
 
+// MaxHold caps how long a delivery in flight holds expiry back (see
+// Config.InFlight): a stamp older than this no longer counts, so a delivery
+// path blocked for good delays suspicions by at most MaxHold.
+const MaxHold = time.Second
+
 // Config parameterizes a Wheel.
 type Config struct {
-	// Clock is the time source the wheel runs over. Wheels over a
-	// *sim.RealClock are advanced by a driver goroutine (one per NewWheels
-	// set); any other sim.Clock (notably *sim.Engine) drives the wheel
-	// through that clock's own AfterFunc events, keeping virtual
-	// executions deterministic.
+	// Clock is the time source the wheel runs over. A wheel over a
+	// *sim.RealClock is advanced by its driver goroutine; any other
+	// sim.Clock (notably *sim.Engine) drives the wheel through that clock's
+	// own AfterFunc events, keeping virtual executions deterministic.
 	Clock sim.Clock
 	// Tick is the slot granularity; DefaultTick when zero.
 	Tick time.Duration
@@ -52,13 +56,15 @@ type Config struct {
 	// of timers fired together and the lag between the earliest deadline
 	// in the batch and the moment the batch was collected.
 	OnBatch func(fired int, lag time.Duration)
-	// FineSlots and CoarseSlots size the two wheel levels. Both must be
-	// powers of two; zero means the defaults (256 fine, 64 coarse). Wider
-	// wheels trade memory (one slot list per slot) for lower per-slot
-	// occupancy and shorter next-wake scans when millions of deadlines are
-	// armed.
-	FineSlots   int
-	CoarseSlots int
+	// InFlight, if set, reports the earliest receive stamp of a delivery
+	// still in progress, math.MaxInt64 when none is. The wheel fires no
+	// deadline after that stamp until the delivery ends, so a heartbeat
+	// stamped by its freshness point is always seen before the point
+	// expires. The added detection time is the delivery's own
+	// duration — plus, for a delivery longer than holdSpin, the driver's
+	// poll interval of one tick, which the Go runtime may stretch to a
+	// millisecond — and never more than MaxHold.
+	InFlight func() time.Duration
 }
 
 // Stats is a point-in-time snapshot of a wheel's counters.
@@ -74,12 +80,12 @@ type Stats struct {
 	Cascades uint64
 	// MaxSlotOccupancy is the high-water mark of timers sharing one slot.
 	MaxSlotOccupancy int
-	// FineSlotsOccupied and CoarseSlotsOccupied count the slots whose
-	// lists are currently non-empty — the occupancy the skip bitmaps
-	// track. OverflowTimers is the overflow list's current length.
-	FineSlotsOccupied   int
-	CoarseSlotsOccupied int
-	OverflowTimers      int
+	// FineOccupied and CoarseOccupied count the slots whose lists are
+	// currently non-empty — the occupancy the skip bitmaps track.
+	// OverflowTimers is the overflow list's current length.
+	FineOccupied   int
+	CoarseOccupied int
+	OverflowTimers int
 	// SlotsSkipped counts ticks the advance loop crossed without touching
 	// a slot list, thanks to the occupancy bitmaps; at sparse occupancy it
 	// dwarfs Fired.
@@ -134,19 +140,12 @@ type firing struct {
 // and DeadlineClock. All mutable state is guarded by mu; callbacks always
 // run with mu released.
 type Wheel struct {
-	clk     sim.Clock
-	tick    time.Duration
-	onBatch func(int, time.Duration)
+	clk      sim.Clock
+	tick     time.Duration
+	onBatch  func(int, time.Duration)
+	inFlight func() time.Duration
 	// drv advances the wheel in real-clock mode; nil in virtual mode.
 	drv *driver
-
-	// Geometry, fixed at construction: slot counts and derived masks for
-	// both levels, the fine level's shift, and the total in-wheel span in
-	// ticks.
-	fslots, fmask int64
-	fbits         uint
-	cslots, cmask int64
-	span          int64
 
 	mu  sync.Mutex
 	cur int64 // last fully processed tick
@@ -155,16 +154,16 @@ type Wheel struct {
 	// armed into it, waits for the boundary visit.
 	early    int64
 	nodes    *arena.Arena[timerNode]
-	fine     []timerList
-	coarse   []timerList
+	fine     [fineSlots]timerList
+	coarse   [coarseSlots]timerList
 	overflow timerList
 	due      timerList // non-positive delays: fire at next wakeup
 
 	// Occupancy bitmaps: one bit per slot, set while the slot's list is
 	// non-empty, so tick advance and next-wake scans skip empty slots a
 	// word (64 slots) at a time instead of probing each list.
-	fineOcc   []uint64
-	coarseOcc []uint64
+	fineOcc   [fineSlots / 64]uint64
+	coarseOcc [coarseSlots / 64]uint64
 	fineCnt   int // occupied fine slots
 	coarseCnt int // occupied coarse slots
 	// overMin is a conservative lower bound on the earliest overflow
@@ -198,75 +197,34 @@ var (
 	_ DeadlineClock = (*Wheel)(nil)
 )
 
-// NewWheel builds one wheel over cfg.Clock; over a real clock it has a
-// driver of its own.
-func NewWheel(cfg Config) *Wheel { return NewWheels(1, cfg)[0] }
-
-// NewWheels builds n wheels of one geometry over cfg.Clock. Over a
-// *sim.RealClock they share one lazily started driver goroutine, so a
-// sharded monitor expires all its deadlines on one goroutine; over a
-// virtual clock each wheel schedules its own wake events.
-func NewWheels(n int, cfg Config) []*Wheel {
-	wheels := make([]*Wheel, n)
-	for i := range wheels {
-		wheels[i] = newWheel(cfg)
-	}
-	if _, ok := cfg.Clock.(*sim.RealClock); ok {
-		d := &driver{clk: cfg.Clock, wheels: wheels, kick: make(chan struct{}, 1)}
-		d.sleepAt.Store(int64(noWake))
-		for _, w := range wheels {
-			w.drv = d
-		}
-	}
-	return wheels
-}
-
-// newWheel builds a driverless wheel aligned so tick 0 is the host
-// clock's epoch.
-func newWheel(cfg Config) *Wheel {
+// NewWheel builds a wheel over cfg.Clock, aligned so tick 0 is the clock's
+// epoch. Over a *sim.RealClock it has a lazily started driver goroutine;
+// over a virtual clock it schedules its own wake events.
+func NewWheel(cfg Config) *Wheel {
 	tick := cfg.Tick
 	if tick <= 0 {
 		tick = DefaultTick
 	}
-	fs := cfg.FineSlots
-	if fs <= 0 {
-		fs = fineSlots
-	}
-	cs := cfg.CoarseSlots
-	if cs <= 0 {
-		cs = coarseSlots
-	}
-	if fs&(fs-1) != 0 || cs&(cs-1) != 0 {
-		panic("sched: wheel slot counts must be powers of two")
-	}
 	w := &Wheel{
-		clk:       cfg.Clock,
-		tick:      tick,
-		onBatch:   cfg.OnBatch,
-		fslots:    int64(fs),
-		fmask:     int64(fs - 1),
-		fbits:     uint(bits.TrailingZeros(uint(fs))),
-		cslots:    int64(cs),
-		cmask:     int64(cs - 1),
-		span:      int64(fs) * int64(cs),
-		nodes:     arena.New[timerNode](),
-		fine:      make([]timerList, fs),
-		coarse:    make([]timerList, cs),
-		fineOcc:   make([]uint64, (fs+63)/64),
-		coarseOcc: make([]uint64, (cs+63)/64),
-		overMin:   math.MaxInt64,
+		clk:      cfg.Clock,
+		tick:     tick,
+		onBatch:  cfg.OnBatch,
+		inFlight: cfg.InFlight,
+		nodes:    arena.New[timerNode](),
+		overMin:  math.MaxInt64,
 	}
 	w.cur = w.tickFloor(w.clk.Now())
 	w.wakeAt.Store(int64(noWake))
+	if _, ok := cfg.Clock.(*sim.RealClock); ok {
+		w.drv = &driver{clk: cfg.Clock, w: w, kick: make(chan struct{}, 1)}
+		w.drv.sleepAt.Store(int64(noWake))
+	}
 	return w
 }
 
 // Now reports the host clock's time, so wheel consumers and non-wheel
 // code observe the same instants.
 func (w *Wheel) Now() time.Duration { return w.clk.Now() }
-
-// Tick reports the wheel's slot granularity.
-func (w *Wheel) Tick() time.Duration { return w.tick }
 
 // NewTimer returns an unscheduled rearmable timer firing fn.
 func (w *Wheel) NewTimer(fn func()) Rearmable {
@@ -284,16 +242,16 @@ func (w *Wheel) AfterFunc(d time.Duration, fn func()) sim.Timer {
 func (w *Wheel) Stats() Stats {
 	w.mu.Lock()
 	s := Stats{
-		Scheduled:           w.scheduled,
-		Fired:               w.fired,
-		Batches:             w.batches,
-		Cascades:            w.cascades,
-		MaxSlotOccupancy:    w.maxSlot,
-		FineSlotsOccupied:   w.fineCnt,
-		CoarseSlotsOccupied: w.coarseCnt,
-		OverflowTimers:      w.overflow.Len(),
-		SlotsSkipped:        w.skipped,
-		Wakeups:             w.wakeups,
+		Scheduled:        w.scheduled,
+		Fired:            w.fired,
+		Batches:          w.batches,
+		Cascades:         w.cascades,
+		MaxSlotOccupancy: w.maxSlot,
+		FineOccupied:     w.fineCnt,
+		CoarseOccupied:   w.coarseCnt,
+		OverflowTimers:   w.overflow.Len(),
+		SlotsSkipped:     w.skipped,
+		Wakeups:          w.wakeups,
 	}
 	w.mu.Unlock()
 	return s
@@ -317,12 +275,8 @@ func (w *Wheel) Close() {
 	for i := range w.coarse {
 		w.clearListLocked(&w.coarse[i])
 	}
-	for i := range w.fineOcc {
-		w.fineOcc[i] = 0
-	}
-	for i := range w.coarseOcc {
-		w.coarseOcc[i] = 0
-	}
+	clear(w.fineOcc[:])
+	clear(w.coarseOcc[:])
 	w.fineCnt, w.coarseCnt = 0, 0
 	w.scheduled = 0
 	w.cancelWakeLocked()
@@ -368,10 +322,10 @@ func (w *Wheel) listFor(lid int32) *timerList {
 		return &w.due
 	case lid == lidOverflow:
 		return &w.overflow
-	case int64(lid) < int64(lidFine0)+w.fslots:
+	case int64(lid) < int64(lidFine0)+fineSlots:
 		return &w.fine[int64(lid)-int64(lidFine0)]
 	default:
-		return &w.coarse[int64(lid)-int64(lidFine0)-w.fslots]
+		return &w.coarse[int64(lid)-int64(lidFine0)-fineSlots]
 	}
 }
 
@@ -388,7 +342,7 @@ func (w *Wheel) enqueueLocked(lid int32, idx arena.Index, n *timerNode) {
 		if n.tk < w.overMin {
 			w.overMin = n.tk
 		}
-	case int64(lid) < int64(lidFine0)+w.fslots:
+	case int64(lid) < int64(lidFine0)+fineSlots:
 		if wasEmpty {
 			s := int64(lid) - int64(lidFine0)
 			w.fineOcc[s>>6] |= 1 << uint(s&63)
@@ -399,7 +353,7 @@ func (w *Wheel) enqueueLocked(lid int32, idx arena.Index, n *timerNode) {
 		}
 	default:
 		if wasEmpty {
-			s := int64(lid) - int64(lidFine0) - w.fslots
+			s := int64(lid) - int64(lidFine0) - fineSlots
 			w.coarseOcc[s>>6] |= 1 << uint(s&63)
 			w.coarseCnt++
 		}
@@ -418,11 +372,11 @@ func (w *Wheel) dequeueLocked(idx arena.Index, n *timerNode) {
 	if !l.Empty() || lid == lidDue || lid == lidOverflow {
 		return
 	}
-	if s := int64(lid) - int64(lidFine0); s < w.fslots {
+	if s := int64(lid) - int64(lidFine0); s < fineSlots {
 		w.fineOcc[s>>6] &^= 1 << uint(s&63)
 		w.fineCnt--
 	} else {
-		s -= w.fslots
+		s -= fineSlots
 		w.coarseOcc[s>>6] &^= 1 << uint(s&63)
 		w.coarseCnt--
 	}
@@ -430,7 +384,7 @@ func (w *Wheel) dequeueLocked(idx arena.Index, n *timerNode) {
 
 // placeLocked links a node into the level its deadline tick falls in: due
 // (already expired), fine (within the fine window), coarse (within the
-// wheel span), or overflow. A coarse slot holds the ticks (B, B+fslots]
+// wheel span), or overflow. A coarse slot holds the ticks (B, B+fineSlots]
 // behind one wrap boundary B, so its flush at B lands every one of them in
 // a fine slot before that slot's first deadline.
 func (w *Wheel) placeLocked(idx arena.Index, n *timerNode) {
@@ -438,10 +392,10 @@ func (w *Wheel) placeLocked(idx arena.Index, n *timerNode) {
 	switch delta := n.tk - w.cur; {
 	case delta <= 0:
 		lid = lidDue
-	case delta <= w.fslots:
-		lid = lidFine0 + int32(n.tk&w.fmask)
-	case delta <= w.span:
-		lid = lidFine0 + int32(w.fslots) + int32(((n.tk-1)>>w.fbits)&w.cmask)
+	case delta <= fineSlots:
+		lid = lidFine0 + int32(n.tk&fineMask)
+	case delta <= wheelSpan:
+		lid = lidFine0 + int32(fineSlots) + int32(((n.tk-1)>>fineBits)&coarseMask)
 	default:
 		lid = lidOverflow
 	}
@@ -455,7 +409,7 @@ func (w *Wheel) placeLocked(idx arena.Index, n *timerNode) {
 // beyond the span (overMin is a conservative lower bound), and each walk
 // re-tightens the bound for free.
 func (w *Wheel) cascadeLocked() {
-	ci := (w.cur >> w.fbits) & w.cmask
+	ci := (w.cur >> fineBits) & coarseMask
 	if w.coarseOcc[ci>>6]&(1<<uint(ci&63)) != 0 {
 		slot := &w.coarse[ci]
 		for !slot.Empty() {
@@ -466,14 +420,14 @@ func (w *Wheel) cascadeLocked() {
 			w.cascades++
 		}
 	}
-	if w.overflow.Empty() || w.overMin-w.cur > w.span {
+	if w.overflow.Empty() || w.overMin-w.cur > wheelSpan {
 		return
 	}
 	newMin := int64(math.MaxInt64)
 	for idx := w.overflow.Head(); idx != arena.Nil; {
 		n := w.nodes.Get(idx)
 		next := n.link.Next()
-		if n.tk-w.cur <= w.span {
+		if n.tk-w.cur <= wheelSpan {
 			w.dequeueLocked(idx, n)
 			w.placeLocked(idx, n)
 			w.cascades++
@@ -538,7 +492,7 @@ func (w *Wheel) earliestLocked(l *timerList) time.Duration {
 // segment as the ticks being scanned (so slot indices do not wrap).
 func (w *Wheel) nextFineTickLocked(hi int64) (int64, bool) {
 	lo := w.cur + 1
-	from, to := lo&w.fmask, hi&w.fmask
+	from, to := lo&fineMask, hi&fineMask
 	wi, wTo := from>>6, to>>6
 	word := w.fineOcc[wi] >> uint(from&63) << uint(from&63)
 	for {
@@ -550,7 +504,7 @@ func (w *Wheel) nextFineTickLocked(hi int64) (int64, bool) {
 		}
 		if word != 0 {
 			s := wi<<6 + int64(bits.TrailingZeros64(word))
-			return (lo &^ w.fmask) | s, true
+			return (lo &^ fineMask) | s, true
 		}
 		if wi == wTo {
 			return 0, false
@@ -570,7 +524,7 @@ func (w *Wheel) nextFineTickLocked(hi int64) (int64, bool) {
 // fired from at most twice and a storm still expires as a batch.
 func (w *Wheel) advanceLocked(now time.Duration, batch []firing) []firing {
 	target := w.tickFloor(now)
-	batch = w.drainLocked(&w.due, batch)
+	batch = w.drainDueLocked(&w.due, now, batch)
 	for w.cur < target {
 		if w.fineCnt == 0 && w.coarseCnt == 0 && w.overflow.Empty() {
 			// Nothing in the wheel at all: the remaining ticks (and their
@@ -581,7 +535,7 @@ func (w *Wheel) advanceLocked(now time.Duration, batch []firing) []firing {
 		}
 		// Ticks remaining inside the current fine segment, before the
 		// next wrap cascade is due.
-		segEnd := (w.cur &^ w.fmask) + w.fslots
+		segEnd := (w.cur &^ fineMask) + fineSlots
 		hi := target
 		if segEnd-1 < hi {
 			hi = segEnd - 1
@@ -600,7 +554,7 @@ func (w *Wheel) advanceLocked(now time.Duration, batch []firing) []firing {
 			}
 			w.skipped += uint64(tk - w.cur - 1)
 			w.cur = tk
-			batch = w.drainLocked(&w.fine[tk&w.fmask], batch)
+			batch = w.drainLocked(&w.fine[tk&fineMask], batch)
 		}
 		if segEnd > target {
 			break
@@ -609,13 +563,13 @@ func (w *Wheel) advanceLocked(now time.Duration, batch []firing) []firing {
 		// which the cascade is about to refill with the tick one fine
 		// window on, then cascade and drain anything it surfaced as due.
 		w.cur = segEnd
-		batch = w.drainLocked(&w.fine[w.cur&w.fmask], batch)
+		batch = w.drainLocked(&w.fine[w.cur&fineMask], batch)
 		w.cascadeLocked()
 		batch = w.drainLocked(&w.due, batch)
 	}
 	if p := target + 1; w.cur == target && p != w.early {
 		before := len(batch)
-		batch = w.drainDueLocked(&w.fine[p&w.fmask], now, batch)
+		batch = w.drainDueLocked(&w.fine[p&fineMask], now, batch)
 		if len(batch) > before {
 			w.early = p
 		}
@@ -626,29 +580,29 @@ func (w *Wheel) advanceLocked(now time.Duration, batch []firing) []firing {
 // nextCoarseFlushLocked reports the tick at which the earliest occupied
 // coarse slot will be flushed into the fine window, or false when the
 // coarse level is empty. A slot c is flushed when the wheel enters the
-// fine segment whose index ≡ c, i.e. 1..cslots segments ahead of cur.
+// fine segment whose index ≡ c, i.e. 1..coarseSlots segments ahead of cur.
 func (w *Wheel) nextCoarseFlushLocked() (int64, bool) {
 	if w.coarseCnt == 0 {
 		return 0, false
 	}
-	ci := (w.cur >> w.fbits) & w.cmask
+	ci := (w.cur >> fineBits) & coarseMask
 	// Scan the coarse bitmap circularly starting just after ci; the first
 	// occupied slot found is the fewest segments ahead.
-	for d := int64(1); d <= w.cslots; {
-		c := (ci + d) & w.cmask
+	for d := int64(1); d <= coarseSlots; {
+		c := (ci + d) & coarseMask
 		word := w.coarseOcc[c>>6] >> uint(c&63)
 		if word != 0 {
 			d += int64(bits.TrailingZeros64(word))
-			if d > w.cslots {
+			if d > coarseSlots {
 				break
 			}
-			return (w.cur &^ w.fmask) + d<<w.fbits, true
+			return (w.cur &^ fineMask) + d<<fineBits, true
 		}
 		d += 64 - c&63
 	}
 	// Unreachable if coarseCnt is consistent; fail safe with the nearest
 	// boundary rather than sleeping forever.
-	return (w.cur &^ w.fmask) + w.fslots, true
+	return (w.cur &^ fineMask) + fineSlots, true
 }
 
 // nextWakeLocked reports the next instant the wheel must be advanced at,
@@ -668,16 +622,16 @@ func (w *Wheel) nextWakeLocked() time.Duration {
 	}
 	best := int64(-1)
 	if w.fineCnt > 0 {
-		// The fine window covers (cur, cur+fslots]: the tail of the
+		// The fine window covers (cur, cur+fineSlots]: the tail of the
 		// current segment, then the whole next segment up to and
 		// including its last tick.
-		if tk, ok := w.nextFineTickLocked((w.cur &^ w.fmask) + w.fslots - 1); ok {
+		if tk, ok := w.nextFineTickLocked((w.cur &^ fineMask) + fineSlots - 1); ok {
 			best = tk
 		} else {
-			lo := (w.cur &^ w.fmask) + w.fslots
+			lo := (w.cur &^ fineMask) + fineSlots
 			save := w.cur
-			w.cur = lo - 1 // scan [lo, lo+cur&fmask] in the next segment
-			if tk, ok := w.nextFineTickLocked(lo + save&w.fmask); ok {
+			w.cur = lo - 1 // scan [lo, lo+cur&fineMask] in the next segment
+			if tk, ok := w.nextFineTickLocked(lo + save&fineMask); ok {
 				best = tk
 			}
 			w.cur = save
@@ -689,8 +643,8 @@ func (w *Wheel) nextWakeLocked() time.Duration {
 	}
 	if !w.overflow.Empty() {
 		// First wrap boundary at which overMin comes within the span.
-		adm := (w.overMin - w.span + w.fmask) &^ w.fmask
-		if next := (w.cur &^ w.fmask) + w.fslots; adm < next {
+		adm := (w.overMin - wheelSpan + fineMask) &^ fineMask
+		if next := (w.cur &^ fineMask) + fineSlots; adm < next {
 			adm = next
 		}
 		if best == -1 || adm < best {
@@ -704,7 +658,7 @@ func (w *Wheel) nextWakeLocked() time.Duration {
 	}
 	at := time.Duration(best) * w.tick
 	if fine != -1 && fine != w.early {
-		if e := w.earliestLocked(&w.fine[fine&w.fmask]); e < at {
+		if e := w.earliestLocked(&w.fine[fine&fineMask]); e < at {
 			at = e
 		}
 	}
@@ -739,27 +693,54 @@ func (w *Wheel) fireBatch(batch []firing, collectedAt time.Duration) {
 	}
 }
 
-// advance is the one expiry step of both modes, run by the real-clock
-// driver or by the virtual wake event: collect what is due, ask for the
-// next wake, and fire with the lock released.
-func (w *Wheel) advance() {
+// advance is the virtual wake event: one expiry step (see step).
+func (w *Wheel) advance() { w.step() }
+
+// step is the one expiry step of both modes, run by the real-clock driver
+// or, through advance, by the virtual wake event: collect what is due, ask
+// for the next wake, and fire with the lock released. It reports the stamp
+// of the delivery in flight that held a due deadline back, noWake when
+// none did; the driver then waits for that delivery to end (driver.await).
+func (w *Wheel) step() (held time.Duration) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		return
+		return noWake
 	}
 	w.cancelWakeLocked() // the request being served
 	now := w.clk.Now()
+	limit := w.limit(now)
 	w.wakeups++
-	batch := w.advanceLocked(now, w.batch[:0])
+	batch := w.advanceLocked(limit, w.batch[:0])
 	w.batch = batch // keep the grown buffer for the next advance
 	if len(batch) > 0 {
 		w.batches++
 	}
+	next := w.nextWakeLocked()
+	held = noWake
+	if limit < now && next <= now {
+		held = limit
+	}
 	// The driver needs no poke: it is the caller.
-	w.requestWakeLocked(w.nextWakeLocked())
+	w.requestWakeLocked(next)
 	w.mu.Unlock()
 	w.fireBatch(batch, now)
+	return held
+}
+
+// limit is the latest instant an advance at now may expire up to: now, or
+// the earliest stamp of a delivery still in flight if that is earlier and
+// younger than MaxHold. It reads the clock before the stamps, as delivery
+// publishes a stamp before taking it: a delivery this read misses was
+// stamped after now.
+func (w *Wheel) limit(now time.Duration) time.Duration {
+	if w.inFlight == nil {
+		return now
+	}
+	if at := w.inFlight(); at < now && now-at <= MaxHold {
+		return at
+	}
+	return now
 }
 
 // requestWakeLocked makes sure the wheel is advanced no later than at. In

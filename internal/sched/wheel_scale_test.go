@@ -58,28 +58,30 @@ func checkWheelConsistency(t *testing.T, w *Wheel) {
 }
 
 // TestEngineEquivalenceWideGeometry replays the canonical trace — plus
-// ops targeting the 1M profile's wider level edges — on the 1024/256
-// geometry, against the engine's exact heap. The widened wheel must stay
-// bit-identical through the bitmap skip-scan.
+// ops at the far edges of the 2048 × 128 geometry: the last coarse slot,
+// a re-arm across the whole span, deadlines several fine windows out — at
+// the monitor's 100 µs tick, against the engine's exact heap. The wheel
+// must stay bit-identical through the bitmap skip-scan.
 func TestEngineEquivalenceWideGeometry(t *testing.T) {
-	tick := time.Millisecond
-	const wfs, wcs = 1024, 256
+	tick := 100 * time.Microsecond
+	const wfs, span = fineSlots, wheelSpan
 	ops := append(equivalenceTrace(tick),
 		traceOp{label: "wide-fine-edge", delay: wfs * tick},
 		traceOp{label: "wide-coarse-a", delay: (wfs + 17) * tick, chain: 3 * tick},
-		traceOp{label: "wide-coarse-edge", delay: wfs * wcs * tick},
-		traceOp{label: "wide-overflow", delay: (wfs*wcs + 999) * tick},
-		traceOp{label: "wide-moved", delay: 2 * wfs * tick, rescheduleAt: wfs * tick, rescheduleTo: wfs * wcs * tick},
+		traceOp{label: "wide-coarse-last", delay: (span - wfs/2) * tick},
+		traceOp{label: "wide-coarse-edge", delay: span * tick},
+		traceOp{label: "wide-overflow", delay: (span + 999) * tick},
+		traceOp{label: "wide-moved", delay: 2 * wfs * tick, rescheduleAt: wfs * tick, rescheduleTo: span * tick},
 		traceOp{label: "wide-off-wrap-slot", delay: 3*wfs*tick - 2*tick/5},
 		traceOp{label: "wide-off-coarse", delay: (wfs+300)*tick + tick/7, chain: 2*tick + tick/3},
-		traceOp{label: "wide-off-overflow", delay: (wfs*wcs+5000)*tick + tick/2},
+		traceOp{label: "wide-off-overflow", delay: (span+5000)*tick + tick/2},
 	)
 
 	heapEng := sim.NewEngine()
 	heapLog := runTrace(t, heapEng, heapEng, ops)
 
 	wheelEng := sim.NewEngine()
-	w := NewWheel(Config{Clock: wheelEng, Tick: tick, FineSlots: wfs, CoarseSlots: wcs})
+	w := NewWheel(Config{Clock: wheelEng, Tick: tick})
 	wheelLog := runTrace(t, wheelEng, w, ops)
 
 	if len(heapLog) != len(wheelLog) {
@@ -101,16 +103,15 @@ func TestEngineEquivalenceWideGeometry(t *testing.T) {
 	checkWheelConsistency(t, w)
 }
 
-// TestCoarseHorizonWrapCascade pins the cascade at the widened wheel's
-// full-span wrap: a deadline exactly at span lands in the last coarse
-// slot and must cascade down and fire exactly at span, while a deadline
-// one tick past it waits on overflow and fires one tick later.
+// TestCoarseHorizonWrapCascade pins the cascade at the wheel's full-span
+// wrap: a deadline exactly at span lands in the last coarse slot and must
+// cascade down and fire exactly at span, while a deadline one tick past it
+// waits on overflow and fires one tick later.
 func TestCoarseHorizonWrapCascade(t *testing.T) {
-	tick := time.Millisecond
-	const wfs, wcs = 1024, 256
-	span := time.Duration(wfs*wcs) * tick
+	tick := 100 * time.Microsecond
+	span := time.Duration(wheelSpan) * tick
 	eng := sim.NewEngine()
-	w := NewWheel(Config{Clock: eng, Tick: tick, FineSlots: wfs, CoarseSlots: wcs})
+	w := NewWheel(Config{Clock: eng, Tick: tick})
 
 	var fired []fireEntry
 	w.AfterFunc(span, func() { fired = append(fired, fireEntry{"at-span", eng.Now()}) })
@@ -221,7 +222,10 @@ func TestSkippedSlotFIFO(t *testing.T) {
 // the slot lists. Run under -race in CI's churn job.
 func TestConcurrentCancelWhileCascading(t *testing.T) {
 	clk := sim.NewRealClock()
-	w := NewWheel(Config{Clock: clk, Tick: 100 * time.Microsecond, FineSlots: 64, CoarseSlots: 16})
+	// A 2 µs tick shrinks the fine window to ~4 ms and the span to ~0.5 s,
+	// so the 150-ms hammer crosses dozens of wrap cascades.
+	const tick = 2 * time.Microsecond
+	w := NewWheel(Config{Clock: clk, Tick: tick})
 	defer w.Close()
 
 	const workers, perWorker = 8, 32
@@ -242,10 +246,10 @@ func TestConcurrentCancelWhileCascading(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					// Fine window: contends with the skip-scan.
-					tm.Reschedule(time.Duration(rng.Intn(60)+1) * 100 * time.Microsecond)
+					tm.Reschedule(time.Duration(rng.Intn(fineSlots-1)+1) * tick)
 				case 1:
 					// Coarse/overflow: contends with the cascade walk.
-					tm.Reschedule(time.Duration(rng.Intn(4000)+64) * 100 * time.Microsecond)
+					tm.Reschedule(time.Duration(rng.Intn(wheelSpan)+fineSlots) * tick)
 				case 2:
 					tm.(*Timer).Stop()
 				}
@@ -357,14 +361,18 @@ func waitDrivers(t *testing.T, want int) {
 	}
 }
 
-// TestSharedDriverLifecycle runs eight real-clock wheels on their one
-// driver: no goroutine exists before the first arm, exactly one while any
-// wheel holds a deadline, none once the last deadline has fired or been
-// stopped — and a deadline armed on one wheel while the driver sleeps on
-// another wheel's far-off one is not slept through. Run under -race in CI.
+// TestSharedDriverLifecycle runs eight real-clock wheels at once, every
+// wheel's deadlines sharing that wheel's one driver: no goroutine exists
+// before the first arm, one per wheel holding a deadline, none once the
+// last deadline has fired or been stopped — and a deadline armed while a
+// driver sleeps on a far-off one is not slept through. Run under -race in
+// CI.
 func TestSharedDriverLifecycle(t *testing.T) {
 	waitDrivers(t, 0) // earlier tests' drivers wind down on their own
-	wheels := NewWheels(8, Config{Clock: sim.NewRealClock(), Tick: time.Millisecond})
+	wheels := make([]*Wheel, 8)
+	for i := range wheels {
+		wheels[i] = NewWheel(Config{Clock: sim.NewRealClock(), Tick: time.Millisecond})
+	}
 	defer func() {
 		for _, w := range wheels {
 			w.Close()
@@ -377,22 +385,22 @@ func TestSharedDriverLifecycle(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, w := range wheels {
 		wg.Add(1)
-		w.AfterFunc(time.Duration(20+i)*time.Millisecond+137*time.Microsecond, wg.Done)
+		w.AfterFunc(time.Duration(200+i)*time.Millisecond+137*time.Microsecond, wg.Done)
 	}
-	waitDrivers(t, 1)
+	waitDrivers(t, len(wheels))
 	wg.Wait()
 	waitDrivers(t, 0)
 
-	// The driver parks on wheel 0's far-off deadline; wheel 5 is then armed
-	// with a near one. Its poke must reach the sleeping driver.
-	far := wheels[0].AfterFunc(time.Hour, func() { t.Error("far-off timer fired") })
+	// Wheel 5's driver parks on a far-off deadline; a near one armed then
+	// must poke it awake.
+	far := wheels[5].AfterFunc(time.Hour, func() { t.Error("far-off timer fired") })
 	waitDrivers(t, 1)
 	near := make(chan struct{})
 	wheels[5].AfterFunc(2*time.Millisecond, func() { close(near) })
 	select {
 	case <-near:
 	case <-time.After(5 * time.Second):
-		t.Fatal("deadline armed on another wheel than the one slept on was lost")
+		t.Fatal("deadline armed while the driver slept on a far-off one was lost")
 	}
 	if n := driverGoroutines(); n != 1 {
 		t.Fatalf("%d driver goroutines with one deadline left, want 1", n)

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -499,4 +501,45 @@ func TestRescheduleAt(t *testing.T) {
 	if len(rfires) != 1 || rfires[0] != 75*time.Millisecond {
 		t.Fatalf("retimer fires = %v, want exactly one at 75ms", rfires)
 	}
+}
+
+// TestInFlightHoldsExpiry pins the real-clock driver's hold: while a
+// delivery stamped before a deadline is in flight the deadline does not
+// fire, it fires once the delivery ends, and a delivery stuck for good
+// holds it back no longer than MaxHold.
+func TestInFlightHoldsExpiry(t *testing.T) {
+	clk := sim.NewRealClock()
+	var stamp atomic.Int64
+	stamp.Store(math.MaxInt64)
+	w := NewWheel(Config{Clock: clk, Tick: 100 * time.Microsecond,
+		InFlight: func() time.Duration { return time.Duration(stamp.Load()) }})
+	defer w.Close()
+
+	fired := make(chan time.Duration, 1)
+	stamp.Store(int64(clk.Now()))
+	w.AfterFunc(2*time.Millisecond, func() { fired <- clk.Now() })
+	select {
+	case at := <-fired:
+		t.Fatalf("deadline fired at %v while a delivery stamped before it was in flight", at)
+	case <-time.After(30 * time.Millisecond):
+	}
+	stamp.Store(math.MaxInt64)
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("deadline never fired after the delivery ended")
+	}
+
+	held := clk.Now()
+	stamp.Store(int64(held))
+	w.AfterFunc(2*time.Millisecond, func() { fired <- clk.Now() })
+	select {
+	case at := <-fired:
+		if at-held < MaxHold {
+			t.Errorf("deadline fired %v after a stuck delivery's stamp, want at least MaxHold (%v)", at-held, MaxHold)
+		}
+	case <-time.After(MaxHold + 5*time.Second):
+		t.Fatal("a stuck delivery held expiry back past MaxHold")
+	}
+	waitWheelEmpty(t, w)
 }

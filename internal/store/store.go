@@ -103,7 +103,7 @@ type Store struct {
 	retired     atomic.Uint64
 
 	mu       sync.Mutex
-	byName   map[string]uint32
+	byName   map[string]*PeerRecorder // one recorder per interned name
 	byID     map[uint32]string
 	nextPeer uint32
 	segs     []*segMeta // sealed segments, ascending seq
@@ -154,7 +154,7 @@ func Open(cfg Config) (*Store, error) {
 		syncCh:   make(chan chan error),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
-		byName:   make(map[string]uint32),
+		byName:   make(map[string]*PeerRecorder),
 		byID:     make(map[uint32]string),
 		nextPeer: 1, // id 0 is reserved for global (crash/restore) records
 		batch:    make([]Record, writerBatch),
@@ -194,7 +194,7 @@ func (s *Store) recover() error {
 		path := segName(s.dir, seq)
 		meta, err := scanSegment(path, -1, func(rec Record, name string) error {
 			if rec.Kind == recPeerDef && name != "" {
-				s.byName[name] = rec.Peer
+				s.byName[name] = &PeerRecorder{s: s, id: rec.Peer}
 				s.byID[rec.Peer] = name
 				if rec.Peer >= s.nextPeer {
 					s.nextPeer = rec.Peer + 1
@@ -251,23 +251,24 @@ func (s *Store) openSegment(seq uint64) error {
 	return nil
 }
 
-// Recorder interns a peer name and returns its hot-path write handle.
-// Called at peer-add time, never per heartbeat. Nil-safe: a nil store
-// returns a nil recorder, whose methods are no-ops.
+// Recorder interns a peer name and returns its hot-path write handle: the
+// same handle for every call with that name, so only the first call
+// allocates. Never per heartbeat: a detector keeps its handle. Nil-safe: a
+// nil store returns a nil recorder, whose methods are no-ops.
 func (s *Store) Recorder(peer string) *PeerRecorder {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	id, ok := s.byName[peer]
+	defer s.mu.Unlock()
+	r, ok := s.byName[peer]
 	if !ok {
-		id = s.nextPeer
+		r = &PeerRecorder{s: s, id: s.nextPeer}
 		s.nextPeer++
-		s.byName[peer] = id
-		s.byID[id] = peer
+		s.byName[peer] = r
+		s.byID[r.id] = peer
 	}
-	s.mu.Unlock()
-	return &PeerRecorder{s: s, id: id}
+	return r
 }
 
 // PeerRecorder is the per-peer hot-path handle: one ring push per call,

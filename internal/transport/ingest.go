@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"math"
 	"net"
 	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,6 +46,46 @@ type ingestState struct {
 	unknownSrc atomic.Uint64 // datagrams from addresses that are not registered peers
 
 	batchHist *telemetry.Histogram // datagrams per drain cycle
+
+	// stamps holds one slot per delivery path (reader or injector): the
+	// receive stamp of the batch it is delivering, noStamp while idle.
+	// Copy-on-write, so InFlight reads it without a lock.
+	stampMu sync.Mutex
+	stamps  atomic.Pointer[[]*atomic.Int64]
+}
+
+// noStamp marks a delivery path with no batch in flight.
+const noStamp = math.MaxInt64
+
+// newStamp registers one more delivery path and returns its slot.
+func (ig *ingestState) newStamp() *atomic.Int64 {
+	s := new(atomic.Int64)
+	s.Store(noStamp)
+	ig.stampMu.Lock()
+	defer ig.stampMu.Unlock()
+	var next []*atomic.Int64
+	if old := ig.stamps.Load(); old != nil {
+		next = append(next, *old...)
+	}
+	next = append(next, s)
+	ig.stamps.Store(&next)
+	return s
+}
+
+// InFlight reports the earliest receive stamp of a batch still being
+// delivered, math.MaxInt64 when none is: the hold a monitor's timing wheel
+// honours (sched.Config.InFlight), so that no deadline expires while a
+// heartbeat stamped before it waits on a stalled delivery.
+func (n *UDPNetwork) InFlight() time.Duration {
+	at := time.Duration(noStamp)
+	if p := n.ingest.stamps.Load(); p != nil {
+		for _, s := range *p {
+			if v := time.Duration(s.Load()); v < at {
+				at = v
+			}
+		}
+	}
+	return at
 }
 
 // IngestStats is a snapshot of the receive pipeline's health counters.
@@ -165,11 +207,16 @@ func (n *UDPNetwork) releaseBatch(batch []pending) {
 // The lock is never held across the delivery or a syscall
 // (internal/analysis.MutexHold enforces this shape repo-wide). msgs is the
 // caller's scratch for the delivered run, capacity at least len(batch).
-func (n *UDPNetwork) processBatch(batch []pending, msgs []*neko.Message) {
+// inflight is the caller's InFlight slot: it holds a lower bound of the
+// batch's stamp from before the stamp is taken until the delivery ends.
+// The expiry driver reads its clock before the slots, so it either sees
+// this batch or read a time no later than its stamp.
+func (n *UDPNetwork) processBatch(batch []pending, msgs []*neko.Message, inflight *atomic.Int64) {
 	if len(batch) == 0 {
 		return
 	}
 	ig := n.ingest
+	inflight.Store(int64(n.clk.Now()))
 	stamp := n.clk.Now()
 	ig.drains.Add(1)
 	ig.batchHist.Observe(float64(len(batch)))
@@ -210,6 +257,7 @@ func (n *UDPNetwork) processBatch(batch []pending, msgs []*neko.Message) {
 	if len(msgs) > 0 {
 		n.deliver(msgs, stamp)
 	}
+	inflight.Store(noStamp)
 }
 
 // deliver hands one same-stamp batch to the attached receiver, preferring
@@ -258,17 +306,20 @@ func (n *UDPNetwork) deliver(batch []*neko.Message, at time.Duration) {
 // benchmarks and tests. It reuses one scratch batch, so a single Injector
 // must not be shared across goroutines.
 type Injector struct {
-	n     *UDPNetwork
-	batch []pending
-	msgs  []*neko.Message // claimed messages, then processBatch's delivery scratch
+	n        *UDPNetwork
+	batch    []pending
+	msgs     []*neko.Message // claimed messages, then processBatch's delivery scratch
+	inflight *atomic.Int64
 }
 
-// NewInjector returns a packet injector for this endpoint.
+// NewInjector returns a packet injector for this endpoint. Like a reader,
+// it registers an InFlight slot for the endpoint's lifetime, so make few.
 func (n *UDPNetwork) NewInjector() *Injector {
 	return &Injector{
-		n:     n,
-		batch: make([]pending, 0, maxDrainBatch),
-		msgs:  make([]*neko.Message, maxDrainBatch),
+		n:        n,
+		batch:    make([]pending, 0, maxDrainBatch),
+		msgs:     make([]*neko.Message, maxDrainBatch),
+		inflight: n.ingest.newStamp(),
 	}
 }
 
@@ -296,7 +347,7 @@ func (in *Injector) InjectBatch(pkts [][]byte, srcs []netip.AddrPort) {
 			}
 			in.batch = append(in.batch, pending{m: m, sentUnix: sentUnix, src: unmapAP(srcs[i])})
 		}
-		n.processBatch(in.batch, in.msgs)
+		n.processBatch(in.batch, in.msgs, in.inflight)
 		pkts, srcs = pkts[chunk:], srcs[chunk:]
 	}
 }

@@ -116,6 +116,7 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 	stash := make([]*neko.Message, maxDrainBatch)
 	stashN := 0
 	msgs := make([]*neko.Message, 0, maxDrainBatch)
+	inflight := n.ingest.newStamp()
 	var fatal error
 	// One closure for the life of the loop: allocating it (and the escaping
 	// fatal slot) per drain cycle would cost two heap objects per cycle.
@@ -175,7 +176,7 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 			n.releaseBatch(batch)
 			return
 		}
-		n.processBatch(batch, msgs)
+		n.processBatch(batch, msgs, inflight)
 		if fatal != nil {
 			// Transient datagram-level errors (e.g. ICMP-induced) are
 			// survivable: keep serving.

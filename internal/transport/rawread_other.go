@@ -17,6 +17,7 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 	buf := make([]byte, maxPacketSize)
 	batch := make([]pending, 0, 1)
 	msgs := make([]*neko.Message, 0, 1)
+	inflight := n.ingest.newStamp()
 	for {
 		nb, src, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -36,6 +37,6 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 			continue
 		}
 		batch = append(batch[:0], pending{m: m, sentUnix: sentUnix, src: unmapAP(src)})
-		n.processBatch(batch, msgs)
+		n.processBatch(batch, msgs, inflight)
 	}
 }

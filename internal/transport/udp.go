@@ -12,7 +12,6 @@ import (
 	"wanfd/internal/arena"
 	"wanfd/internal/clock"
 	"wanfd/internal/neko"
-	"wanfd/internal/sched"
 	"wanfd/internal/sim"
 	"wanfd/internal/telemetry"
 )
@@ -82,10 +81,6 @@ type UDPNetwork struct {
 	epoch     time.Time
 	epochNano int64
 	clk       *sim.RealClock
-	// timers schedules the endpoint's own deadlines (the SyncWith round
-	// timeout) on a timing wheel of its own. Its driver goroutine is lazy:
-	// an endpoint that never syncs never starts it.
-	timers *sched.Wheel
 
 	// peerMu guards the peer table, which is mutable at runtime (AddPeer/
 	// RemovePeer) so a cluster monitor can change membership without
@@ -158,7 +153,6 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 		epoch:     clk.Epoch(),
 		epochNano: clk.Epoch().UnixNano(),
 		clk:       clk,
-		timers:    sched.NewWheel(sched.Config{Clock: clk}),
 		pending:   make(map[int64]chan clock.Sample),
 		closed:    make(chan struct{}),
 	}
@@ -445,7 +439,7 @@ func (n *UDPNetwork) SyncWith(peer neko.ProcessID, rounds int, timeout time.Dura
 			return 0, fmt.Errorf("transport: sync send: %w", err)
 		}
 		timedOut := make(chan struct{})
-		tmr := n.timers.AfterFunc(timeout, func() { close(timedOut) })
+		tmr := n.clk.AfterFunc(timeout, func() { close(timedOut) })
 		select {
 		case s := <-ch:
 			tmr.Stop()
@@ -497,7 +491,6 @@ func (n *UDPNetwork) Close() error {
 	default:
 	}
 	close(n.closed)
-	n.timers.Close()
 	err := n.conn.Close()
 	for _, c := range n.readers[1:] {
 		_ = c.Close()

@@ -58,9 +58,9 @@ type ClusterSnapshot struct {
 
 // peerNameHash hashes a peer name with an inline 64-bit FNV-1a
 // (allocation-free on the query path, unlike hash/fnv over a copied
-// name). The low bits pick the shard; the full hash keys the shard's
-// open-addressed table, where names that collide on the hash coexist and
-// are disambiguated by string comparison.
+// name). The hash keys the monitor's open-addressed peer table, where
+// names that collide on the hash coexist and are disambiguated by string
+// comparison.
 func peerNameHash(name string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
@@ -70,24 +70,24 @@ func peerNameHash(name string) uint64 {
 	return h
 }
 
-// peerEntry is one peer's whole record, a slot of its shard's arena: the
+// peerEntry is one peer's whole record, a slot of the monitor's arena: the
 // freshness-point detector by value — mutex, deadline, counters and wheel
 // timer handle included — so a default peer is this slot plus its predictor
-// and its margin. Delivery reaches the slot without the shard lock, possibly
+// and its margin. Delivery reaches the slot without the table lock, possibly
 // after the slot has changed hands, which the arena's type-stable memory
 // (never moved, freed or zeroed: see arena.Release) and mu make safe.
 type peerEntry struct {
 	// mu orders delivery against the slot changing hands: under it, delivery
 	// compares its handle with self and walks away from a mismatch. Never
-	// overwritten. Lock order: shard read lock (queries) → mu → the
-	// detector's own mutex; never mu under a shard write lock.
+	// overwritten. Lock order: table read lock (queries) → mu → the
+	// detector's own mutex; never mu under the table write lock.
 	mu sync.Mutex
 	// self is the arena index of the peer this slot serves; Nil while the
 	// slot is free, being built or being torn down. Guarded by mu.
 	self arena.Index
-	// id is the peer's process id while the entry is in the shard's name
-	// table, zero otherwise: what tells a walk over the arena that a slot is
-	// a member. Guarded by the shard lock.
+	// id is the peer's process id while the entry is in the name table,
+	// zero otherwise: what tells a walk over the arena that a slot is a
+	// member. Guarded by the table lock.
 	id neko.ProcessID
 	// det is the peer's detector unless acc is set: a φ-accrual peer keeps
 	// its windowed detector out of line. ctrl is the interval controller,
@@ -166,45 +166,6 @@ func (s *sink) transition(peer string, suspected bool, at time.Duration) {
 	}
 }
 
-// peerShard is one lane of the peer table: entries live in an
-// index-addressed arena and the name-keyed open-addressed table maps
-// hashes to arena indices (see internal/arena). mu guards the table, the
-// arena's bookkeeping and every entry's id. env is what the shard's
-// detectors share: the shard's wheel as clock, the sink, the timeout floor.
-type peerShard struct {
-	mu   sync.RWMutex
-	tab  *arena.Map64
-	ents *arena.Arena[peerEntry]
-	env  *core.DetectorEnv
-}
-
-// find resolves a name to its arena index. Callers hold mu.
-func (s *peerShard) find(h uint64, name string) (arena.Index, bool) {
-	return s.tab.Find(h, func(i arena.Index) bool { return s.ents.Get(i).detector().Name() == name })
-}
-
-// each calls f for every member of the shard, under its read lock — an
-// entry's own locks nest safely inside it.
-func (s *peerShard) each(f func(*peerEntry)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.ents.Range(func(_ arena.Index, e *peerEntry) bool {
-		if e.id != 0 {
-			f(e)
-		}
-		return true
-	})
-}
-
-// handleShardShift is where a peer handle keeps its shard number: above the
-// arena index, whose slot number (bits 32 and up) stays below 2^26.
-const handleShardShift = 58
-
-// peerHandle packs the token the transport stamps on a peer's messages.
-func peerHandle(shard uint64, idx arena.Index) uint64 {
-	return shard<<handleShardShift | uint64(idx)
-}
-
 // MultiMonitor is a running multi-peer UDP failure detector with dynamic
 // membership: AddPeer and RemovePeer change the monitored set at runtime
 // without dropping the socket or perturbing other peers' timers. All
@@ -212,21 +173,27 @@ func peerHandle(shard uint64, idx arena.Index) uint64 {
 type MultiMonitor struct {
 	net *transport.UDPNetwork
 	// sender is the endpoint's send side, for the interval controllers.
-	sender    neko.Sender
-	ctx       *neko.Context
-	opts      options
-	nextID    atomic.Int64 // next peer ProcessID; monotonic, never reused
-	shards    []peerShard
-	shardMask uint64
-	listener  *sink // every peer's detector reports to it
+	sender neko.Sender
+	ctx    *neko.Context
+	opts   options
+	nextID atomic.Int64 // next peer ProcessID; monotonic, never reused
+	// The peer table: entries live in an index-addressed arena and the
+	// name-keyed open-addressed table maps name hashes to arena indices (see
+	// internal/arena). mu guards the table, the arena's bookkeeping and
+	// every entry's id.
+	mu   sync.RWMutex
+	tab  *arena.Map64
+	ents *arena.Arena[peerEntry]
+	// wheel is the timing wheel every peer deadline runs on; its one lazily
+	// started driver goroutine expires them. env is what the detectors
+	// share: the wheel as clock, the sink, the timeout floor.
+	wheel    *sched.Wheel
+	env      *core.DetectorEnv
+	listener *sink // every peer's detector reports to it
 	// undelivered counts messages from a registered address that reached no
 	// detector: they raced their peer's removal or arrived before it went
 	// live, or nothing here consumes their type.
 	undelivered atomic.Uint64
-	// wheels are the per-shard timing wheels all peer deadlines run on:
-	// shard i's detectors schedule on wheels[i], and one lazily started
-	// driver goroutine expires the deadlines of all of them.
-	wheels []*sched.Wheel
 
 	// Cluster-level telemetry; every field is nil (a no-op) when the
 	// monitor was built without WithTelemetry.
@@ -238,6 +205,11 @@ type MultiMonitor struct {
 // multiMonitorID is the local process id of the multi-monitor; peers get
 // ids above it.
 const multiMonitorID neko.ProcessID = 1000
+
+// monitorTick is the monitor's timing-wheel tick: the width of the bucket a
+// deadline that shares a slot with an earlier one waits out, so it bounds
+// what slot sharing adds to a detection time (§2.3's T_D).
+const monitorTick = 100 * time.Microsecond
 
 // NewMultiMonitor opens the socket and starts a cluster monitor: one
 // failure detector per heartbeating peer over one UDP socket. Peers are
@@ -258,7 +230,6 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	// Fold the split callbacks once, so the sink carries a single onChange
 	// closure.
 	o.onChange = foldCallbacks(o.onSuspect, o.onTrust, o.onChange)
-	prof := profileFor(o.expectedPeers)
 	net, err := transport.NewUDPNetwork(transport.UDPConfig{
 		LocalID:       multiMonitorID,
 		Listen:        listen,
@@ -270,10 +241,10 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		return nil, err
 	}
 	mm := &MultiMonitor{
-		net:       net,
-		opts:      o,
-		shards:    make([]peerShard, prof.shards),
-		shardMask: uint64(prof.shards - 1),
+		net:  net,
+		opts: o,
+		tab:  arena.NewMap64(o.expectedPeers),
+		ents: arena.New[peerEntry](),
 	}
 	o.qstore.Instrument(o.telemetry)
 	if reg := o.telemetry; reg != nil {
@@ -285,12 +256,6 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 			func() float64 { return float64(mm.undelivered.Load()) })
 	}
 	mm.nextID.Store(int64(multiMonitorID) + 1)
-	// Pre-size each shard's table for its cut of the expected population.
-	perShard := o.expectedPeers / prof.shards
-	for i := range mm.shards {
-		mm.shards[i].tab = arena.NewMap64(perShard)
-		mm.shards[i].ents = arena.New[peerEntry]()
-	}
 	mm.ctx = &neko.Context{ID: multiMonitorID, Clock: net.Clock()}
 	var onBatch func(int, time.Duration)
 	if reg := o.telemetry; reg != nil {
@@ -298,16 +263,16 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 			"Lateness of an expiry batch: its collection minus its earliest deadline, i.e. how late the driver woke (plus, for a deadline sharing a wheel slot with an earlier one, its wait of under one tick for the slot's boundary visit).", nil)
 		onBatch = func(_ int, l time.Duration) { lag.Observe(l.Seconds()) }
 	}
-	mm.wheels = sched.NewWheels(prof.shards, sched.Config{
-		Clock:       net.Clock(),
-		OnBatch:     onBatch,
-		FineSlots:   prof.fineSlots,
-		CoarseSlots: prof.coarseSlots,
+	mm.wheel = sched.NewWheel(sched.Config{
+		Clock:    net.Clock(),
+		Tick:     monitorTick,
+		OnBatch:  onBatch,
+		InFlight: net.InFlight,
 	})
 	if reg := o.telemetry; reg != nil {
 		reg.GaugeFunc(telemetry.MetricSchedTimers,
-			"Deadlines currently queued across the shard timing wheels.",
-			func() float64 { return float64(mm.SchedulerStats().Timers) })
+			"Deadlines currently queued on the timing wheel.",
+			func() float64 { return float64(mm.SchedulerStats().Scheduled) })
 		reg.CounterFunc(telemetry.MetricSchedFired,
 			"Timing-wheel timers expired.",
 			func() float64 { return float64(mm.SchedulerStats().Fired) })
@@ -315,32 +280,28 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 			"Timers migrated between timing-wheel levels.",
 			func() float64 { return float64(mm.SchedulerStats().Cascades) })
 		reg.GaugeFunc(telemetry.MetricSchedMaxSlot,
-			"High-water mark of deadlines sharing one wheel slot on any shard.",
+			"High-water mark of deadlines sharing one wheel slot.",
 			func() float64 { return float64(mm.SchedulerStats().MaxSlotOccupancy) })
 		reg.CounterFunc(telemetry.MetricSchedSlotsSkipped,
 			"Empty wheel slots crossed by bitmap skip-scan instead of probing.",
 			func() float64 { return float64(mm.SchedulerStats().SlotsSkipped) })
 		reg.CounterFunc(telemetry.MetricSchedWakeups,
-			"Shard wheel advances by the expiry driver: one at an occupied slot's earliest deadline, at most one more at its tick boundary.",
+			"Wheel advances by the expiry driver: one at an occupied slot's earliest deadline, at most one more at its tick boundary.",
 			func() float64 { return float64(mm.SchedulerStats().Wakeups) })
 		reg.GaugeFunc(telemetry.MetricSchedFineOccupied,
-			"Fine-level wheel slots currently holding deadlines, summed over shards.",
-			func() float64 { return float64(mm.SchedulerStats().FineSlotsOccupied) })
+			"Fine-level wheel slots currently holding deadlines.",
+			func() float64 { return float64(mm.SchedulerStats().FineOccupied) })
 		reg.GaugeFunc(telemetry.MetricSchedCoarseOccupied,
-			"Coarse-level wheel slots currently holding deadlines, summed over shards.",
-			func() float64 { return float64(mm.SchedulerStats().CoarseSlotsOccupied) })
+			"Coarse-level wheel slots currently holding deadlines.",
+			func() float64 { return float64(mm.SchedulerStats().CoarseOccupied) })
 		reg.GaugeFunc(telemetry.MetricSchedOverflow,
-			"Deadlines parked beyond the wheel horizon, summed over shards.",
+			"Deadlines parked beyond the wheel horizon.",
 			func() float64 { return float64(mm.SchedulerStats().OverflowTimers) })
 	}
 	mm.listener = &sink{onChange: o.onChange, reg: o.telemetry, qstore: o.qstore}
-	for i := range mm.shards {
-		// The deadlines of a shard's peers run on the shard's wheel, so
-		// membership churn and timer load distribute identically.
-		if mm.shards[i].env, err = core.NewDetectorEnv(mm.wheels[i], mm.listener, o.minTimeout); err != nil {
-			_ = mm.Close()
-			return nil, err
-		}
+	if mm.env, err = core.NewDetectorEnv(mm.wheel, mm.listener, o.minTimeout); err != nil {
+		_ = mm.Close()
+		return nil, err
 	}
 	// The monitor is complete: datagrams may be delivered from here on.
 	if mm.sender, err = net.Attach(multiMonitorID, (*ingress)(mm)); err != nil {
@@ -373,18 +334,34 @@ func (r *ingress) ReceiveBatch(ms []*neko.Message, at time.Duration) {
 }
 
 // deliver is the whole path from the transport to a detector: the handle
-// found beside the source address names the peer's record, and the record
-// decides whether it still serves that peer.
+// found beside the source address is the peer record's arena index, and the
+// record decides whether it still serves that peer.
 func (m *MultiMonitor) deliver(msg *neko.Message, at time.Duration) {
 	if msg.Type == neko.MsgHeartbeat {
-		shard, idx := msg.Handle>>handleShardShift, arena.Index(msg.Handle&(1<<handleShardShift-1))
-		if shard < uint64(len(m.shards)) {
-			if e := m.shards[shard].ents.At(idx); e != nil && e.heartbeat(idx, msg, at) {
-				return
-			}
+		idx := arena.Index(msg.Handle)
+		if e := m.ents.At(idx); e != nil && e.heartbeat(idx, msg, at) {
+			return
 		}
 	}
 	m.undelivered.Add(1)
+}
+
+// find resolves a name to its arena index. Callers hold mu.
+func (m *MultiMonitor) find(h uint64, name string) (arena.Index, bool) {
+	return m.tab.Find(h, func(i arena.Index) bool { return m.ents.Get(i).detector().Name() == name })
+}
+
+// each calls f for every member, under the table's read lock — an entry's
+// own locks nest safely inside it.
+func (m *MultiMonitor) each(f func(*peerEntry)) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	m.ents.Range(func(_ arena.Index, e *peerEntry) bool {
+		if e.id != 0 {
+			f(e)
+		}
+		return true
+	})
 }
 
 // AddPeer starts monitoring one more peer, identified by the source
@@ -398,35 +375,33 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 		return fmt.Errorf("wanfd: empty peer name")
 	}
 	h := peerNameHash(name)
-	si := h & m.shardMask
-	s := &m.shards[si]
-	s.mu.Lock()
-	if _, dup := s.find(h, name); dup {
-		s.mu.Unlock()
+	m.mu.Lock()
+	if _, dup := m.find(h, name); dup {
+		m.mu.Unlock()
 		return fmt.Errorf("wanfd: peer %q already monitored", name)
 	}
-	idx, e := s.ents.Alloc()
-	s.mu.Unlock()
+	idx, e := m.ents.Alloc()
+	m.mu.Unlock()
 	// The slot is reserved, neither live nor published. What follows runs
-	// outside the shard lock until the publication, so queries and same-shard
-	// removals contend only with these two short sections. A failure at any
-	// later step gives the slot back.
+	// outside the table lock until the publication, so queries and removals
+	// contend only with these two short sections. A failure at any later
+	// step gives the slot back.
 	defer func() {
 		if err != nil {
 			e.retire()
-			s.mu.Lock()
-			s.ents.Release(idx)
-			s.mu.Unlock()
+			m.mu.Lock()
+			m.ents.Release(idx)
+			m.mu.Unlock()
 		}
 	}()
 	id := neko.ProcessID(m.nextID.Add(1) - 1)
-	if err := m.build(si, e, name, id); err != nil {
+	if err := m.build(e, name, id); err != nil {
 		return err
 	}
 	// Transport first, so the sync exchange can reach the peer; live only
 	// after it, so the first heartbeat the detector sees is offset-corrected.
 	// Heartbeats in between are dropped — loss the detector tolerates.
-	if err := m.net.AddPeerHandle(id, addr, peerHandle(si, idx)); err != nil {
+	if err := m.net.AddPeerHandle(id, addr, uint64(idx)); err != nil {
 		return err
 	}
 	defer func() {
@@ -443,30 +418,30 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	e.self = idx
 	e.mu.Unlock()
 	// Publish, unless the name was taken while the peer was being built.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.find(h, name); dup {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, dup := m.find(h, name); dup {
 		return fmt.Errorf("wanfd: peer %q already monitored", name)
 	}
 	e.id = id
-	s.tab.Put(h, idx)
+	m.tab.Put(h, idx)
 	if e.acc == nil {
 		m.opts.exportDetector(&e.det)
 	}
 	// The peer's accuracy window opens with its publication, on the clock
 	// its detector stamps transitions with.
 	if reg := m.opts.telemetry; reg != nil {
-		reg.OpenQoS(name, m.wheels[si].Now())
+		reg.OpenQoS(name, m.wheel.Now())
 	}
 	m.mPeerAdds.Inc()
-	// Maintained incrementally: Peers() would re-lock the shard held here.
+	// Maintained incrementally: Peers() would re-lock the table held here.
 	m.mPeers.Add(1)
 	return nil
 }
 
 // build constructs the peer's detector stack in its slot: φ-accrual with
 // WithAccrualThreshold, the paper's freshness-point detector otherwise.
-func (m *MultiMonitor) build(shard uint64, e *peerEntry, name string, id neko.ProcessID) error {
+func (m *MultiMonitor) build(e *peerEntry, name string, id neko.ProcessID) error {
 	o := &m.opts
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -474,7 +449,7 @@ func (m *MultiMonitor) build(shard uint64, e *peerEntry, name string, id neko.Pr
 		acc, err := core.NewAccrualDetector(core.AccrualDetectorConfig{
 			Name:      name,
 			Threshold: o.accrualThreshold,
-			Clock:     m.wheels[shard],
+			Clock:     m.wheel,
 			Listener:  m.listener,
 		})
 		e.acc = acc
@@ -482,7 +457,7 @@ func (m *MultiMonitor) build(shard uint64, e *peerEntry, name string, id neko.Pr
 	}
 	cfg, err := o.detectorConfig(name)
 	if err == nil {
-		cfg.Env = m.shards[shard].env
+		cfg.Env = m.env
 		err = e.det.Init(cfg)
 	}
 	if err != nil || o.targetDetection <= 0 {
@@ -507,16 +482,15 @@ func (m *MultiMonitor) build(shard uint64, e *peerEntry, name string, id neko.Pr
 // the removed peer are ignored.
 func (m *MultiMonitor) RemovePeer(name string) error {
 	h := peerNameHash(name)
-	s := &m.shards[h&m.shardMask]
-	s.mu.Lock()
+	m.mu.Lock()
 	var e *peerEntry
 	var id neko.ProcessID
-	idx, ok := s.tab.Remove(h, func(i arena.Index) bool { return s.ents.Get(i).detector().Name() == name })
+	idx, ok := m.tab.Remove(h, func(i arena.Index) bool { return m.ents.Get(i).detector().Name() == name })
 	if ok {
-		e = s.ents.Get(idx)
+		e = m.ents.Get(idx)
 		id, e.id = e.id, 0
 	}
-	s.mu.Unlock()
+	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("wanfd: unknown peer %q", name)
 	}
@@ -535,88 +509,33 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 		reg.DropSeries("peer", name)
 		reg.CloseQoS(name)
 	}
-	s.mu.Lock()
-	s.ents.Release(idx)
-	s.mu.Unlock()
+	m.mu.Lock()
+	m.ents.Release(idx)
+	m.mu.Unlock()
 	return nil
 }
 
-// SchedulerStats is an aggregate snapshot of a cluster monitor's shard
-// timing wheels.
-type SchedulerStats struct {
-	// Wheels is the number of shard wheels.
-	Wheels int
-	// Timers is the number of deadlines currently queued.
-	Timers int
-	// Fired, Batches and Cascades are lifetime totals: timers expired,
-	// non-empty expiry batches, and timers migrated between wheel levels.
-	Fired, Batches, Cascades uint64
-	// MaxSlotOccupancy is the highest number of deadlines that ever shared
-	// one wheel slot on any shard.
-	MaxSlotOccupancy int
-	// FineSlotsOccupied and CoarseSlotsOccupied sum, over the shards, the
-	// wheel slots whose lists are currently non-empty; OverflowTimers sums
-	// the deadlines parked beyond the wheel horizon.
-	FineSlotsOccupied   int
-	CoarseSlotsOccupied int
-	OverflowTimers      int
-	// SlotsSkipped counts empty slots the bitmap skip-scan crossed without
-	// probing; Wakeups counts wheel advances by the expiry driver (an
-	// occupied slot costs one at its earliest deadline and at most one more
-	// at its boundary).
-	SlotsSkipped uint64
-	Wakeups      uint64
-}
+// SchedulerStats is a snapshot of the monitor's timing-wheel counters.
+type SchedulerStats = sched.Stats
 
-// WheelStats is one shard wheel's counter snapshot, as returned by
-// SchedulerStatsDetail.
-type WheelStats = sched.Stats
+// SchedulerStats snapshots the timing wheel every peer deadline runs on.
+func (m *MultiMonitor) SchedulerStats() SchedulerStats { return m.wheel.Stats() }
 
-// SchedulerStats aggregates the shard wheels' counters.
-func (m *MultiMonitor) SchedulerStats() SchedulerStats {
-	var out SchedulerStats
-	for _, w := range m.wheels {
-		s := w.Stats()
-		out.Wheels++
-		out.Timers += s.Scheduled
-		out.Fired += s.Fired
-		out.Batches += s.Batches
-		out.Cascades += s.Cascades
-		if s.MaxSlotOccupancy > out.MaxSlotOccupancy {
-			out.MaxSlotOccupancy = s.MaxSlotOccupancy
-		}
-		out.FineSlotsOccupied += s.FineSlotsOccupied
-		out.CoarseSlotsOccupied += s.CoarseSlotsOccupied
-		out.OverflowTimers += s.OverflowTimers
-		out.SlotsSkipped += s.SlotsSkipped
-		out.Wakeups += s.Wakeups
-	}
-	return out
-}
-
-// SchedulerStatsDetail returns each shard wheel's own snapshot, indexed by
-// shard, for occupancy and skip-scan analysis at the per-wheel grain the
-// aggregate hides. Like the table SnapshotDetail convention from the peer
-// state layer, the per-shard breakdown is opt-in: SchedulerStats stays the
-// cheap aggregate view.
-func (m *MultiMonitor) SchedulerStatsDetail() []WheelStats {
-	out := make([]WheelStats, len(m.wheels))
-	for i, w := range m.wheels {
-		out[i] = w.Stats()
-	}
-	return out
-}
+// SchedulerStatsDetail is SchedulerStats under the name it had while the
+// monitor ran one wheel per shard.
+//
+// Deprecated: the monitor has one wheel; use SchedulerStats.
+func (m *MultiMonitor) SchedulerStatsDetail() SchedulerStats { return m.SchedulerStats() }
 
 // view runs f on the named peer's entry — the arena's own record — under
-// its shard's read lock, and reports whether the peer exists.
+// the table's read lock, and reports whether the peer exists.
 func (m *MultiMonitor) view(name string, f func(*peerEntry)) bool {
 	h := peerNameHash(name)
-	s := &m.shards[h&m.shardMask]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	idx, ok := s.find(h, name)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	idx, ok := m.find(h, name)
 	if ok {
-		f(s.ents.Get(idx))
+		f(m.ents.Get(idx))
 	}
 	return ok
 }
@@ -657,26 +576,19 @@ func (m *MultiMonitor) status(e *peerEntry) PeerStatus {
 
 // Status returns every peer's state, sorted by peer name. Membership may
 // change concurrently; the result is a consistent per-peer (not
-// cross-peer) snapshot. Statuses are built shard by shard in one pass.
+// cross-peer) snapshot. Statuses are built in one pass over the arena.
 func (m *MultiMonitor) Status() []PeerStatus {
 	out := make([]PeerStatus, 0, m.Peers())
-	for i := range m.shards {
-		m.shards[i].each(func(e *peerEntry) { out = append(out, m.status(e)) })
-	}
+	m.each(func(e *peerEntry) { out = append(out, m.status(e)) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
 }
 
 // Peers returns the current membership size.
 func (m *MultiMonitor) Peers() int {
-	n := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		n += s.tab.Len()
-		s.mu.RUnlock()
-	}
-	return n
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.tab.Len()
 }
 
 // Snapshot aggregates the whole cluster: counts by output, summed
@@ -686,20 +598,18 @@ func (m *MultiMonitor) Peers() int {
 // adds the per-peer breakdown.
 func (m *MultiMonitor) Snapshot() ClusterSnapshot {
 	snap := ClusterSnapshot{Uptime: m.ctx.Clock.Now()}
-	for i := range m.shards {
-		m.shards[i].each(func(e *peerEntry) {
-			snap.Peers++
-			if e.detector().Suspected() {
-				snap.Suspected++
-			} else {
-				snap.Trusted++
-			}
-			st := e.detector().DetectorStats()
-			snap.Totals.Heartbeats += st.Heartbeats
-			snap.Totals.Stale += st.Stale
-			snap.Totals.Suspicions += st.Suspicions
-		})
-	}
+	m.each(func(e *peerEntry) {
+		snap.Peers++
+		if e.detector().Suspected() {
+			snap.Suspected++
+		} else {
+			snap.Trusted++
+		}
+		st := e.detector().DetectorStats()
+		snap.Totals.Heartbeats += st.Heartbeats
+		snap.Totals.Stale += st.Stale
+		snap.Totals.Suspicions += st.Suspicions
+	})
 	return snap
 }
 
@@ -732,14 +642,10 @@ func (m *MultiMonitor) LocalAddr() string { return m.net.LocalAddr().String() }
 // WithTelemetry).
 func (m *MultiMonitor) Telemetry() *telemetry.Registry { return m.opts.telemetry }
 
-// Close stops every detector, shuts the shard timing wheels down, and
-// releases the socket.
+// Close stops every detector, shuts the timing wheel down, and releases
+// the socket.
 func (m *MultiMonitor) Close() error {
-	for i := range m.shards {
-		m.shards[i].each((*peerEntry).stop)
-	}
-	for _, w := range m.wheels {
-		w.Close()
-	}
+	m.each((*peerEntry).stop)
+	m.wheel.Close()
 	return m.net.Close()
 }

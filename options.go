@@ -46,38 +46,9 @@ type options struct {
 	// readers is the SO_REUSEPORT reader-socket count (see PipelineConfig);
 	// zero selects a single reader.
 	readers int
-	// expectedPeers sizes the cluster monitor's scale profile (see
-	// PipelineConfig.ExpectedPeers); zero selects the default geometry.
+	// expectedPeers pre-sizes the cluster monitor's peer tables (see
+	// PipelineConfig.ExpectedPeers).
 	expectedPeers int
-}
-
-// scaleProfile is the geometry a cluster monitor derives from the
-// expected peer count: how many ways the peer table fans out (one timing
-// wheel per shard), and how wide those wheels are. The shard count is a power of
-// two (lookups mask, not modulo); zero wheel slots select the scheduler
-// defaults (256 fine / 64 coarse).
-type scaleProfile struct {
-	shards      int
-	fineSlots   int
-	coarseSlots int
-}
-
-// profileFor maps an expected peer count onto a scale profile. The zero
-// count (and anything up to ~32k peers) keeps the geometry every monitor
-// ran with before profiles existed, so existing deployments see no
-// behavior change; above that the shard counts and wheel widths grow so
-// per-shard population — and with it lock contention, probe lengths and
-// wheel slot occupancy — stays in the range the small tiers were tuned
-// for.
-func profileFor(expectedPeers int) scaleProfile {
-	switch {
-	case expectedPeers > 1<<18: // the 1M tier
-		return scaleProfile{shards: 64, fineSlots: 1024, coarseSlots: 256}
-	case expectedPeers > 1<<15: // the 100k tier
-		return scaleProfile{shards: 32, fineSlots: 512, coarseSlots: 128}
-	default:
-		return scaleProfile{shards: 16}
-	}
 }
 
 // peerSpec is one initial cluster member.
@@ -154,24 +125,26 @@ func WithMinTimeout(d time.Duration) Option {
 // WithOnChange installs the per-peer transition callback invoked on any
 // suspicion change; it must not block, and it must not call back into the
 // monitor. The callback runs with its peer's record locked: Status,
-// Snapshot, PeerStatusOf and Suspected take a shard's read lock and then
-// that record's, AddPeer and RemovePeer wait for the shard's write lock —
+// Snapshot, PeerStatusOf and Suspected take the peer table's read lock and
+// then that record's, AddPeer and RemovePeer wait for its write lock —
 // so a callback that queries the monitor while another goroutine adds a
 // peer is a three-party deadlock, and one that asks about its own peer
 // deadlocks by itself. Hand the event to another goroutine (a buffered
-// channel, a queue) and do the work there. Trust transitions run on the socket
-// reader goroutine that received the heartbeat, so a callback that blocks
-// there stalls reception for every peer on that socket — the kernel buffer
-// then overflows and the loss is counted in IngestStats.KernelDrops.
+// channel, a queue) and do the work there. Trust transitions run on the
+// socket reader goroutine that received the heartbeat, so a callback that
+// blocks there stalls reception for every peer on that socket — the kernel
+// buffer then overflows and the loss is counted in IngestStats.KernelDrops
+// — and, since no deadline expires past the stamp of a batch still being
+// delivered, it holds back every later suspicion too, for at most one
+// second: the heartbeats behind it in its batch were received in time.
 // Suspicions run on the monitor's one expiry driver, the goroutine that
-// fires the deadlines of every shard: a callback that blocks there delays
-// every later suspicion of the whole monitor, not one shard's. It cannot
-// delay reception or trust transitions, which stay on the reader — a
-// heartbeat that arrives meanwhile still re-arms its peer's deadline, so a
-// stalled suspicion callback postpones suspicions but never turns a live
-// peer into a suspect. On a single-peer Monitor the peer argument is
-// the remote address. When WithOnSuspect/WithOnTrust are set too, they fire
-// first.
+// fires every peer's deadline: a callback that blocks there delays every
+// later suspicion of the whole monitor. It cannot delay reception or trust
+// transitions, which stay on the reader — a heartbeat that arrives
+// meanwhile still re-arms its peer's deadline, so a stalled suspicion
+// callback postpones suspicions but never turns a live peer into a
+// suspect. On a single-peer Monitor the peer argument is the remote
+// address. When WithOnSuspect/WithOnTrust are set too, they fire first.
 func WithOnChange(fn func(peer string, suspected bool, elapsed time.Duration)) Option {
 	return func(o *options) { o.onChange = fn }
 }
@@ -180,8 +153,8 @@ func WithOnChange(fn func(peer string, suspected bool, elapsed time.Duration)) O
 // the peer (the natural form for a single-peer Monitor; on a cluster it
 // fires for every peer); it must not block or call any method of the
 // monitor: it runs on the monitor's one expiry driver and delays every other
-// deadline of the monitor, on every shard (never reception or trust
-// transitions), with its peer's record locked (see WithOnChange).
+// deadline of the monitor (never reception or trust transitions), with its
+// peer's record locked (see WithOnChange).
 func WithOnSuspect(fn func(elapsed time.Duration)) Option {
 	return func(o *options) { o.onSuspect = fn }
 }
@@ -252,9 +225,9 @@ func WithStore(st *store.Store) Option {
 	return func(o *options) { o.qstore = st }
 }
 
-// PipelineConfig tunes the batched receive pipeline and the cluster
-// geometry. The zero value selects every default; fields are orthogonal,
-// so setting one knob does not disturb the others.
+// PipelineConfig tunes the batched receive pipeline and the peer tables'
+// initial size. The zero value selects every default; fields are
+// orthogonal, so setting one knob does not disturb the others.
 type PipelineConfig struct {
 	// Readers is the SO_REUSEPORT reader-socket count of the receive path;
 	// 0 or 1 means a single reader. Each reader is one goroutine that
@@ -263,11 +236,9 @@ type PipelineConfig struct {
 	// where SO_REUSEPORT is available (linux).
 	Readers int
 	// ExpectedPeers declares the cluster size a MultiMonitor is being
-	// built for. It selects the monitor's scale profile — peer-table shard
-	// count plus timing-wheel width — and pre-sizes the peer tables so
-	// growing to the expected population never rehashes under load. 0 keeps the default geometry (tuned for
-	// up to ~32k peers); larger values widen the fan-out in steps, with
-	// the top tier sized for 1M+ peers.
+	// built for. It pre-sizes the peer tables so growing to the expected
+	// population never rehashes under load; it changes nothing else — a
+	// monitor has one peer table and one timing wheel at every size.
 	ExpectedPeers int
 }
 

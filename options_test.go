@@ -197,7 +197,7 @@ func TestMultiMonitorPerPeerOptions(t *testing.T) {
 			t.Error("b wrongly suspected after a's crash")
 		}
 		if st := mon.Stats(); st.Detector.Heartbeats < 20 || st.Scheduler.Fired == 0 {
-			t.Errorf("stats = %+v, want both peers' heartbeats summed and the crossing fired on a shard wheel", st)
+			t.Errorf("stats = %+v, want both peers' heartbeats summed and the crossing fired on the wheel", st)
 		}
 	})
 

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,8 +94,7 @@ func goroutinesSettle(want int) int {
 
 // TestMonitorGoroutineBudget pins what a monitor costs in goroutines while
 // deadlines are armed: one per reader socket and one expiry driver,
-// whatever the number of shard wheels (16 at the default profile, 64 at
-// the 1M profile) — and none once it is closed.
+// whatever the expected peer count — and none once it is closed.
 func TestMonitorGoroutineBudget(t *testing.T) {
 	const peers = 4096
 	for _, expected := range []int{0, 1 << 19} {
@@ -116,12 +116,12 @@ func TestMonitorGoroutineBudget(t *testing.T) {
 		}
 		mm.net.NewInjector().InjectBatch(pkts, srcs)
 		st := mm.SchedulerStats()
-		if st.Timers != peers {
-			t.Fatalf("ExpectedPeers=%d: %d deadlines armed, want %d", expected, st.Timers, peers)
+		if st.Scheduled != peers {
+			t.Fatalf("ExpectedPeers=%d: %d deadlines armed, want %d", expected, st.Scheduled, peers)
 		}
 		if got := goroutinesSettle(before+2) - before; got != 2 {
-			t.Errorf("ExpectedPeers=%d: %d goroutines for %d wheels with %d armed deadlines, want 2 (one reader, one expiry driver)",
-				expected, got, st.Wheels, peers)
+			t.Errorf("ExpectedPeers=%d: %d goroutines with %d armed deadlines, want 2 (one reader, one expiry driver)",
+				expected, got, peers)
 		}
 		if err := mm.Close(); err != nil {
 			t.Fatal(err)
@@ -290,4 +290,67 @@ func TestPerPeerOrderKept(t *testing.T) {
 			t.Errorf("%d kernel drops with at most 64 datagrams in flight", drops)
 		}
 	})
+}
+
+// TestStalledDeliveryNeverSuspectsEarly is §2.3's "never early" on the
+// socket path: a batch holds a heartbeat of suspected peer A, then one of
+// live peer B stamped before B's freshness point. A's trust callback
+// stalls the delivery past that point. B's heartbeat was received in time,
+// so B must not be suspected — the monitor's own stall is not B's failure.
+func TestStalledDeliveryNeverSuspectsEarly(t *testing.T) {
+	const eta, floor, stall = 10 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond
+	var (
+		mu      sync.Mutex
+		log     []string
+		stalled bool
+	)
+	mm, err := NewMultiMonitor("127.0.0.1:0", WithEta(eta), WithMinTimeout(floor),
+		WithOnChange(func(peer string, suspected bool, at time.Duration) {
+			mu.Lock()
+			log = append(log, fmt.Sprintf("%s suspected=%v at %v", peer, suspected, at))
+			first := peer == "A" && !suspected && !stalled
+			stalled = stalled || first
+			mu.Unlock()
+			if first {
+				time.Sleep(stall)
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.Close()
+	srcA := netip.MustParseAddrPort("127.0.0.9:4000")
+	srcB := netip.MustParseAddrPort("127.0.0.9:4001")
+	for name, src := range map[string]netip.AddrPort{"A": srcA, "B": srcB} {
+		if err := mm.AddPeer(name, src.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj := mm.net.NewInjector()
+	wall := func() int64 { return mm.net.WallTime().UnixNano() }
+
+	inj.InjectBatch([][]byte{heartbeatPacket(t, 0, 1, wall())}, []netip.AddrPort{srcA})
+	if !waitFor(t, 5*time.Second, func() bool { s, _ := mm.Suspected("A"); return s }) {
+		t.Fatal("A was never suspected")
+	}
+	// B's first heartbeat sets its freshness point eta+floor ahead, inside
+	// the stall about to start. Its second is sent far in the future, so
+	// the freshness point it sets lies beyond the end of the test.
+	inj.InjectBatch([][]byte{heartbeatPacket(t, 0, 1, wall())}, []netip.AddrPort{srcB})
+	inj.InjectBatch(
+		[][]byte{heartbeatPacket(t, 0, 2, wall()), heartbeatPacket(t, 0, 2, wall()+int64(time.Hour))},
+		[]netip.AddrPort{srcA, srcB})
+
+	st, err := mm.PeerStatusOf("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !stalled {
+		t.Fatal("A's trust callback never stalled the delivery")
+	}
+	if st.Suspicions != 0 || st.Suspected || st.Heartbeats != 2 {
+		t.Errorf("B is %+v after a delivery stalled past its freshness point; want 2 heartbeats and no suspicion\ntransitions: %v", st, log)
+	}
 }

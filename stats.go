@@ -22,7 +22,7 @@ type Stats struct {
 	Ingest IngestStats
 	// Egress is the send path's counters.
 	Egress EgressStats
-	// Scheduler aggregates the shard timing wheels the detector deadlines
+	// Scheduler is the counters of the timing wheel the detector deadlines
 	// run on.
 	Scheduler SchedulerStats
 	// Store is the durable QoS store's counters; zero (Enabled false) when
@@ -35,18 +35,16 @@ func (m *Monitor) Stats() Stats { return m.mm.Stats() }
 
 // Stats returns the unified snapshot for this cluster monitor; Detector
 // sums the per-peer counters (the per-peer breakdown is Status). The sum
-// walks the peer arenas in place — no per-peer materialization, so the
+// walks the peer arena in place — no per-peer materialization, so the
 // call allocates the same at 1M peers as at 10.
 func (m *MultiMonitor) Stats() Stats {
 	var det DetectorStats
-	for i := range m.shards {
-		m.shards[i].each(func(e *peerEntry) {
-			st := e.detector().DetectorStats()
-			det.Heartbeats += st.Heartbeats
-			det.Stale += st.Stale
-			det.Suspicions += st.Suspicions
-		})
-	}
+	m.each(func(e *peerEntry) {
+		st := e.detector().DetectorStats()
+		det.Heartbeats += st.Heartbeats
+		det.Stale += st.Stale
+		det.Suspicions += st.Suspicions
+	})
 	return Stats{
 		Detector:  det,
 		Ingest:    m.net.IngestStats(),

@@ -1,7 +1,7 @@
 package wanfd
 
 // Safety of the flat peer record. Delivery and expiry reach a peer's arena
-// slot without the shard lock, so both can arrive after RemovePeer retired
+// slot without the table lock, so both can arrive after RemovePeer retired
 // the peer they were meant for and a later AddPeer moved another one into
 // the same memory. These tests pin what the record's own mutex and its
 // generation guarantee then — the slot's next occupant sees nothing of it —
@@ -23,17 +23,6 @@ import (
 	"wanfd/internal/sched"
 	"wanfd/internal/sim"
 )
-
-// sameShardName returns a peer name that lands in like's shard, so that a
-// peer added under it reuses the slot like just gave up.
-func sameShardName(mm *MultiMonitor, like string) string {
-	for i := 0; ; i++ {
-		name := fmt.Sprintf("next-%d", i)
-		if peerNameHash(name)&mm.shardMask == peerNameHash(like)&mm.shardMask {
-			return name
-		}
-	}
-}
 
 // TestStragglerNeverReachesNextOccupant removes peer A and adds B into A's
 // slot, then delivers what was in flight for A: a datagram from A's address
@@ -73,7 +62,8 @@ func TestStragglerNeverReachesNextOccupant(t *testing.T) {
 			if err := mm.RemovePeer("A"); err != nil {
 				t.Fatal(err)
 			}
-			b := sameShardName(mm, "A")
+			// The arena hands the slot A just gave up to the next peer.
+			const b = "B"
 			if err := mm.AddPeer(b, "127.0.0.9:4001"); err != nil {
 				t.Fatal(err)
 			}
@@ -81,12 +71,11 @@ func TestStragglerNeverReachesNextOccupant(t *testing.T) {
 			if handleB>>32 != handleA>>32 || handleB == handleA {
 				t.Fatalf("B's handle %#x does not name A's slot (%#x) under a new generation", handleB, handleA)
 			}
-			s := &mm.shards[peerNameHash(b)&mm.shardMask]
-			s.mu.RLock()
-			reused := s.ents.Stats().Reused
-			s.mu.RUnlock()
+			mm.mu.RLock()
+			reused := mm.ents.Stats().Reused
+			mm.mu.RUnlock()
 			if reused != 1 {
-				t.Fatalf("shard arena reused %d slots, want 1", reused)
+				t.Fatalf("peer arena reused %d slots, want 1", reused)
 			}
 
 			// From the wire: A's address is no longer anyone's.
@@ -110,7 +99,7 @@ func TestStragglerNeverReachesNextOccupant(t *testing.T) {
 			if n := transitions.Load(); n != 0 {
 				t.Errorf("%d transitions fired, want 0", n)
 			}
-			if got := mm.SchedulerStats().Timers; got != 0 {
+			if got := mm.SchedulerStats().Scheduled; got != 0 {
 				t.Errorf("%d deadlines armed with no heartbeat delivered to a live peer, want 0", got)
 			}
 		})
@@ -144,7 +133,7 @@ func TestStaleExpiryNeverSuspectsReAdd(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		slot := peerHandleOf(t, mm, "A") >> 32
 		inj.InjectBatch([][]byte{heartbeatPacket(t, 0, 1, mm.net.WallTime().UnixNano())}, src)
-		if got := mm.SchedulerStats().Timers; got != 1 {
+		if got := mm.SchedulerStats().Scheduled; got != 1 {
 			t.Fatalf("round %d: %d deadlines armed after A's heartbeat, want 1", round, got)
 		}
 		// Let some rounds reach the deadline's very edge before the removal.
@@ -172,7 +161,7 @@ func TestStaleExpiryNeverSuspectsReAdd(t *testing.T) {
 		if got := suspicions.Load(); got != before {
 			t.Fatalf("round %d: %d suspicions reported after the old A's removal returned", round, got-before)
 		}
-		if got := mm.SchedulerStats().Timers; got != 0 {
+		if got := mm.SchedulerStats().Scheduled; got != 0 {
 			t.Fatalf("round %d: %d deadlines armed for a peer that has received nothing", round, got)
 		}
 	}

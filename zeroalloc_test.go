@@ -1,6 +1,9 @@
 package wanfd
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestPipelineZeroAlloc is the "no per-heartbeat bookkeeping" gate on the
 // production cluster monitor: at 1,024 peers, one run carries a 64-datagram
@@ -55,5 +58,30 @@ func TestPipelineZeroAlloc(t *testing.T) {
 			}
 			h.checkLossless(t)
 		})
+	}
+}
+
+// TestTransitionZeroAlloc pins a suspicion transition's cost with the
+// durable store attached: the sink finds the peer's recorder the store
+// interned when the peer was added, so a suspect/trust pair allocates
+// nothing.
+func TestTransitionZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting holds only in normal builds")
+	}
+	st, err := OpenStore(StoreConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	mm := benchCluster(t, []string{"p"}, benchPeerAddr, WithStore(st),
+		WithOnChange(func(string, bool, time.Duration) {}))
+	at := time.Second
+	if avg := testing.AllocsPerRun(1000, func() {
+		at += time.Millisecond
+		mm.listener.OnSuspect("p", at)
+		mm.listener.OnTrust("p", at)
+	}); avg != 0 {
+		t.Errorf("a suspect/trust pair with a store attached allocates %.1f, want 0", avg)
 	}
 }
