@@ -75,9 +75,6 @@ func TestQoSConfigValidation(t *testing.T) {
 	if _, err := RunQoS(QoSConfig{Table5: Table5{NumCycles: 10, Warmup: time.Hour}}); err == nil {
 		t.Error("warmup longer than run should be rejected")
 	}
-	if _, err := RunQoS(QoSConfig{SchedulerTick: -time.Millisecond}); err == nil {
-		t.Error("negative scheduler tick should be rejected")
-	}
 }
 
 // TestTable5ErrorsAreShared gives every experiment that runs a Table 5
@@ -122,45 +119,6 @@ func TestTable5ErrorsAreShared(t *testing.T) {
 				t.Errorf("%s with %+v: error %v, want %v", mode.name, bad, err, wantErr)
 			}
 		}
-	}
-}
-
-// TestRunQoSSchedulerTick runs the same experiment on the exact
-// event-heap scheduler and on the timing wheel (SchedulerTick = 1 ms,
-// the real monitor's granularity). The wheel buckets deadlines by tick but
-// fires a slot's earliest at its own instant; with one detector on the
-// wheel every freshness point is its slot's earliest, so the wheel run
-// must reproduce the exact run, not merely stay within a tick of it.
-func TestRunQoSSchedulerTick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run QoS experiment")
-	}
-	combos := []core.Combo{{Predictor: "LAST", Margin: "JAC_med"}}
-	run := func(tick time.Duration) nekostat.QoS {
-		res, err := RunQoS(QoSConfig{
-			Runs:          1,
-			Table5:        Table5{NumCycles: 1500, MTTC: 150 * time.Second, TTR: 15 * time.Second, Seed: 5},
-			Combos:        combos,
-			SchedulerTick: tick,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.ByDetector["LAST+JAC_med"]
-	}
-	exact, wheel := run(0), run(time.Millisecond)
-	if exact.Crashes != wheel.Crashes || exact.Detected != wheel.Detected {
-		t.Fatalf("crash accounting diverged: exact %d/%d, wheel %d/%d",
-			exact.Detected, exact.Crashes, wheel.Detected, wheel.Crashes)
-	}
-	// T_D means are in milliseconds.
-	if d := wheel.TD.Mean - exact.TD.Mean; d <= -0.01 || d >= 0.01 {
-		t.Errorf("T_D mean shifted by %.4f ms, want under 0.01 ms (exact %.4f, wheel %.4f)",
-			d, exact.TD.Mean, wheel.TD.Mean)
-	}
-	if d := wheel.PA - exact.PA; d < -0.001 || d > 0.001 {
-		t.Errorf("P_A shifted by %.5f, want within ±0.001 (exact %.5f, wheel %.5f)",
-			d, exact.PA, wheel.PA)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"wanfd/internal/layers"
 	"wanfd/internal/neko"
 	"wanfd/internal/nekostat"
-	"wanfd/internal/sched"
 	"wanfd/internal/sim"
 	"wanfd/internal/stats"
 	"wanfd/internal/wan"
@@ -52,15 +51,6 @@ type QoSConfig struct {
 	// by this amount. Positive skew tightens timeouts (more mistakes);
 	// negative skew inflates them (slower detection).
 	ClockSkew time.Duration
-	// SchedulerTick, when positive, runs the detectors' freshness timers
-	// on a sched.Wheel of that granularity layered over the virtual
-	// engine — the exact scheduler code the real cluster monitor uses, so
-	// simulated and production executions share the wheel path. The wheel
-	// fires a slot's earliest deadline at its exact instant; deadlines
-	// sharing a slot with an earlier one wait for the tick boundary (under
-	// one tick later, never early). Zero keeps the engine's exact heap
-	// scheduling.
-	SchedulerTick time.Duration
 }
 
 func (c *QoSConfig) setDefaults() {
@@ -82,9 +72,6 @@ func (c *QoSConfig) validate() error {
 	}
 	if c.Runs < 0 {
 		return fmt.Errorf("experiment: negative Runs %d", c.Runs)
-	}
-	if c.SchedulerTick < 0 {
-		return fmt.Errorf("experiment: negative SchedulerTick %v", c.SchedulerTick)
 	}
 	return nil
 }
@@ -203,14 +190,7 @@ func runOnce(cfg QoSConfig, dets detectorSet, seed int64, channelStats *stats.Ru
 		fwd:    ch,
 		crash:  sim.NewRNG(seed, "simcrash"),
 		monitor: func(eng *sim.Engine, l *nekostat.Collector) ([]neko.Layer, error) {
-			// With SchedulerTick set, detector deadlines run on a timing
-			// wheel whose wakeups are engine events — the same wheel the
-			// real cluster monitor drives from the wall clock.
-			clock := sim.Clock(eng)
-			if cfg.SchedulerTick > 0 {
-				clock = sched.NewWheel(sched.Config{Clock: eng, Tick: cfg.SchedulerTick})
-			}
-			cs, err := dets(cfg, clock, l)
+			cs, err := dets(cfg, eng, l)
 			if err != nil {
 				return nil, err
 			}

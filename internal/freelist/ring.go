@@ -1,7 +1,7 @@
 // Package freelist provides fixed-capacity, allocation-free building
 // blocks: a bounded lock-free ring (a Vyukov-style MPMC queue — the durable
-// store's sample queue) and a freelist Pool built on it (the transport's
-// message recycling). Both are sized once at construction and never grow —
+// store's sample queue) and a freelist Pool built on it (used only by the
+// benchmark harness). Both are sized once at construction and never grow —
 // overflow is the caller's problem by design (the store counts and drops,
 // the pool allocates and counts a miss; neither blocks), so a burst can
 // never translate into unbounded memory or into backpressure on the

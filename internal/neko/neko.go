@@ -76,9 +76,9 @@ type TimedReceiver interface {
 
 // BatchReceiver is an optional Receiver extension for transports that
 // drain several datagrams per wakeup: one call delivers the whole batch,
-// all observed at the same timestamp. Receivers may retain individual
-// messages per their usual contract but must not retain the slice itself —
-// the transport reuses it for the next batch.
+// all observed at the same timestamp. Neither the slice nor any message in
+// it outlives the call — the transport decodes the next batch into the same
+// messages — so a receiver copies what it keeps, Payload included.
 type BatchReceiver interface {
 	Receiver
 	ReceiveBatch(ms []*Message, at time.Duration)

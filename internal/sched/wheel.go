@@ -78,7 +78,9 @@ type Stats struct {
 	Batches uint64
 	// Cascades counts timers migrated coarse→fine or overflow→wheel.
 	Cascades uint64
-	// MaxSlotOccupancy is the high-water mark of timers sharing one slot.
+	// MaxSlotOccupancy is the high-water mark of timers sharing one fine
+	// slot — one firing tick. A coarse slot holds a whole 2048-tick span
+	// of deadlines that fire apart, so it does not count.
 	MaxSlotOccupancy int
 	// FineOccupied and CoarseOccupied count the slots whose lists are
 	// currently non-empty — the occupancy the skip bitmaps track.
@@ -356,9 +358,6 @@ func (w *Wheel) enqueueLocked(lid int32, idx arena.Index, n *timerNode) {
 			s := int64(lid) - int64(lidFine0) - fineSlots
 			w.coarseOcc[s>>6] |= 1 << uint(s&63)
 			w.coarseCnt++
-		}
-		if l.Len() > w.maxSlot {
-			w.maxSlot = l.Len()
 		}
 	}
 }

@@ -293,6 +293,29 @@ func TestCascadeAcrossLevels(t *testing.T) {
 	}
 }
 
+// TestMaxSlotOccupancyCountsFineSlots arms 100 deadlines on distinct ticks
+// inside one coarse span beyond the fine window: they wait together in one
+// coarse slot but fire on 100 different ticks, so no firing slot is ever
+// shared and the occupancy high-water mark must read 1, not 100.
+func TestMaxSlotOccupancyCountsFineSlots(t *testing.T) {
+	tick := time.Millisecond
+	eng := sim.NewEngine()
+	w := NewWheel(Config{Clock: eng, Tick: tick})
+	fired := 0
+	for i := 0; i < 100; i++ {
+		w.AfterFunc(time.Duration(3*fineSlots+10+i)*tick, func() { fired++ })
+	}
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 100 {
+		t.Fatalf("%d of 100 deadlines fired", fired)
+	}
+	if got := w.Stats().MaxSlotOccupancy; got != 1 {
+		t.Errorf("MaxSlotOccupancy = %d, want 1: no two deadlines shared a firing tick", got)
+	}
+}
+
 // TestSameSlotFIFO pins the tie-break: timers expiring in the same slot
 // fire in scheduling order, matching the engine's FIFO semantics.
 func TestSameSlotFIFO(t *testing.T) {

@@ -31,7 +31,6 @@ const (
 
 	MetricIngestBatchSize     = "wanfd_ingest_batch_size"
 	MetricIngestDrains        = "wanfd_ingest_drain_cycles_total"
-	MetricIngestPoolMisses    = "wanfd_ingest_pool_misses_total"
 	MetricIngestUnknownSource = "wanfd_ingest_unknown_source_total"
 	MetricIngestKernelDrops   = "wanfd_ingest_kernel_drops_total"
 	MetricIngestUndelivered   = "wanfd_ingest_undelivered_total"

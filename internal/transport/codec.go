@@ -87,7 +87,7 @@ func Decode(pkt []byte) (*neko.Message, int64, error) {
 // every field, and returns the sender's wall-clock send time (SentAt is
 // left zero — the caller maps the Unix timestamp onto its own time base).
 // The payload is copied into m's payload buffer, growing it only when the
-// capacity is too small, so a pooled message decodes with zero allocations
+// capacity is too small, so a reused message decodes with zero allocations
 // once warm.
 //
 // Aliasing contract: the returned message never references pkt. The

@@ -182,7 +182,7 @@ func TestEgressSendZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		sendAndDrain() // warm the receiver's message pool
+		sendAndDrain() // warm-up
 	}
 	if avg := testing.AllocsPerRun(200, sendAndDrain); avg != 0 {
 		t.Errorf("steady-state send allocates %.2f/op, want 0", avg)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wanfd/internal/freelist"
 	"wanfd/internal/neko"
 	"wanfd/internal/telemetry"
 )
@@ -24,24 +23,55 @@ func unmapAP(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-// pending is one drained datagram between decode and delivery: the pooled
-// message, the sender's wall-clock send time, the source address (already
-// Unmap()ed) and, once the source resolved to a registered peer (which
-// also stamps the message with that peer's id and handle), its clock
+// pending is one drained datagram between decode and delivery: the decoded
+// message itself, the sender's wall-clock send time, the source address
+// (already Unmap()ed) and, once the source resolved to a registered peer
+// (which also stamps the message with that peer's id and handle), its clock
 // offset.
 type pending struct {
-	m        *neko.Message
+	m        neko.Message
 	sentUnix int64
 	src      netip.AddrPort
 	off      int64
 	known    bool
 }
 
-// ingestState is the receive pipeline's shared state: the message freelist
-// every drain loop and injector claims from, and the health counters.
-type ingestState struct {
-	msgs *freelist.Pool[*neko.Message]
+// rxBatch is one delivery path's batch — a reader's or an Injector's: the
+// datagrams of one drain cycle decoded in place, the pointers handed to the
+// receiver, and the path's InFlight slot. The next batch overwrites every
+// message, so a delivered message, Payload included, is valid only for
+// its delivery call.
+type rxBatch struct {
+	p        [maxDrainBatch]pending
+	n        int
+	msgs     [maxDrainBatch]*neko.Message
+	inflight *atomic.Int64
+}
 
+// newBatch returns a delivery path's batch, registering its InFlight slot
+// for the endpoint's lifetime.
+func (n *UDPNetwork) newBatch() *rxBatch {
+	return &rxBatch{inflight: n.ingest.newStamp()}
+}
+
+// decode decodes one datagram into b's next slot. A malformed datagram is
+// counted and leaves the slot free. The caller keeps b.n below
+// maxDrainBatch.
+func (n *UDPNetwork) decode(b *rxBatch, pkt []byte, src netip.AddrPort) {
+	p := &b.p[b.n]
+	sentUnix, err := DecodeInto(&p.m, pkt)
+	if err != nil {
+		n.malformed.Add(1)
+		n.mDecodeErr.Inc()
+		return
+	}
+	p.sentUnix, p.src, p.off, p.known = sentUnix, src, 0, false
+	b.n++
+}
+
+// ingestState is the receive pipeline's shared state: the health counters
+// and the delivery paths' InFlight slots.
+type ingestState struct {
 	drains     atomic.Uint64 // completed drain cycles
 	unknownSrc atomic.Uint64 // datagrams from addresses that are not registered peers
 
@@ -96,9 +126,8 @@ type IngestStats struct {
 	// RingDrops is always 0: the reader delivers each batch itself, so
 	// there is no ring to overflow. Receive-side overflow is KernelDrops.
 	RingDrops uint64
-	// PoolMisses counts messages allocated because the freelist was empty;
-	// steady growth means receivers retain more messages than the pool
-	// holds.
+	// PoolMisses is always 0: each delivery path decodes into a batch it
+	// owns, so there is no message pool to miss.
 	PoolMisses uint64
 	// UnknownSource counts well-formed datagrams discarded because their
 	// source address is not a registered peer; they are never delivered or
@@ -117,7 +146,6 @@ func (n *UDPNetwork) IngestStats() IngestStats {
 	ig := n.ingest
 	return IngestStats{
 		Drains:        ig.drains.Load(),
-		PoolMisses:    ig.msgs.Misses(),
 		UnknownSource: ig.unknownSrc.Load(),
 		KernelDrops:   n.kernelDrops(),
 	}
@@ -144,12 +172,7 @@ func (n *UDPNetwork) startIngest() {
 		}
 		n.readers = append(n.readers, c)
 	}
-	// The pool covers every message the pipeline can hold at once: per
-	// reader, one drain batch being delivered plus one batch of pre-claimed
-	// messages.
-	ig := &ingestState{
-		msgs: freelist.NewPool(2*maxDrainBatch*len(n.readers), func() *neko.Message { return &neko.Message{} }),
-	}
+	ig := &ingestState{}
 	n.ingest = ig
 	if r := n.cfg.Telemetry; r != nil {
 		ig.batchHist = r.Histogram(telemetry.MetricIngestBatchSize,
@@ -158,9 +181,6 @@ func (n *UDPNetwork) startIngest() {
 		r.CounterFunc(telemetry.MetricIngestDrains,
 			"completed ingest drain cycles",
 			func() float64 { return float64(ig.drains.Load()) })
-		r.CounterFunc(telemetry.MetricIngestPoolMisses,
-			"ingest message pool misses (fresh allocations)",
-			func() float64 { return float64(ig.msgs.Misses()) })
 		r.CounterFunc(telemetry.MetricIngestUnknownSource,
 			"datagrams discarded because their source address is not a registered peer",
 			func() float64 { return float64(ig.unknownSrc.Load()) })
@@ -171,22 +191,6 @@ func (n *UDPNetwork) startIngest() {
 	for _, c := range n.readers {
 		n.wg.Add(1)
 		go n.drainLoop(c)
-	}
-}
-
-// recycle poisons (under -race) and returns a message to the freelist.
-// Called only once the pipeline is done with the message; a receiver that
-// retained a pooled heartbeat will read the poison and fail loudly.
-func (n *UDPNetwork) recycle(m *neko.Message) {
-	poison(m)
-	n.ingest.msgs.Put(m)
-}
-
-// releaseBatch returns an undispatched batch to the freelist (shutdown
-// path — no poisoning needed, nothing saw the messages).
-func (n *UDPNetwork) releaseBatch(batch []pending) {
-	for _, p := range batch {
-		n.ingest.msgs.Put(p.m)
 	}
 }
 
@@ -205,18 +209,19 @@ func (n *UDPNetwork) releaseBatch(batch []pending) {
 // Per-peer order holds by construction: one reader handles a source's
 // datagrams in arrival order (SO_REUSEPORT hashes a 4-tuple to one socket).
 // The lock is never held across the delivery or a syscall
-// (internal/analysis.MutexHold enforces this shape repo-wide). msgs is the
-// caller's scratch for the delivered run, capacity at least len(batch).
-// inflight is the caller's InFlight slot: it holds a lower bound of the
-// batch's stamp from before the stamp is taken until the delivery ends.
-// The expiry driver reads its clock before the slots, so it either sees
-// this batch or read a time no later than its stamp.
-func (n *UDPNetwork) processBatch(batch []pending, msgs []*neko.Message, inflight *atomic.Int64) {
+// (internal/analysis.MutexHold enforces this shape repo-wide). b's InFlight
+// slot holds a lower bound of the batch's stamp from before the stamp is
+// taken until the delivery ends. The expiry driver reads its clock before
+// the slots, so it either sees this batch or read a time no later than its
+// stamp. processBatch empties b.
+func (n *UDPNetwork) processBatch(b *rxBatch) {
+	batch := b.p[:b.n]
+	b.n = 0
 	if len(batch) == 0 {
 		return
 	}
 	ig := n.ingest
-	inflight.Store(int64(n.clk.Now()))
+	b.inflight.Store(int64(n.clk.Now()))
 	stamp := n.clk.Now()
 	ig.drains.Add(1)
 	ig.batchHist.Observe(float64(len(batch)))
@@ -231,7 +236,7 @@ func (n *UDPNetwork) processBatch(batch []pending, msgs []*neko.Message, infligh
 	}
 	n.peerMu.RUnlock()
 
-	msgs = msgs[:0]
+	msgs := b.msgs[:0]
 	for i := range batch {
 		p := &batch[i]
 		switch {
@@ -240,114 +245,69 @@ func (n *UDPNetwork) processBatch(batch []pending, msgs []*neko.Message, infligh
 			// not refresh (or be answered as) whichever peer owns that id.
 			ig.unknownSrc.Add(1)
 			n.mDropped.Inc()
-			n.recycle(p.m)
 		case p.m.Type == MsgTimeReq:
-			n.handleTimeReq(p.m, p.src)
-			n.recycle(p.m)
+			n.handleTimeReq(&p.m, p.src)
 		case p.m.Type == MsgTimeResp:
-			n.handleTimeResp(p.m)
-			n.recycle(p.m)
+			n.handleTimeResp(&p.m)
 		default:
 			// Map the sender's wall-clock timestamp onto the local run
 			// clock, correcting the estimated peer clock offset.
 			p.m.SentAt = time.Duration(p.sentUnix - n.epochNano - p.off)
-			msgs = append(msgs, p.m)
+			msgs = append(msgs, &p.m)
 		}
 	}
 	if len(msgs) > 0 {
 		n.deliver(msgs, stamp)
 	}
-	inflight.Store(noStamp)
+	b.inflight.Store(noStamp)
 }
 
-// deliver hands one same-stamp batch to the attached receiver, preferring
-// the widest interface it implements, then recycles the heartbeats (the
-// monitor contract: OnHeartbeat copies what it needs). Other message types
-// may be retained by upper layers, so their pooled message is simply not
-// returned.
+// deliver hands one same-stamp batch to the attached receiver — one
+// ReceiveBatch where it has one, else one Receive per message — and then
+// poisons the messages (under -race): none outlives its delivery call.
 func (n *UDPNetwork) deliver(batch []*neko.Message, at time.Duration) {
 	box := n.receiver.Load()
 	if box == nil {
-		for _, m := range batch {
-			n.mDropped.Inc()
-			n.recycle(m)
-		}
+		n.mDropped.Add(uint64(len(batch)))
 		return
 	}
-	switch {
-	case box.br != nil:
+	if box.br != nil {
 		box.br.ReceiveBatch(batch, at)
-	case box.tr != nil:
-		for _, m := range batch {
-			box.tr.ReceiveAt(m, at)
-		}
-	default:
+	} else {
 		for _, m := range batch {
 			box.r.Receive(m)
 		}
 	}
 	n.received.Add(uint64(len(batch)))
 	n.mReceived.Add(uint64(len(batch)))
-	// Compact the recyclable heartbeats to the front of the (caller-owned)
-	// batch slice and return them in one freelist reservation.
-	k := 0
-	for _, m := range batch {
-		if m.Type == neko.MsgHeartbeat {
-			poison(m)
-			batch[k] = m
-			k++
-		}
-	}
-	n.ingest.msgs.PutN(batch[:k])
+	poison(batch)
 }
 
 // Injector feeds raw packets through the endpoint's receive pipeline
 // in-process, bypassing the kernel socket — the deterministic harness for
-// benchmarks and tests. It reuses one scratch batch, so a single Injector
-// must not be shared across goroutines.
+// benchmarks and tests. It is a delivery path with its own batch, so a
+// single Injector must not be shared across goroutines.
 type Injector struct {
-	n        *UDPNetwork
-	batch    []pending
-	msgs     []*neko.Message // claimed messages, then processBatch's delivery scratch
-	inflight *atomic.Int64
+	n *UDPNetwork
+	b *rxBatch
 }
 
 // NewInjector returns a packet injector for this endpoint. Like a reader,
 // it registers an InFlight slot for the endpoint's lifetime, so make few.
 func (n *UDPNetwork) NewInjector() *Injector {
-	return &Injector{
-		n:        n,
-		batch:    make([]pending, 0, maxDrainBatch),
-		msgs:     make([]*neko.Message, maxDrainBatch),
-		inflight: n.ingest.newStamp(),
-	}
+	return &Injector{n: n, b: n.newBatch()}
 }
 
 // InjectBatch runs packets through the exact receive path, in drain-sized
 // chunks (each chunk one stamped batch), and returns once every packet has
 // been delivered to the attached receiver. srcs must be parallel to pkts.
 func (in *Injector) InjectBatch(pkts [][]byte, srcs []netip.AddrPort) {
-	n := in.n
 	for len(pkts) > 0 {
-		chunk := len(pkts)
-		if chunk > maxDrainBatch {
-			chunk = maxDrainBatch
-		}
-		in.batch = in.batch[:0]
-		msgs := in.msgs[:chunk]
-		n.ingest.msgs.GetN(msgs)
+		chunk := min(len(pkts), maxDrainBatch)
 		for i := 0; i < chunk; i++ {
-			m := msgs[i]
-			sentUnix, err := DecodeInto(m, pkts[i])
-			if err != nil {
-				n.malformed.Add(1)
-				n.mDecodeErr.Inc()
-				n.ingest.msgs.Put(m)
-				continue
-			}
-			in.batch = append(in.batch, pending{m: m, sentUnix: sentUnix, src: unmapAP(srcs[i])})
+			in.n.decode(in.b, pkts[i], unmapAP(srcs[i]))
 		}
-		n.processBatch(in.batch, in.msgs, in.inflight)
+		in.n.processBatch(in.b)
 		pkts, srcs = pkts[chunk:], srcs[chunk:]
 	}
 }

@@ -64,7 +64,7 @@ func TestDecodeNeverAliasesPacket(t *testing.T) {
 }
 
 // batchRecv records ReceiveBatch deliveries; it copies message values out
-// (the pooled pointers must not be retained).
+// (a delivered message must not outlive its delivery call).
 type batchRecv struct {
 	mu   sync.Mutex
 	msgs []neko.Message
@@ -72,10 +72,6 @@ type batchRecv struct {
 }
 
 func (r *batchRecv) Receive(m *neko.Message) { r.ReceiveBatch([]*neko.Message{m}, 0) }
-
-func (r *batchRecv) ReceiveAt(m *neko.Message, at time.Duration) {
-	r.ReceiveBatch([]*neko.Message{m}, at)
-}
 
 func (r *batchRecv) ReceiveBatch(ms []*neko.Message, at time.Duration) {
 	r.mu.Lock()
@@ -228,10 +224,10 @@ func TestInjectorBatchStamp(t *testing.T) {
 	}
 }
 
-// TestPoisonOnRetention pins the pool-recycling contract: a receiver that
-// retains a pooled heartbeat past its ReceiveBatch call observes poisoned
-// sentinels on the next delivery (race builds only — poisoning is free
-// in normal builds).
+// TestPoisonOnRetention pins the no-retention rule for every delivered
+// type: a receiver that keeps a message past its ReceiveBatch call observes
+// poisoned sentinels on the next delivery (race builds only — poisoning is
+// free in normal builds).
 func TestPoisonOnRetention(t *testing.T) {
 	if !raceEnabled {
 		t.Skip("poisoning is active only under -race")
@@ -244,12 +240,11 @@ func TestPoisonOnRetention(t *testing.T) {
 	if err := n.AddPeer(2, "127.0.0.1:40002"); err != nil {
 		t.Fatal(err)
 	}
-	// The receiver illegally retains a heartbeat from the seed burst and
-	// inspects it when a later trigger packet arrives — both deliveries run
-	// on this goroutine, so the recycle between them is ordered before the
-	// inspection. It retains the LAST
-	// message of the burst: the freelist is FIFO, so the trigger packet
-	// reuses an earlier recycled message, never the retained one.
+	// The receiver illegally retains the last message of the seed burst, a
+	// non-heartbeat, and inspects it when a later trigger packet arrives —
+	// both deliveries run on this goroutine, so the poisoning between them
+	// is ordered before the inspection. The one-datagram trigger batch
+	// decodes into the injector's first slot, never the retained last one.
 	const seed = 4
 	rcv := &retainRecv{arm: seed, verdict: make(chan bool, 1)}
 	if _, err := n.Attach(1, rcv); err != nil {
@@ -264,16 +259,27 @@ func TestPoisonOnRetention(t *testing.T) {
 		pkts[i] = encodePacket(t, 2, 1, int64(i), sentUnix)
 		srcs[i] = src
 	}
+	pkts[seed-1] = encodeUser(t, 2, 1, seed-1, sentUnix)
 	inj.InjectBatch(pkts, srcs)
 	inj.InjectBatch([][]byte{encodePacket(t, 2, 1, 99, sentUnix)}, []netip.AddrPort{src})
 	select {
 	case poisoned := <-rcv.verdict:
 		if !poisoned {
-			t.Error("retained heartbeat not poisoned after recycle — aliasing bugs would stay silent")
+			t.Error("retained message not poisoned after its delivery — aliasing bugs would stay silent")
 		}
 	default:
 		t.Fatal("trigger not delivered when InjectBatch returned")
 	}
+}
+
+// encodeUser is encodePacket for a non-heartbeat message type.
+func encodeUser(t testing.TB, from, to neko.ProcessID, seq, sentUnix int64) []byte {
+	t.Helper()
+	buf, err := Encode(nil, &neko.Message{From: from, To: to, Type: neko.MsgUser, Seq: seq}, sentUnix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 // retainRecv is only ever called from the injecting goroutine, so its
@@ -296,49 +302,53 @@ func (r *retainRecv) ReceiveBatch(ms []*neko.Message, _ time.Duration) {
 	r.verdict <- r.retained.From == -999 && r.retained.To == -999
 }
 
-// TestBatchedReceiveZeroAlloc pins the tentpole property: once the message
-// pool is warm, the batched receive path — decode, peer resolution, batch
-// stamping, router-free delivery, recycle — performs zero allocations per
-// heartbeat.
+// TestBatchedReceiveZeroAlloc pins the tentpole property: the batched
+// receive path — decode, peer resolution, batch stamping, router-free
+// delivery — performs zero allocations per datagram from the first batch,
+// for heartbeats and for every other delivered type alike (a message the
+// receiver sees once is not lost to any allocator).
 func TestBatchedReceiveZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("poisoning discards payload buffers; alloc accounting holds only in normal builds")
 	}
-	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	if err := n.AddPeer(2, "127.0.0.1:40003"); err != nil {
-		t.Fatal(err)
-	}
-	var delivered int
-	if _, err := n.Attach(1, countRecv{&delivered}); err != nil {
-		t.Fatal(err)
-	}
-	src := netip.MustParseAddrPort("127.0.0.1:40003")
-	const batch = 32
-	pkts := make([][]byte, batch)
-	srcs := make([]netip.AddrPort, batch)
-	sentUnix := n.WallTime().UnixNano()
-	for i := range pkts {
-		pkts[i] = encodePacket(t, 2, 1, int64(i), sentUnix)
-		srcs[i] = src
-	}
-	inj := n.NewInjector()
-	inject := func() { inj.InjectBatch(pkts, srcs) }
-	// Warm-up: populate the message pool.
-	for i := 0; i < 50; i++ {
-		inject()
-	}
-	if avg := testing.AllocsPerRun(100, inject); avg != 0 {
-		t.Errorf("steady-state batched receive allocates %.2f/run (batch of %d), want 0", avg, batch)
-	}
-	if delivered != 151*batch {
-		t.Errorf("delivered %d heartbeats, want %d", delivered, 151*batch)
-	}
-	if misses := n.IngestStats().PoolMisses; misses > batch {
-		t.Errorf("pool misses %d after warm-up, want at most the initial fill", misses)
+	for _, row := range []struct {
+		name   string
+		batch  int
+		encode func(t testing.TB, from, to neko.ProcessID, seq, sentUnix int64) []byte
+	}{
+		{"heartbeats", 32, encodePacket},
+		{"non-heartbeat", 1, encodeUser},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { n.Close() })
+			if err := n.AddPeer(2, "127.0.0.1:40003"); err != nil {
+				t.Fatal(err)
+			}
+			var delivered int
+			if _, err := n.Attach(1, countRecv{&delivered}); err != nil {
+				t.Fatal(err)
+			}
+			src := netip.MustParseAddrPort("127.0.0.1:40003")
+			pkts := make([][]byte, row.batch)
+			srcs := make([]netip.AddrPort, row.batch)
+			sentUnix := n.WallTime().UnixNano()
+			for i := range pkts {
+				pkts[i] = row.encode(t, 2, 1, int64(i), sentUnix)
+				srcs[i] = src
+			}
+			inj := n.NewInjector()
+			const runs = 1000
+			if avg := testing.AllocsPerRun(runs, func() { inj.InjectBatch(pkts, srcs) }); avg != 0 {
+				t.Errorf("batched receive allocates %.2f/run (batch of %d), want 0", avg, row.batch)
+			}
+			if want := (runs + 1) * row.batch; delivered != want {
+				t.Errorf("delivered %d messages, want %d", delivered, want)
+			}
+		})
 	}
 }
 

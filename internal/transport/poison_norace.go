@@ -8,7 +8,7 @@ import "wanfd/internal/neko"
 // poisoning) is active.
 const raceEnabled = false
 
-// poison is a no-op outside race builds: recycled messages keep their
-// payload capacity so the warm pipeline stays allocation-free. DecodeInto
+// poison is a no-op outside race builds: a batch slot keeps its payload
+// capacity so the receive path stays allocation-free. DecodeInto
 // overwrites every field, so no reset is needed for correctness.
-func poison(*neko.Message) {}
+func poison([]*neko.Message) {}

@@ -7,8 +7,6 @@ import (
 	"net/netip"
 	"syscall"
 	"unsafe"
-
-	"wanfd/internal/neko"
 )
 
 // mmsghdr mirrors the kernel's struct mmsghdr: one msghdr plus the
@@ -99,9 +97,10 @@ func (r *mmsgReader) src(i int) netip.AddrPort {
 
 // drainLoop is the batched reader: park in the netpoller until the socket
 // is readable, then pull every queued datagram (up to maxDrainBatch) with
-// non-blocking recvmmsg calls, decode each into a pooled message, and run
-// the batch to completion through processBatch — stamped once, delivered
-// to the receiver on this goroutine — before returning to the socket.
+// non-blocking recvmmsg calls, decode each into the reader's own batch, and
+// run the batch to completion through processBatch — stamped once,
+// delivered to the receiver on this goroutine — before returning to the
+// socket.
 func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 	defer n.wg.Done()
 	rc, err := conn.SyscallConn()
@@ -109,20 +108,13 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 		return
 	}
 	rr := newMmsgReader(maxDrainBatch)
-	batch := make([]pending, 0, maxDrainBatch)
-	// stash holds pre-claimed pooled messages, refilled a whole batch at a
-	// time so the freelist pays one cursor reservation per drain cycle, not
-	// one per datagram. A message that fails to decode simply stays stashed.
-	stash := make([]*neko.Message, maxDrainBatch)
-	stashN := 0
-	msgs := make([]*neko.Message, 0, maxDrainBatch)
-	inflight := n.ingest.newStamp()
+	b := n.newBatch()
 	var fatal error
 	// One closure for the life of the loop: allocating it (and the escaping
 	// fatal slot) per drain cycle would cost two heap objects per cycle.
 	readFn := func(fd uintptr) bool {
-		for len(batch) < maxDrainBatch {
-			want := maxDrainBatch - len(batch)
+		for b.n < maxDrainBatch {
+			want := maxDrainBatch - b.n
 			k, serr := rr.recv(int(fd), want)
 			if serr == syscall.EAGAIN || serr == syscall.EWOULDBLOCK {
 				break
@@ -135,19 +127,7 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 				break
 			}
 			for i := 0; i < k; i++ {
-				if stashN == 0 {
-					n.ingest.msgs.GetN(stash)
-					stashN = len(stash)
-				}
-				m := stash[stashN-1]
-				sentUnix, derr := DecodeInto(m, rr.bufs[i][:rr.hdrs[i].n])
-				if derr != nil {
-					n.malformed.Add(1)
-					n.mDecodeErr.Inc()
-					continue
-				}
-				stashN--
-				batch = append(batch, pending{m: m, sentUnix: sentUnix, src: rr.src(i)})
+				n.decode(b, rr.bufs[i][:rr.hdrs[i].n], rr.src(i))
 			}
 			if k < want {
 				// The kernel returned fewer than asked: queue drained.
@@ -157,30 +137,22 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 		// Returning false parks the goroutine until the next
 		// readiness event; anything drained (or a fatal error)
 		// must be surfaced first.
-		return len(batch) > 0 || fatal != nil
+		return b.n > 0 || fatal != nil
 	}
 	for {
-		batch = batch[:0]
 		fatal = nil
 		err := rc.Read(readFn)
 		select {
 		case <-n.closed:
-			n.ingest.msgs.PutN(stash[:stashN])
-			n.releaseBatch(batch)
 			return
 		default:
 		}
 		if err != nil {
 			// The raw conn is unusable (socket closed under us).
-			n.ingest.msgs.PutN(stash[:stashN])
-			n.releaseBatch(batch)
 			return
 		}
-		n.processBatch(batch, msgs, inflight)
-		if fatal != nil {
-			// Transient datagram-level errors (e.g. ICMP-induced) are
-			// survivable: keep serving.
-			continue
-		}
+		// Transient datagram-level errors (fatal, e.g. ICMP-induced) are
+		// survivable: deliver what was drained and keep serving.
+		n.processBatch(b)
 	}
 }

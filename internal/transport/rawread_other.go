@@ -2,22 +2,16 @@
 
 package transport
 
-import (
-	"net"
-
-	"wanfd/internal/neko"
-)
+import "net"
 
 // drainLoop on platforms without the raw non-blocking recvmmsg path: one
 // blocking read feeds a batch of one through the same processBatch, so
-// pooling, stamping and delivery on the reader goroutine behave
+// decoding, stamping and delivery on the reader goroutine behave
 // identically — only the per-wakeup batching is lost.
 func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 	defer n.wg.Done()
 	buf := make([]byte, maxPacketSize)
-	batch := make([]pending, 0, 1)
-	msgs := make([]*neko.Message, 0, 1)
-	inflight := n.ingest.newStamp()
+	b := n.newBatch()
 	for {
 		nb, src, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -28,15 +22,7 @@ func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
 			}
 			continue
 		}
-		m := n.ingest.msgs.Get()
-		sentUnix, derr := DecodeInto(m, buf[:nb])
-		if derr != nil {
-			n.malformed.Add(1)
-			n.mDecodeErr.Inc()
-			n.ingest.msgs.Put(m)
-			continue
-		}
-		batch = append(batch[:0], pending{m: m, sentUnix: sentUnix, src: unmapAP(src)})
-		n.processBatch(batch, msgs, inflight)
+		n.decode(b, buf[:nb], unmapAP(src))
+		n.processBatch(b)
 	}
 }

@@ -56,10 +56,6 @@ func TestUnknownSourceNeverDelivered(t *testing.T) {
 	if sent, received, _ := n.Stats(); sent != 0 || received != 0 {
 		t.Errorf("sent = %d, received = %d, want 0/0", sent, received)
 	}
-	// Every claimed message went back to the pool.
-	if ig := n.ingest; ig.msgs.Len() != int(ig.msgs.Misses()) {
-		t.Errorf("pool holds %d of %d minted messages", ig.msgs.Len(), ig.msgs.Misses())
-	}
 }
 
 // drainLoops counts the goroutines currently inside a socket drain loop.
@@ -188,8 +184,7 @@ func TestKernelDropsCounted(t *testing.T) {
 
 // TestCloseUnderLoad closes the endpoint while a sender is still writing to
 // its socket: Close must return promptly (it waits only for the batch in
-// hand), and afterwards every message the readers claimed is back in the
-// pool.
+// hand).
 func TestCloseUnderLoad(t *testing.T) {
 	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", Readers: 2})
 	if err != nil {
@@ -241,7 +236,4 @@ func TestCloseUnderLoad(t *testing.T) {
 	}
 	close(stop)
 	<-senderDone
-	if ig := n.ingest; ig.msgs.Len() != int(ig.msgs.Misses()) {
-		t.Errorf("pool holds %d of %d minted messages after Close", ig.msgs.Len(), ig.msgs.Misses())
-	}
 }

@@ -49,12 +49,11 @@ type peerState struct {
 	offset atomic.Int64
 }
 
-// receiverBox caches the Attach-time interface assertions so the hot path
-// pays zero type switches: tr/br are non-nil when the receiver supports
-// timed or batched delivery.
+// receiverBox caches the Attach-time interface assertion so the hot path
+// pays zero type switches: br is non-nil when the receiver supports batched
+// delivery.
 type receiverBox struct {
 	r  neko.Receiver
-	tr neko.TimedReceiver
 	br neko.BatchReceiver
 }
 
@@ -66,15 +65,16 @@ type receiverBox struct {
 //
 // Reception runs to completion on the reader goroutine (see ingest.go): a
 // non-blocking drain loop per reader socket pulls every queued datagram
-// per readiness wakeup, decodes into pooled messages, stamps the drained
-// batch with a single clock read and delivers it to the attached receiver
-// itself before returning to the socket — zero allocations and no second
-// goroutine between the kernel and the detectors, so the receiver must be
-// safe for concurrent callers when Readers > 1 and a receiver that blocks
-// stalls that socket (the kernel buffer absorbs, then drops — counted as
-// IngestStats.KernelDrops). Sends run to completion too: Send encodes and
-// writes the datagram on the caller's goroutine (see egress.go), so the
-// endpoint's only goroutines are its readers.
+// per readiness wakeup, decodes it into a batch the reader owns, stamps the
+// drained batch with a single clock read and delivers it to the attached
+// receiver itself before returning to the socket — zero allocations and no
+// second goroutine between the kernel and the detectors, so the receiver
+// must be safe for concurrent callers when Readers > 1, must copy what it
+// keeps of a message (the next batch overwrites it), and a receiver that
+// blocks stalls that socket (the kernel buffer absorbs, then drops —
+// counted as IngestStats.KernelDrops). Sends run to completion too: Send
+// encodes and writes the datagram on the caller's goroutine (see
+// egress.go), so the endpoint's only goroutines are its readers.
 type UDPNetwork struct {
 	cfg       UDPConfig
 	conn      *net.UDPConn
@@ -110,7 +110,7 @@ type UDPNetwork struct {
 	pending  map[int64]chan clock.Sample
 	nextSync int64
 
-	// ingest is the receive pipeline's pool and counters.
+	// ingest is the receive pipeline's counters and InFlight slots.
 	ingest *ingestState
 	// readers are the sockets the drain loops read: conn first, then the
 	// SO_REUSEPORT sockets beyond it.
@@ -349,7 +349,6 @@ func (n *UDPNetwork) Attach(id neko.ProcessID, r neko.Receiver) (neko.Sender, er
 		return nil, fmt.Errorf("transport: process %d attached twice", id)
 	}
 	box := &receiverBox{r: r}
-	box.tr, _ = r.(neko.TimedReceiver)
 	box.br, _ = r.(neko.BatchReceiver)
 	n.receiver.Store(box)
 	return udpSender{n: n}, nil

@@ -280,7 +280,7 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 			"Timers migrated between timing-wheel levels.",
 			func() float64 { return float64(mm.SchedulerStats().Cascades) })
 		reg.GaugeFunc(telemetry.MetricSchedMaxSlot,
-			"High-water mark of deadlines sharing one wheel slot.",
+			"High-water mark of deadlines sharing one fine wheel slot (one firing tick).",
 			func() float64 { return float64(mm.SchedulerStats().MaxSlotOccupancy) })
 		reg.CounterFunc(telemetry.MetricSchedSlotsSkipped,
 			"Empty wheel slots crossed by bitmap skip-scan instead of probing.",

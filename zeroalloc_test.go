@@ -49,7 +49,7 @@ func TestPipelineZeroAlloc(t *testing.T) {
 			h := newPipelineHarness(t, benchClusterPeers, row.egress, addr, opts...)
 			run := func() { h.offer(benchIngestChunk) }
 			// Warm-up: every peer's detector sees heartbeats and arms its
-			// deadline, and the message pool fills.
+			// deadline.
 			for i := 0; i < 4*benchClusterPeers/benchIngestChunk; i++ {
 				run()
 			}
