@@ -21,8 +21,8 @@ type SafetyMargin = core.SafetyMargin
 // suspicion episodes started.
 type DetectorStats = core.DetectorStats
 
-// StatsProvider is implemented by every detector kind that exposes
-// lifetime counters (the freshness-point and φ-accrual detectors both do).
+// StatsProvider is implemented by detectors that expose lifetime counters:
+// every monitored peer's detector, φ-accrual included.
 type StatsProvider = core.StatsProvider
 
 // PredictorNames lists the built-in predictors in the paper's order:

@@ -40,37 +40,37 @@ func TestProbitInvertsCDFProperty(t *testing.T) {
 
 func TestAccrualDetectorValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	if _, err := NewAccrualDetector(AccrualDetectorConfig{Clock: eng}); err == nil {
+	if _, _, err := NewAccrualCombo(0, 0, 0); err == nil {
 		t.Error("zero threshold should be rejected")
 	}
-	if _, err := NewAccrualDetector(AccrualDetectorConfig{Threshold: 8}); err == nil {
-		t.Error("nil clock should be rejected")
-	}
-	if _, err := NewAccrualDetector(AccrualDetectorConfig{Threshold: 8, Clock: eng, WindowSize: 1}); err == nil {
+	if _, _, err := NewAccrualCombo(8, 1, 0); err == nil {
 		t.Error("window 1 should be rejected")
 	}
-	d, err := NewAccrualDetector(AccrualDetectorConfig{Threshold: 8, Clock: eng})
+	if _, _, err := NewAccrualCombo(8, 0, -1); err == nil {
+		t.Error("negative deviation floor should be rejected")
+	}
+	pred, margin, err := NewAccrualCombo(8, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Name() != "ACCRUAL_8" {
+	if _, err := NewDetector(DetectorConfig{Predictor: pred, Margin: margin, Eta: time.Second}); err == nil {
+		t.Error("nil clock should be rejected")
+	}
+	d, err := NewDetector(DetectorConfig{Predictor: pred, Margin: margin, Eta: time.Second, Clock: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Name() != "ACCRUAL+PHI_8" {
 		t.Errorf("default name = %q", d.Name())
 	}
 }
 
-// accrualScenario drives an accrual detector through a steady stream, a
-// crash and a recovery on the simulation engine.
+// TestAccrualDetectorLifecycle drives a φ-accrual detector through a steady
+// stream, a crash and a recovery on the simulation engine.
 func TestAccrualDetectorLifecycle(t *testing.T) {
 	eng := sim.NewEngine()
 	l := &recordingListener{}
-	d, err := NewAccrualDetector(AccrualDetectorConfig{
-		Threshold: 5,
-		Clock:     eng,
-		Listener:  l,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newAccrualTestDetector(t, eng, 5, l)
 	// Steady 1 s heartbeats with ±few ms jitter.
 	for seq := int64(0); seq < 60; seq++ {
 		send := time.Duration(seq) * time.Second
@@ -89,12 +89,18 @@ func TestAccrualDetectorLifecycle(t *testing.T) {
 	if d.Phi() < 0 {
 		t.Fatal("negative phi")
 	}
+	if to := d.CurrentTimeout(); to <= 1000 {
+		t.Errorf("timeout = %v ms, want mean + z·σ above the 1 s inter-arrival", to)
+	}
 	// Crash: run far past the last heartbeat.
 	if err := eng.Run(120 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Suspected() {
 		t.Fatal("crash not detected")
+	}
+	if d.Phi() <= 5 {
+		t.Errorf("phi = %v after the crash, want above the threshold", d.Phi())
 	}
 	// Recovery.
 	send := 200 * time.Second
@@ -125,12 +131,7 @@ func TestAccrualDetectorThresholdOrdersDetectionTime(t *testing.T) {
 		t.Helper()
 		eng := sim.NewEngine()
 		l := &recordingListener{}
-		d, err := NewAccrualDetector(AccrualDetectorConfig{
-			Threshold: threshold, Clock: eng, Listener: l,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := newAccrualTestDetector(t, eng, threshold, l)
 		for seq := int64(0); seq < 30; seq++ {
 			send := time.Duration(seq) * time.Second
 			jitter := time.Duration(seq%5) * time.Millisecond
@@ -154,14 +155,16 @@ func TestAccrualDetectorThresholdOrdersDetectionTime(t *testing.T) {
 
 func TestAccrualDetectorStaleIgnored(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := NewAccrualDetector(AccrualDetectorConfig{Threshold: 8, Clock: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newAccrualTestDetector(t, eng, 8, nil)
 	d.OnHeartbeat(5, 0, time.Second)
-	d.OnHeartbeat(3, 0, 2*time.Second) // stale
+	d.OnHeartbeat(6, 0, 2*time.Second)
+	before := d.CurrentTimeout()
+	d.OnHeartbeat(3, 0, 2500*time.Millisecond) // stale
 	if stale := d.DetectorStats().Stale; stale != 1 {
 		t.Errorf("stale = %d, want 1", stale)
+	}
+	if after := d.CurrentTimeout(); after != before {
+		t.Errorf("a stale heartbeat moved the window: timeout %v ms -> %v ms", before, after)
 	}
 	d.Stop()
 }
@@ -169,10 +172,7 @@ func TestAccrualDetectorStaleIgnored(t *testing.T) {
 func TestAccrualDetectorColdWindowNeverSuspects(t *testing.T) {
 	eng := sim.NewEngine()
 	l := &recordingListener{}
-	d, err := NewAccrualDetector(AccrualDetectorConfig{Threshold: 8, Clock: eng, Listener: l})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newAccrualTestDetector(t, eng, 8, l)
 	// A single heartbeat gives no inter-arrival: the detector must stay
 	// silent rather than guess.
 	d.OnHeartbeat(0, 0, 200*time.Millisecond)
@@ -189,10 +189,7 @@ func TestAccrualDetectorColdWindowNeverSuspects(t *testing.T) {
 func TestAccrualDetectorTransitionStampsMonotone(t *testing.T) {
 	eng := sim.NewEngine()
 	l := &recordingListener{}
-	d, err := NewAccrualDetector(AccrualDetectorConfig{Threshold: 2, Clock: eng, Listener: l})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newAccrualTestDetector(t, eng, 2, l)
 	for seq := int64(0); seq < 10; seq++ {
 		send := time.Duration(seq) * time.Second
 		seq := seq
@@ -211,4 +208,44 @@ func TestAccrualDetectorTransitionStampsMonotone(t *testing.T) {
 	if s, tr := l.events[0].at, l.events[1].at; tr < s {
 		t.Errorf("trust stamped %v, before the suspicion at %v", tr, s)
 	}
+}
+
+// TestAccrualNonPositiveZSuspectsAtOnce pins the z ≤ 0 edge (θ ≤ log10 2):
+// where mean + z·σ is not positive the freshness point is the arrival
+// itself, so the detector suspects at that arrival, with no zero-length
+// trust before it, and a later heartbeat that restores a positive timeout
+// ends the suspicion.
+func TestAccrualNonPositiveZSuspectsAtOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	l := &recordingListener{}
+	d := newAccrualTestDetector(t, eng, 0.2, l)
+	at := time.Second
+	eng.At(at, func() {
+		d.OnHeartbeat(0, 0, at) // cold window
+		// A zero inter-arrival: mean 0, σ at its 10 ms floor, z ≈ −0.33.
+		d.OnHeartbeat(1, 0, at)
+		d.OnHeartbeat(2, 0, at) // overdue again: suspicion stands
+	})
+	if err := eng.Run(1500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.events) != 1 || !l.events[0].suspect || l.events[0].at != at {
+		t.Fatalf("events = %+v, want one suspicion at the arrival %v", l.events, at)
+	}
+	if to := d.CurrentTimeout(); to != 0 {
+		t.Errorf("timeout = %v ms, want 0", to)
+	}
+	// Inter-arrivals {0, 0, 1000 ms}: mean 333 ms, σ 471 ms, so
+	// mean + z·σ ≈ 176 ms > 0.
+	eng.At(2*time.Second, func() { d.OnHeartbeat(3, 0, eng.Now()) })
+	if err := eng.Run(2100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.events) != 2 || l.events[1].suspect || l.events[1].at != 2*time.Second {
+		t.Fatalf("events = %+v, want the suspicion ended at 2s", l.events)
+	}
+	if st := d.DetectorStats(); st.Suspicions != 1 {
+		t.Errorf("suspicions = %d, want 1", st.Suspicions)
+	}
+	d.Stop()
 }

@@ -22,11 +22,41 @@ type DetectorStats struct {
 	Suspicions uint64
 }
 
-// StatsProvider is implemented by detectors that expose lifetime counters.
-// Both the freshness-point Detector and the φ-accrual AccrualDetector
-// satisfy it.
+// StatsProvider is implemented by detectors that expose lifetime counters:
+// the one Detector, whatever its predictor and margin.
 type StatsProvider interface {
 	DetectorStats() DetectorStats
+}
+
+// HeartbeatConsumer is the shape of an event-driven failure detector, the
+// unit layers.Monitor feeds heartbeats to. Detector is the only one in the
+// product; the interface stays for the benchmark's stage ledger, which wraps
+// a Detector to time it.
+type HeartbeatConsumer interface {
+	// Name identifies the detector in events and reports.
+	Name() string
+	// OnHeartbeat processes one received heartbeat.
+	OnHeartbeat(seq int64, sendTime, now time.Duration)
+	// Suspected reports the current boolean output.
+	Suspected() bool
+	// Stop cancels pending timers.
+	Stop()
+}
+
+var (
+	_ HeartbeatConsumer = (*Detector)(nil)
+	_ StatsProvider     = (*Detector)(nil)
+)
+
+// arrivalPredictor is a Predictor whose forecast is anchored at the arrival
+// of the freshest heartbeat instead of at its send time: the detector tells
+// it each fresh arrival, after the stale check, and the freshness point is
+// A_k + δ in place of σ_k + η + δ. φ-accrual is one (NewAccrualCombo).
+type arrivalPredictor interface {
+	Predictor
+	// arrive records a fresh heartbeat's arrival and reports whether the
+	// window holds a forecast yet.
+	arrive(at time.Duration) bool
 }
 
 // SuspicionListener receives the detector's output transitions. Callbacks
@@ -111,15 +141,21 @@ type DetectorConfig struct {
 // (σ_k the send time of the freshest heartbeat received). The monitored
 // process is suspected whenever the clock passes the freshness point before
 // a fresher heartbeat arrives; a fresher heartbeat that restores a future
-// freshness point ends the suspicion.
+// freshness point ends the suspicion. With an arrival-anchored predictor
+// (φ-accrual, NewAccrualCombo) the freshness point is A_k + pred + sm, A_k
+// the freshest heartbeat's arrival; a timeout of 0 there suspects at that
+// arrival.
 //
 // A Detector is safe for concurrent use (heartbeats may arrive from a
 // network goroutine while timers fire on another). It is built by
 // NewDetector, or in place by Init when it is a field of a larger record.
 type Detector struct {
-	name    string
-	pred    Predictor
-	margin  SafetyMargin
+	name   string
+	pred   Predictor
+	margin SafetyMargin
+	// arrival is pred when it is arrival-anchored, nil for the paper's
+	// predictors.
+	arrival arrivalPredictor
 	eta     time.Duration
 	env     *DetectorEnv
 	metrics *telemetry.DetectorMetrics
@@ -184,6 +220,7 @@ func (d *Detector) Init(cfg DetectorConfig) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.name, d.pred, d.margin, d.eta = name, cfg.Predictor, cfg.Margin, cfg.Eta
+	d.arrival, _ = cfg.Predictor.(arrivalPredictor)
 	d.env, d.metrics, d.sample = env, cfg.Metrics, cfg.Sample
 	d.hi, d.deadline, d.suspected, d.stopped = -1, 0, false, false
 	d.heartbeats, d.stale, d.suspicions = 0, 0, 0
@@ -230,9 +267,10 @@ func (d *Detector) OnHeartbeat(seq int64, sendTime, now time.Duration) {
 		// Multiply, not divide: ms→s by a constant reciprocal keeps the
 		// conversion off the FP-divider on every heartbeat.
 		m.Delay.Observe(obsMs * 1e-3)
-		if d.heartbeats > 1 {
+		if d.heartbeats > 1 && d.arrival == nil {
 			// The first prediction is the predictor's zero state, not a
-			// forecast; scoring it would just record the first delay.
+			// forecast; scoring it would just record the first delay. An
+			// arrival-anchored forecast is an inter-arrival, not a delay.
 			err := obsMs - predMs
 			if err < 0 {
 				err = -err
@@ -253,7 +291,16 @@ func (d *Detector) OnHeartbeat(seq int64, sendTime, now time.Duration) {
 	}
 	d.hi = seq
 
-	deadline := sendTime + d.eta + msToDur(d.timeoutLocked())
+	deadline := sendTime + d.eta
+	if a := d.arrival; a != nil {
+		if !a.arrive(now) {
+			// No forecast on a cold window: arm nothing, never suspect.
+			d.timer.Stop()
+			return
+		}
+		deadline = now
+	}
+	deadline += msToDur(d.timeoutLocked())
 	d.deadline = deadline
 	if deadline > now {
 		if d.suspected {
@@ -321,11 +368,23 @@ func (d *Detector) Suspected() bool {
 }
 
 // CurrentTimeout returns the timeout δ = pred + sm (in milliseconds) that
-// would govern the next freshness point.
+// would govern the next freshness point; for φ-accrual, mean + z·σ of the
+// windowed inter-arrival times.
 func (d *Detector) CurrentTimeout() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.timeoutLocked()
+}
+
+// Phi returns the φ-accrual suspicion level at the clock's current time, or
+// 0 for a detector whose predictor is not φ-accrual's.
+func (d *Detector) Phi() float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if w, ok := d.arrival.(*accrualWindow); ok {
+		return w.a.Phi(d.env.clock.Now())
+	}
+	return 0
 }
 
 // timeoutLocked is δ = pred + sm in milliseconds, floored. Callers hold

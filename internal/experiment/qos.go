@@ -263,15 +263,22 @@ func gridDetectors(cfg QoSConfig, clock sim.Clock, l core.SuspicionListener) ([]
 		out = append(out, nfde, bertier)
 	}
 	for _, th := range cfg.AccrualThresholds {
-		acc, err := core.NewAccrualDetector(core.AccrualDetectorConfig{
-			Threshold: th,
+		pred, margin, err := core.NewAccrualCombo(th, 0, 0)
+		if err != nil {
+			return nil, err
+		}
+		det, err := core.NewDetector(core.DetectorConfig{
+			Name:      fmt.Sprintf("ACCRUAL_%g", th),
+			Predictor: pred,
+			Margin:    margin,
+			Eta:       cfg.Eta,
 			Clock:     clock,
 			Listener:  l,
 		})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, acc)
+		out = append(out, det)
 	}
 	return out, nil
 }

@@ -108,8 +108,8 @@ func ReplayWindow(w *trace.Window, cfg ReplayConfig) (*ReplayResult, error) {
 		detClock = sched.NewWheel(sched.Config{Clock: eng, Tick: cfg.SchedulerTick})
 	}
 	type member struct {
-		det *core.Detector
-		acc *nekostat.Accountant
+		det      *core.Detector
+		accounts *nekostat.Accountant
 	}
 	members := make([]member, 0, len(combos))
 	order := make([]string, 0, len(combos))
@@ -131,7 +131,7 @@ func ReplayWindow(w *trace.Window, cfg ReplayConfig) (*ReplayResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		members = append(members, member{det: det, acc: acc})
+		members = append(members, member{det: det, accounts: acc})
 		order = append(order, combo.Name())
 	}
 
@@ -169,7 +169,7 @@ func ReplayWindow(w *trace.Window, cfg ReplayConfig) (*ReplayResult, error) {
 		Order:    order,
 	}
 	for i, m := range members {
-		res.Replayed[order[i]] = *m.acc
+		res.Replayed[order[i]] = *m.accounts
 	}
 	return res, nil
 }

@@ -167,8 +167,8 @@ func (s *SimCrash) Stats() (crashes, dropped uint64) {
 // detectors in registration order — the paper's mechanism for giving the 30
 // alternatives the exact same message stream, the basis of its fair
 // comparison. Other message types pass up. A detector is any
-// core.HeartbeatConsumer: the paper's freshness-point Detector or the
-// φ-accrual AccrualDetector.
+// core.HeartbeatConsumer; in the product that is core.Detector, whatever
+// its predictor and margin (φ-accrual included).
 type Monitor struct {
 	neko.Base
 	cs  []core.HeartbeatConsumer

@@ -184,9 +184,10 @@ func (r *Registry) TransportMetrics() *TransportMetrics {
 // RecordTransition is the one-stop suspicion-transition sink: it appends
 // the event to the ring, counts it, and, inside the peer's accuracy window
 // (OpenQoS), feeds the peer's accountant and refreshes its QoS gauges with
-// P_A evaluated at this transition. It runs on the (rare) transition path,
-// never per heartbeat, so the registry lock taken for the gauge lookups is
-// acceptable. Nil-safe.
+// P_A evaluated at this transition. Inside a window it allocates nothing:
+// the series were resolved when the window opened. A transition outside
+// any window is counted into the peer's series when its window opens, so
+// one after CloseQoS never re-creates a removed peer's series. Nil-safe.
 func (r *Registry) RecordTransition(peer string, suspected bool, at time.Duration) {
 	if r == nil {
 		return
@@ -196,22 +197,23 @@ func (r *Registry) RecordTransition(peer string, suspected bool, at time.Duratio
 		kind = nekostat.KindStartSuspect
 	}
 	r.events.Record(nekostat.Event{Kind: kind, At: at, Source: peer})
-	r.Counter(MetricTransitions, "Suspicion transitions, both directions.", "peer", peer).Inc()
 	r.qosMu.Lock()
 	p := r.qos[peer]
 	if p == nil {
+		r.unopened[peer]++
 		r.qosMu.Unlock()
 		return
 	}
 	if suspected {
-		p.OnSuspect(peer, at)
+		p.acc.OnSuspect(peer, at)
 	} else {
-		p.OnTrust(peer, at)
+		p.acc.OnTrust(peer, at)
 	}
-	q := *p
+	q := p.acc
 	r.qosMu.Unlock()
+	p.transitions.Inc()
 	tm, tmr := q.Means()
-	r.Gauge(MetricQoSPA, "Live query accuracy probability P_A per peer.", "peer", peer).Set(q.PA(at))
-	r.Gauge(MetricQoSTM, "Live mean mistake duration E[T_M] in seconds.", "peer", peer).Set(tm)
-	r.Gauge(MetricQoSTMR, "Live mean mistake recurrence E[T_MR] in seconds.", "peer", peer).Set(tmr)
+	p.pa.Set(q.PA(at))
+	p.tm.Set(tm)
+	p.tmr.Set(tmr)
 }

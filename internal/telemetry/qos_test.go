@@ -102,3 +102,26 @@ func TestCloseQoSForgetsPeer(t *testing.T) {
 		t.Errorf("re-opened window = %+v, want a fresh one from 2s", q)
 	}
 }
+
+// TestTransitionAfterCloseCreatesNoSeries: once a peer's window is closed
+// and its series dropped, a late transition is still recorded in the event
+// ring but re-creates none of the peer's series.
+func TestTransitionAfterCloseCreatesNoSeries(t *testing.T) {
+	r := NewRegistry(8)
+	r.OpenQoS("a", 0)
+	r.RecordTransition("a", true, time.Second)
+	r.DropSeries("peer", "a")
+	r.CloseQoS("a")
+	r.RecordTransition("a", false, 2*time.Second)
+	r.RecordTransition("a", true, 3*time.Second)
+	if n := r.Events().Total(); n != 3 {
+		t.Errorf("ring total = %d, want 3", n)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); strings.Contains(out, `peer="a"`) {
+		t.Errorf("a removed peer's series came back:\n%s", out)
+	}
+}

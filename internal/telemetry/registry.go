@@ -282,7 +282,19 @@ type Registry struct {
 
 	events *EventRing
 	qosMu  sync.Mutex
-	qos    map[string]*nekostat.Accountant
+	qos    map[string]*peerQoS
+	// unopened counts transitions of peers with no open window; OpenQoS
+	// adds them to the peer's transition counter.
+	unopened map[string]uint64
+}
+
+// peerQoS is one peer's open accuracy window: its accountant and the peer's
+// transition counter and QoS gauges, resolved at OpenQoS so a transition
+// builds no label key.
+type peerQoS struct {
+	acc         nekostat.Accountant
+	transitions *Counter
+	pa, tm, tmr *Gauge
 }
 
 // NewRegistry returns an empty registry with a suspicion-event ring of the
@@ -292,9 +304,10 @@ func NewRegistry(eventCap int) *Registry {
 		eventCap = 512
 	}
 	return &Registry{
-		index:  make(map[string]*family),
-		events: NewEventRing(eventCap),
-		qos:    make(map[string]*nekostat.Accountant),
+		index:    make(map[string]*family),
+		events:   NewEventRing(eventCap),
+		qos:      make(map[string]*peerQoS),
+		unopened: make(map[string]uint64),
 	}
 }
 
@@ -310,14 +323,25 @@ func (r *Registry) Events() *EventRing {
 // are counted into the wanfd_qos_* gauges. A live monitor calls it when it
 // publishes the peer. Every monitored process is taken to be up — a live
 // monitor has no crash ground truth — so every completed suspicion is a
-// mistake. No-op on a nil registry.
+// mistake. It creates the peer's transition counter and QoS gauges, which
+// DropSeries retires. No-op on a nil registry.
 func (r *Registry) OpenQoS(peer string, at time.Duration) {
 	if r == nil {
 		return
 	}
+	p := &peerQoS{
+		acc:         nekostat.Accountant{From: at},
+		transitions: r.Counter(MetricTransitions, "Suspicion transitions, both directions.", "peer", peer),
+		pa:          r.Gauge(MetricQoSPA, "Live query accuracy probability P_A per peer.", "peer", peer),
+		tm:          r.Gauge(MetricQoSTM, "Live mean mistake duration E[T_M] in seconds.", "peer", peer),
+		tmr:         r.Gauge(MetricQoSTMR, "Live mean mistake recurrence E[T_MR] in seconds.", "peer", peer),
+	}
+	p.pa.Set(p.acc.PA(at))
 	r.qosMu.Lock()
 	defer r.qosMu.Unlock()
-	r.qos[peer] = &nekostat.Accountant{From: at}
+	p.transitions.Add(r.unopened[peer])
+	delete(r.unopened, peer)
+	r.qos[peer] = p
 }
 
 // CloseQoS forgets peer's accountant (on membership removal); a re-added
@@ -340,7 +364,7 @@ func (r *Registry) QoS(peer string) (a nekostat.Accountant, ok bool) {
 	r.qosMu.Lock()
 	defer r.qosMu.Unlock()
 	if p := r.qos[peer]; p != nil {
-		return *p, true
+		return p.acc, true
 	}
 	return a, false
 }

@@ -72,10 +72,11 @@ func peerNameHash(name string) uint64 {
 
 // peerEntry is one peer's whole record, a slot of the monitor's arena: the
 // freshness-point detector by value — mutex, deadline, counters and wheel
-// timer handle included — so a default peer is this slot plus its predictor
-// and its margin. Delivery reaches the slot without the table lock, possibly
-// after the slot has changed hands, which the arena's type-stable memory
-// (never moved, freed or zeroed: see arena.Release) and mu make safe.
+// timer handle included — so a peer is this slot plus its predictor and its
+// margin (for φ-accrual, one inter-arrival window they share). Delivery
+// reaches the slot without the table lock, possibly after the slot has
+// changed hands, which the arena's type-stable memory (never moved, freed or
+// zeroed: see arena.Release) and mu make safe.
 type peerEntry struct {
 	// mu orders delivery against the slot changing hands: under it, delivery
 	// compares its handle with self and walks away from a mismatch. Never
@@ -89,27 +90,11 @@ type peerEntry struct {
 	// zero otherwise: what tells a walk over the arena that a slot is a
 	// member. Guarded by the table lock.
 	id neko.ProcessID
-	// det is the peer's detector unless acc is set: a φ-accrual peer keeps
-	// its windowed detector out of line. ctrl is the interval controller,
-	// nil without WithTargetDetection. All three are written only while the
-	// slot is neither published nor live.
+	// det is the peer's detector; its name is the peer's label. ctrl is the
+	// interval controller, nil without WithTargetDetection. Both are written
+	// only while the slot is neither published nor live.
 	det  core.Detector
-	acc  *core.AccrualDetector
 	ctrl *layers.IntervalController
-}
-
-// peerDetector is what the monitor asks of either detector kind.
-type peerDetector interface {
-	core.HeartbeatConsumer
-	core.StatsProvider
-}
-
-// detector returns the peer's detector; its name is the peer's label.
-func (e *peerEntry) detector() peerDetector {
-	if e.acc != nil {
-		return e.acc
-	}
-	return &e.det
 }
 
 // heartbeat feeds one heartbeat to the peer self names, if this slot still
@@ -120,14 +105,14 @@ func (e *peerEntry) heartbeat(self arena.Index, m *neko.Message, at time.Duratio
 	if e.self != self {
 		return false
 	}
-	e.detector().OnHeartbeat(m.Seq, m.SentAt, at)
+	e.det.OnHeartbeat(m.Seq, m.SentAt, at)
 	return true
 }
 
 // stop halts the entry's timers: the detector's deadline and the
 // controller's evaluation loop.
 func (e *peerEntry) stop() {
-	e.detector().Stop()
+	e.det.Stop()
 	if e.ctrl != nil {
 		e.ctrl.Stop()
 	}
@@ -142,7 +127,7 @@ func (e *peerEntry) retire() {
 	defer e.mu.Unlock()
 	e.self = arena.Nil
 	e.stop()
-	e.acc, e.ctrl = nil, nil
+	e.ctrl = nil
 }
 
 // sink is a monitor's one transition listener, shared by every peer's
@@ -348,7 +333,7 @@ func (m *MultiMonitor) deliver(msg *neko.Message, at time.Duration) {
 
 // find resolves a name to its arena index. Callers hold mu.
 func (m *MultiMonitor) find(h uint64, name string) (arena.Index, bool) {
-	return m.tab.Find(h, func(i arena.Index) bool { return m.ents.Get(i).detector().Name() == name })
+	return m.tab.Find(h, func(i arena.Index) bool { return m.ents.Get(i).det.Name() == name })
 }
 
 // each calls f for every member, under the table's read lock — an entry's
@@ -425,9 +410,7 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	}
 	e.id = id
 	m.tab.Put(h, idx)
-	if e.acc == nil {
-		m.opts.exportDetector(&e.det)
-	}
+	m.opts.exportDetector(&e.det)
 	// The peer's accuracy window opens with its publication, on the clock
 	// its detector stamps transitions with.
 	if reg := m.opts.telemetry; reg != nil {
@@ -439,22 +422,11 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	return nil
 }
 
-// build constructs the peer's detector stack in its slot: φ-accrual with
-// WithAccrualThreshold, the paper's freshness-point detector otherwise.
+// build constructs the peer's detector stack in its slot.
 func (m *MultiMonitor) build(e *peerEntry, name string, id neko.ProcessID) error {
 	o := &m.opts
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if o.accrualThreshold > 0 {
-		acc, err := core.NewAccrualDetector(core.AccrualDetectorConfig{
-			Name:      name,
-			Threshold: o.accrualThreshold,
-			Clock:     m.wheel,
-			Listener:  m.listener,
-		})
-		e.acc = acc
-		return err
-	}
 	cfg, err := o.detectorConfig(name)
 	if err == nil {
 		cfg.Env = m.env
@@ -485,7 +457,7 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	m.mu.Lock()
 	var e *peerEntry
 	var id neko.ProcessID
-	idx, ok := m.tab.Remove(h, func(i arena.Index) bool { return m.ents.Get(i).detector().Name() == name })
+	idx, ok := m.tab.Remove(h, func(i arena.Index) bool { return m.ents.Get(i).det.Name() == name })
 	if ok {
 		e = m.ents.Get(idx)
 		id, e.id = e.id, 0
@@ -543,7 +515,7 @@ func (m *MultiMonitor) view(name string, f func(*peerEntry)) bool {
 // Suspected reports whether the named peer is currently suspected; unknown
 // peers report an error.
 func (m *MultiMonitor) Suspected(peer string) (suspected bool, err error) {
-	if !m.view(peer, func(e *peerEntry) { suspected = e.detector().Suspected() }) {
+	if !m.view(peer, func(e *peerEntry) { suspected = e.det.Suspected() }) {
 		return false, fmt.Errorf("wanfd: unknown peer %q", peer)
 	}
 	return suspected, nil
@@ -561,10 +533,10 @@ func (m *MultiMonitor) PeerStatusOf(peer string) (st PeerStatus, err error) {
 // status builds the PeerStatus of one live entry. The clock offset is read
 // from the transport only when the monitor syncs clocks at all.
 func (m *MultiMonitor) status(e *peerEntry) PeerStatus {
-	d := e.detector()
+	d := &e.det
 	st := PeerStatus{Peer: d.Name(), Suspected: d.Suspected(), DetectorStats: d.DetectorStats()}
-	if e.acc != nil {
-		st.Phi = e.acc.Phi()
+	if m.opts.accrualThreshold > 0 {
+		st.Phi = d.Phi()
 	} else {
 		st.Timeout = time.Duration(e.det.CurrentTimeout() * float64(time.Millisecond))
 	}
@@ -600,12 +572,12 @@ func (m *MultiMonitor) Snapshot() ClusterSnapshot {
 	snap := ClusterSnapshot{Uptime: m.ctx.Clock.Now()}
 	m.each(func(e *peerEntry) {
 		snap.Peers++
-		if e.detector().Suspected() {
+		if e.det.Suspected() {
 			snap.Suspected++
 		} else {
 			snap.Trusted++
 		}
-		st := e.detector().DetectorStats()
+		st := e.det.DetectorStats()
 		snap.Totals.Heartbeats += st.Heartbeats
 		snap.Totals.Stale += st.Stale
 		snap.Totals.Suspicions += st.Suspicions

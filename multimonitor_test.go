@@ -1,6 +1,8 @@
 package wanfd
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -199,5 +201,91 @@ func TestQoSWindowFollowsMembership(t *testing.T) {
 	}
 	if q, ok := reg.QoS("alpha"); !ok || q.From <= first {
 		t.Errorf("re-added peer's window = %+v (ok %v), want a fresh one after %v", q, ok, first)
+	}
+}
+
+// TestAccrualPeerObservable checks that a φ-accrual peer is observable like
+// any peer: its detector series, a timeout gauge reading mean + z·σ, its
+// heartbeat samples in the store, and RemovePeer retiring its series.
+func TestAccrualPeerObservable(t *testing.T) {
+	addrs := freeUDPPorts(t, 2)
+	monAddr, aAddr := addrs[0], addrs[1]
+	const eta = 20 * time.Millisecond
+	hb, err := RunHeartbeater(HeartbeaterConfig{Listen: aAddr, Remote: monAddr, Eta: eta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hb.Close()
+	st, err := OpenStore(StoreConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := telemetry.NewRegistry(16)
+	mon, err := NewMultiMonitor(monAddr, WithEta(eta), WithAccrualThreshold(8),
+		WithTelemetry(reg), WithStore(st), WithPeer("a", aAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	if !waitFor(t, 3*time.Second, func() bool {
+		s, err := mon.PeerStatusOf("a")
+		return err == nil && s.Heartbeats >= 10
+	}) {
+		t.Fatal("no heartbeats delivered")
+	}
+	series := func() map[string]float64 {
+		t.Helper()
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]float64)
+		for _, line := range strings.Split(b.String(), "\n") {
+			name, val, ok := strings.Cut(line, `{peer="a"} `)
+			if !ok {
+				continue
+			}
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("bad sample %q", line)
+			}
+			out[name] = v
+		}
+		return out
+	}
+	got := series()
+	for _, name := range []string{
+		telemetry.MetricHeartbeats, telemetry.MetricHeartbeatsStale,
+		telemetry.MetricFreshnessMisses, telemetry.MetricPeerSuspected,
+		telemetry.MetricHeartbeatsLate,
+	} {
+		if _, ok := got[name]; !ok {
+			t.Errorf("no %s series for the accrual peer: %v", name, got)
+		}
+	}
+	// mean + z·σ: an inter-arrival near η plus z(8) ≈ 5.6 times σ, which is
+	// at least the 10 ms floor.
+	if to := got[telemetry.MetricDetectorTimeout]; to < 0.05 {
+		t.Errorf("timeout gauge = %v s, want mean + z·σ above 50 ms", to)
+	}
+	if s, _ := mon.PeerStatusOf("a"); s.Timeout != 0 {
+		t.Errorf("accrual peer status Timeout = %v, want 0", s.Timeout)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := st.Query(0, 0, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Peers) != 1 || rep.Peers[0].Samples == 0 {
+		t.Errorf("store window = %+v, want the accrual peer's heartbeat samples", rep.Peers)
+	}
+	if err := mon.RemovePeer("a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := series(); len(got) != 0 {
+		t.Errorf("series left after RemovePeer: %v", got)
 	}
 }

@@ -68,7 +68,9 @@ const DefaultMinTimeout = 10 * time.Millisecond
 //     recommended combination.
 //   - MinTimeout is a three-way sentinel: zero means "use the default
 //     floor" (10 ms), negative means "no floor at all" (the paper's
-//     detectors, normalized to 0), positive is the floor itself.
+//     detectors, normalized to 0), positive is the floor itself. A
+//     φ-accrual monitor has no floor: its timeout bounds an inter-arrival
+//     time, not a delay.
 func (o *options) normalize() {
 	if o.predictor == "" {
 		o.predictor = "LAST"
@@ -77,10 +79,10 @@ func (o *options) normalize() {
 		o.margin = "JAC_med"
 	}
 	switch {
+	case o.minTimeout < 0, o.accrualThreshold > 0:
+		o.minTimeout = 0
 	case o.minTimeout == 0:
 		o.minTimeout = DefaultMinTimeout
-	case o.minTimeout < 0:
-		o.minTimeout = 0
 	}
 }
 
@@ -168,9 +170,12 @@ func WithOnTrust(fn func(elapsed time.Duration)) Option {
 	return func(o *options) { o.onTrust = fn }
 }
 
-// WithAccrualThreshold replaces every peer's freshness-point detector with
-// a φ-accrual detector at the given threshold (8 is the common production
-// default). It cannot be combined with WithTargetDetection.
+// WithAccrualThreshold replaces every peer's predictor and margin with
+// φ-accrual's at the given threshold (8 is the common production default):
+// a peer is suspected once φ crosses it, mean + z·σ of the windowed
+// inter-arrival times after its freshest heartbeat. WithPredictor,
+// WithMargin and WithMinTimeout then do not apply. It cannot be combined
+// with WithTargetDetection.
 func WithAccrualThreshold(phi float64) Option {
 	return func(o *options) { o.accrualThreshold = phi }
 }
@@ -271,15 +276,11 @@ func (o *options) validate() error {
 	return nil
 }
 
-// detectorConfig is the one recipe behind every monitored peer's
-// freshness-point detector, less clock, listener and floor, which the caller
-// supplies. name labels the peer in callbacks, telemetry and the store.
+// detectorConfig is the one recipe behind every monitored peer's detector,
+// less clock, listener and floor, which the caller supplies. name labels the
+// peer in callbacks, telemetry and the store.
 func (o *options) detectorConfig(name string) (core.DetectorConfig, error) {
-	pred, err := core.NewPredictorByName(o.predictor)
-	if err != nil {
-		return core.DetectorConfig{}, err
-	}
-	margin, err := core.NewMarginByName(o.margin)
+	pred, margin, err := o.combo()
 	if err != nil {
 		return core.DetectorConfig{}, err
 	}
@@ -295,8 +296,22 @@ func (o *options) detectorConfig(name string) (core.DetectorConfig, error) {
 	}, nil
 }
 
+// combo builds one peer's predictor and margin: φ-accrual's with
+// WithAccrualThreshold, the named ones otherwise.
+func (o *options) combo() (core.Predictor, core.SafetyMargin, error) {
+	if o.accrualThreshold > 0 {
+		return core.NewAccrualCombo(o.accrualThreshold, 0, 0)
+	}
+	pred, err := core.NewPredictorByName(o.predictor)
+	if err != nil {
+		return nil, nil, err
+	}
+	margin, err := core.NewMarginByName(o.margin)
+	return pred, margin, err
+}
+
 // exportDetector registers the scrape-time series for a published
-// freshness-point detector: state it tracks anyway is sampled when scraped,
+// detector: state it tracks anyway is sampled when scraped,
 // not pushed per heartbeat. At publication, not construction: a rejected
 // duplicate must not take over the live peer's series. DropSeries retires
 // them.

@@ -40,7 +40,7 @@ func (m *Monitor) Stats() Stats { return m.mm.Stats() }
 func (m *MultiMonitor) Stats() Stats {
 	var det DetectorStats
 	m.each(func(e *peerEntry) {
-		st := e.detector().DetectorStats()
+		st := e.det.DetectorStats()
 		det.Heartbeats += st.Heartbeats
 		det.Stale += st.Stale
 		det.Suspicions += st.Suspicions

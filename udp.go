@@ -56,7 +56,7 @@ func NewMonitor(listen, remote string, opts ...Option) (*Monitor, error) {
 }
 
 // Suspected reports the detector's current output.
-func (m *Monitor) Suspected() bool { return m.e.detector().Suspected() }
+func (m *Monitor) Suspected() bool { return m.e.det.Suspected() }
 
 // Timeout returns the current adaptive timeout of a freshness-point
 // detector; for a φ-accrual monitor it returns 0 (use Phi instead).
@@ -70,9 +70,8 @@ func (m *Monitor) Phi() float64 { return m.mm.status(m.e).Phi }
 // not requested).
 func (m *Monitor) ClockOffset() time.Duration { return m.mm.status(m.e).ClockOffset }
 
-// DetectorStats returns a snapshot of the detector's lifetime counters
-// (zero for consumer kinds that expose none).
-func (m *Monitor) DetectorStats() DetectorStats { return m.e.detector().DetectorStats() }
+// DetectorStats returns a snapshot of the detector's lifetime counters.
+func (m *Monitor) DetectorStats() DetectorStats { return m.e.det.DetectorStats() }
 
 // LocalAddr returns the monitor's bound UDP address string.
 func (m *Monitor) LocalAddr() string { return m.mm.LocalAddr() }

@@ -3,6 +3,8 @@ package wanfd
 import (
 	"testing"
 	"time"
+
+	"wanfd/internal/telemetry"
 )
 
 // TestPipelineZeroAlloc is the "no per-heartbeat bookkeeping" gate on the
@@ -62,26 +64,37 @@ func TestPipelineZeroAlloc(t *testing.T) {
 }
 
 // TestTransitionZeroAlloc pins a suspicion transition's cost with the
-// durable store attached: the sink finds the peer's recorder the store
-// interned when the peer was added, so a suspect/trust pair allocates
-// nothing.
+// durable store attached and with live telemetry: the sink finds the peer's
+// recorder the store interned, and the series the registry resolved, when
+// the peer was added, so a suspect/trust pair allocates nothing.
 func TestTransitionZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting holds only in normal builds")
 	}
-	st, err := OpenStore(StoreConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	pair := func(t *testing.T, what string, opts ...Option) {
+		t.Helper()
+		mm := benchCluster(t, []string{"p"}, benchPeerAddr,
+			append(opts, WithOnChange(func(string, bool, time.Duration) {}))...)
+		at := time.Second
+		if avg := testing.AllocsPerRun(1000, func() {
+			at += time.Millisecond
+			mm.listener.OnSuspect("p", at)
+			mm.listener.OnTrust("p", at)
+		}); avg != 0 {
+			t.Errorf("a suspect/trust pair with %s attached allocates %.1f, want 0", what, avg)
+		}
 	}
-	t.Cleanup(func() { _ = st.Close() })
-	mm := benchCluster(t, []string{"p"}, benchPeerAddr, WithStore(st),
-		WithOnChange(func(string, bool, time.Duration) {}))
-	at := time.Second
-	if avg := testing.AllocsPerRun(1000, func() {
-		at += time.Millisecond
-		mm.listener.OnSuspect("p", at)
-		mm.listener.OnTrust("p", at)
-	}); avg != 0 {
-		t.Errorf("a suspect/trust pair with a store attached allocates %.1f, want 0", avg)
-	}
+	t.Run("store", func(t *testing.T) {
+		st, err := OpenStore(StoreConfig{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = st.Close() })
+		pair(t, "a store", WithStore(st))
+	})
+	// The peer's transition counter and QoS gauges are resolved when its
+	// accuracy window opens, at publication.
+	t.Run("telemetry", func(t *testing.T) {
+		pair(t, "telemetry", WithTelemetry(telemetry.NewRegistry(0)))
+	})
 }
