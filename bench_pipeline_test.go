@@ -72,19 +72,17 @@ func benchCluster(tb testing.TB, names []string, addr func(int) string, opts ...
 }
 
 // peerHandleOf returns the handle the transport stamps on the named peer's
-// messages: what a test needs to enter the receive path at
-// MultiMonitor.deliver, past the transport's address lookup.
+// messages, its record's arena index: what a test needs to enter the
+// receive path at MultiMonitor.deliver, past the transport's address lookup.
 func peerHandleOf(tb testing.TB, mm *MultiMonitor, name string) uint64 {
 	tb.Helper()
-	var handle uint64
-	if !mm.view(name, func(e *peerEntry) {
-		e.mu.Lock()
-		handle = uint64(e.self)
-		e.mu.Unlock()
-	}) {
+	mm.mu.RLock()
+	idx, ok := mm.find(peerNameHash(name), name)
+	mm.mu.RUnlock()
+	if !ok {
 		tb.Fatalf("no peer %q", name)
 	}
-	return handle
+	return uint64(idx)
 }
 
 // liveRecords counts the peer-arena slots in use: members plus any slot an

@@ -148,7 +148,8 @@ type DetectorConfig struct {
 //
 // A Detector is safe for concurrent use (heartbeats may arrive from a
 // network goroutine while timers fire on another). It is built by
-// NewDetector, or in place by Init when it is a field of a larger record.
+// NewDetector, or in place by Init when it is a field of a larger record;
+// there it serves one owner at a time (Serve, OnHeartbeatFor).
 type Detector struct {
 	name   string
 	pred   Predictor
@@ -169,6 +170,9 @@ type Detector struct {
 	wheelTimer sched.Timer
 	suspected  bool
 	stopped    bool
+	// owner is the token of the record this detector serves (Serve); 0
+	// from Init until Serve and again from Stop.
+	owner uint64
 
 	heartbeats uint64
 	stale      uint64
@@ -196,9 +200,11 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 // Init is NewDetector on memory the caller owns: d is the zero Detector or
 // one that has been stopped. It never overwrites the mutex or the timer
 // handle, so memory reused for one detector after another stays safe to
-// reach for an expiry addressed to an earlier one: it finds, under the mutex,
-// a stopped detector or a later one whose own state decides (an expiry
-// suspects only once a deadline this detector set has passed).
+// reach late: an expiry addressed to an earlier detector finds, under the
+// mutex, a stopped detector or a later one whose own state decides (an
+// expiry suspects only once a deadline this detector set has passed), and a
+// heartbeat addressed to an earlier owner finds one it does not serve (see
+// OnHeartbeatFor).
 func (d *Detector) Init(cfg DetectorConfig) error {
 	if cfg.Predictor == nil || cfg.Margin == nil {
 		return fmt.Errorf("core: detector %q needs a predictor and a margin", cfg.Name)
@@ -222,7 +228,7 @@ func (d *Detector) Init(cfg DetectorConfig) error {
 	d.name, d.pred, d.margin, d.eta = name, cfg.Predictor, cfg.Margin, cfg.Eta
 	d.arrival, _ = cfg.Predictor.(arrivalPredictor)
 	d.env, d.metrics, d.sample = env, cfg.Metrics, cfg.Sample
-	d.hi, d.deadline, d.suspected, d.stopped = -1, 0, false, false
+	d.hi, d.deadline, d.suspected, d.stopped, d.owner = -1, 0, false, false, 0
 	d.heartbeats, d.stale, d.suspicions = 0, 0, 0
 	// One rearmable timer for the detector's lifetime: on a timing-wheel
 	// clock each freshness point is an O(1) in-place re-arm instead of a
@@ -252,7 +258,35 @@ func (d *Detector) Name() string { return d.name }
 func (d *Detector) OnHeartbeat(seq int64, sendTime, now time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.heartbeatLocked(seq, sendTime, now)
+}
 
+// Serve makes the detector accept OnHeartbeatFor(owner, …) until Stop or
+// the next Init. owner is a non-zero token naming one lifetime of the
+// memory the detector sits in — a peer monitor uses its record's arena
+// index — so a heartbeat addressed to an earlier lifetime is refused.
+func (d *Detector) Serve(owner uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.owner = owner
+}
+
+// OnHeartbeatFor is OnHeartbeat for a caller that reached the detector
+// through memory that may have changed hands: it feeds the heartbeat and
+// reports true only while the detector serves owner (Serve), and otherwise
+// leaves the detector untouched.
+func (d *Detector) OnHeartbeatFor(owner uint64, seq int64, sendTime, now time.Duration) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if owner == 0 || owner != d.owner {
+		return false
+	}
+	d.heartbeatLocked(seq, sendTime, now)
+	return true
+}
+
+// heartbeatLocked is the one heartbeat update. Callers hold d.mu.
+func (d *Detector) heartbeatLocked(seq int64, sendTime, now time.Duration) {
 	if d.stopped {
 		// Torn down (e.g. the peer was removed from a cluster monitor):
 		// a straggler packet must not re-arm timers on a dead detector.
@@ -422,12 +456,12 @@ func (d *Detector) Eta() time.Duration {
 }
 
 // Stop cancels any pending timer and tears the detector down: subsequent
-// heartbeats are ignored, so a stopped detector can never resurrect a timer.
-// The detector may be discarded afterwards.
+// heartbeats are ignored, so a stopped detector can never resurrect a timer,
+// and it serves no owner. The detector may be discarded afterwards.
 func (d *Detector) Stop() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.stopped = true
+	d.stopped, d.owner = true, 0
 	if d.timer != nil { // nil on a detector Init never completed for
 		d.timer.Stop()
 	}

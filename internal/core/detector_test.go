@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -540,6 +541,98 @@ func TestInitReusesStoppedDetector(t *testing.T) {
 	want := now + time.Second + 150*time.Millisecond + timerSlack
 	if len(l.events) != 1 || !l.events[0].suspect || l.events[0].at != want {
 		t.Fatalf("events = %+v, want one suspicion at %v", l.events, want)
+	}
+}
+
+// TestDetectorServesOneOwner pins the owner check that lets a record's
+// memory change hands under a late heartbeat: OnHeartbeatFor feeds the
+// detector only while it serves that owner, so a heartbeat addressed to the
+// slot's previous occupant — an earlier generation of the same arena index —
+// or sent before the slot goes live or after it stops is refused and leaves
+// the detector untouched. The last part races a straggler against the hand-over.
+func TestDetectorServesOneOwner(t *testing.T) {
+	eng := sim.NewEngine()
+	wheel := sched.NewWheel(sched.Config{Clock: eng})
+	defer wheel.Close()
+	env, err := NewDetectorEnv(wheel, &recordingListener{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Detector
+	init := func() {
+		t.Helper()
+		margin, _ := NewConstantMargin("M", 50)
+		if err := d.Init(DetectorConfig{Predictor: NewLast(), Margin: margin, Eta: time.Second, Env: env}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Arena indices of one slot (7) in three lifetimes: the slot number in
+	// the high word, an odd generation in the low one.
+	const first, second, third = 7<<32 | 1, 7<<32 | 3, 7<<32 | 5
+	feed := func(owner uint64, seq int64) bool {
+		return d.OnHeartbeatFor(owner, seq, 0, 100*time.Millisecond)
+	}
+	heartbeats := func() uint64 { return d.DetectorStats().Heartbeats }
+
+	init()
+	for _, owner := range []uint64{0, first, second} {
+		if feed(owner, 1) {
+			t.Errorf("a detector serving no one accepted a heartbeat for %#x", owner)
+		}
+	}
+	d.Serve(first)
+	for _, owner := range []uint64{0, second} {
+		if feed(owner, 1) {
+			t.Errorf("a detector serving %#x accepted a heartbeat for %#x", uint64(first), owner)
+		}
+	}
+	if !feed(first, 1) || heartbeats() != 1 {
+		t.Fatalf("a detector serving %#x refused its own heartbeat (%d counted)", uint64(first), heartbeats())
+	}
+	d.Stop()
+	if feed(first, 2) {
+		t.Error("a stopped detector accepted a heartbeat for its last owner")
+	}
+
+	init()
+	for _, owner := range []uint64{first, second} {
+		if feed(owner, 1) {
+			t.Errorf("a re-initialised detector that serves no one yet accepted a heartbeat for %#x", owner)
+		}
+	}
+	d.Serve(second)
+	if feed(first, 2) {
+		t.Error("a heartbeat for the slot's earlier generation was accepted")
+	}
+	if !feed(second, 1) || heartbeats() != 1 {
+		t.Fatalf("the next occupant refused its own heartbeat (%d counted)", heartbeats())
+	}
+
+	// A straggler for the second lifetime racing its end: whatever it sends
+	// once Stop has returned is refused, and the third lifetime sees none of
+	// it. Its heartbeats are stale (seq ≤ 1), so they count and arm nothing.
+	var stopped atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			after := stopped.Load()
+			if feed(second, 1) && after {
+				t.Error("a heartbeat sent after Stop returned was accepted")
+				return
+			}
+		}
+	}()
+	d.Stop()
+	stopped.Store(true)
+	init()
+	d.Serve(third)
+	<-done
+	if n := heartbeats(); n != 0 {
+		t.Errorf("the third lifetime counted %d of its predecessor's heartbeats", n)
+	}
+	if !feed(third, 1) || heartbeats() != 1 {
+		t.Errorf("the third occupant refused its own heartbeat (%d counted)", heartbeats())
 	}
 }
 

@@ -147,40 +147,6 @@ func (r *Registry) DetectorFuncs(peer string, stats func() (heartbeats, stale, s
 	}, "peer", peer)
 }
 
-// TransportMetrics is the socket-level handle bundle. Like
-// DetectorMetrics, the whole pointer may be nil when telemetry is off.
-//
-//fdlint:nilsafe
-type TransportMetrics struct {
-	// Sent and Received count packets written to and decoded from the
-	// socket.
-	Sent, Received *Counter
-	// DecodeErrors counts malformed inbound packets.
-	DecodeErrors *Counter
-	// Dropped counts packets discarded without delivery (no receiver
-	// attached, datagrams from unregistered source addresses, or sends to
-	// unregistered peers).
-	Dropped *Counter
-	// SendErrors counts messages lost on the send path: unencodable
-	// messages, socket write errors and short writes.
-	SendErrors *Counter
-}
-
-// TransportMetrics builds the socket-level handle bundle (nil on a nil
-// registry).
-func (r *Registry) TransportMetrics() *TransportMetrics {
-	if r == nil {
-		return nil
-	}
-	return &TransportMetrics{
-		Sent:         r.Counter(MetricPacketsSent, "UDP packets sent."),
-		Received:     r.Counter(MetricPacketsReceived, "Valid UDP packets received."),
-		DecodeErrors: r.Counter(MetricDecodeErrors, "Malformed inbound packets discarded."),
-		Dropped:      r.Counter(MetricPacketsDropped, "Packets discarded without delivery."),
-		SendErrors:   r.Counter(MetricSendErrors, "Messages lost to encode or socket write failures."),
-	}
-}
-
 // RecordTransition is the one-stop suspicion-transition sink: it appends
 // the event to the ring, counts it, and, inside the peer's accuracy window
 // (OpenQoS), feeds the peer's accountant and refreshes its QoS gauges with

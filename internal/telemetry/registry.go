@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -253,6 +254,7 @@ const (
 type series struct {
 	labels []string // flattened k,v pairs, as passed in
 	key    string   // canonical label signature
+	fam    *family
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
@@ -265,8 +267,9 @@ type family struct {
 	help   string
 	typ    metricType
 	bounds []float64 // histogram families only
-	series []*series // registration order
-	index  map[string]*series
+	// index holds the family's series by label signature; the exposition
+	// writes them sorted by it.
+	index map[string]*series
 }
 
 // Registry is the telemetry hub: the metric families plus the suspicion
@@ -279,6 +282,9 @@ type Registry struct {
 	mu       sync.RWMutex
 	families []*family // registration order
 	index    map[string]*family
+	// byLabel lists the series carrying each label pair, keyed by the
+	// pair's label signature, so DropSeries touches only its own series.
+	byLabel map[string][]*series
 
 	events *EventRing
 	qosMu  sync.Mutex
@@ -305,6 +311,7 @@ func NewRegistry(eventCap int) *Registry {
 	}
 	return &Registry{
 		index:    make(map[string]*family),
+		byLabel:  make(map[string][]*series),
 		events:   NewEventRing(eventCap),
 		qos:      make(map[string]*peerQoS),
 		unopened: make(map[string]uint64),
@@ -410,7 +417,7 @@ func (r *Registry) lookup(name, help string, typ metricType, bounds []float64, l
 	key := labelKey(labels)
 	s, ok := f.index[key]
 	if !ok {
-		s = &series{labels: append([]string(nil), labels...), key: key}
+		s = &series{labels: append([]string(nil), labels...), key: key, fam: f}
 		switch typ {
 		case typeCounter:
 			s.c = &Counter{}
@@ -423,7 +430,13 @@ func (r *Registry) lookup(name, help string, typ metricType, bounds []float64, l
 			}
 		}
 		f.index[key] = s
-		f.series = append(f.series, s)
+		for i := 0; i+1 < len(labels); i += 2 {
+			pair := key
+			if len(labels) > 2 {
+				pair = labelKey(labels[i : i+2])
+			}
+			r.byLabel[pair] = append(r.byLabel[pair], s)
+		}
 	}
 	return s
 }
@@ -492,31 +505,32 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 
 // DropSeries removes every series carrying the given label key and value
 // across all families — used when a peer leaves the cluster so its series
-// do not linger forever under membership churn.
+// do not linger forever under membership churn. It costs the dropped
+// series, not the registry's size.
 func (r *Registry) DropSeries(label, value string) {
 	if r == nil {
 		return
 	}
+	pair := labelKey([]string{label, value})
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, f := range r.families {
-		kept := f.series[:0]
-		for _, s := range f.series {
-			matched := false
-			for i := 0; i+1 < len(s.labels); i += 2 {
-				if s.labels[i] == label && s.labels[i+1] == value {
-					matched = true
-					break
+	for _, s := range r.byLabel[pair] {
+		delete(s.fam.index, s.key)
+		if len(s.labels) <= 2 {
+			continue // listed under pair alone
+		}
+		for i := 0; i+1 < len(s.labels); i += 2 {
+			if other := labelKey(s.labels[i : i+2]); other != pair {
+				list := slices.DeleteFunc(r.byLabel[other], func(o *series) bool { return o == s })
+				if len(list) == 0 {
+					delete(r.byLabel, other)
+				} else {
+					r.byLabel[other] = list
 				}
 			}
-			if matched {
-				delete(f.index, s.key)
-			} else {
-				kept = append(kept, s)
-			}
 		}
-		f.series = kept
 	}
+	delete(r.byLabel, pair)
 }
 
 // escapeLabel escapes a label value for the text exposition format.
@@ -604,15 +618,19 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	snap := make([]famSnap, 0, len(r.families))
 	for _, f := range r.families {
-		if len(f.series) == 0 {
+		if len(f.index) == 0 {
 			continue
+		}
+		series := make([]*series, 0, len(f.index))
+		for _, s := range f.index {
+			series = append(series, s)
 		}
 		snap = append(snap, famSnap{
 			name:   f.name,
 			help:   f.help,
 			typ:    f.typ,
 			bounds: f.bounds,
-			series: append([]*series(nil), f.series...),
+			series: series,
 		})
 	}
 	r.mu.RUnlock()

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -265,6 +267,124 @@ func TestDropSeries(t *testing.T) {
 	// Re-creating a dropped series starts from zero.
 	if v := r.Counter("wanfd_hb_total", "h", "peer", "a").Value(); v != 0 {
 		t.Errorf("recreated counter = %d, want 0", v)
+	}
+}
+
+// registerPeer gives one peer the series a live monitor registers for it.
+func registerPeer(r *Registry, peer string) {
+	r.DetectorMetrics(peer)
+	r.DetectorFuncs(peer,
+		func() (uint64, uint64, uint64) { return 5, 1, 0 },
+		func() float64 { return 0.25 },
+		func() bool { return false })
+	r.OpenQoS(peer, 0)
+}
+
+// TestDropSeriesTouchesOnlyItsPeer drops one peer of many, some series of
+// which carry a second label pair: the exposition afterwards is exactly the
+// one before with that peer's lines taken out, and dropping by the second
+// pair, and re-adding the peer, keep the label index consistent.
+func TestDropSeriesTouchesOnlyItsPeer(t *testing.T) {
+	r := NewRegistry(0)
+	r.Counter("wanfd_up_total", "h").Inc()
+	for i := 0; i < 10; i++ {
+		peer := fmt.Sprintf("p%d", i)
+		registerPeer(r, peer)
+		r.Counter("wanfd_zone_total", "h", "peer", peer, "zone", fmt.Sprint(i%2)).Add(uint64(i))
+	}
+	scrape := func() string {
+		t.Helper()
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	without := func(out, label string) string {
+		var kept []string
+		for _, line := range strings.SplitAfter(out, "\n") {
+			if !strings.Contains(line, label) {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "")
+	}
+	before := scrape()
+	if !strings.Contains(before, `peer="p3"`) {
+		t.Fatalf("p3 has no series to drop:\n%s", before)
+	}
+	r.DropSeries("peer", "p3")
+	if got, want := scrape(), without(before, `peer="p3"`); got != want {
+		t.Errorf("after dropping p3:\n%s\nwant:\n%s", got, want)
+	}
+	before = scrape()
+	r.DropSeries("zone", "1")
+	if got, want := scrape(), without(before, `zone="1"`); got != want {
+		t.Errorf("after dropping zone 1:\n%s\nwant:\n%s", got, want)
+	}
+	// p5's zone series went with zone 1; dropping p5 must take the rest and
+	// nothing else.
+	before = scrape()
+	r.DropSeries("peer", "p5")
+	if got, want := scrape(), without(before, `peer="p5"`); got != want {
+		t.Errorf("after dropping p5:\n%s\nwant:\n%s", got, want)
+	}
+	// A re-added peer starts fresh and drops again.
+	registerPeer(r, "p3")
+	if out := scrape(); !strings.Contains(out, MetricHeartbeats+`{peer="p3"} 5`) ||
+		!strings.Contains(out, MetricQoSPA+`{peer="p3"} 1`) {
+		t.Errorf("re-added p3 not exported:\n%s", out)
+	}
+	before = scrape()
+	r.DropSeries("peer", "p3")
+	if got, want := scrape(), without(before, `peer="p3"`); got != want {
+		t.Errorf("after dropping the re-added p3:\n%s\nwant:\n%s", got, want)
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for pair, list := range r.byLabel {
+		for _, s := range list {
+			if s.fam.index[s.key] != s {
+				t.Errorf("label index lists a dropped series %q under %q", s.key, pair)
+			}
+		}
+	}
+}
+
+// BenchmarkDropSeries times one peer's removal from the registry of a
+// monitor with every peer's series and QoS window registered: DropSeries
+// plus CloseQoS, as RemovePeer calls them. The cost must not grow with the
+// fleet. The 65,536-peer set-up is skipped under -short.
+func BenchmarkDropSeries(b *testing.B) {
+	for _, peers := range []int{4096, 65536} {
+		b.Run(fmt.Sprint(peers), func(b *testing.B) {
+			if peers > 4096 && testing.Short() {
+				b.Skip("large set-up under -short")
+			}
+			r := NewRegistry(0)
+			names := make([]string, peers)
+			for i := range names {
+				names[i] = fmt.Sprintf("peer-%d", i)
+				registerPeer(r, names[i])
+			}
+			// Collect the set-up's garbage now, not in the timed loop.
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % peers
+				if i > 0 && k == 0 {
+					// Every peer is gone: register the fleet again.
+					b.StopTimer()
+					for _, name := range names {
+						registerPeer(r, name)
+					}
+					runtime.GC()
+					b.StartTimer()
+				}
+				r.DropSeries("peer", names[k])
+				r.CloseQoS(names[k])
+			}
+		})
 	}
 }
 

@@ -35,7 +35,7 @@ func (n *UDPNetwork) EgressStats() EgressStats {
 func (n *UDPNetwork) send(m *neko.Message) {
 	ap, ok := n.peerAddr(m.To)
 	if !ok {
-		n.mDropped.Inc()
+		n.dropped.Add(1)
 		return
 	}
 	_ = n.write(m, ap) // counted in SendErrors; Send has no error to return
@@ -60,10 +60,8 @@ func (n *UDPNetwork) write(m *neko.Message, to netip.AddrPort) error {
 	}
 	if err != nil {
 		n.sendErrors.Add(1)
-		n.mSendErr.Inc()
 		return err
 	}
 	n.sent.Add(1)
-	n.mSent.Inc()
 	return nil
 }

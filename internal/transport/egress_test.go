@@ -2,7 +2,9 @@ package transport
 
 import (
 	stdnet "net"
+	"net/netip"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -245,9 +247,9 @@ func TestSendRacesPeerChurnAndClose(t *testing.T) {
 	wg.Wait()
 	<-churnDone
 	st := n.EgressStats()
-	if got := st.Packets + st.SendErrors + n.mDropped.Value(); got != senders*each {
+	if got := st.Packets + st.SendErrors + n.dropped.Load(); got != senders*each {
 		t.Errorf("packets %d + send errors %d + unknown-peer drops %d = %d, want %d offered",
-			st.Packets, st.SendErrors, n.mDropped.Value(), got, senders*each)
+			st.Packets, st.SendErrors, n.dropped.Load(), got, senders*each)
 	}
 	before := n.SendErrors()
 	returned := make(chan struct{})
@@ -262,5 +264,64 @@ func TestSendRacesPeerChurnAndClose(t *testing.T) {
 	}
 	if got := n.SendErrors(); got != before+1 {
 		t.Errorf("send errors after a Send on the closed endpoint = %d, want %d", got, before+1)
+	}
+}
+
+// TestTransportSeriesCountEachPacket drives every counted outcome of the
+// send and receive paths once and reads the wanfd_transport_* series: each
+// equals its endpoint counter, and the dropped series sums its three causes
+// (no receiver, unknown source, unroutable send).
+func TestTransportSeriesCountEachPacket(t *testing.T) {
+	dst, err := stdnet.ListenUDP("udp4", &stdnet.UDPAddr{IP: stdnet.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	reg := telemetry.NewRegistry(0)
+	n, err := NewUDPNetwork(UDPConfig{
+		LocalID:   1,
+		Listen:    "127.0.0.1:0",
+		Peers:     map[neko.ProcessID]string{2: dst.LocalAddr().String()},
+		Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	peer := dst.LocalAddr().(*stdnet.UDPAddr).AddrPort()
+	stranger := netip.MustParseAddrPort("127.0.0.1:1")
+	inj := n.NewInjector()
+	hb := encodePacket(t, 2, 1, 1, n.WallTime().UnixNano())
+	inj.InjectBatch([][]byte{hb}, []netip.AddrPort{peer}) // no receiver yet
+	sender, err := n.Attach(1, recvFunc(func(*neko.Message) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.InjectBatch([][]byte{hb, hb, []byte("garbage")}, []netip.AddrPort{peer, stranger, peer})
+	sender.Send(&neko.Message{From: 1, To: 2, Type: neko.MsgHeartbeat, Seq: 1})
+	sender.Send(&neko.Message{From: 1, To: 9, Type: neko.MsgHeartbeat, Seq: 1})
+	sender.Send(&neko.Message{From: 1, To: 2, Payload: make([]byte, maxPayload+1)})
+
+	sent, received, malformed := n.Stats()
+	if sent != 1 || received != 1 || malformed != 1 || n.SendErrors() != 1 {
+		t.Fatalf("sent, received, malformed, send errors = %d, %d, %d, %d, want 1 each",
+			sent, received, malformed, n.SendErrors())
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		telemetry.MetricPacketsSent + " 1\n",
+		telemetry.MetricPacketsReceived + " 1\n",
+		telemetry.MetricDecodeErrors + " 1\n",
+		telemetry.MetricPacketsDropped + " 3\n",
+		telemetry.MetricSendErrors + " 1\n",
+		telemetry.MetricEgressSendErrors + " 0\n",
+		"# TYPE " + telemetry.MetricPacketsDropped + " counter\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
+		}
 	}
 }

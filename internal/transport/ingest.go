@@ -25,14 +25,12 @@ func unmapAP(ap netip.AddrPort) netip.AddrPort {
 
 // pending is one drained datagram between decode and delivery: the decoded
 // message itself, the sender's wall-clock send time, the source address
-// (already Unmap()ed) and, once the source resolved to a registered peer
-// (which also stamps the message with that peer's id and handle), its clock
-// offset.
+// (already Unmap()ed) and whether it resolved to a registered peer (which
+// also stamps the message with that peer's id and handle).
 type pending struct {
 	m        neko.Message
 	sentUnix int64
 	src      netip.AddrPort
-	off      int64
 	known    bool
 }
 
@@ -62,10 +60,9 @@ func (n *UDPNetwork) decode(b *rxBatch, pkt []byte, src netip.AddrPort) {
 	sentUnix, err := DecodeInto(&p.m, pkt)
 	if err != nil {
 		n.malformed.Add(1)
-		n.mDecodeErr.Inc()
 		return
 	}
-	p.sentUnix, p.src, p.off, p.known = sentUnix, src, 0, false
+	p.sentUnix, p.src, p.known = sentUnix, src, false
 	b.n++
 }
 
@@ -172,8 +169,7 @@ func (n *UDPNetwork) startIngest() {
 		}
 		n.readers = append(n.readers, c)
 	}
-	ig := &ingestState{}
-	n.ingest = ig
+	ig := n.ingest
 	if r := n.cfg.Telemetry; r != nil {
 		ig.batchHist = r.Histogram(telemetry.MetricIngestBatchSize,
 			"datagrams drained per readiness wakeup",
@@ -230,7 +226,6 @@ func (n *UDPNetwork) processBatch(b *rxBatch) {
 	for i := range batch {
 		if ps := n.lookupAddrLocked(batch[i].src); ps != nil {
 			batch[i].m.From, batch[i].m.Handle = ps.id, ps.handle
-			batch[i].off = ps.offset.Load()
 			batch[i].known = true
 		}
 	}
@@ -244,15 +239,14 @@ func (n *UDPNetwork) processBatch(b *rxBatch) {
 			// The wire's From is a claim, not an identity: a stranger must
 			// not refresh (or be answered as) whichever peer owns that id.
 			ig.unknownSrc.Add(1)
-			n.mDropped.Inc()
 		case p.m.Type == MsgTimeReq:
 			n.handleTimeReq(&p.m, p.src)
 		case p.m.Type == MsgTimeResp:
 			n.handleTimeResp(&p.m)
 		default:
 			// Map the sender's wall-clock timestamp onto the local run
-			// clock, correcting the estimated peer clock offset.
-			p.m.SentAt = time.Duration(p.sentUnix - n.epochNano - p.off)
+			// clock.
+			p.m.SentAt = time.Duration(p.sentUnix - n.epochNano)
 			msgs = append(msgs, &p.m)
 		}
 	}
@@ -268,7 +262,7 @@ func (n *UDPNetwork) processBatch(b *rxBatch) {
 func (n *UDPNetwork) deliver(batch []*neko.Message, at time.Duration) {
 	box := n.receiver.Load()
 	if box == nil {
-		n.mDropped.Add(uint64(len(batch)))
+		n.dropped.Add(uint64(len(batch)))
 		return
 	}
 	if box.br != nil {
@@ -279,7 +273,6 @@ func (n *UDPNetwork) deliver(batch []*neko.Message, at time.Duration) {
 		}
 	}
 	n.received.Add(uint64(len(batch)))
-	n.mReceived.Add(uint64(len(batch)))
 	poison(batch)
 }
 

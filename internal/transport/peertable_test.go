@@ -20,13 +20,13 @@ func churnAddr(i int) string {
 // attributeAddr resolves a source address (already Unmap()ed) the way the
 // drain path does per batch: through the address indexes under the
 // peer-table read lock.
-func (n *UDPNetwork) attributeAddr(ap netip.AddrPort) (id neko.ProcessID, off int64, ok bool) {
+func (n *UDPNetwork) attributeAddr(ap netip.AddrPort) (id neko.ProcessID, ok bool) {
 	n.peerMu.RLock()
 	defer n.peerMu.RUnlock()
 	if ps := n.lookupAddrLocked(ap); ps != nil {
-		return ps.id, ps.offset.Load(), true
+		return ps.id, true
 	}
-	return 0, 0, false
+	return 0, false
 }
 
 // TestPeerChurnCompaction drives repeated full add/remove cycles through
@@ -152,7 +152,7 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 
 	for id, addr := range peers {
 		ap := netip.MustParseAddrPort(addr)
-		got, _, ok := n.attributeAddr(ap)
+		got, ok := n.attributeAddr(ap)
 		if !ok || got != id {
 			t.Fatalf("attributeAddr(%s) = %d, %v, want %d", addr, got, ok, id)
 		}
@@ -163,7 +163,7 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 		"[db8:2001::1]:7001", // first half permuted
 		"10.0.0.6:7002",      // registered IPv4 address, unregistered port
 	} {
-		if id, _, ok := n.attributeAddr(netip.MustParseAddrPort(miss)); ok {
+		if id, ok := n.attributeAddr(netip.MustParseAddrPort(miss)); ok {
 			t.Fatalf("attributeAddr(%s) resolved to peer %d, want miss", miss, id)
 		}
 	}
@@ -171,14 +171,14 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 	// An IPv6 address whose digest equals peer 6's packed IPv4 key lands on
 	// peer 6's probe chain: only the record's address tells the two apart.
 	forged := collidingAddr6(addrKey(netip.MustParseAddrPort(peers[6])), 7001)
-	if id, _, ok := n.attributeAddr(forged); ok {
+	if id, ok := n.attributeAddr(forged); ok {
 		t.Fatalf("attributeAddr(%s), colliding with peer 6's key, resolved to peer %d", forged, id)
 	}
 	if err := n.AddPeer(8, forged.String()); err != nil {
 		t.Fatalf("add peer at colliding %s: %v", forged, err)
 	}
 	for id, ap := range map[neko.ProcessID]netip.AddrPort{6: netip.MustParseAddrPort(peers[6]), 8: forged} {
-		if got, _, ok := n.attributeAddr(ap); !ok || got != id {
+		if got, ok := n.attributeAddr(ap); !ok || got != id {
 			t.Fatalf("attributeAddr(%s) = %d, %v with keys colliding, want %d", ap, got, ok, id)
 		}
 	}
@@ -201,11 +201,11 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 		if err := n.RemovePeer(c.remove); err != nil {
 			t.Fatal(err)
 		}
-		if id, _, ok := n.attributeAddr(netip.MustParseAddrPort(c.gone)); ok {
+		if id, ok := n.attributeAddr(netip.MustParseAddrPort(c.gone)); ok {
 			t.Fatalf("removed peer %d still attributed as %d", c.remove, id)
 		}
 		for id, addr := range c.kept {
-			if got, _, ok := n.attributeAddr(netip.MustParseAddrPort(addr)); !ok || got != id {
+			if got, ok := n.attributeAddr(netip.MustParseAddrPort(addr)); !ok || got != id {
 				t.Fatalf("after removing peer %d, attributeAddr(%s) = %d, %v, want %d", c.remove, addr, got, ok, id)
 			}
 		}
@@ -214,7 +214,7 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 	if err := n.AddPeer(7, "10.0.0.6:7001"); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, ok := n.attributeAddr(netip.MustParseAddrPort("10.0.0.6:7001")); !ok || got != 7 {
+	if got, ok := n.attributeAddr(netip.MustParseAddrPort("10.0.0.6:7001")); !ok || got != 7 {
 		t.Fatalf("re-registered v4 address resolves to %d, %v, want 7", got, ok)
 	}
 }
@@ -300,7 +300,7 @@ func TestResolveAddrPort(t *testing.T) {
 	if err := n.AddPeerHandle(7, "[::ffff:10.1.2.3]:7000", 99); err != nil {
 		t.Fatal(err)
 	}
-	if id, _, ok := n.attributeAddr(netip.MustParseAddrPort("10.1.2.3:7000")); !ok || id != 7 {
+	if id, ok := n.attributeAddr(netip.MustParseAddrPort("10.1.2.3:7000")); !ok || id != 7 {
 		t.Errorf("v4-mapped registration not found under its v4 source: id %d, ok %v", id, ok)
 	}
 	if err := n.AddPeer(8, "10.1.2.3:7000"); err == nil {

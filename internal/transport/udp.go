@@ -24,7 +24,7 @@ type UDPConfig struct {
 	Listen string
 	// Peers maps remote process ids to their UDP addresses.
 	Peers map[neko.ProcessID]string
-	// Telemetry, when non-nil, receives live packet counters
+	// Telemetry, when non-nil, exports the packet counters
 	// (sent/received/decode errors/drops). Nil disables instrumentation.
 	Telemetry *telemetry.Registry
 	// Readers is the number of reader sockets (and drain goroutines) the
@@ -38,15 +38,12 @@ type UDPConfig struct {
 	ExpectedPeers int
 }
 
-// peerState is one registered peer: its transport identity, the receiver's
-// handle for it (stamped on every message from its address), plus the
-// estimated peer-minus-local clock offset (nanoseconds), stored atomically
-// so the receive path reads it without taking any lock.
+// peerState is one registered peer: its transport identity and the
+// receiver's handle for it (stamped on every message from its address).
 type peerState struct {
 	id     neko.ProcessID
 	ap     netip.AddrPort
 	handle uint64
-	offset atomic.Int64
 }
 
 // receiverBox caches the Attach-time interface assertion so the hot path
@@ -60,8 +57,8 @@ type receiverBox struct {
 // UDPNetwork implements neko.Network over a real UDP socket for exactly one
 // local process. Received heartbeat timestamps (Unix nanoseconds at the
 // sender, per the paper's NTP-synchronized time base) are mapped onto the
-// local run clock, after subtracting the peer clock offset estimated by
-// SyncWith.
+// local run clock as they are; a receiver that corrects for a peer's clock
+// offset subtracts the one SyncWith estimated itself.
 //
 // Reception runs to completion on the reader goroutine (see ingest.go): a
 // non-blocking drain loop per reader socket pulls every queued datagram
@@ -119,14 +116,17 @@ type UDPNetwork struct {
 	wg     sync.WaitGroup
 	closed chan struct{}
 
+	// The packet counters, each exported as a counter series when the
+	// endpoint has a registry (see instrument).
 	sent        atomic.Uint64
 	received    atomic.Uint64
 	malformed   atomic.Uint64
 	sendErrors  atomic.Uint64 // unencodable messages + writeErrors
 	writeErrors atomic.Uint64 // datagrams the socket refused
-
-	// Live telemetry counters; each is nil (a no-op) without a registry.
-	mSent, mReceived, mDecodeErr, mDropped, mSendErr *telemetry.Counter
+	// dropped counts messages discarded for want of a receiver or of a
+	// registered destination; discards from unknown sources are
+	// ingestState.unknownSrc.
+	dropped atomic.Uint64
 }
 
 // NewUDPNetwork opens the socket and starts the receive loop. Close must be
@@ -154,6 +154,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 		epochNano: clk.Epoch().UnixNano(),
 		clk:       clk,
 		pending:   make(map[int64]chan clock.Sample),
+		ingest:    &ingestState{},
 		closed:    make(chan struct{}),
 	}
 	for id, addr := range cfg.Peers {
@@ -162,16 +163,29 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 			return nil, err
 		}
 	}
-	if tm := cfg.Telemetry.TransportMetrics(); tm != nil {
-		n.mSent, n.mReceived = tm.Sent, tm.Received
-		n.mDecodeErr, n.mDropped = tm.DecodeErrors, tm.Dropped
-		n.mSendErr = tm.SendErrors
-	}
-	cfg.Telemetry.CounterFunc(telemetry.MetricEgressSendErrors,
-		"datagrams the socket refused (write errors and short writes)",
-		func() float64 { return float64(n.writeErrors.Load()) })
+	n.instrument(cfg.Telemetry)
 	n.startIngest()
 	return n, nil
+}
+
+// instrument exports the packet counters as counter series sampled at
+// scrape time, so counting a packet is one atomic add. No-op on a nil
+// registry.
+func (n *UDPNetwork) instrument(r *telemetry.Registry) {
+	for _, c := range []struct {
+		name, help string
+		v          func() uint64
+	}{
+		{telemetry.MetricPacketsSent, "UDP packets sent.", n.sent.Load},
+		{telemetry.MetricPacketsReceived, "Valid UDP packets received.", n.received.Load},
+		{telemetry.MetricDecodeErrors, "Malformed inbound packets discarded.", n.malformed.Load},
+		{telemetry.MetricPacketsDropped, "Packets discarded without delivery.",
+			func() uint64 { return n.dropped.Load() + n.ingest.unknownSrc.Load() }},
+		{telemetry.MetricSendErrors, "Messages lost to encode or socket write failures.", n.sendErrors.Load},
+		{telemetry.MetricEgressSendErrors, "datagrams the socket refused (write errors and short writes)", n.writeErrors.Load},
+	} {
+		r.CounterFunc(c.name, c.help, func() float64 { return float64(c.v()) })
+	}
 }
 
 // Clock returns the endpoint's run clock; protocol layers on this host must
@@ -239,7 +253,7 @@ func resolveAddrPort(addr string) (netip.AddrPort, error) {
 	return unmapAP(a.AddrPort()), nil
 }
 
-// RemovePeer deletes a peer registration (and any stored clock offset).
+// RemovePeer deletes a peer registration.
 // Packets from its address are no longer attributed to the id. The arena
 // record is freed and its generation bumped, so any index captured before
 // the removal resolves to nil rather than a reused slot.
@@ -279,29 +293,6 @@ func (n *UDPNetwork) peerAddr(id neko.ProcessID) (netip.AddrPort, bool) {
 		return n.peerArena.Get(idx).ap, true
 	}
 	return netip.AddrPort{}, false
-}
-
-// peerOffset returns the estimated clock offset stored for a peer.
-func (n *UDPNetwork) peerOffset(id neko.ProcessID) (int64, bool) {
-	n.peerMu.RLock()
-	defer n.peerMu.RUnlock()
-	if idx, ok := n.byID.Get(uint64(id)); ok {
-		return n.peerArena.Get(idx).offset.Load(), true
-	}
-	return 0, false
-}
-
-// setPeerOffset stores a peer's estimated clock offset. The atomic store
-// runs under the read lock: concurrent stores interleave safely, and the
-// lock excludes RemovePeer's non-atomic record zeroing.
-func (n *UDPNetwork) setPeerOffset(id neko.ProcessID, off int64) bool {
-	n.peerMu.RLock()
-	defer n.peerMu.RUnlock()
-	if idx, ok := n.byID.Get(uint64(id)); ok {
-		n.peerArena.Get(idx).offset.Store(off)
-		return true
-	}
-	return false
 }
 
 // addrKey is a source address's byAddr key. An IPv4 endpoint (the common
@@ -400,10 +391,10 @@ func (n *UDPNetwork) handleTimeResp(m *neko.Message) {
 	}
 }
 
-// SyncWith performs rounds of NTP-style exchanges with a peer, estimates
-// the peer-minus-local clock offset using the minimum-delay filter, stores
-// it for inbound timestamp correction, and returns it. Rounds that time out
-// are skipped; at least one successful round is required.
+// SyncWith performs rounds of NTP-style exchanges with a peer and returns
+// the peer-minus-local clock offset the minimum-delay filter estimates; the
+// endpoint keeps nothing of it. Rounds that time out are skipped; at least
+// one successful round is required.
 func (n *UDPNetwork) SyncWith(peer neko.ProcessID, rounds int, timeout time.Duration) (time.Duration, error) {
 	ap, ok := n.peerAddr(peer)
 	if !ok {
@@ -455,21 +446,7 @@ func (n *UDPNetwork) SyncWith(peer neko.ProcessID, rounds int, timeout time.Dura
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("transport: no sync responses from peer %d", peer)
 	}
-	off, err := clock.EstimateOffset(samples)
-	if err != nil {
-		return 0, err
-	}
-	if !n.setPeerOffset(peer, int64(off)) {
-		return 0, fmt.Errorf("transport: peer %d removed during sync", peer)
-	}
-	return off, nil
-}
-
-// Offset returns the clock offset currently applied to the peer's inbound
-// timestamps (0 before SyncWith).
-func (n *UDPNetwork) Offset(peer neko.ProcessID) time.Duration {
-	off, _ := n.peerOffset(peer)
-	return time.Duration(off)
+	return clock.EstimateOffset(samples)
 }
 
 // Stats reports packets sent, valid packets received, and malformed packets

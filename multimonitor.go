@@ -29,8 +29,9 @@ type PeerStatus struct {
 	// Phi is the φ-accrual suspicion level (0 for a freshness-point
 	// detector).
 	Phi float64 `json:",omitempty"`
-	// ClockOffset is the estimated peer clock offset (0 without
-	// WithSyncClock).
+	// ClockOffset is the peer-minus-local clock offset the clock-sync
+	// exchange estimated when the peer joined, subtracted from each of its
+	// heartbeats' send stamps (0 without WithSyncClock).
 	ClockOffset time.Duration `json:",omitempty"`
 	// DetectorStats carries the Heartbeats, Stale and Suspicions counters.
 	DetectorStats
@@ -76,20 +77,18 @@ func peerNameHash(name string) uint64 {
 // margin (for φ-accrual, one inter-arrival window they share). Delivery
 // reaches the slot without the table lock, possibly after the slot has
 // changed hands, which the arena's type-stable memory (never moved, freed or
-// zeroed: see arena.Release) and mu make safe.
+// zeroed: see arena.Release) and the detector's owner check make safe: the
+// detector serves the slot's arena index while the peer is live
+// (core.Detector.Serve) and refuses any other.
 type peerEntry struct {
-	// mu orders delivery against the slot changing hands: under it, delivery
-	// compares its handle with self and walks away from a mismatch. Never
-	// overwritten. Lock order: table read lock (queries) → mu → the
-	// detector's own mutex; never mu under the table write lock.
-	mu sync.Mutex
-	// self is the arena index of the peer this slot serves; Nil while the
-	// slot is free, being built or being torn down. Guarded by mu.
-	self arena.Index
 	// id is the peer's process id while the entry is in the name table,
 	// zero otherwise: what tells a walk over the arena that a slot is a
 	// member. Guarded by the table lock.
 	id neko.ProcessID
+	// offset is the estimated peer-minus-local clock offset (nanoseconds)
+	// delivery subtracts from the send stamps: 0 without WithSyncClock.
+	// Stored before the detector serves the slot.
+	offset atomic.Int64
 	// det is the peer's detector; its name is the peer's label. ctrl is the
 	// interval controller, nil without WithTargetDetection. Both are written
 	// only while the slot is neither published nor live.
@@ -97,37 +96,15 @@ type peerEntry struct {
 	ctrl *layers.IntervalController
 }
 
-// heartbeat feeds one heartbeat to the peer self names, if this slot still
-// serves it.
-func (e *peerEntry) heartbeat(self arena.Index, m *neko.Message, at time.Duration) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.self != self {
-		return false
-	}
-	e.det.OnHeartbeat(m.Seq, m.SentAt, at)
-	return true
-}
-
 // stop halts the entry's timers: the detector's deadline and the
-// controller's evaluation loop.
+// controller's evaluation loop. Once the detector has stopped it serves no
+// slot, so no delivery reaches it and no deadline is armed; it stays as Stop
+// left it, so an expiry already collected for it finds it stopped.
 func (e *peerEntry) stop() {
 	e.det.Stop()
 	if e.ctrl != nil {
 		e.ctrl.Stop()
 	}
-}
-
-// retire takes the slot out of service ahead of its release: once it
-// returns no delivery is accepted, no deadline is armed and the controller,
-// which points into the slot, has stopped for good. The detector stays as
-// Stop left it, so an expiry already collected for it finds it stopped.
-func (e *peerEntry) retire() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.self = arena.Nil
-	e.stop()
-	e.ctrl = nil
 }
 
 // sink is a monitor's one transition listener, shared by every peer's
@@ -320,11 +297,12 @@ func (r *ingress) ReceiveBatch(ms []*neko.Message, at time.Duration) {
 
 // deliver is the whole path from the transport to a detector: the handle
 // found beside the source address is the peer record's arena index, and the
-// record decides whether it still serves that peer.
+// record's detector decides whether it still serves that index.
 func (m *MultiMonitor) deliver(msg *neko.Message, at time.Duration) {
 	if msg.Type == neko.MsgHeartbeat {
 		idx := arena.Index(msg.Handle)
-		if e := m.ents.At(idx); e != nil && e.heartbeat(idx, msg, at) {
+		if e := m.ents.At(idx); e != nil &&
+			e.det.OnHeartbeatFor(uint64(idx), msg.Seq, msg.SentAt-time.Duration(e.offset.Load()), at) {
 			return
 		}
 	}
@@ -336,8 +314,8 @@ func (m *MultiMonitor) find(h uint64, name string) (arena.Index, bool) {
 	return m.tab.Find(h, func(i arena.Index) bool { return m.ents.Get(i).det.Name() == name })
 }
 
-// each calls f for every member, under the table's read lock — an entry's
-// own locks nest safely inside it.
+// each calls f for every member, under the table's read lock — a detector's
+// mutex nests safely inside it.
 func (m *MultiMonitor) each(f func(*peerEntry)) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -373,7 +351,8 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	// step gives the slot back.
 	defer func() {
 		if err != nil {
-			e.retire()
+			e.stop()
+			e.ctrl = nil
 			m.mu.Lock()
 			m.ents.Release(idx)
 			m.mu.Unlock()
@@ -394,14 +373,14 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 			_ = m.net.RemovePeer(id)
 		}
 	}()
+	var off time.Duration
 	if m.opts.syncTimeout > 0 {
-		if _, err := m.net.SyncWith(id, 8, m.opts.syncTimeout); err != nil {
+		if off, err = m.net.SyncWith(id, 8, m.opts.syncTimeout); err != nil {
 			return fmt.Errorf("wanfd: clock sync with %s: %w", name, err)
 		}
 	}
-	e.mu.Lock()
-	e.self = idx
-	e.mu.Unlock()
+	e.offset.Store(int64(off))
+	e.det.Serve(uint64(idx))
 	// Publish, unless the name was taken while the peer was being built.
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -425,8 +404,6 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 // build constructs the peer's detector stack in its slot.
 func (m *MultiMonitor) build(e *peerEntry, name string, id neko.ProcessID) error {
 	o := &m.opts
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	cfg, err := o.detectorConfig(name)
 	if err == nil {
 		cfg.Env = m.env
@@ -467,11 +444,13 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 		return fmt.Errorf("wanfd: unknown peer %q", name)
 	}
 	// Unregister the address first so new packets stop being attributed,
-	// then retire the slot: a packet already past the transport lookup, or
+	// then stop the detector: a packet already past the transport lookup, or
 	// an expiry already collected, still reaches this memory and finds a
-	// slot that does not answer to its handle and a stopped detector.
+	// stopped detector that serves no handle. The controller, which points
+	// into the slot, has stopped for good before the slot is released.
 	_ = m.net.RemovePeer(id)
-	e.retire()
+	e.stop()
+	e.ctrl = nil
 	m.mPeerRemoves.Inc()
 	m.mPeers.Add(-1)
 	// Retire the peer's series and close its QoS window so churn does not
@@ -530,18 +509,15 @@ func (m *MultiMonitor) PeerStatusOf(peer string) (st PeerStatus, err error) {
 	return st, nil
 }
 
-// status builds the PeerStatus of one live entry. The clock offset is read
-// from the transport only when the monitor syncs clocks at all.
+// status builds the PeerStatus of one live entry.
 func (m *MultiMonitor) status(e *peerEntry) PeerStatus {
 	d := &e.det
-	st := PeerStatus{Peer: d.Name(), Suspected: d.Suspected(), DetectorStats: d.DetectorStats()}
+	st := PeerStatus{Peer: d.Name(), Suspected: d.Suspected(), DetectorStats: d.DetectorStats(),
+		ClockOffset: time.Duration(e.offset.Load())}
 	if m.opts.accrualThreshold > 0 {
 		st.Phi = d.Phi()
 	} else {
 		st.Timeout = time.Duration(e.det.CurrentTimeout() * float64(time.Millisecond))
-	}
-	if m.opts.syncTimeout > 0 {
-		st.ClockOffset = m.net.Offset(e.id)
 	}
 	return st
 }

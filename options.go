@@ -126,9 +126,9 @@ func WithMinTimeout(d time.Duration) Option {
 
 // WithOnChange installs the per-peer transition callback invoked on any
 // suspicion change; it must not block, and it must not call back into the
-// monitor. The callback runs with its peer's record locked: Status,
+// monitor. The callback runs with its peer's detector locked: Status,
 // Snapshot, PeerStatusOf and Suspected take the peer table's read lock and
-// then that record's, AddPeer and RemovePeer wait for its write lock —
+// then that detector's, AddPeer and RemovePeer wait for its write lock —
 // so a callback that queries the monitor while another goroutine adds a
 // peer is a three-party deadlock, and one that asks about its own peer
 // deadlocks by itself. Hand the event to another goroutine (a buffered

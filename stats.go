@@ -3,7 +3,7 @@ package wanfd
 import "wanfd/internal/transport"
 
 // IngestStats is a snapshot of the receive pipeline's health counters
-// (drain cycles, pool misses, unknown-source discards, kernel drops).
+// (drain cycles, unknown-source discards, kernel drops).
 type IngestStats = transport.IngestStats
 
 // EgressStats is a snapshot of the send path's counters (datagrams
