@@ -173,6 +173,9 @@ type Detector struct {
 	// owner is the token of the record this detector serves (Serve); 0
 	// from Init until Serve and again from Stop.
 	owner uint64
+	// offset is the clock offset served with owner, subtracted from every
+	// send stamp; 0 whenever owner is.
+	offset time.Duration
 
 	heartbeats uint64
 	stale      uint64
@@ -228,7 +231,7 @@ func (d *Detector) Init(cfg DetectorConfig) error {
 	d.name, d.pred, d.margin, d.eta = name, cfg.Predictor, cfg.Margin, cfg.Eta
 	d.arrival, _ = cfg.Predictor.(arrivalPredictor)
 	d.env, d.metrics, d.sample = env, cfg.Metrics, cfg.Sample
-	d.hi, d.deadline, d.suspected, d.stopped, d.owner = -1, 0, false, false, 0
+	d.hi, d.deadline, d.suspected, d.stopped, d.owner, d.offset = -1, 0, false, false, 0, 0
 	d.heartbeats, d.stale, d.suspicions = 0, 0, 0
 	// One rearmable timer for the detector's lifetime: on a timing-wheel
 	// clock each freshness point is an O(1) in-place re-arm instead of a
@@ -262,13 +265,22 @@ func (d *Detector) OnHeartbeat(seq int64, sendTime, now time.Duration) {
 }
 
 // Serve makes the detector accept OnHeartbeatFor(owner, …) until Stop or
-// the next Init. owner is a non-zero token naming one lifetime of the
-// memory the detector sits in — a peer monitor uses its record's arena
-// index — so a heartbeat addressed to an earlier lifetime is refused.
-func (d *Detector) Serve(owner uint64) {
+// the next Init, subtracting offset, the peer-minus-local clock offset, from
+// every send stamp from the first. owner is a non-zero token naming one
+// lifetime of the memory the detector sits in — a peer monitor uses its
+// record's arena index — so a heartbeat addressed to an earlier lifetime is
+// refused.
+func (d *Detector) Serve(owner uint64, offset time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.owner = owner
+	d.owner, d.offset = owner, offset
+}
+
+// ClockOffset returns the clock offset the detector was served with.
+func (d *Detector) ClockOffset() time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.offset
 }
 
 // OnHeartbeatFor is OnHeartbeat for a caller that reached the detector
@@ -292,6 +304,7 @@ func (d *Detector) heartbeatLocked(seq int64, sendTime, now time.Duration) {
 		// a straggler packet must not re-arm timers on a dead detector.
 		return
 	}
+	sendTime -= d.offset
 	d.heartbeats++
 	obsMs := durToMs(now - sendTime)
 	predMs := d.pred.Predict() // the prediction that was in effect
@@ -461,7 +474,7 @@ func (d *Detector) Eta() time.Duration {
 func (d *Detector) Stop() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.stopped, d.owner = true, 0
+	d.stopped, d.owner, d.offset = true, 0, 0
 	if d.timer != nil { // nil on a detector Init never completed for
 		d.timer.Stop()
 	}

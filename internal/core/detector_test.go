@@ -580,7 +580,7 @@ func TestDetectorServesOneOwner(t *testing.T) {
 			t.Errorf("a detector serving no one accepted a heartbeat for %#x", owner)
 		}
 	}
-	d.Serve(first)
+	d.Serve(first, 0)
 	for _, owner := range []uint64{0, second} {
 		if feed(owner, 1) {
 			t.Errorf("a detector serving %#x accepted a heartbeat for %#x", uint64(first), owner)
@@ -600,7 +600,7 @@ func TestDetectorServesOneOwner(t *testing.T) {
 			t.Errorf("a re-initialised detector that serves no one yet accepted a heartbeat for %#x", owner)
 		}
 	}
-	d.Serve(second)
+	d.Serve(second, 0)
 	if feed(first, 2) {
 		t.Error("a heartbeat for the slot's earlier generation was accepted")
 	}
@@ -626,13 +626,38 @@ func TestDetectorServesOneOwner(t *testing.T) {
 	d.Stop()
 	stopped.Store(true)
 	init()
-	d.Serve(third)
+	d.Serve(third, 0)
 	<-done
 	if n := heartbeats(); n != 0 {
 		t.Errorf("the third lifetime counted %d of its predecessor's heartbeats", n)
 	}
 	if !feed(third, 1) || heartbeats() != 1 {
 		t.Errorf("the third occupant refused its own heartbeat (%d counted)", heartbeats())
+	}
+
+	// The clock offset Serve is given corrects the first heartbeat the
+	// detector accepts — LAST then predicts the corrected 140-ms delay, not
+	// the raw 100 ms — and reads back; Stop and a re-Init clear it.
+	const offset = 40 * time.Millisecond
+	d.Stop()
+	init()
+	d.Serve(first, offset)
+	if got := d.ClockOffset(); got != offset {
+		t.Errorf("ClockOffset = %v after Serve(_, %v)", got, offset)
+	}
+	if !feed(first, 1) {
+		t.Fatal("a detector served with an offset refused its own heartbeat")
+	}
+	if got, want := d.CurrentTimeout(), 140.0+50; got != want {
+		t.Errorf("timeout after the first heartbeat = %v ms, want %v (delay corrected by %v)", got, want, offset)
+	}
+	d.Stop()
+	if got := d.ClockOffset(); got != 0 {
+		t.Errorf("ClockOffset = %v after Stop, want 0", got)
+	}
+	init()
+	if got := d.ClockOffset(); got != 0 {
+		t.Errorf("ClockOffset = %v after a re-Init, want 0", got)
 	}
 }
 

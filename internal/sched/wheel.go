@@ -9,6 +9,7 @@ import (
 
 	"wanfd/internal/arena"
 	"wanfd/internal/sim"
+	"wanfd/internal/telemetry"
 )
 
 // Wheel geometry, one for every wheel. The fine level resolves one tick per
@@ -52,10 +53,9 @@ type Config struct {
 	Clock sim.Clock
 	// Tick is the slot granularity; DefaultTick when zero.
 	Tick time.Duration
-	// OnBatch, if set, observes each non-empty expiry batch: the number
-	// of timers fired together and the lag between the earliest deadline
-	// in the batch and the moment the batch was collected.
-	OnBatch func(fired int, lag time.Duration)
+	// Telemetry, if set, is the registry of the monitor the wheel serves,
+	// where NewWheel registers the wheel's series (see instrument).
+	Telemetry *telemetry.Registry
 	// InFlight, if set, reports the earliest receive stamp of a delivery
 	// still in progress, math.MaxInt64 when none is. The wheel fires no
 	// deadline after that stamp until the delivery ends, so a heartbeat
@@ -142,9 +142,10 @@ type firing struct {
 // and DeadlineClock. All mutable state is guarded by mu; callbacks always
 // run with mu released.
 type Wheel struct {
-	clk      sim.Clock
-	tick     time.Duration
-	onBatch  func(int, time.Duration)
+	clk  sim.Clock
+	tick time.Duration
+	// lag observes each expiry batch's lateness; nil without telemetry.
+	lag      *telemetry.Histogram
 	inFlight func() time.Duration
 	// drv advances the wheel in real-clock mode; nil in virtual mode.
 	drv *driver
@@ -210,7 +211,6 @@ func NewWheel(cfg Config) *Wheel {
 	w := &Wheel{
 		clk:      cfg.Clock,
 		tick:     tick,
-		onBatch:  cfg.OnBatch,
 		inFlight: cfg.InFlight,
 		nodes:    arena.New[timerNode](),
 		overMin:  math.MaxInt64,
@@ -221,7 +221,36 @@ func NewWheel(cfg Config) *Wheel {
 		w.drv = &driver{clk: cfg.Clock, w: w, kick: make(chan struct{}, 1)}
 		w.drv.sleepAt.Store(int64(noWake))
 	}
+	w.instrument(cfg.Telemetry)
 	return w
+}
+
+// instrument registers the wheel's series on r: the batch-lag histogram,
+// observed per expiry batch, and Stats sampled at scrape time.
+func (w *Wheel) instrument(r *telemetry.Registry) {
+	w.lag = r.Histogram(telemetry.MetricSchedBatchLag, "Lateness of an expiry batch: its collection minus its earliest deadline, i.e. how late the driver woke (plus, for a deadline sharing a wheel slot with an earlier one, its wait of under one tick for the slot's boundary visit).", nil)
+	for _, m := range []struct {
+		name, help string
+		gauge      bool
+		v          func(Stats) float64
+	}{
+		{telemetry.MetricSchedTimers, "Deadlines currently queued on the timing wheel.", true, func(s Stats) float64 { return float64(s.Scheduled) }},
+		{telemetry.MetricSchedFired, "Timing-wheel timers expired.", false, func(s Stats) float64 { return float64(s.Fired) }},
+		{telemetry.MetricSchedCascades, "Timers migrated between timing-wheel levels.", false, func(s Stats) float64 { return float64(s.Cascades) }},
+		{telemetry.MetricSchedMaxSlot, "High-water mark of deadlines sharing one fine wheel slot (one firing tick).", true, func(s Stats) float64 { return float64(s.MaxSlotOccupancy) }},
+		{telemetry.MetricSchedSlotsSkipped, "Empty wheel slots crossed by bitmap skip-scan instead of probing.", false, func(s Stats) float64 { return float64(s.SlotsSkipped) }},
+		{telemetry.MetricSchedWakeups, "Wheel advances by the expiry driver: one at an occupied slot's earliest deadline, at most one more at its tick boundary.", false, func(s Stats) float64 { return float64(s.Wakeups) }},
+		{telemetry.MetricSchedFineOccupied, "Fine-level wheel slots currently holding deadlines.", true, func(s Stats) float64 { return float64(s.FineOccupied) }},
+		{telemetry.MetricSchedCoarseOccupied, "Coarse-level wheel slots currently holding deadlines.", true, func(s Stats) float64 { return float64(s.CoarseOccupied) }},
+		{telemetry.MetricSchedOverflow, "Deadlines parked beyond the wheel horizon.", true, func(s Stats) float64 { return float64(s.OverflowTimers) }},
+	} {
+		fn := func() float64 { return m.v(w.Stats()) }
+		if m.gauge {
+			r.GaugeFunc(m.name, m.help, fn)
+		} else {
+			r.CounterFunc(m.name, m.help, fn)
+		}
+	}
 }
 
 // Now reports the host clock's time, so wheel consumers and non-wheel
@@ -671,7 +700,7 @@ func (w *Wheel) fireBatch(batch []firing, collectedAt time.Duration) {
 	if len(batch) == 0 {
 		return
 	}
-	if w.onBatch != nil {
+	if w.lag != nil {
 		earliest := batch[0].at
 		for _, f := range batch[1:] {
 			if f.at < earliest {
@@ -682,7 +711,7 @@ func (w *Wheel) fireBatch(batch []firing, collectedAt time.Duration) {
 		if lag < 0 {
 			lag = 0
 		}
-		w.onBatch(len(batch), lag)
+		w.lag.Observe(lag.Seconds())
 	}
 	for _, f := range batch {
 		if f.t.gen.Load() != f.gen {

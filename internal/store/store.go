@@ -118,8 +118,6 @@ type Store struct {
 	segDefs  map[uint32]struct{} // peers already defined in the active segment
 	defIDs   []uint32
 	defNames []string
-
-	instrument sync.Once
 }
 
 // Open opens (or creates) the store rooted at cfg.Dir, recovering any
@@ -623,30 +621,29 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Instrument registers the store's scrape-time series on a telemetry
-// registry. Idempotent; no-op on a nil store or registry.
+// Instrument registers the store's scrape-time series on reg, so a store
+// shared by several monitors is exported in each one's registry; a second
+// call on one registry changes nothing. No-op on a nil store or registry.
 func (s *Store) Instrument(reg *telemetry.Registry) {
 	if s == nil || reg == nil {
 		return
 	}
-	s.instrument.Do(func() {
-		reg.CounterFunc(telemetry.MetricStoreRecords, "Records durably framed by the QoS store.", func() float64 {
-			return float64(s.records.Load())
-		})
-		reg.CounterFunc(telemetry.MetricStoreDropped, "Store records lost to ring overflow or write errors.", func() float64 {
-			return float64(s.dropped.Load())
-		})
-		reg.CounterFunc(telemetry.MetricStoreIOErrors, "Store write, fsync and delete failures.", func() float64 {
-			return float64(s.ioErrors.Load())
-		})
-		reg.GaugeFunc(telemetry.MetricStoreSegments, "Store segments on disk, sealed plus active.", func() float64 {
-			return float64(s.Stats().Segments)
-		})
-		reg.GaugeFunc(telemetry.MetricStoreBytes, "Store bytes on disk, sealed plus active.", func() float64 {
-			return float64(s.Stats().Bytes)
-		})
-		reg.GaugeFunc(telemetry.MetricStoreQueue, "Store hot-path ring occupancy.", func() float64 {
-			return float64(s.ring.Len())
-		})
+	reg.CounterFunc(telemetry.MetricStoreRecords, "Records durably framed by the QoS store.", func() float64 {
+		return float64(s.records.Load())
+	})
+	reg.CounterFunc(telemetry.MetricStoreDropped, "Store records lost to ring overflow or write errors.", func() float64 {
+		return float64(s.dropped.Load())
+	})
+	reg.CounterFunc(telemetry.MetricStoreIOErrors, "Store write, fsync and delete failures.", func() float64 {
+		return float64(s.ioErrors.Load())
+	})
+	reg.GaugeFunc(telemetry.MetricStoreSegments, "Store segments on disk, sealed plus active.", func() float64 {
+		return float64(s.Stats().Segments)
+	})
+	reg.GaugeFunc(telemetry.MetricStoreBytes, "Store bytes on disk, sealed plus active.", func() float64 {
+		return float64(s.Stats().Bytes)
+	})
+	reg.GaugeFunc(telemetry.MetricStoreQueue, "Store hot-path ring occupancy.", func() float64 {
+		return float64(s.ring.Len())
 	})
 }

@@ -14,6 +14,7 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -69,20 +70,6 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add atomically adds delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 
@@ -247,10 +234,10 @@ const (
 )
 
 // series is one labeled instance of a metric family. Exactly one of the
-// value sources is set: a live handle (c/g/h) updated by instrumented
-// code, or fn, a callback sampled at scrape time for values some other
-// component already maintains (the collector pattern — zero hot-path
-// cost).
+// value sources is set, guarded by Registry.mu: a live handle (c/g/h)
+// updated by instrumented code, or fn, a callback sampled at scrape time
+// for values some other component already maintains (the collector
+// pattern — zero hot-path cost).
 type series struct {
 	labels []string // flattened k,v pairs, as passed in
 	key    string   // canonical label signature
@@ -274,11 +261,14 @@ type family struct {
 
 // Registry is the telemetry hub: the metric families plus the suspicion
 // event ring and the per-peer QoS accountants, so one handle wires a whole
-// monitor. The zero value is not usable; construct with NewRegistry. A nil
-// *Registry is valid everywhere and disables telemetry.
+// monitor. It serves one monitor for its lifetime (Claim). Every series is
+// inserted together with its value source under one lock, so a scrape sees
+// it whole or not at all. The zero value is not usable; construct with
+// NewRegistry. A nil *Registry is valid everywhere and disables telemetry.
 //
 //fdlint:nilsafe
 type Registry struct {
+	claimed  atomic.Bool
 	mu       sync.RWMutex
 	families []*family // registration order
 	index    map[string]*family
@@ -316,6 +306,15 @@ func NewRegistry(eventCap int) *Registry {
 		qos:      make(map[string]*peerQoS),
 		unopened: make(map[string]uint64),
 	}
+}
+
+// Claim binds the registry to the one monitor it serves: the first call
+// succeeds, every later one fails. A nil registry is never claimed.
+func (r *Registry) Claim() error {
+	if r == nil || r.claimed.CompareAndSwap(false, true) {
+		return nil
+	}
+	return errors.New("telemetry: registry already serves a monitor; each monitor needs its own registry")
 }
 
 // Events returns the suspicion-event ring (nil on a nil registry).
@@ -391,9 +390,11 @@ func labelKey(labels []string) string {
 	return b.String()
 }
 
-// lookup finds or creates the series of one metric family. Labels are
-// flattened key, value pairs and must come in complete pairs.
-func (r *Registry) lookup(name, help string, typ metricType, bounds []float64, labels []string) *series {
+// lookup finds or creates the series of one metric family, with its value
+// source set under the same lock: fn if non-nil (replacing an existing
+// series' source), else a new series' fresh handle. It returns a copy.
+// Labels are flattened key, value pairs and must come in complete pairs.
+func (r *Registry) lookup(name, help string, typ metricType, bounds []float64, fn func() float64, labels []string) series {
 	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: odd label list for %s: %q", name, labels))
 	}
@@ -438,7 +439,10 @@ func (r *Registry) lookup(name, help string, typ metricType, bounds []float64, l
 			r.byLabel[pair] = append(r.byLabel[pair], s)
 		}
 	}
-	return s
+	if fn != nil {
+		s.c, s.g, s.fn = nil, nil, fn
+	}
+	return *s
 }
 
 // Counter returns the counter for the given name and label pairs, creating
@@ -448,7 +452,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, typeCounter, nil, labels).c
+	return r.lookup(name, help, typeCounter, nil, nil, labels).c
 }
 
 // Gauge returns the gauge for the given name and label pairs, creating it
@@ -457,7 +461,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, typeGauge, nil, labels).g
+	return r.lookup(name, help, typeGauge, nil, nil, labels).g
 }
 
 // Histogram returns the histogram for the given name and label pairs,
@@ -471,36 +475,29 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	if len(bounds) == 0 {
 		bounds = DefDelayBuckets
 	}
-	return r.lookup(name, help, typeHistogram, bounds, labels).h
-}
-
-// lookupFunc registers (or replaces) a callback-backed series: the value
-// is read by calling fn at scrape time instead of from a live handle.
-func (r *Registry) lookupFunc(name, help string, typ metricType, fn func() float64, labels []string) {
-	s := r.lookup(name, help, typ, nil, labels)
-	r.mu.Lock()
-	s.c, s.g, s.fn = nil, nil, fn
-	r.mu.Unlock()
+	return r.lookup(name, help, typeHistogram, bounds, nil, labels).h
 }
 
 // CounterFunc registers a counter series whose value is sampled from fn at
-// scrape time. Use it for monotone counts another component already
-// maintains under its own synchronization — the hot path then carries no
-// extra atomics at all. No-op on a nil registry.
+// scrape time, replacing the source of one already registered under the
+// same name and labels. Use it for monotone counts another component
+// already maintains under its own synchronization — the hot path then
+// carries no extra atomics at all. No-op on a nil registry.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.lookupFunc(name, help, typeCounter, fn, labels)
+	r.lookup(name, help, typeCounter, nil, fn, labels)
 }
 
 // GaugeFunc registers a gauge series whose value is sampled from fn at
-// scrape time. No-op on a nil registry.
+// scrape time, replacing the source of one already registered under the
+// same name and labels. No-op on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.lookupFunc(name, help, typeGauge, fn, labels)
+	r.lookup(name, help, typeGauge, nil, fn, labels)
 }
 
 // DropSeries removes every series carrying the given label key and value
@@ -599,9 +596,9 @@ func writeLabels(b *strings.Builder, labels []string, extraKey, extraVal string)
 // format (version 0.0.4), families in registration order, series sorted by
 // label signature within a family. A nil registry writes nothing.
 //
-// The registry lock is held only to snapshot the family structure, never
-// across value reads: callback-backed series (CounterFunc/GaugeFunc) may
-// take component locks — e.g. a detector mutex — whose holders in turn
+// The read lock is held only to copy each series with its value source,
+// never across value reads: callback-backed series (CounterFunc/GaugeFunc)
+// may take component locks — e.g. a detector mutex — whose holders in turn
 // register series, so sampling under the registry lock would invert the
 // lock order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -613,7 +610,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		help   string
 		typ    metricType
 		bounds []float64
-		series []*series
+		series []series
 	}
 	r.mu.RLock()
 	snap := make([]famSnap, 0, len(r.families))
@@ -621,9 +618,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if len(f.index) == 0 {
 			continue
 		}
-		series := make([]*series, 0, len(f.index))
+		series := make([]series, 0, len(f.index))
 		for _, s := range f.index {
-			series = append(series, s)
+			series = append(series, *s)
 		}
 		snap = append(snap, famSnap{
 			name:   f.name,

@@ -37,7 +37,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(4)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Error("nil gauge must read 0")
 	}
@@ -64,8 +63,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	g := r.Gauge("wanfd_test_gauge", "help")
-	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if g.Value() != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", g.Value())
 	}
@@ -391,7 +389,6 @@ func BenchmarkDropSeries(b *testing.B) {
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry(0)
 	c := r.Counter("wanfd_c_total", "h")
-	g := r.Gauge("wanfd_g", "h")
 	h := r.Histogram("wanfd_h_seconds", "h", []float64{1, 2})
 	const (
 		workers = 8
@@ -404,7 +401,6 @@ func TestConcurrentObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(1.5)
 			}
 		}()
@@ -413,13 +409,67 @@ func TestConcurrentObserve(t *testing.T) {
 	if c.Value() != workers*perW {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*perW)
 	}
-	if g.Value() != workers*perW {
-		t.Errorf("gauge = %v, want %d", g.Value(), workers*perW)
-	}
 	if h.Count() != workers*perW {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*perW)
 	}
 	if got, want := h.Sum(), 1.5*workers*perW; math.Abs(got-want) > 1e-6 {
 		t.Errorf("histogram sum = %v, want %v", got, want)
+	}
+}
+
+// TestScrapeDuringFuncRegistration scrapes in a loop while 2,000 callback
+// series are registered and one more is re-registered over and over: every
+// series a scrape shows is published whole, so a new counter reads its
+// callback's 1 and the replaced gauge reads one of its callbacks' values,
+// never a placeholder handle's 0. Under -race it also checks that the scrape
+// reads each value source only as registration published it.
+func TestScrapeDuringFuncRegistration(t *testing.T) {
+	r := NewRegistry(0)
+	one := func() float64 { return 1 }
+	two := func() float64 { return 2 }
+	three := func() float64 { return 3 }
+	r.GaugeFunc("replaced", "h", two)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			r.CounterFunc("added_total", "h", one, "i", fmt.Sprint(i))
+			if i%2 == 0 {
+				r.GaugeFunc("replaced", "h", three)
+			} else {
+				r.GaugeFunc("replaced", "h", two)
+			}
+		}
+	}()
+	var b strings.Builder
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false // one last scrape sees every series
+		default:
+		}
+		b.Reset()
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			switch {
+			case strings.HasPrefix(line, "added_total{"):
+				if !strings.HasSuffix(line, "} 1") {
+					t.Fatalf("a new callback series read before its callback: %q", line)
+				}
+			case strings.HasPrefix(line, "replaced "):
+				if line != "replaced 2" && line != "replaced 3" {
+					t.Fatalf("a replaced callback series read neither callback: %q", line)
+				}
+			}
+		}
+	}
+	wg.Wait()
+	if n := strings.Count(b.String(), "\nadded_total{"); n != 2000 {
+		t.Errorf("last scrape shows %d of 2000 added series", n)
 	}
 }

@@ -169,21 +169,7 @@ func (n *UDPNetwork) startIngest() {
 		}
 		n.readers = append(n.readers, c)
 	}
-	ig := n.ingest
-	if r := n.cfg.Telemetry; r != nil {
-		ig.batchHist = r.Histogram(telemetry.MetricIngestBatchSize,
-			"datagrams drained per readiness wakeup",
-			[]float64{1, 2, 4, 8, 16, 32, 64})
-		r.CounterFunc(telemetry.MetricIngestDrains,
-			"completed ingest drain cycles",
-			func() float64 { return float64(ig.drains.Load()) })
-		r.CounterFunc(telemetry.MetricIngestUnknownSource,
-			"datagrams discarded because their source address is not a registered peer",
-			func() float64 { return float64(ig.unknownSrc.Load()) })
-		r.CounterFunc(telemetry.MetricIngestKernelDrops,
-			"datagrams the kernel dropped on full reader socket buffers",
-			func() float64 { return float64(n.kernelDrops()) })
-	}
+	n.instrument(n.cfg.Telemetry)
 	for _, c := range n.readers {
 		n.wg.Add(1)
 		go n.drainLoop(c)

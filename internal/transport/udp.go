@@ -163,14 +163,13 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 			return nil, err
 		}
 	}
-	n.instrument(cfg.Telemetry)
 	n.startIngest()
 	return n, nil
 }
 
-// instrument exports the packet counters as counter series sampled at
-// scrape time, so counting a packet is one atomic add. No-op on a nil
-// registry.
+// instrument is the endpoint's one registration site, run before any drain
+// loop starts: counters sampled at scrape time, so counting a packet is one
+// atomic add, and the drain-batch histogram, the row without a counter.
 func (n *UDPNetwork) instrument(r *telemetry.Registry) {
 	for _, c := range []struct {
 		name, help string
@@ -183,7 +182,15 @@ func (n *UDPNetwork) instrument(r *telemetry.Registry) {
 			func() uint64 { return n.dropped.Load() + n.ingest.unknownSrc.Load() }},
 		{telemetry.MetricSendErrors, "Messages lost to encode or socket write failures.", n.sendErrors.Load},
 		{telemetry.MetricEgressSendErrors, "datagrams the socket refused (write errors and short writes)", n.writeErrors.Load},
+		{telemetry.MetricIngestBatchSize, "datagrams drained per readiness wakeup", nil},
+		{telemetry.MetricIngestDrains, "completed ingest drain cycles", n.ingest.drains.Load},
+		{telemetry.MetricIngestUnknownSource, "datagrams discarded because their source address is not a registered peer", n.ingest.unknownSrc.Load},
+		{telemetry.MetricIngestKernelDrops, "datagrams the kernel dropped on full reader socket buffers", n.kernelDrops},
 	} {
+		if c.v == nil {
+			n.ingest.batchHist = r.Histogram(c.name, c.help, []float64{1, 2, 4, 8, 16, 32, 64})
+			continue
+		}
 		r.CounterFunc(c.name, c.help, func() float64 { return float64(c.v()) })
 	}
 }

@@ -30,8 +30,8 @@ type PeerStatus struct {
 	// detector).
 	Phi float64 `json:",omitempty"`
 	// ClockOffset is the peer-minus-local clock offset the clock-sync
-	// exchange estimated when the peer joined, subtracted from each of its
-	// heartbeats' send stamps (0 without WithSyncClock).
+	// exchange estimated when the peer joined; its detector subtracts it from
+	// each heartbeat's send stamp (0 without WithSyncClock).
 	ClockOffset time.Duration `json:",omitempty"`
 	// DetectorStats carries the Heartbeats, Stale and Suspicions counters.
 	DetectorStats
@@ -85,10 +85,6 @@ type peerEntry struct {
 	// zero otherwise: what tells a walk over the arena that a slot is a
 	// member. Guarded by the table lock.
 	id neko.ProcessID
-	// offset is the estimated peer-minus-local clock offset (nanoseconds)
-	// delivery subtracts from the send stamps: 0 without WithSyncClock.
-	// Stored before the detector serves the slot.
-	offset atomic.Int64
 	// det is the peer's detector; its name is the peer's label. ctrl is the
 	// interval controller, nil without WithTargetDetection. Both are written
 	// only while the slot is neither published nor live.
@@ -159,7 +155,6 @@ type MultiMonitor struct {
 
 	// Cluster-level telemetry; every field is nil (a no-op) when the
 	// monitor was built without WithTelemetry.
-	mPeers       *telemetry.Gauge
 	mPeerAdds    *telemetry.Counter
 	mPeerRemoves *telemetry.Counter
 }
@@ -189,6 +184,10 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
+	// Before anything registers a series: a registry serves one monitor.
+	if err := o.telemetry.Claim(); err != nil {
+		return nil, err
+	}
 	// Fold the split callbacks once, so the sink carries a single onChange
 	// closure.
 	o.onChange = foldCallbacks(o.onSuspect, o.onTrust, o.onChange)
@@ -210,7 +209,8 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	}
 	o.qstore.Instrument(o.telemetry)
 	if reg := o.telemetry; reg != nil {
-		mm.mPeers = reg.Gauge(telemetry.MetricPeers, "Current cluster membership size.")
+		reg.GaugeFunc(telemetry.MetricPeers, "Current cluster membership size.",
+			func() float64 { return float64(mm.Peers()) })
 		mm.mPeerAdds = reg.Counter(telemetry.MetricPeerAdds, "Peers added to the cluster monitor.")
 		mm.mPeerRemoves = reg.Counter(telemetry.MetricPeerRemoves, "Peers removed from the cluster monitor.")
 		reg.CounterFunc(telemetry.MetricIngestUndelivered,
@@ -219,47 +219,12 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 	}
 	mm.nextID.Store(int64(multiMonitorID) + 1)
 	mm.ctx = &neko.Context{ID: multiMonitorID, Clock: net.Clock()}
-	var onBatch func(int, time.Duration)
-	if reg := o.telemetry; reg != nil {
-		lag := reg.Histogram(telemetry.MetricSchedBatchLag,
-			"Lateness of an expiry batch: its collection minus its earliest deadline, i.e. how late the driver woke (plus, for a deadline sharing a wheel slot with an earlier one, its wait of under one tick for the slot's boundary visit).", nil)
-		onBatch = func(_ int, l time.Duration) { lag.Observe(l.Seconds()) }
-	}
 	mm.wheel = sched.NewWheel(sched.Config{
-		Clock:    net.Clock(),
-		Tick:     monitorTick,
-		OnBatch:  onBatch,
-		InFlight: net.InFlight,
+		Clock:     net.Clock(),
+		Tick:      monitorTick,
+		Telemetry: o.telemetry,
+		InFlight:  net.InFlight,
 	})
-	if reg := o.telemetry; reg != nil {
-		reg.GaugeFunc(telemetry.MetricSchedTimers,
-			"Deadlines currently queued on the timing wheel.",
-			func() float64 { return float64(mm.SchedulerStats().Scheduled) })
-		reg.CounterFunc(telemetry.MetricSchedFired,
-			"Timing-wheel timers expired.",
-			func() float64 { return float64(mm.SchedulerStats().Fired) })
-		reg.CounterFunc(telemetry.MetricSchedCascades,
-			"Timers migrated between timing-wheel levels.",
-			func() float64 { return float64(mm.SchedulerStats().Cascades) })
-		reg.GaugeFunc(telemetry.MetricSchedMaxSlot,
-			"High-water mark of deadlines sharing one fine wheel slot (one firing tick).",
-			func() float64 { return float64(mm.SchedulerStats().MaxSlotOccupancy) })
-		reg.CounterFunc(telemetry.MetricSchedSlotsSkipped,
-			"Empty wheel slots crossed by bitmap skip-scan instead of probing.",
-			func() float64 { return float64(mm.SchedulerStats().SlotsSkipped) })
-		reg.CounterFunc(telemetry.MetricSchedWakeups,
-			"Wheel advances by the expiry driver: one at an occupied slot's earliest deadline, at most one more at its tick boundary.",
-			func() float64 { return float64(mm.SchedulerStats().Wakeups) })
-		reg.GaugeFunc(telemetry.MetricSchedFineOccupied,
-			"Fine-level wheel slots currently holding deadlines.",
-			func() float64 { return float64(mm.SchedulerStats().FineOccupied) })
-		reg.GaugeFunc(telemetry.MetricSchedCoarseOccupied,
-			"Coarse-level wheel slots currently holding deadlines.",
-			func() float64 { return float64(mm.SchedulerStats().CoarseOccupied) })
-		reg.GaugeFunc(telemetry.MetricSchedOverflow,
-			"Deadlines parked beyond the wheel horizon.",
-			func() float64 { return float64(mm.SchedulerStats().OverflowTimers) })
-	}
 	mm.listener = &sink{onChange: o.onChange, reg: o.telemetry, qstore: o.qstore}
 	if mm.env, err = core.NewDetectorEnv(mm.wheel, mm.listener, o.minTimeout); err != nil {
 		_ = mm.Close()
@@ -302,7 +267,7 @@ func (m *MultiMonitor) deliver(msg *neko.Message, at time.Duration) {
 	if msg.Type == neko.MsgHeartbeat {
 		idx := arena.Index(msg.Handle)
 		if e := m.ents.At(idx); e != nil &&
-			e.det.OnHeartbeatFor(uint64(idx), msg.Seq, msg.SentAt-time.Duration(e.offset.Load()), at) {
+			e.det.OnHeartbeatFor(uint64(idx), msg.Seq, msg.SentAt, at) {
 			return
 		}
 	}
@@ -379,8 +344,7 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 			return fmt.Errorf("wanfd: clock sync with %s: %w", name, err)
 		}
 	}
-	e.offset.Store(int64(off))
-	e.det.Serve(uint64(idx))
+	e.det.Serve(uint64(idx), off)
 	// Publish, unless the name was taken while the peer was being built.
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -396,8 +360,6 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 		reg.OpenQoS(name, m.wheel.Now())
 	}
 	m.mPeerAdds.Inc()
-	// Maintained incrementally: Peers() would re-lock the table held here.
-	m.mPeers.Add(1)
 	return nil
 }
 
@@ -452,7 +414,6 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	e.stop()
 	e.ctrl = nil
 	m.mPeerRemoves.Inc()
-	m.mPeers.Add(-1)
 	// Retire the peer's series and close its QoS window so churn does not
 	// grow the exposition without bound; re-added names start fresh. Before
 	// the release: the series read the slot's detector.
@@ -513,7 +474,7 @@ func (m *MultiMonitor) PeerStatusOf(peer string) (st PeerStatus, err error) {
 func (m *MultiMonitor) status(e *peerEntry) PeerStatus {
 	d := &e.det
 	st := PeerStatus{Peer: d.Name(), Suspected: d.Suspected(), DetectorStats: d.DetectorStats(),
-		ClockOffset: time.Duration(e.offset.Load())}
+		ClockOffset: d.ClockOffset()}
 	if m.opts.accrualThreshold > 0 {
 		st.Phi = d.Phi()
 	} else {

@@ -208,6 +208,10 @@ func WithPeer(name, addr string) Option {
 // support it. Telemetry is disabled (and the hot path pays only dead
 // nil-check branches) when this option is absent or reg is nil.
 //
+// A registry serves one monitor for its lifetime: a second monitor on it
+// fails and leaves it as it was, and a construction that fails after
+// claiming it leaves it claimed (telemetry.Registry.Claim).
+//
 // The registry is exposed over HTTP by cmd/fdmonitor's -http mode
 // (GET /metrics in Prometheus text format, GET /events as JSON Lines); see
 // internal/telemetry.Mount for embedding it elsewhere.
@@ -224,8 +228,9 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 //
 // The monitor does NOT close the store — one store may outlive (or be
 // shared by) several monitors, so lifecycle stays with the caller: close
-// the monitor first, then st.Close(). A nil st disables durable history
-// (the hot path pays only a nil-check branch).
+// the monitor first, then st.Close(). A store shared by several monitors
+// exports its series in each one's telemetry registry. A nil st disables
+// durable history (the hot path pays only a nil-check branch).
 func WithStore(st *store.Store) Option {
 	return func(o *options) { o.qstore = st }
 }
