@@ -118,16 +118,18 @@ type DetectorConfig struct {
 	Env *DetectorEnv
 	// Metrics, when non-nil, receives the delay and prediction-error
 	// histogram observations plus the late-arrival count from the
-	// heartbeat hot path; state the detector tracks anyway (lifetime
-	// counters, timeout, output) is exported lazily via
-	// telemetry.DetectorFuncs by whoever wires the detector up. A nil
-	// bundle disables instrumentation at the cost of one branch per
+	// heartbeat hot path, and every output transition (its event ring
+	// entry and accuracy window), before Listener; state the detector
+	// tracks anyway (lifetime counters, timeout, output) is exported
+	// lazily via telemetry.DetectorFuncs by whoever wires the detector up.
+	// A nil bundle disables instrumentation at the cost of one branch per
 	// heartbeat.
 	Metrics *telemetry.DetectorMetrics
 	// Sample, when non-nil, receives every heartbeat observation (stale
-	// ones included — they are delay observations too) for the durable
-	// QoS store. The recorder's push is a bounded lock-free ring write:
-	// zero allocations, never blocking, so the tap costs the hot path one
+	// ones included — they are delay observations too) and every output
+	// transition, after Metrics and before Listener, for the durable QoS
+	// store. The recorder's push is a bounded lock-free ring write: zero
+	// allocations, never blocking, so the tap costs the hot path one
 	// branch when disabled and one ring push when enabled.
 	Sample *store.PeerRecorder
 }
@@ -372,16 +374,20 @@ func (d *Detector) heartbeatLocked(seq int64, sendTime, now time.Duration) {
 	}
 }
 
-// transitionLocked flips the output at now and reports it to the listener.
-// Callers hold d.mu and read now from the detector's clock under it, not
-// from a heartbeat's receive stamp: a reader stamps its drain batch before
-// delivering it, and an expiry may have suspected in between. Reading
-// under the mutex makes one detector's transition stamps non-decreasing.
+// transitionLocked flips the output at now and reports it to the
+// detector's own taps — telemetry, then the store — and then to the
+// listener. Callers hold d.mu and read now from the detector's clock under
+// it, not from a heartbeat's receive stamp: a reader stamps its drain batch
+// before delivering it, and an expiry may have suspected in between.
+// Reading under the mutex makes one detector's transition stamps
+// non-decreasing.
 func (d *Detector) transitionLocked(suspected bool, now time.Duration) {
 	d.suspected = suspected
 	if suspected {
 		d.suspicions++
 	}
+	d.metrics.Transition(suspected, now)
+	d.sample.Transition(suspected, now)
 	switch l := d.env.listener; {
 	case l == nil:
 	case suspected:

@@ -12,25 +12,6 @@ import (
 	"wanfd/internal/trace"
 )
 
-// liveTap mirrors the wiring of a live monitor's suspicion listener: every
-// transition feeds both the telemetry registry (the live gauges' path) and
-// the durable store (the history path).
-type liveTap struct {
-	reg  *telemetry.Registry
-	rec  *store.PeerRecorder
-	peer string
-}
-
-func (l liveTap) OnSuspect(_ string, at time.Duration) {
-	l.reg.RecordTransition(l.peer, true, at)
-	l.rec.Transition(true, at)
-}
-
-func (l liveTap) OnTrust(_ string, at time.Duration) {
-	l.reg.RecordTransition(l.peer, false, at)
-	l.rec.Transition(false, at)
-}
-
 // replaySchedule is the deterministic heartbeat stream shared by the
 // fidelity tests: η = 1 s with a sawtooth base delay and a periodic 2.5 s
 // spike that provokes genuine false suspicions (the spiked heartbeat also
@@ -74,7 +55,8 @@ func TestReplayWindowBitExact(t *testing.T) {
 	rec := st.Recorder(peer)
 	// The monitor publishes the peer at 0: its accuracy window opens there.
 	reg := telemetry.NewRegistry(0)
-	reg.OpenQoS(peer, 0)
+	live := reg.DetectorMetrics(peer)
+	live.OpenQoS(0)
 
 	pred, margin, err := combo.Build()
 	if err != nil {
@@ -86,8 +68,8 @@ func TestReplayWindowBitExact(t *testing.T) {
 		Margin:     margin,
 		Eta:        eta,
 		Clock:      eng,
-		Listener:   liveTap{reg: reg, rec: rec, peer: peer},
 		MinTimeout: minTO,
+		Metrics:    live,
 		Sample:     rec,
 	})
 	if err != nil {

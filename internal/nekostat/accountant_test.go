@@ -112,10 +112,12 @@ func checkPaths(t *testing.T, data []byte) {
 	}
 	defer st.Close()
 	opens := make(map[string]time.Duration)
+	bundles := make(map[string]*telemetry.DetectorMetrics)
 	var order []string
 	for _, s := range steps {
 		if s.open {
-			reg.OpenQoS(s.peer, s.at)
+			bundles[s.peer] = reg.DetectorMetrics(s.peer)
+			bundles[s.peer].OpenQoS(s.at)
 			opens[s.peer] = s.at
 			order = append(order, s.peer)
 			// One heartbeat sample gives the exported window a stream to
@@ -123,7 +125,7 @@ func checkPaths(t *testing.T, data []byte) {
 			st.Recorder(s.peer).Sample(0, s.at, s.at)
 			continue
 		}
-		reg.RecordTransition(s.peer, s.suspected, s.at)
+		bundles[s.peer].Transition(s.suspected, s.at)
 		st.Recorder(s.peer).Transition(s.suspected, s.at)
 		if s.suspected {
 			col.OnSuspect(s.peer, s.at)

@@ -14,7 +14,7 @@ import (
 func TestMountServesFullSurface(t *testing.T) {
 	reg := NewRegistry(8)
 	reg.Counter(MetricHeartbeats, "h", "peer", "a").Add(3)
-	reg.RecordTransition("a", true, time.Second)
+	reg.DetectorMetrics("a").Transition(true, time.Second)
 
 	mux := http.NewServeMux()
 	Mount(mux, reg)

@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"io"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,18 +51,22 @@ func TestEventRingJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordTransitionUpdatesRegistry(t *testing.T) {
+// TestTransitionUpdatesRegistry feeds one peer's bundle: a transition
+// before its window opens reaches only the event ring; inside the window
+// each one is counted and accounted.
+func TestTransitionUpdatesRegistry(t *testing.T) {
 	r := NewRegistry(8)
-	// Outside a window a transition is recorded and counted, not accounted.
-	r.RecordTransition("a", true, 5*time.Second)
+	a := r.DetectorMetrics("a")
+	// Outside a window a transition is recorded, not counted or accounted.
+	a.Transition(true, 5*time.Second)
 	if _, ok := r.QoS("a"); ok {
 		t.Fatal("accountant before OpenQoS")
 	}
-	r.OpenQoS("a", 6*time.Second)
-	r.RecordTransition("a", true, 10*time.Second)
-	r.RecordTransition("a", false, 12*time.Second)
-	r.RecordTransition("a", true, 30*time.Second)
-	r.RecordTransition("a", false, 32*time.Second)
+	a.OpenQoS(6 * time.Second)
+	a.Transition(true, 10*time.Second)
+	a.Transition(false, 12*time.Second)
+	a.Transition(true, 30*time.Second)
+	a.Transition(false, 32*time.Second)
 
 	if n := r.Events().Total(); n != 5 {
 		t.Errorf("ring total = %d, want 5", n)
@@ -74,7 +81,7 @@ func TestRecordTransitionUpdatesRegistry(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		MetricTransitions + `{peer="a"} 5`,
+		MetricTransitions + `{peer="a"} 4`,
 		MetricQoSPA + `{peer="a"} 0.9`,
 		MetricQoSTM + `{peer="a"} 2`,
 		MetricQoSTMR + `{peer="a"} 20`,
@@ -87,9 +94,10 @@ func TestRecordTransitionUpdatesRegistry(t *testing.T) {
 
 func TestCloseQoSForgetsPeer(t *testing.T) {
 	r := NewRegistry(8)
-	r.OpenQoS("a", 0)
-	r.OpenQoS("b", 0)
-	r.RecordTransition("a", true, time.Second)
+	a, b := r.DetectorMetrics("a"), r.DetectorMetrics("b")
+	a.OpenQoS(0)
+	b.OpenQoS(0)
+	a.Transition(true, time.Second)
 	r.CloseQoS("a")
 	if _, ok := r.QoS("a"); ok {
 		t.Error("closed peer still accounted")
@@ -97,7 +105,7 @@ func TestCloseQoSForgetsPeer(t *testing.T) {
 	if _, ok := r.QoS("b"); !ok {
 		t.Error("unrelated peer lost")
 	}
-	r.OpenQoS("a", 2*time.Second)
+	r.DetectorMetrics("a").OpenQoS(2 * time.Second)
 	if q, _ := r.QoS("a"); q.From != 2*time.Second || q.Suspected() {
 		t.Errorf("re-opened window = %+v, want a fresh one from 2s", q)
 	}
@@ -108,12 +116,13 @@ func TestCloseQoSForgetsPeer(t *testing.T) {
 // ring but re-creates none of the peer's series.
 func TestTransitionAfterCloseCreatesNoSeries(t *testing.T) {
 	r := NewRegistry(8)
-	r.OpenQoS("a", 0)
-	r.RecordTransition("a", true, time.Second)
+	a := r.DetectorMetrics("a")
+	a.OpenQoS(0)
+	a.Transition(true, time.Second)
 	r.DropSeries("peer", "a")
 	r.CloseQoS("a")
-	r.RecordTransition("a", false, 2*time.Second)
-	r.RecordTransition("a", true, 3*time.Second)
+	a.Transition(false, 2*time.Second)
+	a.Transition(true, 3*time.Second)
 	if n := r.Events().Total(); n != 3 {
 		t.Errorf("ring total = %d, want 3", n)
 	}
@@ -123,5 +132,64 @@ func TestTransitionAfterCloseCreatesNoSeries(t *testing.T) {
 	}
 	if out := b.String(); strings.Contains(out, `peer="a"`) {
 		t.Errorf("a removed peer's series came back:\n%s", out)
+	}
+}
+
+// TestTransitionRacesQoSReaders feeds one bundle's transitions while other
+// goroutines read its window by name, scrape the registry, and close and
+// re-open the window: under -race it must be clean, and every QoS copy
+// must be whole — a closed mistake count no larger than the suspicions fed
+// so far, and no more recurrences than mistakes.
+func TestTransitionRacesQoSReaders(t *testing.T) {
+	const pairs = 2000
+	r := NewRegistry(8)
+	a := r.DetectorMetrics("a")
+	a.OpenQoS(0)
+	var fed atomic.Int64 // suspicions whose trust has been or is being fed
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	loop := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				f(i)
+			}
+		}()
+	}
+	loop(func(int) {
+		q, ok := r.QoS("a")
+		// Loaded after the copy: a mistake in it was fed, and counted,
+		// before it.
+		if limit := fed.Load(); ok {
+			if int64(q.Mistakes) > limit || q.Recurrences > q.Mistakes || (q.Mistakes == 0 && q.TMSum != 0) {
+				t.Errorf("inconsistent QoS copy %+v after %d completed suspicions", q, limit)
+			}
+		}
+	})
+	loop(func(int) {
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Error(err)
+		}
+	})
+	loop(func(i int) {
+		r.CloseQoS("a")
+		a.OpenQoS(time.Duration(i) * time.Millisecond)
+	})
+	for i := 1; i <= pairs; i++ {
+		at := time.Duration(i) * time.Millisecond
+		a.Transition(true, at)
+		fed.Add(1)
+		a.Transition(false, at+time.Microsecond)
+	}
+	close(done)
+	wg.Wait()
+	if n := r.Events().Total(); n != 2*pairs {
+		t.Errorf("ring total = %d, want %d", n, 2*pairs)
 	}
 }

@@ -15,7 +15,7 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x", "h").Inc()
 	r.Gauge("x", "h").Set(1)
 	r.Histogram("x", "h", nil).Observe(1)
-	r.RecordTransition("p", true, 0)
+	r.DetectorMetrics("p").Transition(true, 0)
 	r.DropSeries("peer", "p")
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func TestNilSafety(t *testing.T) {
 	if got := r.Events().Events(); got != nil {
 		t.Errorf("nil ring events = %v, want nil", got)
 	}
-	r.OpenQoS("p", 0)
+	r.DetectorMetrics("p").OpenQoS(0)
 	r.CloseQoS("p")
 	if _, ok := r.QoS("p"); ok {
 		t.Error("nil registry reports an accountant")
@@ -270,12 +270,12 @@ func TestDropSeries(t *testing.T) {
 
 // registerPeer gives one peer the series a live monitor registers for it.
 func registerPeer(r *Registry, peer string) {
-	r.DetectorMetrics(peer)
+	m := r.DetectorMetrics(peer)
 	r.DetectorFuncs(peer,
 		func() (uint64, uint64, uint64) { return 5, 1, 0 },
 		func() float64 { return 0.25 },
 		func() bool { return false })
-	r.OpenQoS(peer, 0)
+	m.OpenQoS(0)
 }
 
 // TestDropSeriesTouchesOnlyItsPeer drops one peer of many, some series of

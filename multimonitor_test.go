@@ -204,6 +204,56 @@ func TestQoSWindowFollowsMembership(t *testing.T) {
 	}
 }
 
+// TestFailedAddPeerLeavesNoSeries: an AddPeer that fails — on an address
+// another peer holds, on an address that does not parse, or on a name
+// already monitored — leaves nothing behind: the scrape is what it was,
+// with no series of the rejected name, and no accuracy window opens for it.
+func TestFailedAddPeerLeavesNoSeries(t *testing.T) {
+	addrs := freeUDPPorts(t, 3)
+	reg := telemetry.NewRegistry(16)
+	mon, err := NewMultiMonitor(addrs[0], WithTelemetry(reg), WithPeer("alpha", addrs[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	scrape := func() string {
+		t.Helper()
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	before := scrape()
+	window, _ := reg.QoS("alpha")
+	for _, c := range []struct{ what, name, addr string }{
+		{"a duplicate address", "alias", addrs[1]},
+		{"an address with no port", "noport", "127.0.0.1"},
+		{"a duplicate name", "alpha", addrs[2]},
+	} {
+		if err := mon.AddPeer(c.name, c.addr); err == nil {
+			t.Fatalf("%s: AddPeer(%q, %q) succeeded", c.what, c.name, c.addr)
+		}
+		after := scrape()
+		if c.name != "alpha" {
+			if strings.Contains(after, `peer="`+c.name+`"`) {
+				t.Errorf("%s: series of %q left behind:\n%s", c.what, c.name, after)
+			}
+			if _, ok := reg.QoS(c.name); ok {
+				t.Errorf("%s: accuracy window of %q left open", c.what, c.name)
+			}
+		} else if q, _ := reg.QoS("alpha"); q != window {
+			t.Errorf("%s: the live peer's window became %+v (was %+v)", c.what, q, window)
+		}
+		if after != before {
+			t.Errorf("%s: scrape changed:\n%s\nwas:\n%s", c.what, after, before)
+		}
+	}
+	if n := mon.Peers(); n != 1 {
+		t.Errorf("%d peers after the failed adds, want 1", n)
+	}
+}
+
 // TestAccrualPeerObservable checks that a φ-accrual peer is observable like
 // any peer: its detector series, a timeout gauge reading mean + z·σ, its
 // heartbeat samples in the store, and RemovePeer retiring its series.

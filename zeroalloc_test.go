@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"wanfd/internal/neko"
 	"wanfd/internal/telemetry"
 )
 
@@ -64,24 +65,48 @@ func TestPipelineZeroAlloc(t *testing.T) {
 }
 
 // TestTransitionZeroAlloc pins a suspicion transition's cost with the
-// durable store attached and with live telemetry: the sink finds the peer's
-// recorder the store interned, and the series the registry resolved, when
-// the peer was added, so a suspect/trust pair allocates nothing.
+// durable store attached and with live telemetry: each pair is a real
+// suspicion and trust of the peer's detector, driven by heartbeats through
+// the monitor's delivery path, and the detector feeds the recorder and the
+// telemetry bundle it was given when the peer was published, so a
+// suspect/trust pair allocates nothing.
 func TestTransitionZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting holds only in normal builds")
 	}
-	pair := func(t *testing.T, what string, opts ...Option) {
+	pair := func(t *testing.T, what string, reg *telemetry.Registry, opts ...Option) {
 		t.Helper()
+		// A MEAN predictor, unlike LAST, does not forecast a heartbeat's own
+		// delay: after many prompt heartbeats one delayed by an hour is
+		// overdue on arrival, and the next prompt one is fresh again.
 		mm := benchCluster(t, []string{"p"}, benchPeerAddr,
-			append(opts, WithOnChange(func(string, bool, time.Duration) {}))...)
-		at := time.Second
-		if avg := testing.AllocsPerRun(1000, func() {
-			at += time.Millisecond
-			mm.listener.OnSuspect("p", at)
-			mm.listener.OnTrust("p", at)
+			append(opts, WithPredictor("MEAN"), WithMargin("CI_low"),
+				WithOnChange(func(string, bool, time.Duration) {}))...)
+		clk := mm.ctx.Clock
+		msg := neko.Message{Type: neko.MsgHeartbeat, Handle: peerHandleOf(t, mm, "p")}
+		beat := func(delay time.Duration) {
+			now := clk.Now()
+			msg.Seq++
+			msg.SentAt = now - delay
+			mm.deliver(&msg, now)
+		}
+		for i := 0; i < 1<<16; i++ {
+			beat(0)
+		}
+		const runs = 1000
+		if avg := testing.AllocsPerRun(runs, func() {
+			beat(time.Hour) // overdue: suspect
+			beat(0)         // fresh: trust
 		}); avg != 0 {
 			t.Errorf("a suspect/trust pair with %s attached allocates %.1f, want 0", what, avg)
+		}
+		// AllocsPerRun runs the pair once more to warm up.
+		st, err := mm.PeerStatusOf("p")
+		if err != nil || st.Suspicions != runs+1 || st.Suspected {
+			t.Fatalf("status %+v (%v), want %d suspicions, each ended by a trust", st, err, runs+1)
+		}
+		if q, ok := reg.QoS("p"); reg != nil && (!ok || q.Mistakes != runs+1) {
+			t.Errorf("accuracy window %+v (open %v), want %d mistakes", q, ok, runs+1)
 		}
 	}
 	t.Run("store", func(t *testing.T) {
@@ -90,11 +115,12 @@ func TestTransitionZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = st.Close() })
-		pair(t, "a store", WithStore(st))
+		pair(t, "a store", nil, WithStore(st))
 	})
 	// The peer's transition counter and QoS gauges are resolved when its
 	// accuracy window opens, at publication.
 	t.Run("telemetry", func(t *testing.T) {
-		pair(t, "telemetry", WithTelemetry(telemetry.NewRegistry(0)))
+		reg := telemetry.NewRegistry(0)
+		pair(t, "telemetry", reg, WithTelemetry(reg))
 	})
 }
