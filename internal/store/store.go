@@ -251,8 +251,10 @@ func (s *Store) openSegment(seq uint64) error {
 
 // Recorder interns a peer name and returns its hot-path write handle: the
 // same handle for every call with that name, so only the first call
-// allocates. Never per heartbeat: a detector keeps its handle. Nil-safe: a
-// nil store returns a nil recorder, whose methods are no-ops.
+// allocates. Never per heartbeat or transition: a detector keeps its handle
+// (core.DetectorConfig.Sample) and feeds it its samples and its output
+// transitions itself. Nil-safe: a nil store returns a nil recorder, whose
+// methods are no-ops.
 func (s *Store) Recorder(peer string) *PeerRecorder {
 	if s == nil {
 		return nil

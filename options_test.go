@@ -269,6 +269,11 @@ func TestMultiMonitorRejectsBadCombo(t *testing.T) {
 		mon.Close()
 		t.Error("unknown margin accepted")
 	}
+	// A non-positive η is refused at construction, not by every AddPeer.
+	if mon, err := NewMultiMonitor(addr, WithEta(0)); err == nil {
+		mon.Close()
+		t.Error("zero eta accepted")
+	}
 }
 
 func TestNewMonitorRejectsWithPeer(t *testing.T) {
