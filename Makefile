@@ -48,6 +48,8 @@ fuzz:
 	$(GO) test -fuzz FuzzHeartbeatRoundTrip -fuzztime 30s ./internal/transport/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzAccountingPaths -fuzztime 30s ./internal/nekostat/
+	$(GO) test -fuzz FuzzAccrualMatchesReference -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzInlineStateMatchesReference -fuzztime 30s ./internal/core/
 
 clean:
 	$(GO) clean ./...

@@ -41,20 +41,29 @@ func fleetNamesAddrs(n int) (names, addrs []string) {
 }
 
 // TestPeerHeapBudget is the benchmark's heap_bytes_per_peer as a tier-1
-// test: live heap after building a fleet minus live heap before, per peer.
-// The figure is a property of the data layout, not of the machine, so the
-// budgets are tight: a per-peer object or a slab geometry that wastes a
-// record's worth per peer fails here before any benchmark runs (it reads
-// 490 B at 65,536 peers and 519 B at 4,096, the monitor's fixed set-up
-// included — its timing wheel alone is ≈52 KB, 13 B a peer at 4,096; one
-// heap object more per peer is 16 to 64).
+// test: live heap after building a fleet minus live heap before, per peer,
+// and the mallocs the build made per peer. The figures are properties of
+// the data layout, not of the machine, so the budgets are tight: a per-peer
+// object or a slab geometry that wastes a record's worth per peer fails
+// here before any benchmark runs (it reads 423 B at 65,536 peers and 452 B
+// at 4,096, the monitor's fixed set-up included — its timing wheel alone is
+// ≈52 KB, 13 B a peer at 4,096; one heap object more per peer is 16 to 64
+// bytes and one malloc). A default peer is its arena record alone, so a
+// build makes well under one malloc per peer (0.06 at 65,536, 0.12 at 4,096:
+// arena slabs, table growth and the monitor's own set-up), and a reading
+// below the record's 256-B share of its slab is a failed measurement, not a
+// pass.
 func TestPeerHeapBudget(t *testing.T) {
+	const (
+		recordBytes    = 256
+		mallocsPerPeer = 0.25
+	)
 	for _, c := range []struct {
 		peers, expected int
 		budget          float64
 	}{
-		{4096, 0, 560},
-		{65536, 65536, 530},
+		{4096, 0, 480},
+		{65536, 65536, 450},
 	} {
 		names, addrs := fleetNamesAddrs(c.peers)
 		var before, after runtime.MemStats
@@ -69,10 +78,17 @@ func TestPeerHeapBudget(t *testing.T) {
 		runtime.KeepAlive(addrs)
 		runtime.KeepAlive(names)
 		perPeer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(c.peers)
+		mallocs := float64(after.Mallocs-before.Mallocs) / float64(c.peers)
 		_ = mm.Close()
-		t.Logf("%d peers: %.1f B/peer", c.peers, perPeer)
+		t.Logf("%d peers: %.1f B/peer, %.3f mallocs/peer", c.peers, perPeer, mallocs)
 		if perPeer > c.budget {
 			t.Errorf("%d peers: %.1f heap bytes per peer, budget %.0f", c.peers, perPeer, c.budget)
+		}
+		if perPeer < recordBytes {
+			t.Errorf("%d peers: %.1f heap bytes per peer, below the record's own %d: the reading failed", c.peers, perPeer, recordBytes)
+		}
+		if mallocs > mallocsPerPeer {
+			t.Errorf("%d peers: %.3f mallocs per AddPeer, budget %.2f", c.peers, mallocs, mallocsPerPeer)
 		}
 	}
 }

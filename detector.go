@@ -1,7 +1,6 @@
 package wanfd
 
 import (
-	"fmt"
 	"time"
 
 	"wanfd/internal/core"
@@ -132,32 +131,11 @@ func listener(onSuspect, onTrust func(time.Duration), onChange func(string, bool
 // NewDetector builds a real-time detector. The epoch of all elapsed times
 // is the moment of this call.
 func NewDetector(cfg DetectorConfig) (*Detector, error) {
-	pred := cfg.CustomPredictor
-	if pred == nil {
-		if cfg.Predictor == "" {
-			return nil, fmt.Errorf("wanfd: no predictor configured")
-		}
-		p, err := core.NewPredictorByName(cfg.Predictor)
-		if err != nil {
-			return nil, err
-		}
-		pred = p
-	}
-	margin := cfg.CustomMargin
-	if margin == nil {
-		if cfg.Margin == "" {
-			return nil, fmt.Errorf("wanfd: no safety margin configured")
-		}
-		m, err := core.NewMarginByName(cfg.Margin)
-		if err != nil {
-			return nil, err
-		}
-		margin = m
-	}
 	clock := sim.NewRealClock()
 	det, err := core.NewDetector(core.DetectorConfig{
-		Predictor: pred,
-		Margin:    margin,
+		Predictor: cfg.CustomPredictor,
+		Margin:    cfg.CustomMargin,
+		Combo:     core.Combo{Predictor: cfg.Predictor, Margin: cfg.Margin},
 		Eta:       cfg.Eta,
 		Clock:     clock,
 		Listener:  listener(cfg.OnSuspect, cfg.OnTrust, nil),

@@ -167,16 +167,11 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				continue
 			}
 			peers = append(peers, peer)
-			pred, margin, err := cfg.Combo.Build()
-			if err != nil {
-				return nil, err
-			}
 			det, err := core.NewDetector(core.DetectorConfig{
-				Name:      fmt.Sprintf("%s@%d->%d", cfg.Combo.Name(), self, peer),
-				Predictor: pred,
-				Margin:    margin,
-				Eta:       cfg.Eta,
-				Clock:     eng,
+				Name:  fmt.Sprintf("%s@%d->%d", cfg.Combo.Name(), self, peer),
+				Combo: cfg.Combo,
+				Eta:   cfg.Eta,
+				Clock: eng,
 			})
 			if err != nil {
 				return nil, err

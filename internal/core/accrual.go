@@ -153,8 +153,6 @@ type accrualWindow struct {
 	mean, std float64
 }
 
-var _ arrivalPredictor = (*accrualWindow)(nil)
-
 // Name returns "ACCRUAL".
 func (*accrualWindow) Name() string { return "ACCRUAL" }
 
@@ -164,6 +162,9 @@ func (*accrualWindow) Observe(float64) {}
 // Predict returns the mean inter-arrival time.
 func (w *accrualWindow) Predict() float64 { return w.mean }
 
+// arrive records a fresh heartbeat's arrival and reports whether the window
+// holds a forecast yet: the detector calls it after the stale check, and
+// anchors the freshness point at the arrival.
 func (w *accrualWindow) arrive(at time.Duration) bool {
 	w.a.Heartbeat(at)
 	var ok bool

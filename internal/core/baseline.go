@@ -18,12 +18,12 @@ func NewNFDE(alphaMs float64, eta time.Duration, clock sim.Clock, l SuspicionLis
 		return nil, err
 	}
 	return NewDetector(DetectorConfig{
-		Name:      "NFD-E",
-		Predictor: NewMean(),
-		Margin:    margin,
-		Eta:       eta,
-		Clock:     clock,
-		Listener:  l,
+		Name:     "NFD-E",
+		Margin:   margin,
+		Combo:    Combo{Predictor: "MEAN"},
+		Eta:      eta,
+		Clock:    clock,
+		Listener: l,
 	})
 }
 
@@ -48,16 +48,11 @@ func NFDEAlphaForBound(tdU, eta time.Duration, meanDelayMs float64) (float64, er
 // with a Jacobson-style dynamic safety margin. In this framework it is
 // exactly MEAN + SM_JAC with φ = 1, α = 1/4.
 func NewBertier(eta time.Duration, clock sim.Clock, l SuspicionListener) (*Detector, error) {
-	margin, err := NewSMJAC("Bertier_jac", PhiLow, JacobsonAlpha)
-	if err != nil {
-		return nil, err
-	}
 	return NewDetector(DetectorConfig{
-		Name:      "Bertier",
-		Predictor: NewMean(),
-		Margin:    margin,
-		Eta:       eta,
-		Clock:     clock,
-		Listener:  l,
+		Name:     "Bertier",
+		Combo:    Combo{Predictor: "MEAN", Margin: "JAC_low"},
+		Eta:      eta,
+		Clock:    clock,
+		Listener: l,
 	})
 }

@@ -47,6 +47,80 @@ var ExtendedPredictorNames = []string{"MEDIAN"}
 // match WINMEAN's for comparability.
 const MedianN = 10
 
+// predKind tags how a Detector keeps its predictor: one of the paper's
+// fixed-size kinds in its own record (predState), or an object behind its
+// ext pointer.
+type predKind uint8
+
+const (
+	predExt     predKind = iota // any other predictor, ext.pred
+	predAccrual                 // φ-accrual's window, ext.pred: arrival-anchored
+	// predLast and the kinds after it are inline.
+	predLast
+	predMean
+	predLPF // at the paper's β = LPFBeta
+)
+
+// predKindOf is the tag of a named predictor; predExt for those the
+// detector keeps as objects.
+func predKindOf(name string) predKind {
+	switch name {
+	case "LAST":
+		return predLast
+	case "MEAN":
+		return predMean
+	case "LPF":
+		return predLPF
+	}
+	return predExt
+}
+
+// marginKind tags how a Detector keeps its margin: one of the paper's six
+// or a constant in its own record (marginState), or an object behind its
+// ext pointer.
+type marginKind uint8
+
+const (
+	marginExt marginKind = iota // any other margin, ext.margin
+	marginCILow
+	marginCIMed
+	marginCIHigh
+	marginJACLow
+	marginJACMed
+	marginJACHigh
+	marginConst // the constant is marginState.v
+)
+
+// marginScale is each of the paper's margins' Table 1 parameter: γ for
+// SM_CI, φ for SM_JAC (whose gain is JacobsonAlpha).
+var marginScale = [...]float64{
+	marginCILow: GammaLow, marginCIMed: GammaMed, marginCIHigh: GammaHigh,
+	marginJACLow: PhiLow, marginJACMed: PhiMed, marginJACHigh: PhiHigh,
+}
+
+// marginKindOf is the tag of one of MarginNames, marginExt for any other
+// name.
+func marginKindOf(name string) marginKind {
+	switch name {
+	case "CI_low":
+		return marginCILow
+	case "CI_med":
+		return marginCIMed
+	case "CI_high":
+		return marginCIHigh
+	case "JAC_low":
+		return marginJACLow
+	case "JAC_med":
+		return marginJACMed
+	case "JAC_high":
+		return marginJACHigh
+	}
+	return marginExt
+}
+
+func (k marginKind) isCI() bool  { return k >= marginCILow && k <= marginCIHigh }
+func (k marginKind) isJAC() bool { return k >= marginJACLow && k <= marginJACHigh }
+
 // NewPredictorByName constructs a predictor with its Table 2 parameters.
 // It accepts the paper's five (PredictorNames) and the extensions
 // (ExtendedPredictorNames).
@@ -72,22 +146,13 @@ func NewPredictorByName(name string) (Predictor, error) {
 // NewMarginByName constructs one of the paper's safety margins with its
 // Table 1 parameters.
 func NewMarginByName(name string) (SafetyMargin, error) {
-	switch name {
-	case "CI_low":
-		return NewSMCI(name, GammaLow)
-	case "CI_med":
-		return NewSMCI(name, GammaMed)
-	case "CI_high":
-		return NewSMCI(name, GammaHigh)
-	case "JAC_low":
-		return NewSMJAC(name, PhiLow, JacobsonAlpha)
-	case "JAC_med":
-		return NewSMJAC(name, PhiMed, JacobsonAlpha)
-	case "JAC_high":
-		return NewSMJAC(name, PhiHigh, JacobsonAlpha)
-	default:
-		return nil, fmt.Errorf("core: unknown safety margin %q", name)
+	switch k := marginKindOf(name); {
+	case k.isCI():
+		return NewSMCI(name, marginScale[k])
+	case k.isJAC():
+		return NewSMJAC(name, marginScale[k], JacobsonAlpha)
 	}
+	return nil, fmt.Errorf("core: unknown safety margin %q", name)
 }
 
 // Combo names one predictor×margin combination.

@@ -48,17 +48,6 @@ var (
 	_ StatsProvider     = (*Detector)(nil)
 )
 
-// arrivalPredictor is a Predictor whose forecast is anchored at the arrival
-// of the freshest heartbeat instead of at its send time: the detector tells
-// it each fresh arrival, after the stale check, and the freshness point is
-// A_k + δ in place of σ_k + η + δ. φ-accrual is one (NewAccrualCombo).
-type arrivalPredictor interface {
-	Predictor
-	// arrive records a fresh heartbeat's arrival and reports whether the
-	// window holds a forecast yet.
-	arrive(at time.Duration) bool
-}
-
 // SuspicionListener receives the detector's output transitions. Callbacks
 // are invoked with the detector's name and the clock time of the
 // transition, while the detector's lock is held — listeners must not call
@@ -95,12 +84,22 @@ func NewDetectorEnv(clock sim.Clock, listener SuspicionListener, minTimeout time
 // DetectorConfig assembles a Detector.
 type DetectorConfig struct {
 	// Name identifies the detector in events and reports
-	// (e.g. "ARIMA+CI_low").
+	// (e.g. "ARIMA+CI_low"); empty means the predictor's and the margin's
+	// names joined by "+".
 	Name string
-	// Predictor forecasts heartbeat delays.
+	// Predictor forecasts heartbeat delays; nil means the one
+	// Combo.Predictor names. The detector keeps and updates the object.
 	Predictor Predictor
-	// Margin is the safety margin added to the forecast.
+	// Margin is the safety margin added to the forecast; nil means the one
+	// Combo.Margin names. The detector keeps and updates the object, except
+	// a *ConstantMargin, whose constant it copies.
 	Margin SafetyMargin
+	// Combo names the paper's predictor and margin for whichever of
+	// Predictor and Margin is nil, with their Table 1 and 2 parameters.
+	// LAST, MEAN and LPF and the six margins so named keep their state in
+	// the detector itself, with no object of their own; any other name is
+	// built by NewPredictorByName.
+	Combo Combo
 	// Eta is the heartbeat sending period η.
 	Eta time.Duration
 	// Clock supplies time and timers (virtual or real).
@@ -152,17 +151,24 @@ type DetectorConfig struct {
 // network goroutine while timers fire on another). It is built by
 // NewDetector, or in place by Init when it is a field of a larger record;
 // there it serves one owner at a time (Serve, OnHeartbeatFor).
+//
+// The paper's fixed-size kinds keep their state in the Detector itself: the
+// predictors LAST, MEAN and LPF(1/8) and the margins SM_CI γ ∈ {1, 2, 3.31},
+// SM_JAC φ ∈ {1, 2, 4} named through DetectorConfig.Combo, and any constant
+// margin. A predictor or margin given as an object — ARIMA, WINMEAN,
+// MEDIAN, φ-accrual, swept or user-supplied parameters — sits behind one
+// pointer to a pair on the heap.
 type Detector struct {
-	name   string
-	pred   Predictor
-	margin SafetyMargin
-	// arrival is pred when it is arrival-anchored, nil for the paper's
-	// predictors.
-	arrival arrivalPredictor
+	name    string
 	eta     time.Duration
 	env     *DetectorEnv
 	metrics *telemetry.DetectorMetrics
 	sample  *store.PeerRecorder
+	// ps and ms are the state of an inline predictor and margin, tagged by
+	// pk and mk; ext holds the objects of any others.
+	ps  predState
+	ms  marginState
+	ext *external
 
 	mu       sync.Mutex
 	hi       int64 // highest sequence received; -1 before the first
@@ -172,6 +178,8 @@ type Detector struct {
 	wheelTimer sched.Timer
 	suspected  bool
 	stopped    bool
+	pk         predKind
+	mk         marginKind
 	// owner is the token of the record this detector serves (Serve); 0
 	// from Init until Serve and again from Stop.
 	owner uint64
@@ -182,6 +190,13 @@ type Detector struct {
 	heartbeats uint64
 	stale      uint64
 	suspicions uint64
+}
+
+// external is the predictor and the margin a Detector keeps as objects;
+// the side kept inline is nil.
+type external struct {
+	pred   Predictor
+	margin SafetyMargin
 }
 
 // timerSlack delays the freshness-expiry check by one instant past τ, so a
@@ -211,7 +226,7 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 // heartbeat addressed to an earlier owner finds one it does not serve (see
 // OnHeartbeatFor).
 func (d *Detector) Init(cfg DetectorConfig) error {
-	if cfg.Predictor == nil || cfg.Margin == nil {
+	if (cfg.Predictor == nil && cfg.Combo.Predictor == "") || (cfg.Margin == nil && cfg.Combo.Margin == "") {
 		return fmt.Errorf("core: detector %q needs a predictor and a margin", cfg.Name)
 	}
 	if cfg.Eta <= 0 {
@@ -224,14 +239,26 @@ func (d *Detector) Init(cfg DetectorConfig) error {
 			return fmt.Errorf("detector %q: %w", cfg.Name, err)
 		}
 	}
+	pk, predName, pred, err := resolvePredictor(cfg.Predictor, cfg.Combo.Predictor)
+	if err != nil {
+		return err
+	}
+	mk, marginName, ms, margin, err := resolveMargin(cfg.Margin, cfg.Combo.Margin)
+	if err != nil {
+		return err
+	}
+	var ext *external
+	if pred != nil || margin != nil {
+		ext = &external{pred: pred, margin: margin}
+	}
 	name := cfg.Name
 	if name == "" {
-		name = cfg.Predictor.Name() + "+" + cfg.Margin.Name()
+		name = predName + "+" + marginName
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.name, d.pred, d.margin, d.eta = name, cfg.Predictor, cfg.Margin, cfg.Eta
-	d.arrival, _ = cfg.Predictor.(arrivalPredictor)
+	d.name, d.eta = name, cfg.Eta
+	d.ps, d.ms, d.ext, d.pk, d.mk = predState{}, ms, ext, pk, mk
 	d.env, d.metrics, d.sample = env, cfg.Metrics, cfg.Sample
 	d.hi, d.deadline, d.suspected, d.stopped, d.owner, d.offset = -1, 0, false, false, 0, 0
 	d.heartbeats, d.stale, d.suspicions = 0, 0, 0
@@ -244,6 +271,39 @@ func (d *Detector) Init(cfg DetectorConfig) error {
 		d.timer = sched.NewTimer(env.clock, d.expire)
 	}
 	return nil
+}
+
+// resolvePredictor tags a detector's predictor: the object p when there is
+// one (the caller's, kept), else the one named, inline when it is one of the
+// fixed-size kinds and built otherwise.
+func resolvePredictor(p Predictor, name string) (predKind, string, Predictor, error) {
+	if p != nil {
+		if _, ok := p.(*accrualWindow); ok {
+			return predAccrual, p.Name(), p, nil
+		}
+		return predExt, p.Name(), p, nil
+	}
+	if k := predKindOf(name); k != predExt {
+		return k, name, nil, nil
+	}
+	p, err := NewPredictorByName(name)
+	return predExt, name, p, err
+}
+
+// resolveMargin is resolvePredictor for the margin, with a constant margin
+// copied inline; every named margin is one of the fixed-size kinds.
+func resolveMargin(m SafetyMargin, name string) (marginKind, string, marginState, SafetyMargin, error) {
+	switch c := m.(type) {
+	case nil:
+	case *ConstantMargin:
+		return marginConst, c.name, marginState{v: c.ms}, nil, nil
+	default:
+		return marginExt, m.Name(), marginState{}, m, nil
+	}
+	if k := marginKindOf(name); k != marginExt {
+		return k, name, marginState{}, nil, nil
+	}
+	return 0, "", marginState{}, nil, fmt.Errorf("core: unknown safety margin %q", name)
 }
 
 // expiry is the Detector as its wheel timer's handler: no closure, as a
@@ -309,14 +369,13 @@ func (d *Detector) heartbeatLocked(seq int64, sendTime, now time.Duration) {
 	sendTime -= d.offset
 	d.heartbeats++
 	obsMs := durToMs(now - sendTime)
-	predMs := d.pred.Predict() // the prediction that was in effect
-	d.pred.Observe(obsMs)
-	d.margin.Observe(obsMs, predMs)
+	predMs := d.predictLocked() // the prediction that was in effect
+	d.observeLocked(obsMs, predMs)
 	if m := d.metrics; m != nil {
 		// Multiply, not divide: ms→s by a constant reciprocal keeps the
 		// conversion off the FP-divider on every heartbeat.
 		m.Delay.Observe(obsMs * 1e-3)
-		if d.heartbeats > 1 && d.arrival == nil {
+		if d.heartbeats > 1 && d.pk != predAccrual {
 			// The first prediction is the predictor's zero state, not a
 			// forecast; scoring it would just record the first delay. An
 			// arrival-anchored forecast is an inter-arrival, not a delay.
@@ -341,8 +400,8 @@ func (d *Detector) heartbeatLocked(seq int64, sendTime, now time.Duration) {
 	d.hi = seq
 
 	deadline := sendTime + d.eta
-	if a := d.arrival; a != nil {
-		if !a.arrive(now) {
+	if d.pk == predAccrual {
+		if !d.ext.pred.(*accrualWindow).arrive(now) {
 			// No forecast on a cold window: arm nothing, never suspect.
 			d.timer.Stop()
 			return
@@ -434,16 +493,63 @@ func (d *Detector) CurrentTimeout() float64 {
 func (d *Detector) Phi() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if w, ok := d.arrival.(*accrualWindow); ok {
-		return w.a.Phi(d.env.clock.Now())
+	if d.pk == predAccrual {
+		return d.ext.pred.(*accrualWindow).a.Phi(d.env.clock.Now())
 	}
 	return 0
+}
+
+// predictLocked is the predictor's forecast in milliseconds. Callers hold
+// d.mu.
+func (d *Detector) predictLocked() float64 {
+	if d.pk >= predLast {
+		return d.ps.v
+	}
+	return d.ext.pred.Predict()
+}
+
+// marginLocked is the margin in milliseconds, with an inline margin's
+// scale from Table 1 by its tag. Callers hold d.mu.
+func (d *Detector) marginLocked() float64 {
+	switch k := d.mk; {
+	case k == marginExt:
+		return d.ext.margin.Margin()
+	case k == marginConst:
+		return d.ms.v
+	case k.isCI():
+		return d.ms.ci(marginScale[k])
+	default:
+		return d.ms.jac(marginScale[k])
+	}
+}
+
+// observeLocked feeds one delay and the prediction that was in effect for
+// it to the predictor and the margin. Callers hold d.mu.
+func (d *Detector) observeLocked(obsMs, predMs float64) {
+	switch d.pk {
+	case predLast:
+		d.ps.observeLast(obsMs)
+	case predMean:
+		d.ps.observeMean(obsMs)
+	case predLPF:
+		d.ps.observeLPF(LPFBeta, obsMs)
+	default:
+		d.ext.pred.Observe(obsMs)
+	}
+	switch k := d.mk; {
+	case k == marginExt:
+		d.ext.margin.Observe(obsMs, predMs)
+	case k.isCI():
+		d.ms.observeCI(obsMs)
+	case k.isJAC():
+		d.ms.observeJAC(JacobsonAlpha, obsMs, predMs)
+	}
 }
 
 // timeoutLocked is δ = pred + sm in milliseconds, floored. Callers hold
 // d.mu.
 func (d *Detector) timeoutLocked() float64 {
-	t := d.pred.Predict() + d.margin.Margin()
+	t := d.predictLocked() + d.marginLocked()
 	if t < d.env.minTimeout {
 		t = d.env.minTimeout
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"wanfd/internal/stats"
 )
 
 // SafetyMargin computes the slack added to the predictor's forecast to
@@ -55,6 +53,52 @@ func (*ConstantMargin) Observe(float64, float64) {}
 // Margin returns the constant.
 func (m *ConstantMargin) Margin() float64 { return m.ms }
 
+// marginState is the state of the paper's fixed-size margins: the words a
+// Detector keeps in its own record for SM_CI, SM_JAC and a constant margin,
+// and all that SMCI and SMJAC wrap. SM_CI keeps Welford's n, mean and m2
+// (Σ(obs − mean)²) of the delays and the latest delay in v; SM_JAC keeps its
+// smoothed absolute prediction error in v; a constant margin is v.
+type marginState struct {
+	n        int
+	mean, m2 float64
+	v        float64
+}
+
+// observeCI is SM_CI's step: one more delay into the running moments.
+func (s *marginState) observeCI(obsMs float64) {
+	s.n++
+	delta := obsMs - s.mean
+	s.mean += delta / float64(s.n)
+	s.m2 += delta * (obsMs - s.mean)
+	s.v = obsMs
+}
+
+// ci is SM_CI's margin at scale γ, the prediction-interval half-width.
+func (s *marginState) ci(gamma float64) float64 {
+	if s.n < 2 {
+		return 0
+	}
+	term := 1 + 1/float64(s.n)
+	if s.m2 > 0 {
+		d := s.v - s.mean
+		term += d * d / s.m2
+	}
+	// Rounded here, as a margin returned through an interface is: the
+	// caller adds it to the forecast, and a fused multiply-add there would
+	// move the freshness point on targets that fuse.
+	return float64(gamma * math.Sqrt(s.m2/float64(s.n-1)) * math.Sqrt(term))
+}
+
+// observeJAC is SM_JAC's step at gain α: the absolute error of the
+// prediction that was in effect, smoothed into v.
+func (s *marginState) observeJAC(alpha, obsMs, predMs float64) {
+	err := math.Abs(obsMs - predMs)
+	s.v += alpha * (err - s.v)
+}
+
+// jac is SM_JAC's margin at scale φ (rounded as ci's is).
+func (s *marginState) jac(phi float64) float64 { return float64(phi * s.v) }
+
 // SMCI is the paper's confidence-interval margin
 //
 //	sm_{k+1} = γ · σ̂ · sqrt(1 + 1/n + (obs_n − ō)² / Σ_j (obs_j − ō)²),
@@ -67,8 +111,7 @@ func (m *ConstantMargin) Margin() float64 { return m.ms }
 type SMCI struct {
 	name  string
 	gamma float64
-	r     stats.Running
-	last  float64 // most recent observation
+	s     marginState
 }
 
 // NewSMCI returns an SM_CI margin with the given γ > 0.
@@ -88,24 +131,10 @@ var _ SafetyMargin = (*SMCI)(nil)
 func (m *SMCI) Name() string { return m.name }
 
 // Observe records one delay (the prediction is ignored by construction).
-func (m *SMCI) Observe(obsMs, _ float64) {
-	m.r.Add(obsMs)
-	m.last = obsMs
-}
+func (m *SMCI) Observe(obsMs, _ float64) { m.s.observeCI(obsMs) }
 
 // Margin evaluates the prediction-interval half-width.
-func (m *SMCI) Margin() float64 {
-	n := m.r.N()
-	if n < 2 {
-		return 0
-	}
-	term := 1 + 1/float64(n)
-	if ss := m.r.SumSqDev(); ss > 0 {
-		d := m.last - m.r.Mean()
-		term += d * d / ss
-	}
-	return m.gamma * m.r.StdDev() * math.Sqrt(term)
-}
+func (m *SMCI) Margin() float64 { return m.s.ci(m.gamma) }
 
 // SMJAC is the paper's Jacobson-style margin: an exponentially smoothed
 // mean absolute prediction error, scaled by φ,
@@ -127,7 +156,7 @@ type SMJAC struct {
 	name  string
 	phi   float64
 	alpha float64
-	v     float64
+	s     marginState
 }
 
 // NewSMJAC returns an SM_JAC margin with scale φ > 0 and gain α ∈ (0, 1].
@@ -150,10 +179,7 @@ var _ SafetyMargin = (*SMJAC)(nil)
 func (m *SMJAC) Name() string { return m.name }
 
 // Observe smooths the absolute prediction error into the deviation state.
-func (m *SMJAC) Observe(obsMs, predMs float64) {
-	err := math.Abs(obsMs - predMs)
-	m.v += m.alpha * (err - m.v)
-}
+func (m *SMJAC) Observe(obsMs, predMs float64) { m.s.observeJAC(m.alpha, obsMs, predMs) }
 
 // Margin returns φ times the smoothed deviation.
-func (m *SMJAC) Margin() float64 { return m.phi * m.v }
+func (m *SMJAC) Margin() float64 { return m.s.jac(m.phi) }

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"wanfd/internal/arima"
-	"wanfd/internal/stats"
 )
 
 // Predictor forecasts the one-way transmission delay (in milliseconds) of
@@ -34,11 +33,40 @@ type Predictor interface {
 	Predict() float64
 }
 
+// predState is the state of the paper's fixed-size predictors: the words a
+// Detector keeps in its own record for LAST, MEAN and LPF, and all that
+// Last, Mean and LPF wrap. v is the forecast itself — LAST's latest delay,
+// MEAN's running mean, LPF's smoothed delay — so every one predicts v
+// (0 before any observation); n counts observations for MEAN and marks LPF
+// primed.
+type predState struct {
+	v float64
+	n int
+}
+
+// observeLast is LAST's step.
+func (s *predState) observeLast(delayMs float64) { s.v = delayMs }
+
+// observeMean is MEAN's step, Welford's running mean.
+func (s *predState) observeMean(delayMs float64) {
+	s.n++
+	s.v += (delayMs - s.v) / float64(s.n)
+}
+
+// observeLPF is LPF(beta)'s step; the first observation initializes v.
+func (s *predState) observeLPF(beta, delayMs float64) {
+	if s.n == 0 {
+		s.v, s.n = delayMs, 1
+		return
+	}
+	s.v += beta * (delayMs - s.v)
+}
+
 // Last predicts the delay of the next heartbeat as the delay of the most
 // recently received one (the paper's LAST predictor). The zero value is
 // ready to use.
 type Last struct {
-	last float64
+	s predState
 }
 
 // NewLast returns a LAST predictor.
@@ -50,16 +78,16 @@ var _ Predictor = (*Last)(nil)
 func (*Last) Name() string { return "LAST" }
 
 // Observe records the latest delay.
-func (p *Last) Observe(delayMs float64) { p.last = delayMs }
+func (p *Last) Observe(delayMs float64) { p.s.observeLast(delayMs) }
 
 // Predict returns the latest delay.
-func (p *Last) Predict() float64 { return p.last }
+func (p *Last) Predict() float64 { return p.s.v }
 
 // Mean predicts the mean of all observed delays (the paper's MEAN
 // predictor; also the expected-arrival estimator of Chen et al.'s NFD-E).
 // The zero value is ready to use.
 type Mean struct {
-	r stats.Running
+	s predState
 }
 
 // NewMean returns a MEAN predictor.
@@ -71,10 +99,10 @@ var _ Predictor = (*Mean)(nil)
 func (*Mean) Name() string { return "MEAN" }
 
 // Observe adds one delay to the running mean.
-func (p *Mean) Observe(delayMs float64) { p.r.Add(delayMs) }
+func (p *Mean) Observe(delayMs float64) { p.s.observeMean(delayMs) }
 
 // Predict returns the running mean of all observations.
-func (p *Mean) Predict() float64 { return p.r.Mean() }
+func (p *Mean) Predict() float64 { return p.s.v }
 
 // WinMean predicts the mean of the last N observed delays (the paper's
 // WINMEAN(N); with fewer than N observations it equals MEAN, as the paper
@@ -123,9 +151,8 @@ func (p *WinMean) Predict() float64 {
 // paper's low-pass filter, ARIMA(0,1,1) in disguise). The first observation
 // initializes the state.
 type LPF struct {
-	beta   float64
-	pred   float64
-	primed bool
+	beta float64
+	s    predState
 }
 
 // NewLPF returns an LPF(beta) predictor. beta must be in (0, 1].
@@ -142,16 +169,10 @@ var _ Predictor = (*LPF)(nil)
 func (*LPF) Name() string { return "LPF" }
 
 // Observe smooths one delay into the state.
-func (p *LPF) Observe(delayMs float64) {
-	if !p.primed {
-		p.pred, p.primed = delayMs, true
-		return
-	}
-	p.pred += p.beta * (delayMs - p.pred)
-}
+func (p *LPF) Observe(delayMs float64) { p.s.observeLPF(p.beta, delayMs) }
 
 // Predict returns the smoothed delay.
-func (p *LPF) Predict() float64 { return p.pred }
+func (p *LPF) Predict() float64 { return p.s.v }
 
 // ARIMA predicts with a periodically refitted ARIMA(p,d,q) model (the
 // paper's most accurate predictor; the paper selects (2,1,1) and refits

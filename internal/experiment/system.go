@@ -183,17 +183,12 @@ func buildChannel(preset wan.Preset, delayTrace []time.Duration, seed int64, str
 // comboDetector builds the freshness-point detector of one named
 // combination.
 func comboDetector(c core.Combo, eta time.Duration, clock sim.Clock, l core.SuspicionListener) (*core.Detector, error) {
-	pred, margin, err := c.Build()
-	if err != nil {
-		return nil, err
-	}
 	return core.NewDetector(core.DetectorConfig{
-		Name:      c.Name(),
-		Predictor: pred,
-		Margin:    margin,
-		Eta:       eta,
-		Clock:     clock,
-		Listener:  l,
+		Name:     c.Name(),
+		Combo:    c,
+		Eta:      eta,
+		Clock:    clock,
+		Listener: l,
 	})
 }
 

@@ -105,21 +105,16 @@ func RunGroup(cfg GroupConfig) (*GroupResult, error) {
 	var procs []*neko.Process
 	var monitors []*layers.Monitor
 	for i, m := range cfg.Members[1:] {
-		pred, margin, err := cfg.Combo.Build()
-		if err != nil {
-			return nil, err
-		}
 		var listener core.SuspicionListener
 		if i == 0 {
 			listener = MemberListener{Elector: elector, Member: leaderID}
 		}
 		det, err := core.NewDetector(core.DetectorConfig{
-			Name:      fmt.Sprintf("%s@%d", cfg.Combo.Name(), m),
-			Predictor: pred,
-			Margin:    margin,
-			Eta:       cfg.Eta,
-			Clock:     eng,
-			Listener:  listener,
+			Name:     fmt.Sprintf("%s@%d", cfg.Combo.Name(), m),
+			Combo:    cfg.Combo,
+			Eta:      cfg.Eta,
+			Clock:    eng,
+			Listener: listener,
 		})
 		if err != nil {
 			return nil, err

@@ -71,13 +71,16 @@ func peerNameHash(name string) uint64 {
 }
 
 // peerEntry is one peer's whole record, a slot of the monitor's arena: the
-// freshness-point detector by value — mutex, deadline, counters and wheel
-// timer handle included — so a peer is this slot plus its predictor and its
-// margin (for φ-accrual, one inter-arrival window they share). Delivery
-// reaches the slot without the table lock, possibly after the slot has
-// changed hands, which the arena's type-stable memory (never moved, freed or
-// zeroed: see arena.Release) and the detector's owner check make safe: the
-// detector serves the slot's arena index while the peer is live
+// freshness-point detector by value — mutex, deadline, counters, wheel
+// timer handle, and the state of the paper's fixed-size predictors and
+// margins included — so a peer on one of those (LAST, MEAN or LPF with any
+// of the six margins; the default is LAST+JAC_med) is this slot alone, with
+// no heap object of its own. ARIMA, WINMEAN and MEDIAN predictors, and
+// φ-accrual's inter-arrival window, sit behind the detector's one pointer.
+// Delivery reaches the slot without the table lock, possibly after the slot
+// has changed hands, which the arena's type-stable memory (never moved,
+// freed or zeroed: see arena.Release) and the detector's owner check make
+// safe: the detector serves the slot's arena index while the peer is live
 // (core.Detector.Serve) and refuses any other.
 type peerEntry struct {
 	// id is the peer's process id while the entry is in the name table,
@@ -369,6 +372,15 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	if ok {
 		e = m.ents.Get(idx)
 		id, e.id = e.id, 0
+		// Retire the peer's series and close its QoS window so churn does
+		// not grow the exposition without bound; re-added names start
+		// fresh. In the section that frees the name, as AddPeer makes them
+		// in the one that takes it: a re-add of the name cannot publish in
+		// between and lose its own.
+		if reg := m.opts.telemetry; reg != nil {
+			reg.DropSeries("peer", name)
+			reg.CloseQoS(name)
+		}
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -383,13 +395,6 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	e.stop()
 	e.ctrl = nil
 	m.mPeerRemoves.Inc()
-	// Retire the peer's series and close its QoS window so churn does not
-	// grow the exposition without bound; re-added names start fresh. Before
-	// the release: the series read the slot's detector.
-	if reg := m.opts.telemetry; reg != nil {
-		reg.DropSeries("peer", name)
-		reg.CloseQoS(name)
-	}
 	m.mu.Lock()
 	m.ents.Release(idx)
 	m.mu.Unlock()

@@ -1,6 +1,7 @@
 package wanfd
 
 import (
+	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
@@ -201,6 +202,72 @@ func TestQoSWindowFollowsMembership(t *testing.T) {
 	}
 	if q, ok := reg.QoS("alpha"); !ok || q.From <= first {
 		t.Errorf("re-added peer's window = %+v (ok %v), want a fresh one after %v", q, ok, first)
+	}
+}
+
+// TestRemoveRacingReAddKeepsNewSeries: a RemovePeer that is still tearing
+// the old detector down when an AddPeer of the same name publishes must not
+// retire the new peer's series or close its accuracy window. The old
+// detector's mutex is held by a suspicion callback that waits, so the
+// removal stalls at the detector's Stop after the name has left the table;
+// the re-add publishes then, and only afterwards is the callback let go.
+func TestRemoveRacingReAddKeepsNewSeries(t *testing.T) {
+	addrs := freeUDPPorts(t, 3)
+	reg := telemetry.NewRegistry(16)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	mon, err := NewMultiMonitor(addrs[0], WithTelemetry(reg), WithPeer("alpha", addrs[1]),
+		WithEta(20*time.Millisecond), WithOnChange(func(peer string, suspected bool, _ time.Duration) {
+			if peer == "alpha" && suspected {
+				once.Do(func() { close(entered); <-release })
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	// One heartbeat and then silence: the old detector suspects at its
+	// freshness point, and the callback holds its mutex.
+	mon.net.NewInjector().InjectBatch(
+		[][]byte{heartbeatPacket(t, 0, 1, mon.net.WallTime().UnixNano())},
+		[]netip.AddrPort{netip.MustParseAddrPort(addrs[1])})
+	<-entered
+	removed := make(chan error, 1)
+	go func() { removed <- mon.RemovePeer("alpha") }()
+	for mon.Peers() != 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := mon.AddPeer("alpha", addrs[2]); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-removed; err != nil {
+		t.Fatal(err)
+	}
+
+	if _, ok := reg.QoS("alpha"); !ok {
+		t.Error("the re-added peer's accuracy window was closed by the earlier removal")
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		`wanfd_heartbeats_total{peer="alpha"}`,
+		`wanfd_heartbeats_late_total{peer="alpha"}`,
+		`wanfd_qos_pa{peer="alpha"}`,
+	} {
+		if !strings.Contains(b.String(), series) {
+			t.Errorf("the re-added peer's series %s was dropped by the earlier removal", series)
+		}
 	}
 }
 

@@ -292,27 +292,19 @@ func (o *options) validate() error {
 // less its environment (clock, listener, floor) and its per-peer taps
 // (telemetry bundle, store recorder), which the caller supplies once the
 // name is the peer's. name labels the peer in callbacks, telemetry and the
-// store.
+// store. The paper's predictor and margin are named, not built, so the
+// fixed-size kinds live in the detector's own record and a default peer
+// has no object of its own (core.DetectorConfig.Combo); φ-accrual's pair is
+// built per peer.
 func (o *options) detectorConfig(name string) (core.DetectorConfig, error) {
-	pred, margin, err := o.combo()
-	if err != nil {
-		return core.DetectorConfig{}, err
+	cfg := core.DetectorConfig{Name: name, Eta: o.eta}
+	if o.accrualThreshold <= 0 {
+		cfg.Combo = core.Combo{Predictor: o.predictor, Margin: o.margin}
+		return cfg, nil
 	}
-	return core.DetectorConfig{Name: name, Predictor: pred, Margin: margin, Eta: o.eta}, nil
-}
-
-// combo builds one peer's predictor and margin: φ-accrual's with
-// WithAccrualThreshold, the named ones otherwise.
-func (o *options) combo() (core.Predictor, core.SafetyMargin, error) {
-	if o.accrualThreshold > 0 {
-		return core.NewAccrualCombo(o.accrualThreshold, 0, 0)
-	}
-	pred, err := core.NewPredictorByName(o.predictor)
-	if err != nil {
-		return nil, nil, err
-	}
-	margin, err := core.NewMarginByName(o.margin)
-	return pred, margin, err
+	var err error
+	cfg.Predictor, cfg.Margin, err = core.NewAccrualCombo(o.accrualThreshold, 0, 0)
+	return cfg, err
 }
 
 // exportDetector registers the scrape-time series for a published
