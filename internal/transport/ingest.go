@@ -171,8 +171,17 @@ func (n *UDPNetwork) startIngest() {
 	}
 	n.instrument(n.cfg.Telemetry)
 	for _, c := range n.readers {
-		n.wg.Add(1)
-		go n.drainLoop(c)
+		// The loop's buffers and InFlight slot are made here, not on its
+		// goroutine, so the endpoint is whole when NewUDPNetwork returns.
+		drain, stopped := n.newDrainLoop(c), n.stopped
+		stopped.Add(1)
+		go func() {
+			drain()
+			// Only once the loop has returned: from here until it exits
+			// the goroutine holds stopped alone, so Close's return leaves
+			// nothing of the endpoint reachable from it.
+			stopped.Done()
+		}()
 	}
 }
 

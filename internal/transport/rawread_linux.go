@@ -95,20 +95,23 @@ func (r *mmsgReader) src(i int) netip.AddrPort {
 	return netip.AddrPort{}
 }
 
+// newDrainLoop returns conn's reader, its buffers and batch allocated.
+func (n *UDPNetwork) newDrainLoop(conn *net.UDPConn) func() {
+	rr, b := newMmsgReader(maxDrainBatch), n.newBatch()
+	return func() { n.drainLoop(conn, rr, b) }
+}
+
 // drainLoop is the batched reader: park in the netpoller until the socket
 // is readable, then pull every queued datagram (up to maxDrainBatch) with
 // non-blocking recvmmsg calls, decode each into the reader's own batch, and
 // run the batch to completion through processBatch — stamped once,
 // delivered to the receiver on this goroutine — before returning to the
 // socket.
-func (n *UDPNetwork) drainLoop(conn *net.UDPConn) {
-	defer n.wg.Done()
+func (n *UDPNetwork) drainLoop(conn *net.UDPConn, rr *mmsgReader, b *rxBatch) {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return
 	}
-	rr := newMmsgReader(maxDrainBatch)
-	b := n.newBatch()
 	var fatal error
 	// One closure for the life of the loop: allocating it (and the escaping
 	// fatal slot) per drain cycle would cost two heap objects per cycle.

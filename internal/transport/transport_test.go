@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	stdnet "net"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -404,6 +405,42 @@ func TestUDPCloseIdempotent(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Errorf("second close: %v", err)
+	}
+}
+
+// TestEndpointWholeAtReturnFreedAtClose pins what a heap reading taken
+// around an endpoint's life relies on: NewUDPNetwork returns with every
+// reader's buffers and InFlight slot made (none waits for its goroutine's
+// first run), and the first collection after Close frees the receiver,
+// however far the readers are on their way out.
+func TestEndpointWholeAtReturnFreedAtClose(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", Readers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := 0
+		if s := n.ingest.stamps.Load(); s != nil {
+			slots = len(*s)
+		}
+		if slots != len(n.readers) {
+			n.Close()
+			t.Fatalf("%d InFlight slots when NewUDPNetwork returned, want one per reader (%d)", slots, len(n.readers))
+		}
+		rcv, freed := &batchRecv{}, make(chan struct{})
+		runtime.SetFinalizer(rcv, func(*batchRecv) { close(freed) })
+		if _, err := n.Attach(1, rcv); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: a closed endpoint's receiver outlived the first collection after Close", round)
+		}
 	}
 }
 

@@ -113,8 +113,13 @@ type UDPNetwork struct {
 	// SO_REUSEPORT sockets beyond it.
 	readers []*net.UDPConn
 
-	wg     sync.WaitGroup
-	closed chan struct{}
+	// stopped counts the running drain loops. It is an allocation of its
+	// own, not a field by value, because a reader signals it on its way
+	// out: what that goroutine still holds then must not be the endpoint,
+	// or a closed endpoint and the receiver it delivered to would stay
+	// reachable until the goroutine is gone.
+	stopped *sync.WaitGroup
+	closed  chan struct{}
 
 	// The packet counters, each exported as a counter series when the
 	// endpoint has a registry (see instrument).
@@ -155,6 +160,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 		clk:       clk,
 		pending:   make(map[int64]chan clock.Sample),
 		ingest:    &ingestState{},
+		stopped:   new(sync.WaitGroup),
 		closed:    make(chan struct{}),
 	}
 	for id, addr := range cfg.Peers {
@@ -478,6 +484,6 @@ func (n *UDPNetwork) Close() error {
 	for _, c := range n.readers[1:] {
 		_ = c.Close()
 	}
-	n.wg.Wait()
+	n.stopped.Wait()
 	return err
 }
