@@ -119,10 +119,10 @@ type DetectorConfig struct {
 	// histogram observations plus the late-arrival count from the
 	// heartbeat hot path, and every output transition (its event ring
 	// entry and accuracy window), before Listener; state the detector
-	// tracks anyway (lifetime counters, timeout, output) is exported
-	// lazily via telemetry.DetectorFuncs by whoever wires the detector up.
-	// A nil bundle disables instrumentation at the cost of one branch per
-	// heartbeat.
+	// tracks anyway (lifetime counters, timeout, output) is read at scrape
+	// time, with the bundle (Detector.Metrics), by the collector of
+	// whoever wires the detector up. A nil bundle disables instrumentation
+	// at the cost of one branch per heartbeat.
 	Metrics *telemetry.DetectorMetrics
 	// Sample, when non-nil, receives every heartbeat observation (stale
 	// ones included — they are delay observations too) and every output
@@ -314,6 +314,10 @@ func (e *expiry) Expire() { (*Detector)(e).expire() }
 
 // Name returns the detector's identifier.
 func (d *Detector) Name() string { return d.name }
+
+// Metrics returns the telemetry bundle Init gave the detector (nil without
+// one).
+func (d *Detector) Metrics() *telemetry.DetectorMetrics { return d.metrics }
 
 // OnHeartbeat processes heartbeat number seq, sent at sendTime and received
 // now (both on the shared synchronized time base, per the paper's NTP

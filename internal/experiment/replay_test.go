@@ -33,7 +33,7 @@ func replaySchedule(n int) (sends, recvs []time.Duration) {
 // runs on a virtual-time engine with a durable store attached, the session
 // is exported as a trace window, round-tripped through the binary codec,
 // and replayed through the full 30-combination grid. The grid member
-// matching the live configuration must reproduce the live registry's QoS
+// matching the live configuration must reproduce the live bundle's QoS
 // accountant bit for bit, and the recorded suspicion events must imply the
 // same accountant.
 func TestReplayWindowBitExact(t *testing.T) {
@@ -85,9 +85,9 @@ func TestReplayWindowBitExact(t *testing.T) {
 	}
 	det.Stop()
 
-	liveQ, ok := reg.QoS(peer)
+	liveQ, ok := live.Window()
 	if !ok {
-		t.Fatal("live registry has no accountant for the peer")
+		t.Fatal("the live bundle has no open accuracy window")
 	}
 	if liveQ.Mistakes == 0 {
 		t.Fatal("schedule produced no mistakes; the fidelity check would be vacuous")

@@ -93,7 +93,7 @@ func fromSamples(ms []float64) time.Duration {
 	return sum
 }
 
-// checkPaths feeds one generated stream through the live registry, a store
+// checkPaths feeds one generated stream through the live bundles, a store
 // recorder plus Store.Query and nekostat.QoSFromEvents, and checks that
 // all three count the same mistakes and recurrences with the same T_M and
 // T_MR sums. Store.Query reports only Summary means of millisecond
@@ -132,7 +132,10 @@ func checkPaths(t *testing.T, data []byte) {
 		} else {
 			col.OnTrust(s.peer, s.at)
 		}
-		if pa := reg.Gauge(telemetry.MetricQoSPA, "", "peer", s.peer).Value(); pa < 0 || pa > 1 {
+		// The bundle's P_A, the value the monitor's collector exports.
+		var sample telemetry.PeerSample
+		bundles[s.peer].Sample(&sample)
+		if pa := sample.PA; pa < 0 || pa > 1 {
 			t.Fatalf("%s: live P_A gauge %v after %+v", s.peer, pa, s)
 		}
 	}
@@ -151,7 +154,7 @@ func checkPaths(t *testing.T, data []byte) {
 	}
 	for _, peer := range order {
 		from := opens[peer]
-		live, ok := reg.QoS(peer)
+		live, ok := bundles[peer].Window()
 		if !ok {
 			t.Fatalf("%s: no live accountant", peer)
 		}

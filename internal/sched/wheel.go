@@ -226,31 +226,32 @@ func NewWheel(cfg Config) *Wheel {
 }
 
 // instrument registers the wheel's series on r: the batch-lag histogram,
-// observed per expiry batch, and Stats sampled at scrape time.
+// observed per expiry batch, and a collector writing one Stats snapshot per
+// scrape.
 func (w *Wheel) instrument(r *telemetry.Registry) {
 	w.lag = r.Histogram(telemetry.MetricSchedBatchLag, "Lateness of an expiry batch: its collection minus its earliest deadline, i.e. how late the driver woke (plus, for a deadline sharing a wheel slot with an earlier one, its wait of under one tick for the slot's boundary visit).", nil)
-	for _, m := range []struct {
-		name, help string
-		gauge      bool
-		v          func(Stats) float64
-	}{
-		{telemetry.MetricSchedTimers, "Deadlines currently queued on the timing wheel.", true, func(s Stats) float64 { return float64(s.Scheduled) }},
-		{telemetry.MetricSchedFired, "Timing-wheel timers expired.", false, func(s Stats) float64 { return float64(s.Fired) }},
-		{telemetry.MetricSchedCascades, "Timers migrated between timing-wheel levels.", false, func(s Stats) float64 { return float64(s.Cascades) }},
-		{telemetry.MetricSchedMaxSlot, "High-water mark of deadlines sharing one fine wheel slot (one firing tick).", true, func(s Stats) float64 { return float64(s.MaxSlotOccupancy) }},
-		{telemetry.MetricSchedSlotsSkipped, "Empty wheel slots crossed by bitmap skip-scan instead of probing.", false, func(s Stats) float64 { return float64(s.SlotsSkipped) }},
-		{telemetry.MetricSchedWakeups, "Wheel advances by the expiry driver: one at an occupied slot's earliest deadline, at most one more at its tick boundary.", false, func(s Stats) float64 { return float64(s.Wakeups) }},
-		{telemetry.MetricSchedFineOccupied, "Fine-level wheel slots currently holding deadlines.", true, func(s Stats) float64 { return float64(s.FineOccupied) }},
-		{telemetry.MetricSchedCoarseOccupied, "Coarse-level wheel slots currently holding deadlines.", true, func(s Stats) float64 { return float64(s.CoarseOccupied) }},
-		{telemetry.MetricSchedOverflow, "Deadlines parked beyond the wheel horizon.", true, func(s Stats) float64 { return float64(s.OverflowTimers) }},
-	} {
-		fn := func() float64 { return m.v(w.Stats()) }
-		if m.gauge {
-			r.GaugeFunc(m.name, m.help, fn)
-		} else {
-			r.CounterFunc(m.name, m.help, fn)
-		}
-	}
+	r.Collect(func(s *telemetry.Scrape) {
+		st := w.Stats()
+		s.Gauge(0, float64(st.Scheduled))
+		s.Counter(1, st.Fired)
+		s.Counter(2, st.Cascades)
+		s.Gauge(3, float64(st.MaxSlotOccupancy))
+		s.Counter(4, st.SlotsSkipped)
+		s.Counter(5, st.Wakeups)
+		s.Gauge(6, float64(st.FineOccupied))
+		s.Gauge(7, float64(st.CoarseOccupied))
+		s.Gauge(8, float64(st.OverflowTimers))
+	},
+		telemetry.Desc{Name: telemetry.MetricSchedTimers, Help: "Deadlines currently queued on the timing wheel.", Type: telemetry.TypeGauge},
+		telemetry.Desc{Name: telemetry.MetricSchedFired, Help: "Timing-wheel timers expired.", Type: telemetry.TypeCounter},
+		telemetry.Desc{Name: telemetry.MetricSchedCascades, Help: "Timers migrated between timing-wheel levels.", Type: telemetry.TypeCounter},
+		telemetry.Desc{Name: telemetry.MetricSchedMaxSlot, Help: "High-water mark of deadlines sharing one fine wheel slot (one firing tick).", Type: telemetry.TypeGauge},
+		telemetry.Desc{Name: telemetry.MetricSchedSlotsSkipped, Help: "Empty wheel slots crossed by bitmap skip-scan instead of probing.", Type: telemetry.TypeCounter},
+		telemetry.Desc{Name: telemetry.MetricSchedWakeups, Help: "Wheel advances by the expiry driver: one at an occupied slot's earliest deadline, at most one more at its tick boundary.", Type: telemetry.TypeCounter},
+		telemetry.Desc{Name: telemetry.MetricSchedFineOccupied, Help: "Fine-level wheel slots currently holding deadlines.", Type: telemetry.TypeGauge},
+		telemetry.Desc{Name: telemetry.MetricSchedCoarseOccupied, Help: "Coarse-level wheel slots currently holding deadlines.", Type: telemetry.TypeGauge},
+		telemetry.Desc{Name: telemetry.MetricSchedOverflow, Help: "Deadlines parked beyond the wheel horizon.", Type: telemetry.TypeGauge},
+	)
 }
 
 // Now reports the host clock's time, so wheel consumers and non-wheel

@@ -623,29 +623,28 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Instrument registers the store's scrape-time series on reg, so a store
-// shared by several monitors is exported in each one's registry; a second
-// call on one registry changes nothing. No-op on a nil store or registry.
+// Instrument registers on reg a collector writing the store's series from
+// one Stats snapshot per scrape, so a store shared by several monitors is
+// exported in each one's registry. Call it once per registry. No-op on a
+// nil store or registry.
 func (s *Store) Instrument(reg *telemetry.Registry) {
 	if s == nil || reg == nil {
 		return
 	}
-	reg.CounterFunc(telemetry.MetricStoreRecords, "Records durably framed by the QoS store.", func() float64 {
-		return float64(s.records.Load())
-	})
-	reg.CounterFunc(telemetry.MetricStoreDropped, "Store records lost to ring overflow or write errors.", func() float64 {
-		return float64(s.dropped.Load())
-	})
-	reg.CounterFunc(telemetry.MetricStoreIOErrors, "Store write, fsync and delete failures.", func() float64 {
-		return float64(s.ioErrors.Load())
-	})
-	reg.GaugeFunc(telemetry.MetricStoreSegments, "Store segments on disk, sealed plus active.", func() float64 {
-		return float64(s.Stats().Segments)
-	})
-	reg.GaugeFunc(telemetry.MetricStoreBytes, "Store bytes on disk, sealed plus active.", func() float64 {
-		return float64(s.Stats().Bytes)
-	})
-	reg.GaugeFunc(telemetry.MetricStoreQueue, "Store hot-path ring occupancy.", func() float64 {
-		return float64(s.ring.Len())
-	})
+	reg.Collect(func(sc *telemetry.Scrape) {
+		st := s.Stats()
+		sc.Counter(0, st.Records)
+		sc.Counter(1, st.Dropped)
+		sc.Counter(2, st.IOErrors)
+		sc.Gauge(3, float64(st.Segments))
+		sc.Gauge(4, float64(st.Bytes))
+		sc.Gauge(5, float64(st.QueueDepth))
+	},
+		telemetry.Desc{Name: telemetry.MetricStoreRecords, Help: "Records durably framed by the QoS store.", Type: telemetry.TypeCounter},
+		telemetry.Desc{Name: telemetry.MetricStoreDropped, Help: "Store records lost to ring overflow or write errors.", Type: telemetry.TypeCounter},
+		telemetry.Desc{Name: telemetry.MetricStoreIOErrors, Help: "Store write, fsync and delete failures.", Type: telemetry.TypeCounter},
+		telemetry.Desc{Name: telemetry.MetricStoreSegments, Help: "Store segments on disk, sealed plus active.", Type: telemetry.TypeGauge},
+		telemetry.Desc{Name: telemetry.MetricStoreBytes, Help: "Store bytes on disk, sealed plus active.", Type: telemetry.TypeGauge},
+		telemetry.Desc{Name: telemetry.MetricStoreQueue, Help: "Store hot-path ring occupancy.", Type: telemetry.TypeGauge},
+	)
 }

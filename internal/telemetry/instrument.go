@@ -64,14 +64,76 @@ const (
 	MetricStoreQueue    = "wanfd_store_queue_depth"
 )
 
-// DetectorMetrics is one peer's handle bundle, fed by that peer's
-// detector: the heartbeat path updates the two delay histograms and the
-// late-arrival counter, and every output transition goes through
-// Transition into the event ring and the peer's accuracy window. It holds
-// only what the detector does not already track itself; everything
-// derivable from the detector's own state (lifetime counters, current
-// timeout, suspicion output) is exported at scrape time via DetectorFuncs
-// instead, keeping the heartbeat path at a handful of atomic adds.
+// The per-peer families, in exposition order. A monitor writes them all
+// with one collector (CollectPeers); the two histograms among them are the
+// registry-wide aggregates the peers' bundles feed.
+var peerDescs = [...]Desc{
+	{MetricHeartbeatsLate, "Heartbeats received while the peer was suspected.", TypeCounter},
+	{MetricHeartbeatDelay, "Measured one-way heartbeat delay in seconds, all peers.", TypeHistogram},
+	{MetricPredictorError, "Absolute delay prediction error in seconds, all peers.", TypeHistogram},
+	{MetricHeartbeats, "Heartbeats processed, including stale ones.", TypeCounter},
+	{MetricHeartbeatsStale, "Reordered or duplicate heartbeats.", TypeCounter},
+	{MetricFreshnessMisses, "Freshness points passed without a fresh heartbeat.", TypeCounter},
+	{MetricDetectorTimeout, "Current adaptive timeout delta in seconds.", TypeGauge},
+	{MetricPeerSuspected, "Detector output: 1 suspected, 0 trusted.", TypeGauge},
+	{MetricTransitions, "Suspicion transitions, both directions.", TypeCounter},
+	{MetricQoSPA, "Live query accuracy probability P_A per peer.", TypeGauge},
+	{MetricQoSTM, "Live mean mistake duration E[T_M] in seconds.", TypeGauge},
+	{MetricQoSTMR, "Live mean mistake recurrence E[T_MR] in seconds.", TypeGauge},
+}
+
+// PeerSample is one peer's values in the per-peer families: its detector's
+// counters, timeout and output, and its bundle's (DetectorMetrics.Sample).
+type PeerSample struct {
+	Peer                          string
+	Heartbeats, Stale, Suspicions uint64
+	// Timeout is the detector's current timeout δ in seconds.
+	Timeout   float64
+	Suspected bool
+	// Late, Transitions, PA, TM and TMR are the bundle's.
+	Late, Transitions uint64
+	PA, TM, TMR       float64
+}
+
+// CollectPeers registers the per-peer families with rows as their one
+// source: at each scrape rows returns every peer's sample, in exposition
+// order, and each sample is written whole — all ten of its lines or none.
+// No-op on a nil registry.
+func (r *Registry) CollectPeers(rows func() []PeerSample) {
+	if r == nil {
+		return
+	}
+	r.Collect(func(s *Scrape) {
+		for _, p := range rows() {
+			s.Counter(0, p.Late, "peer", p.Peer)
+			// 1 and 2 are the aggregate histograms.
+			s.Counter(3, p.Heartbeats, "peer", p.Peer)
+			s.Counter(4, p.Stale, "peer", p.Peer)
+			s.Counter(5, p.Suspicions, "peer", p.Peer)
+			s.Gauge(6, p.Timeout, "peer", p.Peer)
+			s.Gauge(7, boolValue(p.Suspected), "peer", p.Peer)
+			s.Counter(8, p.Transitions, "peer", p.Peer)
+			s.Gauge(9, p.PA, "peer", p.Peer)
+			s.Gauge(10, p.TM, "peer", p.Peer)
+			s.Gauge(11, p.TMR, "peer", p.Peer)
+		}
+	}, peerDescs[:]...)
+}
+
+func boolValue(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// DetectorMetrics is one peer's bundle, fed by that peer's detector: the
+// heartbeat path updates the two delay histograms and the late-arrival
+// count, and every output transition goes through Transition into the
+// event ring and the peer's accuracy window. It holds only what the
+// detector does not already track itself, as plain fields the monitor's
+// collector reads at scrape time (Sample); the registry keeps no reference
+// to it, so it goes with its detector.
 //
 // The histograms are deliberately aggregate (unlabeled, shared by every
 // peer of a registry): per-peer histogram families are a cardinality
@@ -92,7 +154,7 @@ const (
 type DetectorMetrics struct {
 	// Late counts heartbeats that arrived while the peer was suspected —
 	// deliveries past their freshness point.
-	Late *Counter
+	Late Counter
 	// Delay observes measured one-way heartbeat delays, in seconds,
 	// aggregated over all peers.
 	Delay *BatchObserver
@@ -100,67 +162,54 @@ type DetectorMetrics struct {
 	// aggregated over all peers.
 	PredictorError *BatchObserver
 
-	reg  *Registry
-	peer string
-	win  qosWindow
-}
+	events *EventRing
+	peer   string
 
-// qosWindow is one peer's accuracy window: its accountant, and its series
-// resolved when the window opens, so a transition looks up no name.
-type qosWindow struct {
+	// mu guards the accuracy window: whether it is open, its accountant,
+	// the transitions it took and P_A as of the latest of them.
 	mu          sync.Mutex
 	open        bool
+	transitions uint64
 	acc         nekostat.Accountant
-	transitions *Counter
-	pa, tm, tmr *Gauge
+	pa          float64
 }
 
 // DetectorMetrics builds the detector handle bundle for one peer: the
-// late counter is labeled per peer, the histograms are the registry-wide
-// aggregates, and the accuracy window stays closed until OpenQoS. Returns
-// nil on a nil registry, which disables detector instrumentation entirely.
+// histograms are the registry-wide aggregates, and the accuracy window
+// stays closed until OpenQoS. Returns nil on a nil registry, which disables
+// detector instrumentation entirely.
 func (r *Registry) DetectorMetrics(peer string) *DetectorMetrics {
 	if r == nil {
 		return nil
 	}
+	delay, predErr := &peerDescs[1], &peerDescs[2]
 	return &DetectorMetrics{
-		Late:           r.Counter(MetricHeartbeatsLate, "Heartbeats received while the peer was suspected.", "peer", peer),
-		Delay:          r.Histogram(MetricHeartbeatDelay, "Measured one-way heartbeat delay in seconds, all peers.", nil).Batch(),
-		PredictorError: r.Histogram(MetricPredictorError, "Absolute delay prediction error in seconds, all peers.", nil).Batch(),
-		reg:            r,
+		Delay:          r.Histogram(delay.Name, delay.Help, nil).Batch(),
+		PredictorError: r.Histogram(predErr.Name, predErr.Help, nil).Batch(),
+		events:         r.events,
 		peer:           peer,
 	}
 }
 
-// OpenQoS opens the peer's accuracy window at at, where Registry.QoS reads
-// it by name until CloseQoS; a live monitor opens it when it publishes the
-// peer. Every monitored process is taken to be up (a live monitor has no
-// crash ground truth), so every completed suspicion is a mistake. It
-// creates the peer's transition counter and QoS gauges, which DropSeries
-// retires. No-op on a nil bundle.
+// OpenQoS opens a fresh accuracy window at at; a live monitor opens it when
+// it publishes the peer. Every monitored process is taken to be up (a live
+// monitor has no crash ground truth), so every completed suspicion is a
+// mistake. No-op on a nil bundle.
 func (m *DetectorMetrics) OpenQoS(at time.Duration) {
 	if m == nil {
 		return
 	}
-	r, peer, w := m.reg, m.peer, &m.win
-	r.qosMu.Lock()
-	defer r.qosMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.open, w.acc = true, nekostat.Accountant{From: at}
-	w.transitions = r.Counter(MetricTransitions, "Suspicion transitions, both directions.", "peer", peer)
-	w.pa = r.Gauge(MetricQoSPA, "Live query accuracy probability P_A per peer.", "peer", peer)
-	w.tm = r.Gauge(MetricQoSTM, "Live mean mistake duration E[T_M] in seconds.", "peer", peer)
-	w.tmr = r.Gauge(MetricQoSTMR, "Live mean mistake recurrence E[T_MR] in seconds.", "peer", peer)
-	w.pa.Set(w.acc.PA(at))
-	r.qos[peer] = m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.open, m.transitions, m.acc = true, 0, nekostat.Accountant{From: at}
+	m.pa = m.acc.PA(at)
 }
 
 // Transition records one output transition of the peer's detector in the
 // event ring and, inside the open window, feeds the accountant, counts it
-// and refreshes the QoS gauges with P_A evaluated at it. It takes the
-// ring's lock and the window's, and allocates nothing. Outside a window
-// only the ring records it. No-op on a nil bundle.
+// and evaluates P_A at it. It takes the ring's lock and the window's, and
+// allocates nothing. Outside a window only the ring records it. No-op on a
+// nil bundle.
 func (m *DetectorMetrics) Transition(suspected bool, at time.Duration) {
 	if m == nil {
 		return
@@ -169,54 +218,62 @@ func (m *DetectorMetrics) Transition(suspected bool, at time.Duration) {
 	if suspected {
 		kind = nekostat.KindStartSuspect
 	}
-	m.reg.events.Record(nekostat.Event{Kind: kind, At: at, Source: m.peer})
-	w := &m.win
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.open {
+	m.events.Record(nekostat.Event{Kind: kind, At: at, Source: m.peer})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.open {
 		return
 	}
 	if suspected {
-		w.acc.OnSuspect(m.peer, at)
+		m.acc.OnSuspect(m.peer, at)
 	} else {
-		w.acc.OnTrust(m.peer, at)
+		m.acc.OnTrust(m.peer, at)
 	}
-	w.transitions.Inc()
-	tm, tmr := w.acc.Means()
-	w.pa.Set(w.acc.PA(at))
-	w.tm.Set(tm)
-	w.tmr.Set(tmr)
+	m.transitions++
+	m.pa = m.acc.PA(at)
 }
 
-// DetectorFuncs registers the scrape-time per-peer series that mirror
-// state the detector already maintains under its own lock: heartbeat and
-// stale counts, suspicion starts (the freshness-point misses), the
-// adaptive timeout and the boolean output. Sampling them at scrape time
-// costs the heartbeat hot path nothing. The callbacks must be safe to call
-// from the scrape goroutine (and after the detector stops); they are
-// dropped with the rest of the peer's series by DropSeries. No-op on a nil
-// registry.
+// Window returns a copy of the peer's accountant; open is false before
+// OpenQoS (and on a nil bundle).
+func (m *DetectorMetrics) Window() (a nekostat.Accountant, open bool) {
+	if m == nil {
+		return a, false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.acc, m.open
+}
+
+// Sample fills p's bundle fields: the late count, and the window's
+// transition count, P_A as of its latest transition and the running
+// means. No-op on a nil bundle.
+func (m *DetectorMetrics) Sample(p *PeerSample) {
+	if m == nil {
+		return
+	}
+	p.Late = m.Late.Value()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p.Transitions, p.PA = m.transitions, m.pa
+	p.TM, p.TMR = m.acc.Means()
+}
+
+// DetectorFuncs registers a collector writing one peer's detector families
+// — heartbeat and stale counts, suspicion starts (the freshness-point
+// misses), the adaptive timeout and the boolean output — from callbacks
+// run at scrape time. It keeps a collector per peer, so it suits a fixed
+// set of peers; a monitor writes all its peers with CollectPeers instead.
+// No-op on a nil registry.
 func (r *Registry) DetectorFuncs(peer string, stats func() (heartbeats, stale, suspicions uint64), timeoutSec func() float64, suspected func() bool) {
 	if r == nil {
 		return
 	}
-	r.CounterFunc(MetricHeartbeats, "Heartbeats processed, including stale ones.", func() float64 {
-		h, _, _ := stats()
-		return float64(h)
-	}, "peer", peer)
-	r.CounterFunc(MetricHeartbeatsStale, "Reordered or duplicate heartbeats.", func() float64 {
-		_, s, _ := stats()
-		return float64(s)
-	}, "peer", peer)
-	r.CounterFunc(MetricFreshnessMisses, "Freshness points passed without a fresh heartbeat.", func() float64 {
-		_, _, s := stats()
-		return float64(s)
-	}, "peer", peer)
-	r.GaugeFunc(MetricDetectorTimeout, "Current adaptive timeout delta in seconds.", timeoutSec, "peer", peer)
-	r.GaugeFunc(MetricPeerSuspected, "Detector output: 1 suspected, 0 trusted.", func() float64 {
-		if suspected() {
-			return 1
-		}
-		return 0
-	}, "peer", peer)
+	r.Collect(func(s *Scrape) {
+		h, st, sus := stats()
+		s.Counter(0, h, "peer", peer)
+		s.Counter(1, st, "peer", peer)
+		s.Counter(2, sus, "peer", peer)
+		s.Gauge(3, timeoutSec(), "peer", peer)
+		s.Gauge(4, boolValue(suspected()), "peer", peer)
+	}, peerDescs[3:8]...)
 }

@@ -51,15 +51,26 @@ func TestEventRingJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// collectBundle registers a per-peer collector writing one bundle's
+// sample, as a monitor's writes each member's.
+func collectBundle(r *Registry, peer string, m *DetectorMetrics) {
+	r.CollectPeers(func() []PeerSample {
+		p := PeerSample{Peer: peer}
+		m.Sample(&p)
+		return []PeerSample{p}
+	})
+}
+
 // TestTransitionUpdatesRegistry feeds one peer's bundle: a transition
 // before its window opens reaches only the event ring; inside the window
 // each one is counted and accounted.
 func TestTransitionUpdatesRegistry(t *testing.T) {
 	r := NewRegistry(8)
 	a := r.DetectorMetrics("a")
+	collectBundle(r, "a", a)
 	// Outside a window a transition is recorded, not counted or accounted.
 	a.Transition(true, 5*time.Second)
-	if _, ok := r.QoS("a"); ok {
+	if _, ok := a.Window(); ok {
 		t.Fatal("accountant before OpenQoS")
 	}
 	a.OpenQoS(6 * time.Second)
@@ -71,7 +82,7 @@ func TestTransitionUpdatesRegistry(t *testing.T) {
 	if n := r.Events().Total(); n != 5 {
 		t.Errorf("ring total = %d, want 5", n)
 	}
-	q, ok := r.QoS("a")
+	q, ok := a.Window()
 	if !ok || q.Mistakes != 2 || q.Recurrences != 1 || math.Abs(q.PA(32*time.Second)-0.9) > 1e-12 {
 		t.Errorf("QoS peer = %+v ok=%v, want 2 mistakes, 1 recurrence, PA 0.9", q, ok)
 	}
@@ -92,59 +103,17 @@ func TestTransitionUpdatesRegistry(t *testing.T) {
 	}
 }
 
-func TestCloseQoSForgetsPeer(t *testing.T) {
-	r := NewRegistry(8)
-	a, b := r.DetectorMetrics("a"), r.DetectorMetrics("b")
-	a.OpenQoS(0)
-	b.OpenQoS(0)
-	a.Transition(true, time.Second)
-	r.CloseQoS("a")
-	if _, ok := r.QoS("a"); ok {
-		t.Error("closed peer still accounted")
-	}
-	if _, ok := r.QoS("b"); !ok {
-		t.Error("unrelated peer lost")
-	}
-	r.DetectorMetrics("a").OpenQoS(2 * time.Second)
-	if q, _ := r.QoS("a"); q.From != 2*time.Second || q.Suspected() {
-		t.Errorf("re-opened window = %+v, want a fresh one from 2s", q)
-	}
-}
-
-// TestTransitionAfterCloseCreatesNoSeries: once a peer's window is closed
-// and its series dropped, a late transition is still recorded in the event
-// ring but re-creates none of the peer's series.
-func TestTransitionAfterCloseCreatesNoSeries(t *testing.T) {
-	r := NewRegistry(8)
-	a := r.DetectorMetrics("a")
-	a.OpenQoS(0)
-	a.Transition(true, time.Second)
-	r.DropSeries("peer", "a")
-	r.CloseQoS("a")
-	a.Transition(false, 2*time.Second)
-	a.Transition(true, 3*time.Second)
-	if n := r.Events().Total(); n != 3 {
-		t.Errorf("ring total = %d, want 3", n)
-	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if out := b.String(); strings.Contains(out, `peer="a"`) {
-		t.Errorf("a removed peer's series came back:\n%s", out)
-	}
-}
-
 // TestTransitionRacesQoSReaders feeds one bundle's transitions while other
-// goroutines read its window by name, scrape the registry, and close and
-// re-open the window: under -race it must be clean, and every QoS copy
-// must be whole — a closed mistake count no larger than the suspicions fed
-// so far, and no more recurrences than mistakes.
+// goroutines copy its window, scrape it through a collector, and re-open
+// the window: under -race it must be clean, and every QoS copy must be
+// whole — a closed mistake count no larger than the suspicions fed so far,
+// and no more recurrences than mistakes.
 func TestTransitionRacesQoSReaders(t *testing.T) {
 	const pairs = 2000
 	r := NewRegistry(8)
 	a := r.DetectorMetrics("a")
 	a.OpenQoS(0)
+	collectBundle(r, "a", a)
 	var fed atomic.Int64 // suspicions whose trust has been or is being fed
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -163,7 +132,7 @@ func TestTransitionRacesQoSReaders(t *testing.T) {
 		}()
 	}
 	loop(func(int) {
-		q, ok := r.QoS("a")
+		q, ok := a.Window()
 		// Loaded after the copy: a mistake in it was fed, and counted,
 		// before it.
 		if limit := fed.Load(); ok {
@@ -178,7 +147,6 @@ func TestTransitionRacesQoSReaders(t *testing.T) {
 		}
 	})
 	loop(func(i int) {
-		r.CloseQoS("a")
 		a.OpenQoS(time.Duration(i) * time.Millisecond)
 	})
 	for i := 1; i <= pairs; i++ {

@@ -8,9 +8,12 @@
 // Everything is nil-safe: every method on a nil *Registry, *Counter,
 // *Gauge or *Histogram is a no-op (or returns a zero value), so
 // instrumented hot paths cost a single predictable branch when telemetry
-// is disabled. Handle creation (Counter, Gauge, Histogram lookups) takes a
-// registry lock and is meant for construction time — per-peer handles are
-// created once when the peer joins, never per observation.
+// is disabled. A registry has two value shapes. Live handles (Counter,
+// Gauge, Histogram lookups) take a registry lock and are made at
+// construction time, never per observation. Collectors (Collect) write
+// every sample of their families in one call per scrape, from state their
+// component keeps anyway: a monitor's per-peer series are one collector
+// walking its peer table, so the registry holds nothing per peer.
 package telemetry
 
 import (
@@ -24,8 +27,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"wanfd/internal/nekostat"
+	"unicode/utf8"
 )
 
 // Counter is a monotonically increasing atomic counter. The nil counter is
@@ -223,63 +225,71 @@ var DefDelayBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// metricType is the Prometheus exposition type of a metric family.
-type metricType string
+// Type is the Prometheus exposition type of a metric family.
+type Type string
 
+// The three family types.
 const (
-	typeCounter   metricType = "counter"
-	typeGauge     metricType = "gauge"
-	typeHistogram metricType = "histogram"
+	TypeCounter   Type = "counter"
+	TypeGauge     Type = "gauge"
+	TypeHistogram Type = "histogram"
 )
 
-// series is one labeled instance of a metric family. Exactly one of the
-// value sources is set, guarded by Registry.mu: a live handle (c/g/h)
-// updated by instrumented code, or fn, a callback sampled at scrape time
-// for values some other component already maintains (the collector
-// pattern — zero hot-path cost).
+// series is one labeled live handle of a metric family: exactly one of
+// c, g and h is set, according to the family's type.
 type series struct {
 	labels []string // flattened k,v pairs, as passed in
 	key    string   // canonical label signature
-	fam    *family
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
-	fn     func() float64
 }
 
-// family is one named metric with its labeled series.
+// family is one named metric: its live series and its place in the
+// exposition. A collector may write samples into it as well.
 type family struct {
-	name   string
-	help   string
-	typ    metricType
-	bounds []float64 // histogram families only
-	// index holds the family's series by label signature; the exposition
-	// writes them sorted by it.
+	name string
+	help string
+	typ  Type
+	// bounds are a histogram family's bucket bounds, set with its first
+	// live histogram, which keeps them too.
+	bounds []float64
+	// index holds the family's live series by label signature; the
+	// exposition writes them sorted by it.
 	index map[string]*series
 }
 
-// Registry is the telemetry hub: the metric families plus the suspicion
-// event ring and the open per-peer accuracy windows by name, so one handle
-// wires a whole monitor. It serves one monitor for its lifetime (Claim).
-// Every series is inserted together with its value source under one lock,
-// so a scrape sees it whole or not at all. The zero value is not usable; construct with
-// NewRegistry. A nil *Registry is valid everywhere and disables telemetry.
+// Desc names one family a collector declares: its name, help string and
+// type.
+type Desc struct {
+	Name, Help string
+	Type       Type
+}
+
+// collector is one scrape-time source: fn writes the samples of fams,
+// which are in the order of the Descs it was registered with.
+type collector struct {
+	fn   func(*Scrape)
+	fams []*family
+}
+
+// Registry is the telemetry hub: the metric families, the collectors that
+// write samples into them at scrape time, and the suspicion event ring, so
+// one handle wires a whole monitor. It serves one monitor for its lifetime
+// (Claim). It keeps no per-peer state: a monitor's per-peer series are
+// written by one collector that walks the monitor's own peer table. The
+// zero value is not usable; construct with NewRegistry. A nil *Registry is
+// valid everywhere and disables telemetry.
 //
 //fdlint:nilsafe
 type Registry struct {
-	claimed  atomic.Bool
-	mu       sync.RWMutex
-	families []*family // registration order
-	index    map[string]*family
-	// byLabel lists the series carrying each label pair, keyed by the
-	// pair's label signature, so DropSeries touches only its own series.
-	byLabel map[string][]*series
+	claimed    atomic.Bool
+	mu         sync.RWMutex
+	families   []*family // registration order
+	index      map[string]*family
+	collectors []*collector // registration order
 
 	events *EventRing
-	// qosMu guards qos, the open accuracy windows by peer name: touched
-	// by DetectorMetrics.OpenQoS, CloseQoS and QoS, never by a transition.
-	qosMu sync.Mutex
-	qos   map[string]*DetectorMetrics
 }
 
 // NewRegistry returns an empty registry with a suspicion-event ring of the
@@ -289,10 +299,8 @@ func NewRegistry(eventCap int) *Registry {
 		eventCap = 512
 	}
 	return &Registry{
-		index:   make(map[string]*family),
-		byLabel: make(map[string][]*series),
-		events:  NewEventRing(eventCap),
-		qos:     make(map[string]*DetectorMetrics),
+		index:  make(map[string]*family),
+		events: NewEventRing(eventCap),
 	}
 }
 
@@ -313,39 +321,6 @@ func (r *Registry) Events() *EventRing {
 	return r.events
 }
 
-// CloseQoS closes peer's accuracy window (on membership removal): its
-// bundle's later transitions reach only the event ring, and a re-added
-// name opens a fresh window. No-op on a nil registry.
-func (r *Registry) CloseQoS(peer string) {
-	if r == nil {
-		return
-	}
-	r.qosMu.Lock()
-	defer r.qosMu.Unlock()
-	if m := r.qos[peer]; m != nil {
-		m.win.mu.Lock()
-		m.win.open = false
-		m.win.mu.Unlock()
-		delete(r.qos, peer)
-	}
-}
-
-// QoS returns a copy of peer's accountant; ok is false when no window is
-// open for it (or on a nil registry).
-func (r *Registry) QoS(peer string) (a nekostat.Accountant, ok bool) {
-	if r == nil {
-		return a, false
-	}
-	r.qosMu.Lock()
-	defer r.qosMu.Unlock()
-	if m := r.qos[peer]; m != nil {
-		m.win.mu.Lock()
-		defer m.win.mu.Unlock()
-		return m.win.acc, true
-	}
-	return a, false
-}
-
 // labelKey builds the canonical signature of a label set.
 func labelKey(labels []string) string {
 	if len(labels) == 0 {
@@ -361,59 +336,52 @@ func labelKey(labels []string) string {
 	return b.String()
 }
 
-// lookup finds or creates the series of one metric family, with its value
-// source set under the same lock: fn if non-nil (replacing an existing
-// series' source), else a new series' fresh handle. It returns a copy.
-// Labels are flattened key, value pairs and must come in complete pairs.
-func (r *Registry) lookup(name, help string, typ metricType, bounds []float64, fn func() float64, labels []string) series {
-	if len(labels)%2 != 0 {
-		panic(fmt.Sprintf("telemetry: odd label list for %s: %q", name, labels))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// familyLocked finds or creates the family of one name. A histogram family
+// declared by a collector takes its bounds from its first live histogram.
+// Callers hold r.mu for writing.
+func (r *Registry) familyLocked(name, help string, typ Type, bounds []float64) *family {
 	f, ok := r.index[name]
 	if !ok {
-		f = &family{
-			name:   name,
-			help:   help,
-			typ:    typ,
-			bounds: bounds,
-			index:  make(map[string]*series),
-		}
+		f = &family{name: name, help: help, typ: typ, index: make(map[string]*series)}
 		r.index[name] = f
 		r.families = append(r.families, f)
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: metric %s registered as %s, requested as %s", name, f.typ, typ))
 	}
+	if f.bounds == nil {
+		f.bounds = bounds
+	}
+	return f
+}
+
+// lookup finds or creates the live series of one metric family. Labels are
+// flattened key, value pairs and must come in complete pairs.
+func (r *Registry) lookup(name, help string, typ Type, bounds []float64, labels []string) *series {
+	if len(labels)%2 != 0 {
+		panic(fmt.Sprintf("telemetry: odd label list for %s: %q", name, labels))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.familyLocked(name, help, typ, bounds)
 	key := labelKey(labels)
 	s, ok := f.index[key]
 	if !ok {
-		s = &series{labels: append([]string(nil), labels...), key: key, fam: f}
+		s = &series{labels: append([]string(nil), labels...), key: key}
 		switch typ {
-		case typeCounter:
+		case TypeCounter:
 			s.c = &Counter{}
-		case typeGauge:
+		case TypeGauge:
 			s.g = &Gauge{}
-		case typeHistogram:
+		case TypeHistogram:
 			s.h = &Histogram{
 				bounds: f.bounds,
 				counts: make([]atomic.Uint64, len(f.bounds)+1),
 			}
 		}
 		f.index[key] = s
-		for i := 0; i+1 < len(labels); i += 2 {
-			pair := key
-			if len(labels) > 2 {
-				pair = labelKey(labels[i : i+2])
-			}
-			r.byLabel[pair] = append(r.byLabel[pair], s)
-		}
 	}
-	if fn != nil {
-		s.c, s.g, s.fn = nil, nil, fn
-	}
-	return *s
+	return s
 }
 
 // Counter returns the counter for the given name and label pairs, creating
@@ -423,7 +391,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, typeCounter, nil, nil, labels).c
+	return r.lookup(name, help, TypeCounter, nil, labels).c
 }
 
 // Gauge returns the gauge for the given name and label pairs, creating it
@@ -432,7 +400,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, typeGauge, nil, nil, labels).g
+	return r.lookup(name, help, TypeGauge, nil, labels).g
 }
 
 // Histogram returns the histogram for the given name and label pairs,
@@ -446,234 +414,208 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	if len(bounds) == 0 {
 		bounds = DefDelayBuckets
 	}
-	return r.lookup(name, help, typeHistogram, bounds, nil, labels).h
+	return r.lookup(name, help, TypeHistogram, bounds, labels).h
 }
 
-// CounterFunc registers a counter series whose value is sampled from fn at
-// scrape time, replacing the source of one already registered under the
-// same name and labels. Use it for monotone counts another component
-// already maintains under its own synchronization — the hot path then
-// carries no extra atomics at all. No-op on a nil registry.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.lookup(name, help, typeCounter, nil, fn, labels)
-}
-
-// GaugeFunc registers a gauge series whose value is sampled from fn at
-// scrape time, replacing the source of one already registered under the
-// same name and labels. No-op on a nil registry.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.lookup(name, help, typeGauge, nil, fn, labels)
-}
-
-// DropSeries removes every series carrying the given label key and value
-// across all families — used when a peer leaves the cluster so its series
-// do not linger forever under membership churn. It costs the dropped
-// series, not the registry's size.
-func (r *Registry) DropSeries(label, value string) {
+// Collect registers fn as a scrape-time source of the counter and gauge
+// families descs names, creating each that does not exist yet in the order
+// given: fn runs once per WritePrometheus and writes every sample of those
+// families through its Scrape, addressing a family by its index in descs.
+// Use it for values another component already maintains under its own
+// synchronization — one snapshot per scrape, no hot-path cost. A histogram
+// Desc only fixes its family's place among the others: its samples are
+// the live histogram registered under its name. fn runs without the
+// registry's lock, so it may take any component lock; it must not call
+// Collect. No-op on a nil registry.
+func (r *Registry) Collect(fn func(*Scrape), descs ...Desc) {
 	if r == nil {
 		return
 	}
-	pair := labelKey([]string{label, value})
+	c := &collector{fn: fn, fams: make([]*family, len(descs))}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, s := range r.byLabel[pair] {
-		delete(s.fam.index, s.key)
-		if len(s.labels) <= 2 {
-			continue // listed under pair alone
-		}
-		for i := 0; i+1 < len(s.labels); i += 2 {
-			if other := labelKey(s.labels[i : i+2]); other != pair {
-				list := slices.DeleteFunc(r.byLabel[other], func(o *series) bool { return o == s })
-				if len(list) == 0 {
-					delete(r.byLabel, other)
-				} else {
-					r.byLabel[other] = list
-				}
-			}
-		}
+	for i, d := range descs {
+		c.fams[i] = r.familyLocked(d.Name, d.Help, d.Type, nil)
 	}
-	delete(r.byLabel, pair)
+	r.collectors = append(r.collectors, c)
 }
 
-// escapeLabel escapes a label value for the text exposition format.
-func escapeLabel(v string) string {
+// Scrape is what a collector writes into during one WritePrometheus: one
+// sample buffer per family it declared, indexed as its Descs.
+type Scrape struct {
+	fams []*family
+	bufs [][]byte
+}
+
+// Counter writes one sample of the i-th declared family, a counter, with
+// the given label pairs.
+func (s *Scrape) Counter(i int, v uint64, labels ...string) {
+	b := appendSample(s.bufs[i], s.fams[i].name, "", labels, "", "")
+	s.bufs[i] = append(strconv.AppendUint(b, v, 10), '\n')
+}
+
+// Gauge writes one sample of the i-th declared family, a gauge, with the
+// given label pairs.
+func (s *Scrape) Gauge(i int, v float64, labels ...string) {
+	b := appendSample(s.bufs[i], s.fams[i].name, "", labels, "", "")
+	s.bufs[i] = append(appendValue(b, v), '\n')
+}
+
+// appendLabel appends a label value escaped for the text exposition
+// format.
+func appendLabel(b []byte, v string) []byte {
 	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
+		return append(b, v...)
 	}
-	var b strings.Builder
 	for _, c := range v {
 		switch c {
 		case '\\':
-			b.WriteString(`\\`)
+			b = append(b, `\\`...)
 		case '"':
-			b.WriteString(`\"`)
+			b = append(b, `\"`...)
 		case '\n':
-			b.WriteString(`\n`)
+			b = append(b, `\n`...)
 		default:
-			b.WriteRune(c)
+			b = utf8.AppendRune(b, c)
 		}
 	}
-	return b.String()
+	return b
 }
 
-// formatValue renders a sample value the way Prometheus expects.
-func formatValue(v float64) string {
+// appendValue appends a sample value the way Prometheus expects.
+func appendValue(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// writeLabels renders {k="v",...}; extra, when non-empty, is an extra
-// pre-escaped pair (the histogram "le" bound) appended last.
-func writeLabels(b *strings.Builder, labels []string, extraKey, extraVal string) {
+// appendLabels appends {k="v",...}; extraKey, when non-empty, is an extra
+// pair with a pre-escaped value (the histogram "le" bound) appended last.
+func appendLabels(b []byte, labels []string, extraKey, extraVal string) []byte {
 	if len(labels) == 0 && extraKey == "" {
-		return
+		return b
 	}
-	b.WriteByte('{')
-	first := true
+	b = append(b, '{')
 	for i := 0; i+1 < len(labels); i += 2 {
-		if !first {
-			b.WriteByte(',')
+		if i > 0 {
+			b = append(b, ',')
 		}
-		first = false
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[i+1]))
-		b.WriteByte('"')
+		b = append(b, labels[i]...)
+		b = append(b, `="`...)
+		b = appendLabel(b, labels[i+1])
+		b = append(b, '"')
 	}
 	if extraKey != "" {
-		if !first {
-			b.WriteByte(',')
+		if len(labels) > 0 {
+			b = append(b, ',')
 		}
-		b.WriteString(extraKey)
-		b.WriteString(`="`)
-		b.WriteString(extraVal)
-		b.WriteByte('"')
+		b = append(b, extraKey...)
+		b = append(b, `="`...)
+		b = append(b, extraVal...)
+		b = append(b, '"')
 	}
-	b.WriteByte('}')
+	return append(b, '}')
+}
+
+// appendSample appends the start of one sample line: the family name with
+// its suffix, the labels (see appendLabels) and the space before the value.
+func appendSample(b []byte, name, suffix string, labels []string, extraKey, extraVal string) []byte {
+	b = append(append(b, name...), suffix...)
+	return append(appendLabels(b, labels, extraKey, extraVal), ' ')
+}
+
+// appendSeries appends the sample lines of one live series of f.
+func appendSeries(b []byte, f *family, s *series) []byte {
+	switch f.typ {
+	case TypeCounter:
+		b = strconv.AppendUint(appendSample(b, f.name, "", s.labels, "", ""), s.c.Value(), 10)
+	case TypeGauge:
+		b = appendValue(appendSample(b, f.name, "", s.labels, "", ""), s.g.Value())
+	case TypeHistogram:
+		// Cumulative buckets; the snapshot is not atomic across buckets,
+		// which Prometheus scrapes tolerate by design.
+		var cum uint64
+		for i, bound := range s.h.bounds {
+			cum += s.h.counts[i].Load()
+			b = appendSample(b, f.name, "_bucket", s.labels, "le", string(appendValue(nil, bound)))
+			b = append(strconv.AppendUint(b, cum, 10), '\n')
+		}
+		cum += s.h.counts[len(s.h.bounds)].Load()
+		b = appendSample(b, f.name, "_bucket", s.labels, "le", "+Inf")
+		b = append(strconv.AppendUint(b, cum, 10), '\n')
+		b = append(appendValue(appendSample(b, f.name, "_sum", s.labels, "", ""), s.h.Sum()), '\n')
+		b = strconv.AppendUint(appendSample(b, f.name, "_count", s.labels, "", ""), s.h.Count(), 10)
+	}
+	return append(b, '\n')
+}
+
+// famSnap is one family as a scrape writes it: its live series copied
+// under the registry's read lock, and the sample buffers its collectors
+// wrote.
+type famSnap struct {
+	*family
+	series    []*series
+	collected [][]byte
 }
 
 // WritePrometheus writes every family in the Prometheus text exposition
-// format (version 0.0.4), families in registration order, series sorted by
-// label signature within a family. A nil registry writes nothing.
+// format (version 0.0.4), families in registration order, each with its
+// live series sorted by label signature and then the samples its
+// collectors wrote, in their registration and writing order. A family with
+// no sample is left out. A nil registry writes nothing.
 //
-// The read lock is held only to copy each series with its value source,
-// never across value reads: callback-backed series (CounterFunc/GaugeFunc)
-// may take component locks — e.g. a detector mutex — whose holders in turn
-// register series, so sampling under the registry lock would invert the
-// lock order.
+// The read lock is held only to copy the families and the collector list;
+// the collectors run after it is released, each once: they take component
+// locks — a monitor's peer table, a detector's mutex — whose holders may
+// in turn register series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	type famSnap struct {
-		name   string
-		help   string
-		typ    metricType
-		bounds []float64
-		series []series
-	}
 	r.mu.RLock()
-	snap := make([]famSnap, 0, len(r.families))
-	for _, f := range r.families {
-		if len(f.index) == 0 {
-			continue
-		}
-		series := make([]series, 0, len(f.index))
+	snap := make([]famSnap, len(r.families))
+	at := make(map[*family]*famSnap, len(r.families))
+	for i, f := range r.families {
+		series := make([]*series, 0, len(f.index))
 		for _, s := range f.index {
-			series = append(series, *s)
+			series = append(series, s)
 		}
-		snap = append(snap, famSnap{
-			name:   f.name,
-			help:   f.help,
-			typ:    f.typ,
-			bounds: f.bounds,
-			series: series,
-		})
+		snap[i] = famSnap{family: f, series: series}
+		at[f] = &snap[i]
 	}
+	collectors := slices.Clone(r.collectors)
 	r.mu.RUnlock()
-	var b strings.Builder
-	for _, f := range snap {
-		b.Reset()
-		b.WriteString("# HELP ")
-		b.WriteString(f.name)
-		b.WriteByte(' ')
-		b.WriteString(f.help)
-		b.WriteString("\n# TYPE ")
-		b.WriteString(f.name)
-		b.WriteByte(' ')
-		b.WriteString(string(f.typ))
-		b.WriteByte('\n')
-		ordered := f.series
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i].key < ordered[j].key })
-		for _, s := range ordered {
-			switch f.typ {
-			case typeCounter:
-				b.WriteString(f.name)
-				writeLabels(&b, s.labels, "", "")
-				b.WriteByte(' ')
-				if s.fn != nil {
-					b.WriteString(strconv.FormatUint(uint64(s.fn()), 10))
-				} else {
-					b.WriteString(strconv.FormatUint(s.c.Value(), 10))
-				}
-				b.WriteByte('\n')
-			case typeGauge:
-				b.WriteString(f.name)
-				writeLabels(&b, s.labels, "", "")
-				b.WriteByte(' ')
-				if s.fn != nil {
-					b.WriteString(formatValue(s.fn()))
-				} else {
-					b.WriteString(formatValue(s.g.Value()))
-				}
-				b.WriteByte('\n')
-			case typeHistogram:
-				// Cumulative buckets; the snapshot is not atomic across
-				// buckets, which Prometheus scrapes tolerate by design.
-				var cum uint64
-				for i, bound := range f.bounds {
-					cum += s.h.counts[i].Load()
-					b.WriteString(f.name)
-					b.WriteString("_bucket")
-					writeLabels(&b, s.labels, "le", formatValue(bound))
-					b.WriteByte(' ')
-					b.WriteString(strconv.FormatUint(cum, 10))
-					b.WriteByte('\n')
-				}
-				cum += s.h.counts[len(f.bounds)].Load()
-				b.WriteString(f.name)
-				b.WriteString("_bucket")
-				writeLabels(&b, s.labels, "le", "+Inf")
-				b.WriteByte(' ')
-				b.WriteString(strconv.FormatUint(cum, 10))
-				b.WriteByte('\n')
-				b.WriteString(f.name)
-				b.WriteString("_sum")
-				writeLabels(&b, s.labels, "", "")
-				b.WriteByte(' ')
-				b.WriteString(formatValue(s.h.Sum()))
-				b.WriteByte('\n')
-				b.WriteString(f.name)
-				b.WriteString("_count")
-				writeLabels(&b, s.labels, "", "")
-				b.WriteByte(' ')
-				b.WriteString(strconv.FormatUint(s.h.Count(), 10))
-				b.WriteByte('\n')
+	for _, c := range collectors {
+		s := Scrape{fams: c.fams, bufs: make([][]byte, len(c.fams))}
+		c.fn(&s)
+		for i, f := range c.fams {
+			if len(s.bufs[i]) > 0 {
+				at[f].collected = append(at[f].collected, s.bufs[i])
 			}
 		}
-		if _, err := io.WriteString(w, b.String()); err != nil {
+	}
+	var b []byte
+	for i := range snap {
+		f := &snap[i]
+		if len(f.series) == 0 && len(f.collected) == 0 {
+			continue
+		}
+		b = fmt.Appendf(b[:0], "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].key < f.series[j].key })
+		for _, s := range f.series {
+			b = appendSeries(b, f.family, s)
+		}
+		if _, err := w.Write(b); err != nil {
 			return err
+		}
+		for _, c := range f.collected {
+			if _, err := w.Write(c); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,17 +15,24 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("x", "h").Set(1)
 	r.Histogram("x", "h", nil).Observe(1)
 	r.DetectorMetrics("p").Transition(true, 0)
-	r.DropSeries("peer", "p")
+	r.Collect(func(*Scrape) { t.Error("a nil registry ran a collector") })
+	r.CollectPeers(func() []PeerSample { t.Error("a nil registry ran a collector"); return nil })
+	r.DetectorFuncs("p", nil, nil, nil)
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Events().Events(); got != nil {
 		t.Errorf("nil ring events = %v, want nil", got)
 	}
-	r.DetectorMetrics("p").OpenQoS(0)
-	r.CloseQoS("p")
-	if _, ok := r.QoS("p"); ok {
-		t.Error("nil registry reports an accountant")
+	m := r.DetectorMetrics("p")
+	m.OpenQoS(0)
+	if _, ok := m.Window(); ok {
+		t.Error("nil bundle reports an open window")
+	}
+	p := PeerSample{PA: 0.5}
+	m.Sample(&p)
+	if p != (PeerSample{PA: 0.5}) {
+		t.Errorf("nil bundle wrote its sample: %+v", p)
 	}
 
 	var c *Counter
@@ -139,52 +145,72 @@ func TestBatchObserver(t *testing.T) {
 	nb.Flush()
 }
 
-func TestFuncSeries(t *testing.T) {
+// TestCollectorRunsOncePerScrape registers a collector writing several
+// families, around live handles: each scrape runs it exactly once, reads
+// its values afresh, writes its families in their declared places — a
+// histogram Desc holding its live histogram's — and leaves out a declared
+// family it wrote nothing into.
+func TestCollectorRunsOncePerScrape(t *testing.T) {
 	r := NewRegistry(0)
-	var hb uint64 = 41
+	r.Counter("wanfd_first_total", "First.").Inc()
+	var runs, hb uint64 = 0, 41
 	suspected := false
-	r.CounterFunc("wanfd_hb_total", "Heartbeats.", func() float64 { return float64(hb) }, "peer", "a")
-	r.GaugeFunc("wanfd_peer_suspected", "Output.", func() float64 {
-		if suspected {
-			return 1
-		}
-		return 0
-	}, "peer", "a")
+	r.Collect(func(s *Scrape) {
+		runs++
+		s.Counter(0, hb, "peer", "a")
+		s.Counter(0, hb+1, "peer", "b")
+		// 1 is the live histogram; 2 stays empty.
+		s.Gauge(3, boolValue(suspected), "peer", "a")
+	},
+		Desc{"wanfd_hb_total", "Heartbeats.", TypeCounter},
+		Desc{"wanfd_delay_seconds", "Delay.", TypeHistogram},
+		Desc{"wanfd_empty", "Never written.", TypeGauge},
+		Desc{"wanfd_peer_suspected", "Output.", TypeGauge},
+	)
+	r.Histogram("wanfd_delay_seconds", "", []float64{1}).Observe(0.5)
 
 	render := func() string {
+		t.Helper()
 		var b strings.Builder
 		if err := r.WritePrometheus(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
 	}
-	out := render()
-	if !strings.Contains(out, `wanfd_hb_total{peer="a"} 41`) {
-		t.Errorf("counter func not sampled:\n%s", out)
+	const want = `# HELP wanfd_first_total First.
+# TYPE wanfd_first_total counter
+wanfd_first_total 1
+# HELP wanfd_hb_total Heartbeats.
+# TYPE wanfd_hb_total counter
+wanfd_hb_total{peer="a"} 41
+wanfd_hb_total{peer="b"} 42
+# HELP wanfd_delay_seconds Delay.
+# TYPE wanfd_delay_seconds histogram
+wanfd_delay_seconds_bucket{le="1"} 1
+wanfd_delay_seconds_bucket{le="+Inf"} 1
+wanfd_delay_seconds_sum 0.5
+wanfd_delay_seconds_count 1
+# HELP wanfd_peer_suspected Output.
+# TYPE wanfd_peer_suspected gauge
+wanfd_peer_suspected{peer="a"} 0
+`
+	if out := render(); out != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", out, want)
 	}
-	if !strings.Contains(out, `wanfd_peer_suspected{peer="a"} 0`) {
-		t.Errorf("gauge func not sampled:\n%s", out)
+	if runs != 1 {
+		t.Errorf("one scrape ran the collector %d times, want 1", runs)
 	}
 
-	// The callback is re-evaluated on every scrape.
+	// The collector reads its values afresh at every scrape.
 	hb, suspected = 42, true
-	out = render()
+	out := render()
 	if !strings.Contains(out, `wanfd_hb_total{peer="a"} 42`) ||
 		!strings.Contains(out, `wanfd_peer_suspected{peer="a"} 1`) {
 		t.Errorf("second scrape stale:\n%s", out)
 	}
-
-	// DropSeries retires func series like any other.
-	r.DropSeries("peer", "a")
-	if out := render(); strings.Contains(out, `peer="a"`) {
-		t.Errorf("dropped func series still exported:\n%s", out)
+	if runs != 2 {
+		t.Errorf("two scrapes ran the collector %d times, want 2", runs)
 	}
-
-	// Nil registry and nil funcs are no-ops.
-	var nilReg *Registry
-	nilReg.CounterFunc("x", "h", func() float64 { return 1 })
-	nilReg.GaugeFunc("x", "h", func() float64 { return 1 })
-	r.CounterFunc("wanfd_other_total", "h", nil)
 }
 
 func TestDetectorFuncs(t *testing.T) {
@@ -244,148 +270,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestDropSeries(t *testing.T) {
-	r := NewRegistry(0)
-	r.Counter("wanfd_hb_total", "h", "peer", "a").Inc()
-	r.Counter("wanfd_hb_total", "h", "peer", "b").Inc()
-	r.Gauge("wanfd_pa", "h", "peer", "a").Set(1)
-	r.DropSeries("peer", "a")
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if strings.Contains(out, `peer="a"`) {
-		t.Errorf("dropped series still exported:\n%s", out)
-	}
-	if !strings.Contains(out, `wanfd_hb_total{peer="b"} 1`) {
-		t.Errorf("unrelated series lost:\n%s", out)
-	}
-	// Re-creating a dropped series starts from zero.
-	if v := r.Counter("wanfd_hb_total", "h", "peer", "a").Value(); v != 0 {
-		t.Errorf("recreated counter = %d, want 0", v)
-	}
-}
-
-// registerPeer gives one peer the series a live monitor registers for it.
-func registerPeer(r *Registry, peer string) {
-	m := r.DetectorMetrics(peer)
-	r.DetectorFuncs(peer,
-		func() (uint64, uint64, uint64) { return 5, 1, 0 },
-		func() float64 { return 0.25 },
-		func() bool { return false })
-	m.OpenQoS(0)
-}
-
-// TestDropSeriesTouchesOnlyItsPeer drops one peer of many, some series of
-// which carry a second label pair: the exposition afterwards is exactly the
-// one before with that peer's lines taken out, and dropping by the second
-// pair, and re-adding the peer, keep the label index consistent.
-func TestDropSeriesTouchesOnlyItsPeer(t *testing.T) {
-	r := NewRegistry(0)
-	r.Counter("wanfd_up_total", "h").Inc()
-	for i := 0; i < 10; i++ {
-		peer := fmt.Sprintf("p%d", i)
-		registerPeer(r, peer)
-		r.Counter("wanfd_zone_total", "h", "peer", peer, "zone", fmt.Sprint(i%2)).Add(uint64(i))
-	}
-	scrape := func() string {
-		t.Helper()
-		var b strings.Builder
-		if err := r.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	without := func(out, label string) string {
-		var kept []string
-		for _, line := range strings.SplitAfter(out, "\n") {
-			if !strings.Contains(line, label) {
-				kept = append(kept, line)
-			}
-		}
-		return strings.Join(kept, "")
-	}
-	before := scrape()
-	if !strings.Contains(before, `peer="p3"`) {
-		t.Fatalf("p3 has no series to drop:\n%s", before)
-	}
-	r.DropSeries("peer", "p3")
-	if got, want := scrape(), without(before, `peer="p3"`); got != want {
-		t.Errorf("after dropping p3:\n%s\nwant:\n%s", got, want)
-	}
-	before = scrape()
-	r.DropSeries("zone", "1")
-	if got, want := scrape(), without(before, `zone="1"`); got != want {
-		t.Errorf("after dropping zone 1:\n%s\nwant:\n%s", got, want)
-	}
-	// p5's zone series went with zone 1; dropping p5 must take the rest and
-	// nothing else.
-	before = scrape()
-	r.DropSeries("peer", "p5")
-	if got, want := scrape(), without(before, `peer="p5"`); got != want {
-		t.Errorf("after dropping p5:\n%s\nwant:\n%s", got, want)
-	}
-	// A re-added peer starts fresh and drops again.
-	registerPeer(r, "p3")
-	if out := scrape(); !strings.Contains(out, MetricHeartbeats+`{peer="p3"} 5`) ||
-		!strings.Contains(out, MetricQoSPA+`{peer="p3"} 1`) {
-		t.Errorf("re-added p3 not exported:\n%s", out)
-	}
-	before = scrape()
-	r.DropSeries("peer", "p3")
-	if got, want := scrape(), without(before, `peer="p3"`); got != want {
-		t.Errorf("after dropping the re-added p3:\n%s\nwant:\n%s", got, want)
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for pair, list := range r.byLabel {
-		for _, s := range list {
-			if s.fam.index[s.key] != s {
-				t.Errorf("label index lists a dropped series %q under %q", s.key, pair)
-			}
-		}
-	}
-}
-
-// BenchmarkDropSeries times one peer's removal from the registry of a
-// monitor with every peer's series and QoS window registered: DropSeries
-// plus CloseQoS, as RemovePeer calls them. The cost must not grow with the
-// fleet. The 65,536-peer set-up is skipped under -short.
-func BenchmarkDropSeries(b *testing.B) {
-	for _, peers := range []int{4096, 65536} {
-		b.Run(fmt.Sprint(peers), func(b *testing.B) {
-			if peers > 4096 && testing.Short() {
-				b.Skip("large set-up under -short")
-			}
-			r := NewRegistry(0)
-			names := make([]string, peers)
-			for i := range names {
-				names[i] = fmt.Sprintf("peer-%d", i)
-				registerPeer(r, names[i])
-			}
-			// Collect the set-up's garbage now, not in the timed loop.
-			runtime.GC()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i % peers
-				if i > 0 && k == 0 {
-					// Every peer is gone: register the fleet again.
-					b.StopTimer()
-					for _, name := range names {
-						registerPeer(r, name)
-					}
-					runtime.GC()
-					b.StartTimer()
-				}
-				r.DropSeries("peer", names[k])
-				r.CloseQoS(names[k])
-			}
-		})
-	}
-}
-
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry(0)
 	c := r.Counter("wanfd_c_total", "h")
@@ -417,18 +301,14 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestScrapeDuringFuncRegistration scrapes in a loop while 2,000 callback
-// series are registered and one more is re-registered over and over: every
-// series a scrape shows is published whole, so a new counter reads its
-// callback's 1 and the replaced gauge reads one of its callbacks' values,
-// never a placeholder handle's 0. Under -race it also checks that the scrape
-// reads each value source only as registration published it.
-func TestScrapeDuringFuncRegistration(t *testing.T) {
+// TestScrapeDuringCollectorRegistration scrapes in a loop while 2,000
+// collectors are registered: every sample a scrape shows is its
+// collector's, and the last scrape shows them all. Under -race it also
+// checks that a scrape reads the collector list only as registration
+// published it.
+func TestScrapeDuringCollectorRegistration(t *testing.T) {
 	r := NewRegistry(0)
-	one := func() float64 { return 1 }
-	two := func() float64 { return 2 }
-	three := func() float64 { return 3 }
-	r.GaugeFunc("replaced", "h", two)
+	desc := Desc{"added_total", "h", TypeCounter}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -436,19 +316,15 @@ func TestScrapeDuringFuncRegistration(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < 2000; i++ {
-			r.CounterFunc("added_total", "h", one, "i", fmt.Sprint(i))
-			if i%2 == 0 {
-				r.GaugeFunc("replaced", "h", three)
-			} else {
-				r.GaugeFunc("replaced", "h", two)
-			}
+			label := fmt.Sprint(i)
+			r.Collect(func(s *Scrape) { s.Counter(0, 1, "i", label) }, desc)
 		}
 	}()
 	var b strings.Builder
 	for scraping := true; scraping; {
 		select {
 		case <-done:
-			scraping = false // one last scrape sees every series
+			scraping = false // one last scrape sees every collector
 		default:
 		}
 		b.Reset()
@@ -456,20 +332,13 @@ func TestScrapeDuringFuncRegistration(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, line := range strings.Split(b.String(), "\n") {
-			switch {
-			case strings.HasPrefix(line, "added_total{"):
-				if !strings.HasSuffix(line, "} 1") {
-					t.Fatalf("a new callback series read before its callback: %q", line)
-				}
-			case strings.HasPrefix(line, "replaced "):
-				if line != "replaced 2" && line != "replaced 3" {
-					t.Fatalf("a replaced callback series read neither callback: %q", line)
-				}
+			if strings.HasPrefix(line, "added_total{") && !strings.HasSuffix(line, "} 1") {
+				t.Fatalf("a sample that is not its collector's: %q", line)
 			}
 		}
 	}
 	wg.Wait()
 	if n := strings.Count(b.String(), "\nadded_total{"); n != 2000 {
-		t.Errorf("last scrape shows %d of 2000 added series", n)
+		t.Errorf("last scrape shows %d of 2000 collectors' samples", n)
 	}
 }

@@ -174,31 +174,37 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 }
 
 // instrument is the endpoint's one registration site, run before any drain
-// loop starts: counters sampled at scrape time, so counting a packet is one
-// atomic add, and the drain-batch histogram, the row without a counter.
+// loop starts: a collector reads the packet counters at scrape time, so
+// counting a packet is one atomic add, and the drain-batch histogram, the
+// one live handle, keeps its place among them.
 func (n *UDPNetwork) instrument(r *telemetry.Registry) {
-	for _, c := range []struct {
-		name, help string
-		v          func() uint64
-	}{
-		{telemetry.MetricPacketsSent, "UDP packets sent.", n.sent.Load},
-		{telemetry.MetricPacketsReceived, "Valid UDP packets received.", n.received.Load},
-		{telemetry.MetricDecodeErrors, "Malformed inbound packets discarded.", n.malformed.Load},
-		{telemetry.MetricPacketsDropped, "Packets discarded without delivery.",
-			func() uint64 { return n.dropped.Load() + n.ingest.unknownSrc.Load() }},
-		{telemetry.MetricSendErrors, "Messages lost to encode or socket write failures.", n.sendErrors.Load},
-		{telemetry.MetricEgressSendErrors, "datagrams the socket refused (write errors and short writes)", n.writeErrors.Load},
-		{telemetry.MetricIngestBatchSize, "datagrams drained per readiness wakeup", nil},
-		{telemetry.MetricIngestDrains, "completed ingest drain cycles", n.ingest.drains.Load},
-		{telemetry.MetricIngestUnknownSource, "datagrams discarded because their source address is not a registered peer", n.ingest.unknownSrc.Load},
-		{telemetry.MetricIngestKernelDrops, "datagrams the kernel dropped on full reader socket buffers", n.kernelDrops},
-	} {
-		if c.v == nil {
-			n.ingest.batchHist = r.Histogram(c.name, c.help, []float64{1, 2, 4, 8, 16, 32, 64})
-			continue
-		}
-		r.CounterFunc(c.name, c.help, func() float64 { return float64(c.v()) })
+	descs := [...]telemetry.Desc{
+		{Name: telemetry.MetricPacketsSent, Help: "UDP packets sent.", Type: telemetry.TypeCounter},
+		{Name: telemetry.MetricPacketsReceived, Help: "Valid UDP packets received.", Type: telemetry.TypeCounter},
+		{Name: telemetry.MetricDecodeErrors, Help: "Malformed inbound packets discarded.", Type: telemetry.TypeCounter},
+		{Name: telemetry.MetricPacketsDropped, Help: "Packets discarded without delivery.", Type: telemetry.TypeCounter},
+		{Name: telemetry.MetricSendErrors, Help: "Messages lost to encode or socket write failures.", Type: telemetry.TypeCounter},
+		{Name: telemetry.MetricEgressSendErrors, Help: "datagrams the socket refused (write errors and short writes)", Type: telemetry.TypeCounter},
+		{Name: telemetry.MetricIngestBatchSize, Help: "datagrams drained per readiness wakeup", Type: telemetry.TypeHistogram},
+		{Name: telemetry.MetricIngestDrains, Help: "completed ingest drain cycles", Type: telemetry.TypeCounter},
+		{Name: telemetry.MetricIngestUnknownSource, Help: "datagrams discarded because their source address is not a registered peer", Type: telemetry.TypeCounter},
+		{Name: telemetry.MetricIngestKernelDrops, Help: "datagrams the kernel dropped on full reader socket buffers", Type: telemetry.TypeCounter},
 	}
+	r.Collect(func(s *telemetry.Scrape) {
+		unknown := n.ingest.unknownSrc.Load()
+		s.Counter(0, n.sent.Load())
+		s.Counter(1, n.received.Load())
+		s.Counter(2, n.malformed.Load())
+		s.Counter(3, n.dropped.Load()+unknown)
+		s.Counter(4, n.sendErrors.Load())
+		s.Counter(5, n.writeErrors.Load())
+		// 6 is the drain-batch histogram.
+		s.Counter(7, n.ingest.drains.Load())
+		s.Counter(8, unknown)
+		s.Counter(9, n.kernelDrops())
+	}, descs[:]...)
+	batch := &descs[6]
+	n.ingest.batchHist = r.Histogram(batch.Name, batch.Help, []float64{1, 2, 4, 8, 16, 32, 64})
 }
 
 // Clock returns the endpoint's run clock; protocol layers on this host must

@@ -130,13 +130,9 @@ type MultiMonitor struct {
 	env   *core.DetectorEnv
 	// undelivered counts messages from a registered address that reached no
 	// detector: they raced their peer's removal or arrived before it went
-	// live, or nothing here consumes their type.
-	undelivered atomic.Uint64
-
-	// Cluster-level telemetry; every field is nil (a no-op) when the
-	// monitor was built without WithTelemetry.
-	mPeerAdds    *telemetry.Counter
-	mPeerRemoves *telemetry.Counter
+	// live, or nothing here consumes their type. adds and removes count
+	// membership changes.
+	undelivered, adds, removes atomic.Uint64
 }
 
 // multiMonitorID is the local process id of the multi-monitor; peers get
@@ -185,15 +181,17 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		ents: arena.New[peerEntry](),
 	}
 	o.qstore.Instrument(o.telemetry)
-	if reg := o.telemetry; reg != nil {
-		reg.GaugeFunc(telemetry.MetricPeers, "Current cluster membership size.",
-			func() float64 { return float64(mm.Peers()) })
-		mm.mPeerAdds = reg.Counter(telemetry.MetricPeerAdds, "Peers added to the cluster monitor.")
-		mm.mPeerRemoves = reg.Counter(telemetry.MetricPeerRemoves, "Peers removed from the cluster monitor.")
-		reg.CounterFunc(telemetry.MetricIngestUndelivered,
-			"Messages from a registered address that reached no detector: they raced their peer's removal, or nothing consumes their type.",
-			func() float64 { return float64(mm.undelivered.Load()) })
-	}
+	o.telemetry.Collect(func(s *telemetry.Scrape) {
+		s.Gauge(0, float64(mm.Peers()))
+		s.Counter(1, mm.adds.Load())
+		s.Counter(2, mm.removes.Load())
+		s.Counter(3, mm.undelivered.Load())
+	},
+		telemetry.Desc{Name: telemetry.MetricPeers, Help: "Current cluster membership size.", Type: telemetry.TypeGauge},
+		telemetry.Desc{Name: telemetry.MetricPeerAdds, Help: "Peers added to the cluster monitor.", Type: telemetry.TypeCounter},
+		telemetry.Desc{Name: telemetry.MetricPeerRemoves, Help: "Peers removed from the cluster monitor.", Type: telemetry.TypeCounter},
+		telemetry.Desc{Name: telemetry.MetricIngestUndelivered, Help: "Messages from a registered address that reached no detector: they raced their peer's removal, or nothing consumes their type.", Type: telemetry.TypeCounter},
+	)
 	mm.nextID.Store(int64(multiMonitorID) + 1)
 	mm.ctx = &neko.Context{ID: multiMonitorID, Clock: net.Clock()}
 	mm.wheel = sched.NewWheel(sched.Config{
@@ -202,6 +200,7 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		Telemetry: o.telemetry,
 		InFlight:  net.InFlight,
 	})
+	o.telemetry.CollectPeers(mm.peerSamples)
 	if mm.env, err = core.NewDetectorEnv(mm.wheel, listener(o.onSuspect, o.onTrust, o.onChange), o.minTimeout); err != nil {
 		_ = mm.Close()
 		return nil, err
@@ -335,8 +334,9 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 		}
 	}
 	// Publish, unless the name was taken meanwhile. All that is named after
-	// the peer is made here: the detector with its taps, its series, and its
-	// accuracy window, opened on the detector's clock before it goes live.
+	// the peer is made here: the detector with its taps and its accuracy
+	// window, opened on the detector's clock before it goes live. Its series
+	// are read from the table at scrape time from here on.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.find(h, name); dup {
@@ -346,7 +346,6 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	if err := e.det.Init(cfg); err != nil {
 		return err // unreachable: validate rejects every recipe Init would
 	}
-	o.exportDetector(&e.det)
 	cfg.Metrics.OpenQoS(m.wheel.Now())
 	e.det.Serve(uint64(idx), off)
 	e.id = id
@@ -356,7 +355,7 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	if e.ctrl = ctrl; ctrl != nil {
 		_ = ctrl.Init(m.ctx)
 	}
-	m.mPeerAdds.Inc()
+	m.adds.Add(1)
 	return nil
 }
 
@@ -372,15 +371,6 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	if ok {
 		e = m.ents.Get(idx)
 		id, e.id = e.id, 0
-		// Retire the peer's series and close its QoS window so churn does
-		// not grow the exposition without bound; re-added names start
-		// fresh. In the section that frees the name, as AddPeer makes them
-		// in the one that takes it: a re-add of the name cannot publish in
-		// between and lose its own.
-		if reg := m.opts.telemetry; reg != nil {
-			reg.DropSeries("peer", name)
-			reg.CloseQoS(name)
-		}
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -394,7 +384,7 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	_ = m.net.RemovePeer(id)
 	e.stop()
 	e.ctrl = nil
-	m.mPeerRemoves.Inc()
+	m.removes.Add(1)
 	m.mu.Lock()
 	m.ents.Release(idx)
 	m.mu.Unlock()
@@ -455,6 +445,24 @@ func (m *MultiMonitor) status(e *peerEntry) PeerStatus {
 		st.Timeout = time.Duration(e.det.CurrentTimeout() * float64(time.Millisecond))
 	}
 	return st
+}
+
+// peerSamples returns every member's sample of the per-peer telemetry
+// families, sorted by name: the monitor's per-peer collector. It walks the
+// table as Status does, reading each detector and then its bundle, one
+// lock at a time.
+func (m *MultiMonitor) peerSamples() []telemetry.PeerSample {
+	buf := make([]telemetry.PeerSample, 0, m.Peers())
+	m.each(func(e *peerEntry) {
+		d := &e.det
+		st := d.DetectorStats()
+		p := telemetry.PeerSample{Peer: d.Name(), Heartbeats: st.Heartbeats, Stale: st.Stale,
+			Suspicions: st.Suspicions, Timeout: d.CurrentTimeout() / 1e3, Suspected: d.Suspected()}
+		d.Metrics().Sample(&p)
+		buf = append(buf, p)
+	})
+	sort.Slice(buf, func(i, j int) bool { return buf[i].Peer < buf[j].Peer })
+	return buf
 }
 
 // Status returns every peer's state, sorted by peer name. Membership may

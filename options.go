@@ -306,22 +306,3 @@ func (o *options) detectorConfig(name string) (core.DetectorConfig, error) {
 	cfg.Predictor, cfg.Margin, err = core.NewAccrualCombo(o.accrualThreshold, 0, 0)
 	return cfg, err
 }
-
-// exportDetector registers the scrape-time series for a published
-// detector: state it tracks anyway is sampled when scraped,
-// not pushed per heartbeat. At publication, not construction: a rejected
-// duplicate must not take over the live peer's series. DropSeries retires
-// them.
-func (o *options) exportDetector(det *core.Detector) {
-	if o.telemetry == nil {
-		return
-	}
-	o.telemetry.DetectorFuncs(det.Name(),
-		func() (uint64, uint64, uint64) {
-			st := det.DetectorStats()
-			return st.Heartbeats, st.Stale, st.Suspicions
-		},
-		func() float64 { return det.CurrentTimeout() / 1e3 },
-		det.Suspected,
-	)
-}

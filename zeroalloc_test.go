@@ -105,7 +105,7 @@ func TestTransitionZeroAlloc(t *testing.T) {
 		if err != nil || st.Suspicions != runs+1 || st.Suspected {
 			t.Fatalf("status %+v (%v), want %d suspicions, each ended by a trust", st, err, runs+1)
 		}
-		if q, ok := reg.QoS("p"); reg != nil && (!ok || q.Mistakes != runs+1) {
+		if q, ok := qosWindow(mm, "p"); reg != nil && (!ok || q.Mistakes != runs+1) {
 			t.Errorf("accuracy window %+v (open %v), want %d mistakes", q, ok, runs+1)
 		}
 	}
@@ -117,8 +117,8 @@ func TestTransitionZeroAlloc(t *testing.T) {
 		t.Cleanup(func() { _ = st.Close() })
 		pair(t, "a store", nil, WithStore(st))
 	})
-	// The peer's transition counter and QoS gauges are resolved when its
-	// accuracy window opens, at publication.
+	// The peer's accuracy window opens at publication, in the bundle its
+	// detector feeds.
 	t.Run("telemetry", func(t *testing.T) {
 		reg := telemetry.NewRegistry(0)
 		pair(t, "telemetry", reg, WithTelemetry(reg))
