@@ -85,6 +85,19 @@ func peerHandleOf(tb testing.TB, mm *MultiMonitor, name string) uint64 {
 	return uint64(idx)
 }
 
+// peerSenderOf returns the sender the named peer's interval controller
+// would have: its record's address and handle.
+func peerSenderOf(tb testing.TB, mm *MultiMonitor, name string) peerSender {
+	tb.Helper()
+	mm.mu.RLock()
+	defer mm.mu.RUnlock()
+	idx, ok := mm.find(peerNameHash(name), name)
+	if !ok {
+		tb.Fatalf("no peer %q", name)
+	}
+	return peerSender{mm.net, mm.ents.Get(idx).addr, uint64(idx)}
+}
+
 // liveRecords counts the peer-arena slots in use: members plus any slot an
 // AddPeer or RemovePeer in flight still holds.
 func liveRecords(mm *MultiMonitor) int {
@@ -107,7 +120,10 @@ type pipelineHarness struct {
 	pkts   [][]byte
 	srcs   []netip.AddrPort
 	seqs   []int64
-	msg    neko.Message
+	// dsts are the peers' interval-controller senders, which address the
+	// egress half's sends.
+	dsts []peerSender
+	msg  neko.Message
 	// Sender timestamps advance 1µs per packet from the wall-clock start,
 	// read once: offer performs no clock reads for the ingest half, only
 	// in-place header patches.
@@ -119,12 +135,14 @@ type pipelineHarness struct {
 
 func newPipelineHarness(tb testing.TB, peers int, egress bool, addr func(int) string, opts ...Option) *pipelineHarness {
 	tb.Helper()
+	names := benchPeerNames(peers)
 	h := &pipelineHarness{
-		mm:        benchCluster(tb, benchPeerNames(peers), addr, opts...),
+		mm:        benchCluster(tb, names, addr, opts...),
 		egress:    egress,
 		pkts:      make([][]byte, peers),
 		srcs:      make([]netip.AddrPort, peers),
 		seqs:      make([]int64, peers),
+		dsts:      make([]peerSender, peers),
 		msg:       neko.Message{From: multiMonitorID, Type: neko.MsgHeartbeat},
 		wallBase:  time.Now().UnixNano(),
 		chunkPkts: make([][]byte, 0, benchIngestChunk),
@@ -137,9 +155,10 @@ func newPipelineHarness(tb testing.TB, peers int, egress bool, addr func(int) st
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := range h.pkts {
+	for i, name := range names {
 		h.pkts[i] = bytes.Clone(proto)
 		h.srcs[i] = netip.MustParseAddrPort(addr(i))
+		h.dsts[i] = peerSenderOf(tb, h.mm, name)
 	}
 	return h
 }
@@ -155,13 +174,11 @@ func (h *pipelineHarness) offer(n int) {
 		p := h.sent % len(h.pkts)
 		h.seqs[p]++
 		if h.egress {
-			// Transport ids are the ones the monitor assigned
-			// (multiMonitorID+1 onward); the monitor's sender is the
-			// endpoint the ingest half receives on.
-			h.msg.To = multiMonitorID + 1 + neko.ProcessID(p)
+			// The interval controllers' sender: the record's address, on
+			// the endpoint the ingest half receives on.
 			h.msg.Seq = h.seqs[p]
 			h.msg.SentAt = clk.Now()
-			h.mm.sender.Send(&h.msg)
+			h.dsts[p].Send(&h.msg)
 		}
 		binary.BigEndian.PutUint64(h.pkts[p][12:20], uint64(h.seqs[p]))
 		binary.BigEndian.PutUint64(h.pkts[p][20:28], uint64(h.wallBase+int64(h.sent)*1000))

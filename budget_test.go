@@ -48,15 +48,16 @@ func fleetNamesAddrs(n int) (names, addrs []string) {
 // test: live heap after building a fleet minus live heap before, per peer,
 // and the mallocs the build made per peer. The figures are properties of
 // the data layout, not of the machine, so the budgets are tight: a per-peer
-// object or a slab geometry that wastes a record's worth per peer fails
-// here before any benchmark runs (it reads 423 B at 65,536 peers and 452 B
-// at 4,096, the monitor's fixed set-up included — its timing wheel alone is
-// ≈52 KB, 13 B a peer at 4,096; one heap object more per peer is 16 to 64
-// bytes and one malloc). A default peer is its arena record alone, so a
-// build makes well under one malloc per peer (0.06 at 65,536, 0.12 at 4,096:
-// arena slabs, table growth and the monitor's own set-up), and a reading
-// below the record's 256-B share of its slab is a failed measurement, not a
-// pass.
+// object, one more table entry or a slab geometry that wastes a record's
+// worth per peer fails here before any benchmark runs (it reads 331 B at
+// 65,536 peers and 361 B at 4,096, the monitor's fixed set-up included —
+// its timing wheel alone is ≈52 KB, 13 B a peer at 4,096; one heap object
+// more per peer is 16 to 64 bytes and one malloc, one more table entry 34
+// B). A default peer is its arena record, its name-table entry and its
+// transport address entry, so a build makes well under one malloc per peer
+// (0.05 at 65,536, 0.10 at 4,096: arena slabs, table growth and the
+// monitor's own set-up), and a reading below the record's 256-B share of
+// its slab is a failed measurement, not a pass.
 func TestPeerHeapBudget(t *testing.T) {
 	const (
 		recordBytes    = 256
@@ -66,8 +67,8 @@ func TestPeerHeapBudget(t *testing.T) {
 		peers, expected int
 		budget          float64
 	}{
-		{4096, 0, 480},
-		{65536, 65536, 450},
+		{4096, 0, 375},
+		{65536, 65536, 345},
 	} {
 		names, addrs := fleetNamesAddrs(c.peers)
 		var before, after runtime.MemStats
@@ -98,15 +99,15 @@ func TestPeerHeapBudget(t *testing.T) {
 }
 
 // TestPeerHeapBudgetTelemetry is TestPeerHeapBudget with WithTelemetry at
-// 4,096 peers. A peer is then its record, its telemetry bundle and the
-// bundle's two histogram buffers — ≈930 B; the registry holds nothing per
-// peer (it read 3,224 B while it kept ten series objects, their labels and
-// a window by name for each). The per-peer series are read from the table
-// at scrape time: exactly ten lines a peer.
+// 4,096 peers. A peer is then its record, its two table entries, its
+// telemetry bundle and the bundle's two histogram buffers — ≈827 B; the
+// registry holds nothing per peer (it read 3,224 B while it kept ten series
+// objects, their labels and a window by name for each). The per-peer series
+// are read from the table at scrape time: exactly ten lines a peer.
 func TestPeerHeapBudgetTelemetry(t *testing.T) {
 	const (
 		peers        = 4096
-		budget       = 1024
+		budget       = 865
 		recordBytes  = 256
 		linesPerPeer = 10
 	)
@@ -142,6 +143,45 @@ func TestPeerHeapBudgetTelemetry(t *testing.T) {
 		if lines[name] != linesPerPeer {
 			t.Errorf("peer %s has %d lines in the exposition, want %d", name, lines[name], linesPerPeer)
 			break
+		}
+	}
+}
+
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter struct{ n int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestScrapeAllocBudget pins what a scrape of a steady 4,096-peer monitor
+// allocates against what it writes: each collector starts its buffers at
+// the previous scrape's size, so from the second scrape on the samples are
+// written into buffers allocated once, plus the per-peer rows the monitor's
+// collector reads. Growing them by append instead allocates some 5× the
+// bytes written.
+func TestScrapeAllocBudget(t *testing.T) {
+	const (
+		peers = 4096
+		ratio = 2.0
+	)
+	names, addrs := fleetNamesAddrs(peers)
+	reg := telemetry.NewRegistry(0)
+	mm := buildFleet(t, names, addrs, 0, WithTelemetry(reg))
+	defer mm.Close()
+	for scrape := 1; scrape <= 4; scrape++ {
+		var w countingWriter
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := reg.WritePrometheus(&w); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		alloc := float64(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("scrape %d: %d bytes written, %.0f allocated (%.2f×)", scrape, w.n, alloc, alloc/float64(w.n))
+		if scrape > 1 && alloc > ratio*float64(w.n) {
+			t.Errorf("scrape %d allocated %.0f bytes to write %d, want at most %.0f×", scrape, alloc, w.n, ratio)
 		}
 	}
 }

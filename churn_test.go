@@ -138,10 +138,10 @@ func TestMultiMonitorChurnCompaction(t *testing.T) {
 		peers  = 512
 	)
 	// occupancy is everything a peer occupies outside the name table:
-	// transport arena records, peer records, armed deadlines.
+	// transport address entries, peer records, armed deadlines.
 	occupancy := func() [3]int {
-		arenaStats, _, _ := mon.net.PeerTableStats()
-		return [3]int{arenaStats.Live, liveRecords(mon), mon.SchedulerStats().Scheduled}
+		byAddr, _ := mon.net.PeerTableStats()
+		return [3]int{byAddr.Live, liveRecords(mon), mon.SchedulerStats().Scheduled}
 	}
 	baseline := occupancy()
 	var firstCap int

@@ -44,8 +44,9 @@ type Message struct {
 	// Payload carries optional application data.
 	Payload []byte
 	// Handle is the receiver's own token for the sender: a real transport
-	// stamps every message from a registered peer with the value that peer
-	// was registered with. Zero everywhere else; never on the wire.
+	// stamps every message from a registered peer with the handle that peer
+	// was registered under, and a message sent back to it names it by the
+	// same token. Zero everywhere else; never on the wire.
 	Handle uint64
 }
 

@@ -271,6 +271,10 @@ type Desc struct {
 type collector struct {
 	fn   func(*Scrape)
 	fams []*family
+	// sizes are the bytes fn wrote to each family at the last scrape: the
+	// next one sizes its own buffers from them, so its samples are
+	// allocated once, not once per doubling.
+	sizes []atomic.Int64
 }
 
 // Registry is the telemetry hub: the metric families, the collectors that
@@ -431,7 +435,7 @@ func (r *Registry) Collect(fn func(*Scrape), descs ...Desc) {
 	if r == nil {
 		return
 	}
-	c := &collector{fn: fn, fams: make([]*family, len(descs))}
+	c := &collector{fn: fn, fams: make([]*family, len(descs)), sizes: make([]atomic.Int64, len(descs))}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, d := range descs {
@@ -591,8 +595,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RUnlock()
 	for _, c := range collectors {
 		s := Scrape{fams: c.fams, bufs: make([][]byte, len(c.fams))}
+		for i := range s.bufs {
+			if n := c.sizes[i].Load(); n > 0 {
+				s.bufs[i] = make([]byte, 0, n+n/16)
+			}
+		}
 		c.fn(&s)
 		for i, f := range c.fams {
+			c.sizes[i].Store(int64(len(s.bufs[i])))
 			if len(s.bufs[i]) > 0 {
 				at[f].collected = append(at[f].collected, s.bufs[i])
 			}

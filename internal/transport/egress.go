@@ -29,11 +29,20 @@ func (n *UDPNetwork) EgressStats() EgressStats {
 }
 
 // send is the send path, run to completion on the caller's goroutine:
-// resolve the destination, encode, write, count. A message for an
-// unregistered peer is dropped (counted), not an error. The peer-table lock
-// is released before the write (internal/analysis.MutexHold).
-func (n *UDPNetwork) send(m *neko.Message) {
-	ap, ok := n.peerAddr(m.To)
+// resolve the destination registered by id m.To, encode, write, count. A
+// message for an unregistered peer is dropped (counted), not an error. The
+// peer-table lock is released before the write
+// (internal/analysis.MutexHold).
+func (n *UDPNetwork) send(m *neko.Message) { n.sendTo(m, 0, uint64(m.To), true) }
+
+// SendTo is Send for a peer AddPeerHandle registered: m goes to the peer
+// registered at a under handle h, the address the receiver keeps in its own
+// record. A message whose (a, h) names no current registration — a removed
+// peer's stale handle — is dropped and counted.
+func (n *UDPNetwork) SendTo(m *neko.Message, a Addr, h uint64) { n.sendTo(m, a, h, false) }
+
+func (n *UDPNetwork) sendTo(m *neko.Message, a Addr, h uint64, byID bool) {
+	ap, ok := n.dest(a, h, byID)
 	if !ok {
 		n.dropped.Add(1)
 		return

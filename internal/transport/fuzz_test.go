@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"net/netip"
 	"testing"
 
+	"wanfd/internal/arena"
 	"wanfd/internal/neko"
 )
 
@@ -89,6 +91,96 @@ func FuzzDecode(f *testing.F) {
 		if back.From != decoded.From || back.To != decoded.To ||
 			back.Type != decoded.Type || back.Seq != decoded.Seq {
 			t.Fatalf("round trip mismatch: %+v vs %+v", back, decoded)
+		}
+	})
+}
+
+// FuzzAddrAttribution registers and removes random sets of IPv4, IPv6 and
+// v4-mapped peer addresses by handle, some IPv6 ones forged to share the
+// digest of an earlier registration (IPv6 or IPv4), and checks after every
+// step that each source address resolves to exactly its own registration's
+// handle or to none, as a plain map of canonical addresses would: a
+// v4-mapped form finds the IPv4 registration, no IPv6 source finds an IPv4
+// peer, a refused duplicate leaves the first registration in place, a
+// removal takes only its own entry, and every registration sends to its own
+// address. Each step is four bytes: the operation, two address bytes, the
+// port.
+func FuzzAddrAttribution(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 1, 1, 2, 0, 2, 1, 2, 0, 3, 0, 0, 1, 3, 2, 0, 0})
+	f.Add([]byte{2, 0, 0, 0, 3, 0, 0, 1, 3, 0, 0, 2, 4, 1, 0, 0, 2, 0, 0, 3})
+	f.Add([]byte{0, 3, 3, 3, 1, 3, 3, 3, 4, 0, 0, 0, 1, 3, 3, 3, 6, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := &UDPNetwork{byAddr: arena.NewMap64(0), byID: arena.NewMap64(0), v6: map[uint64]netip.AddrPort{}}
+		type reg struct {
+			ap     netip.AddrPort
+			a      Addr
+			handle uint64
+		}
+		var regs []reg
+		var probes []netip.AddrPort
+		for step := uint64(1); len(data) >= 4 && step <= 64; step++ {
+			op, x, y, port := data[0], data[1]%4, data[2]%4, 7000+uint16(data[3]%4)
+			data = data[4:]
+			var ap netip.AddrPort
+			switch op % 8 {
+			case 0:
+				ap = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, x, y}), port)
+			case 1:
+				ap = netip.AddrPortFrom(netip.AddrFrom16([16]byte{10: 0xff, 11: 0xff, 12: 10, 14: x, 15: y}), port)
+			case 2:
+				ap = netip.AddrPortFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 14: x, 15: y}), port)
+			case 3:
+				if len(regs) == 0 {
+					continue
+				}
+				ap = collidingAddr6(uint64(regs[int(x)%len(regs)].a)&^uint64(v6Tag), port)
+			default:
+				if len(regs) == 0 {
+					continue
+				}
+				i := int(x) % len(regs)
+				if !n.RemovePeerHandle(regs[i].a, regs[i].handle) {
+					t.Fatalf("step %d: registration of %s not found for removal", step, regs[i].ap)
+				}
+				if n.RemovePeerHandle(regs[i].a, regs[i].handle) {
+					t.Fatalf("step %d: %s removed twice", step, regs[i].ap)
+				}
+				regs = append(regs[:i], regs[i+1:]...)
+			}
+			if ap.IsValid() {
+				probes = append(probes, ap)
+				canon, dup := unmapAP(ap), false
+				for _, r := range regs {
+					dup = dup || r.ap == canon
+				}
+				a, err := n.AddPeerHandle(ap.String(), step)
+				if dup != (err != nil) {
+					t.Fatalf("step %d: registering %s (already registered: %v) returned %v", step, ap, dup, err)
+				}
+				if err == nil {
+					regs = append(regs, reg{canon, a, step})
+				}
+			}
+			for _, p := range probes {
+				src := unmapAP(p)
+				var want uint64
+				for _, r := range regs {
+					if r.ap == src {
+						want = r.handle
+					}
+				}
+				if got, ok := n.attribute(src); got != want || ok != (want != 0) {
+					t.Fatalf("step %d: %s resolves to handle %d, %v, want %d", step, p, got, ok, want)
+				}
+			}
+			for _, r := range regs {
+				if dst, ok := n.dest(r.a, r.handle, false); !ok || dst != r.ap {
+					t.Fatalf("step %d: handle %d sends to %s, %v, want %s", step, r.handle, dst, ok, r.ap)
+				}
+			}
+		}
+		if byAddr, _ := n.PeerTableStats(); byAddr.Live != len(regs) || n.Peers() != len(regs) {
+			t.Fatalf("%d table entries for %d registrations", byAddr.Live, len(regs))
 		}
 	})
 }

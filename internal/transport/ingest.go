@@ -219,8 +219,8 @@ func (n *UDPNetwork) processBatch(b *rxBatch) {
 
 	n.peerMu.RLock()
 	for i := range batch {
-		if ps := n.lookupAddrLocked(batch[i].src); ps != nil {
-			batch[i].m.From, batch[i].m.Handle = ps.id, ps.handle
+		if h, ok := n.lookupLocked(batch[i].src); ok {
+			batch[i].m.From, batch[i].m.Handle = neko.ProcessID(h), h
 			batch[i].known = true
 		}
 	}

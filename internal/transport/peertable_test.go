@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,23 +18,27 @@ func churnAddr(i int) string {
 	return fmt.Sprintf("10.%d.%d.%d:7%03d", (i>>16)&0xff, (i>>8)&0xff, i&0xff, i%1000)
 }
 
-// attributeAddr resolves a source address (already Unmap()ed) the way the
-// drain path does per batch: through the address indexes under the
-// peer-table read lock.
-func (n *UDPNetwork) attributeAddr(ap netip.AddrPort) (id neko.ProcessID, ok bool) {
+// attribute resolves a source address (already Unmap()ed) the way the
+// drain path does per batch, to the handle it was registered with: through
+// the address table under the peer-table read lock.
+func (n *UDPNetwork) attribute(ap netip.AddrPort) (h uint64, ok bool) {
 	n.peerMu.RLock()
 	defer n.peerMu.RUnlock()
-	if ps := n.lookupAddrLocked(ap); ps != nil {
-		return ps.id, true
-	}
-	return 0, false
+	return n.lookupLocked(ap)
+}
+
+// attributeAddr is attribute for peers registered by id: the id a datagram
+// from ap is delivered as.
+func (n *UDPNetwork) attributeAddr(ap netip.AddrPort) (id neko.ProcessID, ok bool) {
+	h, ok := n.attribute(ap)
+	return neko.ProcessID(h), ok
 }
 
 // TestPeerChurnCompaction drives repeated full add/remove cycles through
-// the arena-backed peer tables and asserts the layout returns to baseline
-// each time: no arena leak, tombstones compacted below the Cap/4 bound,
-// probe lengths bounded, and table capacity stable across cycles rather
-// than ratcheting upward.
+// the peer tables and asserts the layout returns to baseline each time: no
+// entry left behind, tombstones compacted below the Cap/4 bound, probe
+// lengths bounded, and table capacity stable across cycles rather than
+// ratcheting upward.
 func TestPeerChurnCompaction(t *testing.T) {
 	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -45,7 +50,7 @@ func TestPeerChurnCompaction(t *testing.T) {
 		cycles = 6
 		peers  = 4096
 	)
-	var capAfterFirst int
+	var capAfterFirst [2]int
 	for c := 0; c < cycles; c++ {
 		for i := 0; i < peers; i++ {
 			if err := n.AddPeer(neko.ProcessID(100+i), churnAddr(i)); err != nil {
@@ -55,7 +60,7 @@ func TestPeerChurnCompaction(t *testing.T) {
 		if got := n.Peers(); got != peers {
 			t.Fatalf("cycle %d: %d peers registered, want %d", c, got, peers)
 		}
-		_, byID, byAddr := n.PeerTableStats()
+		byAddr, byID := n.PeerTableStats()
 		if byID.MaxProbe > 64 {
 			t.Fatalf("cycle %d: byID MaxProbe %d after refill, want bounded", c, byID.MaxProbe)
 		}
@@ -67,10 +72,7 @@ func TestPeerChurnCompaction(t *testing.T) {
 				t.Fatalf("cycle %d remove peer %d: %v", c, i, err)
 			}
 		}
-		arenaStats, byID, byAddr := n.PeerTableStats()
-		if arenaStats.Live != 0 {
-			t.Fatalf("cycle %d: arena holds %d live records after full drain", c, arenaStats.Live)
-		}
+		byAddr, byID = n.PeerTableStats()
 		if byID.Live != 0 || byAddr.Live != 0 {
 			t.Fatalf("cycle %d: tables hold %d/%d live entries after full drain", c, byID.Live, byAddr.Live)
 		}
@@ -83,27 +85,19 @@ func TestPeerChurnCompaction(t *testing.T) {
 					c, name, st.Tombstones, st.Cap)
 			}
 		}
-		if c == 0 {
-			capAfterFirst = byID.Cap
-		} else if byID.Cap > capAfterFirst {
-			t.Fatalf("cycle %d: byID cap grew %d -> %d across identical churn cycles",
-				c, capAfterFirst, byID.Cap)
+		if caps := [2]int{byID.Cap, byAddr.Cap}; c == 0 {
+			capAfterFirst = caps
+		} else if caps[0] > capAfterFirst[0] || caps[1] > capAfterFirst[1] {
+			t.Fatalf("cycle %d: (byID, byAddr) caps grew %v -> %v across identical churn cycles",
+				c, capAfterFirst, caps)
 		}
-	}
-	arenaStats, _, _ := n.PeerTableStats()
-	// Every post-first-cycle allocation must come from free-list reuse: the
-	// arena never grows past the first cycle's high-water mark.
-	if want := uint64((cycles - 1) * peers); arenaStats.Reused < want {
-		t.Fatalf("arena reused %d records, want >= %d (slab growth instead of reuse)", arenaStats.Reused, want)
-	}
-	if arenaStats.Capacity > peers+1024 {
-		t.Fatalf("arena capacity %d after churn, want near the %d high-water mark", arenaStats.Capacity, peers)
 	}
 }
 
 // collidingAddr6 returns an IPv6 endpoint in 2001:db8::/32, on the given
-// port, whose addrKey digest is key: it solves addrKey's IPv6 arm for the
-// low address half, multiplying by the inverse of the odd constant.
+// port, whose addrKey digest before tagging is key: it solves addrKey's
+// IPv6 arm for the low address half, multiplying by the inverse of the odd
+// constant. Its Addr is key with v6Tag set.
 func collidingAddr6(key uint64, port uint16) netip.AddrPort {
 	const k1, k2 = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
 	inv := uint64(k2) // Newton's iteration doubles the correct low bits each step
@@ -116,7 +110,7 @@ func collidingAddr6(key uint64, port uint16) netip.AddrPort {
 	binary.BigEndian.PutUint64(b[:8], hi)
 	binary.BigEndian.PutUint64(b[8:], lo)
 	ap := netip.AddrPortFrom(netip.AddrFrom16(b), port)
-	if addrKey(ap) != key {
+	if addrKey(ap) != Addr(key)|v6Tag {
 		panic("collidingAddr6 out of step with addrKey")
 	}
 	return ap
@@ -168,22 +162,43 @@ func TestIPv6LookupEquivalence(t *testing.T) {
 		}
 	}
 
-	// An IPv6 address whose digest equals peer 6's packed IPv4 key lands on
-	// peer 6's probe chain: only the record's address tells the two apart.
-	forged := collidingAddr6(addrKey(netip.MustParseAddrPort(peers[6])), 7001)
+	// An IPv6 address whose digest equals peer 6's packed IPv4 key: the
+	// tag keeps it off peer 6's key, so no IPv6 source resolves to an IPv4
+	// peer, registered or not.
+	v4 := netip.MustParseAddrPort(peers[6])
+	forged := collidingAddr6(uint64(addrKey(v4)), 7001)
 	if id, ok := n.attributeAddr(forged); ok {
-		t.Fatalf("attributeAddr(%s), colliding with peer 6's key, resolved to peer %d", forged, id)
+		t.Fatalf("attributeAddr(%s), digest equal to peer 6's key, resolved to peer %d", forged, id)
 	}
 	if err := n.AddPeer(8, forged.String()); err != nil {
-		t.Fatalf("add peer at colliding %s: %v", forged, err)
+		t.Fatalf("add peer at %s: %v", forged, err)
 	}
-	for id, ap := range map[neko.ProcessID]netip.AddrPort{6: netip.MustParseAddrPort(peers[6]), 8: forged} {
+	// An IPv6 address whose digest equals peer 2's: the two share a key and
+	// a probe chain, and only the full address tells them apart.
+	twin := collidingAddr6(uint64(addrKey(netip.MustParseAddrPort(peers[2]))), 7009)
+	if id, ok := n.attributeAddr(twin); ok {
+		t.Fatalf("attributeAddr(%s), colliding with peer 2's key, resolved to peer %d", twin, id)
+	}
+	if err := n.AddPeer(9, twin.String()); err != nil {
+		t.Fatalf("add peer at colliding %s: %v", twin, err)
+	}
+	for id, ap := range map[neko.ProcessID]netip.AddrPort{
+		2: netip.MustParseAddrPort(peers[2]), 6: v4, 8: forged, 9: twin,
+	} {
 		if got, ok := n.attributeAddr(ap); !ok || got != id {
 			t.Fatalf("attributeAddr(%s) = %d, %v with keys colliding, want %d", ap, got, ok, id)
 		}
+		if dst, ok := n.dest(0, uint64(id), true); !ok || dst != ap {
+			t.Fatalf("peer %d sends to %s, %v, want %s", id, dst, ok, ap)
+		}
 	}
-	if err := n.RemovePeer(8); err != nil {
-		t.Fatal(err)
+	for _, id := range []neko.ProcessID{8, 9} {
+		if err := n.RemovePeer(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id, ok := n.attributeAddr(twin); ok {
+		t.Fatalf("removed peer 9's address resolved to peer %d", id)
 	}
 
 	// Removing a peer leaves every other one reachable (its tombstone keeps
@@ -245,9 +260,9 @@ func TestIPv6ChurnCompaction(t *testing.T) {
 				t.Fatalf("cycle %d remove peer %d: %v", c, i, err)
 			}
 		}
-		arenaStats, _, byAddr := n.PeerTableStats()
-		if arenaStats.Live != 0 || byAddr.Live != 0 {
-			t.Fatalf("cycle %d: %d arena / %d table entries live after drain", c, arenaStats.Live, byAddr.Live)
+		byAddr, byID := n.PeerTableStats()
+		if byID.Live != 0 || byAddr.Live != 0 || len(n.v6) != 0 {
+			t.Fatalf("cycle %d: %d id / %d address / %d IPv6 entries live after drain", c, byID.Live, byAddr.Live, len(n.v6))
 		}
 		if byAddr.Tombstones*4 > byAddr.Cap {
 			t.Fatalf("cycle %d: byAddr %d tombstones at cap %d, want compacted", c, byAddr.Tombstones, byAddr.Cap)
@@ -297,11 +312,11 @@ func TestResolveAddrPort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if err := n.AddPeerHandle(7, "[::ffff:10.1.2.3]:7000", 99); err != nil {
+	if _, err := n.AddPeerHandle("[::ffff:10.1.2.3]:7000", 99); err != nil {
 		t.Fatal(err)
 	}
-	if id, ok := n.attributeAddr(netip.MustParseAddrPort("10.1.2.3:7000")); !ok || id != 7 {
-		t.Errorf("v4-mapped registration not found under its v4 source: id %d, ok %v", id, ok)
+	if v, ok := n.attribute(netip.MustParseAddrPort("10.1.2.3:7000")); !ok || v != 99 {
+		t.Errorf("v4-mapped registration not found under its v4 source: handle %d, ok %v", v, ok)
 	}
 	if err := n.AddPeer(8, "10.1.2.3:7000"); err == nil {
 		t.Error("the same endpoint registered twice, once v4-mapped and once v4")
@@ -313,5 +328,47 @@ func TestResolveAddrPort(t *testing.T) {
 	var addrErr *net.AddrError
 	if !errors.As(err, &addrErr) {
 		t.Errorf("malformed address: error %v does not wrap the resolver's *net.AddrError", err)
+	}
+}
+
+// TestAddressTableHeapBudget pins what the endpoint keeps of a peer
+// registered by handle: one entry of the address table (17 bytes a slot at
+// its 3/4 load bound, 34 B a peer when pre-sized for a power of two), and no
+// record of its own. The endpoint's fixed set-up (sockets, reader buffers)
+// is spread over the 65,536 peers; a per-peer record or a second table
+// entry costs 17 to 60 bytes more and fails here.
+func TestAddressTableHeapBudget(t *testing.T) {
+	const (
+		peers  = 65536
+		budget = 40
+	)
+	addrs := make([]string, peers)
+	for i := range addrs {
+		addrs[i] = churnAddr(i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0", ExpectedPeers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for i, addr := range addrs {
+		if _, err := n.AddPeerHandle(addr, uint64(i)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(addrs)
+	perPeer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / peers
+	t.Logf("%d peers: %.1f B/peer", peers, perPeer)
+	if perPeer > budget {
+		t.Errorf("%.1f heap bytes per peer registered by handle, budget %d", perPeer, budget)
+	}
+	if byAddr, byID := n.PeerTableStats(); byAddr.Live != peers || byID.Live != 0 || len(n.v6) != 0 {
+		t.Errorf("address table holds %d entries, the id table %d and the IPv6 table %d, want %d, 0 and 0",
+			byAddr.Live, byID.Live, len(n.v6), peers)
 	}
 }

@@ -378,21 +378,52 @@ func TestUDPMalformedPacketCounted(t *testing.T) {
 	t.Fatal("malformed packet not counted")
 }
 
+// TestUDPTimeSync runs the clock-sync exchange with a peer registered by
+// handle, and pins that an exchange for a registration that does not hold —
+// a foreign handle, or a removed peer — sends nothing: each is dropped,
+// counted and fails at once.
 func TestUDPTimeSync(t *testing.T) {
-	a, b := twoEndpoints(t)
+	a, err := NewUDPNetwork(UDPConfig{LocalID: 1, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	b, err := NewUDPNetwork(UDPConfig{
+		LocalID: 2,
+		Listen:  "127.0.0.1:0",
+		Peers:   map[neko.ProcessID]string{1: a.LocalAddr().String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	const handle = 7
+	dst, err := a.AddPeerHandle(b.LocalAddr().String(), handle)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// a and b share the same wall clock (same host), so the estimated
 	// offset must be ≈ 0.
-	off, err := a.SyncWith(2, 8, 2*time.Second)
+	off, err := a.SyncWith(dst, handle, 8, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off < -50*time.Millisecond || off > 50*time.Millisecond {
 		t.Errorf("loopback offset estimate %v, want ≈0", off)
 	}
-	if _, err := a.SyncWith(99, 1, time.Second); err == nil {
-		t.Error("sync with unknown peer should fail")
+	sent, _, _ := a.Stats()
+	if _, err := a.SyncWith(dst, handle+1, 1, time.Second); err == nil {
+		t.Error("sync under a foreign handle should fail")
 	}
-	_ = b
+	if !a.RemovePeerHandle(dst, handle) {
+		t.Fatal("registration not found for removal")
+	}
+	if _, err := a.SyncWith(dst, handle, 1, time.Second); err == nil {
+		t.Error("sync with a removed peer should fail")
+	}
+	if now, _, _ := a.Stats(); now != sent || a.dropped.Load() != 2 {
+		t.Errorf("after two refused exchanges: %d more sent, %d dropped, want 0 and 2", now-sent, a.dropped.Load())
+	}
 }
 
 func TestUDPCloseIdempotent(t *testing.T) {

@@ -32,18 +32,10 @@ type UDPConfig struct {
 	// reader. Values above 1 are honoured only where SO_REUSEPORT is
 	// available (Linux) and are otherwise clamped to 1.
 	Readers int
-	// ExpectedPeers, when non-zero, pre-sizes the peer tables for that many
-	// registered peers, so reaching the expected population never rehashes
-	// under load.
+	// ExpectedPeers, when non-zero, pre-sizes the address table for that
+	// many registered peers, so reaching the expected population never
+	// rehashes under load.
 	ExpectedPeers int
-}
-
-// peerState is one registered peer: its transport identity and the
-// receiver's handle for it (stamped on every message from its address).
-type peerState struct {
-	id     neko.ProcessID
-	ap     netip.AddrPort
-	handle uint64
 }
 
 // receiverBox caches the Attach-time interface assertion so the hot path
@@ -75,30 +67,26 @@ type receiverBox struct {
 type UDPNetwork struct {
 	cfg       UDPConfig
 	conn      *net.UDPConn
-	epoch     time.Time
 	epochNano int64
 	clk       *sim.RealClock
 
-	// peerMu guards the peer table, which is mutable at runtime (AddPeer/
+	// peerMu guards the peer tables, which are mutable at runtime (AddPeer/
 	// RemovePeer) so a cluster monitor can change membership without
 	// dropping the socket. The batched drain loop takes the read lock once
 	// per batch, not once per packet.
 	//
-	// Peer records live in an index-addressed arena (one dense slab set
-	// instead of one heap object per peer — see internal/arena); the three
-	// indexes below map lookup keys to arena indices through open-addressed
-	// tables, so registering a millionth peer costs no per-peer map entry
-	// and the GC never walks a per-peer pointer graph. A *peerState from
-	// peerArena is only valid while peerMu is held (RemovePeer frees and
-	// zeroes the record under the write lock), so every accessor copies
-	// what it needs out before unlocking.
-	peerMu    sync.RWMutex
-	peerArena *arena.Arena[peerState]
-	// byID keys on the process id. byAddr indexes peers by source address
-	// for receive attribution, both families in one table (see addrKey):
-	// every lookup confirms the full address against the arena record.
-	byID   *arena.Map64
+	// The endpoint keeps no per-peer record. byAddr, an open-addressed
+	// table (see internal/arena), maps each registered source address (its
+	// Addr) to the handle its datagrams are stamped with; an IPv4 source is
+	// one probe that reads nothing else. byID maps the id of a peer
+	// registered by id to its Addr, for Send by To, and v6 holds each IPv6
+	// registration's full address by handle, which confirms a digest hit
+	// and serves sends; neither holds a peer registered by handle over
+	// IPv4.
+	peerMu sync.RWMutex
 	byAddr *arena.Map64
+	byID   *arena.Map64
+	v6     map[uint64]netip.AddrPort
 
 	receiver atomic.Pointer[receiverBox]
 	attached atomic.Bool
@@ -152,10 +140,9 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	n := &UDPNetwork{
 		cfg:       cfg,
 		conn:      conn,
-		peerArena: arena.New[peerState](),
-		byID:      arena.NewMap64(hint),
 		byAddr:    arena.NewMap64(hint),
-		epoch:     clk.Epoch(),
+		byID:      arena.NewMap64(len(cfg.Peers)),
+		v6:        make(map[uint64]netip.AddrPort),
 		epochNano: clk.Epoch().UnixNano(),
 		clk:       clk,
 		pending:   make(map[int64]chan clock.Sample),
@@ -228,34 +215,83 @@ func (n *UDPNetwork) LocalAddr() *net.UDPAddr {
 
 var _ neko.Network = (*UDPNetwork)(nil)
 
-// AddPeer registers a peer id and address at runtime. The id and the
-// address must both be new: addresses identify senders, so two ids sharing
-// one address would be indistinguishable on receive.
-func (n *UDPNetwork) AddPeer(id neko.ProcessID, addr string) error {
-	return n.AddPeerHandle(id, addr, 0)
+// Addr is a registered peer's address in one word: the key of the
+// endpoint's address table, which a receiver keeps in its own per-peer
+// record to send to the peer and to remove it. IPv4 packs address and port
+// losslessly into the low 48 bits; IPv6 is a 64-bit digest of address and
+// port with v6Tag set, so it never equals an IPv4 key. Port 0 is refused,
+// so the zero Addr names no peer.
+type Addr uint64
+
+// v6Tag marks an IPv6 Addr. Digests may collide with each other, so an
+// IPv6 lookup confirms the full address in the v6 side table.
+const v6Tag Addr = 1 << 63
+
+// addrKey is a source address's Addr.
+func addrKey(ap netip.AddrPort) Addr {
+	a := ap.Addr()
+	if a.Is4() {
+		b := a.As4()
+		return Addr(b[0])<<40 | Addr(b[1])<<32 | Addr(b[2])<<24 | Addr(b[3])<<16 | Addr(ap.Port())
+	}
+	b := a.As16()
+	hi, lo := binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+	return Addr((hi*0x9e3779b97f4a7c15^lo)*0xbf58476d1ce4e5b9^uint64(ap.Port())) | v6Tag
 }
 
-// AddPeerHandle is AddPeer for a receiver with per-peer state of its own:
-// every message from addr is delivered with Message.Handle set to handle,
-// so the transport's address lookup is the receive path's only lookup.
-func (n *UDPNetwork) AddPeerHandle(id neko.ProcessID, addr string, handle uint64) error {
+// AddPeer registers a peer id and address at runtime: AddPeerHandle with
+// the id as the handle, so messages from addr are delivered with From (and
+// Handle) set to id, and Send by To reaches addr. The id and the address
+// must both be new: addresses identify senders, so two ids sharing one
+// address would be indistinguishable on receive.
+func (n *UDPNetwork) AddPeer(id neko.ProcessID, addr string) error {
+	_, err := n.register(addr, uint64(id), true)
+	return err
+}
+
+// AddPeerHandle registers addr for a receiver with per-peer state of its
+// own: every message from addr is delivered with Message.Handle set to
+// handle (and From to its bits), so the address lookup is the receive
+// path's only lookup, and that table entry is all the endpoint keeps of the
+// peer. It returns the peer's Addr, which SendTo, SyncWith and
+// RemovePeerHandle take. Handles share one space with the ids of peers
+// registered by id, and an IPv6 peer's must be unique among the endpoint's
+// IPv6 registrations.
+func (n *UDPNetwork) AddPeerHandle(addr string, handle uint64) (Addr, error) {
+	return n.register(addr, handle, false)
+}
+
+// register enters addr into the address table under handle h, into the v6
+// side table for IPv6, and with byID into the id table as peer h.
+func (n *UDPNetwork) register(addr string, h uint64, byID bool) (Addr, error) {
 	ap, err := resolveAddrPort(addr)
 	if err != nil {
-		return fmt.Errorf("transport: resolve peer %d %q: %w", id, addr, err)
+		peer := fmt.Sprintf("%q", addr)
+		if byID {
+			peer = fmt.Sprintf("%d %q", neko.ProcessID(h), addr)
+		}
+		return 0, fmt.Errorf("transport: resolve peer %s: %w", peer, err)
 	}
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
-	if _, dup := n.byID.Get(uint64(id)); dup {
-		return fmt.Errorf("transport: peer %d already registered", id)
+	if _, dup := n.byID.Get(h); dup && byID {
+		return 0, fmt.Errorf("transport: peer %d already registered", neko.ProcessID(h))
 	}
-	if other := n.lookupAddrLocked(ap); other != nil {
-		return fmt.Errorf("transport: address %s already registered as peer %d", ap, other.id)
+	if _, dup := n.lookupLocked(ap); dup || ap.Port() == 0 {
+		return 0, fmt.Errorf("transport: address %s has no port or is already registered", ap)
 	}
-	idx, ps := n.peerArena.Alloc()
-	ps.id, ps.ap, ps.handle = id, ap, handle
-	n.byID.Put(uint64(id), idx)
-	n.byAddr.Put(addrKey(ap), idx)
-	return nil
+	a := addrKey(ap)
+	if a&v6Tag != 0 {
+		if _, dup := n.v6[h]; dup {
+			return 0, fmt.Errorf("transport: handle %#x already registered", h)
+		}
+		n.v6[h] = ap
+	}
+	n.byAddr.Put(uint64(a), arena.Index(h))
+	if byID {
+		n.byID.Put(h, arena.Index(a))
+	}
+	return a, nil
 }
 
 // resolveAddrPort turns a peer address into the canonical (unmapped) form
@@ -272,79 +308,84 @@ func resolveAddrPort(addr string) (netip.AddrPort, error) {
 	return unmapAP(a.AddrPort()), nil
 }
 
-// RemovePeer deletes a peer registration.
-// Packets from its address are no longer attributed to the id. The arena
-// record is freed and its generation bumped, so any index captured before
-// the removal resolves to nil rather than a reused slot.
+// RemovePeer deletes a peer registered by id. Packets from its address are
+// no longer attributed to the id.
 func (n *UDPNetwork) RemovePeer(id neko.ProcessID) error {
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
-	idx, ok := n.byID.Delete(uint64(id))
-	if !ok {
-		return fmt.Errorf("transport: unknown peer %d", id)
+	if a, ok := n.byID.Delete(uint64(id)); ok && n.unregisterLocked(Addr(a), uint64(id)) {
+		return nil
 	}
-	n.byAddr.Remove(addrKey(n.peerArena.Get(idx).ap), func(i arena.Index) bool { return i == idx })
-	n.peerArena.Free(idx)
-	return nil
+	return fmt.Errorf("transport: unknown peer %d", id)
+}
+
+// RemovePeerHandle ends the registration AddPeerHandle made of a under
+// handle h, and reports whether there was one: packets from the address
+// are no longer delivered, and SendTo and SyncWith no longer reach it.
+func (n *UDPNetwork) RemovePeerHandle(a Addr, h uint64) bool {
+	n.peerMu.Lock()
+	defer n.peerMu.Unlock()
+	return n.unregisterLocked(a, h)
+}
+
+// unregisterLocked removes a's table entry of handle h. Callers hold
+// peerMu.
+func (n *UDPNetwork) unregisterLocked(a Addr, h uint64) bool {
+	_, ok := n.byAddr.Remove(uint64(a), func(i arena.Index) bool { return uint64(i) == h })
+	if ok && a&v6Tag != 0 {
+		delete(n.v6, h)
+	}
+	return ok
 }
 
 // Peers returns the number of registered peers.
 func (n *UDPNetwork) Peers() int {
 	n.peerMu.RLock()
 	defer n.peerMu.RUnlock()
-	return n.peerArena.Len()
+	return n.byAddr.Len()
 }
 
-// PeerTableStats reports the layout health of the peer structures: arena
-// occupancy plus the open-addressed table stats for each index. Churn
-// regression tests assert compaction returns these to baseline.
-func (n *UDPNetwork) PeerTableStats() (arenaStats arena.Stats, byID, byAddr arena.TableStats) {
+// PeerTableStats reports the layout health of the address table and of the
+// id table. Churn regression tests assert compaction returns these to
+// baseline.
+func (n *UDPNetwork) PeerTableStats() (byAddr, byID arena.TableStats) {
 	n.peerMu.RLock()
 	defer n.peerMu.RUnlock()
-	return n.peerArena.Stats(), n.byID.Stats(), n.byAddr.Stats()
+	return n.byAddr.Stats(), n.byID.Stats()
 }
 
-// peerAddr returns a peer's socket address by value.
-func (n *UDPNetwork) peerAddr(id neko.ProcessID) (netip.AddrPort, bool) {
+// lookupLocked resolves a source address (already Unmap()ed) to the handle
+// it was registered with: for IPv4 one probe that reads nothing else, for
+// IPv6 each digest hit confirmed against the full address. Callers hold
+// peerMu in at least read mode.
+func (n *UDPNetwork) lookupLocked(ap netip.AddrPort) (uint64, bool) {
+	a := addrKey(ap)
+	if a&v6Tag == 0 {
+		h, ok := n.byAddr.Get(uint64(a))
+		return uint64(h), ok
+	}
+	h, ok := n.byAddr.Find(uint64(a), func(i arena.Index) bool { return n.v6[uint64(i)] == ap })
+	return uint64(h), ok
+}
+
+// dest returns the socket address of the peer registered at a under handle
+// h — with byID, of the peer registered by id h, whose Addr the id table
+// holds — or false when there is none: a stale or foreign (a, h) never
+// resolves to whoever holds the address now.
+func (n *UDPNetwork) dest(a Addr, h uint64, byID bool) (netip.AddrPort, bool) {
 	n.peerMu.RLock()
 	defer n.peerMu.RUnlock()
-	if idx, ok := n.byID.Get(uint64(id)); ok {
-		return n.peerArena.Get(idx).ap, true
+	if byID {
+		i, _ := n.byID.Get(h)
+		a = Addr(i)
 	}
-	return netip.AddrPort{}, false
-}
-
-// addrKey is a source address's byAddr key. An IPv4 endpoint (the common
-// case) packs address and port losslessly into 48 bits; an IPv6 endpoint
-// folds its 16 address bytes and port into a 64-bit digest. Digests may
-// collide with each other or with a packed IPv4 key, so the table is
-// lossy: lookups confirm the full address against the arena record, and a
-// collision costs one more probe, never a misattribution.
-func addrKey(ap netip.AddrPort) uint64 {
-	a := ap.Addr()
-	if a.Is4() {
-		b := a.As4()
-		return uint64(b[0])<<40 | uint64(b[1])<<32 | uint64(b[2])<<24 | uint64(b[3])<<16 |
-			uint64(ap.Port())
+	if a&v6Tag != 0 {
+		ap, ok := n.v6[h]
+		return ap, ok && addrKey(ap) == a
 	}
-	b := a.As16()
-	hi, lo := binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
-	return (hi*0x9e3779b97f4a7c15^lo)*0xbf58476d1ce4e5b9 ^ uint64(ap.Port())
-}
-
-// lookupAddrLocked resolves a source address (already Unmap()ed) to its
-// peer record, or nil. Callers hold peerMu in at least read mode; the
-// returned pointer is valid only until the lock is released.
-func (n *UDPNetwork) lookupAddrLocked(ap netip.AddrPort) *peerState {
-	var hit *peerState
-	n.byAddr.Find(addrKey(ap), func(i arena.Index) bool {
-		if ps := n.peerArena.Get(i); ps.ap == ap {
-			hit = ps
-			return true
-		}
-		return false
-	})
-	return hit
+	got, ok := n.byAddr.Get(uint64(a))
+	ip := [4]byte{byte(a >> 40), byte(a >> 32), byte(a >> 24), byte(a >> 16)}
+	return netip.AddrPortFrom(netip.AddrFrom4(ip), uint16(a)), ok && uint64(got) == h
 }
 
 // Attach implements neko.Network for the configured local process.
@@ -410,14 +451,17 @@ func (n *UDPNetwork) handleTimeResp(m *neko.Message) {
 	}
 }
 
-// SyncWith performs rounds of NTP-style exchanges with a peer and returns
-// the peer-minus-local clock offset the minimum-delay filter estimates; the
-// endpoint keeps nothing of it. Rounds that time out are skipped; at least
-// one successful round is required.
-func (n *UDPNetwork) SyncWith(peer neko.ProcessID, rounds int, timeout time.Duration) (time.Duration, error) {
-	ap, ok := n.peerAddr(peer)
+// SyncWith performs rounds of NTP-style exchanges with the peer
+// AddPeerHandle registered at a under handle and returns the
+// peer-minus-local clock offset the minimum-delay filter estimates; the
+// endpoint keeps nothing of it. An exchange with a peer not registered so
+// sends nothing: it is counted dropped and fails. Rounds that time out are
+// skipped; at least one successful round is required.
+func (n *UDPNetwork) SyncWith(a Addr, handle uint64, rounds int, timeout time.Duration) (time.Duration, error) {
+	ap, ok := n.dest(a, handle, false)
 	if !ok {
-		return 0, fmt.Errorf("transport: unknown peer %d", peer)
+		n.dropped.Add(1)
+		return 0, fmt.Errorf("transport: no peer registered at %#x with handle %#x", uint64(a), handle)
 	}
 	if rounds <= 0 {
 		rounds = 8
@@ -436,7 +480,6 @@ func (n *UDPNetwork) SyncWith(peer neko.ProcessID, rounds int, timeout time.Dura
 
 		req := &neko.Message{
 			From:   n.cfg.LocalID,
-			To:     peer,
 			Type:   MsgTimeReq,
 			Seq:    seq,
 			SentAt: n.clk.Now(),
@@ -463,7 +506,7 @@ func (n *UDPNetwork) SyncWith(peer neko.ProcessID, rounds int, timeout time.Dura
 		}
 	}
 	if len(samples) == 0 {
-		return 0, fmt.Errorf("transport: no sync responses from peer %d", peer)
+		return 0, fmt.Errorf("transport: no sync responses from %s", ap)
 	}
 	return clock.EstimateOffset(samples)
 }

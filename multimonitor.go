@@ -83,10 +83,11 @@ func peerNameHash(name string) uint64 {
 // safe: the detector serves the slot's arena index while the peer is live
 // (core.Detector.Serve) and refuses any other.
 type peerEntry struct {
-	// id is the peer's process id while the entry is in the name table,
-	// zero otherwise: what tells a walk over the arena that a slot is a
-	// member. Guarded by the table lock.
-	id neko.ProcessID
+	// addr is the peer's address, the key of its one transport table entry,
+	// while the entry is in the name table, zero otherwise: what tells a
+	// walk over the arena that a slot is a member. Guarded by the table
+	// lock.
+	addr transport.Addr
 	// det is the peer's detector; its name is the peer's label. ctrl is the
 	// interval controller, nil without WithTargetDetection. Both are written
 	// only while the slot is neither published nor live.
@@ -110,16 +111,13 @@ func (e *peerEntry) stop() {
 // without dropping the socket or perturbing other peers' timers. All
 // methods are safe for concurrent use.
 type MultiMonitor struct {
-	net *transport.UDPNetwork
-	// sender is the endpoint's send side, for the interval controllers.
-	sender neko.Sender
-	ctx    *neko.Context
-	opts   options
-	nextID atomic.Int64 // next peer ProcessID; monotonic, never reused
+	net  *transport.UDPNetwork
+	ctx  *neko.Context
+	opts options
 	// The peer table: entries live in an index-addressed arena and the
 	// name-keyed open-addressed table maps name hashes to arena indices (see
 	// internal/arena). mu guards the table, the arena's bookkeeping and
-	// every entry's id.
+	// every entry's addr.
 	mu   sync.RWMutex
 	tab  *arena.Map64
 	ents *arena.Arena[peerEntry]
@@ -135,8 +133,9 @@ type MultiMonitor struct {
 	undelivered, adds, removes atomic.Uint64
 }
 
-// multiMonitorID is the local process id of the multi-monitor; peers get
-// ids above it.
+// multiMonitorID is the local process id of the multi-monitor. Its peers
+// have no ids: the transport stamps their messages with their records'
+// handles.
 const multiMonitorID neko.ProcessID = 1000
 
 // monitorTick is the monitor's timing-wheel tick: the width of the bucket a
@@ -192,7 +191,6 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		telemetry.Desc{Name: telemetry.MetricPeerRemoves, Help: "Peers removed from the cluster monitor.", Type: telemetry.TypeCounter},
 		telemetry.Desc{Name: telemetry.MetricIngestUndelivered, Help: "Messages from a registered address that reached no detector: they raced their peer's removal, or nothing consumes their type.", Type: telemetry.TypeCounter},
 	)
-	mm.nextID.Store(int64(multiMonitorID) + 1)
 	mm.ctx = &neko.Context{ID: multiMonitorID, Clock: net.Clock()}
 	mm.wheel = sched.NewWheel(sched.Config{
 		Clock:     net.Clock(),
@@ -206,7 +204,7 @@ func newMultiMonitor(listen string, o options) (*MultiMonitor, error) {
 		return nil, err
 	}
 	// The monitor is complete: datagrams may be delivered from here on.
-	if mm.sender, err = net.Attach(multiMonitorID, (*ingress)(mm)); err != nil {
+	if _, err = net.Attach(multiMonitorID, (*ingress)(mm)); err != nil {
 		_ = mm.Close()
 		return nil, err
 	}
@@ -249,6 +247,17 @@ func (m *MultiMonitor) deliver(msg *neko.Message, at time.Duration) {
 	m.undelivered.Add(1)
 }
 
+// peerSender is an interval controller's sender: its commands go to its
+// peer's address while the peer is registered there under its handle, and
+// are dropped and counted by the transport once it is not.
+type peerSender struct {
+	net *transport.UDPNetwork
+	a   transport.Addr
+	h   uint64
+}
+
+func (s peerSender) Send(msg *neko.Message) { s.net.SendTo(msg, s.a, s.h) }
+
 // find resolves a name to its arena index. Callers hold mu.
 func (m *MultiMonitor) find(h uint64, name string) (arena.Index, bool) {
 	return m.tab.Find(h, func(i arena.Index) bool { return m.ents.Get(i).det.Name() == name })
@@ -260,7 +269,7 @@ func (m *MultiMonitor) each(f func(*peerEntry)) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	m.ents.Range(func(_ arena.Index, e *peerEntry) bool {
-		if e.id != 0 {
+		if e.addr != 0 {
 			f(e)
 		}
 		return true
@@ -269,11 +278,11 @@ func (m *MultiMonitor) each(f func(*peerEntry)) {
 
 // AddPeer starts monitoring one more peer, identified by the source
 // address its heartbeats will arrive from. The peer gets a fresh detector
-// and a fresh process id — re-adding a previously removed name never
-// resurrects old suspicion state. Names and addresses must be unique
-// within the cluster. With WithSyncClock the call blocks for the clock-sync
-// exchange and fails if the peer does not answer. A call that fails leaves
-// nothing of the peer behind: no series, no accuracy window, no store name.
+// — re-adding a previously removed name never resurrects old suspicion
+// state. Names and addresses must be unique within the cluster. With
+// WithSyncClock the call blocks for the clock-sync exchange and fails if
+// the peer does not answer. A call that fails leaves nothing of the peer
+// behind: no series, no accuracy window, no store name.
 func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	if name == "" {
 		return fmt.Errorf("wanfd: empty peer name")
@@ -296,40 +305,39 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 			m.mu.Unlock()
 		}
 	}()
-	id := neko.ProcessID(m.nextID.Add(1) - 1)
 	o := &m.opts
 	cfg, err := o.detectorConfig(name)
 	if err != nil {
 		return err
 	}
+	// Transport first, so the sync exchange can reach the peer; live only
+	// after it, so the first heartbeat the detector sees is offset-corrected.
+	// Heartbeats in between are dropped — loss the detector tolerates.
+	a, err := m.net.AddPeerHandle(addr, uint64(idx))
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			m.net.RemovePeerHandle(a, uint64(idx))
+		}
+	}()
 	var ctrl *layers.IntervalController
 	if o.targetDetection > 0 {
 		ctrl, err = layers.NewIntervalController(layers.IntervalControllerConfig{
 			Detector:        &e.det,
 			TargetDetection: o.targetDetection,
-			Peer:            id,
 		})
 		if err != nil {
 			return err
 		}
-		// It only sends, straight to the socket, on the endpoint's clock:
-		// wheel occupancy stays one deadline per peer.
-		ctrl.SetBelow(m.sender)
+		// It only sends, straight to the socket by the peer's address, on
+		// the endpoint's clock: wheel occupancy stays one deadline per peer.
+		ctrl.SetBelow(peerSender{m.net, a, uint64(idx)})
 	}
-	// Transport first, so the sync exchange can reach the peer; live only
-	// after it, so the first heartbeat the detector sees is offset-corrected.
-	// Heartbeats in between are dropped — loss the detector tolerates.
-	if err := m.net.AddPeerHandle(id, addr, uint64(idx)); err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			_ = m.net.RemovePeer(id)
-		}
-	}()
 	var off time.Duration
 	if o.syncTimeout > 0 {
-		if off, err = m.net.SyncWith(id, 8, o.syncTimeout); err != nil {
+		if off, err = m.net.SyncWith(a, uint64(idx), 8, o.syncTimeout); err != nil {
 			return fmt.Errorf("wanfd: clock sync with %s: %w", name, err)
 		}
 	}
@@ -348,7 +356,7 @@ func (m *MultiMonitor) AddPeer(name, addr string) (err error) {
 	}
 	cfg.Metrics.OpenQoS(m.wheel.Now())
 	e.det.Serve(uint64(idx), off)
-	e.id = id
+	e.addr = a
 	m.tab.Put(h, idx)
 	// The controller's evaluation reads the detector, so it starts last;
 	// starting it only arms its timer, which cannot fail.
@@ -366,11 +374,11 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	h := peerNameHash(name)
 	m.mu.Lock()
 	var e *peerEntry
-	var id neko.ProcessID
+	var a transport.Addr
 	idx, ok := m.tab.Remove(h, func(i arena.Index) bool { return m.ents.Get(i).det.Name() == name })
 	if ok {
 		e = m.ents.Get(idx)
-		id, e.id = e.id, 0
+		a, e.addr = e.addr, 0
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -381,7 +389,7 @@ func (m *MultiMonitor) RemovePeer(name string) error {
 	// an expiry already collected, still reaches this memory and finds a
 	// stopped detector that serves no handle. The controller, which points
 	// into the slot, has stopped for good before the slot is released.
-	_ = m.net.RemovePeer(id)
+	m.net.RemovePeerHandle(a, uint64(idx))
 	e.stop()
 	e.ctrl = nil
 	m.removes.Add(1)
@@ -398,7 +406,7 @@ type SchedulerStats = sched.Stats
 func (m *MultiMonitor) SchedulerStats() SchedulerStats { return m.wheel.Stats() }
 
 // SchedulerStatsDetail is SchedulerStats under the name it had while the
-// monitor ran one wheel per shard.
+// monitor ran one wheel per shard. The benchmark harness still calls it.
 //
 // Deprecated: the monitor has one wheel; use SchedulerStats.
 func (m *MultiMonitor) SchedulerStatsDetail() SchedulerStats { return m.SchedulerStats() }

@@ -27,9 +27,9 @@ func heartbeatPacket(tb testing.TB, from neko.ProcessID, seq int64, sentUnix int
 	return pkt
 }
 
-// TestStrangerCannotRefreshPeer is the spoofing regression: process ids are
-// monotonic and guessable, so heartbeats that claim a registered peer's id
-// but arrive from an unregistered address must not reach that peer's
+// TestStrangerCannotRefreshPeer is the spoofing regression: the sender's
+// id on the wire is a claim anyone can make, so heartbeats that claim an id
+// but arrive from an unregistered address must not reach any peer's
 // detector. They are counted as unknown-source and dropped.
 func TestStrangerCannotRefreshPeer(t *testing.T) {
 	var transitions atomic.Int64

@@ -11,17 +11,22 @@ package wanfd
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"net/netip"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wanfd/internal/arena"
 	"wanfd/internal/core"
+	"wanfd/internal/layers"
 	"wanfd/internal/neko"
 	"wanfd/internal/sched"
 	"wanfd/internal/sim"
+	"wanfd/internal/telemetry"
+	"wanfd/internal/transport"
 )
 
 // TestStragglerNeverReachesNextOccupant removes peer A and adds B into A's
@@ -164,6 +169,76 @@ func TestStaleExpiryNeverSuspectsReAdd(t *testing.T) {
 		if got := mm.SchedulerStats().Scheduled; got != 0 {
 			t.Fatalf("round %d: %d deadlines armed for a peer that has received nothing", round, got)
 		}
+	}
+}
+
+// TestStaleHandleSendDropped removes A and adds B into A's slot, then
+// addresses A's stale handle the two ways the monitor sends: an interval
+// controller's command, to A's old address and to the one B's record now
+// holds, and a clock-sync exchange at B's address. Each must be dropped and
+// counted, and B's socket must see nothing of them; a command by B's own
+// handle then reaches B first.
+func TestStaleHandleSendDropped(t *testing.T) {
+	reg := telemetry.NewRegistry(0)
+	mm, err := NewMultiMonitor("127.0.0.1:0", WithEta(time.Second), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.Close()
+	var socks [2]*net.UDPConn
+	for i := range socks {
+		if socks[i], err = net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		defer socks[i].Close()
+	}
+	if err := mm.AddPeer("A", socks[0].LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	senderA := peerSenderOf(t, mm, "A")
+	if err := mm.RemovePeer("A"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mm.AddPeer("B", socks[1].LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	senderB := peerSenderOf(t, mm, "B")
+	if senderB.h>>32 != senderA.h>>32 || senderB.h == senderA.h {
+		t.Fatalf("B's handle %#x does not reuse A's slot under a new lifetime (%#x)", senderB.h, senderA.h)
+	}
+	command := func(s peerSender, seq int64) {
+		s.Send(&neko.Message{From: multiMonitorID, Type: layers.MsgSetInterval, Seq: seq})
+	}
+	// A's stale handle, at A's old address and at the address B's record
+	// now holds.
+	sent := mm.Stats().Egress.Packets
+	command(senderA, 1)
+	command(peerSender{mm.net, senderB.a, senderA.h}, 1)
+	if _, err := mm.net.SyncWith(senderB.a, senderA.h, 1, 50*time.Millisecond); err == nil {
+		t.Error("clock sync by A's stale handle succeeded")
+	}
+	if got := mm.Stats().Egress.Packets; got != sent {
+		t.Errorf("%d datagrams written for A's stale handle, want 0", got-sent)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := telemetry.MetricPacketsDropped + " 3\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks %q: the three stale sends were not counted", want)
+	}
+
+	command(senderB, 2)
+	if err := socks[1].SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 2048)
+	nb, err := socks[1].Read(buf)
+	if err != nil {
+		t.Fatalf("B's command never arrived: %v", err)
+	}
+	if m, _, err := transport.Decode(buf[:nb]); err != nil || m.Type != layers.MsgSetInterval || m.Seq != 2 {
+		t.Fatalf("B's first datagram is %+v (%v), want its own command", m, err)
 	}
 }
 
